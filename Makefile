@@ -92,7 +92,7 @@ chaos-policies:
 # mixed-policy cycles, and a live telemetry scrape at the end.
 tier1: build vet staticcheck obscheck test race fuzz-smoke chaos-restart chaos-policies telemetry-smoke
 
-# Write the Design() benchmark baseline consumed by regression checks.
+# Run the repo benchmark (BENCHMARK.json, bench/README.md): all four
+# workloads; the result JSON goes to stdout and bench/out/.
 bench:
-	$(GO) run ./scripts/benchjson -out BENCH_design.json
-	@cat BENCH_design.json
+	$(GO) run ./bench -seed 1

@@ -210,8 +210,9 @@ func BenchmarkDesignEndToEnd(b *testing.B) {
 }
 
 // BenchmarkDesign times Design() alone (workload pre-bound) with no
-// observer attached — the baseline the instrumentation overhead guard in
-// observe_test.go and scripts/benchjson compare against.
+// observer attached — the no-observer baseline. (The allocation guard in
+// observe_test.go compares BenchmarkDesignEndToEnd with
+// BenchmarkDesignObserved.)
 func BenchmarkDesign(b *testing.B) {
 	d := benchPaperDesigner(b)
 	b.ResetTimer()
@@ -578,33 +579,11 @@ func BenchmarkEngineSimulation(b *testing.B) {
 	b.ReportMetric(speedup, "io-speedup")
 }
 
-// BenchmarkEngineSimulationRowExec is BenchmarkEngineSimulation pinned to
-// the row-at-a-time reference executor — the denominator of the
-// vectorization speedup scripts/benchjson reports. Block I/O (and so the
-// io-speedup metric) is identical to the batch run by construction; only
-// the wall-clock differs.
-func BenchmarkEngineSimulationRowExec(b *testing.B) {
-	d := benchPaperDesigner(b)
-	design, err := d.Design()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var speedup float64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim, err := design.Simulate(mvpp.SimOptions{Scale: 0.005, Seed: 11, RowExec: true})
-		if err != nil {
-			b.Fatal(err)
-		}
-		speedup = sim.Speedup()
-	}
-	b.ReportMetric(speedup, "io-speedup")
-}
-
 // BenchmarkSimulateDelta times the engine's delta-propagation maintenance
 // path: one synthetic-insert epoch applied to every view incrementally. The
 // reported metrics compare the measured incremental epoch against a full
-// recompute epoch, so BENCH_design.json tracks the maintenance path too.
+// recompute epoch (the repo benchmark's engine.refresh_blocks_incremental
+// and engine.refresh_blocks_recompute measure the same pair on its star).
 func BenchmarkSimulateDelta(b *testing.B) {
 	d := benchPaperDesignerOpts(b, mvpp.Options{Delta: &mvpp.DeltaOptions{DefaultFraction: 0.01}})
 	design, err := d.Design()
@@ -615,27 +594,6 @@ func BenchmarkSimulateDelta(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim, err := design.Simulate(mvpp.SimOptions{Scale: 0.005, Seed: 11, DeltaFraction: 0.01})
-		if err != nil {
-			b.Fatal(err)
-		}
-		incIO, fullIO = sim.IncrementalRefreshIO, sim.RefreshIO
-	}
-	b.ReportMetric(float64(incIO), "blocks-incremental-epoch")
-	b.ReportMetric(float64(fullIO), "blocks-recompute-epoch")
-}
-
-// BenchmarkSimulateDeltaRowExec is BenchmarkSimulateDelta on the row
-// executor — the reference wall-clock for the delta-maintenance speedup.
-func BenchmarkSimulateDeltaRowExec(b *testing.B) {
-	d := benchPaperDesignerOpts(b, mvpp.Options{Delta: &mvpp.DeltaOptions{DefaultFraction: 0.01}})
-	design, err := d.Design()
-	if err != nil {
-		b.Fatal(err)
-	}
-	var incIO, fullIO int64
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		sim, err := design.Simulate(mvpp.SimOptions{Scale: 0.005, Seed: 11, DeltaFraction: 0.01, RowExec: true})
 		if err != nil {
 			b.Fatal(err)
 		}

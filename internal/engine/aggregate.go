@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"strings"
 
 	"github.com/warehousekit/mvpp/internal/algebra"
 )
@@ -103,71 +102,4 @@ func resolveAggregate(agg *algebra.Aggregate, in *Table) (groupIdx, argIdx []int
 		argIdx[i] = j
 	}
 	return groupIdx, argIdx, nil
-}
-
-// rowAggregate is the reference hash aggregation: one pass over the
-// input, one accumulator row per group, groups emitted in first-seen
-// order.
-func (db *DB) rowAggregate(agg *algebra.Aggregate, in *Table, res *Result) (*Table, error) {
-	groupIdx, argIdx, err := resolveAggregate(agg, in)
-	if err != nil {
-		return nil, err
-	}
-
-	type group struct {
-		keyVals []algebra.Value
-		accs    []*accumulator
-	}
-	byKey := make(map[string]*group)
-	var order []*group
-	for _, row := range in.materializeRows() {
-		var key strings.Builder
-		for _, gi := range groupIdx {
-			key.WriteString(row[gi].String())
-			key.WriteByte('|')
-		}
-		g, ok := byKey[key.String()]
-		if !ok {
-			g = &group{keyVals: make([]algebra.Value, len(groupIdx)), accs: make([]*accumulator, len(agg.Aggs))}
-			for i, gi := range groupIdx {
-				g.keyVals[i] = row[gi]
-			}
-			for i, a := range agg.Aggs {
-				g.accs[i] = &accumulator{fn: a.Func}
-			}
-			byKey[key.String()] = g
-			order = append(order, g)
-		}
-		for i := range agg.Aggs {
-			if argIdx[i] < 0 {
-				g.accs[i].count++
-				continue
-			}
-			if err := g.accs[i].add(row[argIdx[i]]); err != nil {
-				return nil, err
-			}
-		}
-	}
-
-	out := NewTable("", agg.Schema(), db.BlockRows)
-	for _, g := range order {
-		row := make([]algebra.Value, 0, len(g.keyVals)+len(g.accs))
-		row = append(row, g.keyVals...)
-		for _, acc := range g.accs {
-			row = append(row, acc.result())
-		}
-		if err := out.Insert(row); err != nil {
-			return nil, err
-		}
-	}
-	stats := OpStats{
-		Label:     agg.Label(),
-		Reads:     int64(in.NumBlocks()),
-		Writes:    int64(out.NumBlocks()),
-		OutRows:   out.NumRows(),
-		OutBlocks: out.NumBlocks(),
-	}
-	db.account(stats)
-	res.Ops = append(res.Ops, stats)
-	return out, nil
 }

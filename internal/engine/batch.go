@@ -8,9 +8,9 @@ import (
 
 // This file holds the vectorized select/project operators and the
 // lane-masked predicate kernels they run on. The batch executor is the
-// default (ExecMode ExecBatch); its contract, enforced by the
-// differential harness, is bit-identical behavior with the row reference
-// executor in rowexec.go — same output rows in the same order, same
+// only one a binary links; its contract, enforced by the differential
+// harness, is bit-identical behavior with the row reference executor in
+// rowexec_test.go — same output rows in the same order, same
 // per-operator stats, and the same error for the same plan. Errors are the
 // subtle part: the row engine evaluates rows in order and stops at the
 // first row that fails, with AND/OR short-circuiting within the row. The

@@ -12,14 +12,27 @@ import (
 )
 
 // The batch-vs-row differential harness. The vectorized batch executor
-// (the default) must be bit-identical to the legacy row-at-a-time
-// reference executor kept behind SetExecMode(ExecRow): same result rows
+// (the only one a binary links) must be bit-identical to the legacy
+// row-at-a-time oracle in rowexec_test.go: same result rows
 // in the same order, same per-operator I/O stats, same counter totals,
 // same journal replay state across delta epochs. Every assertion here is
 // exact equality — no multiset normalization, no tolerance.
 
+// useRowOracle puts db on the row oracle and fails the test if the oracle
+// has executed no operator by the time the test ends: the differential
+// would then have compared the batch executor with itself.
+func useRowOracle(t testing.TB, db *engine.DB) {
+	t.Helper()
+	oracle := db.UseRowOracle()
+	t.Cleanup(func() {
+		if oracle.Ran() == 0 {
+			t.Error("row oracle executed no operator: the reference side ran batch code")
+		}
+	})
+}
+
 // dualDBs builds two identically-seeded paper databases, one per
-// execution mode.
+// executor.
 func dualDBs(t *testing.T, blockRows int, scale float64, seed int64) (batch, row *engine.DB) {
 	t.Helper()
 	var err error
@@ -31,8 +44,7 @@ func dualDBs(t *testing.T, blockRows int, scale float64, seed int64) (batch, row
 	if err != nil {
 		t.Fatal(err)
 	}
-	batch.SetExecMode(engine.ExecBatch)
-	row.SetExecMode(engine.ExecRow)
+	useRowOracle(t, row)
 	return batch, row
 }
 
@@ -133,7 +145,7 @@ func TestBatchVsRowDifferential(t *testing.T) {
 // diffViews is the view set the delta-epoch differential maintains: one
 // select-project-join view (append path) and one aggregate view (merge
 // path), both incrementally maintainable.
-func diffViews(t *testing.T, db *engine.DB) {
+func diffViews(t testing.TB, db *engine.DB) {
 	t.Helper()
 	order, err := db.Table("Order")
 	if err != nil {
@@ -362,5 +374,69 @@ func TestBatchVsRowRecomputeRefreshDifferential(t *testing.T) {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
 		assertResultsIdentical(t, fmt.Sprintf("view query trial %d", trial), bq, rq)
+	}
+}
+
+// BenchmarkBatchVsOracle is the wall-clock side of the differential: the
+// same plans over the same paper database on the batch executor and on the
+// row oracle, for query execution (the two diffViews plans from base
+// tables) and for one incremental-refresh epoch over the two views. The
+// tests above pin block I/O as identical, so ns/op is the only difference;
+// it backs the batch-over-row speedup quoted in DESIGN §12 and EXPERIMENTS.
+func BenchmarkBatchVsOracle(b *testing.B) {
+	// The views are materialized before the oracle goes in: their contents
+	// are the same either way, and set-up stays cheap on both sides.
+	build := func(b *testing.B, oracle bool) *engine.DB {
+		db, err := datagen.PaperDB(engine.DefaultBlockRows, 0.02, 11)
+		if err != nil {
+			b.Fatal(err)
+		}
+		diffViews(b, db)
+		if oracle {
+			useRowOracle(b, db)
+		}
+		return db
+	}
+	for _, ex := range []struct {
+		name   string
+		oracle bool
+	}{{"batch", false}, {"oracle", true}} {
+		b.Run("query/"+ex.name, func(b *testing.B) {
+			db := build(b, ex.oracle)
+			var plans []algebra.Node
+			for _, name := range []string{"mv_spj", "mv_agg"} {
+				v, err := db.View(name)
+				if err != nil {
+					b.Fatal(err)
+				}
+				plans = append(plans, v.Plan)
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, plan := range plans {
+					if _, err := db.Execute(plan); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+		})
+		b.Run("delta-refresh/"+ex.name, func(b *testing.B) {
+			deltas := diffDeltaRows(0)
+			for i := 0; i < b.N; i++ {
+				// A refresh consumes its deltas, so each iteration gets a
+				// fresh database, built off the clock.
+				b.StopTimer()
+				db := build(b, ex.oracle)
+				for table, rows := range deltas {
+					if err := db.InsertDelta(table, rows...); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.StartTimer()
+				if _, err := db.IncrementalRefreshAll(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

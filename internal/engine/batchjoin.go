@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"strings"
 
@@ -300,5 +301,21 @@ func joinKeyOf(v algebra.Value) joinKey {
 		return joinKey{tag: 'f', num: math.Float64bits(v.Float)}
 	default:
 		return joinKey{tag: 's', str: v.Str}
+	}
+}
+
+// hashKey normalizes a value for hash-join key comparison consistently
+// with Value.Compare's numeric semantics (3 == 3.0 == date(3)).
+func hashKey(v algebra.Value) string {
+	switch v.Kind {
+	case algebra.TypeInt, algebra.TypeDate:
+		return fmt.Sprintf("n%d", v.Int)
+	case algebra.TypeFloat:
+		if v.Float == float64(int64(v.Float)) {
+			return fmt.Sprintf("n%d", int64(v.Float))
+		}
+		return fmt.Sprintf("f%g", v.Float)
+	default:
+		return "s" + v.Str
 	}
 }

@@ -174,7 +174,7 @@ func (db *DB) IncrementalRefresh(name string) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		dagg, err := db.opAggregate(agg, din, res)
+		dagg, err := db.ops.aggregate(db, agg, din, res)
 		if err != nil {
 			return nil, err
 		}
@@ -261,13 +261,13 @@ func (db *DB) deltaExec(n algebra.Node, ds *deltaState, res *Result) (*Table, er
 		if err != nil {
 			return nil, err
 		}
-		return db.opSelect(v, din, res)
+		return db.ops.sel(db, v, din, res)
 	case *algebra.Project:
 		din, err := db.deltaExec(v.Input, ds, res)
 		if err != nil {
 			return nil, err
 		}
-		return db.opProject(v, din, res)
+		return db.ops.project(db, v, din, res)
 	case *algebra.Join:
 		dl, err := db.deltaExec(v.Left, ds, res)
 		if err != nil {
@@ -285,11 +285,11 @@ func (db *DB) deltaExec(n algebra.Node, ds *deltaState, res *Result) (*Table, er
 		if err != nil {
 			return nil, err
 		}
-		part1, err := db.opNLJoin(v, dl, rightNew, res)
+		part1, err := db.ops.nlJoin(db, v, dl, rightNew, res)
 		if err != nil {
 			return nil, err
 		}
-		part2, err := db.opNLJoin(v, leftOld, dr, res)
+		part2, err := db.ops.nlJoin(db, v, leftOld, dr, res)
 		if err != nil {
 			return nil, err
 		}
@@ -326,7 +326,7 @@ func (db *DB) execUnmetered(n algebra.Node, extra map[string]*Table) (*Table, er
 		deltas:     make(map[string]*Table),
 		propagated: make(map[string]map[string]int),
 		joinAlgo:   db.joinAlgo,
-		execMode:   db.execMode,
+		ops:        db.ops,
 	}
 	var scratch Result
 	return shadow.exec(n, &scratch)

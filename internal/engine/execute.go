@@ -62,24 +62,41 @@ const (
 // executions.
 func (db *DB) SetJoinAlgorithm(a JoinAlgorithm) { db.joinAlgo = a }
 
-// ExecMode selects between the vectorized batch executor and the legacy
-// row-at-a-time executor.
-type ExecMode int
+// operators is the one seam between plan traversal (exec, deltaExec) and
+// the physical operators. batchOperators is its only implementation
+// outside _test.go files; the differential harness swaps in the
+// row-at-a-time oracle through export_test.go.
+type operators interface {
+	sel(db *DB, s *algebra.Select, in *Table, res *Result) (*Table, error)
+	project(db *DB, p *algebra.Project, in *Table, res *Result) (*Table, error)
+	nlJoin(db *DB, j *algebra.Join, left, right *Table, res *Result) (*Table, error)
+	hashJoin(db *DB, j *algebra.Join, left, right *Table, res *Result) (*Table, error)
+	aggregate(db *DB, a *algebra.Aggregate, in *Table, res *Result) (*Table, error)
+}
 
-// Execution modes.
-const (
-	// ExecBatch runs operators batch-at-a-time over typed column vectors —
-	// the default.
-	ExecBatch ExecMode = iota
-	// ExecRow runs the legacy row-at-a-time operators. Kept as the
-	// reference build: the differential harness asserts the two modes
-	// produce bit-identical results, operator stats, and journal state.
-	ExecRow
-)
+// batchOperators runs every operator batch-at-a-time over typed column
+// vectors (batch.go, batchjoin.go, batchagg.go).
+type batchOperators struct{}
 
-// SetExecMode switches the executor for subsequent executions. Like
-// SetJoinAlgorithm, not safe to call concurrently with Execute.
-func (db *DB) SetExecMode(m ExecMode) { db.execMode = m }
+func (batchOperators) sel(db *DB, s *algebra.Select, in *Table, res *Result) (*Table, error) {
+	return db.batchSelect(s, in, res)
+}
+
+func (batchOperators) project(db *DB, p *algebra.Project, in *Table, res *Result) (*Table, error) {
+	return db.batchProject(p, in, res)
+}
+
+func (batchOperators) nlJoin(db *DB, j *algebra.Join, left, right *Table, res *Result) (*Table, error) {
+	return db.batchJoin(j, left, right, res)
+}
+
+func (batchOperators) hashJoin(db *DB, j *algebra.Join, left, right *Table, res *Result) (*Table, error) {
+	return db.batchHashJoin(j, left, right, res)
+}
+
+func (batchOperators) aggregate(db *DB, a *algebra.Aggregate, in *Table, res *Result) (*Table, error) {
+	return db.batchAggregate(a, in, res)
+}
 
 // Execute runs a plan operator-at-a-time: every operator reads its stored
 // input block by block and writes its result to a fresh temporary table,
@@ -140,13 +157,13 @@ func (db *DB) exec(n algebra.Node, res *Result) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return db.opSelect(v, in, res)
+		return db.ops.sel(db, v, in, res)
 	case *algebra.Project:
 		in, err := db.exec(v.Input, res)
 		if err != nil {
 			return nil, err
 		}
-		return db.opProject(v, in, res)
+		return db.ops.project(db, v, in, res)
 	case *algebra.Join:
 		left, err := db.exec(v.Left, res)
 		if err != nil {
@@ -162,55 +179,20 @@ func (db *DB) exec(n algebra.Node, res *Result) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		return db.opAggregate(v, in, res)
+		return db.ops.aggregate(db, v, in, res)
 	default:
 		return nil, fmt.Errorf("engine: cannot execute node type %T", n)
 	}
 }
 
-// opSelect dispatches a selection to the active executor.
-func (db *DB) opSelect(sel *algebra.Select, in *Table, res *Result) (*Table, error) {
-	if db.execMode == ExecRow {
-		return db.rowSelect(sel, in, res)
-	}
-	return db.batchSelect(sel, in, res)
-}
-
-// opProject dispatches a projection to the active executor.
-func (db *DB) opProject(p *algebra.Project, in *Table, res *Result) (*Table, error) {
-	if db.execMode == ExecRow {
-		return db.rowProject(p, in, res)
-	}
-	return db.batchProject(p, in, res)
-}
-
-// opJoin dispatches a join to the active executor and join algorithm.
+// opJoin runs a join under the configured join algorithm. The
+// delta-propagation path calls nlJoin directly: its cost formulas assume
+// BlockNLJ whatever the algorithm setting.
 func (db *DB) opJoin(j *algebra.Join, left, right *Table, res *Result) (*Table, error) {
 	if db.joinAlgo == JoinHash {
-		if db.execMode == ExecRow {
-			return db.rowHashJoin(j, left, right, res)
-		}
-		return db.batchHashJoin(j, left, right, res)
+		return db.ops.hashJoin(db, j, left, right, res)
 	}
-	return db.opNLJoin(j, left, right, res)
-}
-
-// opNLJoin dispatches a block nested-loop join regardless of the
-// configured join algorithm; the delta-propagation path always joins
-// nested-loop (its cost formulas assume BlockNLJ).
-func (db *DB) opNLJoin(j *algebra.Join, left, right *Table, res *Result) (*Table, error) {
-	if db.execMode == ExecRow {
-		return db.rowJoin(j, left, right, res)
-	}
-	return db.batchJoin(j, left, right, res)
-}
-
-// opAggregate dispatches an aggregation to the active executor.
-func (db *DB) opAggregate(agg *algebra.Aggregate, in *Table, res *Result) (*Table, error) {
-	if db.execMode == ExecRow {
-		return db.rowAggregate(agg, in, res)
-	}
-	return db.batchAggregate(agg, in, res)
+	return db.ops.nlJoin(db, j, left, right, res)
 }
 
 // resolveJoinConds resolves every join condition against the two input

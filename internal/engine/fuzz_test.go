@@ -52,9 +52,10 @@ func fuzzRows(data []byte) []algebra.Value {
 	return out
 }
 
-// FuzzBatchSelectPredicate runs the same selection in batch and row mode
-// over a fuzzed column and requires identical outcomes: the same error
-// text, or the same rows in the same order with the same operator stats.
+// FuzzBatchSelectPredicate runs the same selection on the batch executor
+// and on the row oracle over a fuzzed column and requires identical
+// outcomes: the same error text, or the same rows in the same order with
+// the same operator stats.
 func FuzzBatchSelectPredicate(f *testing.F) {
 	// Seeds from the paper workload's value domains: small ints,
 	// epoch-day dates around 1996 (9496..9861), whole and fractional
@@ -84,7 +85,7 @@ func FuzzBatchSelectPredicate(f *testing.F) {
 	f.Fuzz(func(t *testing.T, rowData []byte, op, litSel uint8, litInt int64, litFloat float64, litStr string, negate bool) {
 		vals := fuzzRows(rowData)
 		dbs := make([]*DB, 2)
-		for i, mode := range []ExecMode{ExecBatch, ExecRow} {
+		for i := range dbs {
 			db := NewDB(4)
 			tab, err := db.CreateTable("T", schema)
 			if err != nil {
@@ -95,9 +96,9 @@ func FuzzBatchSelectPredicate(f *testing.F) {
 					t.Fatal(err)
 				}
 			}
-			db.SetExecMode(mode)
 			dbs[i] = db
 		}
+		oracle := dbs[1].UseRowOracle()
 		lit := fuzzValue(litSel, litInt, litFloat, litStr)
 		var pred algebra.Predicate = algebra.Compare(
 			algebra.ColOperand(algebra.Ref("T", "v")),
@@ -110,6 +111,9 @@ func FuzzBatchSelectPredicate(f *testing.F) {
 
 		bres, berr := dbs[0].Execute(plan)
 		rres, rerr := dbs[1].Execute(plan)
+		if oracle.Ran() == 0 {
+			t.Fatal("row oracle executed no operator: the reference side ran batch code")
+		}
 		if (berr == nil) != (rerr == nil) || (berr != nil && berr.Error() != rerr.Error()) {
 			t.Fatalf("select %s over %d rows: executor errors diverge\nbatch: %v\nrow:   %v",
 				pred, len(vals), berr, rerr)

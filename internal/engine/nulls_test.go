@@ -27,7 +27,7 @@ func nullsSchema(payloadType algebra.Type) *algebra.Schema {
 // DB.
 func dualScratch(t *testing.T, blockRows int, schema *algebra.Schema, rows [][]algebra.Value) (bdb, rdb *engine.DB) {
 	t.Helper()
-	for _, mode := range []engine.ExecMode{engine.ExecBatch, engine.ExecRow} {
+	build := func() *engine.DB {
 		db := engine.NewDB(blockRows)
 		tab, err := db.CreateTable("T", schema)
 		if err != nil {
@@ -36,13 +36,10 @@ func dualScratch(t *testing.T, blockRows int, schema *algebra.Schema, rows [][]a
 		if err := tab.Insert(rows...); err != nil {
 			t.Fatal(err)
 		}
-		db.SetExecMode(mode)
-		if mode == engine.ExecBatch {
-			bdb = db
-		} else {
-			rdb = db
-		}
+		return db
 	}
+	bdb, rdb = build(), build()
+	useRowOracle(t, rdb)
 	return bdb, rdb
 }
 

@@ -1,0 +1,283 @@
+package engine
+
+import (
+	"fmt"
+	"strings"
+	"sync/atomic"
+
+	"github.com/warehousekit/mvpp/internal/algebra"
+)
+
+// This file is the row-at-a-time reference executor: the operators the
+// engine shipped with before the vectorized batch executor replaced them.
+// They live in a _test.go file, so no binary links them; the differential
+// harness (TestBatchVsRow*, the *Parity tests, FuzzBatchSelectPredicate)
+// reaches them through UseRowOracle in export_test.go and asserts the two
+// executors produce bit-identical result rows, per-operator stats, and
+// journal state. Each operator materializes its columnar input row-major
+// exactly once and then evaluates value-at-a-time with per-row interface
+// dispatch, the evaluation discipline the original implementation had.
+
+// RowOracle is the operators implementation backed by the row operators.
+// It counts the operators it runs so a differential test can prove its
+// reference side did not silently execute batch code.
+type RowOracle struct{ ran atomic.Int64 }
+
+// Ran reports how many operators the oracle has executed.
+func (o *RowOracle) Ran() int64 { return o.ran.Load() }
+
+func (o *RowOracle) sel(db *DB, s *algebra.Select, in *Table, res *Result) (*Table, error) {
+	o.ran.Add(1)
+	return db.rowSelect(s, in, res)
+}
+
+func (o *RowOracle) project(db *DB, p *algebra.Project, in *Table, res *Result) (*Table, error) {
+	o.ran.Add(1)
+	return db.rowProject(p, in, res)
+}
+
+func (o *RowOracle) nlJoin(db *DB, j *algebra.Join, left, right *Table, res *Result) (*Table, error) {
+	o.ran.Add(1)
+	return db.rowJoin(j, left, right, res)
+}
+
+func (o *RowOracle) hashJoin(db *DB, j *algebra.Join, left, right *Table, res *Result) (*Table, error) {
+	o.ran.Add(1)
+	return db.rowHashJoin(j, left, right, res)
+}
+
+func (o *RowOracle) aggregate(db *DB, a *algebra.Aggregate, in *Table, res *Result) (*Table, error) {
+	o.ran.Add(1)
+	return db.rowAggregate(a, in, res)
+}
+
+// rowSelect filters by linear scan: every input block is read once.
+func (db *DB) rowSelect(sel *algebra.Select, in *Table, res *Result) (*Table, error) {
+	rows := in.materializeRows()
+	out := NewTable("", sel.Schema(), db.BlockRows)
+	for _, row := range rows {
+		ok, err := sel.Pred.Eval(&algebra.Tuple{Schema: in.Schema, Values: row})
+		if err != nil {
+			return nil, fmt.Errorf("engine: %w", err)
+		}
+		if ok {
+			if err := out.Insert(row); err != nil {
+				return nil, err
+			}
+		}
+	}
+	stats := OpStats{
+		Label:     sel.Label(),
+		Reads:     int64(in.NumBlocks()),
+		Writes:    int64(out.NumBlocks()),
+		OutRows:   out.NumRows(),
+		OutBlocks: out.NumBlocks(),
+	}
+	db.account(stats)
+	res.Ops = append(res.Ops, stats)
+	return out, nil
+}
+
+// rowProject streams the input once.
+func (db *DB) rowProject(p *algebra.Project, in *Table, res *Result) (*Table, error) {
+	outSchema, idx, err := resolveProjection(p, in)
+	if err != nil {
+		return nil, err
+	}
+	rows := in.materializeRows()
+	out := NewTable("", outSchema, db.BlockRows)
+	for _, row := range rows {
+		vals := make([]algebra.Value, len(idx))
+		for i, j := range idx {
+			vals[i] = row[j]
+		}
+		if err := out.Insert(vals); err != nil {
+			return nil, err
+		}
+	}
+	stats := OpStats{
+		Label:     p.Label(),
+		Reads:     int64(in.NumBlocks()),
+		Writes:    int64(out.NumBlocks()),
+		OutRows:   out.NumRows(),
+		OutBlocks: out.NumBlocks(),
+	}
+	db.account(stats)
+	res.Ops = append(res.Ops, stats)
+	return out, nil
+}
+
+// rowJoin is a block nested-loop join with a one-block buffer: the outer
+// is read once, the inner once per outer block — blocks(outer) +
+// blocks(outer)·blocks(inner) reads, matching the BlockNLJ cost model.
+func (db *DB) rowJoin(j *algebra.Join, left, right *Table, res *Result) (*Table, error) {
+	joined := left.Schema.Concat(right.Schema)
+	conds, err := resolveJoinConds(j, left, right)
+	if err != nil {
+		return nil, err
+	}
+	leftRows := left.materializeRows()
+	rightRows := right.materializeRows()
+	out := NewTable("", joined, db.BlockRows)
+	outerBlocks := left.NumBlocks()
+	for ob := 0; ob < outerBlocks; ob++ {
+		lo := ob * left.BlockRows
+		hi := lo + left.BlockRows
+		if hi > left.NumRows() {
+			hi = left.NumRows()
+		}
+		for _, rrow := range rightRows {
+			for li := lo; li < hi; li++ {
+				lrow := leftRows[li]
+				match := true
+				for _, ci := range conds {
+					if !lrow[ci.li].Equal(rrow[ci.ri]) {
+						match = false
+						break
+					}
+				}
+				if !match {
+					continue
+				}
+				vals := make([]algebra.Value, 0, len(lrow)+len(rrow))
+				vals = append(vals, lrow...)
+				vals = append(vals, rrow...)
+				if err := out.Insert(vals); err != nil {
+					return nil, err
+				}
+			}
+		}
+	}
+	stats := OpStats{
+		Label:     j.Label(),
+		Reads:     int64(outerBlocks) + int64(outerBlocks)*int64(right.NumBlocks()),
+		Writes:    int64(out.NumBlocks()),
+		OutRows:   out.NumRows(),
+		OutBlocks: out.NumBlocks(),
+	}
+	db.account(stats)
+	res.Ops = append(res.Ops, stats)
+	return out, nil
+}
+
+// rowHashJoin is the reference hash join: it builds an in-memory hash
+// table on the right (inner) input and probes it with the left —
+// blocks(left) + blocks(right) reads. It is the physical counterpart of
+// the HashJoinModel used by the ablation benchmarks; batchHashJoin is the
+// vectorized default and must agree with this implementation bit for bit.
+func (db *DB) rowHashJoin(j *algebra.Join, left, right *Table, res *Result) (*Table, error) {
+	joined := left.Schema.Concat(right.Schema)
+	conds, err := resolveJoinConds(j, left, right)
+	if err != nil {
+		return nil, err
+	}
+
+	leftRows := left.materializeRows()
+	rightRows := right.materializeRows()
+
+	// Build side: inner rows keyed by their join values.
+	build := make(map[string][]int, right.NumRows())
+	for ri, rrow := range rightRows {
+		var key strings.Builder
+		for _, ci := range conds {
+			key.WriteString(hashKey(rrow[ci.ri]))
+			key.WriteByte('|')
+		}
+		build[key.String()] = append(build[key.String()], ri)
+	}
+
+	out := NewTable("", joined, db.BlockRows)
+	for _, lrow := range leftRows {
+		var key strings.Builder
+		for _, ci := range conds {
+			key.WriteString(hashKey(lrow[ci.li]))
+			key.WriteByte('|')
+		}
+		for _, ri := range build[key.String()] {
+			rrow := rightRows[ri]
+			vals := make([]algebra.Value, 0, len(lrow)+len(rrow))
+			vals = append(vals, lrow...)
+			vals = append(vals, rrow...)
+			if err := out.Insert(vals); err != nil {
+				return nil, err
+			}
+		}
+	}
+	stats := OpStats{
+		Label:     "hash " + j.Label(),
+		Reads:     int64(left.NumBlocks()) + int64(right.NumBlocks()),
+		Writes:    int64(out.NumBlocks()),
+		OutRows:   out.NumRows(),
+		OutBlocks: out.NumBlocks(),
+	}
+	db.account(stats)
+	res.Ops = append(res.Ops, stats)
+	return out, nil
+}
+
+// rowAggregate is the reference hash aggregation: one pass over the
+// input, one accumulator row per group, groups emitted in first-seen
+// order.
+func (db *DB) rowAggregate(agg *algebra.Aggregate, in *Table, res *Result) (*Table, error) {
+	groupIdx, argIdx, err := resolveAggregate(agg, in)
+	if err != nil {
+		return nil, err
+	}
+
+	type group struct {
+		keyVals []algebra.Value
+		accs    []*accumulator
+	}
+	byKey := make(map[string]*group)
+	var order []*group
+	for _, row := range in.materializeRows() {
+		var key strings.Builder
+		for _, gi := range groupIdx {
+			key.WriteString(row[gi].String())
+			key.WriteByte('|')
+		}
+		g, ok := byKey[key.String()]
+		if !ok {
+			g = &group{keyVals: make([]algebra.Value, len(groupIdx)), accs: make([]*accumulator, len(agg.Aggs))}
+			for i, gi := range groupIdx {
+				g.keyVals[i] = row[gi]
+			}
+			for i, a := range agg.Aggs {
+				g.accs[i] = &accumulator{fn: a.Func}
+			}
+			byKey[key.String()] = g
+			order = append(order, g)
+		}
+		for i := range agg.Aggs {
+			if argIdx[i] < 0 {
+				g.accs[i].count++
+				continue
+			}
+			if err := g.accs[i].add(row[argIdx[i]]); err != nil {
+				return nil, err
+			}
+		}
+	}
+
+	out := NewTable("", agg.Schema(), db.BlockRows)
+	for _, g := range order {
+		row := make([]algebra.Value, 0, len(g.keyVals)+len(g.accs))
+		row = append(row, g.keyVals...)
+		for _, acc := range g.accs {
+			row = append(row, acc.result())
+		}
+		if err := out.Insert(row); err != nil {
+			return nil, err
+		}
+	}
+	stats := OpStats{
+		Label:     agg.Label(),
+		Reads:     int64(in.NumBlocks()),
+		Writes:    int64(out.NumBlocks()),
+		OutRows:   out.NumRows(),
+		OutBlocks: out.NumBlocks(),
+	}
+	db.account(stats)
+	res.Ops = append(res.Ops, stats)
+	return out, nil
+}

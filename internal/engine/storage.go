@@ -237,7 +237,7 @@ type DB struct {
 	// of the same name starts from a clean watermark.
 	propagated map[string]map[string]int
 	joinAlgo   JoinAlgorithm
-	execMode   ExecMode
+	ops        operators
 
 	// obsv receives one EvEngineOp event per executed operator; blockReads
 	// and blockWrites mirror the Counter into the observer's registry. All
@@ -283,6 +283,7 @@ func NewDB(blockRows int) *DB {
 		views:      make(map[string]*MaterializedView),
 		deltas:     make(map[string]*Table),
 		propagated: make(map[string]map[string]int),
+		ops:        batchOperators{},
 	}
 }
 

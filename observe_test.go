@@ -183,25 +183,25 @@ func TestAddQueryChecksDuplicateBeforeParse(t *testing.T) {
 }
 
 // TestNoObserverOverheadGuard prices the disabled instrumentation path:
-// with Options.Observer nil, Design() must not be slower than the observed
-// run (the nil path does strictly less work), and the committed
-// BENCH_design.json baseline lets CI compare absolute ns/op across
-// revisions (threshold: 2%).
+// with Options.Observer nil, Design() does strictly less work than the
+// observed run, so it may not allocate more, in count or in bytes. Those
+// two quantities are deterministic; wall time is not (run-to-run spread
+// on a shared box exceeds any margin worth asserting), so the time side
+// is left to the repo benchmark's bench.trace_overhead_pct.
 func TestNoObserverOverheadGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark comparison skipped in -short mode")
 	}
-	if raceEnabled {
-		t.Skip("timing comparison is noise under the race detector's instrumentation")
-	}
 	nilRun := testing.Benchmark(BenchmarkDesignEndToEnd)
 	observedRun := testing.Benchmark(BenchmarkDesignObserved)
-	nilNs := float64(nilRun.NsPerOp())
-	obsNs := float64(observedRun.NsPerOp())
-	t.Logf("end-to-end design ns/op: nil observer %.0f, trace recorder %.0f", nilNs, obsNs)
-	// Generous noise margin: the disabled path may not cost more than 10%
-	// over the fully-instrumented one; in practice it is faster.
-	if nilNs > obsNs*1.10 {
-		t.Errorf("nil-observer design (%.0f ns/op) slower than observed design (%.0f ns/op)", nilNs, obsNs)
+	t.Logf("end-to-end design: nil observer %d allocs/op %d B/op, trace recorder %d allocs/op %d B/op",
+		nilRun.AllocsPerOp(), nilRun.AllocedBytesPerOp(), observedRun.AllocsPerOp(), observedRun.AllocedBytesPerOp())
+	if nilRun.AllocsPerOp() > observedRun.AllocsPerOp() {
+		t.Errorf("nil-observer design allocates %d times per op, observed design %d",
+			nilRun.AllocsPerOp(), observedRun.AllocsPerOp())
+	}
+	if nilRun.AllocedBytesPerOp() > observedRun.AllocedBytesPerOp() {
+		t.Errorf("nil-observer design allocates %d B/op, observed design %d B/op",
+			nilRun.AllocedBytesPerOp(), observedRun.AllocedBytesPerOp())
 	}
 }

@@ -129,11 +129,6 @@ type ServeOptions struct {
 	// refreshes record their measured block I/O against it, and calibration
 	// drift triggers advisor re-selection.
 	CostAudit CostAuditOptions
-	// RowExec serves queries on the row-at-a-time reference executor
-	// instead of the vectorized batch executor. Block I/O — and with it
-	// every cost-ledger ratio — is identical either way; only wall-clock
-	// differs, so this exists for the row-vs-batch benchmarks.
-	RowExec bool
 }
 
 // CostAuditOptions configures the serving layer's predicted-vs-actual cost
@@ -390,9 +385,6 @@ func (d *Design) NewServer(opts ServeOptions) (*Server, error) {
 	// recomputing every view (exactly the snapshotless path).
 	cold := func() (*engine.DB, error) { return d.buildSyntheticDB(scale, opts.Seed) }
 	prep := func(db *engine.DB) {
-		if opts.RowExec {
-			db.SetExecMode(engine.ExecRow)
-		}
 		db.SetObserver(observer)
 		if opts.Injector != nil {
 			opts.Injector.SetObserver(observer)

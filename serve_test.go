@@ -301,7 +301,7 @@ func TestServeOptionsValidation(t *testing.T) {
 
 // BenchmarkServeWorkload drives the serving layer with parallel clients
 // round-robining the paper workload while reporting throughput-side
-// metrics (cache hit rate, tail latency) for BENCH_design.json.
+// metrics (cache hit rate, tail latency).
 func BenchmarkServeWorkload(b *testing.B) {
 	design, err := benchPaperDesigner(b).Design()
 	if err != nil {

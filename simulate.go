@@ -28,11 +28,6 @@ type SimOptions struct {
 	// (IncrementalRefreshIO) for comparison with the full-recompute
 	// RefreshIO.
 	DeltaFraction float64
-	// RowExec runs the simulation on the row-at-a-time reference executor
-	// instead of the vectorized batch executor. Block I/O is identical
-	// either way (the differential suite pins that); only wall-clock
-	// differs, so this exists for the row-vs-batch benchmarks.
-	RowExec bool
 }
 
 // QuerySim is the measured execution of one query with and without the
@@ -95,9 +90,6 @@ func (d *Design) Simulate(opts SimOptions) (*Simulation, error) {
 	db, err := d.buildSyntheticDB(scale, opts.Seed)
 	if err != nil {
 		return nil, err
-	}
-	if opts.RowExec {
-		db.SetExecMode(engine.ExecRow)
 	}
 	ssp := obs.Start(d.obsv, "simulate", obs.Float("scale", scale))
 	defer obs.End(ssp)
