@@ -61,13 +61,15 @@ telemetry-smoke:
 	done; \
 	echo "telemetry smoke: ok"
 
-# Short fuzzing pass over the batch executor's predicate kernels and the
-# join-key encoding equivalence. A few seconds per target is enough to
-# shake loose encoding mismatches in CI; long sessions run the same
-# targets with a bigger -fuzztime by hand.
+# Short fuzzing pass over the batch executor's predicate kernels, the
+# join-key encoding equivalence, and the expression arena's identity (same
+# structural / semantic ID ⇔ same StructuralKey / SemanticKey string). A few
+# seconds per target is enough to shake loose encoding mismatches in CI;
+# long sessions run the same targets with a bigger -fuzztime by hand.
 fuzz-smoke:
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzBatchSelectPredicate -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzJoinKeyEncoding -fuzztime 5s
+	$(GO) test ./internal/algebra -run '^$$' -fuzz FuzzExprIdentity -fuzztime 5s
 
 # Chaos crash-restart-verify: kill a checkpoint at each injected crash
 # point (mid-segment write, either side of the manifest rename, mid-journal

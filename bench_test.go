@@ -198,76 +198,76 @@ func BenchmarkHeuristicVsExhaustive(b *testing.B) {
 	b.ReportMetric(ratio, "heuristic/optimal")
 }
 
-// BenchmarkDesignEndToEnd times the whole public-API pipeline on the paper
-// workload.
-func BenchmarkDesignEndToEnd(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		d := benchPaperDesigner(b)
-		if _, err := d.Design(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDesign times Design() alone (workload pre-bound) with no
-// observer attached — the no-observer baseline. (The allocation guard in
-// observe_test.go compares BenchmarkDesignEndToEnd with
-// BenchmarkDesignObserved.)
-func BenchmarkDesign(b *testing.B) {
-	d := benchPaperDesigner(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := d.Design(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDesignObserved is BenchmarkDesignEndToEnd with a fresh trace
-// recorder per iteration, to price the instrumented path (rebuilding per
-// iteration keeps one recorder from accumulating every prior trace).
+// BenchmarkDesignObserved times the whole public-API pipeline on the paper
+// workload with a fresh trace recorder per iteration, to price the
+// instrumented path (rebuilding per iteration keeps one recorder from
+// accumulating every prior trace). The allocation guard in observe_test.go
+// compares it with the same pipeline under a nil observer; the uninstrumented
+// design latency itself is the repo benchmark's design_star32.
 func BenchmarkDesignObserved(b *testing.B) {
+	benchDesignPaper(b, func() mvpp.Observer { return mvpp.NewTraceRecorder(nil) })
+}
+
+// benchDesignPaper builds the paper designer and designs, once per
+// iteration, under the observer the callback supplies.
+func benchDesignPaper(b *testing.B, observer func() mvpp.Observer) {
 	for i := 0; i < b.N; i++ {
-		d := benchPaperDesignerOpts(b, mvpp.Options{Observer: mvpp.NewTraceRecorder(nil)})
+		d := benchPaperDesignerOpts(b, mvpp.Options{Observer: observer()})
 		if _, err := d.Design(); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// starDesign returns one design op — estimator, per-query optimization,
+// Figure 4 with every rotation and delta pricing, best candidate — over n
+// generated queries on the 6-dimension star.
+func starDesign(tb testing.TB, n int) func() *core.Candidate {
+	tb.Helper()
+	spec := workload.DefaultStar(6)
+	cat, err := workload.Star(spec)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	queries, err := workload.Queries(cat, spec, workload.DefaultQueries(spec), n, 7)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	freqs := workload.ZipfFrequencies(n, 1, 20)
+	model := repro.Model()
+	return func() *core.Candidate {
+		est := cost.NewEstimator(cat, cost.DefaultOptions())
+		opt := optimizer.New(est, model, optimizer.Options{})
+		plans := make([]core.QueryPlan, n)
+		for j, q := range queries {
+			p, _, err := opt.Optimize(q)
+			if err != nil {
+				tb.Fatal(err)
+			}
+			plans[j] = core.QueryPlan{Name: q.Name, Freq: freqs[j], Plan: p}
+		}
+		cands, err := core.Generate(est, model, plans, core.GenOptions{
+			Delta: &cost.DeltaSpec{DefaultFraction: 0.01},
+		})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		return core.Best(cands)
 	}
 }
 
 // BenchmarkDesignScaling grows the workload on a star schema — the
-// scalability study the paper's future work calls for.
+// scalability study the paper's future work calls for, with every rotation
+// generated (EXPERIMENTS.md records ns/op, allocs/op and the fitted
+// exponent).
 func BenchmarkDesignScaling(b *testing.B) {
-	for _, n := range []int{2, 4, 8, 12, 16} {
+	for _, n := range []int{32, 128, 512} {
 		b.Run(fmt.Sprintf("queries=%d", n), func(b *testing.B) {
-			spec := workload.DefaultStar(6)
-			cat, err := workload.Star(spec)
-			if err != nil {
-				b.Fatal(err)
-			}
-			queries, err := workload.Queries(cat, spec, workload.DefaultQueries(spec), n, 7)
-			if err != nil {
-				b.Fatal(err)
-			}
-			freqs := workload.ZipfFrequencies(n, 1, 20)
-			model := repro.Model()
+			design := starDesign(b, n)
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				est := cost.NewEstimator(cat, cost.DefaultOptions())
-				opt := optimizer.New(est, model, optimizer.Options{})
-				plans := make([]core.QueryPlan, n)
-				for j, q := range queries {
-					p, _, err := opt.Optimize(q)
-					if err != nil {
-						b.Fatal(err)
-					}
-					plans[j] = core.QueryPlan{Name: q.Name, Freq: freqs[j], Plan: p}
-				}
-				cands, err := core.Generate(est, model, plans, core.GenOptions{MaxRotations: 3})
-				if err != nil {
-					b.Fatal(err)
-				}
-				core.Best(cands)
+				design()
 			}
 		})
 	}

@@ -17,10 +17,13 @@ import (
 // Design is the outcome of Designer.Design: a chosen MVPP and the set of
 // views to materialize.
 type Design struct {
-	mvpp       *core.MVPP
-	model      cost.Model
-	selection  *core.SelectionResult
-	candidates []*core.Candidate
+	mvpp      *core.MVPP
+	model     cost.Model
+	selection *core.SelectionResult
+	// candidates is how many distinct MVPPs were generated. Only the count
+	// is kept: the losing candidates' DAGs and plan trees are garbage once
+	// the best one is chosen.
+	candidates int
 	queries    []Query
 	// bound holds the workload's parsed-and-bound queries (parallel to
 	// queries), carried over from the designer so Simulate never re-parses.
@@ -165,7 +168,7 @@ func (d *Design) VertexNames() []string {
 }
 
 // Candidates reports how many distinct MVPPs were generated and evaluated.
-func (d *Design) Candidates() int { return len(d.candidates) }
+func (d *Design) Candidates() int { return d.candidates }
 
 // Queries lists the workload's query names in the order they were added.
 func (d *Design) Queries() []string {
@@ -212,14 +215,10 @@ func (d *Design) Explain(name string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("mvpp: unknown query %q", name)
 	}
-	info := make(map[string]*core.Vertex, len(d.mvpp.Vertices))
-	for _, v := range d.mvpp.Vertices {
-		info[v.Key] = v
-	}
 	line := func(n algebra.Node) string {
 		lbl := n.Label()
-		v, ok := info[algebra.StructuralKey(n)]
-		if !ok {
+		v := d.mvpp.VertexOf(n)
+		if v == nil {
 			return lbl
 		}
 		if v.IsLeaf() {
@@ -261,7 +260,7 @@ func (d *Design) Report() string {
 	b.WriteString("MATERIALIZED VIEW DESIGN\n")
 	b.WriteString("========================\n\n")
 	b.WriteString(fmt.Sprintf("workload: %d queries, %d candidate MVPPs evaluated\n\n",
-		len(d.queries), len(d.candidates)))
+		len(d.queries), d.candidates))
 
 	views := d.Views()
 	if len(views) == 0 {

@@ -285,7 +285,7 @@ func (d *Designer) Design() (*Design, error) {
 		mvpp:       best.MVPP,
 		model:      model,
 		selection:  best.Selection,
-		candidates: cands,
+		candidates: len(cands),
 		queries:    d.Queries(),
 		bound:      append([]*sqlparse.Query(nil), d.bound...),
 		catalog:    d.cat,

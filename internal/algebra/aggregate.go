@@ -66,7 +66,8 @@ type Aggregate struct {
 	GroupBy []ColumnRef
 	Aggs    []Aggregation
 
-	schema *Schema // lazily resolved
+	schema lazySchema
+	ident  ident
 }
 
 var _ Node = (*Aggregate)(nil)
@@ -83,21 +84,19 @@ func NewAggregate(input Node, groupBy []ColumnRef, aggs []Aggregation) *Aggregat
 // Schema implements Node: group columns (with their input identity)
 // followed by one column per aggregate, unqualified and named by alias.
 func (g *Aggregate) Schema() *Schema {
-	if g.schema != nil {
-		return g.schema
-	}
-	in := g.Input.Schema()
-	cols := make([]Column, 0, len(g.GroupBy)+len(g.Aggs))
-	for _, ref := range g.GroupBy {
-		if i := in.IndexOf(ref); i >= 0 {
-			cols = append(cols, in.Columns[i])
+	return g.schema.get(func() *Schema {
+		in := g.Input.Schema()
+		cols := make([]Column, 0, len(g.GroupBy)+len(g.Aggs))
+		for _, ref := range g.GroupBy {
+			if i := in.IndexOf(ref); i >= 0 {
+				cols = append(cols, in.Columns[i])
+			}
 		}
-	}
-	for _, a := range g.Aggs {
-		cols = append(cols, Column{Name: a.Alias, Type: g.aggType(a, in)})
-	}
-	g.schema = &Schema{Columns: cols}
-	return g.schema
+		for _, a := range g.Aggs {
+			cols = append(cols, Column{Name: a.Alias, Type: g.aggType(a, in)})
+		}
+		return &Schema{Columns: cols}
+	})
 }
 
 func (g *Aggregate) aggType(a Aggregation, in *Schema) Type {
@@ -156,11 +155,8 @@ func (g *Aggregate) structuralKey(inner string) string {
 	return "aggregate[" + g.spec() + "](" + inner + ")"
 }
 
-// validateAggregate checks the node (called from Validate).
+// validateAggregate checks the node (called from ValidateOp).
 func validateAggregate(g *Aggregate) error {
-	if err := Validate(g.Input); err != nil {
-		return err
-	}
 	if len(g.Aggs) == 0 {
 		return fmt.Errorf("algebra: aggregate with no aggregation functions")
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync/atomic"
 )
 
 // Node is a logical relational-algebra plan node. A plan is a tree; the MVPP
@@ -23,10 +24,27 @@ type Node interface {
 	Label() string
 }
 
+// lazySchema resolves a node's output schema on first use and publishes it
+// through an atomic pointer: plan nodes are shared between the generator's
+// rotation workers and the serving layer's query workers, so nothing on a
+// node may be written unsynchronised after construction. Concurrent first
+// calls may both resolve; every caller sees the one that was stored first.
+type lazySchema struct{ p atomic.Pointer[Schema] }
+
+func (l *lazySchema) get(resolve func() *Schema) *Schema {
+	if s := l.p.Load(); s != nil {
+		return s
+	}
+	l.p.CompareAndSwap(nil, resolve())
+	return l.p.Load()
+}
+
 // Scan reads a base relation.
 type Scan struct {
 	Relation string
 	Rel      *Schema
+
+	ident ident
 }
 
 var _ Node = (*Scan)(nil)
@@ -52,6 +70,8 @@ func (s *Scan) Label() string { return s.Relation }
 type Select struct {
 	Input Node
 	Pred  Predicate
+
+	ident ident
 }
 
 var _ Node = (*Select)(nil)
@@ -82,7 +102,8 @@ type Project struct {
 	Input Node
 	Cols  []ColumnRef
 
-	schema *Schema // lazily resolved
+	schema lazySchema
+	ident  ident
 }
 
 var _ Node = (*Project)(nil)
@@ -98,18 +119,16 @@ func NewProject(input Node, cols []ColumnRef) *Project {
 // best-effort schema with the offending columns omitted; Validate reports
 // the error properly.
 func (p *Project) Schema() *Schema {
-	if p.schema != nil {
-		return p.schema
-	}
-	in := p.Input.Schema()
-	cols := make([]Column, 0, len(p.Cols))
-	for _, ref := range p.Cols {
-		if i := in.IndexOf(ref); i >= 0 {
-			cols = append(cols, in.Columns[i])
+	return p.schema.get(func() *Schema {
+		in := p.Input.Schema()
+		cols := make([]Column, 0, len(p.Cols))
+		for _, ref := range p.Cols {
+			if i := in.IndexOf(ref); i >= 0 {
+				cols = append(cols, in.Columns[i])
+			}
 		}
-	}
-	p.schema = &Schema{Columns: cols}
-	return p.schema
+		return &Schema{Columns: cols}
+	})
 }
 
 // Children implements Node.
@@ -148,6 +167,9 @@ type Join struct {
 	Left  Node
 	Right Node
 	On    []JoinCond
+
+	schema lazySchema
+	ident  ident
 }
 
 var _ Node = (*Join)(nil)
@@ -160,7 +182,9 @@ func NewJoin(left, right Node, on []JoinCond) *Join {
 }
 
 // Schema implements Node.
-func (j *Join) Schema() *Schema { return j.Left.Schema().Concat(j.Right.Schema()) }
+func (j *Join) Schema() *Schema {
+	return j.schema.get(func() *Schema { return j.Left.Schema().Concat(j.Right.Schema()) })
+}
 
 // Children implements Node.
 func (j *Join) Children() []Node { return []Node{j.Left, j.Right} }
@@ -267,6 +291,21 @@ func Equal(a, b Node) bool {
 // their input schemas, projections name existing columns, and join
 // conditions resolve against the correct sides.
 func Validate(n Node) error {
+	if n == nil {
+		return fmt.Errorf("algebra: nil plan node")
+	}
+	for _, c := range n.Children() {
+		if err := Validate(c); err != nil {
+			return err
+		}
+	}
+	return ValidateOp(n)
+}
+
+// ValidateOp checks the operation at n alone, given well-formed inputs —
+// the step Validate applies bottom-up. Callers that keep plans hash-consed
+// use it to check each distinct expression once.
+func ValidateOp(n Node) error {
 	switch v := n.(type) {
 	case nil:
 		return fmt.Errorf("algebra: nil plan node")
@@ -279,9 +318,6 @@ func Validate(n Node) error {
 		}
 		return nil
 	case *Select:
-		if err := Validate(v.Input); err != nil {
-			return err
-		}
 		if v.Pred == nil {
 			return fmt.Errorf("algebra: selection with nil predicate")
 		}
@@ -293,9 +329,6 @@ func Validate(n Node) error {
 		}
 		return nil
 	case *Project:
-		if err := Validate(v.Input); err != nil {
-			return err
-		}
 		if len(v.Cols) == 0 {
 			return fmt.Errorf("algebra: projection with no columns")
 		}
@@ -307,12 +340,6 @@ func Validate(n Node) error {
 		}
 		return nil
 	case *Join:
-		if err := Validate(v.Left); err != nil {
-			return err
-		}
-		if err := Validate(v.Right); err != nil {
-			return err
-		}
 		if len(v.On) == 0 {
 			return fmt.Errorf("algebra: join with no conditions (cartesian products are not supported)")
 		}

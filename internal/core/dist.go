@@ -3,6 +3,8 @@ package core
 import (
 	"fmt"
 	"sort"
+
+	"github.com/warehousekit/mvpp/internal/algebra"
 )
 
 // Distribution places base relations on member-database sites and prices
@@ -72,21 +74,14 @@ func (m *MVPP) ApplyDistribution(d Distribution) error {
 	return nil
 }
 
-// transferForLeaves prices shipping the given leaves' blocks once.
-func (m *MVPP) transferForLeaves(leaves map[int]bool) float64 {
-	if len(m.Transfer) == 0 || len(leaves) == 0 {
+// transferForLeaves prices shipping the given leaf vertices' blocks once,
+// summing in ascending ID order (float summation is order-sensitive).
+func (m *MVPP) transferForLeaves(leaves algebra.Bits) float64 {
+	if len(m.Transfer) == 0 {
 		return 0
 	}
-	// Sum in ascending ID order: float summation is order-sensitive, and
-	// map iteration order would make repeated evaluations drift in the
-	// last bits.
-	ids := make([]int, 0, len(leaves))
-	for id := range leaves {
-		ids = append(ids, id)
-	}
-	sort.Ints(ids)
 	total := 0.0
-	for _, id := range ids {
+	for id := leaves.Next(0); id >= 0; id = leaves.Next(id + 1) {
 		v := m.Vertices[id]
 		if tc, ok := m.Transfer[v.Relation]; ok {
 			total += tc * v.Est.Blocks
@@ -97,30 +92,31 @@ func (m *MVPP) transferForLeaves(leaves map[int]bool) float64 {
 
 // reachedLeaves returns the leaf vertices read when computing v with the
 // given materialized set (descent stops at materialized vertices, which are
-// stored locally at the warehouse).
-func (m *MVPP) reachedLeaves(v *Vertex, mat VertexSet) map[int]bool {
-	leaves := make(map[int]bool)
-	seen := make(map[int]bool)
+// stored locally at the warehouse). Only a distributed warehouse prices
+// them, so the set is nil when nothing ships.
+func (m *MVPP) reachedLeaves(v *Vertex, mat algebra.Bits) algebra.Bits {
+	if len(m.Transfer) == 0 || mat.Has(v.ID) {
+		return nil
+	}
+	leaves := algebra.NewBits(len(m.Vertices))
+	seen := algebra.NewBits(len(m.Vertices))
 	var walk func(u *Vertex)
 	walk = func(u *Vertex) {
-		if seen[u.ID] {
+		if seen.Has(u.ID) {
 			return
 		}
-		seen[u.ID] = true
+		seen.Set(u.ID)
 		if u.IsLeaf() {
-			leaves[u.ID] = true
+			leaves.Set(u.ID)
 			return
 		}
 		for _, in := range u.In {
-			if mat[in.ID] {
-				continue
+			if !mat.Has(in.ID) {
+				walk(in)
 			}
-			walk(in)
 		}
 	}
-	if !mat[v.ID] {
-		walk(v)
-	}
+	walk(v)
 	return leaves
 }
 

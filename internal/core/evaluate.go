@@ -113,33 +113,50 @@ type Costs struct {
 // which the paper's Table 2 numbers are internally consistent (see
 // EXPERIMENTS.md).
 func (m *MVPP) Evaluate(model cost.Model, mat VertexSet) Costs {
+	return m.evaluate(model, m.bitsOf(mat))
+}
+
+// bitsOf converts a vertex set to the bitset form the evaluation and
+// selection loops test membership on.
+func (m *MVPP) bitsOf(mat VertexSet) algebra.Bits {
+	set := algebra.NewBits(len(m.Vertices))
+	for id, ok := range mat {
+		if ok && id >= 0 && id < len(m.Vertices) {
+			set.Set(id)
+		}
+	}
+	return set
+}
+
+func (m *MVPP) evaluate(model cost.Model, mat algebra.Bits) Costs {
 	m.evalCalls.Add(1)
 	c := Costs{
 		PerQuery: make(map[string]float64, len(m.Roots)),
-		PerView:  make(map[string]float64, len(mat)),
+		PerView:  make(map[string]float64, mat.Count()),
 	}
 
-	memo := make(map[int]float64, len(m.Vertices))
+	memo := make([]float64, len(m.Vertices))
+	done := make([]bool, len(m.Vertices))
 	var compute func(v *Vertex) float64
 	compute = func(v *Vertex) float64 {
-		if v.IsLeaf() || mat[v.ID] {
+		if v.IsLeaf() || mat.Has(v.ID) {
 			return 0
 		}
-		if got, ok := memo[v.ID]; ok {
-			return got
+		if done[v.ID] {
+			return memo[v.ID]
 		}
 		total := m.opCost(v, mat)
 		for _, in := range v.In {
 			total += compute(in)
 		}
-		memo[v.ID] = total
+		memo[v.ID], done[v.ID] = total, true
 		return total
 	}
 
 	for _, q := range m.QueryOrder {
 		r := m.Roots[q]
 		var qc float64
-		if mat[r.ID] {
+		if mat.Has(r.ID) {
 			qc = model.ReadCost(r.Est)
 		} else {
 			qc = compute(r) + m.transferForLeaves(m.reachedLeaves(r, mat))
@@ -151,22 +168,23 @@ func (m *MVPP) Evaluate(model cost.Model, mat VertexSet) Costs {
 
 	// Group recompute-maintained views by maintenance frequency; each group
 	// shares one recomputation pass per epoch. Views whose winning plan is
-	// delta propagation (ApplyDeltaMaintenance) are priced individually:
-	// each epoch propagates the base deltas through the view's own plan and
+	// delta propagation (GenOptions.Delta) are priced individually: each
+	// epoch propagates the base deltas through the view's own plan and
 	// applies them, so there is no shared recomputation to pool.
-	groups := make(map[float64][]*Vertex)
-	for _, v := range m.Vertices {
-		if !mat[v.ID] || v.IsLeaf() {
+	var pooled []*Vertex
+	for id := mat.Next(0); id >= 0; id = mat.Next(id + 1) {
+		v := m.Vertices[id]
+		if v.IsLeaf() {
 			continue
 		}
-		f := m.MaintenanceFrequency(v)
+		f := v.MaintFreq
 		if m.maintPolicy != PolicyIncremental && v.MaintStrategy == MaintIncremental {
 			weighted := f * (v.CmIncremental + m.deltaTransfer(v))
 			c.PerView[v.Name] = weighted
 			c.Maintenance += weighted
 			continue
 		}
-		groups[f] = append(groups[f], v)
+		pooled = append(pooled, v)
 		// Standalone per-view cost for reporting.
 		rc := v.CaSelf
 		for _, in := range v.In {
@@ -174,22 +192,23 @@ func (m *MVPP) Evaluate(model cost.Model, mat VertexSet) Costs {
 		}
 		c.PerView[v.Name] = f * rc
 	}
-	// Iterate groups in ascending frequency: map order is random and
+	// Groups in ascending frequency, views within a group in ID order:
 	// float summation is order-sensitive, so a fixed order keeps repeated
 	// evaluations bit-identical.
-	freqs := make([]float64, 0, len(groups))
-	for f := range groups {
-		freqs = append(freqs, f)
-	}
-	sort.Float64s(freqs)
-	for _, f := range freqs {
-		views := groups[f]
+	sort.SliceStable(pooled, func(i, j int) bool { return pooled[i].MaintFreq < pooled[j].MaintFreq })
+	for len(pooled) > 0 {
+		f, n := pooled[0].MaintFreq, 1
+		for n < len(pooled) && pooled[n].MaintFreq == f {
+			n++
+		}
+		views := pooled[:n]
+		pooled = pooled[n:]
 		if m.maintPolicy == PolicyIncremental {
 			for _, v := range views {
 				// Propagate the changed fraction through the view's plan,
 				// then rewrite the stored view. Transfer applies to the
 				// shipped deltas only.
-				leaves := m.reachedLeaves(v, VertexSet{})
+				leaves := m.reachedLeaves(v, nil)
 				c.Maintenance += f * (m.deltaFraction*(v.Ca+m.transferForLeaves(leaves)) + v.Est.Blocks)
 			}
 			continue
@@ -204,11 +223,11 @@ func (m *MVPP) Evaluate(model cost.Model, mat VertexSet) Costs {
 // opCost prices executing v's operation given the materialized set: with
 // indexed views enabled, a selection reading a materialized input becomes
 // an index lookup (tree traversal + matching blocks) instead of a scan.
-func (m *MVPP) opCost(v *Vertex, mat VertexSet) float64 {
+func (m *MVPP) opCost(v *Vertex, mat algebra.Bits) float64 {
 	if !m.indexedViews {
 		return v.CaSelf
 	}
-	if _, isSelect := v.Op.(*algebra.Select); !isSelect || len(v.In) != 1 || !mat[v.In[0].ID] {
+	if _, isSelect := v.Op.(*algebra.Select); !isSelect || len(v.In) != 1 || !mat.Has(v.In[0].ID) {
 		return v.CaSelf
 	}
 	in := v.In[0].Est
@@ -225,55 +244,41 @@ func (m *MVPP) opCost(v *Vertex, mat VertexSet) float64 {
 
 // sharedRecompute prices one refresh epoch for a group of views: every
 // vertex in the union of their recomputation DAGs executes once;
-// materialized vertices outside the group are read, not recomputed. The
-// second result is the set of leaf vertices the epoch reads (shipped once
-// each when the warehouse is distributed).
-func (m *MVPP) sharedRecompute(views []*Vertex, mat VertexSet) (float64, map[int]bool) {
-	inGroup := make(map[int]bool, len(views))
-	for _, v := range views {
-		inGroup[v.ID] = true
+// materialized vertices — of this group, refreshed in the same epoch and
+// accounted by their own traversal, or outside it — are read, not
+// recomputed. The second result is the set of leaf vertices the epoch reads
+// (shipped once each when the warehouse is distributed); it is only
+// collected for a distributed warehouse.
+func (m *MVPP) sharedRecompute(views []*Vertex, mat algebra.Bits) (float64, algebra.Bits) {
+	seen := algebra.NewBits(len(m.Vertices))
+	var leaves algebra.Bits
+	if len(m.Transfer) > 0 {
+		leaves = algebra.NewBits(len(m.Vertices))
 	}
-	seen := make(map[int]bool)
-	leaves := make(map[int]bool)
 	total := 0.0
 	var acc func(v *Vertex)
 	acc = func(v *Vertex) {
-		if seen[v.ID] {
+		if seen.Has(v.ID) {
 			return
 		}
-		seen[v.ID] = true
+		seen.Set(v.ID)
 		if v.IsLeaf() {
-			leaves[v.ID] = true
+			if leaves != nil {
+				leaves.Set(v.ID)
+			}
 			return
 		}
 		total += v.CaSelf
 		for _, in := range v.In {
-			if mat[in.ID] && !inGroup[in.ID] {
-				continue // read the other materialized view
+			if !mat.Has(in.ID) {
+				acc(in)
 			}
-			if mat[in.ID] && inGroup[in.ID] {
-				// Refreshed in this same epoch; its recomputation is
-				// accounted once via its own traversal below, after which
-				// this consumer reads it.
-				continue
-			}
-			acc(in)
 		}
 	}
 	for _, v := range views {
-		if seen[v.ID] {
-			continue
-		}
 		// The view itself is always recomputed, even though it is
 		// materialized.
-		seen[v.ID] = true
-		total += v.CaSelf
-		for _, in := range v.In {
-			if mat[in.ID] {
-				continue
-			}
-			acc(in)
-		}
+		acc(v)
 	}
 	return total, leaves
 }

@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -55,16 +57,71 @@ type Candidate struct {
 	Selection *SelectionResult
 	// SeedOrder is the query merge order that produced the MVPP.
 	SeedOrder []string
-	// Signature identifies the MVPP's vertex structure; rotations that
-	// produce identical DAGs share a signature.
+	// Signature identifies the MVPP's vertex structure among the candidates
+	// of one Generate call; rotations that produce identical DAGs share a
+	// signature.
 	Signature string
 }
 
-// prepared is a query plan with its pushed-up decomposition and merge rank.
+// prepared is a query plan with its pushed-up decomposition, its merge rank
+// and the facts about its join skeleton the rotations share, all in the
+// arena's interned IDs.
 type prepared struct {
 	QueryPlan
 	dec  *algebra.Decomposed
 	rank float64 // fq · Ca
+
+	index  int            // position in the ranked order
+	tree   algebra.ExprID // the join skeleton
+	leaves algebra.Bits
+	// pos maps a relation ID to its left-to-right position in the skeleton
+	// (MaxInt outside it), scans to its scan expression.
+	pos   []int
+	scans []algebra.ExprID
+	conds []planCond // the skeleton's join conditions, in plan order
+	// residual holds the selection conjuncts steps 5–6 left to the query.
+	residual []conjunct
+}
+
+// planCond is one join condition of a plan: its canonical ID and the
+// relations its two sides belong to.
+type planCond struct {
+	cond        algebra.JoinCond
+	id          int
+	left, right int
+}
+
+// conjunct is one interned selection conjunct with the relations it reads.
+type conjunct struct {
+	id   int32
+	rels algebra.Bits
+}
+
+// generator is the state of one Generate call shared by its rotations: the
+// estimator's arena, the per-expression prices, the prepared plans and the
+// outcome of the (rotation-independent) leaf push-down. The rotation loop
+// runs on one goroutine; only a finished DAG is handed to a worker.
+type generator struct {
+	opts  GenOptions
+	arena *algebra.Arena
+	p     *pricer
+	prep  []prepared
+	lay   layout
+
+	// seen holds the dedup keys of the rotations built so far (see
+	// buildRotation).
+	seen map[string]bool
+
+	leafRepl []algebra.ExprID // relation ID → the subplan replacing its scan
+	replaced []algebra.ExprID // skeleton expression → its form over leafRepl, +1
+	valid    []bool           // expression already validated
+	// usage counts, per rotation, how many queries' skeletons contain each
+	// structural class (see sharedClasses).
+	usage struct {
+		count, query []int32
+		stamp        []uint32
+		epoch        uint32
+	}
 }
 
 // Generate runs the Figure 4 algorithm: normalize each optimal plan to a
@@ -72,6 +129,11 @@ type prepared struct {
 // fq·Ca, merge them into a shared DAG seeded by each rotation of that order,
 // push common selections and projections back down, and return one evaluated
 // candidate per distinct resulting MVPP.
+//
+// All rotations build into the estimator's one expression arena, so an
+// expression is keyed, sized and priced once per call however many
+// rotations contain it; what a rotation still does itself is the merge, the
+// residual placement, its vertex list and Figure 9.
 func Generate(est *cost.Estimator, model cost.Model, plans []QueryPlan, opts GenOptions) ([]*Candidate, error) {
 	if len(plans) == 0 {
 		return nil, fmt.Errorf("core: no query plans to generate MVPPs from")
@@ -79,68 +141,97 @@ func Generate(est *cost.Estimator, model cost.Model, plans []QueryPlan, opts Gen
 	gsp := obs.Start(opts.Obs, "generate", obs.Int("queries", int64(len(plans))))
 	defer obs.End(gsp)
 	genObs := obs.From(gsp)
-	prep := make([]prepared, len(plans))
-	for i, qp := range plans {
-		if err := algebra.Validate(qp.Plan); err != nil {
-			return nil, fmt.Errorf("core: query %s: %w", qp.Name, err)
-		}
-		dec, err := algebra.Decompose(qp.Plan)
-		if err != nil {
-			return nil, fmt.Errorf("core: query %s: %w", qp.Name, err)
-		}
-		ca, err := est.PlanCost(model, qp.Plan)
-		if err != nil {
-			return nil, fmt.Errorf("core: query %s: %w", qp.Name, err)
-		}
-		prep[i] = prepared{QueryPlan: qp, dec: dec, rank: qp.Freq * ca}
-	}
-	// Step 3: descending fq·Ca.
-	sort.SliceStable(prep, func(i, j int) bool { return prep[i].rank > prep[j].rank })
 
-	k := len(prep)
+	g := &generator{opts: opts, arena: est.Arena(), p: newPricer(est, model, opts.Delta), seen: make(map[string]bool)}
+	g.lay.arena = g.arena
+	if err := g.prepare(est, model, plans); err != nil {
+		return nil, err
+	}
+	k := len(g.prep)
 	rotations := k
 	if opts.MaxRotations > 0 && opts.MaxRotations < k {
 		rotations = opts.MaxRotations
 	}
 
-	// Rotations are independent; build and evaluate them in parallel. The
-	// estimator is concurrency-safe, the prepared decompositions are
-	// read-only, and each rotation builds its own plan trees.
-	results := make([]*Candidate, rotations)
-	errs := make([]error, rotations)
+	// Step 4.5: one rotation per seed. The loop below merges, assembles and
+	// lays out each rotation in turn — cheap once identity is an integer,
+	// and sequential so that IDs, representatives and prices do not depend
+	// on scheduling — and drops a rotation as soon as it repeats an earlier
+	// one. Survivors go to a worker for the DAG-wide annotations and
+	// Figure 9, which touch only the rotation's own memory.
+	type rotation struct {
+		cand *Candidate // nil: dropped as a duplicate
+		seed []string
+		span obs.Span
+		err  error
+	}
+	rots := make([]rotation, rotations)
+	work := make(chan *rotation)
 	var wg sync.WaitGroup
-	for r := 0; r < rotations; r++ {
+	for w := min(runtime.GOMAXPROCS(0), rotations); w > 0; w-- {
 		wg.Add(1)
-		go func(r int) {
+		go func() {
 			defer wg.Done()
-			order := make([]prepared, 0, k)
-			order = append(order, prep[r:]...)
-			order = append(order, prep[:r]...)
-			rsp := obs.Start(genObs, "rotation", obs.Int("rotation", int64(r)),
-				obs.String("seed", order[0].Name))
-			results[r], errs[r] = buildRotation(est, model, order, opts, obs.From(rsp))
-			obs.End(rsp)
-		}(r)
+			for rot := range work {
+				ro := obs.From(rot.span)
+				m := rot.cand.MVPP
+				m.annotate()
+				if err := m.Validate(); err != nil {
+					rot.err = fmt.Errorf("core: generated MVPP invalid: %w", err)
+				} else {
+					m.SetObserver(ro)
+					sel := opts.Select
+					sel.Obs = ro
+					rot.cand.Selection = m.SelectViews(model, sel)
+				}
+				obs.End(rot.span)
+			}
+		}()
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
+	var err error
+	for r := range rots {
+		rot := &rots[r]
+		order := make([]*prepared, k)
+		rot.seed = make([]string, k)
+		for i := range order {
+			order[i] = &g.prep[(r+i)%k]
+			rot.seed[i] = order[i].Name
 		}
-	}
-
-	// Deterministic dedup in rotation order.
-	candidates := obs.CounterOf(genObs, obs.CtrCandidates)
-	var out []*Candidate
-	seen := make(map[string]bool)
-	for r, c := range results {
-		if seen[c.Signature] {
-			obs.Emit(genObs, obs.EvCandidateDedup,
-				obs.Int("rotation", int64(r)),
-				obs.String("seed_order", strings.Join(c.SeedOrder, ",")))
+		rot.span = obs.Start(genObs, "rotation", obs.Int("rotation", int64(r)),
+			obs.String("seed", rot.seed[0]))
+		rot.cand, err = g.buildRotation(order, obs.From(rot.span))
+		if err != nil {
+			obs.End(rot.span)
+			break
+		}
+		if rot.cand == nil {
+			obs.End(rot.span)
 			continue
 		}
-		seen[c.Signature] = true
+		rot.cand.SeedOrder = rot.seed
+		work <- rot
+	}
+	close(work)
+	wg.Wait()
+	if err != nil {
+		return nil, err
+	}
+
+	// Report in rotation order.
+	candidates := obs.CounterOf(genObs, obs.CtrCandidates)
+	var out []*Candidate
+	for r := range rots {
+		rot := &rots[r]
+		if rot.err != nil {
+			return nil, rot.err
+		}
+		c := rot.cand
+		if c == nil {
+			obs.Emit(genObs, obs.EvCandidateDedup,
+				obs.Int("rotation", int64(r)),
+				obs.String("seed_order", strings.Join(rot.seed, ",")))
+			continue
+		}
 		candidates.Add(1)
 		obs.Emit(genObs, obs.EvCandidate,
 			obs.Int("rotation", int64(r)),
@@ -155,62 +246,130 @@ func Generate(est *cost.Estimator, model cost.Model, plans []QueryPlan, opts Gen
 	return out, nil
 }
 
-// buildRotation produces one rotation's candidate: merge skeletons in
-// order (step 4), push selections/projections down and assemble plans
-// (steps 5–6), build and validate the DAG, run view selection. ro is the
-// rotation's observer (nil when instrumentation is off).
-func buildRotation(est *cost.Estimator, model cost.Model, order []prepared, opts GenOptions, ro obs.Observer) (*Candidate, error) {
-	k := len(order)
+// prepare validates, decomposes, ranks and interns the plans (Figure 4
+// steps 1–3) and runs the leaf push-down of steps 5–6, which depends only
+// on which queries read which relation and is therefore the same for every
+// rotation.
+func (g *generator) prepare(est *cost.Estimator, model cost.Model, plans []QueryPlan) error {
+	g.prep = make([]prepared, len(plans))
+	for i, qp := range plans {
+		if err := algebra.Validate(qp.Plan); err != nil {
+			return fmt.Errorf("core: query %s: %w", qp.Name, err)
+		}
+		dec, err := algebra.Decompose(qp.Plan)
+		if err != nil {
+			return fmt.Errorf("core: query %s: %w", qp.Name, err)
+		}
+		ca, err := est.PlanCost(model, qp.Plan)
+		if err != nil {
+			return fmt.Errorf("core: query %s: %w", qp.Name, err)
+		}
+		g.prep[i] = prepared{QueryPlan: qp, dec: dec, rank: qp.Freq * ca}
+	}
+	// Step 3: descending fq·Ca.
+	sort.SliceStable(g.prep, func(i, j int) bool { return g.prep[i].rank > g.prep[j].rank })
+
+	residual := g.planPushdown()
+	for i := range g.prep {
+		p := &g.prep[i]
+		p.index = i
+		p.tree = g.arena.Intern(p.dec.JoinTree)
+		p.leaves = g.arena.Expr(p.tree).Leaves
+		schema := p.dec.JoinTree.Schema()
+		relOf := func(ref algebra.ColumnRef) int {
+			if c := schema.IndexOf(ref); c >= 0 {
+				return g.arena.Rel(schema.Columns[c].Relation)
+			}
+			return g.arena.Rel("\x00unresolved") // in no leaf set
+		}
+		next := 0
+		algebra.Walk(p.dec.JoinTree, func(n algebra.Node) {
+			switch v := n.(type) {
+			case *algebra.Scan:
+				rel := g.arena.Rel(v.Relation)
+				for rel >= len(p.pos) {
+					p.pos = append(p.pos, math.MaxInt)
+					p.scans = append(p.scans, algebra.NoExpr)
+				}
+				if p.pos[rel] == math.MaxInt {
+					p.pos[rel] = next
+					p.scans[rel] = g.arena.Intern(v)
+					next++
+				}
+			case *algebra.Join:
+				for _, c := range v.On {
+					p.conds = append(p.conds, planCond{cond: c, id: g.arena.Cond(c),
+						left: relOf(c.Left), right: relOf(c.Right)})
+				}
+			}
+		})
+		for _, pred := range residual[i] {
+			for _, c := range algebra.Conjuncts(algebra.NewAnd(pred)) {
+				conj := conjunct{id: g.arena.Conjuncts(c)[0]}
+				for _, ref := range c.Columns() {
+					conj.rels.Set(relOf(ref))
+				}
+				p.residual = append(p.residual, conj)
+			}
+		}
+	}
+	return nil
+}
+
+// buildRotation produces one rotation's candidate up to, but not including,
+// the DAG-wide annotations and view selection: merge skeletons in order
+// (step 4), place the residual selections and assemble the plans, lay out
+// and price the DAG. It returns nil when the rotation repeats an earlier
+// one — decided on the merged skeletons when they already coincide, else on
+// the vertex structure. ro is the rotation's observer (nil when
+// instrumentation is off).
+func (g *generator) buildRotation(order []*prepared, ro obs.Observer) (*Candidate, error) {
 	merges := obs.CounterOf(ro, obs.CtrMergeAttempts)
-	sm := newSkeletonMerger()
-	skeletons := make([]algebra.Node, k)
-	decs := make([]*algebra.Decomposed, k)
-	names := make([]string, k)
+	sm := skeletonMerger{arena: g.arena, inPool: make(map[algebra.StructID]bool)}
+	skeletons := make([]algebra.ExprID, len(order))
 	for i, p := range order {
 		merges.Add(1)
-		skel, err := sm.merge(p.dec.JoinTree, treeJoinConds(p.dec.JoinTree))
+		skel, err := sm.merge(p)
 		if err != nil {
 			return nil, fmt.Errorf("core: query %s: %w", p.Name, err)
 		}
 		skeletons[i] = skel
-		decs[i] = p.dec
-		names[i] = p.Name
 	}
-
-	finals, err := assemblePlans(decs, skeletons, opts)
-	if err != nil {
-		return nil, err
-	}
-
-	b := NewBuilder(est, model)
+	// Equal skeleton classes query by query give equal DAGs: drop the
+	// rotation before push-down, build and selection.
+	byQuery := make([]int, len(order))
 	for i, p := range order {
-		if err := b.AddQuery(p.Name, p.Freq, finals[i]); err != nil {
-			return nil, err
-		}
+		byQuery[p.index] = int(g.arena.Expr(skeletons[i]).Struct)
 	}
-	m, err := b.Build()
+	// (The prefix keeps these keys apart from the signatures below, whose
+	// length is a multiple of four.)
+	key := "skeletons" + encodeIDs(byQuery)
+	if g.seen[key] {
+		return nil, nil
+	}
+	g.seen[key] = true
+
+	finals, err := g.assemblePlans(order, skeletons)
 	if err != nil {
 		return nil, err
 	}
-	if err := m.Validate(); err != nil {
-		return nil, fmt.Errorf("core: generated MVPP invalid: %w", err)
+	g.lay.reset()
+	queries := make([]dagQuery, len(order))
+	for i, p := range order {
+		queries[i] = dagQuery{name: p.Name, freq: p.Freq, root: g.lay.add(finals[i])}
 	}
-	if opts.Delta != nil {
-		de := cost.NewDeltaEstimator(est, *opts.Delta)
-		if err := m.ApplyDeltaMaintenance(de, model); err != nil {
-			return nil, err
-		}
+	// The criterion proper: rotations whose DAGs have the same vertex
+	// structure are one candidate.
+	sig := g.lay.signature()
+	if g.seen[sig] {
+		return nil, nil
 	}
-	m.SetObserver(ro)
-	sel := opts.Select
-	sel.Obs = ro
-	sig := mvppSignature(m)
-	return &Candidate{
-		MVPP:      m,
-		Selection: m.SelectViews(model, sel),
-		SeedOrder: names,
-		Signature: sig,
-	}, nil
+	g.seen[sig] = true
+	m, err := newMVPP(g.p, &g.lay, queries)
+	if err != nil {
+		return nil, err
+	}
+	return &Candidate{MVPP: m, Signature: sig}, nil
 }
 
 // Best returns the candidate whose selected design has the lowest total
@@ -226,256 +385,147 @@ func Best(cands []*Candidate) *Candidate {
 	return best
 }
 
-// mvppSignature fingerprints the vertex structure of an MVPP.
-func mvppSignature(m *MVPP) string {
-	keys := make([]string, len(m.Vertices))
-	for i, v := range m.Vertices {
-		keys[i] = v.Key
-	}
-	sort.Strings(keys)
-	return strings.Join(keys, "\n")
-}
-
 // --- Step 4: merging join skeletons ------------------------------------
 
 // poolEntry is a reusable join pattern already present in the growing MVPP.
 type poolEntry struct {
-	node    algebra.Node
-	leafSet map[string]bool
-	conds   map[string]bool // canonical strings of internal join conditions
-	order   int             // insertion order, for deterministic tie-breaks
+	expr   algebra.ExprID
+	leaves algebra.Bits // its base relations
+	conds  algebra.Bits // its internal join conditions
+	n      int          // len(leaves)
 }
 
-// treeJoinConds collects every join condition of a join tree.
-func treeJoinConds(n algebra.Node) []algebra.JoinCond {
-	var out []algebra.JoinCond
-	algebra.Walk(n, func(m algebra.Node) {
-		if j, ok := m.(*algebra.Join); ok {
-			out = append(out, j.On...)
+// piece is one operand of a skeleton being joined up: a pooled pattern or a
+// single scan, with its relations and the plan position of its first leaf.
+type piece struct {
+	expr   algebra.ExprID
+	leaves algebra.Bits
+	first  int
+}
+
+// firstPos returns the smallest plan position among the relations.
+func (p *prepared) firstPos(rels algebra.Bits) int {
+	first := math.MaxInt
+	for rel := rels.Next(0); rel >= 0; rel = rels.Next(rel + 1) {
+		if rel < len(p.pos) && p.pos[rel] < first {
+			first = p.pos[rel]
 		}
-	})
-	return out
+	}
+	return first
 }
 
-// skeletonMerger carries the pattern pool across plans (Figure 4 step 4:
-// each plan reuses the largest existing join patterns compatible with its
-// own conditions and contributes its new join nodes to the pool).
+// skeletonMerger carries the pattern pool across the plans of one rotation
+// (Figure 4 step 4: each plan reuses the largest existing join patterns
+// compatible with its own conditions and contributes its new join nodes to
+// the pool). The pool is kept in probing order: patterns over more
+// relations first, older before newer.
 type skeletonMerger struct {
-	pool   []*poolEntry
-	byKey  map[string]*poolEntry
-	leaves map[string]algebra.Node
+	arena  *algebra.Arena
+	pool   []poolEntry
+	inPool map[algebra.StructID]bool
+	on     []algebra.JoinCond // scratch
 }
 
-func newSkeletonMerger() *skeletonMerger {
-	return &skeletonMerger{
-		byKey:  make(map[string]*poolEntry),
-		leaves: make(map[string]algebra.Node),
+// register adds every join subtree of a skeleton to the pool.
+func (sm *skeletonMerger) register(id algebra.ExprID) {
+	x := sm.arena.Expr(id)
+	if x.Op != algebra.OpJoin || sm.inPool[x.Struct] {
+		// A pooled pattern's operands were pooled with it.
+		return
 	}
-}
-
-// condStrings collects the canonical join-condition strings of a skeleton.
-func condStrings(n algebra.Node) map[string]bool {
-	out := make(map[string]bool)
-	algebra.Walk(n, func(m algebra.Node) {
-		if j, ok := m.(*algebra.Join); ok {
-			for _, c := range j.On {
-				out[c.CanonicalString()] = true
-			}
-		}
-	})
-	return out
-}
-
-// condsWithin returns the subset of conds whose endpoint relations are both
-// inside the leaf set.
-func condsWithin(conds []algebra.JoinCond, leafSet map[string]bool) map[string]bool {
-	out := make(map[string]bool)
-	for _, c := range conds {
-		if leafSet[c.Left.Relation] && leafSet[c.Right.Relation] {
-			out[c.CanonicalString()] = true
-		}
+	sm.register(x.Left)
+	sm.register(x.Right)
+	sm.inPool[x.Struct] = true
+	e := poolEntry{expr: id, leaves: x.Leaves, conds: x.Conds, n: x.Leaves.Count()}
+	at := len(sm.pool)
+	for at > 0 && sm.pool[at-1].n < e.n {
+		at--
 	}
-	return out
-}
-
-func setEqual(a, b map[string]bool) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for k := range a {
-		if !b[k] {
-			return false
-		}
-	}
-	return true
-}
-
-// register interns every join subtree (and leaf) of a skeleton into the
-// pool.
-func (sm *skeletonMerger) register(n algebra.Node) {
-	switch v := n.(type) {
-	case *algebra.Scan:
-		if _, ok := sm.leaves[v.Relation]; !ok {
-			sm.leaves[v.Relation] = v
-		}
-	case *algebra.Join:
-		sm.register(v.Left)
-		sm.register(v.Right)
-		key := algebra.StructuralKey(v)
-		if _, ok := sm.byKey[key]; ok {
-			return
-		}
-		leafSet := make(map[string]bool)
-		for _, l := range algebra.Leaves(v) {
-			leafSet[l] = true
-		}
-		e := &poolEntry{node: v, leafSet: leafSet, conds: condStrings(v), order: len(sm.pool)}
-		sm.byKey[key] = e
-		sm.pool = append(sm.pool, e)
-	default:
-		for _, c := range n.Children() {
-			sm.register(c)
-		}
-	}
+	sm.pool = append(sm.pool, poolEntry{})
+	copy(sm.pool[at+1:], sm.pool[at:])
+	sm.pool[at] = e
 }
 
 // merge incorporates one plan's join skeleton, reusing pooled patterns, and
 // returns the plan's (possibly rewritten) skeleton root.
-func (sm *skeletonMerger) merge(joinTree algebra.Node, joinConds []algebra.JoinCond) (algebra.Node, error) {
-	leaves := algebra.Leaves(joinTree)
-	if len(leaves) == 1 {
-		// Single-relation query: share the scan.
-		if l, ok := sm.leaves[leaves[0]]; ok {
-			return l, nil
-		}
-		sm.register(joinTree)
-		return joinTree, nil
+func (sm *skeletonMerger) merge(p *prepared) (algebra.ExprID, error) {
+	if p.leaves.Count() == 1 {
+		// Single-relation query: the scan is shared by identity.
+		return p.tree, nil
 	}
-
-	remaining := make(map[string]bool, len(leaves))
-	for _, l := range leaves {
-		remaining[l] = true
-	}
+	remaining := append(algebra.Bits(nil), p.leaves...)
 
 	// Step 4.3.1: choose maximal reusable patterns. A pooled pattern is
 	// compatible when its leaves are all unclaimed leaves of this plan and
 	// its internal conditions are exactly this plan's conditions restricted
 	// to those leaves.
-	entries := make([]*poolEntry, len(sm.pool))
-	copy(entries, sm.pool)
-	sort.SliceStable(entries, func(i, j int) bool {
-		if len(entries[i].leafSet) != len(entries[j].leafSet) {
-			return len(entries[i].leafSet) > len(entries[j].leafSet)
+	var pieces []piece
+	var within algebra.Bits
+	for _, e := range sm.pool {
+		if !e.leaves.SubsetOf(remaining) {
+			continue
 		}
-		return entries[i].order < entries[j].order
-	})
-	var pieces []algebra.Node
-	for _, e := range entries {
-		ok := true
-		for l := range e.leafSet {
-			if !remaining[l] {
-				ok = false
-				break
+		clear(within)
+		for _, c := range p.conds {
+			if e.leaves.Has(c.left) && e.leaves.Has(c.right) {
+				within.Set(c.id)
 			}
 		}
-		if !ok {
+		if !within.Equal(e.conds) {
 			continue
 		}
-		if !setEqual(e.conds, condsWithin(joinConds, e.leafSet)) {
-			continue
-		}
-		pieces = append(pieces, e.node)
-		for l := range e.leafSet {
-			delete(remaining, l)
+		pieces = append(pieces, piece{e.expr, e.leaves, p.firstPos(e.leaves)})
+		for i := range remaining {
+			if i < len(e.leaves) {
+				remaining[i] &^= e.leaves[i]
+			}
 		}
 	}
-	// Singleton leaves for whatever is left, shared with the pool.
-	leafOrder := leafPositions(joinTree)
-	for _, l := range leaves {
-		if !remaining[l] {
-			continue
-		}
-		scan := sm.leaves[l]
-		if scan == nil {
-			scan = findScan(joinTree, l)
-			sm.leaves[l] = scan
-		}
-		pieces = append(pieces, scan)
+	// Singleton leaves for whatever is left.
+	for rel := remaining.Next(0); rel >= 0; rel = remaining.Next(rel + 1) {
+		pieces = append(pieces, piece{p.scans[rel], sm.arena.Expr(p.scans[rel]).Leaves, p.pos[rel]})
 	}
 
 	// Step 4.3.2: join the pieces, preserving the source plan's leaf order
 	// (pieces are ordered by their first leaf's position in the plan).
-	sort.SliceStable(pieces, func(i, j int) bool {
-		return firstLeafPos(pieces[i], leafOrder) < firstLeafPos(pieces[j], leafOrder)
-	})
-	acc := pieces[0]
+	for i := 1; i < len(pieces); i++ { // insertion sort: a handful of pieces
+		for j := i; j > 0 && pieces[j].first < pieces[j-1].first; j-- {
+			pieces[j], pieces[j-1] = pieces[j-1], pieces[j]
+		}
+	}
+	acc, accLeaves := pieces[0].expr, pieces[0].leaves
 	pending := pieces[1:]
 	for len(pending) > 0 {
 		progressed := false
-		for i, p := range pending {
-			conds := connectingConds(acc, p, joinConds)
-			if len(conds) == 0 {
+		for i, next := range pending {
+			if !sm.connecting(accLeaves, next.leaves, p.conds) {
 				continue
 			}
-			acc = algebra.NewJoin(acc, p, conds)
+			acc = sm.arena.Join(acc, next.expr, sm.on)
+			accLeaves = accLeaves.Union(next.leaves)
 			pending = append(pending[:i], pending[i+1:]...)
 			progressed = true
 			break
 		}
 		if !progressed {
-			return nil, fmt.Errorf("core: join graph disconnected while merging skeleton")
+			return algebra.NoExpr, fmt.Errorf("core: join graph disconnected while merging skeleton")
 		}
 	}
 	sm.register(acc)
 	return acc, nil
 }
 
-// connectingConds returns the plan conditions linking the two pieces,
-// oriented left-side-first.
-func connectingConds(left, right algebra.Node, conds []algebra.JoinCond) []algebra.JoinCond {
-	ls, rs := left.Schema(), right.Schema()
-	var out []algebra.JoinCond
+// connecting collects into sm.on the plan conditions linking the two
+// pieces, oriented left-side-first, and reports whether there are any.
+func (sm *skeletonMerger) connecting(left, right algebra.Bits, conds []planCond) bool {
+	sm.on = sm.on[:0]
 	for _, c := range conds {
 		switch {
-		case ls.Has(c.Left) && rs.Has(c.Right):
-			out = append(out, c)
-		case ls.Has(c.Right) && rs.Has(c.Left):
-			out = append(out, algebra.JoinCond{Left: c.Right, Right: c.Left})
+		case left.Has(c.left) && right.Has(c.right):
+			sm.on = append(sm.on, c.cond)
+		case left.Has(c.right) && right.Has(c.left):
+			sm.on = append(sm.on, algebra.JoinCond{Left: c.cond.Right, Right: c.cond.Left})
 		}
 	}
-	return out
-}
-
-// leafPositions maps each relation to its left-to-right position in the
-// join tree.
-func leafPositions(n algebra.Node) map[string]int {
-	pos := make(map[string]int)
-	algebra.Walk(n, func(m algebra.Node) {
-		if s, ok := m.(*algebra.Scan); ok {
-			if _, seen := pos[s.Relation]; !seen {
-				pos[s.Relation] = len(pos)
-			}
-		}
-	})
-	return pos
-}
-
-func firstLeafPos(n algebra.Node, pos map[string]int) int {
-	min := int(^uint(0) >> 1)
-	for _, l := range algebra.Leaves(n) {
-		if p, ok := pos[l]; ok && p < min {
-			min = p
-		}
-	}
-	return min
-}
-
-func findScan(n algebra.Node, relation string) algebra.Node {
-	var out algebra.Node
-	algebra.Walk(n, func(m algebra.Node) {
-		if s, ok := m.(*algebra.Scan); ok && s.Relation == relation && out == nil {
-			out = s
-		}
-	})
-	return out
+	return len(sm.on) > 0
 }

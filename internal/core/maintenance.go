@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-	"math"
 	"sort"
 
 	"github.com/warehousekit/mvpp/internal/cost"
@@ -32,46 +30,12 @@ func (s MaintenanceStrategy) String() string {
 	return "recompute"
 }
 
-// ApplyDeltaMaintenance re-prices every inner vertex's maintenance cost as
-// the cheaper of full recomputation and delta propagation under the
-// estimator's per-relation delta fractions, then re-derives the Figure 9
-// weights — so SelectViews ranks and accepts candidates by the cheaper
-// strategy. Vertices whose plan is not incrementally maintainable (see
-// cost.Incrementable) keep CmIncremental = +Inf and the recompute plan.
-// Calling with a nil estimator — or one whose spec holds no nonzero
-// fraction, meaning no delta information at all — reverts to pure
-// recompute maintenance.
-func (m *MVPP) ApplyDeltaMaintenance(de *cost.DeltaEstimator, model cost.Model) error {
-	if de != nil && !de.Spec().Enabled() {
-		de = nil
-	}
-	m.delta = de
-	for _, v := range m.Vertices {
-		if v.IsLeaf() {
-			continue
-		}
-		v.Cm = v.CmRecompute
-		v.CmIncremental, v.MaintStrategy = math.Inf(1), MaintRecompute
-		if de == nil {
-			continue
-		}
-		inc, ok, err := de.MaintenanceCost(model, v.Op)
-		if err != nil {
-			return fmt.Errorf("core: delta maintenance for %s: %w", v.Name, err)
-		}
-		v.CmIncremental = inc
-		if ok && inc < v.CmRecompute {
-			v.Cm = inc
-			v.MaintStrategy = MaintIncremental
-		}
-	}
-	for _, v := range m.Vertices {
-		v.Weight = m.WeightOf(v)
-	}
-	return nil
-}
-
-// DeltaEnabled reports whether delta maintenance pricing is installed.
+// DeltaEnabled reports whether delta maintenance pricing is installed
+// (GenOptions.Delta with a nonzero fraction): every inner vertex's Cm is
+// then the cheaper of full recomputation and delta propagation, and the
+// Figure 9 weights rank by that cheaper plan. Vertices whose plan is not
+// incrementally maintainable (see cost.Incrementable) keep
+// CmIncremental = +Inf and the recompute plan.
 func (m *MVPP) DeltaEnabled() bool { return m.delta != nil }
 
 // DeltaSpec returns the installed delta fractions (zero value when delta
@@ -80,7 +44,7 @@ func (m *MVPP) DeltaSpec() cost.DeltaSpec {
 	if m.delta == nil {
 		return cost.DeltaSpec{}
 	}
-	return m.delta.Spec()
+	return *m.delta
 }
 
 // MaintenancePlans reports the winning maintenance strategy for each
@@ -133,7 +97,6 @@ func (m *MVPP) deltaTransfer(v *Vertex) float64 {
 	if len(m.Transfer) == 0 || m.delta == nil {
 		return 0
 	}
-	spec := m.delta.Spec()
 	total := 0.0
 	for _, rel := range m.BaseRelationsUnder(v) {
 		tc, ok := m.Transfer[rel]
@@ -141,7 +104,7 @@ func (m *MVPP) deltaTransfer(v *Vertex) float64 {
 			continue
 		}
 		leaf := m.Leaves[rel]
-		total += tc * leaf.Est.Blocks * spec.FractionOf(rel)
+		total += tc * leaf.Est.Blocks * m.delta.FractionOf(rel)
 	}
 	return total
 }

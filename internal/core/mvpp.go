@@ -11,9 +11,9 @@
 //
 // The package provides:
 //
-//   - Builder / MVPP: DAG construction by hash-consing plan subtrees on
-//     their structural keys, so common subexpressions across queries merge
-//     into shared vertices (§3.1 problem 1);
+//   - Builder / MVPP: DAG construction over the estimator's expression
+//     arena, where plan subtrees with the same structural identity — across
+//     queries — are one vertex (§3.1 problem 1);
 //   - Generate: the multiple-MVPP generation algorithm of Figure 4
 //     (push-up, rotation merge on shared join patterns, push-down of common
 //     selections and projections);
@@ -25,8 +25,8 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
+	"sync"
 
 	"github.com/warehousekit/mvpp/internal/algebra"
 	"github.com/warehousekit/mvpp/internal/cost"
@@ -39,11 +39,10 @@ type Vertex struct {
 	// every vertex appears after its inputs).
 	ID int
 	// Op is the relational operation computing the vertex's relation R(v);
-	// a *algebra.Scan for leaves.
+	// a *algebra.Scan for leaves. Plans with the same structural identity
+	// (algebra.StructuralKey) share one vertex; Op is the first of them the
+	// DAG saw.
 	Op algebra.Node
-	// Key is the structural key of Op — the identity under which common
-	// subexpressions were merged.
-	Key string
 	// In lists the operand vertices (S(v)), in operand order.
 	In []*Vertex
 	// Out lists the consuming vertices (D(v)).
@@ -67,9 +66,9 @@ type Vertex struct {
 	Ca float64
 	// Cm is the effective cost of maintaining the vertex if materialized:
 	// the cheaper of CmRecompute and CmIncremental. Without delta
-	// maintenance (ApplyDeltaMaintenance) it equals CmRecompute, the
-	// paper's policy (§2: "re-computing is used whenever an update of
-	// involved base relation occurs").
+	// maintenance (GenOptions.Delta) it equals CmRecompute, the paper's
+	// policy (§2: "re-computing is used whenever an update of involved base
+	// relation occurs").
 	Cm float64
 	// CmRecompute is the from-base recomputation maintenance cost (= Ca).
 	CmRecompute float64
@@ -123,15 +122,30 @@ type MVPP struct {
 	// SetMaintenancePolicy.
 	maintPolicy   MaintenancePolicy
 	deltaFraction float64
-	// delta is the per-vertex delta-propagation estimator installed by
-	// ApplyDeltaMaintenance (nil when delta maintenance is off).
-	delta *cost.DeltaEstimator
+	// delta holds the fractions delta-propagation maintenance was priced
+	// under (nil when delta maintenance is off).
+	delta *cost.DeltaSpec
 	// indexedViews prices selections over materialized views as index
 	// lookups; see SetIndexedViews.
 	indexedViews bool
 	// evalCalls counts Evaluate invocations; see SetObserver. Nil (a no-op)
 	// when observability is off.
 	evalCalls *obs.Counter
+
+	// Reachability, filled by one topological sweep each way when the DAG
+	// is built. Row v of desc (anc) holds the IDs of the vertices reachable
+	// from v over In (Out) edges — S*{v} and D*{v}; row v of users holds
+	// O_v, the queries whose result depends on v, as positions in qnames.
+	desc, anc, users []algebra.Bits
+	// qnames lists the query names sorted, so that walking a users row in
+	// bit order adds frequency terms in name order; fq is Fq in that order.
+	qnames []string
+	fq     []float64
+
+	byKey struct {
+		once sync.Once
+		m    map[string]*Vertex
+	}
 }
 
 // SetObserver wires the MVPP's evaluation counter into the observer's
@@ -141,199 +155,99 @@ func (m *MVPP) SetObserver(o obs.Observer) {
 	m.evalCalls = obs.CounterOf(o, obs.CtrEvaluateCalls)
 }
 
-// Builder constructs an MVPP from per-query plans by hash-consing subtrees
-// on their structural keys.
-type Builder struct {
-	est    *cost.Estimator
-	model  cost.Model
-	byKey  map[string]*Vertex
-	order  []*Vertex
-	roots  map[string]*Vertex
-	leaves map[string]*Vertex
-	fq     map[string]float64
-	qorder []string
-	err    error
-}
-
-// NewBuilder returns a builder that annotates vertices using the estimator
-// and cost model.
-func NewBuilder(est *cost.Estimator, model cost.Model) *Builder {
-	return &Builder{
-		est:    est,
-		model:  model,
-		byKey:  make(map[string]*Vertex),
-		roots:  make(map[string]*Vertex),
-		leaves: make(map[string]*Vertex),
-		fq:     make(map[string]float64),
-	}
-}
-
-// AddQuery merges the plan for the named query into the DAG. Equal subtrees
-// (by structural key) from different queries become shared vertices.
-func (b *Builder) AddQuery(name string, freq float64, plan algebra.Node) error {
-	if b.err != nil {
-		return b.err
-	}
-	if name == "" {
-		return fmt.Errorf("core: query must have a name")
-	}
-	if _, dup := b.roots[name]; dup {
-		return fmt.Errorf("core: duplicate query name %q", name)
-	}
-	if freq < 0 {
-		return fmt.Errorf("core: query %s has negative frequency", name)
-	}
-	if err := algebra.Validate(plan); err != nil {
-		return fmt.Errorf("core: query %s: %w", name, err)
-	}
-	root := b.intern(plan)
-	if b.err != nil {
-		return b.err
-	}
-	root.Queries = append(root.Queries, name)
-	b.roots[name] = root
-	b.fq[name] = freq
-	b.qorder = append(b.qorder, name)
-	return nil
-}
-
-// intern returns the vertex for the subtree, creating it (and its operand
-// vertices) on first sight.
-func (b *Builder) intern(n algebra.Node) *Vertex {
-	key := algebra.StructuralKey(n)
-	if v, ok := b.byKey[key]; ok {
-		return v
-	}
-	var in []*Vertex
-	for _, child := range n.Children() {
-		cv := b.intern(child)
-		if b.err != nil {
-			return nil
-		}
-		in = append(in, cv)
-	}
-	est, err := b.est.Estimate(n)
-	if err != nil {
-		b.err = fmt.Errorf("core: %w", err)
-		return nil
-	}
-	caSelf, err := b.est.OpCost(b.model, n)
-	if err != nil {
-		b.err = fmt.Errorf("core: %w", err)
-		return nil
-	}
-	v := &Vertex{
-		Op:     n,
-		Key:    key,
-		In:     in,
-		Est:    est,
-		CaSelf: caSelf,
-	}
-	if s, ok := n.(*algebra.Scan); ok {
-		v.Relation = s.Relation
-		if prev, dup := b.leaves[s.Relation]; dup && prev != v {
-			// Two scans of one relation with different schemas would be a
-			// catalog inconsistency; structural keys make this impossible,
-			// but keep the invariant explicit.
-			b.err = fmt.Errorf("core: relation %s interned twice", s.Relation)
-			return nil
-		}
-		b.leaves[s.Relation] = v
-	}
-	for _, cv := range in {
-		cv.Out = append(cv.Out, v)
-	}
-	b.byKey[key] = v
-	b.order = append(b.order, v)
-	return v
-}
-
-// Build finalizes the DAG: assigns IDs and names, pulls update frequencies
-// from the catalog, and computes the cumulative-cost and weight annotations.
-func (b *Builder) Build() (*MVPP, error) {
-	if b.err != nil {
-		return nil, b.err
-	}
-	if len(b.roots) == 0 {
-		return nil, fmt.Errorf("core: MVPP has no queries")
-	}
-	m := &MVPP{
-		Vertices:   b.order,
-		Roots:      b.roots,
-		Leaves:     b.leaves,
-		Fq:         b.fq,
-		Fu:         make(map[string]float64, len(b.leaves)),
-		QueryOrder: b.qorder,
-	}
-	for rel := range b.leaves {
-		m.Fu[rel] = b.est.Catalog().UpdateFrequency(rel)
-	}
-	tmpN, resN := 0, 0
-	for i, v := range m.Vertices {
-		v.ID = i
-		switch {
-		case v.IsLeaf():
-			v.Name = v.Relation
-		case v.IsRoot():
-			resN++
-			v.Name = fmt.Sprintf("result%d", resN)
-		default:
-			tmpN++
-			v.Name = fmt.Sprintf("tmp%d", tmpN)
-		}
-	}
-	m.annotate()
-	return m, nil
-}
-
-// annotate computes Ca, Cm, MaintFreq and Weight for every vertex. Vertices
-// are already in topological order.
+// annotate computes what depends on the DAG as a whole: reachability, Ca,
+// the effective maintenance plan and the weights. Vertices are already in
+// topological order.
 func (m *MVPP) annotate() {
-	// Ca: cumulative cost, each shared descendant counted once.
+	m.sweep()
+	// Ca: cumulative cost, each shared descendant counted once, added in
+	// depth-first operand order from the vertex down.
+	seen := make([]int, len(m.Vertices))
+	var total float64
+	var acc func(u *Vertex, mark int)
+	acc = func(u *Vertex, mark int) {
+		if seen[u.ID] == mark {
+			return
+		}
+		seen[u.ID] = mark
+		total += u.CaSelf
+		for _, in := range u.In {
+			acc(in, mark)
+		}
+	}
 	for _, v := range m.Vertices {
-		v.CmIncremental = math.Inf(1)
 		v.MaintStrategy = MaintRecompute
 		if v.IsLeaf() {
 			v.Ca, v.Cm, v.CmRecompute = 0, 0, 0
 			continue
 		}
-		seen := make(map[int]bool)
-		total := 0.0
-		var acc func(u *Vertex)
-		acc = func(u *Vertex) {
-			if seen[u.ID] {
-				return
-			}
-			seen[u.ID] = true
-			total += u.CaSelf
-			for _, in := range u.In {
-				acc(in)
-			}
+		total = 0
+		acc(v, v.ID+1)
+		v.Ca, v.CmRecompute, v.Cm = total, total, total
+		if v.CmIncremental < v.CmRecompute {
+			v.Cm, v.MaintStrategy = v.CmIncremental, MaintIncremental
 		}
-		acc(v)
-		v.Ca = total
-		v.CmRecompute = total
-		v.Cm = total // recompute maintenance until ApplyDeltaMaintenance
 	}
 	for _, v := range m.Vertices {
-		v.MaintFreq = m.MaintenanceFrequency(v)
 		v.Weight = m.WeightOf(v)
+	}
+}
+
+// sweep fills the reachability rows: descendants in one pass up the
+// topological order, ancestors and using queries in one pass down it.
+func (m *MVPP) sweep() {
+	n := len(m.Vertices)
+	m.qnames = append([]string(nil), m.QueryOrder...)
+	sort.Strings(m.qnames)
+	m.setFrequencies(m.Fq)
+	rank := make(map[string]int, len(m.qnames))
+	for i, q := range m.qnames {
+		rank[q] = i
+	}
+	vw, qw := (n+63)/64, (len(m.qnames)+63)/64
+	slab := make(algebra.Bits, n*(2*vw+qw))
+	row := func(w int) algebra.Bits {
+		r := slab[:w:w]
+		slab = slab[w:]
+		return r
+	}
+	m.desc, m.anc, m.users = make([]algebra.Bits, n), make([]algebra.Bits, n), make([]algebra.Bits, n)
+	for i, v := range m.Vertices {
+		m.desc[i], m.anc[i], m.users[i] = row(vw), row(vw), row(qw)
+		for _, in := range v.In {
+			m.desc[i].Or(m.desc[in.ID])
+			m.desc[i].Set(in.ID)
+		}
+	}
+	for i := n - 1; i >= 0; i-- {
+		v := m.Vertices[i]
+		for _, q := range v.Queries {
+			m.users[i].Set(rank[q])
+		}
+		for _, out := range v.Out {
+			m.anc[i].Or(m.anc[out.ID])
+			m.anc[i].Set(out.ID)
+			m.users[i].Or(m.users[out.ID])
+		}
+	}
+}
+
+// setFrequencies installs the query frequencies (Fq and its name-ordered
+// copy).
+func (m *MVPP) setFrequencies(fq map[string]float64) {
+	m.Fq = fq
+	if len(m.fq) != len(m.qnames) {
+		m.fq = make([]float64, len(m.qnames))
+	}
+	for i, q := range m.qnames {
+		m.fq[i] = fq[q]
 	}
 }
 
 // MaintenanceFrequency returns how often per period a materialized v is
 // recomputed: the maximum update frequency among the base relations below
-// it (batch recompute per update epoch — the reading under which the
-// paper's own arithmetic is consistent; see EXPERIMENTS.md).
-func (m *MVPP) MaintenanceFrequency(v *Vertex) float64 {
-	max := 0.0
-	for _, rel := range m.BaseRelationsUnder(v) {
-		if f := m.Fu[rel]; f > max {
-			max = f
-		}
-	}
-	return max
-}
+// it.
+func (m *MVPP) MaintenanceFrequency(v *Vertex) float64 { return v.MaintFreq }
 
 // WeightOf computes the paper's ranking weight
 //
@@ -345,50 +259,44 @@ func (m *MVPP) WeightOf(v *Vertex) float64 {
 	if v.IsLeaf() {
 		return 0
 	}
-	saving := 0.0
-	for _, q := range m.QueriesUsing(v) {
-		saving += m.Fq[q] * v.Ca
+	return m.saving(v, v.Ca) - v.MaintFreq*v.Cm
+}
+
+// saving returns Σ_{q ∈ O_v} fq(q)·perQuery, adding the terms in query-name
+// order.
+func (m *MVPP) saving(v *Vertex, perQuery float64) float64 {
+	total := 0.0
+	users := m.users[v.ID]
+	for q := users.Next(0); q >= 0; q = users.Next(q + 1) {
+		total += m.fq[q] * perQuery
 	}
-	return saving - m.MaintenanceFrequency(v)*v.Cm
+	return total
 }
 
-// Ancestors returns D*{v}: every vertex reachable from v via out-edges.
-func (m *MVPP) Ancestors(v *Vertex) []*Vertex {
-	return m.reach(v, func(u *Vertex) []*Vertex { return u.Out })
-}
+// Ancestors returns D*{v}: every vertex reachable from v via out-edges, in
+// ID order.
+func (m *MVPP) Ancestors(v *Vertex) []*Vertex { return m.members(m.anc[v.ID]) }
 
-// Descendants returns S*{v}: every vertex reachable from v via in-edges.
-func (m *MVPP) Descendants(v *Vertex) []*Vertex {
-	return m.reach(v, func(u *Vertex) []*Vertex { return u.In })
-}
+// Descendants returns S*{v}: every vertex reachable from v via in-edges, in
+// ID order.
+func (m *MVPP) Descendants(v *Vertex) []*Vertex { return m.members(m.desc[v.ID]) }
 
-func (m *MVPP) reach(v *Vertex, next func(*Vertex) []*Vertex) []*Vertex {
-	seen := map[int]bool{v.ID: true}
-	var out []*Vertex
-	stack := append([]*Vertex(nil), next(v)...)
-	for len(stack) > 0 {
-		u := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
-		if seen[u.ID] {
-			continue
-		}
-		seen[u.ID] = true
-		out = append(out, u)
-		stack = append(stack, next(u)...)
+func (m *MVPP) members(set algebra.Bits) []*Vertex {
+	out := make([]*Vertex, 0, set.Count())
+	for i := set.Next(0); i >= 0; i = set.Next(i + 1) {
+		out = append(out, m.Vertices[i])
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
 }
 
 // QueriesUsing returns O_v: the names of queries whose result depends on v
 // (including queries rooted at v itself), sorted.
 func (m *MVPP) QueriesUsing(v *Vertex) []string {
-	var out []string
-	out = append(out, v.Queries...)
-	for _, a := range m.Ancestors(v) {
-		out = append(out, a.Queries...)
+	users := m.users[v.ID]
+	out := make([]string, 0, users.Count())
+	for q := users.Next(0); q >= 0; q = users.Next(q + 1) {
+		out = append(out, m.qnames[q])
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -419,6 +327,20 @@ func (m *MVPP) VertexByName(name string) (*Vertex, error) {
 	return nil, fmt.Errorf("core: no vertex named %q", name)
 }
 
+// VertexOf returns the vertex computing the plan node's relation under the
+// DAG's sharing identity (algebra.StructuralKey), or nil. The key index is
+// built on first use: only an MVPP that is rendered or explained pays for
+// key strings.
+func (m *MVPP) VertexOf(n algebra.Node) *Vertex {
+	m.byKey.once.Do(func() {
+		m.byKey.m = make(map[string]*Vertex, len(m.Vertices))
+		for _, v := range m.Vertices {
+			m.byKey.m[algebra.StructuralKey(v.Op)] = v
+		}
+	})
+	return m.byKey.m[algebra.StructuralKey(n)]
+}
+
 // InnerVertices returns the non-leaf vertices (materialization candidates),
 // in topological order. Query roots are included: materializing a whole
 // query result is one of the paper's strategies.
@@ -435,20 +357,20 @@ func (m *MVPP) InnerVertices() []*Vertex {
 // Validate checks DAG invariants: topological order, edge symmetry, roots
 // reachable, leaves are scans.
 func (m *MVPP) Validate() error {
-	pos := make(map[*Vertex]int, len(m.Vertices))
+	member := func(v *Vertex) bool {
+		return v.ID >= 0 && v.ID < len(m.Vertices) && m.Vertices[v.ID] == v
+	}
 	for i, v := range m.Vertices {
 		if v.ID != i {
 			return fmt.Errorf("core: vertex %s has ID %d at position %d", v.Name, v.ID, i)
 		}
-		pos[v] = i
 	}
 	for _, v := range m.Vertices {
 		for _, in := range v.In {
-			j, ok := pos[in]
-			if !ok {
+			if !member(in) {
 				return fmt.Errorf("core: vertex %s has foreign input", v.Name)
 			}
-			if j >= v.ID {
+			if in.ID >= v.ID {
 				return fmt.Errorf("core: vertex %s input %s violates topological order", v.Name, in.Name)
 			}
 			if !containsVertex(in.Out, v) {
@@ -469,7 +391,7 @@ func (m *MVPP) Validate() error {
 		}
 	}
 	for q, r := range m.Roots {
-		if _, ok := pos[r]; !ok {
+		if !member(r) {
 			return fmt.Errorf("core: root of %s not in vertex list", q)
 		}
 	}

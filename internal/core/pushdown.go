@@ -7,7 +7,8 @@ import (
 	"github.com/warehousekit/mvpp/internal/algebra"
 )
 
-// assemblePlans implements Figure 4 steps 5–6 plus final plan assembly.
+// planPushdown runs Figure 4 steps 5–6 once for all rotations and returns
+// each query's residual conjuncts (by position in g.prep).
 //
 // Step 5 (selections): for each base relation, the conjuncts that every
 // query using the relation applies identically are pushed onto the shared
@@ -21,78 +22,187 @@ import (
 // attributes, and attributes of still-unpushed selections — is inserted
 // above each (possibly filtered) scan.
 //
-// The remaining per-query conjuncts are then placed as deep as possible
-// without crossing into a subtree shared with a query that lacks the
-// conjunct: a private filter wraps the highest shared vertex it would
-// otherwise have to enter. This is exactly the shape of the paper's
-// Figure 3, where σ date>7/1/96 (tmp5) sits above the shared
-// Order⋈Customer (tmp4) rather than on the Order scan.
-func assemblePlans(decs []*algebra.Decomposed, skeletons []algebra.Node, opts GenOptions) ([]algebra.Node, error) {
-	k := len(decs)
-
-	// Residual conjuncts per query, keyed for removal by canonical string.
-	residual := make([][]algebra.Predicate, k)
-	for i, d := range decs {
-		residual[i] = append(residual[i], d.Selections...)
+// Which conjuncts are common, what is pushed and what each query keeps
+// depend only on which queries read which relation, not on how a rotation
+// merged their joins — so the work is hoisted out of the rotation loop.
+func (g *generator) planPushdown() [][]algebra.Predicate {
+	decs := make([]*algebra.Decomposed, len(g.prep))
+	trees := make([]algebra.Node, len(g.prep))
+	residual := make([][]algebra.Predicate, len(g.prep))
+	for i := range g.prep {
+		decs[i], trees[i] = g.prep[i].dec, g.prep[i].dec.JoinTree
+		residual[i] = append(residual[i], decs[i].Selections...)
 	}
+	if !g.opts.NoPushdown {
+		for rel, repl := range planLeafPushdown(decs, trees, residual, g.opts) {
+			id := g.arena.Rel(rel)
+			for id >= len(g.leafRepl) {
+				g.leafRepl = append(g.leafRepl, algebra.NoExpr)
+			}
+			g.leafRepl[id] = g.arena.Intern(repl)
+		}
+	}
+	return residual
+}
 
-	if !opts.NoPushdown {
-		leafRepl := planLeafPushdown(decs, skeletons, residual, opts)
-		// Apply the same leaf replacement in every query's skeleton.
+// assemblePlans turns one rotation's merged skeletons into the queries'
+// final plans: the hoisted leaf replacement is applied, then the remaining
+// per-query conjuncts are placed as deep as possible without crossing into
+// a subtree shared with a query that lacks the conjunct — a private filter
+// wraps the highest shared vertex it would otherwise have to enter. This is
+// exactly the shape of the paper's Figure 3, where σ date>7/1/96 (tmp5)
+// sits above the shared Order⋈Customer (tmp4) rather than on the Order
+// scan.
+func (g *generator) assemblePlans(order []*prepared, skeletons []algebra.ExprID) ([]algebra.ExprID, error) {
+	if !g.opts.NoPushdown {
 		for i := range skeletons {
-			skeletons[i] = algebra.Transform(skeletons[i], func(n algebra.Node) algebra.Node {
-				if s, ok := n.(*algebra.Scan); ok {
-					if repl, ok := leafRepl[s.Relation]; ok {
-						return repl
-					}
-				}
-				return n
-			})
+			skeletons[i] = g.replaceLeaves(skeletons[i])
 		}
+		g.countUsage(skeletons)
 	}
-
-	// Shared-vertex detection: a structural key used by two or more
-	// queries is a sharing boundary for private filters.
-	usage := make(map[string]int)
-	for _, skel := range skeletons {
-		seen := make(map[string]bool)
-		algebra.Walk(skel, func(n algebra.Node) {
-			seen[algebra.StructuralKey(n)] = true
-		})
-		for key := range seen {
-			usage[key]++
-		}
-	}
-	shared := make(map[string]bool, len(usage))
-	for key, n := range usage {
-		if n >= 2 {
-			shared[key] = true
-		}
-	}
-
-	out := make([]algebra.Node, k)
-	for i, d := range decs {
+	out := make([]algebra.ExprID, len(order))
+	for i, p := range order {
 		plan := skeletons[i]
-		if opts.NoPushdown {
+		if g.opts.NoPushdown {
 			// Figure 7 form: all selections in one block above the joins.
-			if pred := algebra.NewAnd(residual[i]...); pred != nil {
-				plan = algebra.NewSelect(plan, pred)
+			if len(p.residual) > 0 {
+				plan = g.arena.Select(plan, conjunctIDs(p.residual))
 			}
 		} else {
-			plan = placeResiduals(plan, residual[i], shared)
+			plan = g.placeResiduals(plan, p.residual)
 		}
-		switch {
+		switch d := p.dec; {
 		case d.TopAgg != nil:
-			plan = algebra.NewAggregate(plan, d.TopAgg.GroupBy, d.TopAgg.Aggs)
+			plan = g.arena.Aggregate(plan, d.TopAgg.GroupBy, d.TopAgg.Aggs)
 		case d.Output != nil:
-			plan = algebra.NewProject(plan, d.Output)
+			plan = g.arena.Project(plan, d.Output)
 		}
-		if err := algebra.Validate(plan); err != nil {
+		if err := g.validate(plan); err != nil {
 			return nil, fmt.Errorf("core: assembled plan invalid: %w", err)
 		}
 		out[i] = plan
 	}
 	return out, nil
+}
+
+func conjunctIDs(preds []conjunct) []int32 {
+	ids := make([]int32, len(preds))
+	for i, p := range preds {
+		ids[i] = p.id
+	}
+	return ids
+}
+
+// replaceLeaves returns the skeleton with every scan replaced by the
+// relation's pushed-down subplan. The replacement is the same in every
+// rotation, so results are remembered per expression.
+func (g *generator) replaceLeaves(id algebra.ExprID) algebra.ExprID {
+	for int(id) >= len(g.replaced) {
+		g.replaced = append(g.replaced, 0)
+	}
+	if r := g.replaced[id]; r != 0 {
+		return r - 1
+	}
+	out := id
+	switch x := g.arena.Expr(id); x.Op {
+	case algebra.OpScan:
+		if rel := x.Leaves.Next(0); rel < len(g.leafRepl) && g.leafRepl[rel] != algebra.NoExpr {
+			out = g.leafRepl[rel]
+		}
+	case algebra.OpJoin:
+		out = g.arena.WithChildren(id, g.replaceLeaves(x.Left), g.replaceLeaves(x.Right))
+	}
+	g.replaced[id] = out + 1
+	return out
+}
+
+// countUsage counts, for the current rotation, how many queries' skeletons
+// contain each structural class. A class used by two or more queries is a
+// sharing boundary for private filters.
+func (g *generator) countUsage(skeletons []algebra.ExprID) {
+	u := &g.usage
+	u.epoch++
+	var walk func(id algebra.ExprID, query int32)
+	walk = func(id algebra.ExprID, query int32) {
+		x := g.arena.Expr(id)
+		c := int(x.Struct)
+		for c >= len(u.stamp) {
+			u.stamp, u.count, u.query = append(u.stamp, 0), append(u.count, 0), append(u.query, 0)
+		}
+		if u.stamp[c] != u.epoch {
+			u.stamp[c], u.count[c], u.query[c] = u.epoch, 0, -1
+		}
+		if u.query[c] != query {
+			u.query[c] = query
+			u.count[c]++
+		}
+		for _, child := range []algebra.ExprID{x.Left, x.Right} {
+			if child != algebra.NoExpr {
+				walk(child, query)
+			}
+		}
+	}
+	for i, skel := range skeletons {
+		walk(skel, int32(i))
+	}
+}
+
+func (g *generator) shared(c algebra.StructID) bool {
+	u := &g.usage
+	return int(c) < len(u.stamp) && u.stamp[c] == u.epoch && u.count[c] >= 2
+}
+
+// placeResiduals sinks a query's remaining conjuncts as deep as possible,
+// wrapping (rather than entering) subtrees shared with other queries.
+func (g *generator) placeResiduals(id algebra.ExprID, preds []conjunct) algebra.ExprID {
+	if len(preds) == 0 {
+		return id
+	}
+	x := g.arena.Expr(id)
+	if x.Op != algebra.OpJoin || g.shared(x.Struct) {
+		return g.arena.Select(id, conjunctIDs(preds))
+	}
+	ls, rs := g.arena.Expr(x.Left).Leaves, g.arena.Expr(x.Right).Leaves
+	var left, right, here []conjunct
+	for _, p := range preds {
+		switch {
+		case p.rels.SubsetOf(ls):
+			left = append(left, p)
+		case p.rels.SubsetOf(rs):
+			right = append(right, p)
+		default:
+			here = append(here, p)
+		}
+	}
+	out := g.arena.WithChildren(id, g.placeResiduals(x.Left, left), g.placeResiduals(x.Right, right))
+	if len(here) > 0 {
+		out = g.arena.Select(out, conjunctIDs(here))
+	}
+	return out
+}
+
+// validate checks every expression of the plan that has not been checked
+// yet, inputs first — each distinct expression once per Generate.
+func (g *generator) validate(id algebra.ExprID) error {
+	for int(id) >= len(g.valid) {
+		g.valid = append(g.valid, false)
+	}
+	if g.valid[id] {
+		return nil
+	}
+	x := g.arena.Expr(id)
+	for _, child := range []algebra.ExprID{x.Left, x.Right} {
+		if child != algebra.NoExpr {
+			if err := g.validate(child); err != nil {
+				return err
+			}
+		}
+	}
+	if err := algebra.ValidateOp(x.Node); err != nil {
+		return err
+	}
+	g.valid[id] = true
+	return nil
 }
 
 // planLeafPushdown computes, per relation, the subplan replacing its scan,
@@ -251,36 +361,25 @@ func neededColumns(rel string, schema *algebra.Schema, userIdx []int, decs []*al
 	return out
 }
 
-// placeResiduals sinks a query's remaining conjuncts as deep as possible,
-// wrapping (rather than entering) subtrees shared with other queries.
-func placeResiduals(node algebra.Node, preds []algebra.Predicate, shared map[string]bool) algebra.Node {
-	if len(preds) == 0 {
-		return node
-	}
-	if j, ok := node.(*algebra.Join); ok && !shared[algebra.StructuralKey(node)] {
-		ls, rs := j.Left.Schema(), j.Right.Schema()
-		var left, right, here []algebra.Predicate
-		for _, p := range preds {
-			switch {
-			case resolvesAll(ls, p):
-				left = append(left, p)
-			case resolvesAll(rs, p):
-				right = append(right, p)
-			default:
-				here = append(here, p)
-			}
+// treeJoinConds collects every join condition of a join tree.
+func treeJoinConds(n algebra.Node) []algebra.JoinCond {
+	var out []algebra.JoinCond
+	algebra.Walk(n, func(m algebra.Node) {
+		if j, ok := m.(*algebra.Join); ok {
+			out = append(out, j.On...)
 		}
-		n := algebra.Node(algebra.NewJoin(
-			placeResiduals(j.Left, left, shared),
-			placeResiduals(j.Right, right, shared),
-			j.On,
-		))
-		if pred := algebra.NewAnd(here...); pred != nil {
-			n = algebra.NewSelect(n, pred)
+	})
+	return out
+}
+
+func findScan(n algebra.Node, relation string) algebra.Node {
+	var out algebra.Node
+	algebra.Walk(n, func(m algebra.Node) {
+		if s, ok := m.(*algebra.Scan); ok && s.Relation == relation && out == nil {
+			out = s
 		}
-		return n
-	}
-	return algebra.NewSelect(node, algebra.NewAnd(preds...))
+	})
+	return out
 }
 
 // resolvesAll reports whether every column of the predicate resolves in the

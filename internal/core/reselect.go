@@ -68,7 +68,7 @@ func (m *MVPP) withFrequencies(fq map[string]float64, fn func()) error {
 		savedWeights[i] = v.Weight
 	}
 	defer func() {
-		m.Fq = savedFq
+		m.setFrequencies(savedFq)
 		for i, v := range m.Vertices {
 			v.Weight = savedWeights[i]
 		}
@@ -78,7 +78,7 @@ func (m *MVPP) withFrequencies(fq map[string]float64, fn func()) error {
 	for name := range m.Roots {
 		next[name] = fq[name]
 	}
-	m.Fq = next
+	m.setFrequencies(next)
 	for _, v := range m.Vertices {
 		v.Weight = m.WeightOf(v)
 	}

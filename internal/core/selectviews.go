@@ -5,6 +5,7 @@ import (
 	"math/bits"
 	"sort"
 
+	"github.com/warehousekit/mvpp/internal/algebra"
 	"github.com/warehousekit/mvpp/internal/cost"
 	"github.com/warehousekit/mvpp/internal/obs"
 )
@@ -66,7 +67,7 @@ type SelectOptions struct {
 // the same branch; finally drop vertices all of whose consumers are
 // materialized.
 func (m *MVPP) SelectViews(model cost.Model, opts SelectOptions) *SelectionResult {
-	res := &SelectionResult{Materialized: make(VertexSet)}
+	res := &SelectionResult{}
 
 	sp := obs.Start(opts.Obs, "select", obs.Int("vertices", int64(len(m.Vertices))))
 	defer obs.End(sp)
@@ -74,16 +75,17 @@ func (m *MVPP) SelectViews(model cost.Model, opts SelectOptions) *SelectionResul
 
 	// Step 2: LV = positive-weight candidates in descending weight order.
 	var lv []*Vertex
-	for _, v := range m.InnerVertices() {
-		if v.Weight > 0 {
+	for _, v := range m.Vertices {
+		if !v.IsLeaf() && v.Weight > 0 {
 			lv = append(lv, v)
 		}
 	}
 	sort.SliceStable(lv, func(i, j int) bool { return lv[i].Weight > lv[j].Weight })
 
-	removed := make(map[int]bool)
+	mat := algebra.NewBits(len(m.Vertices))
+	removed := algebra.NewBits(len(m.Vertices))
 	for _, v := range lv {
-		if removed[v.ID] {
+		if removed.Has(v.ID) {
 			continue
 		}
 		iterations.Add(1)
@@ -91,19 +93,16 @@ func (m *MVPP) SelectViews(model cost.Model, opts SelectOptions) *SelectionResul
 		// parent tmp2 is already in M, tmp1 is ignored"): a vertex whose
 		// every consumer path is already covered by a materialized ancestor
 		// contributes nothing.
-		if anc := m.materializedAncestorCovers(v, res.Materialized); anc != nil {
+		if anc := m.materializedAncestorCovers(v, mat); anc != nil {
 			res.Trace = append(res.Trace, TraceStep{
 				Vertex: v.Name, Weight: v.Weight, Action: ActionSkipAncestor,
 				Note: "covered by materialized " + anc.Name,
 			})
 			continue
 		}
-		cs := m.IncrementalGain(v, res.Materialized)
-		if opts.DiscountedMaintenance {
-			cs = m.incrementalGainDiscounted(v, res.Materialized)
-		}
+		cs := m.incrementalGain(v, mat, opts.DiscountedMaintenance)
 		if cs > 0 {
-			res.Materialized[v.ID] = true
+			mat.Set(v.ID)
 			res.Trace = append(res.Trace, TraceStep{Vertex: v.Name, Weight: v.Weight, Cs: cs, Action: ActionMaterialize})
 			continue
 		}
@@ -112,16 +111,10 @@ func (m *MVPP) SelectViews(model cost.Model, opts SelectOptions) *SelectionResul
 			continue
 		}
 		// Step 7: drop later vertices on the same branch.
-		sameBranch := make(map[int]bool)
-		for _, u := range m.Ancestors(v) {
-			sameBranch[u.ID] = true
-		}
-		for _, u := range m.Descendants(v) {
-			sameBranch[u.ID] = true
-		}
 		for _, u := range lv {
-			if u.Weight < v.Weight && sameBranch[u.ID] && !removed[u.ID] && !res.Materialized[u.ID] {
-				removed[u.ID] = true
+			sameBranch := m.anc[v.ID].Has(u.ID) || m.desc[v.ID].Has(u.ID)
+			if u.Weight < v.Weight && sameBranch && !removed.Has(u.ID) && !mat.Has(u.ID) {
+				removed.Set(u.ID)
 				res.Trace = append(res.Trace, TraceStep{
 					Vertex: u.Name, Weight: u.Weight, Action: ActionPruneBranch,
 					Note: "same branch as rejected " + v.Name,
@@ -134,19 +127,20 @@ func (m *MVPP) SelectViews(model cost.Model, opts SelectOptions) *SelectionResul
 	// used for maintenance short-cuts — drop it.
 	for changed := true; changed; {
 		changed = false
-		for _, v := range m.Vertices {
-			if !res.Materialized[v.ID] || v.IsRoot() {
+		for id := mat.Next(0); id >= 0; id = mat.Next(id + 1) {
+			v := m.Vertices[id]
+			if v.IsRoot() {
 				continue
 			}
 			all := len(v.Out) > 0
 			for _, out := range v.Out {
-				if !res.Materialized[out.ID] {
+				if !mat.Has(out.ID) {
 					all = false
 					break
 				}
 			}
 			if all {
-				delete(res.Materialized, v.ID)
+				mat.Clear(id)
 				res.Trace = append(res.Trace, TraceStep{Vertex: v.Name, Action: ActionDropCovered,
 					Note: "all consumers materialized"})
 				changed = true
@@ -154,7 +148,11 @@ func (m *MVPP) SelectViews(model cost.Model, opts SelectOptions) *SelectionResul
 		}
 	}
 
-	res.Costs = m.Evaluate(model, res.Materialized)
+	res.Materialized = make(VertexSet, mat.Count())
+	for id := mat.Next(0); id >= 0; id = mat.Next(id + 1) {
+		res.Materialized[id] = true
+	}
+	res.Costs = m.evaluate(model, mat)
 	res.Plans = m.MaintenancePlans(res.Materialized)
 	m.emitMaintenancePlans(obs.From(sp), res.Materialized)
 	if sp != nil {
@@ -181,48 +179,40 @@ func (m *MVPP) SelectViews(model cost.Model, opts SelectOptions) *SelectionResul
 // materialized v rather than from its already-materialized descendants,
 // minus v's maintenance cost.
 func (m *MVPP) IncrementalGain(v *Vertex, mat VertexSet) float64 {
-	replicated := 0.0
-	for _, u := range m.Descendants(v) {
-		if mat[u.ID] {
-			replicated += u.Ca
-		}
-	}
-	saving := 0.0
-	for _, q := range m.QueriesUsing(v) {
-		saving += m.Fq[q] * (v.Ca - replicated)
-	}
-	return saving - m.MaintenanceFrequency(v)*v.Cm
+	return m.incrementalGain(v, m.bitsOf(mat), false)
 }
 
-// incrementalGainDiscounted is IncrementalGain with the maintenance term
-// priced as recomputation given the current materialized set (materialized
-// descendants are read, not recomputed).
-func (m *MVPP) incrementalGainDiscounted(v *Vertex, mat VertexSet) float64 {
+// incrementalGain is IncrementalGain on the bitset form of M. With
+// discounted set, the maintenance term is priced as recomputation given M
+// (materialized descendants are read, not recomputed).
+func (m *MVPP) incrementalGain(v *Vertex, mat algebra.Bits, discounted bool) float64 {
 	replicated := 0.0
-	for _, u := range m.Descendants(v) {
-		if mat[u.ID] {
-			replicated += u.Ca
+	desc := m.desc[v.ID]
+	for id := desc.Next(0); id >= 0; id = desc.Next(id + 1) {
+		if mat.Has(id) {
+			replicated += m.Vertices[id].Ca
 		}
 	}
-	saving := 0.0
-	for _, q := range m.QueriesUsing(v) {
-		saving += m.Fq[q] * (v.Ca - replicated)
+	saving := m.saving(v, v.Ca-replicated)
+	if !discounted {
+		return saving - v.MaintFreq*v.Cm
 	}
 	// Recompute cost of v with mat's members readable.
-	memo := make(map[int]float64)
+	memo := make([]float64, len(m.Vertices))
+	done := make([]bool, len(m.Vertices))
 	var compute func(u *Vertex) float64
 	compute = func(u *Vertex) float64 {
-		if u.IsLeaf() || mat[u.ID] {
+		if u.IsLeaf() || mat.Has(u.ID) {
 			return 0
 		}
-		if c, ok := memo[u.ID]; ok {
-			return c
+		if done[u.ID] {
+			return memo[u.ID]
 		}
 		c := u.CaSelf
 		for _, in := range u.In {
 			c += compute(in)
 		}
-		memo[u.ID] = c
+		memo[u.ID], done[u.ID] = c, true
 		return c
 	}
 	rc := v.CaSelf
@@ -235,30 +225,16 @@ func (m *MVPP) incrementalGainDiscounted(v *Vertex, mat VertexSet) float64 {
 	if v.CmIncremental < rc {
 		rc = v.CmIncremental
 	}
-	return saving - m.MaintenanceFrequency(v)*rc
+	return saving - v.MaintFreq*rc
 }
 
 // materializedAncestorCovers returns a materialized ancestor of v that is
 // used by every query using v (so materializing v adds nothing), or nil.
-func (m *MVPP) materializedAncestorCovers(v *Vertex, mat VertexSet) *Vertex {
-	queries := m.QueriesUsing(v)
-	for _, a := range m.Ancestors(v) {
-		if !mat[a.ID] {
-			continue
-		}
-		aq := make(map[string]bool)
-		for _, q := range m.QueriesUsing(a) {
-			aq[q] = true
-		}
-		all := true
-		for _, q := range queries {
-			if !aq[q] {
-				all = false
-				break
-			}
-		}
-		if all {
-			return a
+func (m *MVPP) materializedAncestorCovers(v *Vertex, mat algebra.Bits) *Vertex {
+	anc := m.anc[v.ID]
+	for id := anc.Next(0); id >= 0; id = anc.Next(id + 1) {
+		if mat.Has(id) && m.users[v.ID].SubsetOf(m.users[id]) {
+			return m.Vertices[id]
 		}
 	}
 	return nil

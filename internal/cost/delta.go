@@ -85,20 +85,26 @@ func Incrementable(n algebra.Node) (bool, string) {
 // given per-base-relation delta fractions, it derives the size of Δn for
 // every plan node (insert-only algebra: Δσ(S) = σ(ΔS), Δπ(S) = π(ΔS),
 // Δ(L⋈R) = ΔL⋈R ∪ L⋈ΔR) and prices the propagation plus the final
-// apply-to-view step under any cost Model. Like Estimator it memoizes by
-// semantic key and is safe for concurrent use.
+// apply-to-view step under any cost Model. Like Estimator — whose arena it
+// shares — it memoizes Δ-sizes per semantic class, and it keeps each
+// expression's own propagation cost, so pricing one more view over already
+// priced subplans is a sum of stored terms. Safe for concurrent use.
 type DeltaEstimator struct {
 	est  *Estimator
 	spec DeltaSpec
 
 	mu   sync.Mutex
-	memo map[string]Estimate
+	memo semMemo
+	// terms holds opDeltaCost per ExprID (NaN = not priced yet) under
+	// termsModel; pricing under another model starts over.
+	terms      []float64
+	termsModel Model
 }
 
 // NewDeltaEstimator builds a delta estimator over the same catalog and
 // options as est.
 func NewDeltaEstimator(est *Estimator, spec DeltaSpec) *DeltaEstimator {
-	return &DeltaEstimator{est: est, spec: spec, memo: make(map[string]Estimate)}
+	return &DeltaEstimator{est: est, spec: spec}
 }
 
 // Base exposes the wrapped full-size estimator.
@@ -110,40 +116,47 @@ func (d *DeltaEstimator) Spec() DeltaSpec { return d.spec }
 // DeltaEstimate returns the estimated size of Δn, the tuples one
 // maintenance epoch adds to the relation computed by n.
 func (d *DeltaEstimator) DeltaEstimate(n algebra.Node) (Estimate, error) {
-	key := "Δ|" + algebra.SemanticKey(n)
+	return d.deltaExpr(d.est.arena.Expr(d.est.arena.Intern(n)))
+}
+
+func (d *DeltaEstimator) deltaID(id algebra.ExprID) (Estimate, error) {
+	return d.deltaExpr(d.est.arena.Expr(id))
+}
+
+func (d *DeltaEstimator) deltaExpr(x algebra.Expr) (Estimate, error) {
 	d.mu.Lock()
-	est, ok := d.memo[key]
+	est, ok := d.memo.get(x.Sem)
 	d.mu.Unlock()
 	if ok {
 		return est, nil
 	}
-	est, err := d.deltaEstimate(n)
+	est, err := d.deltaEstimate(x)
 	if err != nil {
 		return Estimate{}, err
 	}
 	d.mu.Lock()
-	d.memo[key] = est
+	d.memo.put(x.Sem, est)
 	d.mu.Unlock()
 	return est, nil
 }
 
-func (d *DeltaEstimator) deltaEstimate(n algebra.Node) (Estimate, error) {
-	switch v := n.(type) {
+func (d *DeltaEstimator) deltaEstimate(x algebra.Expr) (Estimate, error) {
+	switch v := x.Node.(type) {
 	case *algebra.Scan:
-		full, err := d.est.Estimate(v)
+		full, err := d.est.estimateExpr(x)
 		if err != nil {
 			return Estimate{}, err
 		}
 		return scale(full, d.spec.FractionOf(v.Relation)), nil
 	case *algebra.Select:
-		din, err := d.DeltaEstimate(v.Input)
+		din, err := d.deltaID(x.Left)
 		if err != nil {
 			return Estimate{}, err
 		}
 		s := d.est.Catalog().PredicateSelectivity(v.Pred)
 		return Estimate{Rows: din.Rows * s, Blocks: din.Blocks * s, Width: din.Width}, nil
 	case *algebra.Project:
-		din, err := d.DeltaEstimate(v.Input)
+		din, err := d.deltaID(x.Left)
 		if err != nil {
 			return Estimate{}, err
 		}
@@ -157,17 +170,17 @@ func (d *DeltaEstimator) deltaEstimate(n algebra.Node) (Estimate, error) {
 		frac := float64(len(v.Cols)) / float64(inCols)
 		return Estimate{Rows: din.Rows, Blocks: din.Blocks * frac, Width: din.Width * frac}, nil
 	case *algebra.Join:
-		outL, outR, err := d.deltaJoinParts(v)
+		outL, outR, err := d.deltaJoinParts(x)
 		if err != nil {
 			return Estimate{}, err
 		}
 		return Estimate{Rows: outL.Rows + outR.Rows, Blocks: outL.Blocks + outR.Blocks, Width: outL.Width}, nil
 	case *algebra.Aggregate:
-		din, err := d.DeltaEstimate(v.Input)
+		din, err := d.deltaID(x.Left)
 		if err != nil {
 			return Estimate{}, err
 		}
-		out, err := d.est.Estimate(v)
+		out, err := d.est.estimateExpr(x)
 		if err != nil {
 			return Estimate{}, err
 		}
@@ -176,7 +189,7 @@ func (d *DeltaEstimator) deltaEstimate(n algebra.Node) (Estimate, error) {
 		rows := math.Min(out.Rows, din.Rows)
 		return Estimate{Rows: rows, Blocks: rows * out.Width, Width: out.Width}, nil
 	default:
-		return Estimate{}, errUnknownNode(n)
+		return Estimate{}, errUnknownNode(x.Node)
 	}
 }
 
@@ -184,24 +197,24 @@ func (d *DeltaEstimator) deltaEstimate(n algebra.Node) (Estimate, error) {
 // are derived by scaling the full join result by the delta-to-full row
 // ratio of the changing side, which keeps pinned join sizes consistent
 // with the full-size estimator.
-func (d *DeltaEstimator) deltaJoinParts(v *algebra.Join) (outL, outR Estimate, err error) {
-	left, err := d.est.Estimate(v.Left)
+func (d *DeltaEstimator) deltaJoinParts(x algebra.Expr) (outL, outR Estimate, err error) {
+	left, err := d.est.estimateID(x.Left)
 	if err != nil {
 		return Estimate{}, Estimate{}, err
 	}
-	right, err := d.est.Estimate(v.Right)
+	right, err := d.est.estimateID(x.Right)
 	if err != nil {
 		return Estimate{}, Estimate{}, err
 	}
-	dl, err := d.DeltaEstimate(v.Left)
+	dl, err := d.deltaID(x.Left)
 	if err != nil {
 		return Estimate{}, Estimate{}, err
 	}
-	dr, err := d.DeltaEstimate(v.Right)
+	dr, err := d.deltaID(x.Right)
 	if err != nil {
 		return Estimate{}, Estimate{}, err
 	}
-	out, err := d.est.Estimate(v)
+	out, err := d.est.estimateExpr(x)
 	if err != nil {
 		return Estimate{}, Estimate{}, err
 	}
@@ -210,81 +223,100 @@ func (d *DeltaEstimator) deltaJoinParts(v *algebra.Join) (outL, outR Estimate, e
 
 // PropagationCost prices computing Δn from the base-relation deltas: the
 // delta stream flows through every operator of the plan, joins pair each
-// side's delta against the other side's full (stored) relation.
+// side's delta against the other side's full (stored) relation. The sum
+// adds each operator's stored term in pre-order.
 func (d *DeltaEstimator) PropagationCost(m Model, n algebra.Node) (float64, error) {
 	total := 0.0
-	var walk func(algebra.Node) error
-	walk = func(node algebra.Node) error {
-		c, err := d.opDeltaCost(m, node)
-		if err != nil {
-			return err
-		}
+	err := d.est.walk(d.est.arena.Intern(n), func(id algebra.ExprID, x algebra.Expr) error {
+		c, err := d.term(m, id, x)
 		total += c
-		for _, child := range node.Children() {
-			if err := walk(child); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(n); err != nil {
+		return err
+	})
+	if err != nil {
 		return 0, err
 	}
 	return total, nil
 }
 
-func (d *DeltaEstimator) opDeltaCost(m Model, n algebra.Node) (float64, error) {
-	switch v := n.(type) {
+// term returns opDeltaCost of the expression, computing it on first use.
+func (d *DeltaEstimator) term(m Model, id algebra.ExprID, x algebra.Expr) (float64, error) {
+	d.mu.Lock()
+	if d.termsModel != m {
+		d.termsModel, d.terms = m, d.terms[:0]
+	}
+	if int(id) < len(d.terms) && !math.IsNaN(d.terms[id]) {
+		c := d.terms[id]
+		d.mu.Unlock()
+		return c, nil
+	}
+	d.mu.Unlock()
+	c, err := d.opDeltaCost(m, x)
+	if err != nil {
+		return 0, err
+	}
+	d.mu.Lock()
+	if d.termsModel == m {
+		for int(id) >= len(d.terms) {
+			d.terms = append(d.terms, math.NaN())
+		}
+		d.terms[id] = c
+	}
+	d.mu.Unlock()
+	return c, nil
+}
+
+func (d *DeltaEstimator) opDeltaCost(m Model, x algebra.Expr) (float64, error) {
+	switch x.Node.(type) {
 	case *algebra.Scan:
 		// Reading the delta is charged by the consuming operator, the same
 		// convention as OpCost for full recomputation.
 		return 0, nil
 	case *algebra.Select:
-		din, err := d.DeltaEstimate(v.Input)
+		din, err := d.deltaID(x.Left)
 		if err != nil {
 			return 0, err
 		}
 		return m.SelectCost(din), nil
 	case *algebra.Project:
-		din, err := d.DeltaEstimate(v.Input)
+		din, err := d.deltaID(x.Left)
 		if err != nil {
 			return 0, err
 		}
 		return m.ProjectCost(din), nil
 	case *algebra.Join:
-		left, err := d.est.Estimate(v.Left)
+		left, err := d.est.estimateID(x.Left)
 		if err != nil {
 			return 0, err
 		}
-		right, err := d.est.Estimate(v.Right)
+		right, err := d.est.estimateID(x.Right)
 		if err != nil {
 			return 0, err
 		}
-		dl, err := d.DeltaEstimate(v.Left)
+		dl, err := d.deltaID(x.Left)
 		if err != nil {
 			return 0, err
 		}
-		dr, err := d.DeltaEstimate(v.Right)
+		dr, err := d.deltaID(x.Right)
 		if err != nil {
 			return 0, err
 		}
-		outL, outR, err := d.deltaJoinParts(v)
+		outL, outR, err := d.deltaJoinParts(x)
 		if err != nil {
 			return 0, err
 		}
 		return m.JoinCost(dl, right, outL) + m.JoinCost(left, dr, outR), nil
 	case *algebra.Aggregate:
-		din, err := d.DeltaEstimate(v.Input)
+		din, err := d.deltaID(x.Left)
 		if err != nil {
 			return 0, err
 		}
-		dout, err := d.DeltaEstimate(v)
+		dout, err := d.deltaExpr(x)
 		if err != nil {
 			return 0, err
 		}
 		return m.AggregateCost(din, dout), nil
 	default:
-		return 0, errUnknownNode(n)
+		return 0, errUnknownNode(x.Node)
 	}
 }
 

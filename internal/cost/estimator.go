@@ -38,13 +38,17 @@ func PaperOptions() Options {
 }
 
 // Estimator derives sizes (Estimate) and costs for relational plan nodes
-// from a catalog. Estimates are memoized by semantic key, so shared
-// subexpressions across queries are estimated once. An Estimator is safe
-// for concurrent use (the MVPP generator evaluates rotation candidates in
-// parallel).
+// from a catalog. Every node is first interned into the estimator's
+// expression arena; estimates are memoized per semantic class (SemID), so
+// shared subexpressions — across queries, across the optimizer's candidate
+// plans and across the MVPP generator's rotations — are sized once, and a
+// memo probe is an integer index instead of a key string rebuilt from the
+// subtree. The first expression of a semantic class to be estimated fixes
+// the class's estimate. An Estimator is safe for concurrent use.
 type Estimator struct {
-	cat  *catalog.Catalog
-	opts Options
+	cat   *catalog.Catalog
+	opts  Options
+	arena *algebra.Arena
 
 	// calls and memoHits instrument the estimator (see Instrument); both
 	// are nil — and their Add a no-op — when observability is off.
@@ -52,12 +56,33 @@ type Estimator struct {
 	memoHits *obs.Counter
 
 	mu   sync.Mutex
-	memo map[string]Estimate
+	memo semMemo
+}
+
+// semMemo holds one Estimate per semantic class, indexed by SemID.
+type semMemo struct {
+	est   []Estimate
+	known []bool
+}
+
+func (m *semMemo) get(id algebra.SemID) (Estimate, bool) {
+	if int(id) >= len(m.known) || !m.known[id] {
+		return Estimate{}, false
+	}
+	return m.est[id], true
+}
+
+func (m *semMemo) put(id algebra.SemID, e Estimate) {
+	for int(id) >= len(m.known) {
+		m.est = append(m.est, Estimate{})
+		m.known = append(m.known, false)
+	}
+	m.est[id], m.known[id] = e, true
 }
 
 // NewEstimator builds an estimator over the catalog.
 func NewEstimator(cat *catalog.Catalog, opts Options) *Estimator {
-	return &Estimator{cat: cat, opts: opts, memo: make(map[string]Estimate)}
+	return &Estimator{cat: cat, opts: opts, arena: algebra.NewArena()}
 }
 
 // Instrument wires the estimator's call and memo-hit counters into the
@@ -77,29 +102,41 @@ func (e *Estimator) Catalog() *catalog.Catalog { return e.cat }
 // Options exposes the estimation options.
 func (e *Estimator) Options() Options { return e.opts }
 
+// Arena exposes the expression arena the estimator interns into. Callers
+// that build plans through it (the MVPP generator) share identities — and
+// therefore memoized estimates — with everything else priced here.
+func (e *Estimator) Arena() *algebra.Arena { return e.arena }
+
 // Estimate returns the size estimate for the relation computed by n.
 func (e *Estimator) Estimate(n algebra.Node) (Estimate, error) {
+	return e.estimateExpr(e.arena.Expr(e.arena.Intern(n)))
+}
+
+func (e *Estimator) estimateID(id algebra.ExprID) (Estimate, error) {
+	return e.estimateExpr(e.arena.Expr(id))
+}
+
+func (e *Estimator) estimateExpr(x algebra.Expr) (Estimate, error) {
 	e.calls.Add(1)
-	key := algebra.SemanticKey(n)
 	e.mu.Lock()
-	est, ok := e.memo[key]
+	est, ok := e.memo.get(x.Sem)
 	e.mu.Unlock()
 	if ok {
 		e.memoHits.Add(1)
 		return est, nil
 	}
-	est, err := e.estimate(n)
+	est, err := e.estimate(x)
 	if err != nil {
 		return Estimate{}, err
 	}
 	e.mu.Lock()
-	e.memo[key] = est
+	e.memo.put(x.Sem, est)
 	e.mu.Unlock()
 	return est, nil
 }
 
-func (e *Estimator) estimate(n algebra.Node) (Estimate, error) {
-	switch v := n.(type) {
+func (e *Estimator) estimate(x algebra.Expr) (Estimate, error) {
+	switch v := x.Node.(type) {
 	case *algebra.Scan:
 		rel, err := e.cat.Relation(v.Relation)
 		if err != nil {
@@ -107,14 +144,14 @@ func (e *Estimator) estimate(n algebra.Node) (Estimate, error) {
 		}
 		return Estimate{Rows: rel.Rows, Blocks: rel.Blocks, Width: rel.RowWidth()}, nil
 	case *algebra.Select:
-		in, err := e.Estimate(v.Input)
+		in, err := e.estimateID(x.Left)
 		if err != nil {
 			return Estimate{}, err
 		}
 		s := e.cat.PredicateSelectivity(v.Pred)
 		return Estimate{Rows: in.Rows * s, Blocks: in.Blocks * s, Width: in.Width}, nil
 	case *algebra.Project:
-		in, err := e.Estimate(v.Input)
+		in, err := e.estimateID(x.Left)
 		if err != nil {
 			return Estimate{}, err
 		}
@@ -128,7 +165,7 @@ func (e *Estimator) estimate(n algebra.Node) (Estimate, error) {
 		frac := float64(len(v.Cols)) / float64(inWidthCols)
 		return Estimate{Rows: in.Rows, Blocks: in.Blocks * frac, Width: in.Width * frac}, nil
 	case *algebra.Aggregate:
-		in, err := e.Estimate(v.Input)
+		in, err := e.estimateID(x.Left)
 		if err != nil {
 			return Estimate{}, err
 		}
@@ -153,11 +190,11 @@ func (e *Estimator) estimate(n algebra.Node) (Estimate, error) {
 		}
 		return Estimate{Rows: groups, Blocks: groups * width, Width: width}, nil
 	case *algebra.Join:
-		left, err := e.Estimate(v.Left)
+		left, err := e.estimateID(x.Left)
 		if err != nil {
 			return Estimate{}, err
 		}
-		right, err := e.Estimate(v.Right)
+		right, err := e.estimateID(x.Right)
 		if err != nil {
 			return Estimate{}, err
 		}
@@ -177,7 +214,7 @@ func (e *Estimator) estimate(n algebra.Node) (Estimate, error) {
 		width := left.Width + right.Width
 		return Estimate{Rows: rows, Blocks: rows * width, Width: width}, nil
 	default:
-		return Estimate{}, fmt.Errorf("cost: cannot estimate node type %T", n)
+		return Estimate{}, fmt.Errorf("cost: cannot estimate node type %T", x.Node)
 	}
 }
 
@@ -186,50 +223,54 @@ func (e *Estimator) estimate(n algebra.Node) (Estimate, error) {
 // (the paper sets Ca(leaf) = 0; reading inputs is charged by the consuming
 // operator).
 func (e *Estimator) OpCost(m Model, n algebra.Node) (float64, error) {
-	switch v := n.(type) {
+	return e.opCost(m, e.arena.Expr(e.arena.Intern(n)))
+}
+
+func (e *Estimator) opCost(m Model, x algebra.Expr) (float64, error) {
+	switch v := x.Node.(type) {
 	case *algebra.Scan:
 		if _, err := e.cat.Relation(v.Relation); err != nil {
 			return 0, err
 		}
 		return 0, nil
 	case *algebra.Select:
-		in, err := e.Estimate(v.Input)
+		in, err := e.estimateID(x.Left)
 		if err != nil {
 			return 0, err
 		}
 		return m.SelectCost(in), nil
 	case *algebra.Project:
-		in, err := e.Estimate(v.Input)
+		in, err := e.estimateID(x.Left)
 		if err != nil {
 			return 0, err
 		}
 		return m.ProjectCost(in), nil
 	case *algebra.Join:
-		outer, err := e.Estimate(v.Left)
+		outer, err := e.estimateID(x.Left)
 		if err != nil {
 			return 0, err
 		}
-		inner, err := e.Estimate(v.Right)
+		inner, err := e.estimateID(x.Right)
 		if err != nil {
 			return 0, err
 		}
-		out, err := e.Estimate(v)
+		out, err := e.estimateExpr(x)
 		if err != nil {
 			return 0, err
 		}
 		return m.JoinCost(outer, inner, out), nil
 	case *algebra.Aggregate:
-		in, err := e.Estimate(v.Input)
+		in, err := e.estimateID(x.Left)
 		if err != nil {
 			return 0, err
 		}
-		out, err := e.Estimate(v)
+		out, err := e.estimateExpr(x)
 		if err != nil {
 			return 0, err
 		}
 		return m.AggregateCost(in, out), nil
 	default:
-		return 0, fmt.Errorf("cost: cannot price node type %T", n)
+		return 0, fmt.Errorf("cost: cannot price node type %T", x.Node)
 	}
 }
 
@@ -237,22 +278,30 @@ func (e *Estimator) OpCost(m Model, n algebra.Node) (float64, error) {
 // every node of the tree. This is the paper's Ca(v).
 func (e *Estimator) PlanCost(m Model, n algebra.Node) (float64, error) {
 	total := 0.0
-	var walk func(algebra.Node) error
-	walk = func(node algebra.Node) error {
-		c, err := e.OpCost(m, node)
-		if err != nil {
-			return err
-		}
+	err := e.walk(e.arena.Intern(n), func(_ algebra.ExprID, x algebra.Expr) error {
+		c, err := e.opCost(m, x)
 		total += c
-		for _, child := range node.Children() {
-			if err := walk(child); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	if err := walk(n); err != nil {
+		return err
+	})
+	if err != nil {
 		return 0, err
 	}
 	return total, nil
+}
+
+// walk visits the expression tree under id in pre-order (the order every
+// cost sum in this package adds its terms in).
+func (e *Estimator) walk(id algebra.ExprID, visit func(algebra.ExprID, algebra.Expr) error) error {
+	x := e.arena.Expr(id)
+	if err := visit(id, x); err != nil {
+		return err
+	}
+	for _, child := range []algebra.ExprID{x.Left, x.Right} {
+		if child != algebra.NoExpr {
+			if err := e.walk(child, visit); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
 }

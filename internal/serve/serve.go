@@ -269,7 +269,12 @@ type response struct {
 }
 
 type queryState struct {
-	spec     QuerySpec
+	spec QuerySpec
+	// key is the result-cache key of spec.Plan. The plan never changes
+	// after construction (an advisor swap changes the views it is rewritten
+	// over, not the plan), so the key is derived once instead of being
+	// rebuilt from the plan tree on every request.
+	key      string
 	observed atomic.Int64
 }
 
@@ -499,7 +504,7 @@ func newServer(cfg Config) (*Server, error) {
 		if _, dup := s.queries[q.Name]; dup {
 			return nil, fmt.Errorf("serve: duplicate query %q", q.Name)
 		}
-		s.queries[q.Name] = &queryState{spec: q}
+		s.queries[q.Name] = &queryState{spec: q, key: algebra.StructuralKey(q.Plan)}
 		s.order = append(s.order, q.Name)
 	}
 	sched, err := newScheduler(s, cfg)
@@ -607,7 +612,7 @@ func (s *Server) Query(ctx context.Context, name string) (*Result, error) {
 		return nil, fmt.Errorf("serve: unknown query %q", name)
 	}
 	qs.observed.Add(1)
-	return s.submit(ctx, name, qs.spec.Plan)
+	return s.submit(ctx, name, qs.spec.Plan, qs.key)
 }
 
 // QueryNames lists the named workload queries in registration order.
@@ -631,12 +636,13 @@ func (s *Server) rejectOnce(req *request) {
 // (rejection). Submitting to a closed server — or racing with Close —
 // returns ErrClosed.
 func (s *Server) Submit(ctx context.Context, plan algebra.Node) (*Result, error) {
-	return s.submit(ctx, "", plan)
+	return s.submit(ctx, "", plan, algebra.StructuralKey(plan))
 }
 
 // submit is the admission path behind Query and Submit; name labels the
-// workload query for trace correlation ("" for ad-hoc plans).
-func (s *Server) submit(ctx context.Context, name string, plan algebra.Node) (*Result, error) {
+// workload query for trace correlation ("" for ad-hoc plans) and key is the
+// plan's result-cache key.
+func (s *Server) submit(ctx context.Context, name string, plan algebra.Node, key string) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -663,7 +669,6 @@ func (s *Server) submit(ctx context.Context, name string, plan algebra.Node) (*R
 		}
 	}
 
-	key := algebra.StructuralKey(plan)
 	if table, epoch, ok := s.cache.get(key, s.epoch.Load()); ok {
 		s.stats.hits.Add(1)
 		s.ctrHits.Inc()

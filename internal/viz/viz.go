@@ -53,14 +53,10 @@ func QueryTreeASCII(m *core.MVPP, query string, materialized core.VertexSet) (st
 	if !ok {
 		return "", fmt.Errorf("viz: unknown query %q", query)
 	}
-	info := make(map[string]*core.Vertex, len(m.Vertices))
-	for _, v := range m.Vertices {
-		info[v.Key] = v
-	}
 	var render func(n algebra.Node) string
 	render = func(n algebra.Node) string {
 		label := n.Label()
-		if v, ok := info[algebra.StructuralKey(n)]; ok && !v.IsLeaf() {
+		if v := m.VertexOf(n); v != nil && !v.IsLeaf() {
 			mark := ""
 			if materialized != nil && materialized[v.ID] {
 				mark = " ●"

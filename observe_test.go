@@ -192,7 +192,7 @@ func TestNoObserverOverheadGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark comparison skipped in -short mode")
 	}
-	nilRun := testing.Benchmark(BenchmarkDesignEndToEnd)
+	nilRun := testing.Benchmark(func(b *testing.B) { benchDesignPaper(b, func() mvpp.Observer { return nil }) })
 	observedRun := testing.Benchmark(BenchmarkDesignObserved)
 	t.Logf("end-to-end design: nil observer %d allocs/op %d B/op, trace recorder %d allocs/op %d B/op",
 		nilRun.AllocsPerOp(), nilRun.AllocedBytesPerOp(), observedRun.AllocsPerOp(), observedRun.AllocedBytesPerOp())
@@ -203,5 +203,23 @@ func TestNoObserverOverheadGuard(t *testing.T) {
 	if nilRun.AllocedBytesPerOp() > observedRun.AllocedBytesPerOp() {
 		t.Errorf("nil-observer design allocates %d B/op, observed design %d B/op",
 			nilRun.AllocedBytesPerOp(), observedRun.AllocedBytesPerOp())
+	}
+}
+
+// TestDesignAllocBudget guards the designer's hot path without a wall-clock
+// assertion: one design of the 32-query star (estimator, optimizer, every
+// Figure 4 rotation with delta pricing, Figure 9 on every candidate) may
+// allocate at most 1.25× what it did when the expression arena landed
+// (44 100 allocations; the string-keyed generator took 1 418 000). A change
+// that goes back to rebuilding identity per probe, or to one DAG build per
+// rotation, fails here.
+func TestDesignAllocBudget(t *testing.T) {
+	const measured = 44_100
+	const budget = measured * 5 / 4
+	design := starDesign(t, 32)
+	if got := testing.AllocsPerRun(5, func() { design() }); got > budget {
+		t.Errorf("32-query star design allocates %.0f times, budget %d (1.25 × %d)", got, budget, measured)
+	} else {
+		t.Logf("32-query star design: %.0f allocations (budget %d)", got, budget)
 	}
 }
