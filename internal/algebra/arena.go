@@ -176,7 +176,7 @@ func (a *Arena) intern(n Node) ExprID {
 	var id ExprID
 	switch v := n.(type) {
 	case *Scan:
-		id = a.expr(tuple{OpScan, a.rels.id(v.Relation), -1, -1}, func() Node { return v })
+		id = a.add(tuple{OpScan, a.rels.id(v.Relation), -1, -1}, v)
 	case *Select:
 		in := a.intern(v.Input)
 		conj := Conjuncts(v.Pred)
@@ -184,7 +184,7 @@ func (a *Arena) intern(n Node) ExprID {
 		for i, c := range conj {
 			ids[i] = a.conjunct(c)
 		}
-		id = a.expr(tuple{OpSelect, a.lists.id(sortedSet(ids)), int32(in), -1}, func() Node { return v })
+		id = a.add(tuple{OpSelect, a.lists.id(sortedSet(ids)), int32(in), -1}, v)
 	case *Project:
 		id = a.project(a.intern(v.Input), v.Cols, v)
 	case *Join:
@@ -192,7 +192,7 @@ func (a *Arena) intern(n Node) ExprID {
 	case *Aggregate:
 		id = a.aggregate(a.intern(v.Input), v.GroupBy, v.Aggs, v)
 	default:
-		id = a.expr(tuple{OpOther, a.atoms.id(n.Canonical()), -1, -1}, func() Node { return n })
+		id = a.add(tuple{OpOther, a.atoms.id(n.Canonical()), -1, -1}, n)
 	}
 	if _, ok := a.cached(n); !ok {
 		a.remember(n, id)
@@ -260,13 +260,15 @@ func (a *Arena) Select(in ExprID, conj []int32) ExprID {
 	defer a.mu.Unlock()
 	a.scratch = append(a.scratch[:0], conj...)
 	set := a.lists.id(sortedSet(a.scratch))
-	return a.expr(tuple{OpSelect, set, int32(in), -1}, func() Node {
-		preds := make([]Predicate, 0, len(conj))
-		for _, c := range a.lists.lists[set] {
-			preds = append(preds, a.preds[c])
-		}
-		return NewSelect(a.exprs[in].Node, NewAnd(preds...))
-	})
+	key := tuple{OpSelect, set, int32(in), -1}
+	if id, ok := a.byKey[key]; ok {
+		return id
+	}
+	preds := make([]Predicate, 0, len(conj))
+	for _, c := range a.lists.lists[set] {
+		preds = append(preds, a.preds[c])
+	}
+	return a.add(key, NewSelect(a.exprs[in].Node, NewAnd(preds...)))
 }
 
 // Project returns π(cols)(in).
@@ -300,21 +302,21 @@ func (a *Arena) WithChildren(id, l, r ExprID) ExprID {
 		return id // leaves have no children to replace
 	}
 	key.a, key.b = int32(l), int32(r)
-	return a.expr(key, func() Node {
-		left := a.exprs[l].Node
-		switch v := a.exprs[id].Node.(type) {
-		case *Select:
-			return NewSelect(left, v.Pred)
-		case *Project:
-			return NewProject(left, v.Cols)
-		case *Join:
-			return NewJoin(left, a.exprs[r].Node, v.On)
-		case *Aggregate:
-			return NewAggregate(left, v.GroupBy, v.Aggs)
-		default:
-			return v
-		}
-	})
+	if same, ok := a.byKey[key]; ok {
+		return same
+	}
+	left := a.exprs[l].Node
+	switch v := a.exprs[id].Node.(type) {
+	case *Select:
+		return a.add(key, NewSelect(left, v.Pred))
+	case *Project:
+		return a.add(key, NewProject(left, v.Cols))
+	case *Join:
+		return a.add(key, NewJoin(left, a.exprs[r].Node, v.On))
+	case *Aggregate:
+		return a.add(key, NewAggregate(left, v.GroupBy, v.Aggs))
+	}
+	return id
 }
 
 func (a *Arena) project(in ExprID, cols []ColumnRef, n Node) ExprID {
@@ -322,12 +324,14 @@ func (a *Arena) project(in ExprID, cols []ColumnRef, n Node) ExprID {
 	for _, c := range cols {
 		a.scratch = append(a.scratch, a.column(c))
 	}
-	return a.expr(tuple{OpProject, a.lists.id(a.scratch), int32(in), -1}, func() Node {
-		if n != nil {
-			return n
-		}
-		return NewProject(a.exprs[in].Node, cols)
-	})
+	key := tuple{OpProject, a.lists.id(a.scratch), int32(in), -1}
+	if id, ok := a.byKey[key]; ok {
+		return id
+	}
+	if n == nil {
+		n = NewProject(a.exprs[in].Node, cols)
+	}
+	return a.add(key, n)
 }
 
 func (a *Arena) join(l, r ExprID, on []JoinCond, n Node) ExprID {
@@ -335,12 +339,14 @@ func (a *Arena) join(l, r ExprID, on []JoinCond, n Node) ExprID {
 	for _, c := range on {
 		a.scratch = append(a.scratch, a.cond(c))
 	}
-	return a.expr(tuple{OpJoin, a.lists.id(a.scratch), int32(l), int32(r)}, func() Node {
-		if n != nil {
-			return n
-		}
-		return NewJoin(a.exprs[l].Node, a.exprs[r].Node, on)
-	})
+	key := tuple{OpJoin, a.lists.id(a.scratch), int32(l), int32(r)}
+	if id, ok := a.byKey[key]; ok {
+		return id
+	}
+	if n == nil {
+		n = NewJoin(a.exprs[l].Node, a.exprs[r].Node, on)
+	}
+	return a.add(key, n)
 }
 
 // aggregate's parameter list is [len(groupBy), group columns…, aggregation
@@ -353,23 +359,24 @@ func (a *Arena) aggregate(in ExprID, groupBy []ColumnRef, aggs []Aggregation, n 
 	for _, g := range aggs {
 		a.scratch = append(a.scratch, a.atoms.id(g.String()))
 	}
-	return a.expr(tuple{OpAggregate, a.lists.id(a.scratch), int32(in), -1}, func() Node {
-		if n != nil {
-			return n
-		}
-		return NewAggregate(a.exprs[in].Node, groupBy, aggs)
-	})
+	key := tuple{OpAggregate, a.lists.id(a.scratch), int32(in), -1}
+	if id, ok := a.byKey[key]; ok {
+		return id
+	}
+	if n == nil {
+		n = NewAggregate(a.exprs[in].Node, groupBy, aggs)
+	}
+	return a.add(key, n)
 }
 
-// expr looks the exact tuple up and, on a miss, records the new expression
-// with the node build returns as its representative.
-func (a *Arena) expr(key tuple, build func() Node) ExprID {
+// add returns the expression with the exact tuple, recording it — with node
+// as its representative — when it is new.
+func (a *Arena) add(key tuple, node Node) ExprID {
 	if id, ok := a.byKey[key]; ok {
 		return id
 	}
 	rec := exprRec{key: key}
-	rec.Op, rec.Left, rec.Right = key.op, ExprID(key.a), ExprID(key.b)
-	rec.Node = build()
+	rec.Op, rec.Left, rec.Right, rec.Node = key.op, ExprID(key.a), ExprID(key.b), node
 	a.classify(&rec)
 	id := ExprID(len(a.exprs))
 	a.exprs = append(a.exprs, rec)

@@ -14,17 +14,23 @@ import (
 // reused from one DAG to the next.
 type layout struct {
 	arena *algebra.Arena
-	order []algebra.ExprID // the first expression of each class, in vertex order
-	exprs []algebra.Expr   // parallel to order
-	kids  [][2]int32       // parallel to order: operand positions, -1 when absent
+	order []placed
 	// slot[c] is class c's position in order, valid while stamp[c] == epoch.
 	slot  []int32
 	stamp []uint32
 	epoch uint32
 }
 
+// placed is one vertex-to-be: the first expression of its class the plans
+// reached, and the positions of its operands (-1 when absent).
+type placed struct {
+	id   algebra.ExprID
+	expr algebra.Expr
+	kids [2]int32
+}
+
 func (l *layout) reset() {
-	l.order, l.exprs, l.kids = l.order[:0], l.exprs[:0], l.kids[:0]
+	l.order = l.order[:0]
 	l.epoch++
 }
 
@@ -47,7 +53,7 @@ func (l *layout) add(id algebra.ExprID) int32 {
 		kids[1] = l.add(x.Right)
 	}
 	pos := int32(len(l.order))
-	l.order, l.exprs, l.kids = append(l.order, id), append(l.exprs, x), append(l.kids, kids)
+	l.order = append(l.order, placed{id, x, kids})
 	l.slot[x.Struct], l.stamp[x.Struct] = pos, l.epoch
 	return pos
 }
@@ -55,9 +61,9 @@ func (l *layout) add(id algebra.ExprID) int32 {
 // signature identifies the DAG's vertex structure: the sorted structural
 // classes of its vertices, exactly encoded.
 func (l *layout) signature() string {
-	classes := make([]int, len(l.exprs))
-	for i, x := range l.exprs {
-		classes[i] = int(x.Struct)
+	classes := make([]int, len(l.order))
+	for i, at := range l.order {
+		classes[i] = int(at.expr.Struct)
 	}
 	sort.Ints(classes)
 	return encodeIDs(classes)
@@ -98,17 +104,17 @@ func newMVPP(p *pricer, l *layout, queries []dagQuery) (*MVPP, error) {
 		spec := p.delta.Spec()
 		m.delta = &spec
 	}
-	for i, x := range l.exprs {
+	for i, at := range l.order {
 		v := &slab[i]
 		m.Vertices[i] = v
-		v.ID, v.Op = i, x.Node
-		if s, ok := x.Node.(*algebra.Scan); ok {
+		v.ID, v.Op = i, at.expr.Node
+		if s, ok := v.Op.(*algebra.Scan); ok {
 			v.Relation = s.Relation
 			m.Leaves[s.Relation] = v
 			m.Fu[s.Relation] = p.est.Catalog().UpdateFrequency(s.Relation)
 		}
 		// In in operand order; Out in the order consumers are created.
-		for _, k := range l.kids[i] {
+		for _, k := range at.kids {
 			if k >= 0 {
 				v.In = append(v.In, m.Vertices[k])
 				m.Vertices[k].Out = append(m.Vertices[k].Out, v)
@@ -134,7 +140,7 @@ func newMVPP(p *pricer, l *layout, queries []dagQuery) (*MVPP, error) {
 			tmpN++
 			v.Name = vertexName(&p.tmpNames, "tmp", tmpN)
 		}
-		row, err := p.price(l.order[i], l.exprs[i])
+		row, err := p.price(l.order[i].id, l.order[i].expr)
 		if err != nil {
 			return nil, err
 		}

@@ -108,15 +108,14 @@ type generator struct {
 	prep  []prepared
 	lay   layout
 
-	// seen holds the dedup keys of the rotations built so far (see
-	// buildRotation).
-	seen map[string]bool
+	// The dedup keys of the rotations built so far (see buildRotation).
+	seenSkeletons, seenSignatures map[string]bool
 
 	leafRepl []algebra.ExprID // relation ID → the subplan replacing its scan
 	replaced []algebra.ExprID // skeleton expression → its form over leafRepl, +1
 	valid    []bool           // expression already validated
 	// usage counts, per rotation, how many queries' skeletons contain each
-	// structural class (see sharedClasses).
+	// structural class (see countUsage).
 	usage struct {
 		count, query []int32
 		stamp        []uint32
@@ -142,7 +141,8 @@ func Generate(est *cost.Estimator, model cost.Model, plans []QueryPlan, opts Gen
 	defer obs.End(gsp)
 	genObs := obs.From(gsp)
 
-	g := &generator{opts: opts, arena: est.Arena(), p: newPricer(est, model, opts.Delta), seen: make(map[string]bool)}
+	g := &generator{opts: opts, arena: est.Arena(), p: newPricer(est, model, opts.Delta),
+		seenSkeletons: make(map[string]bool), seenSignatures: make(map[string]bool)}
 	g.lay.arena = g.arena
 	if err := g.prepare(est, model, plans); err != nil {
 		return nil, err
@@ -305,7 +305,7 @@ func (g *generator) prepare(est *cost.Estimator, model cost.Model, plans []Query
 		})
 		for _, pred := range residual[i] {
 			for _, c := range algebra.Conjuncts(algebra.NewAnd(pred)) {
-				conj := conjunct{id: g.arena.Conjuncts(c)[0]}
+				conj := conjunct{id: g.arena.Conjuncts(c)[0]} // c is a single conjunct
 				for _, ref := range c.Columns() {
 					conj.rels.Set(relOf(ref))
 				}
@@ -341,13 +341,11 @@ func (g *generator) buildRotation(order []*prepared, ro obs.Observer) (*Candidat
 	for i, p := range order {
 		byQuery[p.index] = int(g.arena.Expr(skeletons[i]).Struct)
 	}
-	// (The prefix keeps these keys apart from the signatures below, whose
-	// length is a multiple of four.)
-	key := "skeletons" + encodeIDs(byQuery)
-	if g.seen[key] {
+	key := encodeIDs(byQuery)
+	if g.seenSkeletons[key] {
 		return nil, nil
 	}
-	g.seen[key] = true
+	g.seenSkeletons[key] = true
 
 	finals, err := g.assemblePlans(order, skeletons)
 	if err != nil {
@@ -361,10 +359,10 @@ func (g *generator) buildRotation(order []*prepared, ro obs.Observer) (*Candidat
 	// The criterion proper: rotations whose DAGs have the same vertex
 	// structure are one candidate.
 	sig := g.lay.signature()
-	if g.seen[sig] {
+	if g.seenSignatures[sig] {
 		return nil, nil
 	}
-	g.seen[sig] = true
+	g.seenSignatures[sig] = true
 	m, err := newMVPP(g.p, &g.lay, queries)
 	if err != nil {
 		return nil, err

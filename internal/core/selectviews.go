@@ -38,7 +38,7 @@ type SelectionResult struct {
 	Costs        Costs
 	Trace        []TraceStep
 	// Plans maps each materialized view's name to the maintenance strategy
-	// behind its Cm (all-recompute unless ApplyDeltaMaintenance ran).
+	// behind its Cm (all-recompute unless GenOptions.Delta priced delta propagation).
 	Plans map[string]MaintenanceStrategy
 }
 
