@@ -10,9 +10,9 @@ import (
 )
 
 // Fuzz targets for the batch executor's two trickiest contracts: the
-// select kernel's error-and-result parity with the row engine, and the
-// equivalence of joinKeyOf's typed key encoding with the legacy hashKey
-// string classes.
+// select kernel's error-and-result parity with the row engine (one
+// comparison, then whole And / Or / Not trees), and the equivalence of
+// joinKeyOf's typed key encoding with the legacy hashKey string classes.
 
 // fuzzValue decodes one value from a (selector, int, float, string)
 // tuple, covering every storage class including the canonical null and a
@@ -84,21 +84,10 @@ func FuzzBatchSelectPredicate(f *testing.F) {
 	schema := algebra.NewSchema(algebra.Column{Relation: "T", Name: "v", Type: algebra.TypeInt})
 	f.Fuzz(func(t *testing.T, rowData []byte, op, litSel uint8, litInt int64, litFloat float64, litStr string, negate bool) {
 		vals := fuzzRows(rowData)
-		dbs := make([]*DB, 2)
-		for i := range dbs {
-			db := NewDB(4)
-			tab, err := db.CreateTable("T", schema)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, v := range vals {
-				if err := tab.Insert([]algebra.Value{v}); err != nil {
-					t.Fatal(err)
-				}
-			}
-			dbs[i] = db
+		rows := make([][]algebra.Value, len(vals))
+		for i, v := range vals {
+			rows[i] = []algebra.Value{v}
 		}
-		oracle := dbs[1].UseRowOracle()
 		lit := fuzzValue(litSel, litInt, litFloat, litStr)
 		var pred algebra.Predicate = algebra.Compare(
 			algebra.ColOperand(algebra.Ref("T", "v")),
@@ -107,42 +96,212 @@ func FuzzBatchSelectPredicate(f *testing.F) {
 		if negate {
 			pred = algebra.NewNot(pred)
 		}
-		plan := algebra.NewSelect(algebra.NewScan("T", schema), pred)
+		requireSelectParity(t, schema, schema, rows, pred)
+	})
+}
 
-		bres, berr := dbs[0].Execute(plan)
-		rres, rerr := dbs[1].Execute(plan)
-		if oracle.Ran() == 0 {
-			t.Fatal("row oracle executed no operator: the reference side ran batch code")
+// requireSelectParity runs σpred over one scratch table T on the batch
+// executor and on the row oracle and requires identical outcomes: the same
+// error text, or the same rows in the same order (float payloads bit for
+// bit) with the same operator stats. It fails when the oracle side ran no
+// operator, which would mean the batch executor was compared with itself.
+// The plan scans T under scanSchema; a column it renames passes plan
+// validation and is unbound when the kernels resolve it against the table.
+func requireSelectParity(t *testing.T, schema, scanSchema *algebra.Schema, rows [][]algebra.Value, pred algebra.Predicate) {
+	t.Helper()
+	dbs := make([]*DB, 2)
+	for i := range dbs {
+		db := NewDB(4)
+		tab, err := db.CreateTable("T", schema)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if (berr == nil) != (rerr == nil) || (berr != nil && berr.Error() != rerr.Error()) {
-			t.Fatalf("select %s over %d rows: executor errors diverge\nbatch: %v\nrow:   %v",
-				pred, len(vals), berr, rerr)
+		if err := tab.Insert(rows...); err != nil {
+			t.Fatal(err)
 		}
-		if berr != nil {
-			return
+		dbs[i] = db
+	}
+	oracle := dbs[1].UseRowOracle()
+	plan := algebra.NewSelect(algebra.NewScan("T", scanSchema), pred)
+
+	bres, berr := dbs[0].Execute(plan)
+	rres, rerr := dbs[1].Execute(plan)
+	if oracle.Ran() == 0 {
+		t.Fatal("row oracle executed no operator: the reference side ran batch code")
+	}
+	if (berr == nil) != (rerr == nil) || (berr != nil && berr.Error() != rerr.Error()) {
+		t.Fatalf("select %s over %d rows: executor errors diverge\nbatch: %v\nrow:   %v",
+			pred, len(rows), berr, rerr)
+	}
+	if berr != nil {
+		return
+	}
+	if bres.Table.NumRows() != rres.Table.NumRows() {
+		t.Fatalf("select %s: batch kept %d rows, row kept %d",
+			pred, bres.Table.NumRows(), rres.Table.NumRows())
+	}
+	for i := 0; i < bres.Table.NumRows(); i++ {
+		// Compare rendered rows (NaN payloads defeat ==) plus the raw
+		// float bits, which String folds together.
+		b, r := bres.Table.Row(i), rres.Table.Row(i)
+		if b.String() != r.String() {
+			t.Fatalf("select %s row %d: batch %v vs row %v", pred, i, b.Values, r.Values)
 		}
-		if bres.Table.NumRows() != rres.Table.NumRows() {
-			t.Fatalf("select %s: batch kept %d rows, row kept %d",
-				pred, bres.Table.NumRows(), rres.Table.NumRows())
-		}
-		for i := 0; i < bres.Table.NumRows(); i++ {
-			// Compare rendered rows (NaN payloads defeat ==) plus the raw
-			// float bits, which String folds together.
-			b, r := bres.Table.Row(i), rres.Table.Row(i)
-			if b.String() != r.String() {
-				t.Fatalf("select %s row %d: batch %v vs row %v", pred, i, b.Values, r.Values)
+		for ci := range b.Values {
+			bv, rv := b.Values[ci], r.Values[ci]
+			if math.Float64bits(bv.Float) != math.Float64bits(rv.Float) {
+				t.Fatalf("select %s row %d col %d: float bits diverge %x vs %x",
+					pred, i, ci, math.Float64bits(bv.Float), math.Float64bits(rv.Float))
 			}
-			for ci := range b.Values {
-				bv, rv := b.Values[ci], r.Values[ci]
-				if math.Float64bits(bv.Float) != math.Float64bits(rv.Float) {
-					t.Fatalf("select %s row %d col %d: float bits diverge %x vs %x",
-						pred, i, ci, math.Float64bits(bv.Float), math.Float64bits(rv.Float))
-				}
+		}
+	}
+	if !reflect.DeepEqual(bres.Ops, rres.Ops) {
+		t.Fatalf("select %s: op stats diverge\nbatch: %+v\nrow:   %+v", pred, bres.Ops, rres.Ops)
+	}
+}
+
+// Byte codes of fuzzPredicate's program. A node is one shape byte: shape%8
+// picks the connective (anything from fzLeaf up is a leaf) and shape/8%6 the
+// comparison operator of a leaf, which is followed by one detail byte:
+// detail%5 the operand form, detail/5%2 the column (a or b), detail/10 the
+// row a data literal is taken from.
+const (
+	fzAnd2, fzAnd3, fzOr2, fzOr3, fzNot, fzLeaf = 0, 1, 2, 3, 4, 5
+
+	fzColLit, fzColData, fzColCol, fzColMissing, fzLitCol = 0, 1, 2, 3, 4
+	fzOnB                                                 = 5
+)
+
+// fzCmp is the shape byte of a leaf with the given operator.
+func fzCmp(op algebra.CompareOp) byte { return byte(fzLeaf + 8*(int(op)-1)) }
+
+// fuzzPredicate decodes a predicate tree from a byte program, nested to at
+// most depth 3 (an exhausted program reads as zeros). Inner nodes are And /
+// Or of two or three operands and Not, built as bare structs so the fuzzed
+// shape survives (NewAnd and NewOr would flatten and sort it). A leaf
+// compares column a or b with a literal — the fuzzed one or a value taken
+// from the data, on either side — a with b, or a column only the plan's
+// scan schema has, which fails every lane that reaches it.
+func fuzzPredicate(prog *[]byte, depth int, lit algebra.Value, data []algebra.Value) algebra.Predicate {
+	next := func() int {
+		if len(*prog) == 0 {
+			return 0
+		}
+		b := (*prog)[0]
+		*prog = (*prog)[1:]
+		return int(b)
+	}
+	shape := next()
+	if depth < 3 && shape%8 < fzLeaf {
+		sub := func() algebra.Predicate { return fuzzPredicate(prog, depth+1, lit, data) }
+		switch shape % 8 {
+		case fzAnd2:
+			return &algebra.And{Preds: []algebra.Predicate{sub(), sub()}}
+		case fzAnd3:
+			return &algebra.And{Preds: []algebra.Predicate{sub(), sub(), sub()}}
+		case fzOr2:
+			return &algebra.Or{Preds: []algebra.Predicate{sub(), sub()}}
+		case fzOr3:
+			return &algebra.Or{Preds: []algebra.Predicate{sub(), sub(), sub()}}
+		default:
+			return &algebra.Not{Pred: sub()}
+		}
+	}
+	op := algebra.CompareOp(shape/8%6 + 1)
+	detail := next()
+	a, b := algebra.ColOperand(algebra.Ref("T", "a")), algebra.ColOperand(algebra.Ref("T", "b"))
+	col := a
+	if detail/fzOnB%2 == 1 {
+		col = b
+	}
+	switch detail % 5 {
+	case fzColData:
+		if len(data) > 0 {
+			lit = data[detail/10%len(data)]
+		}
+	case fzColCol:
+		return &algebra.Comparison{Left: a, Op: op, Right: b}
+	case fzColMissing:
+		return &algebra.Comparison{Left: col, Op: op, Right: algebra.ColOperand(algebra.Ref("T", "missing"))}
+	case fzLitCol:
+		return &algebra.Comparison{Left: algebra.LitOperand(lit), Op: op, Right: col}
+	}
+	return &algebra.Comparison{Left: col, Op: op, Right: algebra.LitOperand(lit)}
+}
+
+// FuzzBatchSelectNested is FuzzBatchSelectPredicate for whole predicate
+// trees: two fuzzed columns under And / Or / Not nested three deep over
+// column-vs-literal, column-vs-column and unbound-column leaves. What it
+// guards is the short-circuit contract — a lane an earlier operand decided
+// never evaluates a later one, and the error reported is the one the lowest
+// failing row hits first.
+func FuzzBatchSelectNested(f *testing.F) {
+	enc := func(vals ...algebra.Value) []byte {
+		var out []byte
+		for _, v := range vals {
+			sel, bits := uint8(0), uint64(0)
+			switch v.Kind {
+			case algebra.TypeInt:
+				sel, bits = 1, uint64(v.Int)
+			case algebra.TypeFloat:
+				sel, bits = 2, math.Float64bits(v.Float)
+			case algebra.TypeDate:
+				sel, bits = 4, uint64(v.Int)
 			}
+			b := make([]byte, 9)
+			b[0] = sel
+			binary.LittleEndian.PutUint64(b[1:], bits)
+			out = append(out, b...)
 		}
-		if !reflect.DeepEqual(bres.Ops, rres.Ops) {
-			t.Fatalf("select %s: op stats diverge\nbatch: %+v\nrow:   %+v", pred, bres.Ops, rres.Ops)
+		return out
+	}
+	iv, fv, dv, null := algebra.IntVal, algebra.FloatVal, algebra.DateVal, algebra.Value{}
+	ints := enc(iv(1), iv(5), iv(9), iv(-3), iv(5))
+	mixed := enc(iv(4), fv(4.5), null, fv(math.NaN()), dv(9500)) // generic, with a null lane
+	floats := enc(fv(0), fv(math.Copysign(0, -1)), fv(math.Inf(-1)), fv(7), fv(math.NaN()))
+	strs := []byte{3, 'a', 0, 0, 0, 0, 0, 0, 0, 3, 'b', 0, 0, 0, 0, 0, 0, 0, 10, 'a', 'b', 'c', 0, 0, 0, 0, 0}
+	lt, le, eq, ne, ge := fzCmp(algebra.OpLt), fzCmp(algebra.OpLe), fzCmp(algebra.OpEq), fzCmp(algebra.OpNotEq), fzCmp(algebra.OpGe)
+	// a < 5 AND b >= 5.
+	f.Add(ints, ints, []byte{fzAnd2, lt, fzColLit, ge, fzColLit + fzOnB}, uint8(1), int64(5), 0.0, "")
+	// a <= 4 OR b >= 4: the null lane of b errors only where a > 4.
+	f.Add(ints, mixed, []byte{fzOr2, le, fzColLit, ge, fzColLit + fzOnB}, uint8(1), int64(4), 0.0, "")
+	// NOT (a = b) over ±0, -Inf and NaN against ints.
+	f.Add(floats, ints, []byte{fzNot, eq, fzColCol}, uint8(2), int64(0), 0.0, "")
+	// a < 5 AND a <> missing: the And shields the lanes it already decided.
+	f.Add(ints, floats, []byte{fzAnd2, lt, fzColLit, ne, fzColMissing}, uint8(1), int64(5), 0.0, "")
+	// Depth 3 over a generic column: an And of an Or holding a Not, a
+	// three-way Or with a data literal and an unbound branch, and a
+	// literal-on-the-left leaf.
+	f.Add(mixed, floats, []byte{
+		fzAnd3,
+		fzOr2, fzNot, ne, fzColCol, fzAnd2, eq, fzColLit, le, fzColData + 10,
+		fzOr3, ge, fzColData + fzOnB + 20, lt, fzColMissing, eq, fzColLit,
+		ge, fzLitCol + fzOnB,
+	}, uint8(2), int64(0), 4.5, "")
+	// Strings: a = "b" OR NOT (a < b).
+	f.Add(strs, strs, []byte{fzOr2, eq, fzColLit, fzNot, lt, fzColCol}, uint8(3), int64(0), 0.0, "b")
+	// A string column against an int literal fails on its first lane; b
+	// decides which lanes get there.
+	f.Add(strs, ints, []byte{fzAnd2, ge, fzColLit + fzOnB, eq, fzColLit}, uint8(1), int64(1), 0.0, "")
+
+	cols := func(third string) *algebra.Schema {
+		return algebra.NewSchema(
+			algebra.Column{Relation: "T", Name: "a", Type: algebra.TypeInt},
+			algebra.Column{Relation: "T", Name: "b", Type: algebra.TypeInt},
+			algebra.Column{Relation: "T", Name: third, Type: algebra.TypeInt})
+	}
+	schema, scanSchema := cols("c"), cols("missing")
+	f.Fuzz(func(t *testing.T, rowsA, rowsB, prog []byte, litSel uint8, litInt int64, litFloat float64, litStr string) {
+		va, vb := fuzzRows(rowsA), fuzzRows(rowsB)
+		if len(vb) < len(va) {
+			va = va[:len(vb)]
 		}
+		rows := make([][]algebra.Value, len(va))
+		for i := range rows {
+			rows[i] = []algebra.Value{va[i], vb[i], algebra.IntVal(int64(i))}
+		}
+		pred := fuzzPredicate(&prog, 0, fuzzValue(litSel, litInt, litFloat, litStr), append(va, vb[:len(va)]...))
+		requireSelectParity(t, schema, scanSchema, rows, pred)
 	})
 }
 
