@@ -7,79 +7,92 @@ import (
 )
 
 // This file holds the vectorized select/project operators and the
-// lane-masked predicate kernels they run on. The batch executor is the
-// only one a binary links; its contract, enforced by the differential
-// harness, is bit-identical behavior with the row reference executor in
-// rowexec_test.go — same output rows in the same order, same
-// per-operator stats, and the same error for the same plan. Errors are the
-// subtle part: the row engine evaluates rows in order and stops at the
-// first row that fails, with AND/OR short-circuiting within the row. The
-// kernels reproduce that by evaluating conjuncts column-at-a-time over an
-// active-lane mask and recording the first error per lane; the operator
-// then fails with the error of the lowest-indexed failed lane, which is
-// exactly the error the row loop would have hit first.
+// predicate kernels they run on. The batch executor is the only one a
+// binary links; its contract, enforced by the differential harness, is
+// bit-identical behavior with the row reference executor in
+// rowexec_test.go — same output rows in the same order, same per-operator
+// stats, and the same error for the same plan.
+//
+// A predicate is evaluated into a selection vector: the ascending row
+// indexes (lanes) on which it holds, computed from the vector of lanes it
+// is still undecided on (nil: every row). And narrows the vector conjunct
+// by conjunct, Or evaluates each disjunct on the lanes no earlier one
+// accepted, Not complements within its input — so a lane an earlier operand
+// decided never evaluates a later one, which is the row engine's
+// short-circuit. Errors are the subtle part: the row engine evaluates rows
+// in order and stops at the first row that fails. Only that row's error is
+// observable, so the kernels track the lowest failed lane and nothing else:
+// every lane at or above it is dead — whatever the vectors say about it is
+// discarded with the result — while every lane below it has not failed and
+// keeps being evaluated exactly, and may still become the new lowest.
 
-// laneErrs records at most one (the first) evaluation error per row lane.
-type laneErrs struct {
-	errs map[int]error
+// laneFail is the lowest-indexed lane whose evaluation failed, with the
+// first error it hit — the error the row-at-a-time loop would return.
+type laneFail struct {
+	lane int32
+	err  error
 }
 
-func (e *laneErrs) set(i int, err error) {
-	if e.errs == nil {
-		e.errs = make(map[int]error)
-	}
-	if _, dup := e.errs[i]; !dup {
-		e.errs[i] = err
+func (f *laneFail) set(lane int32, err error) {
+	if f.err == nil || lane < f.lane {
+		f.lane, f.err = lane, err
 	}
 }
 
-func (e *laneErrs) has(i int) bool {
-	_, ok := e.errs[i]
-	return ok
+// numLanes is how many lanes the selection vector sel names over n rows.
+func numLanes(sel []int32, n int) int {
+	if sel == nil {
+		return n
+	}
+	return len(sel)
 }
 
-// first returns the error of the lowest-indexed failed lane — the error
-// the row-at-a-time loop would have returned.
-func (e *laneErrs) first() error {
-	if len(e.errs) == 0 {
-		return nil
+// laneAt returns the k-th lane of the selection vector.
+func laneAt(sel []int32, k int) int32 {
+	if sel == nil {
+		return int32(k)
 	}
-	min := -1
-	for i := range e.errs {
-		if min < 0 || i < min {
-			min = i
+	return sel[k]
+}
+
+// diffLanes returns the lanes of sel (over n rows) that are not in sub, a
+// subset of it.
+func diffLanes(sel []int32, n int, sub []int32) []int32 {
+	m := numLanes(sel, n)
+	out := make([]int32, 0, m-len(sub))
+	for k := 0; k < m; k++ {
+		if i := laneAt(sel, k); len(sub) > 0 && sub[0] == i {
+			sub = sub[1:]
+		} else {
+			out = append(out, i)
 		}
 	}
-	return e.errs[min]
+	return out
 }
 
-// batchSelect filters by a vectorized predicate pass producing a keep
-// mask, then compacts every column once. I/O accounting is identical to
-// the row executor: every input block is read, every output block
-// written.
+// mergeLanes merges two disjoint selection vectors.
+func mergeLanes(a, b []int32) []int32 {
+	out := make([]int32, 0, len(a)+len(b))
+	for len(a) > 0 && len(b) > 0 {
+		if a[0] < b[0] {
+			out, a = append(out, a[0]), a[1:]
+		} else {
+			out, b = append(out, b[0]), b[1:]
+		}
+	}
+	return append(append(out, a...), b...)
+}
+
+// batchSelect evaluates the predicate into a selection vector, then
+// gathers every column by it once. I/O accounting is identical to the row
+// executor: every input block is read, every output block written.
 func (db *DB) batchSelect(sel *algebra.Select, in *Table, res *Result) (*Table, error) {
-	n := in.NumRows()
-	active := make([]bool, n)
-	for i := range active {
-		active[i] = true
+	var f laneFail
+	lanes := evalPredBatch(sel.Pred, in, nil, &f)
+	if f.err != nil {
+		return nil, fmt.Errorf("engine: %w", f.err)
 	}
-	mask := make([]bool, n)
-	var e laneErrs
-	evalPredBatch(sel.Pred, in, active, mask, &e)
-	if err := e.first(); err != nil {
-		return nil, fmt.Errorf("engine: %w", err)
-	}
-	count := 0
-	for _, keep := range mask {
-		if keep {
-			count++
-		}
-	}
-	out := NewTable("", sel.Schema(), db.BlockRows)
-	for ci, c := range in.cols {
-		out.cols[ci] = c.compact(mask, count)
-	}
-	out.nrows = count
+	out := in.gatherTable(sel.Schema(), db.BlockRows, lanes)
 	stats := OpStats{
 		Label:     sel.Label(),
 		Reads:     int64(in.NumBlocks()),
@@ -117,82 +130,48 @@ func (db *DB) batchProject(p *algebra.Project, in *Table, res *Result) (*Table, 
 	return out, nil
 }
 
-// evalPredBatch evaluates p over the active lanes of tab, writing each
-// lane's truth into out and recording per-lane errors in e. Lanes outside
-// the active mask (or already failed) are never touched.
-func evalPredBatch(p algebra.Predicate, tab *Table, active, out []bool, e *laneErrs) {
+// evalPredBatch returns the lanes of sel (nil: every row of tab) on which p
+// holds, as a fresh or input vector that is never nil, and records the
+// lowest failing lane in f.
+func evalPredBatch(p algebra.Predicate, tab *Table, sel []int32, f *laneFail) []int32 {
+	n := tab.NumRows()
 	switch v := p.(type) {
 	case *algebra.Comparison:
-		evalCompareBatch(v, tab, active, out, e)
+		return evalCompareBatch(v, tab, sel, f)
 	case *algebra.And:
-		cur := make([]bool, len(active))
-		copy(cur, active)
-		for i := range cur {
-			if cur[i] {
-				out[i] = true
-			}
-		}
-		sub := make([]bool, len(active))
 		for _, c := range v.Preds {
-			for i := range sub {
-				sub[i] = false
-			}
-			evalPredBatch(c, tab, cur, sub, e)
-			for i := range cur {
-				if !cur[i] {
-					continue
-				}
-				if e.has(i) {
-					cur[i] = false
-					continue
-				}
-				if !sub[i] {
-					cur[i], out[i] = false, false
-				}
-			}
+			sel = evalPredBatch(c, tab, sel, f)
 		}
+		if sel == nil { // no conjuncts over every row: all of them hold
+			return diffLanes(nil, n, nil)
+		}
+		return sel
 	case *algebra.Or:
-		cur := make([]bool, len(active))
-		copy(cur, active)
-		for i := range cur {
-			if cur[i] {
-				out[i] = false
+		held := []int32{}
+		for i, c := range v.Preds {
+			sub := evalPredBatch(c, tab, sel, f)
+			if i < len(v.Preds)-1 {
+				sel = diffLanes(sel, n, sub)
+			}
+			if len(held) == 0 {
+				held = sub
+			} else if len(sub) > 0 {
+				held = mergeLanes(held, sub)
 			}
 		}
-		sub := make([]bool, len(active))
-		for _, c := range v.Preds {
-			for i := range sub {
-				sub[i] = false
-			}
-			evalPredBatch(c, tab, cur, sub, e)
-			for i := range cur {
-				if !cur[i] {
-					continue
-				}
-				if e.has(i) {
-					cur[i] = false
-					continue
-				}
-				if sub[i] {
-					cur[i], out[i] = false, true
-				}
-			}
-		}
+		return held
 	case *algebra.Not:
-		sub := make([]bool, len(active))
-		evalPredBatch(v.Pred, tab, active, sub, e)
-		for i := range active {
-			if active[i] && !e.has(i) {
-				out[i] = !sub[i]
-			}
-		}
+		return diffLanes(sel, n, evalPredBatch(v.Pred, tab, sel, f))
 	default:
-		err := fmt.Errorf("engine: cannot evaluate predicate type %T", p)
-		for i := range active {
-			if active[i] {
-				e.set(i, err)
-			}
-		}
+		failLanes(sel, n, f, fmt.Errorf("engine: cannot evaluate predicate type %T", p))
+		return []int32{}
+	}
+}
+
+// failLanes fails every lane of sel with err; only the lowest is recorded.
+func failLanes(sel []int32, n int, f *laneFail, err error) {
+	if numLanes(sel, n) > 0 {
+		f.set(laneAt(sel, 0), err)
 	}
 }
 
@@ -216,6 +195,15 @@ func cmpHolds(op algebra.CompareOp, cmp int) bool {
 	}
 }
 
+// holdsTable resolves the operator once, outside the lane loops: entry
+// cmp+1 says whether the three-way result cmp satisfies op.
+func holdsTable(op algebra.CompareOp) (want [3]bool) {
+	for cmp := -1; cmp <= 1; cmp++ {
+		want[cmp+1] = cmpHolds(op, cmp)
+	}
+	return want
+}
+
 // cmpSide is one resolved comparison operand: either a literal or a
 // column of the input table.
 type cmpSide struct {
@@ -224,130 +212,184 @@ type cmpSide struct {
 }
 
 // value returns the operand's value for lane i.
-func (s cmpSide) value(i int) algebra.Value {
+func (s cmpSide) value(i int32) algebra.Value {
 	if s.col == nil {
 		return s.lit
 	}
-	return s.col.valueAt(i)
+	return s.col.valueAt(int(i))
 }
 
-// numericSide reports whether the operand is numeric on every lane
-// (numeric literal, or a typed non-null int/float/date column) and can
-// feed the float64 fast kernel.
-func (s cmpSide) numericSide() bool {
-	if s.col == nil {
-		switch s.lit.Kind {
-		case algebra.TypeInt, algebra.TypeFloat, algebra.TypeDate:
-			return true
-		}
-		return false
+// numeric reports whether the operand is numeric on every lane (numeric
+// literal, or a typed non-null int/float/date column) and can feed the
+// float64 kernels.
+func (s cmpSide) numeric() bool {
+	if s.col != nil {
+		return numericCol(s.col)
 	}
-	if s.col.hasNulls() {
-		return false
-	}
-	switch s.col.typedKind() {
+	switch s.lit.Kind {
 	case algebra.TypeInt, algebra.TypeFloat, algebra.TypeDate:
 		return true
 	}
 	return false
 }
 
-// stringSide reports whether the operand is a string on every lane.
-func (s cmpSide) stringSide() bool {
-	if s.col == nil {
-		return s.lit.Kind == algebra.TypeString
+// isString reports whether the operand is a string on every lane.
+func (s cmpSide) isString() bool {
+	if s.col != nil {
+		return stringCol(s.col)
 	}
-	return !s.col.hasNulls() && s.col.typedKind() == algebra.TypeString
+	return s.lit.Kind == algebra.TypeString
 }
 
-// num returns the operand's float64 image for lane i (numeric sides
-// only). Ints and dates convert through float64 exactly as Value.Compare
-// does, so comparisons agree with the row engine bit for bit.
-func (s cmpSide) num(i int) float64 {
-	if s.col == nil {
-		if s.lit.Kind == algebra.TypeFloat {
-			return s.lit.Float
+// number is a typed numeric payload. Ints and dates convert through
+// float64 exactly as Value.Compare does, so the kernels agree with the row
+// engine bit for bit (NaN compares "equal" to everything, -0 equals +0,
+// ints beyond 2^53 collapse the same way).
+type number interface{ int64 | float64 }
+
+// numLitLanes keeps the lanes of sel on which a[i] op lit holds.
+func numLitLanes[A number](a []A, lit float64, want [3]bool, sel, out []int32) []int32 {
+	j := 0
+	for k := range out {
+		i := laneAt(sel, k)
+		x, cmp := float64(a[i]), 1
+		if x < lit {
+			cmp = 0
+		} else if x > lit {
+			cmp = 2
 		}
-		return float64(s.lit.Int)
+		if want[cmp] {
+			out[j] = i
+			j++
+		}
 	}
-	switch s.col.kind {
-	case algebra.TypeFloat:
-		return s.col.floats[i]
-	default:
-		return float64(s.col.ints[i])
-	}
+	return out[:j]
 }
 
-// str returns the operand's string for lane i (string sides only).
-func (s cmpSide) str(i int) string {
-	if s.col == nil {
-		return s.lit.Str
+// numColLanes keeps the lanes of sel on which a[i] op b[i] holds.
+func numColLanes[A, B number](a []A, b []B, want [3]bool, sel, out []int32) []int32 {
+	j := 0
+	for k := range out {
+		i := laneAt(sel, k)
+		x, y, cmp := float64(a[i]), float64(b[i]), 1
+		if x < y {
+			cmp = 0
+		} else if x > y {
+			cmp = 2
+		}
+		if want[cmp] {
+			out[j] = i
+			j++
+		}
 	}
-	return s.col.strs[i]
+	return out[:j]
 }
 
-// evalCompareBatch evaluates one comparison over the active lanes.
-func evalCompareBatch(c *algebra.Comparison, tab *Table, active, out []bool, e *laneErrs) {
-	left, ok := resolveSide(c.Left, tab, active, e)
-	if !ok {
-		return
+// strLanes keeps the lanes of sel on which a[i] op b[i] holds — or, with b
+// nil, a[i] op lit. Equality tests never order the strings.
+func strLanes(a, b []string, lit string, op algebra.CompareOp, sel, out []int32) []int32 {
+	j := 0
+	if op == algebra.OpEq || op == algebra.OpNotEq {
+		for k := range out {
+			i := laneAt(sel, k)
+			if b != nil {
+				lit = b[i]
+			}
+			if (a[i] == lit) == (op == algebra.OpEq) {
+				out[j] = i
+				j++
+			}
+		}
+		return out[:j]
 	}
-	right, ok := resolveSide(c.Right, tab, active, e)
-	if !ok {
-		return
+	want := holdsTable(op)
+	for k := range out {
+		i := laneAt(sel, k)
+		if b != nil {
+			lit = b[i]
+		}
+		x, cmp := a[i], 1
+		if x < lit {
+			cmp = 0
+		} else if x > lit {
+			cmp = 2
+		}
+		if want[cmp] {
+			out[j] = i
+			j++
+		}
 	}
+	return out[:j]
+}
+
+// evalCompareBatch evaluates one comparison over the lanes of sel. The
+// operand classes are resolved once and a column on the left with typed,
+// null-free operands runs a typed lane loop; everything else — nulls, mixed
+// kinds, generic columns, a literal on the left (algebra.Compare never
+// builds one) — compares value-at-a-time.
+func evalCompareBatch(c *algebra.Comparison, tab *Table, sel []int32, f *laneFail) []int32 {
+	n := tab.NumRows()
+	left, ok := resolveSide(c.Left, tab, sel, n, f)
+	if !ok {
+		return []int32{}
+	}
+	right, ok := resolveSide(c.Right, tab, sel, n, f)
+	if !ok {
+		return []int32{}
+	}
+	out := make([]int32, numLanes(sel, n))
+	l, r := left.col, right.col
 	switch {
-	case left.numericSide() && right.numericSide():
-		for i := range active {
-			if !active[i] || e.has(i) {
-				continue
-			}
-			a, b := left.num(i), right.num(i)
-			cmp := 0
-			if a < b {
-				cmp = -1
-			} else if a > b {
-				cmp = 1
-			}
-			out[i] = cmpHolds(c.Op, cmp)
+	case l != nil && left.numeric() && right.numeric():
+		want := holdsTable(c.Op)
+		lf, rf := l.kind == algebra.TypeFloat, r != nil && r.kind == algebra.TypeFloat
+		switch {
+		case r == nil && right.lit.Kind == algebra.TypeFloat && lf:
+			return numLitLanes(l.floats, right.lit.Float, want, sel, out)
+		case r == nil && right.lit.Kind == algebra.TypeFloat:
+			return numLitLanes(l.ints, right.lit.Float, want, sel, out)
+		case r == nil && lf:
+			return numLitLanes(l.floats, float64(right.lit.Int), want, sel, out)
+		case r == nil:
+			return numLitLanes(l.ints, float64(right.lit.Int), want, sel, out)
+		case lf && rf:
+			return numColLanes(l.floats, r.floats, want, sel, out)
+		case lf:
+			return numColLanes(l.floats, r.ints, want, sel, out)
+		case rf:
+			return numColLanes(l.ints, r.floats, want, sel, out)
+		default:
+			return numColLanes(l.ints, r.ints, want, sel, out)
 		}
-	case left.stringSide() && right.stringSide():
-		for i := range active {
-			if !active[i] || e.has(i) {
-				continue
-			}
-			a, b := left.str(i), right.str(i)
-			cmp := 0
-			if a < b {
-				cmp = -1
-			} else if a > b {
-				cmp = 1
-			}
-			out[i] = cmpHolds(c.Op, cmp)
+	case l != nil && left.isString() && right.isString():
+		if r == nil {
+			return strLanes(l.strs, nil, right.lit.Str, c.Op, sel, out)
 		}
-	default:
-		// Mixed, null-bearing, or generic lanes: evaluate value-at-a-time,
-		// wrapping comparison errors exactly as Comparison.Eval does.
-		for i := range active {
-			if !active[i] || e.has(i) {
-				continue
-			}
-			cmp, err := left.value(i).Compare(right.value(i))
-			if err != nil {
-				e.set(i, fmt.Errorf("algebra: evaluating %s: %w", c, err))
-				continue
-			}
-			out[i] = cmpHolds(c.Op, cmp)
+		return strLanes(l.strs, r.strs, "", c.Op, sel, out)
+	}
+	// Wrap comparison errors exactly as Comparison.Eval does. Lanes above
+	// the first failure are dead, so the loop stops there.
+	want, j := holdsTable(c.Op), 0
+	for k := range out {
+		i := laneAt(sel, k)
+		cmp, err := left.value(i).Compare(right.value(i))
+		if err != nil {
+			f.set(i, fmt.Errorf("algebra: evaluating %s: %w", c, err))
+			break
+		}
+		if want[cmp+1] {
+			out[j] = i
+			j++
 		}
 	}
+	return out[:j]
 }
 
 // resolveSide binds one comparison operand against the table. An unbound
-// column reference fails every active lane with the same error the
-// row-at-a-time Operand.eval produces, and reports !ok so the caller
-// skips the right operand, mirroring the row engine's left-then-right
-// evaluation order.
-func resolveSide(o algebra.Operand, tab *Table, active []bool, e *laneErrs) (cmpSide, bool) {
+// column reference fails every lane with the same error the row-at-a-time
+// Operand.eval produces, and reports !ok so the caller skips the right
+// operand, mirroring the row engine's left-then-right evaluation order.
+func resolveSide(o algebra.Operand, tab *Table, sel []int32, n int, f *laneFail) (cmpSide, bool) {
 	if !o.IsColumn {
 		return cmpSide{lit: o.Lit}, true
 	}
@@ -355,12 +397,7 @@ func resolveSide(o algebra.Operand, tab *Table, active []bool, e *laneErrs) (cmp
 	// first-match IndexOf rule, not the ambiguity-checking Resolve.
 	idx := tab.Schema.IndexOf(o.Col)
 	if idx < 0 {
-		err := fmt.Errorf("algebra: unbound column %s", o.Col)
-		for i := range active {
-			if active[i] {
-				e.set(i, err)
-			}
-		}
+		failLanes(sel, n, f, fmt.Errorf("algebra: unbound column %s", o.Col))
 		return cmpSide{}, false
 	}
 	return cmpSide{col: tab.cols[idx]}, true

@@ -17,7 +17,7 @@ import (
 //
 // Columns follow a copy-on-write discipline: operators only append to
 // columns of tables still under construction, and every derived column
-// (gather, compact, slice-with-copy) owns fresh payload slices — except
+// (gather, slice-with-copy) owns fresh payload slices — except
 // project, which shares whole immutable columns, and slice, which shares
 // payload backing the way row slices used to share backing arrays.
 type colvec struct {
@@ -271,47 +271,6 @@ func (c *colvec) gather(idx []int32) *colvec {
 				out.numNulls++
 			}
 		}
-	}
-	return out
-}
-
-// compact returns a fresh column holding the rows where keep is true.
-func (c *colvec) compact(keep []bool, count int) *colvec {
-	out := &colvec{kind: c.kind, n: count}
-	switch {
-	case c.vals != nil:
-		out.vals = make([]algebra.Value, 0, count)
-	case c.ints != nil:
-		out.ints = make([]int64, 0, count)
-	case c.floats != nil:
-		out.floats = make([]float64, 0, count)
-	case c.strs != nil:
-		out.strs = make([]string, 0, count)
-	}
-	o := 0
-	for i := 0; i < c.n; i++ {
-		if !keep[i] {
-			continue
-		}
-		switch {
-		case c.vals != nil:
-			out.vals = append(out.vals, c.vals[i])
-			if !c.vals[i].IsValid() {
-				out.nulls = bitSet(out.nulls, o)
-				out.numNulls++
-			}
-		case c.ints != nil:
-			out.ints = append(out.ints, c.ints[i])
-		case c.floats != nil:
-			out.floats = append(out.floats, c.floats[i])
-		case c.strs != nil:
-			out.strs = append(out.strs, c.strs[i])
-		}
-		if c.vals == nil && bitGet(c.nulls, i) {
-			out.nulls = bitSet(out.nulls, o)
-			out.numNulls++
-		}
-		o++
 	}
 	return out
 }

@@ -2,12 +2,12 @@ package engine_test
 
 import (
 	"errors"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
 	"github.com/warehousekit/mvpp/internal/algebra"
+	"github.com/warehousekit/mvpp/internal/engine"
 )
 
 // deltaProductRow builds one synthetic Product delta row.
@@ -192,7 +192,7 @@ func TestConcurrentRewriteVsViewChurn(t *testing.T) {
 				}
 				res, err := db.Execute(db.RewriteWithViewsSubsuming(plan))
 				if err != nil {
-					if strings.Contains(err.Error(), "unknown table") {
+					if errors.Is(err, engine.ErrUnknownRelation) {
 						lostRace.Add(1)
 						continue
 					}

@@ -23,7 +23,7 @@ func (db *DB) InsertDelta(table string, rows ...[]algebra.Value) error {
 	defer db.mu.Unlock()
 	t, ok := db.tables[table]
 	if !ok {
-		return fmt.Errorf("engine: unknown table %q", table)
+		return fmt.Errorf("engine: %w %q", ErrUnknownRelation, table)
 	}
 	d, ok := db.deltas[table]
 	if !ok {

@@ -1,6 +1,7 @@
 package engine_test
 
 import (
+	"errors"
 	"strings"
 	"testing"
 
@@ -327,6 +328,15 @@ func TestExecuteErrors(t *testing.T) {
 		algebra.Column{Relation: "Ghost", Name: "x", Type: algebra.TypeInt}))
 	if _, err := db.Execute(ghost); err == nil || !strings.Contains(err.Error(), "unknown table") {
 		t.Errorf("ghost scan error = %v", err)
+	}
+	// All three lookups fail with one matchable error and the old wording.
+	_, scanErr := db.Execute(ghost)
+	_, tableErr := db.Table("Ghost")
+	deltaErr := db.InsertDelta("Ghost", []algebra.Value{algebra.IntVal(1)})
+	for site, err := range map[string]error{"scan": scanErr, "Table": tableErr, "InsertDelta": deltaErr} {
+		if !errors.Is(err, engine.ErrUnknownRelation) || err.Error() != `engine: unknown table "Ghost"` {
+			t.Errorf("%s of an unknown relation: %v", site, err)
+		}
 	}
 	div, _ := db.Table("Division")
 	bad := algebra.NewSelect(algebra.NewScan("Division", div.Schema),

@@ -143,7 +143,7 @@ func (db *DB) resolveRelation(name string) (*Table, error) {
 		return view.Table(), nil
 	}
 	if !isTable {
-		return nil, fmt.Errorf("engine: unknown table %q", name)
+		return nil, fmt.Errorf("engine: %w %q", ErrUnknownRelation, name)
 	}
 	return t, nil
 }

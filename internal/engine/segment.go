@@ -476,6 +476,7 @@ func (db *DB) RestoreView(name string, plan algebra.Node, t *Table) (*Materializ
 		table: t,
 	}
 	db.views[name] = v
+	db.viewGen.Add(1)
 	delete(db.propagated, name)
 	return v, nil
 }

@@ -33,6 +33,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"sync"
@@ -177,9 +178,9 @@ func (t *Table) appendTable(o *Table) {
 	t.nrows += o.nrows
 }
 
-// gatherTable builds a table from the named rows of the receiver.
-func (t *Table) gatherTable(name string, schema *algebra.Schema, idx []int32) *Table {
-	u := &Table{Name: name, Schema: schema, BlockRows: t.BlockRows, nrows: len(idx)}
+// gatherTable builds an unnamed table from the named rows of the receiver.
+func (t *Table) gatherTable(schema *algebra.Schema, blockRows int, idx []int32) *Table {
+	u := &Table{Schema: schema, BlockRows: blockRows, nrows: len(idx)}
 	u.cols = make([]*colvec, len(t.cols))
 	for ci, c := range t.cols {
 		u.cols[ci] = c.gather(idx)
@@ -213,6 +214,11 @@ func (c *Counter) Reset() {
 	c.writes.Store(0)
 }
 
+// ErrUnknownRelation reports a name that resolves to neither a base table
+// nor a materialized view — what a plan rewritten onto a view hits when the
+// view is dropped before the plan runs. Match it with errors.Is.
+var ErrUnknownRelation = errors.New("unknown table")
+
 // DB is a collection of base tables and materialized views sharing one
 // block-access counter. See the package documentation for the concurrency
 // contract (many readers, one maintainer).
@@ -226,6 +232,11 @@ type DB struct {
 	mu     sync.RWMutex
 	tables map[string]*Table
 	views  map[string]*MaterializedView
+	// viewGen counts changes to the set of views (Materialize, DropView,
+	// RestoreView). It is bumped under mu, so a reader holding mu sees the
+	// generation of exactly the set it reads; ViewGeneration reads it
+	// without the lock.
+	viewGen atomic.Uint64
 	// deltas holds each base table's pending inserted rows (see
 	// InsertDelta); they become part of the table at ApplyDeltas.
 	deltas map[string]*Table
@@ -313,7 +324,7 @@ func (db *DB) Table(name string) (*Table, error) {
 	t, ok := db.tables[name]
 	db.mu.RUnlock()
 	if !ok {
-		return nil, fmt.Errorf("engine: unknown table %q", name)
+		return nil, fmt.Errorf("engine: %w %q", ErrUnknownRelation, name)
 	}
 	return t, nil
 }

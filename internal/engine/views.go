@@ -67,6 +67,7 @@ func (db *DB) Materialize(name string, plan algebra.Node) (*MaterializedView, er
 	}
 	db.mu.Lock()
 	db.views[name] = v
+	db.viewGen.Add(1)
 	// A fresh view is computed from the base tables without pending
 	// deltas, so its delta watermark starts at zero rows propagated.
 	delete(db.propagated, name)
@@ -167,6 +168,7 @@ func (db *DB) DropView(name string) error {
 		return fmt.Errorf("engine: unknown view %q", name)
 	}
 	delete(db.views, name)
+	db.viewGen.Add(1)
 	delete(db.propagated, name)
 	snap := db.snapStore
 	db.mu.Unlock()
@@ -186,7 +188,7 @@ type viewSnapshot struct {
 	table *Table
 }
 
-func (db *DB) snapshotViews() []viewSnapshot {
+func (db *DB) snapshotViews() ([]viewSnapshot, uint64) {
 	db.mu.RLock()
 	names := make([]string, 0, len(db.views))
 	for name := range db.views {
@@ -198,8 +200,24 @@ func (db *DB) snapshotViews() []viewSnapshot {
 		v := db.views[name]
 		out = append(out, viewSnapshot{view: v, table: v.Table()})
 	}
+	gen := db.viewGen.Load()
 	db.mu.RUnlock()
-	return out
+	return out, gen
+}
+
+// ViewGeneration identifies the current set of materialized views: it
+// changes whenever a view is added or dropped (a refresh, which replaces a
+// view's rows but not its definition, leaves it alone).
+func (db *DB) ViewGeneration() uint64 { return db.viewGen.Load() }
+
+// RewrittenPlan is a plan rewritten over the view set of one generation.
+// It stays the right rewrite for as long as ViewGeneration returns
+// Generation.
+type RewrittenPlan struct {
+	Plan       algebra.Node
+	Generation uint64
+	// Views names the materialized views Plan scans, sorted.
+	Views []string
 }
 
 // RewriteWithViewsSubsuming extends RewriteWithViews with predicate
@@ -211,10 +229,19 @@ func (db *DB) snapshotViews() []viewSnapshot {
 // Safe to call concurrently with maintenance: it rewrites against a
 // snapshot of the view set.
 func (db *DB) RewriteWithViewsSubsuming(plan algebra.Node) algebra.Node {
-	snaps := db.snapshotViews()
+	return db.RewriteForViewSet(plan).Plan
+}
+
+// RewriteForViewSet is RewriteWithViewsSubsuming together with the view-set
+// generation the rewrite was derived under and the views it reads, so a
+// caller can keep the result until the generation moves.
+func (db *DB) RewriteForViewSet(plan algebra.Node) RewrittenPlan {
+	snaps, gen := db.snapshotViews()
 	exact := make(map[string]viewSnapshot, len(snaps))
+	isView := make(map[string]bool, len(snaps))
 	for _, s := range snaps {
 		exact[s.view.Key] = s
+		isView[s.view.Name] = true
 	}
 	var rewrite func(n algebra.Node) algebra.Node
 	rewrite = func(n algebra.Node) algebra.Node {
@@ -237,7 +264,15 @@ func (db *DB) RewriteWithViewsSubsuming(plan algebra.Node) algebra.Node {
 			return n
 		}
 	}
-	return rewrite(plan)
+	out := RewrittenPlan{Plan: rewrite(plan), Generation: gen}
+	algebra.Walk(out.Plan, func(n algebra.Node) {
+		if scan, ok := n.(*algebra.Scan); ok && isView[scan.Relation] {
+			isView[scan.Relation] = false // list each view once
+			out.Views = append(out.Views, scan.Relation)
+		}
+	})
+	sort.Strings(out.Views)
+	return out
 }
 
 // subsumeSelect tries to answer σp(S) (or a bare S) from a view σq(S') with
@@ -281,7 +316,7 @@ func subsumeSelect(snaps []viewSnapshot, n algebra.Node) (algebra.Node, bool) {
 // view. Matching is top-down, so the largest materialized subtree wins.
 // Safe to call concurrently with maintenance.
 func (db *DB) RewriteWithViews(plan algebra.Node) algebra.Node {
-	snaps := db.snapshotViews()
+	snaps, _ := db.snapshotViews()
 	byKey := make(map[string]viewSnapshot, len(snaps))
 	for _, s := range snaps {
 		byKey[s.view.Key] = s

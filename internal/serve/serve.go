@@ -43,7 +43,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -276,6 +275,13 @@ type queryState struct {
 	// rebuilt from the plan tree on every request.
 	key      string
 	observed atomic.Int64
+	// prepared is spec.Plan rewritten over the engine's view set, kept until
+	// the view-set generation it was derived under moves (an advisor swap, a
+	// dropped or restored view). It hangs off the server's own query state so
+	// it is collected with the server. prepMu serializes re-derivation, so a
+	// generation costs each query one rewrite however many workers miss.
+	prepared atomic.Pointer[engine.RewrittenPlan]
+	prepMu   sync.Mutex
 }
 
 // Server is the running serving layer. Create with New, stop with Close.
@@ -395,6 +401,7 @@ type serverStats struct {
 	streamShed, streamBlocked                      atomic.Int64
 	sloViolations                                  atomic.Int64
 	flightDumps                                    atomic.Int64
+	planRewrites                                   atomic.Int64
 	lat                                            latencyHist
 	// streamLag is the accepted→group-committed latency of streamed rows.
 	streamLag latencyHist
@@ -779,24 +786,27 @@ func (s *Server) handle(req *request) {
 		return
 	}
 	epoch := s.epoch.Load()
-	rewritten := s.db.RewriteWithViewsSubsuming(req.plan)
+	pp := s.rewritten(req)
+	plan := pp.Plan
 	degraded := false
-	if names := s.unhealthyViewsIn(rewritten); len(names) > 0 {
+	if names := s.unhealthyViewsAmong(pp.Views); len(names) > 0 {
 		// Circuit breaker: the rewritten plan reads a view that is unhealthy
 		// or beyond its staleness bound. Answer from the original plan over
 		// base relations — always fresh, at the paper's Ca(q) cost.
-		rewritten = req.plan
+		plan = req.plan
 		degraded = true
 		s.stats.degraded.Add(1)
 		s.ctrDegraded.Inc()
 		obs.Emit(s.obsv, obs.EvServeDegraded, obs.String("views", strings.Join(names, ",")))
 		s.traceStage(req.qt, "degraded", obs.String("views", strings.Join(names, ",")))
 	}
-	res, err := s.db.Execute(rewritten)
-	if err != nil && !degraded && strings.Contains(err.Error(), "unknown table") {
-		// The view set churned between rewrite and execute (an advice swap
-		// dropped the view the plan was rewritten onto). The original plan
-		// reads base tables only and always works.
+	res, err := s.db.Execute(plan)
+	if !degraded && len(pp.Views) > 0 &&
+		(errors.Is(err, engine.ErrUnknownRelation) || s.db.ViewGeneration() != pp.Generation) {
+		// The view set churned between rewrite and execute: an advice swap
+		// dropped a view the plan was rewritten onto, or put a different view
+		// under its name, so the rows (if any) are not this plan's. The
+		// original plan reads base tables only and always works.
 		res, err = s.db.Execute(req.plan)
 	}
 	if err != nil {
@@ -829,32 +839,48 @@ func (s *Server) handle(req *request) {
 	req.done <- response{res: out}
 }
 
-// unhealthyViewsIn lists the maintained views the plan scans whose queries
-// must degrade right now (breaker not closed, or lag beyond the staleness
-// bound), sorted.
-func (s *Server) unhealthyViewsIn(plan algebra.Node) []string {
-	sc := s.sched
-	seen := map[string]bool{}
-	now := time.Now()
-	sc.mu.Lock()
-	algebra.Walk(plan, func(n algebra.Node) {
-		scan, ok := n.(*algebra.Scan)
-		if !ok {
-			return
-		}
-		if vs, ok := sc.views[scan.Relation]; ok && vs.degrading(sc.breaker, now) {
-			seen[scan.Relation] = true
-		}
-	})
-	sc.mu.Unlock()
-	if len(seen) == 0 {
+// rewritten returns the request's plan rewritten over the current view set.
+// A named query's rewrite is derived once per view-set generation and kept
+// on its queryState; an ad-hoc plan is rewritten per call — a memo keyed by
+// caller-supplied plans would have no bound.
+func (s *Server) rewritten(req *request) *engine.RewrittenPlan {
+	qs := s.queries[req.name]
+	if qs == nil {
+		s.stats.planRewrites.Add(1)
+		pp := s.db.RewriteForViewSet(req.plan)
+		return &pp
+	}
+	if pp := qs.prepared.Load(); pp != nil && pp.Generation == s.db.ViewGeneration() {
+		return pp
+	}
+	qs.prepMu.Lock()
+	defer qs.prepMu.Unlock()
+	if pp := qs.prepared.Load(); pp != nil && pp.Generation == s.db.ViewGeneration() {
+		return pp
+	}
+	s.stats.planRewrites.Add(1)
+	pp := s.db.RewriteForViewSet(qs.spec.Plan)
+	qs.prepared.Store(&pp)
+	return &pp
+}
+
+// unhealthyViewsAmong lists the maintained views among the given ones (the
+// views a rewritten plan scans, sorted) whose queries must degrade right
+// now: breaker not closed, or lag beyond the staleness bound.
+func (s *Server) unhealthyViewsAmong(views []string) []string {
+	if len(views) == 0 {
 		return nil
 	}
-	out := make([]string, 0, len(seen))
-	for name := range seen {
-		out = append(out, name)
+	sc := s.sched
+	var out []string
+	now := time.Now()
+	sc.mu.Lock()
+	for _, name := range views {
+		if vs, ok := sc.views[name]; ok && vs.degrading(sc.breaker, now) {
+			out = append(out, name)
+		}
 	}
-	sort.Strings(out)
+	sc.mu.Unlock()
 	return out
 }
 
@@ -938,6 +964,10 @@ type Stats struct {
 	// FlightDumps counts flight-recorder dumps latched by episodes (SLO
 	// breach, breaker open, checkpoint failure, recovery corruption).
 	FlightDumps int64
+	// PlanRewrites counts view rewrites of a query plan: one per named query
+	// per view-set generation it missed the cache under, one per ad-hoc
+	// miss.
+	PlanRewrites int64
 	// IngestLagP50/P95/P99 are accepted→group-committed latency quantiles
 	// of streamed rows.
 	IngestLagP50, IngestLagP95, IngestLagP99 time.Duration
@@ -1003,6 +1033,7 @@ func (s *Server) Stats() Stats {
 		StreamBlocked:        s.stats.streamBlocked.Load(),
 		SLOViolations:        s.stats.sloViolations.Load(),
 		FlightDumps:          s.stats.flightDumps.Load(),
+		PlanRewrites:         s.stats.planRewrites.Load(),
 		IngestLagP50:         s.stats.streamLag.quantile(0.50),
 		IngestLagP95:         s.stats.streamLag.quantile(0.95),
 		IngestLagP99:         s.stats.streamLag.quantile(0.99),
