@@ -52,6 +52,15 @@ func fuzzRows(data []byte) []algebra.Value {
 	return out
 }
 
+// encodeFuzzRow is the inverse of one fuzzRows step: a class selector and
+// 8 payload bytes.
+func encodeFuzzRow(sel uint8, bits uint64) []byte {
+	b := make([]byte, 9)
+	b[0] = sel
+	binary.LittleEndian.PutUint64(b[1:], bits)
+	return b
+}
+
 // FuzzBatchSelectPredicate runs the same selection on the batch executor
 // and on the row oracle over a fuzzed column and requires identical
 // outcomes: the same error text, or the same rows in the same order with
@@ -63,12 +72,7 @@ func FuzzBatchSelectPredicate(f *testing.F) {
 	seed := func(rows []byte, op, litSel uint8, litInt int64, litFloat float64, litStr string, negate bool) {
 		f.Add(rows, op, litSel, litInt, litFloat, litStr, negate)
 	}
-	enc := func(sel uint8, bits uint64) []byte {
-		b := make([]byte, 9)
-		b[0] = sel
-		binary.LittleEndian.PutUint64(b[1:], bits)
-		return b
-	}
+	enc := encodeFuzzRow
 	negSeven := int64(-7)
 	ints := append(enc(1, 100), enc(1, uint64(negSeven))...)
 	dates := append(enc(4, 9496), enc(4, 9861)...)
@@ -248,10 +252,7 @@ func FuzzBatchSelectNested(f *testing.F) {
 			case algebra.TypeDate:
 				sel, bits = 4, uint64(v.Int)
 			}
-			b := make([]byte, 9)
-			b[0] = sel
-			binary.LittleEndian.PutUint64(b[1:], bits)
-			out = append(out, b...)
+			out = append(out, encodeFuzzRow(sel, bits)...)
 		}
 		return out
 	}
