@@ -5,7 +5,7 @@ GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 STATICCHECK := $(shell command -v staticcheck 2>/dev/null)
 
-.PHONY: all fmt vet staticcheck build test race bench check tier1 telemetry-smoke fuzz-smoke chaos-restart chaos-policies obscheck
+.PHONY: all fmt vet staticcheck build test race bench check tier1 telemetry-smoke fuzz-smoke chaos-restart chaos-policies obscheck surface
 
 all: check
 
@@ -100,3 +100,11 @@ tier1: build vet staticcheck obscheck test race fuzz-smoke chaos-restart chaos-p
 # workloads; the result JSON goes to stdout and bench/out/.
 bench:
 	$(GO) run ./bench -seed 1
+
+# The size of the thing (ROADMAP aim 2's reported metric): non-test Go
+# lines, test lines, and the lines of the root package's exported
+# documentation. No reformatting or comment stripping — plain wc.
+surface:
+	@echo "non-test Go lines: $$(find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
+	@echo "test Go lines:     $$(find . -name '*_test.go' | xargs cat | wc -l)"
+	@echo "go doc -all . :    $$($(GO) doc -all . | wc -l)"

@@ -207,3 +207,33 @@ func (g *Aggregate) RequiredByAggregate() []ColumnRef {
 	}
 	return canonicalRefs(out)
 }
+
+// Incrementable reports whether the plan rooted at n can be maintained by
+// insert-only delta propagation, and if not, why. The supported shape is
+// select-project-join with at most one aggregation, at the root, using
+// mergeable aggregate functions (COUNT, SUM, MIN, MAX — monotone under
+// inserts). AVG is not mergeable from stored values, and an aggregate
+// below other operators would emit group *updates*, not inserts. It is the
+// one gate both the designer's maintenance pricing and the engine's
+// IncrementalRefresh consult, so a view priced as incremental is one the
+// engine will maintain that way.
+func Incrementable(n Node) (bool, string) {
+	if agg, ok := n.(*Aggregate); ok {
+		for _, a := range agg.Aggs {
+			if a.Func == AggAvg {
+				return false, "AVG is not mergeable under insert-only deltas"
+			}
+		}
+		n = agg.Input
+	}
+	below := false
+	Walk(n, func(node Node) {
+		if _, ok := node.(*Aggregate); ok {
+			below = true
+		}
+	})
+	if below {
+		return false, "aggregate below the plan root emits group updates, not inserts"
+	}
+	return true, ""
+}

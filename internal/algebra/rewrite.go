@@ -130,9 +130,9 @@ func pushSel(n Node, preds []Predicate) Node {
 		var leftP, rightP, here []Predicate
 		for _, p := range preds {
 			switch {
-			case resolvesAll(ls, p):
+			case ResolvesAll(ls, p):
 				leftP = append(leftP, p)
-			case resolvesAll(rs, p):
+			case ResolvesAll(rs, p):
 				rightP = append(rightP, p)
 			default:
 				here = append(here, p)
@@ -152,7 +152,9 @@ func wrapSelect(n Node, preds []Predicate) Node {
 	return n
 }
 
-func resolvesAll(s *Schema, p Predicate) bool {
+// ResolvesAll reports whether every column of the predicate resolves in the
+// schema.
+func ResolvesAll(s *Schema, p Predicate) bool {
 	for _, ref := range p.Columns() {
 		if !s.Has(ref) {
 			return false

@@ -9,35 +9,6 @@ import (
 	"github.com/warehousekit/mvpp/internal/cost"
 )
 
-// MaintenancePolicy selects how materialized views are refreshed.
-type MaintenancePolicy int
-
-// Maintenance policies.
-const (
-	// PolicyRecompute is the paper's policy: every refresh epoch recomputes
-	// the view from base relations (sharing sub-results within the epoch).
-	PolicyRecompute MaintenancePolicy = iota
-	// PolicyIncremental is an extension: each epoch propagates only the
-	// changed fraction of the base relations (DeltaFraction) through the
-	// view's plan and rewrites the stored view — a coarse model of
-	// delta-based incremental view maintenance.
-	PolicyIncremental
-)
-
-// SetMaintenancePolicy switches the refresh model used by Evaluate.
-// deltaFraction is the per-epoch changed fraction of each base relation
-// (only meaningful for PolicyIncremental; clamped to [0, 1]).
-func (m *MVPP) SetMaintenancePolicy(p MaintenancePolicy, deltaFraction float64) {
-	if deltaFraction < 0 {
-		deltaFraction = 0
-	}
-	if deltaFraction > 1 {
-		deltaFraction = 1
-	}
-	m.maintPolicy = p
-	m.deltaFraction = deltaFraction
-}
-
 // SetIndexedViews toggles §3.2's index argument: "while in our MVPP, if an
 // intermediate result is materialized, we can establish a proper index on
 // it afterwards". When enabled, a selection whose input is a materialized
@@ -178,7 +149,7 @@ func (m *MVPP) evaluate(model cost.Model, mat algebra.Bits) Costs {
 			continue
 		}
 		f := v.MaintFreq
-		if m.maintPolicy != PolicyIncremental && v.MaintStrategy == MaintIncremental {
+		if v.MaintStrategy == MaintIncremental {
 			weighted := f * (v.CmIncremental + m.deltaTransfer(v))
 			c.PerView[v.Name] = weighted
 			c.Maintenance += weighted
@@ -203,16 +174,6 @@ func (m *MVPP) evaluate(model cost.Model, mat algebra.Bits) Costs {
 		}
 		views := pooled[:n]
 		pooled = pooled[n:]
-		if m.maintPolicy == PolicyIncremental {
-			for _, v := range views {
-				// Propagate the changed fraction through the view's plan,
-				// then rewrite the stored view. Transfer applies to the
-				// shipped deltas only.
-				leaves := m.reachedLeaves(v, nil)
-				c.Maintenance += f * (m.deltaFraction*(v.Ca+m.transferForLeaves(leaves)) + v.Est.Blocks)
-			}
-			continue
-		}
 		epoch, leaves := m.sharedRecompute(views, mat)
 		c.Maintenance += f * (epoch + m.transferForLeaves(leaves))
 	}

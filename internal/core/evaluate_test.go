@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/warehousekit/mvpp/internal/core"
+	"github.com/warehousekit/mvpp/internal/cost"
 )
 
 // TestTable2StrategyOrdering verifies the paper's Table 2 qualitative
@@ -181,46 +182,53 @@ func TestVertexSetHelpers(t *testing.T) {
 	}
 }
 
+// TestIncrementalMaintenancePolicy: the same MVPP, the same materialized views,
+// priced with and without GenOptions.Delta. Small deltas make maintenance
+// far cheaper and leave query costs alone; a full delta (δ = 1) never beats
+// recomputation, so every view keeps the recompute plan and its price.
 func TestIncrementalMaintenancePolicy(t *testing.T) {
-	m, model := figure3(t)
-	recompute, err := m.EvaluateNames(model, []string{"tmp2", "tmp4"})
+	model := &cost.PaperModel{}
+	first := func(delta *cost.DeltaSpec) *core.Candidate {
+		t.Helper()
+		est, plans := paperQueryPlans(t, cost.PaperOptions())
+		cands, err := core.Generate(est, model, plans, core.GenOptions{Delta: delta})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cands[0]
+	}
+	base := first(nil)
+	views := base.Selection.Materialized.Names(base.MVPP)
+	if len(views) == 0 {
+		t.Fatal("paper example selected no views")
+	}
+	recompute, err := base.MVPP.EvaluateNames(model, views)
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.SetMaintenancePolicy(core.PolicyIncremental, 0.01)
-	defer m.SetMaintenancePolicy(core.PolicyRecompute, 0)
-	incremental, err := m.EvaluateNames(model, []string{"tmp2", "tmp4"})
+	small := first(&cost.DeltaSpec{DefaultFraction: 0.01})
+	incremental, err := small.MVPP.EvaluateNames(model, views)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Small deltas make incremental maintenance far cheaper than full
-	// recomputation; query costs are untouched.
 	if incremental.Maintenance >= recompute.Maintenance {
 		t.Errorf("incremental %v not below recompute %v", incremental.Maintenance, recompute.Maintenance)
 	}
 	if incremental.Query != recompute.Query {
 		t.Errorf("query cost changed: %v vs %v", incremental.Query, recompute.Query)
 	}
-	// A full delta (δ=1) costs at least a recompute of each view plus the
-	// rewrite, so it must exceed the shared recompute epoch.
-	m.SetMaintenancePolicy(core.PolicyIncremental, 1)
-	full, err := m.EvaluateNames(model, []string{"tmp2", "tmp4"})
+	whole := first(&cost.DeltaSpec{DefaultFraction: 1})
+	for name, strat := range whole.MVPP.MaintenancePlans(whole.Selection.Materialized) {
+		if strat != core.MaintRecompute {
+			t.Errorf("δ=1: %s maintained by %v, want recompute", name, strat)
+		}
+	}
+	full, err := whole.MVPP.EvaluateNames(model, views)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if full.Maintenance < recompute.Maintenance {
-		t.Errorf("δ=1 incremental %v below recompute %v", full.Maintenance, recompute.Maintenance)
-	}
-	// Clamping.
-	m.SetMaintenancePolicy(core.PolicyIncremental, -5)
-	clamped, err := m.EvaluateNames(model, []string{"tmp2"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmp2, _ := m.VertexByName("tmp2")
-	if clamped.Maintenance != tmp2.Est.Blocks {
-		t.Errorf("δ clamped to 0 should cost just the view rewrite: %v vs %v",
-			clamped.Maintenance, tmp2.Est.Blocks)
+	if full.Maintenance != recompute.Maintenance {
+		t.Errorf("δ=1 maintenance %v, want the recompute price %v", full.Maintenance, recompute.Maintenance)
 	}
 }
 

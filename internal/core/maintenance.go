@@ -34,7 +34,7 @@ func (s MaintenanceStrategy) String() string {
 // (GenOptions.Delta with a nonzero fraction): every inner vertex's Cm is
 // then the cheaper of full recomputation and delta propagation, and the
 // Figure 9 weights rank by that cheaper plan. Vertices whose plan is not
-// incrementally maintainable (see cost.Incrementable) keep
+// incrementally maintainable (see algebra.Incrementable) keep
 // CmIncremental = +Inf and the recompute plan.
 func (m *MVPP) DeltaEnabled() bool { return m.delta != nil }
 

@@ -74,7 +74,7 @@ type Vertex struct {
 	CmRecompute float64
 	// CmIncremental is the delta-propagation maintenance cost, +Inf when
 	// delta maintenance is off or the plan is not incrementally
-	// maintainable (see cost.Incrementable).
+	// maintainable (see algebra.Incrementable).
 	CmIncremental float64
 	// MaintStrategy records which maintenance plan Cm reflects.
 	MaintStrategy MaintenanceStrategy
@@ -118,10 +118,6 @@ type MVPP struct {
 	// ApplyDistribution; used by Evaluate.
 	Transfer map[string]float64
 
-	// maintPolicy and deltaFraction configure refresh pricing; see
-	// SetMaintenancePolicy.
-	maintPolicy   MaintenancePolicy
-	deltaFraction float64
 	// delta holds the fractions delta-propagation maintenance was priced
 	// under (nil when delta maintenance is off).
 	delta *cost.DeltaSpec

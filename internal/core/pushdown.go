@@ -231,7 +231,7 @@ func planLeafPushdown(decs []*algebra.Decomposed, skeletons []algebra.Node, resi
 		local := make(map[int][]algebra.Predicate)
 		for _, qi := range users[rel] {
 			for _, p := range residual[qi] {
-				if resolvesAll(schema, p) {
+				if algebra.ResolvesAll(schema, p) {
 					local[qi] = append(local[qi], p)
 				}
 			}
@@ -265,7 +265,7 @@ func planLeafPushdown(decs []*algebra.Decomposed, skeletons []algebra.Node, resi
 		for _, qi := range users[rel] {
 			var kept []algebra.Predicate
 			for _, p := range residual[qi] {
-				if resolvesAll(schema, p) && commonKeys[p.String()] {
+				if algebra.ResolvesAll(schema, p) && commonKeys[p.String()] {
 					continue
 				}
 				kept = append(kept, p)
@@ -380,15 +380,4 @@ func findScan(n algebra.Node, relation string) algebra.Node {
 		}
 	})
 	return out
-}
-
-// resolvesAll reports whether every column of the predicate resolves in the
-// schema.
-func resolvesAll(s *algebra.Schema, p algebra.Predicate) bool {
-	for _, ref := range p.Columns() {
-		if !s.Has(ref) {
-			return false
-		}
-	}
-	return true
 }

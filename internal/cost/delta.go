@@ -45,42 +45,6 @@ func (s DeltaSpec) Enabled() bool {
 	return false
 }
 
-// Incrementable reports whether the plan rooted at n can be maintained by
-// insert-only delta propagation, and if not, why. The supported shape is
-// select-project-join with at most one aggregation, at the root, using
-// mergeable aggregate functions (COUNT, SUM, MIN, MAX — monotone under
-// inserts). AVG is not mergeable from stored values, and an aggregate
-// below other operators would emit group *updates*, not inserts.
-func Incrementable(n algebra.Node) (bool, string) {
-	if agg, ok := n.(*algebra.Aggregate); ok {
-		for _, a := range agg.Aggs {
-			if a.Func == algebra.AggAvg {
-				return false, "AVG is not mergeable under insert-only deltas"
-			}
-		}
-		n = agg.Input
-	}
-	var bad string
-	var walk func(algebra.Node)
-	walk = func(node algebra.Node) {
-		if bad != "" {
-			return
-		}
-		if _, ok := node.(*algebra.Aggregate); ok {
-			bad = "aggregate below the plan root emits group updates, not inserts"
-			return
-		}
-		for _, child := range node.Children() {
-			walk(child)
-		}
-	}
-	walk(n)
-	if bad != "" {
-		return false, bad
-	}
-	return true, ""
-}
-
 // DeltaEstimator prices incremental view maintenance by delta propagation:
 // given per-base-relation delta fractions, it derives the size of Δn for
 // every plan node (insert-only algebra: Δσ(S) = σ(ΔS), Δπ(S) = π(ΔS),
@@ -106,9 +70,6 @@ type DeltaEstimator struct {
 func NewDeltaEstimator(est *Estimator, spec DeltaSpec) *DeltaEstimator {
 	return &DeltaEstimator{est: est, spec: spec}
 }
-
-// Base exposes the wrapped full-size estimator.
-func (d *DeltaEstimator) Base() *Estimator { return d.est }
 
 // Spec exposes the delta fractions.
 func (d *DeltaEstimator) Spec() DeltaSpec { return d.spec }
@@ -327,7 +288,7 @@ func (d *DeltaEstimator) opDeltaCost(m Model, x algebra.Expr) (float64, error) {
 // be maintained incrementally under insert-only deltas; callers fall back
 // to recomputation.
 func (d *DeltaEstimator) MaintenanceCost(m Model, n algebra.Node) (cost float64, ok bool, err error) {
-	if can, _ := Incrementable(n); !can {
+	if can, _ := algebra.Incrementable(n); !can {
 		return math.Inf(1), false, nil
 	}
 	prop, err := d.PropagationCost(m, n)

@@ -128,7 +128,7 @@ func TestMaterializeAggregateViewAndRewrite(t *testing.T) {
 	if _, err := db.Materialize("summary", plan); err != nil {
 		t.Fatal(err)
 	}
-	rewritten := db.RewriteWithViews(algebra.Clone(plan))
+	rewritten := db.RewriteForViewSet(algebra.Clone(plan)).Plan
 	if _, ok := rewritten.(*algebra.Scan); !ok {
 		t.Fatalf("rewritten = %T, want scan of summary view", rewritten)
 	}

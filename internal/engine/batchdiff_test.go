@@ -365,11 +365,11 @@ func TestBatchVsRowRecomputeRefreshDifferential(t *testing.T) {
 	g := &planGen{r: rand.New(rand.NewSource(515)), db: bdb}
 	for trial := 0; trial < 20; trial++ {
 		plan := g.randomPlan(t)
-		bq, err := bdb.Execute(bdb.RewriteWithViews(plan))
+		bq, err := bdb.Execute(bdb.RewriteForViewSet(plan).Plan)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		rq, err := rdb.Execute(rdb.RewriteWithViews(plan))
+		rq, err := rdb.Execute(rdb.RewriteForViewSet(plan).Plan)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}

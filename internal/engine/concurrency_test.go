@@ -25,7 +25,7 @@ func TestConcurrentExecuteVsRefresh(t *testing.T) {
 	if _, err := db.Materialize("tmp2", plan); err != nil {
 		t.Fatal(err)
 	}
-	base, err := db.Execute(db.RewriteWithViews(plan))
+	base, err := db.Execute(db.RewriteForViewSet(plan).Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestConcurrentExecuteVsRefresh(t *testing.T) {
 					return
 				default:
 				}
-				res, err := db.Execute(db.RewriteWithViews(plan))
+				res, err := db.Execute(db.RewriteForViewSet(plan).Plan)
 				if err != nil {
 					errs <- err
 					return
@@ -84,7 +84,7 @@ func TestConcurrentExecuteVsIncrementalEpochs(t *testing.T) {
 	}
 
 	var epochRows sync.Map // row count → true, for every published epoch
-	res, err := db.Execute(db.RewriteWithViews(plan))
+	res, err := db.Execute(db.RewriteForViewSet(plan).Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestConcurrentExecuteVsIncrementalEpochs(t *testing.T) {
 					return
 				default:
 				}
-				res, err := db.Execute(db.RewriteWithViews(plan))
+				res, err := db.Execute(db.RewriteForViewSet(plan).Plan)
 				if err != nil {
 					errs <- err
 					return
@@ -145,7 +145,7 @@ func TestConcurrentExecuteVsIncrementalEpochs(t *testing.T) {
 	}
 
 	// Final state check: the maintained view equals a recompute.
-	got, err := db.Execute(db.RewriteWithViews(plan))
+	got, err := db.Execute(db.RewriteForViewSet(plan).Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -158,7 +158,7 @@ func TestConcurrentExecuteVsIncrementalEpochs(t *testing.T) {
 	}
 }
 
-// TestConcurrentRewriteVsViewChurn races RewriteWithViewsSubsuming +
+// TestConcurrentRewriteVsViewChurn races RewriteForViewSet +
 // Execute against a maintainer that drops and rematerializes the view.
 // A reader may lose the race between rewriting and executing (the view it
 // rewrote onto was dropped) — that surfaces as a clean "unknown table"
@@ -190,7 +190,7 @@ func TestConcurrentRewriteVsViewChurn(t *testing.T) {
 					return
 				default:
 				}
-				res, err := db.Execute(db.RewriteWithViewsSubsuming(plan))
+				res, err := db.Execute(db.RewriteForViewSet(plan).Plan)
 				if err != nil {
 					if errors.Is(err, engine.ErrUnknownRelation) {
 						lostRace.Add(1)

@@ -65,26 +65,6 @@ func (db *DB) ApplyDeltas() error {
 	return nil
 }
 
-// incrementable mirrors the cost package's gate (cost.Incrementable): at
-// most one aggregate, at the plan root, with mergeable functions.
-func incrementable(plan algebra.Node) error {
-	if agg, ok := plan.(*algebra.Aggregate); ok {
-		for _, a := range agg.Aggs {
-			if a.Func == algebra.AggAvg {
-				return fmt.Errorf("%w: AVG is not mergeable under insert-only deltas", ErrNotIncremental)
-			}
-		}
-		plan = agg.Input
-	}
-	var err error
-	algebra.Walk(plan, func(n algebra.Node) {
-		if _, ok := n.(*algebra.Aggregate); ok && err == nil {
-			err = fmt.Errorf("%w: aggregate below the plan root", ErrNotIncremental)
-		}
-	})
-	return err
-}
-
 // deltaState is one view's frozen picture of the pending deltas: the rows
 // it has not propagated yet (fresh), the rows it already folded in during
 // an earlier refresh this epoch (oldExtra — part of the view's old state),
@@ -157,8 +137,8 @@ func (db *DB) IncrementalRefresh(name string) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := incrementable(v.Plan); err != nil {
-		return nil, err
+	if ok, why := algebra.Incrementable(v.Plan); !ok {
+		return nil, fmt.Errorf("%w: %s", ErrNotIncremental, why)
 	}
 	// The injection site sits after the incrementability gate, so injected
 	// failures model delta application going wrong — ErrNotIncremental still

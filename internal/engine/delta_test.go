@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"github.com/warehousekit/mvpp/internal/algebra"
+	"github.com/warehousekit/mvpp/internal/cost"
 	"github.com/warehousekit/mvpp/internal/engine"
 )
 
@@ -230,6 +231,64 @@ func TestIncrementalRefreshRejectsNonIncremental(t *testing.T) {
 	}
 	if _, err := db.IncrementalRefresh("ghost"); err == nil {
 		t.Error("unknown view refreshed")
+	}
+}
+
+// TestIncrementabilityGateAgrees: the designer prices a view as
+// incrementally maintainable exactly when the engine will maintain it that
+// way — both ask algebra.Incrementable.
+func TestIncrementabilityGateAgrees(t *testing.T) {
+	db, tb := aggDB(t)
+	scan := algebra.NewScan("T", tb.Schema)
+	grp := []algebra.ColumnRef{algebra.Ref("T", "grp")}
+	v := algebra.Ref("T", "v")
+	mergeable := algebra.NewAggregate(scan, grp, []algebra.Aggregation{
+		{Func: algebra.AggCount, Alias: "n"},
+		{Func: algebra.AggSum, Arg: v, Alias: "total"},
+		{Func: algebra.AggMin, Arg: v, Alias: "lo"},
+		{Func: algebra.AggMax, Arg: v, Alias: "hi"},
+	})
+	cases := []struct {
+		name string
+		plan algebra.Node
+		want bool
+	}{
+		{"spj", algebra.NewProject(algebra.NewSelect(scan,
+			algebra.Compare(algebra.ColOperand(v), algebra.OpGt, algebra.LitOperand(algebra.IntVal(6)))), grp), true},
+		{"root-count-sum-min-max", mergeable, true},
+		{"root-avg", algebra.NewAggregate(scan, grp,
+			[]algebra.Aggregation{{Func: algebra.AggAvg, Arg: v, Alias: "mean"}}), false},
+		{"aggregate-below-root", algebra.NewProject(mergeable, grp), false},
+	}
+	cat, err := db.CatalogFor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	pricer := cost.NewDeltaEstimator(cost.NewEstimator(cat, cost.DefaultOptions()), cost.DeltaSpec{DefaultFraction: 0.1})
+	for _, tc := range cases {
+		if _, err := db.Materialize(tc.name, tc.plan); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := db.InsertDelta("T", []algebra.Value{algebra.StringVal("a"), algebra.IntVal(9)}); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range cases {
+		if got, why := algebra.Incrementable(tc.plan); got != tc.want {
+			t.Errorf("%s: Incrementable = %v (%s), want %v", tc.name, got, why, tc.want)
+		}
+		_, priced, err := pricer.MaintenanceCost(&cost.BlockNLJModel{}, tc.plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = db.IncrementalRefresh(tc.name)
+		if err != nil && !errors.Is(err, engine.ErrNotIncremental) {
+			t.Fatal(err)
+		}
+		if maintained := err == nil; priced != tc.want || maintained != tc.want {
+			t.Errorf("%s: designer prices incremental = %v, engine maintains incrementally = %v, want both %v",
+				tc.name, priced, maintained, tc.want)
+		}
 	}
 }
 

@@ -306,7 +306,7 @@ func TestViewRewritePreservesSemanticsDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		rewritten := db.RewriteWithViews(plan)
+		rewritten := db.RewriteForViewSet(plan).Plan
 		res, err := db.Execute(rewritten)
 		if err != nil {
 			t.Fatalf("trial %d: rewritten: %v\n%s", trial, err, rewritten.Canonical())

@@ -208,7 +208,7 @@ func TestMaterializeAndRewrite(t *testing.T) {
 	}
 
 	q1 := algebra.NewProject(tmp2, []algebra.ColumnRef{algebra.Ref("Product", "name")})
-	rewritten := db.RewriteWithViews(q1)
+	rewritten := db.RewriteForViewSet(q1).Plan
 	// The join subtree must have been replaced by a view scan.
 	joins := 0
 	algebra.Walk(rewritten, func(n algebra.Node) {

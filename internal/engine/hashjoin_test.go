@@ -71,7 +71,7 @@ func TestHashJoinAblationMeasured(t *testing.T) {
 		if _, err := db.Materialize("mv", proj.Input); err != nil {
 			t.Fatal(err)
 		}
-		r, err := db.Execute(db.RewriteWithViews(plan))
+		r, err := db.Execute(db.RewriteForViewSet(plan).Plan)
 		if err != nil {
 			t.Fatal(err)
 		}

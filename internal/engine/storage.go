@@ -13,7 +13,7 @@
 // # Concurrency contract
 //
 // A DB supports any number of concurrent readers (Execute, Table, Tables,
-// Views, View, PendingDeltaRows, RewriteWithViews*, CatalogFor) alongside
+// Views, View, PendingDeltaRows, RewriteForViewSet, CatalogFor) alongside
 // at most one maintainer at a time. The maintenance methods — CreateTable,
 // Materialize, Refresh, RefreshAll, IncrementalRefresh(All), InsertDelta,
 // ApplyDeltas, DropView — are safe against concurrent readers but must be

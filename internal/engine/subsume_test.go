@@ -35,13 +35,7 @@ func TestSubsumptionRewriteAnswersStrongerFilter(t *testing.T) {
 		algebra.NewSelect(algebra.Clone(join), algebra.Eq(algebra.Ref("Division", "city"), algebra.StringVal("LA"))),
 		[]algebra.ColumnRef{algebra.Ref("Product", "name")})
 
-	plain := db.RewriteWithViews(algebra.Clone(q))
-	joins := countJoinNodes(plain)
-	if joins == 0 {
-		t.Fatal("exact rewrite should NOT have matched (different predicate)")
-	}
-
-	rewritten := db.RewriteWithViewsSubsuming(algebra.Clone(q))
+	rewritten := db.RewriteForViewSet(algebra.Clone(q)).Plan
 	if countJoinNodes(rewritten) != 0 {
 		t.Fatalf("subsuming rewrite did not use the view:\n%s", rewritten.Canonical())
 	}
@@ -68,7 +62,7 @@ func TestSubsumptionRejectsWeakerFilter(t *testing.T) {
 	// plan alone (and execution must stay correct).
 	q := algebra.NewSelect(algebra.Clone(join),
 		algebra.Eq(algebra.Ref("Division", "city"), algebra.StringVal("City07")))
-	rewritten := db.RewriteWithViewsSubsuming(algebra.Clone(q))
+	rewritten := db.RewriteForViewSet(algebra.Clone(q)).Plan
 	if countJoinNodes(rewritten) == 0 {
 		t.Fatal("unsound rewrite: City07 is not within the view's filter")
 	}
@@ -92,7 +86,7 @@ func TestSubsumptionExactFilterUsesViewWithoutResidual(t *testing.T) {
 		algebra.Eq(algebra.Ref("Division", "city"), algebra.StringVal("LA")),
 		algebra.Eq(algebra.Ref("Division", "city"), algebra.StringVal("SF")),
 	))
-	rewritten := db.RewriteWithViewsSubsuming(algebra.Clone(q))
+	rewritten := db.RewriteForViewSet(algebra.Clone(q)).Plan
 	if _, ok := rewritten.(*algebra.Scan); !ok {
 		t.Errorf("exact filter should collapse to a view scan, got %T", rewritten)
 	}
@@ -108,7 +102,7 @@ func TestSubsumptionConjunctionResidual(t *testing.T) {
 		algebra.Compare(algebra.ColOperand(algebra.Ref("Product", "Pid")), algebra.OpLt, algebra.LitOperand(algebra.IntVal(100))),
 	)
 	q := algebra.NewSelect(algebra.Clone(join), pred)
-	rewritten := db.RewriteWithViewsSubsuming(algebra.Clone(q))
+	rewritten := db.RewriteForViewSet(algebra.Clone(q)).Plan
 	if countJoinNodes(rewritten) != 0 {
 		t.Fatalf("conjunction not subsumed:\n%s", rewritten.Canonical())
 	}

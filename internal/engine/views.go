@@ -220,21 +220,18 @@ type RewrittenPlan struct {
 	Views []string
 }
 
-// RewriteWithViewsSubsuming extends RewriteWithViews with predicate
-// subsumption: a subtree σp(S) can be answered from a view σq(S') when S
-// and S' compute the same relation and p implies q — the query re-applies
-// its own filter over the (smaller) stored view. This is how ad-hoc
-// queries profit from the Figure-8 style shared disjunctive filters
-// (σ city='LA' is answerable from a stored σ city='LA' ∨ city='SF').
-// Safe to call concurrently with maintenance: it rewrites against a
-// snapshot of the view set.
-func (db *DB) RewriteWithViewsSubsuming(plan algebra.Node) algebra.Node {
-	return db.RewriteForViewSet(plan).Plan
-}
-
-// RewriteForViewSet is RewriteWithViewsSubsuming together with the view-set
+// RewriteForViewSet is the engine's only view rewriter. It returns an
+// equivalent plan in which every subtree whose structural key matches a
+// materialized view is replaced by a scan of that view — matching is
+// top-down, so the largest materialized subtree wins — and in which a
+// subtree σp(S) is answered from a view σq(S') when S and S' compute the
+// same relation and p implies q: the query re-applies its own filter over
+// the (smaller) stored view. This is how ad-hoc queries profit from the
+// Figure-8 style shared disjunctive filters (σ city='LA' is answerable from
+// a stored σ city='LA' ∨ city='SF'). The result carries the view-set
 // generation the rewrite was derived under and the views it reads, so a
-// caller can keep the result until the generation moves.
+// caller can keep it until the generation moves. Safe to call concurrently
+// with maintenance: it rewrites against a snapshot of the view set.
 func (db *DB) RewriteForViewSet(plan algebra.Node) RewrittenPlan {
 	snaps, gen := db.snapshotViews()
 	exact := make(map[string]viewSnapshot, len(snaps))
@@ -309,33 +306,4 @@ func subsumeSelect(snaps []viewSnapshot, n algebra.Node) (algebra.Node, bool) {
 		return algebra.NewSelect(scan, pred), true
 	}
 	return nil, false
-}
-
-// RewriteWithViews returns an equivalent plan in which every subtree whose
-// structural key matches a materialized view is replaced by a scan of that
-// view. Matching is top-down, so the largest materialized subtree wins.
-// Safe to call concurrently with maintenance.
-func (db *DB) RewriteWithViews(plan algebra.Node) algebra.Node {
-	snaps, _ := db.snapshotViews()
-	byKey := make(map[string]viewSnapshot, len(snaps))
-	for _, s := range snaps {
-		byKey[s.view.Key] = s
-	}
-	var rewrite func(n algebra.Node) algebra.Node
-	rewrite = func(n algebra.Node) algebra.Node {
-		if s, ok := byKey[algebra.StructuralKey(n)]; ok {
-			return algebra.NewScan(s.view.Name, s.table.Schema)
-		}
-		switch t := n.(type) {
-		case *algebra.Select:
-			return algebra.NewSelect(rewrite(t.Input), t.Pred)
-		case *algebra.Project:
-			return algebra.NewProject(rewrite(t.Input), t.Cols)
-		case *algebra.Join:
-			return algebra.NewJoin(rewrite(t.Left), rewrite(t.Right), t.On)
-		default:
-			return n
-		}
-	}
-	return rewrite(plan)
 }

@@ -107,14 +107,13 @@ type FlightRecorder struct {
 // maxDumps bounds the in-memory dump history served on /flight.
 const maxDumps = 8
 
-// NewFlightRecorder builds a recorder holding the last size records
-// (default 1024 when size ≤ 0). dir is where dumps are written; empty
-// keeps dumps in memory only.
-func NewFlightRecorder(size int, dir string) *FlightRecorder {
-	if size <= 0 {
-		size = 1024
-	}
-	return &FlightRecorder{slots: make([]atomic.Pointer[FlightRecord], size), dir: dir}
+// flightRing is how many records the ring holds.
+const flightRing = 1024
+
+// NewFlightRecorder builds a recorder holding the last flightRing records.
+// dir is where dumps are written; empty keeps dumps in memory only.
+func NewFlightRecorder(dir string) *FlightRecorder {
+	return &FlightRecorder{slots: make([]atomic.Pointer[FlightRecord], flightRing), dir: dir}
 }
 
 // RecordSpan records one completed span. No-op on a nil recorder.
@@ -217,18 +216,6 @@ func (f *FlightRecorder) Dumps() []FlightDump {
 	copy(out, f.dumps)
 	f.mu.Unlock()
 	return out
-}
-
-// DumpCount returns how many dumps have been taken over the recorder's
-// lifetime (retention may have evicted older ones from Dumps).
-func (f *FlightRecorder) DumpCount() uint64 {
-	if f == nil {
-		return 0
-	}
-	f.mu.Lock()
-	n := f.dumpSeq
-	f.mu.Unlock()
-	return n
 }
 
 func sanitizeReason(reason string) string {

@@ -113,27 +113,72 @@ func (w *WindowCounter) WindowSeconds() int {
 	return int(w.window)
 }
 
-// histBuckets is the bucket count of the power-of-two histograms: bucket i
-// counts durations in [2^(i-1), 2^i) nanoseconds, the same layout the
-// serving layer's all-time latency histogram uses.
+// histBuckets is the bucket count of the power-of-two histograms.
 const histBuckets = 64
 
-// histSlot is one second's histogram.
-type histSlot struct {
-	sec     atomic.Int64
+// Hist is a lock-free power-of-two duration histogram: bucket i counts
+// observations in [2^(i-1), 2^i) nanoseconds. Quantiles come back as the
+// upper bound of the bucket the rank falls in — coarse (within 2×) but
+// cheap enough for the submit hot path. The zero value is ready to use. It
+// backs the serving layer's all-time histograms and each second of a
+// WindowHist alike.
+type Hist struct {
+	buckets [histBuckets]atomic.Int64
 	count   atomic.Int64
 	sum     atomic.Int64
-	buckets [histBuckets]atomic.Int64
 }
 
-// reset re-stamps the slot for a new second, zeroing its contents. Only
-// the CAS winner calls it.
-func (s *histSlot) reset() {
-	s.count.Store(0)
-	s.sum.Store(0)
-	for i := range s.buckets {
-		s.buckets[i].Store(0)
+// HistBucket is the index of the bucket a duration falls in (negative
+// durations count as zero).
+func HistBucket(d time.Duration) int {
+	if d < 0 {
+		d = 0
 	}
+	idx := bits.Len64(uint64(d))
+	if idx >= histBuckets {
+		idx = histBuckets - 1
+	}
+	return idx
+}
+
+// Record adds one observation.
+func (h *Hist) Record(d time.Duration) {
+	if d < 0 {
+		d = 0
+	}
+	h.buckets[HistBucket(d)].Add(1)
+	h.count.Add(1)
+	h.sum.Add(int64(d))
+}
+
+// Snapshot reads the histogram.
+func (h *Hist) Snapshot() HistSnapshot {
+	var out HistSnapshot
+	h.addTo(&out)
+	return out
+}
+
+func (h *Hist) addTo(out *HistSnapshot) {
+	out.Count += h.count.Load()
+	out.Sum += h.sum.Load()
+	for i := range h.buckets {
+		out.Buckets[i] += h.buckets[i].Load()
+	}
+}
+
+func (h *Hist) reset() {
+	h.count.Store(0)
+	h.sum.Store(0)
+	for i := range h.buckets {
+		h.buckets[i].Store(0)
+	}
+}
+
+// histSlot is one second's histogram. Only the CAS winner that re-stamps
+// sec for a new second resets it.
+type histSlot struct {
+	sec atomic.Int64
+	Hist
 }
 
 // WindowHist is a rolling power-of-two duration histogram over a trailing
@@ -163,25 +208,16 @@ func (h *WindowHist) Record(nowSec int64, d time.Duration) {
 	if h == nil {
 		return
 	}
-	if d < 0 {
-		d = 0
-	}
 	s := &h.slots[nowSec%int64(len(h.slots))]
 	if old := s.sec.Load(); old != nowSec {
 		if s.sec.CompareAndSwap(old, nowSec) {
 			s.reset()
 		}
 	}
-	idx := bits.Len64(uint64(d))
-	if idx >= histBuckets {
-		idx = histBuckets - 1
-	}
-	s.buckets[idx].Add(1)
-	s.count.Add(1)
-	s.sum.Add(int64(d))
+	s.Hist.Record(d)
 }
 
-// HistSnapshot is a point-in-time aggregation of a windowed histogram.
+// HistSnapshot is a point-in-time reading of a Hist or a WindowHist.
 type HistSnapshot struct {
 	// Buckets[i] counts observations in [2^(i-1), 2^i) nanoseconds
 	// (non-cumulative).
@@ -192,8 +228,7 @@ type HistSnapshot struct {
 }
 
 // Quantile returns the q-quantile as the upper bound of the bucket the
-// rank falls in (the same coarse-but-cheap answer the all-time histogram
-// gives).
+// rank falls in.
 func (s HistSnapshot) Quantile(q float64) time.Duration {
 	if s.Count == 0 {
 		return 0
@@ -227,19 +262,7 @@ func (h *WindowHist) Snapshot(nowSec int64) HistSnapshot {
 		if sec <= nowSec-h.window || sec > nowSec {
 			continue
 		}
-		out.Count += s.count.Load()
-		out.Sum += s.sum.Load()
-		for b := range s.buckets {
-			out.Buckets[b] += s.buckets[b].Load()
-		}
+		s.addTo(&out)
 	}
 	return out
-}
-
-// WindowSeconds returns the configured window length.
-func (h *WindowHist) WindowSeconds() int {
-	if h == nil {
-		return 0
-	}
-	return int(h.window)
 }

@@ -60,6 +60,26 @@ func TestWindowCounterRateEarlyLife(t *testing.T) {
 	}
 }
 
+// TestLatencyHistogramQuantiles sanity-checks the power-of-two quantile
+// walk.
+func TestLatencyHistogramQuantiles(t *testing.T) {
+	var h Hist
+	for i := 0; i < 90; i++ {
+		h.Record(100 * time.Nanosecond) // bucket upper bound 127ns
+	}
+	for i := 0; i < 10; i++ {
+		h.Record(time.Millisecond)
+	}
+	snap := h.Snapshot()
+	if p50 := snap.Quantile(0.50); p50 > 127*time.Nanosecond {
+		t.Errorf("p50 = %v, want ≤ 127ns", p50)
+	}
+	p99 := snap.Quantile(0.99)
+	if p99 < 512*time.Microsecond || p99 > 2*time.Millisecond {
+		t.Errorf("p99 = %v, want around 1ms", p99)
+	}
+}
+
 func TestWindowHistSnapshotAndQuantile(t *testing.T) {
 	h := NewWindowHist(10)
 	base := time.Now().Unix()

@@ -66,7 +66,7 @@ func (s *Server) repriceAudit() {
 	s.auditMu.Unlock()
 
 	for name, qs := range s.queries {
-		plan := s.db.RewriteWithViewsSubsuming(qs.spec.Plan)
+		plan := s.db.RewriteForViewSet(qs.spec.Plan).Plan
 		c, err := pricer.PlanCost(plan)
 		if err != nil {
 			continue
@@ -244,7 +244,7 @@ func (s *Server) Explain(name string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("serve: unknown query %q", name)
 	}
-	plan := s.db.RewriteWithViewsSubsuming(qs.spec.Plan)
+	plan := s.db.RewriteForViewSet(qs.spec.Plan).Plan
 	s.auditMu.Lock()
 	pricer := s.auditPricer
 	s.auditMu.Unlock()

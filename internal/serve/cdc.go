@@ -334,7 +334,7 @@ func (f *changeFeed) deliver(entries []*feedEntry) {
 	for _, e := range entries {
 		if errs[e.table] == nil {
 			rows += int64(len(e.rows))
-			s.stats.streamLag.record(now.Sub(e.accepted))
+			s.stats.streamLag.Record(now.Sub(e.accepted))
 		}
 	}
 	maxSeq := entries[len(entries)-1].seq

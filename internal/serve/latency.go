@@ -1,47 +1,11 @@
 package serve
 
 import (
-	"math/bits"
 	"sync/atomic"
 	"time"
 
 	"github.com/warehousekit/mvpp/internal/obs"
 )
-
-// latencyHist is a lock-free power-of-two latency histogram: bucket i
-// counts observations in [2^(i-1), 2^i) nanoseconds. Quantiles come back as
-// the upper bound of the bucket the rank falls in — coarse (within 2×) but
-// cheap enough for the submit hot path.
-type latencyHist struct {
-	buckets [64]atomic.Int64
-	count   atomic.Int64
-	sum     atomic.Int64
-}
-
-func (h *latencyHist) record(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	idx := bits.Len64(uint64(d))
-	if idx >= len(h.buckets) {
-		idx = len(h.buckets) - 1
-	}
-	h.buckets[idx].Add(1)
-	h.count.Add(1)
-	h.sum.Add(int64(d))
-}
-
-// snapshot exports the all-time histogram in the same shape as the
-// windowed one, so the telemetry plane renders both with one code path.
-func (h *latencyHist) snapshot() obs.HistSnapshot {
-	var out obs.HistSnapshot
-	for i := range h.buckets {
-		out.Buckets[i] = h.buckets[i].Load()
-	}
-	out.Count = h.count.Load()
-	out.Sum = h.sum.Load()
-	return out
-}
 
 // LatencyExemplar links one latency-histogram bucket to a concrete sampled
 // query: the most recent sampled observation that fell in the bucket, with
@@ -68,17 +32,6 @@ type exemplarSet struct {
 	slots [64]atomic.Pointer[LatencyExemplar]
 }
 
-func latencyBucketOf(d time.Duration) int {
-	if d < 0 {
-		d = 0
-	}
-	idx := bits.Len64(uint64(d))
-	if idx >= 64 {
-		idx = 63
-	}
-	return idx
-}
-
 // bucketUpperSeconds is bucket i's upper bound in seconds — the value the
 // telemetry plane renders as the le label.
 func bucketUpperSeconds(i int) float64 {
@@ -89,7 +42,7 @@ func (e *exemplarSet) record(d time.Duration, traceID, queryID uint64) {
 	if e == nil || traceID == 0 {
 		return
 	}
-	idx := latencyBucketOf(d)
+	idx := obs.HistBucket(d)
 	e.slots[idx].Store(&LatencyExemplar{
 		Bucket:  idx,
 		Le:      bucketUpperSeconds(idx),
@@ -111,26 +64,4 @@ func (e *exemplarSet) snapshot() []LatencyExemplar {
 		}
 	}
 	return out
-}
-
-func (h *latencyHist) quantile(q float64) time.Duration {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	rank := int64(q*float64(total) + 0.5)
-	if rank < 1 {
-		rank = 1
-	}
-	var cum int64
-	for i := range h.buckets {
-		cum += h.buckets[i].Load()
-		if cum >= rank {
-			if i == 0 {
-				return 0
-			}
-			return time.Duration(int64(1)<<uint(i) - 1)
-		}
-	}
-	return time.Duration(int64(1)<<62 - 1)
 }

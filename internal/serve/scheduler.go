@@ -165,7 +165,7 @@ func (vs *viewState) degrading(p BreakerPolicy, now time.Time) bool {
 }
 
 // scheduler buffers ingested delta rows and turns them into maintenance
-// epochs. The loop goroutine fires on a filled batch or a timer; Flush runs
+// epochs. The loop goroutine fires on a filled batch; Flush runs
 // an epoch synchronously. All engine maintenance happens under the server's
 // maintMu.
 type scheduler struct {
@@ -178,8 +178,6 @@ type scheduler struct {
 	// construction and for views added later by advice swaps.
 	defaultPolicy RefreshPolicy
 	defaultSLO    FreshnessSLO
-
-	ticker *time.Ticker
 
 	// mu guards the delta buffer, the view registry, and the journal
 	// watermark.
@@ -231,9 +229,6 @@ func newScheduler(s *Server, cfg Config) (*scheduler, error) {
 		views:         make(map[string]*viewState, len(cfg.Views)),
 		defaultPolicy: cfg.DefaultPolicy,
 		defaultSLO:    cfg.DefaultSLO,
-	}
-	if cfg.RefreshInterval > 0 {
-		sc.ticker = time.NewTicker(cfg.RefreshInterval)
 	}
 	for _, vs := range cfg.Views {
 		v, err := s.db.View(vs.Name)
@@ -290,18 +285,13 @@ func (sc *scheduler) startLoop() {
 
 func (sc *scheduler) loop() {
 	defer sc.s.wg.Done()
-	var tick <-chan time.Time
-	if sc.ticker != nil {
-		tick = sc.ticker.C
-	}
 	for {
 		select {
 		case <-sc.s.closed:
 			return
 		case <-sc.kick:
-		case <-tick:
 		}
-		// A failed epoch is retried by the next kick or tick; surface it
+		// A failed epoch is retried by the next kick; surface it
 		// through the observer rather than dying silently.
 		if err := sc.s.runEpoch(); err != nil {
 			obs.Emit(sc.s.obsv, obs.EvServeEpoch, obs.String("error", err.Error()))
@@ -309,14 +299,8 @@ func (sc *scheduler) loop() {
 	}
 }
 
-func (sc *scheduler) stopTicker() {
-	if sc.ticker != nil {
-		sc.ticker.Stop()
-	}
-}
-
 // Ingest stages delta rows for a base table. The rows become visible only
-// when the next maintenance epoch lands (batch filled, timer, or Flush).
+// when the next maintenance epoch lands (batch filled or Flush).
 // With a journal configured, the batch is journaled durably before it is
 // buffered; a journaling failure refuses the ingestion entirely, so every
 // accepted batch is recoverable.

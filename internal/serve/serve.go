@@ -14,7 +14,7 @@
 //     refresh epoch at execution time and invalidated wholesale when a
 //     maintenance epoch lands;
 //   - a maintenance scheduler (Ingest/Flush): delta rows accumulate per
-//     base table and, once a batch fills (or a timer fires), one epoch runs —
+//     base table and, once a batch fills (or Flush is called), one epoch runs —
 //     deltas are staged, affected views refresh by their design-time
 //     strategy (incremental delta propagation or full recompute), the
 //     deltas fold into the base tables, and the epoch counter advances;
@@ -74,10 +74,14 @@ const (
 	DefaultQueueDepth    = 64
 	DefaultCacheCapacity = 256
 	DefaultDeltaBatch    = 256
-	// DefaultStatsWindow is the rolling-stats window in seconds.
+)
+
+// Fixed sizes.
+const (
+	// DefaultStatsWindow is the rolling-stats window, in seconds, behind the
+	// Window* fields of Stats.
 	DefaultStatsWindow = 60
-	// DefaultTraceRing bounds the sampled-trace ring when trace sampling is
-	// enabled without an explicit ring size.
+	// DefaultTraceRing bounds the sampled-trace ring.
 	DefaultTraceRing = 64
 )
 
@@ -133,9 +137,6 @@ type Config struct {
 	// DeltaBatch is how many ingested rows trigger a maintenance epoch
 	// (default DefaultDeltaBatch).
 	DeltaBatch int
-	// RefreshInterval, when positive, also fires an epoch periodically even
-	// if the batch has not filled.
-	RefreshInterval time.Duration
 	// Retry bounds the backoff loop around every refresh step; zero values
 	// take the defaults.
 	Retry RetryPolicy
@@ -162,28 +163,18 @@ type Config struct {
 	// (worker execution, epoch start). Arm the same injector on the DB via
 	// SetInjector to cover the engine sites too. Nil injects nothing.
 	Injector *fault.Injector
-	// StatsWindow is the rolling-stats window in seconds for the Window*
-	// fields of Stats (QPS, hit rate, latency quantiles over the last N
-	// seconds). Zero takes DefaultStatsWindow; negative disables windowed
-	// aggregation entirely.
-	StatsWindow int
 	// TraceSampleEvery enables trace correlation: every submission gets a
 	// query ID and every Nth query (1 = all) records its lifecycle stages
 	// into a bounded ring served by RecentTraces, mirroring each stage to
 	// Obs as an EvServeQuery event. Zero disables sampling — no IDs are
 	// minted and the hot path pays nothing.
 	TraceSampleEvery int
-	// TraceRingSize bounds the sampled-trace ring (default DefaultTraceRing).
-	TraceRingSize int
 	// FlightDir is where flight-recorder dumps are written when an SLO
 	// breach, breaker-open, or checkpoint-failure episode latches. Empty
-	// keeps dumps in memory only (served by FlightDumps and /flight).
+	// keeps dumps in memory only (served by FlightDumps and /flight). The
+	// flight recorder is armed whenever trace sampling is on or FlightDir is
+	// set; with both off it is nil and the write path records nothing.
 	FlightDir string
-	// FlightRecorderSize bounds the flight recorder's span/event ring
-	// (default 1024). The recorder is armed whenever trace sampling is on or
-	// FlightDir is set; with both off it is nil and the write path records
-	// nothing.
-	FlightRecorderSize int
 	// Obs receives serving spans, events, counters and gauges. Nil
 	// disables instrumentation.
 	Obs obs.Observer
@@ -342,8 +333,8 @@ type Server struct {
 	start time.Time
 	stats serverStats
 
-	// Windowed aggregation (nil when Config.StatsWindow < 0): rolling
-	// per-second rings answering "what happened over the last N seconds".
+	// Windowed aggregation: rolling per-second rings answering "what
+	// happened over the last DefaultStatsWindow seconds".
 	winQueries     *obs.WindowCounter
 	winHits        *obs.WindowCounter
 	winRefreshFail *obs.WindowCounter
@@ -402,9 +393,9 @@ type serverStats struct {
 	sloViolations                                  atomic.Int64
 	flightDumps                                    atomic.Int64
 	planRewrites                                   atomic.Int64
-	lat                                            latencyHist
+	lat                                            obs.Hist
 	// streamLag is the accepted→group-committed latency of streamed rows.
-	streamLag latencyHist
+	streamLag obs.Hist
 }
 
 // New builds and starts a server: the worker pool and the maintenance
@@ -482,27 +473,17 @@ func newServer(cfg Config) (*Server, error) {
 		s.snapRetain = DefaultSnapshotRetain
 	}
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
-	if cfg.StatsWindow >= 0 {
-		win := cfg.StatsWindow
-		if win == 0 {
-			win = DefaultStatsWindow
-		}
-		s.winQueries = obs.NewWindowCounter(win)
-		s.winHits = obs.NewWindowCounter(win)
-		s.winRefreshFail = obs.NewWindowCounter(win)
-		s.winLat = obs.NewWindowHist(win)
-	}
+	s.winQueries = obs.NewWindowCounter(DefaultStatsWindow)
+	s.winHits = obs.NewWindowCounter(DefaultStatsWindow)
+	s.winRefreshFail = obs.NewWindowCounter(DefaultStatsWindow)
+	s.winLat = obs.NewWindowHist(DefaultStatsWindow)
 	if cfg.TraceSampleEvery > 0 {
 		s.traceEvery = uint64(cfg.TraceSampleEvery)
-		ring := cfg.TraceRingSize
-		if ring <= 0 {
-			ring = DefaultTraceRing
-		}
-		s.traces = newTraceRing(ring)
+		s.traces = newTraceRing(DefaultTraceRing)
 		s.exemplars = &exemplarSet{}
 	}
 	if cfg.TraceSampleEvery > 0 || cfg.FlightDir != "" {
-		s.flight = obs.NewFlightRecorder(cfg.FlightRecorderSize, cfg.FlightDir)
+		s.flight = obs.NewFlightRecorder(cfg.FlightDir)
 	}
 	for _, q := range cfg.Queries {
 		if q.Name == "" || q.Plan == nil {
@@ -622,11 +603,6 @@ func (s *Server) Query(ctx context.Context, name string) (*Result, error) {
 	return s.submit(ctx, name, qs.spec.Plan, qs.key)
 }
 
-// QueryNames lists the named workload queries in registration order.
-func (s *Server) QueryNames() []string {
-	return append([]string(nil), s.order...)
-}
-
 // rejectOnce counts an admission-control rejection exactly once per
 // request, no matter whether the submitter or the worker noticed it first.
 func (s *Server) rejectOnce(req *request) {
@@ -681,7 +657,7 @@ func (s *Server) submit(ctx context.Context, name string, plan algebra.Node, key
 		s.ctrHits.Inc()
 		s.winHits.Add(nowSec, 1)
 		lat := time.Since(start)
-		s.stats.lat.record(lat)
+		s.stats.lat.Record(lat)
 		s.winLat.Record(nowSec, lat)
 		if qt != nil {
 			s.joinEpochTrace(qt, epoch, true, 0)
@@ -722,7 +698,7 @@ func (s *Server) submit(ctx context.Context, name string, plan algebra.Node, key
 			return nil, resp.err
 		}
 		resp.res.Latency = time.Since(start)
-		s.stats.lat.record(resp.res.Latency)
+		s.stats.lat.Record(resp.res.Latency)
 		s.winLat.Record(time.Now().Unix(), resp.res.Latency)
 		if qt != nil {
 			s.exemplars.record(resp.res.Latency, qt.traceID, qt.id)
@@ -902,7 +878,6 @@ func (s *Server) Close() error {
 		// ErrClosed. Nothing accepted by the feed is ever dropped.
 		s.feed.shutdown()
 		close(s.closed)
-		s.sched.stopTicker()
 		s.cancel()
 		s.wg.Wait()
 		// A Submit that passed the closed check can still enqueue after the
@@ -982,8 +957,7 @@ type Stats struct {
 	// bounds of a power-of-two histogram).
 	P50, P95, P99 time.Duration
 	// WindowSeconds is the rolling-stats window length; the Window* fields
-	// below aggregate over the trailing window only (all zero when windowed
-	// aggregation is disabled).
+	// below aggregate over the trailing window only.
 	WindowSeconds int
 	// WindowQueries/WindowCacheHits/WindowRefreshFailures count events in
 	// the window; WindowQPS and WindowRefreshFailuresPerSec are their
@@ -1005,6 +979,7 @@ func (st Stats) CacheHitRate() float64 {
 // Stats snapshots the serving counters.
 func (s *Server) Stats() Stats {
 	up := time.Since(s.start)
+	lat, lag := s.stats.lat.Snapshot(), s.stats.streamLag.Snapshot()
 	st := Stats{
 		Queries:              s.stats.queries.Load(),
 		CacheHits:            s.stats.hits.Load(),
@@ -1034,46 +1009,43 @@ func (s *Server) Stats() Stats {
 		SLOViolations:        s.stats.sloViolations.Load(),
 		FlightDumps:          s.stats.flightDumps.Load(),
 		PlanRewrites:         s.stats.planRewrites.Load(),
-		IngestLagP50:         s.stats.streamLag.quantile(0.50),
-		IngestLagP95:         s.stats.streamLag.quantile(0.95),
-		IngestLagP99:         s.stats.streamLag.quantile(0.99),
+		IngestLagP50:         lag.Quantile(0.50),
+		IngestLagP95:         lag.Quantile(0.95),
+		IngestLagP99:         lag.Quantile(0.99),
 		QueueDepth:           len(s.queue),
 		CacheEntries:         s.cache.len(),
 		IngestBufferedRows:   s.feed.buffered(),
 		Uptime:               up,
-		P50:                  s.stats.lat.quantile(0.50),
-		P95:                  s.stats.lat.quantile(0.95),
-		P99:                  s.stats.lat.quantile(0.99),
+		P50:                  lat.Quantile(0.50),
+		P95:                  lat.Quantile(0.95),
+		P99:                  lat.Quantile(0.99),
 	}
 	if up > 0 {
 		st.QPS = float64(st.Queries) / up.Seconds()
 	}
-	if s.winQueries != nil {
-		nowSec := time.Now().Unix()
-		st.WindowSeconds = s.winQueries.WindowSeconds()
-		st.WindowQueries = s.winQueries.Total(nowSec)
-		st.WindowCacheHits = s.winHits.Total(nowSec)
-		st.WindowRefreshFailures = s.winRefreshFail.Total(nowSec)
-		st.WindowQPS = s.winQueries.Rate(nowSec)
-		st.WindowRefreshFailuresPerSec = s.winRefreshFail.Rate(nowSec)
-		if st.WindowQueries > 0 {
-			st.WindowHitRate = float64(st.WindowCacheHits) / float64(st.WindowQueries)
-		}
-		snap := s.winLat.Snapshot(nowSec)
-		st.WindowP50 = snap.Quantile(0.50)
-		st.WindowP95 = snap.Quantile(0.95)
-		st.WindowP99 = snap.Quantile(0.99)
+	nowSec := time.Now().Unix()
+	st.WindowSeconds = s.winQueries.WindowSeconds()
+	st.WindowQueries = s.winQueries.Total(nowSec)
+	st.WindowCacheHits = s.winHits.Total(nowSec)
+	st.WindowRefreshFailures = s.winRefreshFail.Total(nowSec)
+	st.WindowQPS = s.winQueries.Rate(nowSec)
+	st.WindowRefreshFailuresPerSec = s.winRefreshFail.Rate(nowSec)
+	if st.WindowQueries > 0 {
+		st.WindowHitRate = float64(st.WindowCacheHits) / float64(st.WindowQueries)
 	}
+	snap := s.winLat.Snapshot(nowSec)
+	st.WindowP50 = snap.Quantile(0.50)
+	st.WindowP95 = snap.Quantile(0.95)
+	st.WindowP99 = snap.Quantile(0.99)
 	return st
 }
 
 // LatencySnapshot exports the all-time submission-to-answer latency
 // histogram (power-of-two buckets, count, summed nanoseconds) — the
 // telemetry plane renders it as a cumulative Prometheus histogram.
-func (s *Server) LatencySnapshot() obs.HistSnapshot { return s.stats.lat.snapshot() }
+func (s *Server) LatencySnapshot() obs.HistSnapshot { return s.stats.lat.Snapshot() }
 
-// WindowLatencySnapshot exports the rolling-window latency histogram; the
-// zero snapshot when windowed aggregation is disabled.
+// WindowLatencySnapshot exports the rolling-window latency histogram.
 func (s *Server) WindowLatencySnapshot() obs.HistSnapshot {
 	return s.winLat.Snapshot(time.Now().Unix())
 }

@@ -424,25 +424,6 @@ func TestResultCacheLRU(t *testing.T) {
 	}
 }
 
-// TestLatencyHistogramQuantiles sanity-checks the power-of-two quantile
-// walk.
-func TestLatencyHistogramQuantiles(t *testing.T) {
-	var h latencyHist
-	for i := 0; i < 90; i++ {
-		h.record(100 * time.Nanosecond) // bucket upper bound 127ns
-	}
-	for i := 0; i < 10; i++ {
-		h.record(time.Millisecond)
-	}
-	if p50 := h.quantile(0.50); p50 > 127*time.Nanosecond {
-		t.Errorf("p50 = %v, want ≤ 127ns", p50)
-	}
-	p99 := h.quantile(0.99)
-	if p99 < 512*time.Microsecond || p99 > 2*time.Millisecond {
-		t.Errorf("p99 = %v, want around 1ms", p99)
-	}
-}
-
 // TestSubmitAdHocSubsumption: an ad-hoc plan not in the workload is
 // answered through predicate subsumption over a stored view.
 func TestSubmitAdHocSubsumption(t *testing.T) {

@@ -192,8 +192,20 @@ func TestNoObserverOverheadGuard(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark comparison skipped in -short mode")
 	}
-	nilRun := testing.Benchmark(func(b *testing.B) { benchDesignPaper(b, func() mvpp.Observer { return nil }) })
-	observedRun := testing.Benchmark(BenchmarkDesignObserved)
+	// A fresh trace recorder per iteration keeps one recorder from
+	// accumulating every prior trace.
+	bench := func(observer func() mvpp.Observer) testing.BenchmarkResult {
+		return testing.Benchmark(func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				d := benchPaperDesignerOpts(b, mvpp.Options{Observer: observer()})
+				if _, err := d.Design(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+	nilRun := bench(func() mvpp.Observer { return nil })
+	observedRun := bench(func() mvpp.Observer { return mvpp.NewTraceRecorder(nil) })
 	t.Logf("end-to-end design: nil observer %d allocs/op %d B/op, trace recorder %d allocs/op %d B/op",
 		nilRun.AllocsPerOp(), nilRun.AllocedBytesPerOp(), observedRun.AllocsPerOp(), observedRun.AllocedBytesPerOp())
 	if nilRun.AllocsPerOp() > observedRun.AllocsPerOp() {

@@ -37,9 +37,6 @@ type ServeOptions struct {
 	// DeltaBatch is how many ingested delta rows trigger a maintenance
 	// epoch (0 → default).
 	DeltaBatch int
-	// RefreshInterval, when positive, also fires maintenance epochs
-	// periodically.
-	RefreshInterval time.Duration
 	// Observer receives serving spans, events, counters and gauges; nil
 	// falls back to the designer's observer.
 	Observer Observer
@@ -120,9 +117,6 @@ type ServeOptions struct {
 	// in-memory only (see Server.FlightDumps). Defaults from the
 	// MVPP_FLIGHT_DIR environment variable when unset.
 	FlightDir string
-	// FlightRecorderSize bounds the flight recorder's span/event ring (0
-	// → 1024).
-	FlightRecorderSize int
 	// CostAudit tunes the cost-accountability ledger. Auditing is on by
 	// default (set CostAudit.Disable to turn it off): every query class and
 	// view carries a §4.1 predicted cost, cache-miss executions and view
@@ -461,7 +455,6 @@ func (d *Design) NewServer(opts ServeOptions) (*Server, error) {
 		QueueDepth:          opts.QueueDepth,
 		CacheCapacity:       opts.CacheCapacity,
 		DeltaBatch:          opts.DeltaBatch,
-		RefreshInterval:     opts.RefreshInterval,
 		Retry:               opts.Retry,
 		Breaker:             opts.Breaker,
 		DefaultPolicy:       defaultPolicy,
@@ -476,7 +469,6 @@ func (d *Design) NewServer(opts ServeOptions) (*Server, error) {
 		Recovery:            recovery,
 		TraceSampleEvery:    sampleEvery,
 		FlightDir:           flightDir,
-		FlightRecorderSize:  opts.FlightRecorderSize,
 		Obs:                 observer,
 		Audit:               ledger,
 		AuditAutoApply:      opts.CostAudit.AutoApply,

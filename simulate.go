@@ -129,7 +129,7 @@ func (d *Design) Simulate(opts SimOptions) (*Simulation, error) {
 	// Rewritten execution.
 	for _, q := range d.queries {
 		root := d.mvpp.Roots[q.Name]
-		plan := db.RewriteWithViews(root.Op)
+		plan := db.RewriteForViewSet(root.Op).Plan
 		res, err := db.Execute(plan)
 		if err != nil {
 			return nil, fmt.Errorf("mvpp: simulating %s with views: %w", q.Name, err)
@@ -175,7 +175,7 @@ func (d *Design) Simulate(opts SimOptions) (*Simulation, error) {
 			if err != nil {
 				return nil, fmt.Errorf("mvpp: re-running %s after deltas: %w", q.Name, err)
 			}
-			rewritten, err := db.Execute(db.RewriteWithViews(root.Op))
+			rewritten, err := db.Execute(db.RewriteForViewSet(root.Op).Plan)
 			if err != nil {
 				return nil, fmt.Errorf("mvpp: re-running %s over maintained views: %w", q.Name, err)
 			}
