@@ -341,3 +341,124 @@ func TestDropViewClearsDeltaWatermark(t *testing.T) {
 			maintained, want)
 	}
 }
+
+// laDivision looks an LA division up in the generated data and returns its
+// Did: a Product delta row reaches tmp2 (Product ⋈ σ city='LA' Division)
+// only when it points at one.
+func laDivision(t *testing.T, db *engine.DB) int64 {
+	t.Helper()
+	div, err := db.Table("Division")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < div.NumRows(); i++ {
+		if row := div.Row(i); row.Values[2].Str == "LA" {
+			return row.Values[0].Int
+		}
+	}
+	t.Fatal("the generated Division table has no LA row")
+	return 0
+}
+
+// TestExecuteScansOneRelationSet executes a plan that scans view tmp2 twice
+// (σ city='LA' over the scan ⋈ the scan, on Product.Did) while a maintainer
+// grows the view one row per epoch. Both scans must resolve to the same
+// published state: an execution that reads epoch k on one side and k+1 on
+// the other returns (c+k)(c+k+1) rows for the growing division — strictly
+// between two consecutive squares, so a count no state ever had. The
+// consistent counts are computed before the readers start.
+func TestExecuteScansOneRelationSet(t *testing.T) {
+	const epochs = 250
+	db := smallPaperDB(t)
+	if _, err := db.Materialize("tmp2", laJoinPlan(t, db)); err != nil {
+		t.Fatal(err)
+	}
+	did := laDivision(t, db)
+	v, err := db.View("tmp2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp2 := v.Table()
+	scan := algebra.NewScan("tmp2", tmp2.Schema)
+	plan := algebra.NewJoin(
+		algebra.NewSelect(scan, algebra.Eq(algebra.Ref("Division", "city"), algebra.StringVal("LA"))),
+		scan,
+		[]algebra.JoinCond{{Left: algebra.Ref("Product", "Did"), Right: algebra.Ref("Product", "Did")}})
+
+	// Self-join size at epoch k: the other divisions' groups never change,
+	// the growing one contributes (c+k)² instead of c².
+	res, err := db.Execute(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := 0
+	for i := 0; i < tmp2.NumRows(); i++ {
+		if tmp2.Row(i).Values[2].Int == did {
+			c++
+		}
+	}
+	consistent := make(map[int]bool, epochs+1)
+	for k := 0; k <= epochs; k++ {
+		consistent[res.Table.NumRows()-c*c+(c+k)*(c+k)] = true
+	}
+
+	const readers = 4
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	var executions, torn atomic.Int64
+	errs := make(chan error, readers+1)
+	for r := 0; r < readers; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				res, err := db.Execute(plan)
+				if err != nil {
+					errs <- err
+					return
+				}
+				executions.Add(1)
+				if !consistent[res.Table.NumRows()] {
+					torn.Add(1)
+				}
+			}
+		}()
+	}
+	for i := int64(0); i < epochs; i++ {
+		if err := db.InsertDelta("Product", deltaProductRow(i, did)); err != nil {
+			errs <- err
+			break
+		}
+		if _, err := db.IncrementalRefresh("tmp2"); err != nil {
+			errs <- err
+			break
+		}
+		if err := db.ApplyDeltas(); err != nil {
+			errs <- err
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if n := torn.Load(); n > 0 {
+		t.Errorf("%d of %d executions returned a row count no published state has: the two scans of tmp2 read different states",
+			n, executions.Load())
+	}
+	final, err := db.Execute(plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := res.Table.NumRows() - c*c + (c+epochs)*(c+epochs); final.Table.NumRows() != want {
+		t.Errorf("after %d epochs the self-join has %d rows, want %d: the deltas did not reach the view",
+			epochs, final.Table.NumRows(), want)
+	}
+}
