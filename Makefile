@@ -102,9 +102,11 @@ bench:
 	$(GO) run ./bench -seed 1
 
 # The size of the thing (ROADMAP aim 2's reported metric): non-test Go
-# lines, test lines, and the lines of the root package's exported
-# documentation. No reformatting or comment stripping — plain wc.
+# lines, test lines, the lines of the root package's exported
+# documentation, and the mutexes declared outside tests (ROADMAP item 6
+# counts them down). No reformatting or comment stripping — plain wc.
 surface:
 	@echo "non-test Go lines: $$(find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@echo "test Go lines:     $$(find . -name '*_test.go' | xargs cat | wc -l)"
 	@echo "go doc -all . :    $$($(GO) doc -all . | wc -l)"
+	@echo "mutex declarations (non-test): $$(grep -rE 'sync\.(RW)?Mutex' --include='*.go' . | grep -v _test.go | wc -l)"

@@ -100,8 +100,7 @@ func (db *DB) batchSelect(sel *algebra.Select, in *Table, res *Result) (*Table, 
 		OutRows:   out.NumRows(),
 		OutBlocks: out.NumBlocks(),
 	}
-	db.account(stats)
-	res.Ops = append(res.Ops, stats)
+	db.account(res, stats)
 	return out, nil
 }
 
@@ -125,8 +124,7 @@ func (db *DB) batchProject(p *algebra.Project, in *Table, res *Result) (*Table, 
 		OutRows:   out.NumRows(),
 		OutBlocks: out.NumBlocks(),
 	}
-	db.account(stats)
-	res.Ops = append(res.Ops, stats)
+	db.account(res, stats)
 	return out, nil
 }
 

@@ -167,8 +167,7 @@ func (db *DB) batchAggregate(agg *algebra.Aggregate, in *Table, res *Result) (*T
 		OutRows:   out.NumRows(),
 		OutBlocks: out.NumBlocks(),
 	}
-	db.account(stats)
-	res.Ops = append(res.Ops, stats)
+	db.account(res, stats)
 	return out, nil
 }
 

@@ -188,8 +188,7 @@ func (db *DB) batchJoin(j *algebra.Join, left, right *Table, res *Result) (*Tabl
 		OutRows:   out.NumRows(),
 		OutBlocks: out.NumBlocks(),
 	}
-	db.account(stats)
-	res.Ops = append(res.Ops, stats)
+	db.account(res, stats)
 	return out, nil
 }
 
@@ -242,8 +241,7 @@ func (db *DB) batchHashJoin(j *algebra.Join, left, right *Table, res *Result) (*
 		OutRows:   out.NumRows(),
 		OutBlocks: out.NumBlocks(),
 	}
-	db.account(stats)
-	res.Ops = append(res.Ops, stats)
+	db.account(res, stats)
 	return out, nil
 }
 

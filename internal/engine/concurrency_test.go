@@ -2,6 +2,8 @@ package engine_test
 
 import (
 	"errors"
+	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -83,12 +85,15 @@ func TestConcurrentExecuteVsIncrementalEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	var epochRows sync.Map // row count → true, for every published epoch
+	// Every epoch adds one product of an LA division, so the published row
+	// counts are n₀ … n₀+epochs — known before the readers start.
+	const epochs = 30
+	did := laDivision(t, db)
 	res, err := db.Execute(db.RewriteForViewSet(plan).Plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	epochRows.Store(res.Table.NumRows(), true)
+	n0 := res.Table.NumRows()
 
 	const readers = 6
 	stop := make(chan struct{})
@@ -109,8 +114,8 @@ func TestConcurrentExecuteVsIncrementalEpochs(t *testing.T) {
 					errs <- err
 					return
 				}
-				if _, ok := epochRows.Load(res.Table.NumRows()); !ok {
-					errs <- errors.New("view row count matches no published epoch")
+				if n := res.Table.NumRows(); n < n0 || n > n0+epochs {
+					errs <- fmt.Errorf("view has %d rows, no published epoch does (%d … %d)", n, n0, n0+epochs)
 					return
 				}
 			}
@@ -118,11 +123,10 @@ func TestConcurrentExecuteVsIncrementalEpochs(t *testing.T) {
 	}
 
 	// Maintainer: each epoch inserts one Product row joining an existing
-	// LA division (did=1 exists in the paper data generator), refreshes
-	// incrementally, publishes the new epoch's row count, then folds the
-	// delta into the base table.
-	for i := int64(0); i < 30; i++ {
-		if err := db.InsertDelta("Product", deltaProductRow(i, 1)); err != nil {
+	// LA division, refreshes incrementally (which must grow the view by that
+	// row), then folds the delta into the base table.
+	for i := int64(0); i < epochs; i++ {
+		if err := db.InsertDelta("Product", deltaProductRow(i, did)); err != nil {
 			errs <- err
 			break
 		}
@@ -131,7 +135,10 @@ func TestConcurrentExecuteVsIncrementalEpochs(t *testing.T) {
 			errs <- err
 			break
 		}
-		epochRows.Store(ref.Table.NumRows(), true)
+		if want := n0 + int(i) + 1; ref.Table.NumRows() != want {
+			errs <- fmt.Errorf("epoch %d left the view at %d rows, want %d: the delta did not reach it", i, ref.Table.NumRows(), want)
+			break
+		}
 		if err := db.ApplyDeltas(); err != nil {
 			errs <- err
 			break
@@ -158,14 +165,25 @@ func TestConcurrentExecuteVsIncrementalEpochs(t *testing.T) {
 	}
 }
 
-// TestConcurrentRewriteVsViewChurn races RewriteForViewSet +
-// Execute against a maintainer that drops and rematerializes the view.
-// A reader may lose the race between rewriting and executing (the view it
-// rewrote onto was dropped) — that surfaces as a clean "unknown table"
-// error, never a torn read or a crash.
+// TestConcurrentRewriteVsViewChurn races rewrite + execute against a
+// maintainer that drops the view and rematerializes it, every other time
+// under a different definition (the SF join) with the same name.
+//
+// The two-call arm (DB.RewriteForViewSet, then DB.Execute) may lose the
+// race between its calls: the view it rewrote onto was dropped — a clean
+// "unknown table" error — or replaced, and it reads the other definition's
+// complete rows. Never a torn read or a crash.
+//
+// The one-set arm rewrites and executes on one db.Relations() value, so it
+// finds exactly the view it planned against: no error at all, and only the
+// right answer.
 func TestConcurrentRewriteVsViewChurn(t *testing.T) {
 	db := smallPaperDB(t)
 	plan := laJoinPlan(t, db)
+	other := algebra.NewJoin(plan.(*algebra.Join).Left,
+		algebra.NewSelect(plan.(*algebra.Join).Right.(*algebra.Select).Input,
+			algebra.Eq(algebra.Ref("Division", "city"), algebra.StringVal("SF"))),
+		plan.(*algebra.Join).On)
 	if _, err := db.Materialize("tmp2", plan); err != nil {
 		t.Fatal(err)
 	}
@@ -173,14 +191,22 @@ func TestConcurrentRewriteVsViewChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantRows := want.Table.NumRows()
+	wantRows, wantKey := want.Table.NumRows(), tableKey(want.Table)
+	otherRes, err := db.Execute(other)
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherRows := otherRes.Table.NumRows()
+	if otherRows == wantRows || otherRows == 0 {
+		t.Fatalf("the SF join has %d rows, the LA join %d: the test cannot tell the definitions apart", otherRows, wantRows)
+	}
 
-	const readers = 6
+	const readers = 3 // per arm
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	var lostRace atomic.Int64
-	errs := make(chan error, readers+1)
-	for r := 0; r < readers; r++ {
+	var reads, lostRace, fromView atomic.Int64
+	errs := make(chan error, 2*readers+1)
+	arm := func(read func() error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -190,31 +216,65 @@ func TestConcurrentRewriteVsViewChurn(t *testing.T) {
 					return
 				default:
 				}
-				res, err := db.Execute(db.RewriteForViewSet(plan).Plan)
-				if err != nil {
-					if errors.Is(err, engine.ErrUnknownRelation) {
-						lostRace.Add(1)
-						continue
-					}
+				if err := read(); err != nil {
 					errs <- err
 					return
 				}
-				if res.Table.NumRows() != wantRows {
-					errs <- errors.New("rewritten execution returned a torn result")
-					return
-				}
+				reads.Add(1)
 			}
 		}()
+	}
+	for r := 0; r < readers; r++ {
+		arm(func() error {
+			res, err := db.Execute(db.RewriteForViewSet(plan).Plan)
+			switch {
+			case errors.Is(err, engine.ErrUnknownRelation):
+				lostRace.Add(1)
+			case err != nil:
+				return err
+			case res.Table.NumRows() == otherRows:
+				lostRace.Add(1)
+			case res.Table.NumRows() != wantRows:
+				return errors.New("two-call arm: rewritten execution returned a torn result")
+			}
+			return nil
+		})
+		arm(func() error {
+			rels := db.Relations()
+			pp := rels.Rewrite(plan)
+			res, err := rels.Execute(pp.Plan)
+			if err != nil {
+				return fmt.Errorf("one-set arm: %w", err)
+			}
+			if tableKey(res.Table) != wantKey {
+				return fmt.Errorf("one-set arm: %d rows that are not the base-relation plan's %d", res.Table.NumRows(), wantRows)
+			}
+			fromView.Add(int64(len(pp.Views)))
+			return nil
+		})
+	}
+	// The maintainer lets a few reads through after every step, so each of
+	// the three states (no view, LA view, SF view) is actually read.
+	step := func() {
+		for target := reads.Load() + readers; reads.Load() < target && len(errs) == 0; {
+			runtime.Gosched()
+		}
 	}
 	for i := 0; i < 40; i++ {
 		if err := db.DropView("tmp2"); err != nil {
 			errs <- err
 			break
 		}
-		if _, err := db.Materialize("tmp2", plan); err != nil {
+		step()
+		def := plan
+		if i%2 == 0 {
+			def = other
+		}
+		if _, err := db.Materialize("tmp2", def); err != nil {
 			errs <- err
 			break
 		}
+		step()
 	}
 	close(stop)
 	wg.Wait()
@@ -222,6 +282,10 @@ func TestConcurrentRewriteVsViewChurn(t *testing.T) {
 	for err := range errs {
 		t.Fatal(err)
 	}
+	if fromView.Load() == 0 {
+		t.Error("the one-set arm never answered from the view: the race was not exercised")
+	}
+	t.Logf("two-call arm lost %d races; one-set arm answered %d times from tmp2", lostRace.Load(), fromView.Load())
 }
 
 // TestIncrementalRefreshTwiceNoDoubleApply is the watermark regression:
@@ -232,11 +296,15 @@ func TestIncrementalRefreshTwiceNoDoubleApply(t *testing.T) {
 	if _, err := db.Materialize("tmp2", laJoinPlan(t, db)); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.InsertDelta("Product", deltaProductRow(1, 1)); err != nil {
+	n0 := viewRows(t, db, "tmp2")
+	if err := db.InsertDelta("Product", deltaProductRow(1, laDivision(t, db))); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.IncrementalRefresh("tmp2"); err != nil {
 		t.Fatal(err)
+	}
+	if got := viewRows(t, db, "tmp2"); got != n0+1 {
+		t.Fatalf("view has %d rows after the refresh, want %d: the delta did not reach it", got, n0+1)
 	}
 	first := viewKey(t, db, "tmp2")
 	if _, err := db.IncrementalRefresh("tmp2"); err != nil {
@@ -266,9 +334,10 @@ func TestIncrementalRefreshStagedBatches(t *testing.T) {
 	if _, err := db.Materialize("tmp2", laJoinPlan(t, db)); err != nil {
 		t.Fatal(err)
 	}
-	// Batch 1: a product joining an existing division, and a new LA
+	n0 := viewRows(t, db, "tmp2")
+	// Batch 1: a product joining an existing LA division, and a new LA
 	// division.
-	if err := db.InsertDelta("Product", deltaProductRow(1, 1)); err != nil {
+	if err := db.InsertDelta("Product", deltaProductRow(1, laDivision(t, db))); err != nil {
 		t.Fatal(err)
 	}
 	if err := db.InsertDelta("Division",
@@ -286,6 +355,9 @@ func TestIncrementalRefreshStagedBatches(t *testing.T) {
 	}
 	if _, err := db.IncrementalRefresh("tmp2"); err != nil {
 		t.Fatal(err)
+	}
+	if got := viewRows(t, db, "tmp2"); got != n0+2 {
+		t.Fatalf("view has %d rows after both batches, want %d: a delta did not reach it", got, n0+2)
 	}
 	maintained := viewKey(t, db, "tmp2")
 
@@ -309,12 +381,16 @@ func TestDropViewClearsDeltaWatermark(t *testing.T) {
 	if _, err := db.Materialize("tmp2", laJoinPlan(t, db)); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.InsertDelta("Product", deltaProductRow(1, 1)); err != nil {
+	n0 := viewRows(t, db, "tmp2")
+	if err := db.InsertDelta("Product", deltaProductRow(1, laDivision(t, db))); err != nil {
 		t.Fatal(err)
 	}
 	// The first view consumes the delta, advancing its watermark.
 	if _, err := db.IncrementalRefresh("tmp2"); err != nil {
 		t.Fatal(err)
+	}
+	if got := viewRows(t, db, "tmp2"); got != n0+1 {
+		t.Fatalf("view has %d rows after the refresh, want %d: the delta did not reach it", got, n0+1)
 	}
 	if err := db.DropView("tmp2"); err != nil {
 		t.Fatal(err)
@@ -327,6 +403,9 @@ func TestDropViewClearsDeltaWatermark(t *testing.T) {
 	}
 	if _, err := db.IncrementalRefresh("tmp2"); err != nil {
 		t.Fatal(err)
+	}
+	if got := viewRows(t, db, "tmp2"); got != n0+1 {
+		t.Fatalf("rematerialized view has %d rows after its refresh, want %d", got, n0+1)
 	}
 	maintained := viewKey(t, db, "tmp2")
 
@@ -358,6 +437,16 @@ func laDivision(t *testing.T, db *engine.DB) int64 {
 	}
 	t.Fatal("the generated Division table has no LA row")
 	return 0
+}
+
+// viewRows returns the stored row count of a view as published right now.
+func viewRows(t *testing.T, db *engine.DB, name string) int {
+	t.Helper()
+	v, err := db.View(name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return v.Table().NumRows()
 }
 
 // TestExecuteScansOneRelationSet executes a plan that scans view tmp2 twice
@@ -397,9 +486,10 @@ func TestExecuteScansOneRelationSet(t *testing.T) {
 			c++
 		}
 	}
+	rowsAt := func(k int) int { return res.Table.NumRows() - c*c + (c+k)*(c+k) }
 	consistent := make(map[int]bool, epochs+1)
 	for k := 0; k <= epochs; k++ {
-		consistent[res.Table.NumRows()-c*c+(c+k)*(c+k)] = true
+		consistent[rowsAt(k)] = true
 	}
 
 	const readers = 4
@@ -453,11 +543,12 @@ func TestExecuteScansOneRelationSet(t *testing.T) {
 		t.Errorf("%d of %d executions returned a row count no published state has: the two scans of tmp2 read different states",
 			n, executions.Load())
 	}
+	t.Logf("%d executions beside %d epochs", executions.Load(), epochs)
 	final, err := db.Execute(plan)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := res.Table.NumRows() - c*c + (c+epochs)*(c+epochs); final.Table.NumRows() != want {
+	if want := rowsAt(epochs); final.Table.NumRows() != want {
 		t.Errorf("after %d epochs the self-join has %d rows, want %d: the deltas did not reach the view",
 			epochs, final.Table.NumRows(), want)
 	}

@@ -19,12 +19,12 @@ var ErrNotIncremental = errors.New("engine: plan is not incrementally maintainab
 // table when ApplyDeltas runs. Multiple calls accumulate; each call
 // appends its whole batch column-at-a-time.
 func (db *DB) InsertDelta(table string, rows ...[]algebra.Value) error {
+	t, err := db.Table(table)
+	if err != nil {
+		return err
+	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	t, ok := db.tables[table]
-	if !ok {
-		return fmt.Errorf("engine: %w %q", ErrUnknownRelation, table)
-	}
 	d, ok := db.deltas[table]
 	if !ok {
 		d = NewTable(table+"+Δ", t.Schema, t.BlockRows)
@@ -35,8 +35,8 @@ func (db *DB) InsertDelta(table string, rows ...[]algebra.Value) error {
 
 // PendingDeltaRows returns how many inserted rows are pending for a table.
 func (db *DB) PendingDeltaRows(table string) int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	if d, ok := db.deltas[table]; ok {
 		return d.NumRows()
 	}
@@ -47,21 +47,21 @@ func (db *DB) PendingDeltaRows(table string) int {
 // delta buffers, along with every view's propagation watermark (the rows
 // are base state from now on). The fold is copy-on-write: each affected
 // base table is republished as a fresh table — one columnar payload copy
-// plus the delta appended — so concurrent readers keep scanning the
-// snapshot they resolved. Base-table writes are not metered: the
+// plus the delta appended — in one successor set, so concurrent readers
+// keep scanning the set they hold. Base-table writes are not metered: the
 // warehouse pays them under every maintenance policy, so they cancel out
 // of any recompute-vs-incremental comparison.
 func (db *DB) ApplyDeltas() error {
 	if err := db.inj.Hit(fault.SiteEngineApplyDeltas); err != nil {
 		return err
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	for name, d := range db.deltas {
-		db.tables[name] = db.tables[name].cloneAppendTable(d)
-	}
-	db.deltas = make(map[string]*Table)
-	db.propagated = make(map[string]map[string]int)
+	db.publish(func(next *RelationSet) {
+		for name, d := range db.deltas {
+			next.tables[name] = next.tables[name].cloneAppendTable(d)
+		}
+		db.deltas = make(map[string]*Table)
+		db.propagated = make(map[string]map[string]int)
+	})
 	return nil
 }
 
@@ -78,7 +78,7 @@ type deltaState struct {
 }
 
 // deltaSnapshot freezes the pending deltas and the view's watermarks under
-// the read lock. The slices are capacity-capped column views, so later
+// the maintainer lock. The slices are capacity-capped column views, so later
 // InsertDelta appends never leak into a propagation already underway.
 func (db *DB) deltaSnapshot(view string) *deltaState {
 	ds := &deltaState{
@@ -87,8 +87,8 @@ func (db *DB) deltaSnapshot(view string) *deltaState {
 		allPending: make(map[string]*Table),
 		seen:       make(map[string]int),
 	}
-	db.mu.RLock()
-	defer db.mu.RUnlock()
+	db.mu.Lock()
+	defer db.mu.Unlock()
 	marks := db.propagated[view]
 	for name, d := range db.deltas {
 		n := d.NumRows()
@@ -104,36 +104,23 @@ func (db *DB) deltaSnapshot(view string) *deltaState {
 	return ds
 }
 
-// markPropagated commits a successful propagation's watermarks.
-func (db *DB) markPropagated(view string, seen map[string]int) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	m := db.propagated[view]
-	if m == nil {
-		m = make(map[string]int, len(seen))
-		db.propagated[view] = m
-	}
-	for name, n := range seen {
-		m[name] = n
-	}
-}
-
 // IncrementalRefresh maintains one view by delta propagation: the pending
 // base-table deltas flow through the view's plan (Δσ(S) = σ(ΔS), Δπ(S) =
 // π(ΔS), Δ(L⋈R) = ΔL⋈R_new ∪ L_old⋈ΔR) and the resulting Δview is applied
 // to the stored view — appended for select-project-join plans, merged
-// group-by-group for a root aggregate. The apply is an epoch swap: a new
-// table replaces the stored one, so concurrent readers never see a
-// half-applied delta. A per-view watermark records how much of the pending
-// delta has been folded in, so calling IncrementalRefresh again before
-// ApplyDeltas propagates only rows that arrived since. Only the delta-path
-// operators and the apply step are metered; the full operand relations a
-// join delta pairs against are assumed available, the same convention
-// under which the cost model's Ca and delta-propagation formulas charge
-// operators. Returns ErrNotIncremental when the plan cannot be maintained
-// this way.
+// group-by-group for a root aggregate. The apply publishes a successor
+// view over a new table (together with its watermark), so concurrent
+// readers never see a half-applied delta. A per-view watermark records how
+// much of the pending delta has been folded in, so calling
+// IncrementalRefresh again before ApplyDeltas propagates only rows that
+// arrived since. Only the delta-path operators and the apply step are
+// metered; the full operand relations a join delta pairs against are
+// assumed available, the same convention under which the cost model's Ca
+// and delta-propagation formulas charge operators. Returns
+// ErrNotIncremental when the plan cannot be maintained this way.
 func (db *DB) IncrementalRefresh(name string) (*Result, error) {
-	v, err := db.View(name)
+	rs := db.Relations()
+	v, err := rs.View(name)
 	if err != nil {
 		return nil, err
 	}
@@ -148,9 +135,8 @@ func (db *DB) IncrementalRefresh(name string) (*Result, error) {
 	}
 	ds := db.deltaSnapshot(name)
 	res := &Result{}
-	plan := v.Plan
-	if agg, isAgg := plan.(*algebra.Aggregate); isAgg {
-		din, err := db.deltaExec(agg.Input, ds, res)
+	if agg, isAgg := v.Plan.(*algebra.Aggregate); isAgg {
+		din, err := rs.deltaExec(agg.Input, ds, res)
 		if err != nil {
 			return nil, err
 		}
@@ -158,34 +144,24 @@ func (db *DB) IncrementalRefresh(name string) (*Result, error) {
 		if err != nil {
 			return nil, err
 		}
-		merged, err := db.mergeAggregate(v, agg, dagg, res)
+		res.Table, err = db.mergeAggregate(v, agg, dagg, res)
 		if err != nil {
 			return nil, err
 		}
-		merged.Name = name
-		v.setTable(merged)
-		db.markPropagated(name, ds.seen)
-		res.Table = merged
-		return res, nil
+	} else {
+		droot, err := rs.deltaExec(v.Plan, ds, res)
+		if err != nil {
+			return nil, err
+		}
+		res.Table = v.table.cloneAppendTable(droot)
+		db.account(res, OpStats{
+			Label:     "append " + name,
+			Writes:    int64(droot.NumBlocks()),
+			OutRows:   res.Table.NumRows(),
+			OutBlocks: res.Table.NumBlocks(),
+		})
 	}
-	droot, err := db.deltaExec(plan, ds, res)
-	if err != nil {
-		return nil, err
-	}
-	cur := v.Table()
-	next := cur.cloneAppendTable(droot)
-	next.Name = name
-	stats := OpStats{
-		Label:     "append " + name,
-		Writes:    int64(droot.NumBlocks()),
-		OutRows:   next.NumRows(),
-		OutBlocks: next.NumBlocks(),
-	}
-	db.account(stats)
-	res.Ops = append(res.Ops, stats)
-	v.setTable(next)
-	db.markPropagated(name, ds.seen)
-	res.Table = next
+	db.swapView(v, res.Table, ds.seen)
 	return res, nil
 }
 
@@ -228,7 +204,8 @@ func (db *DB) IncrementalRefreshAll() (map[string]*Result, error) {
 // produced unmetered. Joins on the delta path are always block
 // nested-loop — the delta-propagation cost formulas assume BlockNLJ — in
 // both execution modes.
-func (db *DB) deltaExec(n algebra.Node, ds *deltaState, res *Result) (*Table, error) {
+func (rs *RelationSet) deltaExec(n algebra.Node, ds *deltaState, res *Result) (*Table, error) {
+	db := rs.db
 	switch v := n.(type) {
 	case *algebra.Scan:
 		if d, ok := ds.fresh[v.Relation]; ok {
@@ -237,31 +214,31 @@ func (db *DB) deltaExec(n algebra.Node, ds *deltaState, res *Result) (*Table, er
 		// No pending inserts: an empty delta with the scan's schema.
 		return NewTable("", v.Schema(), db.BlockRows), nil
 	case *algebra.Select:
-		din, err := db.deltaExec(v.Input, ds, res)
+		din, err := rs.deltaExec(v.Input, ds, res)
 		if err != nil {
 			return nil, err
 		}
 		return db.ops.sel(db, v, din, res)
 	case *algebra.Project:
-		din, err := db.deltaExec(v.Input, ds, res)
+		din, err := rs.deltaExec(v.Input, ds, res)
 		if err != nil {
 			return nil, err
 		}
 		return db.ops.project(db, v, din, res)
 	case *algebra.Join:
-		dl, err := db.deltaExec(v.Left, ds, res)
+		dl, err := rs.deltaExec(v.Left, ds, res)
 		if err != nil {
 			return nil, err
 		}
-		dr, err := db.deltaExec(v.Right, ds, res)
+		dr, err := rs.deltaExec(v.Right, ds, res)
 		if err != nil {
 			return nil, err
 		}
-		rightNew, err := db.execUnmetered(v.Right, ds.allPending)
+		rightNew, err := rs.execUnmetered(v.Right, ds.allPending)
 		if err != nil {
 			return nil, err
 		}
-		leftOld, err := db.execUnmetered(v.Left, ds.oldExtra)
+		leftOld, err := rs.execUnmetered(v.Left, ds.oldExtra)
 		if err != nil {
 			return nil, err
 		}
@@ -281,41 +258,26 @@ func (db *DB) deltaExec(n algebra.Node, ds *deltaState, res *Result) (*Table, er
 }
 
 // execUnmetered evaluates a subplan without block accounting against the
-// base tables extended by the given extra rows (nil extras = the old
-// state; the all-pending extras = the new state). It runs on a shadow
-// database value — the receiver is never mutated, so concurrent readers
-// of the real DB are undisturbed.
-func (db *DB) execUnmetered(n algebra.Node, extra map[string]*Table) (*Table, error) {
-	db.mu.RLock()
-	tables := make(map[string]*Table, len(db.tables))
-	for name, t := range db.tables {
-		x := extra[name]
-		if x == nil || x.NumRows() == 0 {
-			tables[name] = t
-			continue
+// set extended by the given extra base-table rows (the already-propagated
+// extras = the view's old state; the all-pending extras = the new state).
+// The extended set is never published, so concurrent readers are
+// undisturbed.
+func (rs *RelationSet) execUnmetered(n algebra.Node, extra map[string]*Table) (*Table, error) {
+	ext := *rs
+	ext.tables = make(map[string]*Table, len(rs.tables))
+	for name, t := range rs.tables {
+		if x := extra[name]; x != nil && x.NumRows() > 0 {
+			t = t.cloneAppendTable(x)
 		}
-		tables[name] = t.cloneAppendTable(x)
+		ext.tables[name] = t
 	}
-	views := db.views
-	db.mu.RUnlock()
-	shadow := &DB{
-		BlockRows:  db.BlockRows,
-		Counter:    &Counter{},
-		tables:     tables,
-		views:      views,
-		deltas:     make(map[string]*Table),
-		propagated: make(map[string]map[string]int),
-		joinAlgo:   db.joinAlgo,
-		ops:        db.ops,
-	}
-	var scratch Result
-	return shadow.exec(n, &scratch)
+	return ext.exec(n, nil)
 }
 
 // mergeAggregate folds the aggregated delta groups into the stored view:
 // the stored view is read, matching groups combine (COUNT/SUM add, MIN/MAX
-// compare), new groups append, and the merged table is returned for the
-// epoch swap. The merge itself is executor-independent: the stored view
+// compare), new groups append, and the merged table is returned for
+// publication. The merge itself is executor-independent: the stored view
 // and the delta groups are both materialized once, combined row-wise, and
 // re-ingested as one batch.
 func (db *DB) mergeAggregate(v *MaterializedView, agg *algebra.Aggregate, dagg *Table, res *Result) (*Table, error) {
@@ -327,7 +289,7 @@ func (db *DB) mergeAggregate(v *MaterializedView, agg *algebra.Aggregate, dagg *
 		}
 		return key
 	}
-	cur := v.Table()
+	cur := v.table
 	rows := cur.materializeRows()
 	byKey := make(map[string]int, len(rows))
 	for i, row := range rows {
@@ -362,8 +324,7 @@ func (db *DB) mergeAggregate(v *MaterializedView, agg *algebra.Aggregate, dagg *
 		OutRows:   out.NumRows(),
 		OutBlocks: out.NumBlocks(),
 	}
-	db.account(stats)
-	res.Ops = append(res.Ops, stats)
+	db.account(res, stats)
 	return out, nil
 }
 

@@ -98,84 +98,72 @@ func (batchOperators) aggregate(db *DB, a *algebra.Aggregate, in *Table, res *Re
 	return db.batchAggregate(a, in, res)
 }
 
+// Execute runs a plan against the currently published relation set; see
+// RelationSet.Execute.
+func (db *DB) Execute(plan algebra.Node) (*Result, error) { return db.Relations().Execute(plan) }
+
 // Execute runs a plan operator-at-a-time: every operator reads its stored
 // input block by block and writes its result to a fresh temporary table,
 // exactly as the paper's cost formulas assume. Scans resolve base tables
-// and materialized views by name. The database counter accumulates across
-// calls; per-operator numbers are returned in the Result.
-func (db *DB) Execute(plan algebra.Node) (*Result, error) {
-	if err := db.inj.Hit(fault.SiteEngineExecute); err != nil {
+// and materialized views by name, all of them in this one set. The database
+// counter accumulates across calls; per-operator numbers are returned in
+// the Result.
+func (rs *RelationSet) Execute(plan algebra.Node) (*Result, error) {
+	if err := rs.db.inj.Hit(fault.SiteEngineExecute); err != nil {
 		return nil, err
 	}
 	if err := algebra.Validate(plan); err != nil {
 		return nil, fmt.Errorf("engine: %w", err)
 	}
 	res := &Result{}
-	out, err := db.exec(plan, res)
+	out, err := rs.exec(plan, res)
 	if err != nil {
 		return nil, err
 	}
 	// A plan that is just a scan (e.g. a query answered entirely by one
 	// materialized view) still costs one pass over the stored result.
 	if s, ok := plan.(*algebra.Scan); ok {
-		stats := OpStats{
+		rs.db.account(res, OpStats{
 			Label:     "read " + s.Relation,
 			Reads:     int64(out.NumBlocks()),
 			OutRows:   out.NumRows(),
 			OutBlocks: out.NumBlocks(),
-		}
-		db.account(stats)
-		res.Ops = append(res.Ops, stats)
+		})
 	}
 	res.Table = out
 	return res, nil
 }
 
-// resolveRelation maps a scan's relation name to the current table: a
-// materialized view's current epoch snapshot, or the base table. The DB
-// lock is held only for the lookup; the returned table is immutable.
-func (db *DB) resolveRelation(name string) (*Table, error) {
-	db.mu.RLock()
-	view, isView := db.views[name]
-	t, isTable := db.tables[name]
-	db.mu.RUnlock()
-	if isView {
-		return view.Table(), nil
-	}
-	if !isTable {
-		return nil, fmt.Errorf("engine: %w %q", ErrUnknownRelation, name)
-	}
-	return t, nil
-}
-
-func (db *DB) exec(n algebra.Node, res *Result) (*Table, error) {
+// exec evaluates n over the set's relations; a nil res runs it unmetered.
+func (rs *RelationSet) exec(n algebra.Node, res *Result) (*Table, error) {
+	db := rs.db
 	switch v := n.(type) {
 	case *algebra.Scan:
-		return db.resolveRelation(v.Relation)
+		return rs.relation(v.Relation)
 	case *algebra.Select:
-		in, err := db.exec(v.Input, res)
+		in, err := rs.exec(v.Input, res)
 		if err != nil {
 			return nil, err
 		}
 		return db.ops.sel(db, v, in, res)
 	case *algebra.Project:
-		in, err := db.exec(v.Input, res)
+		in, err := rs.exec(v.Input, res)
 		if err != nil {
 			return nil, err
 		}
 		return db.ops.project(db, v, in, res)
 	case *algebra.Join:
-		left, err := db.exec(v.Left, res)
+		left, err := rs.exec(v.Left, res)
 		if err != nil {
 			return nil, err
 		}
-		right, err := db.exec(v.Right, res)
+		right, err := rs.exec(v.Right, res)
 		if err != nil {
 			return nil, err
 		}
 		return db.opJoin(v, left, right, res)
 	case *algebra.Aggregate:
-		in, err := db.exec(v.Input, res)
+		in, err := rs.exec(v.Input, res)
 		if err != nil {
 			return nil, err
 		}
@@ -235,7 +223,14 @@ func resolveProjection(p *algebra.Project, in *Table) (*algebra.Schema, []int, e
 	return outSchema, idx, nil
 }
 
-func (db *DB) account(s OpStats) {
+// account meters one operator execution onto the result, the database
+// counter and the observer. A nil result marks an unmetered evaluation (the
+// operand relations of a join delta) and records nothing.
+func (db *DB) account(res *Result, s OpStats) {
+	if res == nil {
+		return
+	}
+	res.Ops = append(res.Ops, s)
 	db.Counter.AddReads(s.Reads)
 	db.Counter.AddWrites(s.Writes)
 	db.blockReads.Add(s.Reads)

@@ -73,8 +73,7 @@ func (db *DB) rowSelect(sel *algebra.Select, in *Table, res *Result) (*Table, er
 		OutRows:   out.NumRows(),
 		OutBlocks: out.NumBlocks(),
 	}
-	db.account(stats)
-	res.Ops = append(res.Ops, stats)
+	db.account(res, stats)
 	return out, nil
 }
 
@@ -102,8 +101,7 @@ func (db *DB) rowProject(p *algebra.Project, in *Table, res *Result) (*Table, er
 		OutRows:   out.NumRows(),
 		OutBlocks: out.NumBlocks(),
 	}
-	db.account(stats)
-	res.Ops = append(res.Ops, stats)
+	db.account(res, stats)
 	return out, nil
 }
 
@@ -155,8 +153,7 @@ func (db *DB) rowJoin(j *algebra.Join, left, right *Table, res *Result) (*Table,
 		OutRows:   out.NumRows(),
 		OutBlocks: out.NumBlocks(),
 	}
-	db.account(stats)
-	res.Ops = append(res.Ops, stats)
+	db.account(res, stats)
 	return out, nil
 }
 
@@ -210,8 +207,7 @@ func (db *DB) rowHashJoin(j *algebra.Join, left, right *Table, res *Result) (*Ta
 		OutRows:   out.NumRows(),
 		OutBlocks: out.NumBlocks(),
 	}
-	db.account(stats)
-	res.Ops = append(res.Ops, stats)
+	db.account(res, stats)
 	return out, nil
 }
 
@@ -277,7 +273,6 @@ func (db *DB) rowAggregate(agg *algebra.Aggregate, in *Table, res *Result) (*Tab
 		OutRows:   out.NumRows(),
 		OutBlocks: out.NumBlocks(),
 	}
-	db.account(stats)
-	res.Ops = append(res.Ops, stats)
+	db.account(res, stats)
 	return out, nil
 }

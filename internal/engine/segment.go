@@ -439,13 +439,7 @@ func (db *DB) RestoreTable(t *Table) error {
 	if t == nil || t.Name == "" {
 		return fmt.Errorf("engine: cannot restore an unnamed table")
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, dup := db.tables[t.Name]; dup {
-		return fmt.Errorf("engine: table %s already exists", t.Name)
-	}
-	db.tables[t.Name] = t
-	return nil
+	return db.addTable(t)
 }
 
 // RestoreView installs a decoded view table under its defining plan without
@@ -460,23 +454,5 @@ func (db *DB) RestoreView(name string, plan algebra.Node, t *Table) (*Materializ
 		return nil, fmt.Errorf("engine: restored table schema %v does not match plan schema %v of view %s",
 			t.Schema, plan.Schema(), name)
 	}
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, dup := db.views[name]; dup {
-		return nil, fmt.Errorf("engine: view %s already exists", name)
-	}
-	if _, dup := db.tables[name]; dup {
-		return nil, fmt.Errorf("engine: view %s collides with a base table", name)
-	}
-	t.Name = name
-	v := &MaterializedView{
-		Name:  name,
-		Plan:  plan,
-		Key:   algebra.StructuralKey(plan),
-		table: t,
-	}
-	db.views[name] = v
-	db.viewGen.Add(1)
-	delete(db.propagated, name)
-	return v, nil
+	return db.addView(name, plan, t)
 }

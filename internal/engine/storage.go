@@ -12,23 +12,29 @@
 //
 // # Concurrency contract
 //
-// A DB supports any number of concurrent readers (Execute, Table, Tables,
-// Views, View, PendingDeltaRows, RewriteForViewSet, CatalogFor) alongside
-// at most one maintainer at a time. The maintenance methods — CreateTable,
+// A DB publishes its whole readable state — base tables, materialized views
+// and the view-set generation — as one immutable RelationSet behind one
+// atomic pointer. Readers (Execute, RewriteForViewSet, Table, Tables, View,
+// Views, CatalogFor, or the same calls on a set held from Relations) load
+// the pointer and take no lock; any number of them run alongside at most
+// one maintainer at a time. The maintenance methods — CreateTable,
 // Materialize, Refresh, RefreshAll, IncrementalRefresh(All), InsertDelta,
-// ApplyDeltas, DropView — are safe against concurrent readers but must be
-// serialized by the caller (e.g. a single maintenance goroutine, as the
-// serve package's scheduler does); running two of them concurrently is a
-// data race.
+// ApplyDeltas, DropView, RestoreTable, RestoreView — build the next table or
+// view beside the readers, copy the set's two small maps, change their entry
+// and store the new set; they must be serialized by the caller (a single
+// maintenance goroutine, as the serve package's scheduler does).
 //
-// Readers never hold a lock while iterating rows: every published table is
-// immutable, and maintenance replaces tables wholesale (a copy-on-write
-// pointer swap under the DB mutex for base tables, a per-view RWMutex swap
-// for view tables), so a long-running query scans a consistent snapshot of
-// each relation while refreshes build the next epoch beside it. The only
-// mutable window is the setup phase: Table handles returned by CreateTable
-// may be filled with Insert freely before the DB is shared across
-// goroutines; afterwards all base-table growth must go through
+// What a held RelationSet guarantees: every table and view in it is
+// immutable, so one Execute resolves all its scans — two scans of one view
+// included — against the same state, and a plan from set.Rewrite executed
+// with set.Execute finds exactly the views it was rewritten onto, whatever
+// maintenance has published since. What it does not: publication is per
+// operation, not per epoch. Between a view's IncrementalRefresh and the
+// ApplyDeltas that ends the epoch a freshly loaded set pairs the new view
+// with the old base tables, and a failed ApplyDeltas leaves the refreshed
+// views visible. The only mutable window is the setup phase: Table handles
+// returned by CreateTable may be filled with Insert freely before the DB is
+// shared across goroutines; afterwards all base-table growth must go through
 // InsertDelta/ApplyDeltas.
 package engine
 
@@ -122,8 +128,9 @@ func (t *Table) rowValues(i int) []algebra.Value {
 	return vals
 }
 
-// materializeRows renders the whole table row-major — the representation
-// the legacy row executor works over. One pass, one allocation per row.
+// materializeRows renders the whole table row-major — what Result.Rows
+// hands callers and the aggregate merge works over. One pass, one
+// allocation per row.
 func (t *Table) materializeRows() [][]algebra.Value {
 	out := make([][]algebra.Value, t.nrows)
 	for i := range out {
@@ -215,28 +222,22 @@ func (c *Counter) Reset() {
 }
 
 // ErrUnknownRelation reports a name that resolves to neither a base table
-// nor a materialized view — what a plan rewritten onto a view hits when the
-// view is dropped before the plan runs. Match it with errors.Is.
+// nor a materialized view of the set a plan runs on. A plan rewritten onto a
+// view can only hit it when executed on a later set than the one it was
+// rewritten against. Match it with errors.Is.
 var ErrUnknownRelation = errors.New("unknown table")
 
 // DB is a collection of base tables and materialized views sharing one
 // block-access counter. See the package documentation for the concurrency
-// contract (many readers, one maintainer).
+// contract (many lock-free readers, one maintainer).
 type DB struct {
 	BlockRows int
 	Counter   *Counter
-	// mu guards the tables, views, deltas, and propagated maps: readers
-	// take it briefly to resolve a name to a table pointer; the maintainer
-	// takes it exclusively for pointer swaps and map mutations. It is never
-	// held while rows are scanned.
-	mu     sync.RWMutex
-	tables map[string]*Table
-	views  map[string]*MaterializedView
-	// viewGen counts changes to the set of views (Materialize, DropView,
-	// RestoreView). It is bumped under mu, so a reader holding mu sees the
-	// generation of exactly the set it reads; ViewGeneration reads it
-	// without the lock.
-	viewGen atomic.Uint64
+	// rels is the published state; see RelationSet.
+	rels atomic.Pointer[RelationSet]
+	// mu guards the maintainer-side state (deltas, propagated, snapStore)
+	// and serializes publish. No path from Execute or Rewrite takes it.
+	mu sync.Mutex
 	// deltas holds each base table's pending inserted rows (see
 	// InsertDelta); they become part of the table at ApplyDeltas.
 	deltas map[string]*Table
@@ -287,15 +288,15 @@ func NewDB(blockRows int) *DB {
 	if blockRows <= 0 {
 		blockRows = DefaultBlockRows
 	}
-	return &DB{
+	db := &DB{
 		BlockRows:  blockRows,
 		Counter:    &Counter{},
-		tables:     make(map[string]*Table),
-		views:      make(map[string]*MaterializedView),
 		deltas:     make(map[string]*Table),
 		propagated: make(map[string]map[string]int),
 		ops:        batchOperators{},
 	}
+	db.rels.Store(&RelationSet{db: db, tables: map[string]*Table{}, views: map[string]*MaterializedView{}})
+	return db
 }
 
 // CreateTable registers a new empty base table with the database's default
@@ -308,38 +309,18 @@ func (db *DB) CreateTable(name string, schema *algebra.Schema) (*Table, error) {
 // factor (rows per block), letting simulations reproduce per-relation row
 // widths.
 func (db *DB) CreateSizedTable(name string, schema *algebra.Schema, blockRows int) (*Table, error) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	if _, dup := db.tables[name]; dup {
-		return nil, fmt.Errorf("engine: table %s already exists", name)
-	}
 	t := NewTable(name, schema, blockRows)
-	db.tables[name] = t
+	if err := db.addTable(t); err != nil {
+		return nil, err
+	}
 	return t, nil
 }
 
 // Table looks up a base table.
-func (db *DB) Table(name string) (*Table, error) {
-	db.mu.RLock()
-	t, ok := db.tables[name]
-	db.mu.RUnlock()
-	if !ok {
-		return nil, fmt.Errorf("engine: %w %q", ErrUnknownRelation, name)
-	}
-	return t, nil
-}
+func (db *DB) Table(name string) (*Table, error) { return db.Relations().Table(name) }
 
 // Tables returns the base table names, sorted.
-func (db *DB) Tables() []string {
-	db.mu.RLock()
-	out := make([]string, 0, len(db.tables))
-	for name := range db.tables {
-		out = append(out, name)
-	}
-	db.mu.RUnlock()
-	sort.Strings(out)
-	return out
-}
+func (db *DB) Tables() []string { return db.Relations().Tables() }
 
 // HistogramBuckets is the equi-depth bucket count CatalogFor builds for
 // numeric attributes.
@@ -351,48 +332,14 @@ const HistogramBuckets = 10
 // analytic size estimates of the cost package match the engine's measured
 // sizes (up to estimation error on predicates). Update frequencies default
 // to 1.
-func (db *DB) CatalogFor() (*catalog.Catalog, error) {
-	cat := catalog.New()
-	if err := db.addTableStats(cat); err != nil {
-		return nil, err
-	}
-	return cat, nil
-}
+func (db *DB) CatalogFor() (*catalog.Catalog, error) { return db.Relations().Catalog(false) }
 
 // CatalogWithViews derives the same statistics catalog as CatalogFor and
-// additionally covers the materialized views, each described by its current
-// epoch snapshot. Plans rewritten over the views scan them by name, so
-// pricing a rewritten plan — as the cost-accountability ledger does —
-// requires the views to be catalog relations like any base table.
-func (db *DB) CatalogWithViews() (*catalog.Catalog, error) {
-	cat := catalog.New()
-	if err := db.addTableStats(cat); err != nil {
-		return nil, err
-	}
-	for _, name := range db.Views() {
-		v, err := db.View(name)
-		if err != nil {
-			return nil, err
-		}
-		if err := cat.AddRelation(relationStats(name, v.Table())); err != nil {
-			return nil, err
-		}
-	}
-	return cat, nil
-}
-
-func (db *DB) addTableStats(cat *catalog.Catalog) error {
-	for _, name := range db.Tables() {
-		t, err := db.Table(name)
-		if err != nil {
-			return err
-		}
-		if err := cat.AddRelation(relationStats(name, t)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
+// additionally covers the materialized views, each described by its stored
+// rows. Plans rewritten over the views scan them by name, so pricing a
+// rewritten plan — as the cost-accountability ledger does — requires the
+// views to be catalog relations like any base table.
+func (db *DB) CatalogWithViews() (*catalog.Catalog, error) { return db.Relations().Catalog(true) }
 
 // TableStats returns the catalog entry describing one stored table — the
 // same statistics CatalogFor derives, computed once per published table

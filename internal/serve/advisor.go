@@ -136,8 +136,8 @@ func (s *Server) adviseWith(observed map[string]float64) (*Advice, error) {
 // added views materialize (in MVPP topological order, so stacked views see
 // their inputs), dropped views disappear, the maintenance registry adopts
 // the proposal's strategies, and the epoch advances (invalidating the
-// result cache). In-flight queries are safe: a plan rewritten onto a view
-// dropped mid-flight falls back to its base-table form.
+// result cache). In-flight queries are safe: each executes on the relation
+// set it was rewritten against, which a drop published later cannot reach.
 func (s *Server) ApplyAdvice(a *Advice) error {
 	if a == nil || a.selection == nil {
 		return errors.New("serve: ApplyAdvice needs advice produced by Advise")
@@ -175,12 +175,13 @@ func (s *Server) ApplyAdvice(a *Advice) error {
 	views := make(map[string]*viewState, len(a.Proposed))
 	epoch := s.epoch.Add(1)
 	s.cache.invalidate()
+	stored := s.db.Relations()
 	for _, name := range a.Proposed {
-		v, err := s.db.View(name)
+		v, err := stored.View(name)
 		if err != nil {
 			return err
 		}
-		rels, err := baseRelationsOf(s.db, v.Plan)
+		rels, err := baseRelationsOf(stored, v.Plan)
 		if err != nil {
 			return err
 		}

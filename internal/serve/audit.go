@@ -52,7 +52,8 @@ func (s *Server) repriceAudit() {
 	if s.audit == nil {
 		return
 	}
-	cat, err := s.db.CatalogWithViews()
+	rels := s.db.Relations()
+	cat, err := rels.Catalog(true)
 	if err != nil {
 		return
 	}
@@ -66,18 +67,14 @@ func (s *Server) repriceAudit() {
 	s.auditMu.Unlock()
 
 	for name, qs := range s.queries {
-		plan := s.db.RewriteForViewSet(qs.spec.Plan).Plan
-		c, err := pricer.PlanCost(plan)
+		c, err := pricer.PlanCost(rels.Rewrite(qs.spec.Plan).Plan)
 		if err != nil {
 			continue
 		}
 		s.audit.Predict(costaudit.KindQuery, name, c*s.auditSkew)
 	}
-	for _, name := range s.db.Views() {
-		v, err := s.db.View(name)
-		if err != nil {
-			continue
-		}
+	for _, name := range rels.Views() {
+		v, _ := rels.View(name) // listed by the same set
 		c, err := pricer.PlanCost(v.Plan)
 		if err != nil {
 			continue
@@ -101,9 +98,10 @@ func (s *Server) predictIncremental(names []string) {
 		return
 	}
 	frac := make(map[string]float64)
-	for _, table := range s.db.Tables() {
-		t, err := s.db.Table(table)
-		if err != nil || t.NumRows() == 0 {
+	rels := s.db.Relations()
+	for _, table := range rels.Tables() {
+		t, _ := rels.Table(table) // listed by the same set
+		if t.NumRows() == 0 {
 			continue
 		}
 		if p := s.db.PendingDeltaRows(table); p > 0 {
@@ -115,7 +113,7 @@ func (s *Server) predictIncremental(names []string) {
 	}
 	de := cost.NewDeltaEstimator(pricer.Estimator(), cost.DeltaSpec{PerRelation: frac})
 	for _, name := range names {
-		v, err := s.db.View(name)
+		v, err := rels.View(name)
 		if err != nil {
 			continue
 		}

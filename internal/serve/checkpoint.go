@@ -166,18 +166,17 @@ func (s *Server) checkpointLocked() (*snapshot.CheckpointResult, error) {
 	sc.mu.Unlock()
 
 	in := snapshot.CheckpointInput{Epoch: s.epoch.Load(), Watermark: watermark}
-	for _, name := range s.db.Tables() {
-		t, err := s.db.Table(name)
-		if err != nil {
-			return nil, err
-		}
+	rels := s.db.Relations()
+	for _, name := range rels.Tables() {
+		t, _ := rels.Table(name) // listed by the same set
 		in.Tables = append(in.Tables, t)
 	}
 	for _, p := range picks {
-		v, err := s.db.View(p.name)
+		// maintMu is held: the registry scanned above and rels name the same
+		// views.
+		v, err := rels.View(p.name)
 		if err != nil {
-			// Dropped between the registry scan and now (advice swap); skip.
-			continue
+			return nil, err
 		}
 		// Stamp the segment with the view's lineage watermark: the epoch it
 		// reached, the acked LSN its rows cover, and the fingerprint of the

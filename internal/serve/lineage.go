@@ -123,8 +123,9 @@ func (s *Server) Lineage() map[string]ViewLineage {
 		out[name] = vl
 	}
 	sc.mu.Unlock()
+	rels := s.db.Relations()
 	for name, vl := range out {
-		if mv, err := s.db.View(name); err == nil {
+		if mv, err := rels.View(name); err == nil {
 			vl.Fingerprint = tableFingerprint(mv.Table())
 			out[name] = vl
 		}

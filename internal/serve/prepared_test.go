@@ -85,7 +85,7 @@ func hammer(t *testing.T, s *Server, db *engine.DB, readers int, churn func(answ
 func requireRewritesBounded(t *testing.T, s *Server, db *engine.DB) {
 	t.Helper()
 	st := s.Stats()
-	generations := int64(db.ViewGeneration()) + 1
+	generations := int64(db.Relations().Generation()) + 1
 	if bound := int64(len(s.order)) * generations; st.PlanRewrites > bound {
 		t.Errorf("%d plan rewrites for %d queries over %d view-set generations (bound %d)",
 			st.PlanRewrites, len(s.order), generations, bound)

@@ -230,12 +230,13 @@ func newScheduler(s *Server, cfg Config) (*scheduler, error) {
 		defaultPolicy: cfg.DefaultPolicy,
 		defaultSLO:    cfg.DefaultSLO,
 	}
+	stored := s.db.Relations()
 	for _, vs := range cfg.Views {
-		v, err := s.db.View(vs.Name)
+		v, err := stored.View(vs.Name)
 		if err != nil {
 			return nil, fmt.Errorf("serve: view %q is not materialized in the DB: %w", vs.Name, err)
 		}
-		rels, err := baseRelationsOf(s.db, v.Plan)
+		rels, err := baseRelationsOf(stored, v.Plan)
 		if err != nil {
 			return nil, err
 		}
@@ -252,7 +253,7 @@ func newScheduler(s *Server, cfg Config) (*scheduler, error) {
 
 // baseRelationsOf collects the base relations a plan scans, following
 // view references transitively.
-func baseRelationsOf(db *engine.DB, plan algebra.Node) (map[string]bool, error) {
+func baseRelationsOf(db *engine.RelationSet, plan algebra.Node) (map[string]bool, error) {
 	rels := make(map[string]bool)
 	var walkErr error
 	var visit func(n algebra.Node)

@@ -762,7 +762,11 @@ func (s *Server) handle(req *request) {
 		return
 	}
 	epoch := s.epoch.Load()
-	pp := s.rewritten(req)
+	// One relation set per miss: the plan is rewritten (or its kept rewrite
+	// checked) against the set it then executes on, so a view the plan scans
+	// cannot be dropped or redefined in between.
+	rels := s.db.Relations()
+	pp := s.rewritten(req, rels)
 	plan := pp.Plan
 	degraded := false
 	if names := s.unhealthyViewsAmong(pp.Views); len(names) > 0 {
@@ -776,15 +780,7 @@ func (s *Server) handle(req *request) {
 		obs.Emit(s.obsv, obs.EvServeDegraded, obs.String("views", strings.Join(names, ",")))
 		s.traceStage(req.qt, "degraded", obs.String("views", strings.Join(names, ",")))
 	}
-	res, err := s.db.Execute(plan)
-	if !degraded && len(pp.Views) > 0 &&
-		(errors.Is(err, engine.ErrUnknownRelation) || s.db.ViewGeneration() != pp.Generation) {
-		// The view set churned between rewrite and execute: an advice swap
-		// dropped a view the plan was rewritten onto, or put a different view
-		// under its name, so the rows (if any) are not this plan's. The
-		// original plan reads base tables only and always works.
-		res, err = s.db.Execute(req.plan)
-	}
+	res, err := rels.Execute(plan)
 	if err != nil {
 		req.done <- response{err: err}
 		return
@@ -815,27 +811,27 @@ func (s *Server) handle(req *request) {
 	req.done <- response{res: out}
 }
 
-// rewritten returns the request's plan rewritten over the current view set.
-// A named query's rewrite is derived once per view-set generation and kept
-// on its queryState; an ad-hoc plan is rewritten per call — a memo keyed by
+// rewritten returns the request's plan rewritten over the views of rels. A
+// named query's rewrite is derived once per view-set generation and kept on
+// its queryState; an ad-hoc plan is rewritten per call — a memo keyed by
 // caller-supplied plans would have no bound.
-func (s *Server) rewritten(req *request) *engine.RewrittenPlan {
+func (s *Server) rewritten(req *request, rels *engine.RelationSet) *engine.RewrittenPlan {
 	qs := s.queries[req.name]
 	if qs == nil {
 		s.stats.planRewrites.Add(1)
-		pp := s.db.RewriteForViewSet(req.plan)
+		pp := rels.Rewrite(req.plan)
 		return &pp
 	}
-	if pp := qs.prepared.Load(); pp != nil && pp.Generation == s.db.ViewGeneration() {
+	if pp := qs.prepared.Load(); pp != nil && pp.Generation == rels.Generation() {
 		return pp
 	}
 	qs.prepMu.Lock()
 	defer qs.prepMu.Unlock()
-	if pp := qs.prepared.Load(); pp != nil && pp.Generation == s.db.ViewGeneration() {
+	if pp := qs.prepared.Load(); pp != nil && pp.Generation == rels.Generation() {
 		return pp
 	}
 	s.stats.planRewrites.Add(1)
-	pp := s.db.RewriteForViewSet(qs.spec.Plan)
+	pp := rels.Rewrite(qs.spec.Plan)
 	qs.prepared.Store(&pp)
 	return &pp
 }
