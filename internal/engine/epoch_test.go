@@ -1,0 +1,225 @@
+package engine_test
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"sort"
+	"testing"
+
+	"github.com/warehousekit/mvpp/internal/algebra"
+	"github.com/warehousekit/mvpp/internal/engine"
+	"github.com/warehousekit/mvpp/internal/fault"
+)
+
+// The maintenance-epoch cage: a generated multi-view, multi-epoch schedule
+// on the star warehouse, run three ways — every view through one shared
+// epoch, one view per epoch on a twin database (the per-view accounting the
+// shared epoch must reproduce), and the shared epoch again on the row
+// oracle — with every maintained view compared against recomputation from
+// base after every epoch.
+
+// beginEpoch opens one maintenance epoch on db and returns its refresh
+// call; every view the caller passes shares that epoch.
+func beginEpoch(db *engine.DB) func(view string) (*engine.Result, error) {
+	return db.IncrementalRefresh
+}
+
+// tableRows is one InsertDelta call.
+type tableRows struct {
+	table string
+	rows  [][]algebra.Value
+}
+
+// starEpoch is one generated epoch: the staged deltas; optionally a
+// straggler batch that lands after the first view refreshed, which is then
+// refreshed a second time (its watermark path); optionally an ApplyDeltas
+// that is injected to fail, after which a retry batch arrives and the epoch
+// runs again over the still-pending rows.
+type starEpoch struct {
+	deltas    []tableRows
+	straggler []tableRows
+	failApply bool
+	retry     []tableRows
+}
+
+// genStarSchedule draws the schedule. Epochs 0–4 pin the shapes the cage
+// must cover (every table dirty; fact only, so every dimension Δ is empty;
+// dimensions only, so the fact Δ is empty; a straggler; a failed apply);
+// the rest dirty a random subset.
+func genStarSchedule(g *starRows, epochs int) []starEpoch {
+	batch := func(fact int, dims ...int) []tableRows {
+		var out []tableRows
+		// Dimension rows first, so a fact row of the same batch may
+		// reference them (Δ ⋈ Δ).
+		for _, d := range dims {
+			out = append(out, tableRows{starDim(d), g.dim(d, 1+g.r.Intn(2))})
+		}
+		if fact > 0 {
+			out = append(out, tableRows{"Fact", g.fact(fact)})
+		}
+		return out
+	}
+	allDims := []int{0, 1, 2, 3, 4, 5}
+	sched := make([]starEpoch, epochs)
+	for e := range sched {
+		switch e {
+		case 0:
+			sched[e].deltas = batch(5, allDims...)
+		case 1:
+			sched[e].deltas = batch(6)
+		case 2:
+			sched[e].deltas = batch(0, 1, 3, 4)
+		case 3:
+			sched[e] = starEpoch{deltas: batch(4, allDims...), straggler: batch(2, 3)}
+		case 4:
+			sched[e] = starEpoch{deltas: batch(5, 0, 5), failApply: true, retry: batch(3, 2)}
+		default:
+			var dims []int
+			for _, d := range allDims {
+				if g.r.Intn(2) == 0 {
+					dims = append(dims, d)
+				}
+			}
+			sched[e].deltas = batch(g.r.Intn(7), dims...)
+		}
+	}
+	return sched
+}
+
+// namedResult is one refresh of the schedule.
+type namedResult struct {
+	label string
+	res   *engine.Result
+}
+
+func stage(t *testing.T, db *engine.DB, batch []tableRows) {
+	t.Helper()
+	for _, tr := range batch {
+		if err := db.InsertDelta(tr.table, tr.rows...); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// runStarEpoch drives one generated epoch on db — stage, refresh every view
+// in name order through epochs opened by begin, apply — and returns every
+// refresh in call order.
+func runStarEpoch(t *testing.T, db *engine.DB, views []string, ep starEpoch, begin func(*engine.DB) func(string) (*engine.Result, error)) []namedResult {
+	t.Helper()
+	var out []namedResult
+	refreshAll := func(pass string, straggler []tableRows) {
+		refresh := begin(db)
+		call := func(label, view string) {
+			res, err := refresh(view)
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			out = append(out, namedResult{label, res})
+		}
+		for i, view := range views {
+			call(pass+view, view)
+			if i == 0 && straggler != nil {
+				stage(t, db, straggler)
+				call(pass+view+" after straggler", view)
+			}
+		}
+	}
+	stage(t, db, ep.deltas)
+	refreshAll("", ep.straggler)
+	if ep.failApply {
+		db.SetInjector(fault.New(1, fault.Plan{fault.SiteEngineApplyDeltas: {ErrProb: 1}}))
+		if err := db.ApplyDeltas(); !errors.Is(err, fault.ErrInjected) {
+			t.Fatalf("ApplyDeltas under injection returned %v", err)
+		}
+		db.SetInjector(nil)
+		// Nothing was folded: the next epoch finds the old rows propagated
+		// (every view's watermark) and only the retry batch fresh.
+		stage(t, db, ep.retry)
+		refreshAll("retry ", nil)
+	}
+	if err := db.ApplyDeltas(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// assertViewsMatchRecompute compares every stored view, as a multiset, with
+// its plan executed over the base tables.
+func assertViewsMatchRecompute(t *testing.T, label string, db *engine.DB, views []string) {
+	t.Helper()
+	for _, name := range views {
+		v, err := db.View(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := db.Execute(v.Plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tableKey(v.Table()) != tableKey(res.Table) {
+			t.Fatalf("%s: maintained view %s (%d rows) differs from recomputation (%d rows)",
+				label, name, v.Table().NumRows(), res.Table.NumRows())
+		}
+	}
+}
+
+// cageViews is the benchmark's view set plus what it lacks: a MIN/MAX root
+// and a second view with the plan of an existing one.
+func cageViews(s *star) []starView {
+	return append(s.benchViews(),
+		starView{"minmax", s.A(1, s.J(1, s.D(1), s.F()), algebra.AggMin, algebra.AggMax, algebra.AggCount)},
+		starView{"twin8", s.A(3, s.J(3, s.D(3), s.F()), algebra.AggCount, algebra.AggSum)},
+	)
+}
+
+func TestMaintenanceEpochsMatchRecompute(t *testing.T) {
+	const (
+		scale  = 0.004
+		seed   = 20261003
+		epochs = 8
+	)
+	s := newStarSchemas()
+	gen, load := starLoad(scale, seed)
+	sched := genStarSchedule(gen, epochs)
+	views := cageViews(s)
+	names := make([]string, len(views))
+	for i, v := range views {
+		names[i] = v.name
+	}
+	sort.Strings(names)
+
+	shared := newStarDB(t, s, load, views)
+	perView := newStarDB(t, s, load, views)
+	oracle := newStarDB(t, s, load, views)
+	useRowOracle(t, oracle)
+
+	for e, ep := range sched {
+		label := fmt.Sprintf("epoch %d", e)
+		got := runStarEpoch(t, shared, names, ep, beginEpoch)
+		// The reference: every refresh is an epoch of its own.
+		want := runStarEpoch(t, perView, names, ep, func(db *engine.DB) func(string) (*engine.Result, error) {
+			return db.IncrementalRefresh
+		})
+		row := runStarEpoch(t, oracle, names, ep, beginEpoch)
+		if len(got) != len(want) || len(got) != len(row) {
+			t.Fatalf("%s: %d / %d / %d refreshes", label, len(got), len(want), len(row))
+		}
+		for i := range got {
+			at := label + " " + got[i].label
+			if !reflect.DeepEqual(got[i].res.Ops, want[i].res.Ops) {
+				t.Fatalf("%s: operator stats differ from the per-view epoch\nshared:   %+v\nper view: %+v",
+					at, got[i].res.Ops, want[i].res.Ops)
+			}
+			if tableKey(got[i].res.Table) != tableKey(want[i].res.Table) {
+				t.Fatalf("%s: refreshed rows differ from the per-view epoch", at)
+			}
+			assertResultsIdentical(t, at+" (row oracle)", got[i].res, row[i].res)
+		}
+		for _, db := range []*engine.DB{shared, perView, oracle} {
+			assertViewsMatchRecompute(t, label, db, names)
+		}
+		assertCountersIdentical(t, label+" shared vs per view", shared, perView)
+		assertCountersIdentical(t, label+" shared vs row oracle", shared, oracle)
+	}
+}
