@@ -76,6 +76,41 @@ func equalityIndexable(c *colvec) bool {
 	return true
 }
 
+// hashMatchesNestedLoop reports whether the hash operator and the
+// nested-loop kernel match exactly the same row pairs on this join: every
+// key column on both sides is equalityIndexable — the nested loop then
+// matches on float64-image equality, and NaN and null keys, which it
+// matches differently from any hash table, are absent — and every int key
+// is a float64 image of itself (|k| ≤ 2^53), where the hash classes (exact
+// int64 for ints and whole floats, the bits of a fractional float) are the
+// same equality. A join without conditions, or one whose conditions do not
+// resolve, stays with the nested-loop kernel and its error.
+func hashMatchesNestedLoop(j *algebra.Join, left, right *Table) bool {
+	conds, err := resolveJoinConds(j, left, right)
+	if err != nil || len(conds) == 0 {
+		return false
+	}
+	exact := func(c *colvec) bool {
+		if !equalityIndexable(c) {
+			return false
+		}
+		if c.typedKind() != algebra.TypeFloat {
+			for _, k := range c.ints[:c.n] {
+				if k > 1<<53 || k < -(1<<53) {
+					return false
+				}
+			}
+		}
+		return true
+	}
+	for _, ci := range conds {
+		if !exact(left.cols[ci.li]) || !exact(right.cols[ci.ri]) {
+			return false
+		}
+	}
+	return true
+}
+
 // stringCol reports whether the column feeds the typed string kernels.
 func stringCol(c *colvec) bool {
 	return !c.hasNulls() && c.typedKind() == algebra.TypeString

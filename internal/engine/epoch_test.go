@@ -19,12 +19,6 @@ import (
 // oracle — with every maintained view compared against recomputation from
 // base after every epoch.
 
-// beginEpoch opens one maintenance epoch on db and returns its refresh
-// call; every view the caller passes shares that epoch.
-func beginEpoch(db *engine.DB) func(view string) (*engine.Result, error) {
-	return db.IncrementalRefresh
-}
-
 // tableRows is one InsertDelta call.
 type tableRows struct {
 	table string
@@ -93,7 +87,7 @@ type namedResult struct {
 	res   *engine.Result
 }
 
-func stage(t *testing.T, db *engine.DB, batch []tableRows) {
+func stage(t testing.TB, db *engine.DB, batch []tableRows) {
 	t.Helper()
 	for _, tr := range batch {
 		if err := db.InsertDelta(tr.table, tr.rows...); err != nil {
@@ -103,13 +97,19 @@ func stage(t *testing.T, db *engine.DB, batch []tableRows) {
 }
 
 // runStarEpoch drives one generated epoch on db — stage, refresh every view
-// in name order through epochs opened by begin, apply — and returns every
-// refresh in call order.
-func runStarEpoch(t *testing.T, db *engine.DB, views []string, ep starEpoch, begin func(*engine.DB) func(string) (*engine.Result, error)) []namedResult {
+// in name order, apply — and returns every refresh in call order. With
+// shared, each pass over the views is one engine epoch (returned, for its
+// counts); without, every refresh is an epoch of its own.
+func runStarEpoch(t testing.TB, db *engine.DB, views []string, ep starEpoch, shared bool) ([]namedResult, []*engine.MaintenanceEpoch) {
 	t.Helper()
 	var out []namedResult
+	var epochs []*engine.MaintenanceEpoch
 	refreshAll := func(pass string, straggler []tableRows) {
-		refresh := begin(db)
+		refresh := db.IncrementalRefresh
+		if shared {
+			epochs = append(epochs, db.BeginMaintenance())
+			refresh = epochs[len(epochs)-1].IncrementalRefresh
+		}
 		call := func(label, view string) {
 			res, err := refresh(view)
 			if err != nil {
@@ -141,7 +141,37 @@ func runStarEpoch(t *testing.T, db *engine.DB, views []string, ep starEpoch, beg
 	if err := db.ApplyDeltas(); err != nil {
 		t.Fatal(err)
 	}
-	return out
+	return out, epochs
+}
+
+// operandRequests walks the views' plans the way a propagation does and
+// returns how many unmetered relations one epoch is asked for — per join,
+// the right input in the new state and the left in the old, every
+// subexpression of each — and how many of those are distinct (expression,
+// state) pairs. Valid for an epoch with no watermark: the old state is then
+// the stored base, which is read in place and is no request.
+func operandRequests(views []starView, dirty map[string]bool) (requests, distinct int) {
+	seen := make(map[string]bool)
+	var operand func(n algebra.Node, state string)
+	operand = func(n algebra.Node, state string) {
+		if scan, ok := n.(*algebra.Scan); ok && (state == "old" || !dirty[scan.Relation]) {
+			return
+		}
+		requests++
+		seen[state+" "+n.Canonical()] = true
+		for _, c := range n.Children() {
+			operand(c, state)
+		}
+	}
+	for _, v := range views {
+		algebra.Walk(v.plan, func(n algebra.Node) {
+			if j, ok := n.(*algebra.Join); ok {
+				operand(j.Right, "new")
+				operand(j.Left, "old")
+			}
+		})
+	}
+	return requests, len(seen)
 }
 
 // assertViewsMatchRecompute compares every stored view, as a multiset, with
@@ -196,12 +226,10 @@ func TestMaintenanceEpochsMatchRecompute(t *testing.T) {
 
 	for e, ep := range sched {
 		label := fmt.Sprintf("epoch %d", e)
-		got := runStarEpoch(t, shared, names, ep, beginEpoch)
+		got, epochs := runStarEpoch(t, shared, names, ep, true)
 		// The reference: every refresh is an epoch of its own.
-		want := runStarEpoch(t, perView, names, ep, func(db *engine.DB) func(string) (*engine.Result, error) {
-			return db.IncrementalRefresh
-		})
-		row := runStarEpoch(t, oracle, names, ep, beginEpoch)
+		want, _ := runStarEpoch(t, perView, names, ep, false)
+		row, _ := runStarEpoch(t, oracle, names, ep, true)
 		if len(got) != len(want) || len(got) != len(row) {
 			t.Fatalf("%s: %d / %d / %d refreshes", label, len(got), len(want), len(row))
 		}
@@ -221,5 +249,44 @@ func TestMaintenanceEpochsMatchRecompute(t *testing.T) {
 		}
 		assertCountersIdentical(t, label+" shared vs per view", shared, perView)
 		assertCountersIdentical(t, label+" shared vs row oracle", shared, oracle)
+
+		// Every distinct operand once, every dirty table cloned once per
+		// state: checked where the test can count the requests itself.
+		if ep.straggler == nil && !ep.failApply {
+			dirty := make(map[string]bool)
+			for _, tr := range ep.deltas {
+				dirty[tr.table] = true
+			}
+			requests, distinct := operandRequests(views, dirty)
+			evaluated, reused := epochs[0].Operands()
+			if evaluated+reused != requests || evaluated > distinct || (len(dirty) == 1+starDims && evaluated != distinct) {
+				t.Fatalf("%s: %d operands evaluated + %d reused; the plans ask for %d, %d of them distinct",
+					label, evaluated, reused, requests, distinct)
+			}
+		}
+	}
+}
+
+// TestIdenticalViewSharesEverything: a second view with the plan of an
+// existing one costs an epoch no evaluation at all.
+func TestIdenticalViewSharesEverything(t *testing.T) {
+	s := newStarSchemas()
+	operands := func(views []starView) (evaluated, reused int) {
+		gen, load := starLoad(0.002, 3)
+		db := newStarDB(t, s, load, views)
+		stage(t, db, []tableRows{{"Fact", gen.fact(4)}, {starDim(3), gen.dim(3, 1)}, {starDim(0), gen.dim(0, 2)}})
+		ep := db.BeginMaintenance()
+		for _, v := range views {
+			if _, err := ep.IncrementalRefresh(v.name); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return ep.Operands()
+	}
+	evaluated, reused := operands(s.benchViews())
+	twinEvaluated, twinReused := operands(append(s.benchViews(),
+		starView{"twin8", s.A(3, s.J(3, s.D(3), s.F()), algebra.AggCount, algebra.AggSum)}))
+	if twinEvaluated != evaluated || twinReused <= reused {
+		t.Fatalf("a second identical view: evaluated %d → %d, reused %d → %d", evaluated, twinEvaluated, reused, twinReused)
 	}
 }

@@ -134,7 +134,7 @@ func (rs *RelationSet) Execute(plan algebra.Node) (*Result, error) {
 	return res, nil
 }
 
-// exec evaluates n over the set's relations; a nil res runs it unmetered.
+// exec evaluates n over the set's relations, metering every operator into res.
 func (rs *RelationSet) exec(n algebra.Node, res *Result) (*Table, error) {
 	db := rs.db
 	switch v := n.(type) {
@@ -173,11 +173,17 @@ func (rs *RelationSet) exec(n algebra.Node, res *Result) (*Table, error) {
 	}
 }
 
-// opJoin runs a join under the configured join algorithm. The
-// delta-propagation path calls nlJoin directly: its cost formulas assume
-// BlockNLJ whatever the algorithm setting.
+// opJoin picks the physical join. A metered join (res non-nil: queries and
+// recomputation) follows db.joinAlgo, because its block charge is the
+// algorithm's. An unmetered one — a full operand relation a join delta
+// pairs against, charged to nobody — takes the hash operator whenever that
+// provably matches the same pairs as the nested-loop kernel
+// (hashMatchesNestedLoop) and the nested-loop kernel otherwise, so a
+// maintained view stays multiset-equal to its recomputation. The two legs of
+// a join delta never come here: they call nlJoin directly, since the
+// delta-propagation cost formulas assume BlockNLJ whatever the setting.
 func (db *DB) opJoin(j *algebra.Join, left, right *Table, res *Result) (*Table, error) {
-	if db.joinAlgo == JoinHash {
+	if db.joinAlgo == JoinHash || res == nil && hashMatchesNestedLoop(j, left, right) {
 		return db.ops.hashJoin(db, j, left, right, res)
 	}
 	return db.ops.nlJoin(db, j, left, right, res)

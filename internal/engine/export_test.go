@@ -1,5 +1,7 @@
 package engine
 
+import "github.com/warehousekit/mvpp/internal/algebra"
+
 // UseRowOracle makes db execute every operator on the row-at-a-time
 // reference oracle (rowexec_test.go) from now on, and returns the oracle
 // so the caller can check that it ran. Test-only: a binary has no way to
@@ -8,4 +10,36 @@ func (db *DB) UseRowOracle() *RowOracle {
 	o := &RowOracle{}
 	db.ops = o
 	return o
+}
+
+// JoinSpy sits in the operators seam and counts which join kernel every
+// join — metered or not — was sent to.
+type JoinSpy struct {
+	operators
+	NestedLoop, Hash int
+}
+
+func (s *JoinSpy) nlJoin(db *DB, j *algebra.Join, left, right *Table, res *Result) (*Table, error) {
+	s.NestedLoop++
+	return s.operators.nlJoin(db, j, left, right, res)
+}
+
+func (s *JoinSpy) hashJoin(db *DB, j *algebra.Join, left, right *Table, res *Result) (*Table, error) {
+	s.Hash++
+	return s.operators.hashJoin(db, j, left, right, res)
+}
+
+// SpyJoins wraps db's current operators in a JoinSpy.
+func (db *DB) SpyJoins() *JoinSpy {
+	s := &JoinSpy{operators: db.ops}
+	db.ops = s
+	return s
+}
+
+// Operand evaluates plan the way the epoch evaluates the new-state operand
+// of a join delta — unmetered, over the base tables plus every pending row —
+// and returns the epoch's own (shared) table.
+func (ep *MaintenanceEpoch) Operand(plan algebra.Node) (*Table, error) {
+	p := &propagation{ep: ep, rs: ep.db.Relations(), snap: ep.db.deltaSnapshot("")}
+	return p.rel(plan, newState)
 }

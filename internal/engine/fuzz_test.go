@@ -323,6 +323,10 @@ func FuzzJoinKeyEncoding(f *testing.F) {
 	add(2, 0, math.Copysign(0, -1), "", 1, 0, 0, "")
 	add(0, 0, 0, "", 3, 0, 0, "")
 	add(2, 0, 99.5, "", 2, 0, 99.5, "")
+	// Past 2^53 distinct ints share a float64 image: equal to the nested
+	// loop, different hash classes — the operand gate must refuse them.
+	add(1, 1<<53+1, 0, "", 1, 1<<53, 0, "")
+	add(1, 1<<53+1, 0, "", 2, 0, 1<<53, "")
 
 	f.Fuzz(func(t *testing.T, selA uint8, intA int64, floatA float64, strA string, selB uint8, intB int64, floatB float64, strB string) {
 		a := fuzzValue(selA, intA, floatA, strA)
@@ -332,6 +336,21 @@ func FuzzJoinKeyEncoding(f *testing.F) {
 		if typedEq != legacyEq {
 			t.Fatalf("key encodings disagree for %#v vs %#v: joinKey equal=%v (%+v, %+v) but hashKey equal=%v (%q, %q)",
 				a, b, typedEq, joinKeyOf(a), joinKeyOf(b), legacyEq, hashKey(a), hashKey(b))
+		}
+		// Where hashMatchesNestedLoop lets the hash operator produce an
+		// unmetered operand, its classes must be the nested loop's equality.
+		side := func(rel string, v algebra.Value) *Table {
+			tab := NewTable(rel, algebra.NewSchema(algebra.Column{Relation: rel, Name: "k", Type: v.Kind}), 1)
+			if err := tab.Insert([]algebra.Value{v}); err != nil {
+				t.Fatal(err)
+			}
+			return tab
+		}
+		l, r := side("A", a), side("B", b)
+		j := algebra.NewJoin(algebra.NewScan("A", l.Schema), algebra.NewScan("B", r.Schema),
+			[]algebra.JoinCond{{Left: algebra.Ref("A", "k"), Right: algebra.Ref("B", "k")}})
+		if hashMatchesNestedLoop(j, l, r) && legacyEq != a.Equal(b) {
+			t.Fatalf("operand gate admits %#v vs %#v: hash classes equal=%v, nested loop equal=%v", a, b, legacyEq, a.Equal(b))
 		}
 	})
 }

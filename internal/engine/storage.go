@@ -22,7 +22,12 @@
 // ApplyDeltas, DropView, RestoreTable, RestoreView — build the next table or
 // view beside the readers, copy the set's two small maps, change their entry
 // and store the new set; they must be serialized by the caller (a single
-// maintenance goroutine, as the serve package's scheduler does).
+// maintenance goroutine, as the serve package's scheduler does). A
+// MaintenanceEpoch from BeginMaintenance is the maintainer's too: its
+// IncrementalRefresh is a maintenance method, it is used from that one
+// goroutine, and because it holds every relation its propagations derived it
+// lives as a local from the epoch's first refresh to its last — never in a
+// DB, a server or anything else that survives ApplyDeltas.
 //
 // What a held RelationSet guarantees: every table and view in it is
 // immutable, so one Execute resolves all its scans — two scans of one view

@@ -813,10 +813,16 @@ func (s *Server) runEpochLocked() error {
 
 	var reads, writes int64
 	incDone := 0
+	// One engine epoch for every propagation below: operands and common
+	// Δ-subexpressions are evaluated once. Retry, fault site, fallback and
+	// span stay per view. The epoch value holds every relation it derived,
+	// so it is a local that this function reads for the last time before
+	// ApplyDeltas.
+	ep := s.db.BeginMaintenance()
 	for _, name := range incremental {
 		rctx, rstart := child(), time.Now()
 		res, attempts, err := s.retryRefresh(s.baseCtx, rctx, "incremental refresh of "+name, func() (*engine.Result, error) {
-			return s.db.IncrementalRefresh(name)
+			return ep.IncrementalRefresh(name)
 		})
 		if errors.Is(err, engine.ErrNotIncremental) {
 			// The design promised delta propagation but the plan cannot be
@@ -861,6 +867,11 @@ func (s *Server) runEpochLocked() error {
 		s.observeAudit(costaudit.KindIncremental, name, res.TotalReads()+res.TotalWrites())
 	}
 	sort.Strings(recompute)
+	// How much evaluation the views shared: on the epoch span and event.
+	evaluated, reused := ep.Operands()
+	if sp != nil {
+		sp.Annotate(obs.Int("operands_evaluated", int64(evaluated)), obs.Int("operands_reused", int64(reused)))
+	}
 
 	actx, astart := child(), time.Now()
 	if _, _, err := s.retryRefresh(s.baseCtx, actx, "delta application", func() (*engine.Result, error) {
@@ -1134,7 +1145,9 @@ func (s *Server) runEpochLocked() error {
 			obs.Int("lsn_lo", int64(floorLSN)),
 			obs.Int("lsn_hi", int64(ackLSN)),
 			obs.Int("incremental", int64(incDone)),
-			obs.Int("recomputed", int64(recomputed)))
+			obs.Int("recomputed", int64(recomputed)),
+			obs.Int("operands_evaluated", int64(evaluated)),
+			obs.Int("operands_reused", int64(reused)))
 		etr.finish()
 		s.epochLink.Store(&epochTraceLink{epoch: epoch, traceID: ectx.TraceID, ctx: ectx, trace: etr})
 	}
@@ -1146,7 +1159,9 @@ func (s *Server) runEpochLocked() error {
 		obs.Int("recomputed", int64(recomputed)),
 		obs.Int("failed", int64(len(outcomes)-incDone-recomputed)),
 		obs.Int("reads", reads),
-		obs.Int("writes", writes))
+		obs.Int("writes", writes),
+		obs.Int("operands_evaluated", int64(evaluated)),
+		obs.Int("operands_reused", int64(reused)))
 	return nil
 }
 

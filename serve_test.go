@@ -2,11 +2,14 @@ package mvpp_test
 
 import (
 	"context"
+	"reflect"
 	"sort"
 	"sync"
 	"testing"
 
 	mvpp "github.com/warehousekit/mvpp"
+	"github.com/warehousekit/mvpp/internal/engine"
+	"github.com/warehousekit/mvpp/internal/serve"
 )
 
 func paperServer(t *testing.T, opts mvpp.ServeOptions) (*mvpp.Design, *mvpp.Server) {
@@ -329,4 +332,43 @@ func BenchmarkServeWorkload(b *testing.B) {
 	b.ReportMetric(stats.QPS, "queries/sec")
 	b.ReportMetric(stats.CacheHitRate(), "cache-hit-rate")
 	b.ReportMetric(float64(stats.P99.Microseconds()), "p99-us")
+}
+
+// TestNoServerFieldCanKeepAMaintenanceEpoch: an engine.MaintenanceEpoch
+// holds every relation its propagations derived, so it has to stay a local
+// of whoever runs the epoch. Nothing reachable from a Server through struct
+// fields, pointers, slices, arrays, maps or channels — the facade, the
+// serve.Server, the engine.DB — may be able to hold one. (Interface- and
+// func-typed fields are opaque to the walk.)
+func TestNoServerFieldCanKeepAMaintenanceEpoch(t *testing.T) {
+	typeOf := func(p any) reflect.Type { return reflect.TypeOf(p).Elem() }
+	epoch := typeOf((*engine.MaintenanceEpoch)(nil))
+	seen := make(map[reflect.Type]bool)
+	var walk func(ty reflect.Type, path string)
+	walk = func(ty reflect.Type, path string) {
+		if ty == epoch {
+			t.Errorf("%s can hold an engine.MaintenanceEpoch", path)
+		}
+		if seen[ty] {
+			return
+		}
+		seen[ty] = true
+		switch ty.Kind() {
+		case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Chan:
+			walk(ty.Elem(), path)
+		case reflect.Map:
+			walk(ty.Key(), path)
+			walk(ty.Elem(), path)
+		case reflect.Struct:
+			for i := 0; i < ty.NumField(); i++ {
+				walk(ty.Field(i).Type, path+"."+ty.Field(i).Name)
+			}
+		}
+	}
+	walk(typeOf((*mvpp.Server)(nil)), "mvpp.Server")
+	for _, must := range []reflect.Type{typeOf((*serve.Server)(nil)), typeOf((*engine.DB)(nil)), typeOf((*engine.Table)(nil))} {
+		if !seen[must] {
+			t.Fatalf("the walk never reached %s: it proves nothing", must)
+		}
+	}
 }

@@ -121,6 +121,20 @@ func TestPipelineTraceEndToEnd(t *testing.T) {
 	if appendLSN == 0 || commitLSN < appendLSN {
 		t.Errorf("journal LSNs do not chain: append %v, commit %v", appendLSN, commitLSN)
 	}
+	// The epoch span says how much evaluation its refreshes shared.
+	for _, sp := range epochEntry.Spans {
+		if sp.Name != "serve.epoch" {
+			continue
+		}
+		for _, attr := range []string{"operands_evaluated", "operands_reused"} {
+			if _, ok := sp.Detail[attr]; !ok {
+				t.Errorf("serve.epoch span carries no %s (has %v)", attr, sp.Detail)
+			}
+		}
+		if epochSpans["refresh.incremental"] > 0 && detailInt(sp.Detail["operands_evaluated"]) == 0 {
+			t.Errorf("an epoch with incremental refreshes evaluated no operand: %v", sp.Detail)
+		}
+	}
 
 	// Lineage names the epoch and the journal LSN range, stamped with the
 	// same causal trace ID.
