@@ -290,3 +290,38 @@ func TestIdenticalViewSharesEverything(t *testing.T) {
 		t.Fatalf("a second identical view: evaluated %d → %d, reused %d → %d", evaluated, twinEvaluated, reused, twinReused)
 	}
 }
+
+// BenchmarkMaintenanceEpoch is the delta-refresh layer's own number: the
+// benchmark's 22-view star warehouse at its mixed_fresh scale, one epoch =
+// a streamed batch staged on all seven tables (5 fact rows, one per
+// dimension — what StreamDeltas(0.0025) sends), every view refreshed in one
+// epoch value, ApplyDeltas. Tables and views grow by a batch per iteration,
+// as they do under the benchmark's writer.
+func BenchmarkMaintenanceEpoch(b *testing.B) {
+	s := newStarSchemas()
+	gen, load := starLoad(0.02, 1)
+	views := s.benchViews()
+	db := newStarDB(b, s, load, views)
+	sort.Slice(views, func(i, j int) bool { return views[i].name < views[j].name })
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		batch := []tableRows{{"Fact", gen.fact(5)}}
+		for d := 0; d < starDims; d++ {
+			batch = append(batch, tableRows{starDim(d), gen.dim(d, 1)})
+		}
+		b.StartTimer()
+		stage(b, db, batch)
+		ep := db.BeginMaintenance()
+		for _, v := range views {
+			if _, err := ep.IncrementalRefresh(v.name); err != nil {
+				b.Fatal(err)
+			}
+		}
+		if err := db.ApplyDeltas(); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/epoch")
+}

@@ -62,7 +62,7 @@ const (
 // executions.
 func (db *DB) SetJoinAlgorithm(a JoinAlgorithm) { db.joinAlgo = a }
 
-// operators is the one seam between plan traversal (exec, deltaExec) and
+// operators is the one seam between plan traversal (exec, the epoch's rel) and
 // the physical operators. batchOperators is its only implementation
 // outside _test.go files; the differential harness swaps in the
 // row-at-a-time oracle through export_test.go.
