@@ -103,8 +103,8 @@ type DeltaRecord = engine.DeltaRecord
 func NewMemJournal() *engine.MemJournal { return engine.NewMemJournal() }
 
 // OpenFileJournal opens (or resumes) the crash-safe file-backed
-// DeltaJournal at path: append-only line-JSON, fsynced per append/commit,
-// tolerant of a torn final line.
+// DeltaJournal at path: append-only line-JSON, one write and one fsync per
+// appended group and per commit mark, tolerant of a torn tail.
 func OpenFileJournal(path string) (*engine.FileJournal, error) {
 	return engine.OpenFileJournal(path)
 }

@@ -2,8 +2,10 @@ package engine
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"sync"
@@ -27,26 +29,21 @@ type DeltaRecord struct {
 	Source string
 }
 
-// SourceAppender is the optional journal extension for source-tagged
-// appends. Both built-in journals implement it; a custom DeltaJournal
-// without it simply journals untagged records.
-type SourceAppender interface {
-	// AppendSource journals one batch tagged with its ingestion source and
-	// returns its LSN.
-	AppendSource(table, source string, rows [][]algebra.Value) (uint64, error)
-}
-
 // DeltaJournal is a write-ahead log for base-table deltas: the serving
 // layer appends every ingested batch *before* buffering it, acknowledges
 // (Commit) only after a maintenance epoch has landed the rows in the base
 // tables, and on restart replays the unacknowledged suffix — so no ingested
 // delta is ever lost to a crash between ingestion and its epoch.
 //
-// Implementations must be safe for concurrent use. Append must be durable
-// (for the file journal: flushed and synced) before it returns.
+// Implementations must be safe for concurrent use. AppendGroup must be
+// durable (for the file journal: written and synced) before it returns.
 type DeltaJournal interface {
-	// Append journals one batch and returns its LSN.
-	Append(table string, rows [][]algebra.Value) (uint64, error)
+	// AppendGroup journals the records' Table and Rows as one group, in
+	// order: each gets the next dense LSN and the source tag, and the group
+	// is made durable as a whole — it either returns the last LSN assigned,
+	// or an error with nothing journaled. An empty group journals nothing
+	// and returns 0.
+	AppendGroup(source string, recs []DeltaRecord) (lastLSN uint64, err error)
 	// Commit acknowledges every record with LSN ≤ lsn; acknowledged records
 	// are never replayed again.
 	Commit(lsn uint64) error
@@ -80,20 +77,25 @@ type MemJournal struct {
 // NewMemJournal creates an empty in-memory journal.
 func NewMemJournal() *MemJournal { return &MemJournal{nextLSN: 1} }
 
-// Append journals one batch. The rows are copied shallowly (row slices are
-// shared; the serving layer never mutates ingested rows).
+// Append journals one untagged batch: a one-record group.
 func (j *MemJournal) Append(table string, rows [][]algebra.Value) (uint64, error) {
-	return j.AppendSource(table, "", rows)
+	return j.AppendGroup("", []DeltaRecord{{Table: table, Rows: rows}})
 }
 
-// AppendSource journals one batch tagged with its ingestion source.
-func (j *MemJournal) AppendSource(table, source string, rows [][]algebra.Value) (uint64, error) {
+// AppendGroup journals the records as one group. The rows are copied
+// shallowly (row slices are shared; the serving layer never mutates
+// ingested rows).
+func (j *MemJournal) AppendGroup(source string, recs []DeltaRecord) (uint64, error) {
+	if len(recs) == 0 {
+		return 0, nil
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	lsn := j.nextLSN
-	j.nextLSN++
-	j.records = append(j.records, DeltaRecord{LSN: lsn, Table: table, Rows: append([][]algebra.Value(nil), rows...), Source: source})
-	return lsn, nil
+	for _, r := range recs {
+		j.records = append(j.records, DeltaRecord{LSN: j.nextLSN, Table: r.Table, Rows: append([][]algebra.Value(nil), r.Rows...), Source: source})
+		j.nextLSN++
+	}
+	return j.nextLSN - 1, nil
 }
 
 // Commit acknowledges records up to lsn. Acknowledged records are retained
@@ -157,7 +159,9 @@ func (j *MemJournal) Close() error { return nil }
 // ({"t":"d","lsn":N,"table":...,"rows":[[...]]}) or a commit mark
 // ({"t":"c","lsn":N}). Values serialize as {k,i,f,s} with zero fields
 // omitted. The format is append-only; a torn final line (crash mid-append)
-// is detected by its parse failure and discarded on open.
+// is detected by its parse failure or its missing newline and discarded on
+// open. A group is nothing but its records' lines written together, so a
+// torn group leaves a whole-record prefix.
 type journalLine struct {
 	T     string          `json:"t"`
 	LSN   uint64          `json:"lsn"`
@@ -181,6 +185,15 @@ func encodeRow(row []algebra.Value) []journaleVal {
 	return out
 }
 
+// encodeDelta writes r as one delta line.
+func encodeDelta(enc *json.Encoder, r DeltaRecord) error {
+	rows := make([][]journaleVal, len(r.Rows))
+	for i, row := range r.Rows {
+		rows[i] = encodeRow(row)
+	}
+	return enc.Encode(journalLine{T: "d", LSN: r.LSN, Table: r.Table, Src: r.Source, Rows: rows})
+}
+
 func decodeRow(row []journaleVal) []algebra.Value {
 	out := make([]algebra.Value, len(row))
 	for i, v := range row {
@@ -189,15 +202,28 @@ func decodeRow(row []journaleVal) []algebra.Value {
 	return out
 }
 
+// journalFile is what the journal needs of its open file; tests substitute
+// one that counts or fails the calls.
+type journalFile interface {
+	io.Writer
+	Sync() error
+	Truncate(size int64) error
+	Seek(offset int64, whence int) (int64, error)
+	Close() error
+}
+
 // FileJournal is the file-backed DeltaJournal: an append-only line-JSON log
-// that is fsynced on every append and commit, and whose open path tolerates
-// a torn final line — the crash-safe write-ahead log proper. Committed
-// records stay in the file (for snapshot recovery's RecordsSince) until
-// Truncate compacts it.
+// that costs one write and one fsync per group and per commit mark, and
+// whose open path tolerates a torn tail — the crash-safe write-ahead log
+// proper. Committed records stay in the file (for snapshot recovery's
+// RecordsSince) until Truncate compacts it.
 type FileJournal struct {
-	mu        sync.Mutex
-	path      string
-	f         *os.File
+	mu   sync.Mutex
+	path string
+	f    journalFile
+	// tail is the file's length: where the next write lands, and what a
+	// failed write is cut back to.
+	tail      int64
 	nextLSN   uint64
 	committed uint64
 	pending   []DeltaRecord
@@ -213,20 +239,27 @@ type journalScan struct {
 }
 
 // scanJournalFile parses a journal file, stopping (without error) at the
-// first malformed line — the torn tail of a crashed append.
-func scanJournalFile(f *os.File) (journalScan, error) {
+// first malformed or unterminated line — the torn tail of a crashed append.
+func scanJournalFile(f io.Reader) (journalScan, error) {
 	var s journalScan
-	sc := bufio.NewScanner(f)
-	sc.Buffer(make([]byte, 1<<20), 1<<26)
-	for sc.Scan() {
-		raw := sc.Bytes()
+	r := bufio.NewReaderSize(f, 1<<16)
+	for {
+		raw, err := r.ReadBytes('\n')
+		if err == io.EOF {
+			// What is left has no newline: its write never completed, so it
+			// is torn even if the bytes that arrived happen to parse.
+			return s, nil
+		}
+		if err != nil {
+			return s, fmt.Errorf("engine: reading delta journal: %w", err)
+		}
 		var line journalLine
 		if err := json.Unmarshal(raw, &line); err != nil {
-			// A torn tail from a crash mid-append: everything before it is
-			// intact; the tail is discarded by the caller.
-			break
+			// Everything before a torn line is intact; the caller discards
+			// the rest.
+			return s, nil
 		}
-		s.goodBytes += int64(len(raw)) + 1
+		s.goodBytes += int64(len(raw))
 		if line.LSN > s.maxLSN {
 			s.maxLSN = line.LSN
 		}
@@ -243,10 +276,6 @@ func scanJournalFile(f *os.File) (journalScan, error) {
 			}
 		}
 	}
-	if err := sc.Err(); err != nil {
-		return s, fmt.Errorf("engine: reading delta journal: %w", err)
-	}
-	return s, nil
 }
 
 // OpenFileJournal opens (or creates) the journal at path and recovers its
@@ -272,15 +301,15 @@ func OpenFileJournal(path string) (*FileJournal, error) {
 	// truncation's commit mark, which may be the only surviving line.
 	// Restarting the sequence lower would reissue LSNs below a snapshot
 	// watermark and make RecordsSince silently skip live deltas.
-	j := &FileJournal{path: path, f: f, nextLSN: s.maxLSN + 1, committed: s.committed, pending: s.records}
+	j := &FileJournal{path: path, f: f, tail: s.goodBytes, nextLSN: s.maxLSN + 1, committed: s.committed, pending: s.records}
 	if j.nextLSN < 1 {
 		j.nextLSN = 1
 	}
-	if err := f.Truncate(s.goodBytes); err != nil {
+	if err := f.Truncate(j.tail); err != nil {
 		f.Close()
 		return nil, fmt.Errorf("engine: truncating torn journal tail: %w", err)
 	}
-	if _, err := f.Seek(0, 2); err != nil {
+	if _, err := f.Seek(j.tail, io.SeekStart); err != nil {
 		f.Close()
 		return nil, err
 	}
@@ -288,8 +317,8 @@ func OpenFileJournal(path string) (*FileJournal, error) {
 	return j, nil
 }
 
-// SetInjector arms fault injection at the journal's sites (currently
-// SiteJournalTruncate); nil disables.
+// SetInjector arms fault injection at the journal's sites
+// (SiteJournalAppend, SiteJournalTruncate); nil disables.
 func (j *FileJournal) SetInjector(in *fault.Injector) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -306,41 +335,59 @@ func (j *FileJournal) dropCommitted() {
 	j.pending = keep
 }
 
-func (j *FileJournal) appendLine(line journalLine) error {
-	data, err := json.Marshal(line)
-	if err != nil {
-		return err
-	}
-	data = append(data, '\n')
+// writeDurable appends data with one Write and one Sync.
+func (j *FileJournal) writeDurable(data []byte) error {
 	if _, err := j.f.Write(data); err != nil {
-		return fmt.Errorf("engine: appending to delta journal: %w", err)
+		return j.cutBack(fmt.Errorf("engine: appending to delta journal: %w", err))
 	}
 	if err := j.f.Sync(); err != nil {
-		return fmt.Errorf("engine: syncing delta journal: %w", err)
+		return j.cutBack(fmt.Errorf("engine: syncing delta journal: %w", err))
 	}
+	j.tail += int64(len(data))
 	return nil
 }
 
-// Append journals one batch durably (write + fsync) before returning.
-func (j *FileJournal) Append(table string, rows [][]algebra.Value) (uint64, error) {
-	return j.AppendSource(table, "", rows)
+// cutBack undoes a failed write: the file is cut back to where the write
+// began, so a refused group leaves no whole-record prefix whose LSNs the
+// next group would reissue. Best effort — the journal is already failing,
+// and reopening discards a torn tail anyway. Returns cause.
+func (j *FileJournal) cutBack(cause error) error {
+	_ = j.f.Truncate(j.tail)
+	_, _ = j.f.Seek(j.tail, io.SeekStart)
+	return cause
 }
 
-// AppendSource journals one batch durably, tagged with its ingestion source.
-func (j *FileJournal) AppendSource(table, source string, rows [][]algebra.Value) (uint64, error) {
+// Append journals one untagged batch durably: a one-record group.
+func (j *FileJournal) Append(table string, rows [][]algebra.Value) (uint64, error) {
+	return j.AppendGroup("", []DeltaRecord{{Table: table, Rows: rows}})
+}
+
+// AppendGroup journals the records as one group: one line and one dense LSN
+// per record, all lines in one buffer, one write, one fsync.
+func (j *FileJournal) AppendGroup(source string, recs []DeltaRecord) (uint64, error) {
+	if len(recs) == 0 {
+		return 0, nil
+	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	lsn := j.nextLSN
-	enc := make([][]journaleVal, len(rows))
-	for i, r := range rows {
-		enc[i] = encodeRow(r)
-	}
-	if err := j.appendLine(journalLine{T: "d", LSN: lsn, Table: table, Src: source, Rows: enc}); err != nil {
+	if err := j.inj.Hit(fault.SiteJournalAppend); err != nil {
 		return 0, err
 	}
-	j.nextLSN++
-	j.pending = append(j.pending, DeltaRecord{LSN: lsn, Table: table, Rows: rows, Source: source})
-	return lsn, nil
+	group := make([]DeltaRecord, len(recs))
+	var buf bytes.Buffer
+	enc := json.NewEncoder(&buf)
+	for i, r := range recs {
+		group[i] = DeltaRecord{LSN: j.nextLSN + uint64(i), Table: r.Table, Rows: r.Rows, Source: source}
+		if err := encodeDelta(enc, group[i]); err != nil {
+			return 0, fmt.Errorf("engine: encoding delta journal record: %w", err)
+		}
+	}
+	if err := j.writeDurable(buf.Bytes()); err != nil {
+		return 0, err
+	}
+	j.nextLSN += uint64(len(group))
+	j.pending = append(j.pending, group...)
+	return j.nextLSN - 1, nil
 }
 
 // Commit appends a durable commit mark acknowledging records up to lsn.
@@ -350,7 +397,11 @@ func (j *FileJournal) Commit(lsn uint64) error {
 	if lsn <= j.committed {
 		return nil
 	}
-	if err := j.appendLine(journalLine{T: "c", LSN: lsn}); err != nil {
+	mark, err := json.Marshal(journalLine{T: "c", LSN: lsn})
+	if err != nil {
+		return err
+	}
+	if err := j.writeDurable(append(mark, '\n')); err != nil {
 		return err
 	}
 	j.committed = lsn
@@ -423,27 +474,15 @@ func (j *FileJournal) Truncate(lsn uint64) error {
 	if lsn > mark {
 		mark = lsn
 	}
-	writeLine := func(line journalLine) error {
-		data, err := json.Marshal(line)
-		if err != nil {
-			return err
-		}
-		_, err = tmp.Write(append(data, '\n'))
-		return err
-	}
-	werr := writeLine(journalLine{T: "c", LSN: mark})
+	enc := json.NewEncoder(tmp)
+	werr := enc.Encode(journalLine{T: "c", LSN: mark})
 	for _, r := range s.records {
 		if werr != nil {
 			break
 		}
-		if r.LSN <= lsn {
-			continue
+		if r.LSN > lsn {
+			werr = encodeDelta(enc, r)
 		}
-		enc := make([][]journaleVal, len(r.Rows))
-		for i, row := range r.Rows {
-			enc[i] = encodeRow(row)
-		}
-		werr = writeLine(journalLine{T: "d", LSN: r.LSN, Table: r.Table, Src: r.Source, Rows: enc})
 	}
 	if werr == nil {
 		werr = tmp.Sync()
@@ -472,12 +511,13 @@ func (j *FileJournal) Truncate(lsn uint64) error {
 	if err != nil {
 		return fmt.Errorf("engine: reopening compacted journal: %w", err)
 	}
-	if _, err := nf.Seek(0, 2); err != nil {
+	tail, err := nf.Seek(0, io.SeekEnd)
+	if err != nil {
 		nf.Close()
 		return err
 	}
 	j.f.Close()
-	j.f = nf
+	j.f, j.tail = nf, tail
 	j.committed = mark
 	if mark >= j.nextLSN {
 		j.nextLSN = mark + 1

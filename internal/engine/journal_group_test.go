@@ -2,6 +2,7 @@ package engine
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,6 +10,7 @@ import (
 	"testing"
 
 	"github.com/warehousekit/mvpp/internal/algebra"
+	"github.com/warehousekit/mvpp/internal/fault"
 )
 
 // The group-append contract: journaling N records as one group is
@@ -20,13 +22,9 @@ import (
 // the last LSN.
 func appendGroup(t testing.TB, j *FileJournal, source string, recs []DeltaRecord) uint64 {
 	t.Helper()
-	var last uint64
-	for _, r := range recs {
-		lsn, err := j.AppendSource(r.Table, source, r.Rows)
-		if err != nil {
-			t.Fatal(err)
-		}
-		last = lsn
+	last, err := j.AppendGroup(source, recs)
+	if err != nil {
+		t.Fatal(err)
 	}
 	return last
 }
@@ -162,6 +160,25 @@ func TestJournalGroupEqualsSequential(t *testing.T) {
 	same("appended after truncation")
 	seq.Close()
 	grp.Close()
+
+	// The in-memory journal keeps the same contract.
+	mseq, mgrp := NewMemJournal(), NewMemJournal()
+	for i := range recs {
+		if _, err := mseq.AppendGroup("stream", recs[i:i+1]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if last, err := mgrp.AppendGroup("stream", recs); err != nil || last != uint64(len(recs)) {
+		t.Fatalf("in-memory group: last LSN %d, err %v, want %d", last, err, len(recs))
+	}
+	for _, j := range []*MemJournal{mseq, mgrp} {
+		if err := j.Truncate(2); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if a, b := readState(t, mseq, 3), readState(t, mgrp, 3); !reflect.DeepEqual(a, b) || !sameLSNs(b.All, 3, 4, 5, 6, 7) {
+		t.Fatalf("in-memory journals diverge:\nsequential %+v\ngroup      %+v", a, b)
+	}
 }
 
 // TestJournalTornGroup cuts the file at every byte offset inside a group:
@@ -189,15 +206,11 @@ func TestJournalTornGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// A cut leaves the group's newline-terminated lines whole; a line cut
-	// between its closing brace and its newline may count as either.
+	// A cut leaves exactly the group's newline-terminated lines whole: a
+	// line cut between its closing brace and its newline never finished.
 	group := full[len(intact):]
 	for cut := 0; cut <= len(group); cut++ {
 		whole := bytes.Count(group[:cut], []byte("\n"))
-		unterminated := 0
-		if cut > 0 && cut < len(group) && group[cut-1] == '}' && group[cut] == '\n' {
-			unterminated = 1
-		}
 		torn := filepath.Join(dir, fmt.Sprintf("cut%d.wal", cut))
 		if err := os.WriteFile(torn, full[:len(intact)+cut], 0o644); err != nil {
 			t.Fatal(err)
@@ -211,7 +224,7 @@ func TestJournalTornGroup(t *testing.T) {
 			t.Fatal(err)
 		}
 		// LSN 1 is committed; LSN 2 and the group's whole lines are pending.
-		if got := len(pend) - 1; got < whole || got > whole+unterminated {
+		if got := len(pend) - 1; got != whole {
 			t.Fatalf("cut at group byte %d: %d of the group's records survive, want %d", cut, got, whole)
 		}
 		for i, r := range pend {
@@ -227,6 +240,13 @@ func TestJournalTornGroup(t *testing.T) {
 		next := appendGroup(t, tj, "", recs[:1])
 		if want := uint64(len(pend) + 2); next != want {
 			t.Fatalf("cut at group byte %d: next LSN %d, want %d", cut, next, want)
+		}
+		// The torn bytes are gone: the new record lands on a clean tail and
+		// survives another reopen beside the prefix.
+		tj = reopen(t, tj, torn)
+		if again, _ := tj.Pending(); len(again) != len(pend)+1 || again[len(pend)].LSN != next {
+			t.Fatalf("cut at group byte %d: pending LSNs after append and reopen %v, want %v then %d",
+				cut, lsnsOf(again), lsnsOf(pend), next)
 		}
 		tj.Close()
 		os.Remove(torn)
@@ -271,5 +291,124 @@ func FuzzJournalLine(f *testing.F) {
 		if len(all) < 2 || all[0].LSN != 1 || all[1].LSN != 2 || all[0].Table != "Fact" || all[1].Table != "Dim0" {
 			t.Fatalf("tail %q lost the valid prefix: %+v", tail, all)
 		}
+		// Whatever the tail was, the journal is writable again: a new record
+		// survives the next reopen.
+		lsn := appendGroup(t, j2, "", groupFixture()[3:4])
+		j3, err := OpenFileJournal(path)
+		if err != nil {
+			t.Fatalf("reopen after appending over tail %q: %v", tail, err)
+		}
+		defer j3.Close()
+		again, err := j3.RecordsSince(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(again) != len(all)+1 || again[len(all)].LSN != lsn {
+			t.Fatalf("tail %q: record appended at LSN %d did not survive a reopen: %v", tail, lsn, lsnsOf(again))
+		}
 	})
+}
+
+// countingFile counts the journal's writes and syncs and can fail them.
+type countingFile struct {
+	*os.File
+	writes, syncs       int
+	failSync, tearWrite bool
+}
+
+func (c *countingFile) Write(p []byte) (int, error) {
+	c.writes++
+	if c.tearWrite {
+		n, _ := c.File.Write(p[:len(p)/2])
+		return n, fmt.Errorf("disk full")
+	}
+	return c.File.Write(p)
+}
+
+func (c *countingFile) Sync() error {
+	c.syncs++
+	if c.failSync {
+		return fmt.Errorf("sync failed")
+	}
+	return c.File.Sync()
+}
+
+// TestFileJournalGroupIsOneWriteOneSync: a group of any size costs exactly
+// one write and one fsync, and a group that fails — injected before the
+// write, torn mid-write, or unsynced — leaves the file byte-identical and the
+// LSN sequence unmoved.
+func TestFileJournalGroupIsOneWriteOneSync(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "count.wal")
+	j, err := OpenFileJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	cf := &countingFile{File: j.f.(*os.File)}
+	j.f = cf
+	recs := groupFixture()
+	if last := appendGroup(t, j, "stream", recs); last != uint64(len(recs)) {
+		t.Fatalf("last LSN %d, want %d", last, len(recs))
+	}
+	if cf.writes != 1 || cf.syncs != 1 {
+		t.Fatalf("a %d-record group cost %d writes / %d syncs, want 1 / 1", len(recs), cf.writes, cf.syncs)
+	}
+	if err := j.Commit(3); err != nil {
+		t.Fatal(err)
+	}
+	if cf.writes != 2 || cf.syncs != 2 {
+		t.Fatalf("a commit mark cost %d writes / %d syncs, want 1 / 1", cf.writes-1, cf.syncs-1)
+	}
+
+	before, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	refused := func(stage string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s: the group was accepted", stage)
+		}
+		after, rerr := os.ReadFile(path)
+		if rerr != nil {
+			t.Fatal(rerr)
+		}
+		if !bytes.Equal(before, after) {
+			t.Fatalf("%s: a refused group changed the file:\nbefore %q\nafter  %q", stage, before, after)
+		}
+		if pend, _ := j.Pending(); !sameLSNs(pend, 4, 5, 6, 7) {
+			t.Fatalf("%s: pending LSNs %v, want 4 5 6 7", stage, lsnsOf(pend))
+		}
+	}
+	j.SetInjector(fault.New(1, fault.Plan{fault.SiteJournalAppend: {ErrProb: 1}}))
+	_, err = j.AppendGroup("stream", recs)
+	refused("injected", err)
+	if !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("injected append failed with %v, want the injected error", err)
+	}
+	if cf.writes != 2 {
+		t.Fatalf("the injected fault fired after the write (%d writes)", cf.writes)
+	}
+	j.SetInjector(nil)
+	cf.tearWrite = true
+	_, err = j.AppendGroup("stream", recs)
+	refused("torn write", err)
+	cf.tearWrite, cf.failSync = false, true
+	_, err = j.AppendGroup("stream", recs)
+	refused("failed sync", err)
+	cf.failSync = false
+
+	// The sequence resumes where the last accepted group left it, on a
+	// clean tail.
+	if last := appendGroup(t, j, "", recs[:2]); last != uint64(len(recs)+2) {
+		t.Fatalf("first LSNs after the refusals end at %d, want %d", last, len(recs)+2)
+	}
+	j2, err := OpenFileJournal(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	if pend, _ := j2.Pending(); !sameLSNs(pend, 4, 5, 6, 7, 8, 9) {
+		t.Fatalf("reopened pending LSNs %v, want 4..9", lsnsOf(pend))
+	}
 }

@@ -49,7 +49,9 @@ const (
 	SiteServeWorker Site = "serve.worker"
 	// SiteServeEpoch fires at the top of a maintenance epoch.
 	SiteServeEpoch Site = "serve.epoch"
-	// SiteJournalAppend fires when the delta journal appends a record.
+	// SiteJournalAppend fires in FileJournal.AppendGroup before the group's
+	// write — an injected error refuses the group whole: the file and the
+	// LSN sequence are untouched, and the serving layer stages nothing.
 	SiteJournalAppend Site = "journal.append"
 	// SiteJournalTruncate fires inside FileJournal.Truncate after the
 	// compacted replacement file is written but before it is renamed over

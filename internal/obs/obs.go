@@ -114,7 +114,7 @@ const (
 	EvServeRecalibrated EventKind = "serve.recalibrated"
 	// EvServeIngest fires on CDC streaming-ingest activity (attrs: action —
 	// "group_commit" with rows/entries/committed_seq, or "shed" with
-	// table/rows when backpressure turned a caller away).
+	// tables/rows when backpressure turned a batch away).
 	EvServeIngest EventKind = "serve.ingest"
 	// EvServeSLO fires when a view's freshness SLO flips state (attrs:
 	// view, action — "violated" or "recovered" — lag_rows, stale_epochs).

@@ -179,8 +179,17 @@ type scheduler struct {
 	defaultPolicy RefreshPolicy
 	defaultSLO    FreshnessSLO
 
+	// commitMu is the commit-order lock: one group at a time is journaled
+	// and then staged (commit), so journal LSN order, feed arrival order and
+	// staging order are one order, and the journal's fsync waits on no lock a
+	// reader takes. take() holds it too: an epoch boundary falls between two
+	// groups, never between a group's journal write and its staging.
+	// Acquired before mu, the feed's mu and the journal's own lock.
+	commitMu sync.Mutex
+
 	// mu guards the delta buffer, the view registry, and the journal
-	// watermark.
+	// watermark. It is never held across I/O: every cache miss takes it
+	// (unhealthyViewsAmong).
 	mu      sync.Mutex
 	buf     map[string][][]algebra.Value
 	bufRows int
@@ -196,11 +205,11 @@ type scheduler struct {
 	// bound of the next epoch's lineage LSN range, so consecutive epochs'
 	// (lo, hi] ranges partition the journal.
 	lastTakeLSN uint64
-	// bufBatches counts the ingest calls staged since the last take();
+	// bufBatches counts the records staged since the last take();
 	// pendingTraces carries the sampled ingest batches' span contexts into
-	// the epoch that lands them (both drained by take, both guarded by mu —
-	// the same lock that orders journaling, so a batch and its trace always
-	// land in the same epoch).
+	// the epoch that lands them (both drained by take, both staged with the
+	// rows in commit's one mu hold, so a batch and its trace always land in
+	// the same epoch).
 	bufBatches    int
 	pendingTraces []ingestTraceRef
 }
@@ -300,75 +309,105 @@ func (sc *scheduler) loop() {
 	}
 }
 
-// Ingest stages delta rows for a base table. The rows become visible only
-// when the next maintenance epoch lands (batch filled or Flush).
-// With a journal configured, the batch is journaled durably before it is
-// buffered; a journaling failure refuses the ingestion entirely, so every
-// accepted batch is recoverable.
+// Ingest stages delta rows for a base table: a one-record IngestBatch.
 func (s *Server) Ingest(table string, rows ...[]algebra.Value) error {
-	_, err := s.ingest(table, rows, true, "")
+	return s.IngestBatch([]engine.DeltaRecord{{Table: table, Rows: rows}})
+}
+
+// IngestBatch stages a multi-table delta batch (each record's Table and
+// Rows) directly, as one group and all-or-nothing. The rows become visible
+// only when the next maintenance epoch lands (batch filled or Flush). With a
+// journal configured, the group is journaled durably before it is buffered;
+// a journaling failure refuses the whole batch, so every accepted batch is
+// recoverable.
+func (s *Server) IngestBatch(batch []engine.DeltaRecord) error {
+	recs, rows, err := s.admit(batch)
+	if err != nil || rows == 0 {
+		return err
+	}
+	s.sched.commitMu.Lock()
+	defer s.sched.commitMu.Unlock()
+	_, err = s.commit("", recs, 0, nil)
 	return err
 }
 
-// ingest journals (when asked) and buffers delta rows, returning the
-// journal LSN the batch landed at (0 when unjournaled). source tags the
-// journal record with the ingestion path ("" for direct Ingest, "stream"
-// for the CDC change feed) so a replayed journal shows where rows entered.
-// refs carries the sampled span contexts of the batch; they ride the
-// buffer into the epoch that lands it.
-func (s *Server) ingest(table string, rows [][]algebra.Value, journal bool, source string, refs ...ingestTraceRef) (uint64, error) {
+// admit is the write path's one validation: the server is open, every
+// record names a base table and every row is schema-width. It returns the
+// batch without its empty records, and its row count.
+func (s *Server) admit(batch []engine.DeltaRecord) (recs []engine.DeltaRecord, rows int, err error) {
+	select {
+	case <-s.closed:
+		return nil, 0, ErrClosed
+	default:
+	}
+	for _, rec := range batch {
+		t, err := s.db.Table(rec.Table)
+		if err != nil {
+			return nil, 0, err
+		}
+		for _, r := range rec.Rows {
+			if len(r) != t.Schema.Len() {
+				return nil, 0, fmt.Errorf("serve: row width %d does not match schema width %d of %s",
+					len(r), t.Schema.Len(), rec.Table)
+			}
+		}
+		if len(rec.Rows) > 0 {
+			recs = append(recs, rec)
+			rows += len(rec.Rows)
+		}
+	}
+	return recs, rows, nil
+}
+
+// commit is the write path's one way in: it journals an admitted group
+// write-ahead with one AppendGroup, then stages every record for the next
+// epoch under one short hold of the buffer lock — so the watermark an epoch
+// takes covers exactly the rows it stages. The caller holds commitMu; the
+// journal's fsync happens under it and outside sc.mu. A group whose
+// journaling fails is refused whole: nothing staged, no view's pending
+// count moved. source tags the journal records with the ingestion path (""
+// direct, "stream" the change feed). replayedTo is nonzero for a group read
+// back from the journal: it is durable up to that LSN already and is only
+// staged. refs are the group's sampled span contexts; they ride the buffer
+// into the epoch that lands it. Returns the group's last LSN (0 when
+// unjournaled).
+func (s *Server) commit(source string, recs []engine.DeltaRecord, replayedTo uint64, refs []ingestTraceRef) (uint64, error) {
 	select {
 	case <-s.closed:
 		return 0, ErrClosed
 	default:
 	}
-	t, err := s.db.Table(table)
-	if err != nil {
-		return 0, err
-	}
-	for _, r := range rows {
-		if len(r) != t.Schema.Len() {
-			return 0, fmt.Errorf("serve: row width %d does not match schema width %d of %s",
-				len(r), t.Schema.Len(), table)
-		}
-	}
 	sc := s.sched
-	sc.mu.Lock()
-	var lsn uint64
-	if journal && sc.journal != nil {
-		// Write-ahead under the buffer lock, so the commit watermark taken
-		// by an epoch always covers exactly the rows it stages.
+	lastLSN := replayedTo
+	if sc.journal != nil && replayedTo == 0 {
 		var err error
-		if sa, ok := sc.journal.(engine.SourceAppender); ok && source != "" {
-			lsn, err = sa.AppendSource(table, source, rows)
-		} else {
-			lsn, err = sc.journal.Append(table, rows)
-		}
-		if err != nil {
-			sc.mu.Unlock()
+		if lastLSN, err = sc.journal.AppendGroup(source, recs); err != nil {
 			return 0, fmt.Errorf("serve: journaling deltas: %w", err)
 		}
-		sc.appendLSN = lsn
 	}
-	sc.buf[table] = append(sc.buf[table], rows...)
-	sc.bufRows += len(rows)
-	sc.bufBatches++
-	for _, ref := range refs {
-		if ref.ctx.Valid() {
-			sc.pendingTraces = append(sc.pendingTraces, ref)
+	rows := 0
+	sc.mu.Lock()
+	for _, rec := range recs {
+		sc.buf[rec.Table] = append(sc.buf[rec.Table], rec.Rows...)
+		rows += len(rec.Rows)
+		for _, vs := range sc.views {
+			if vs.rels[rec.Table] {
+				vs.pending += len(rec.Rows)
+			}
 		}
 	}
-	for _, vs := range sc.views {
-		if vs.rels[table] {
-			vs.pending += len(rows)
-		}
+	if lastLSN > sc.appendLSN {
+		sc.appendLSN = lastLSN
 	}
+	sc.bufRows += rows
+	sc.bufBatches += len(recs)
+	sc.pendingTraces = append(sc.pendingTraces, refs...)
 	full := sc.bufRows >= sc.batch
 	stale := sc.totalPendingLocked()
 	sc.mu.Unlock()
 
-	s.stats.deltaRows.Add(int64(len(rows)))
-	s.ctrDeltaRows.Add(int64(len(rows)))
+	s.stats.deltaRows.Add(int64(rows))
+	s.ctrDeltaRows.Add(int64(rows))
 	s.gStaleRows.Set(float64(stale))
 	if full {
 		select {
@@ -376,17 +415,18 @@ func (s *Server) ingest(table string, rows [][]algebra.Value, journal bool, sour
 		default:
 		}
 	}
-	return lsn, nil
+	return lastLSN, nil
 }
 
-// replayJournal re-ingests the journal's unacknowledged delta batches — the
-// rows a crashed predecessor accepted but whose epoch never landed. Called
-// by newServer before the workers and the scheduler loop start; the rows
-// land with the first epoch and are acknowledged then.
+// replayJournal re-stages the journal's unacknowledged delta batches — the
+// rows a crashed predecessor accepted but whose epoch never landed — as one
+// unjournaled group. Called by newServer before the workers and the
+// scheduler loop start; the rows land with the first epoch and are
+// acknowledged then.
 //
 // A server booted through snapshot recovery replays from the recovered
 // watermark instead: every journal record with LSN past the snapshot —
-// acknowledged by the dead process or not — is re-ingested, because the
+// acknowledged by the dead process or not — is re-staged, because the
 // restored base tables only contain rows up to the watermark. Without a
 // snapshot (cold recovery), the watermark is 0 and the full retained
 // journal replays over the freshly built base tables.
@@ -405,30 +445,24 @@ func (s *Server) replayJournal() error {
 	if err != nil {
 		return fmt.Errorf("serve: reading journal for replay: %w", err)
 	}
-	var replayed int64
-	var maxLSN uint64
-	for _, rec := range pending {
-		if _, err := s.ingest(rec.Table, rec.Rows, false, rec.Source); err != nil {
-			return fmt.Errorf("serve: replaying journaled deltas for %s (LSN %d): %w", rec.Table, rec.LSN, err)
-		}
-		replayed += int64(len(rec.Rows))
-		if rec.LSN > maxLSN {
-			maxLSN = rec.LSN
-		}
+	recs, replayed, err := s.admit(pending)
+	if err != nil {
+		return fmt.Errorf("serve: replaying journaled deltas: %w", err)
 	}
 	if replayed == 0 {
 		return nil
 	}
-	sc.mu.Lock()
-	if maxLSN > sc.appendLSN {
-		sc.appendLSN = maxLSN
+	sc.commitMu.Lock()
+	_, err = s.commit("", recs, pending[len(pending)-1].LSN, nil)
+	sc.commitMu.Unlock()
+	if err != nil {
+		return fmt.Errorf("serve: replaying journaled deltas: %w", err)
 	}
-	sc.mu.Unlock()
-	s.stats.replayedRows.Add(replayed)
-	s.ctrReplayed.Add(replayed)
+	s.stats.replayedRows.Add(int64(replayed))
+	s.ctrReplayed.Add(int64(replayed))
 	obs.Emit(s.obsv, obs.EvServeJournal,
 		obs.String("action", "replay"),
-		obs.Int("rows", replayed),
+		obs.Int("rows", int64(replayed)),
 		obs.Int("batches", int64(len(pending))))
 	return nil
 }
@@ -558,9 +592,13 @@ func (sc *scheduler) hasWork() bool {
 // take removes and returns the staged buffer plus the journal commit
 // watermark covering it (ackLSN), the previous take's watermark (floorLSN —
 // together they bound the epoch's lineage range (floorLSN, ackLSN]), the
-// number of ingest batches staged, and the sampled span contexts that rode
-// in with them.
+// number of records staged, and the sampled span contexts that rode in with
+// them. It waits out a commit in flight (commitMu), so ackLSN is the last
+// LSN the journal has assigned: every record at or below it is staged here
+// or landed earlier, every later one belongs to a later epoch.
 func (sc *scheduler) take() (staged map[string][][]algebra.Value, n int, ackLSN, floorLSN uint64, batches int, refs []ingestTraceRef) {
+	sc.commitMu.Lock()
+	defer sc.commitMu.Unlock()
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
 	staged, n = sc.buf, sc.bufRows

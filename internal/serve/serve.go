@@ -149,9 +149,8 @@ type Config struct {
 	// DefaultSLO is the freshness SLO for views whose ViewSpec leaves it
 	// unset (zero: no SLO).
 	DefaultSLO FreshnessSLO
-	// Ingest tunes the CDC streaming path (StreamIngest): buffer bound,
-	// backpressure deadline, group-commit threshold and linger. Zero values
-	// take the defaults.
+	// Ingest bounds the CDC streaming path (StreamIngest): buffer bound and
+	// backpressure deadline. Zero values take the defaults.
 	Ingest IngestConfig
 	// Journal, when set, write-ahead-logs every ingested delta batch: rows
 	// are journaled before they are buffered, acknowledged only after their
@@ -500,7 +499,7 @@ func newServer(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.sched = sched
-	s.feed = newChangeFeed(s, cfg.Ingest, sched.batch)
+	s.feed = newChangeFeed(s, cfg.Ingest)
 
 	s.ctrQueries = obs.CounterOf(cfg.Obs, obs.CtrServeQueries)
 	s.ctrHits = obs.CounterOf(cfg.Obs, obs.CtrServeCacheHits)

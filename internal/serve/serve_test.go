@@ -15,7 +15,7 @@ import (
 )
 
 // paperServeDB is the paper's five relations at 1% scale.
-func paperServeDB(t *testing.T) *engine.DB {
+func paperServeDB(t testing.TB) *engine.DB {
 	t.Helper()
 	db, err := datagen.PaperDB(10, 0.01, 42)
 	if err != nil {
@@ -25,7 +25,7 @@ func paperServeDB(t *testing.T) *engine.DB {
 }
 
 // laJoinPlan is Product ⋈ σ(city='LA')(Division) — the paper's tmp2.
-func laJoinPlan(t *testing.T, db *engine.DB) algebra.Node {
+func laJoinPlan(t testing.TB, db *engine.DB) algebra.Node {
 	t.Helper()
 	pd, err := db.Table("Product")
 	if err != nil {
@@ -42,7 +42,7 @@ func laJoinPlan(t *testing.T, db *engine.DB) algebra.Node {
 }
 
 // laCustomerPlan is σ(city='LA')(Customer) — touches only Customer.
-func laCustomerPlan(t *testing.T, db *engine.DB) algebra.Node {
+func laCustomerPlan(t testing.TB, db *engine.DB) algebra.Node {
 	t.Helper()
 	cust, err := db.Table("Customer")
 	if err != nil {
@@ -54,7 +54,7 @@ func laCustomerPlan(t *testing.T, db *engine.DB) algebra.Node {
 
 // serveFixture materializes tmp2 (incremental) and custla (recompute) and
 // wires a server over them.
-func serveFixture(t *testing.T, cfg Config) (*Server, *engine.DB) {
+func serveFixture(t testing.TB, cfg Config) (*Server, *engine.DB) {
 	t.Helper()
 	db := paperServeDB(t)
 	join := laJoinPlan(t, db)

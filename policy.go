@@ -22,8 +22,8 @@ type RefreshPolicy = serve.RefreshPolicy
 // SLO.
 type FreshnessSLO = serve.FreshnessSLO
 
-// IngestConfig tunes the CDC streaming-ingest path (bounded change-feed
-// buffer, block deadline, group-commit thresholds).
+// IngestConfig bounds the CDC streaming-ingest path (change-feed buffer,
+// block deadline).
 type IngestConfig = serve.IngestConfig
 
 // ViewStatus is one view's lifecycle position: ViewValid, ViewStale,

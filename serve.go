@@ -62,9 +62,8 @@ type ServeOptions struct {
 	// DefaultSLO is the freshness SLO for views not in SLOs (zero → no
 	// SLO).
 	DefaultSLO FreshnessSLO
-	// Ingest tunes the CDC streaming-ingest path behind StreamDeltas
-	// (bounded buffer, block deadline, group commit). Zero values take
-	// defaults.
+	// Ingest bounds the CDC streaming-ingest path behind StreamDeltas
+	// (change-feed buffer, block deadline). Zero values take defaults.
 	Ingest IngestConfig
 	// Injector, when set, arms deterministic fault injection at the engine
 	// and serving-layer sites (chaos testing). Nil injects nothing.
@@ -559,55 +558,56 @@ func wrapResult(res *serve.Result) *QueryResult {
 
 // InjectDeltas generates one epoch's worth of synthetic base-table inserts
 // (about fraction·rows per table, from the same generators as the initial
-// data) and ingests them into the maintenance scheduler. Returns how many
-// rows were ingested. The rows become visible when the next maintenance
-// epoch lands (batch filled, timer, or Flush).
+// data) and ingests them into the maintenance scheduler as one
+// all-or-nothing batch: it returns how many rows were ingested, or 0 and an
+// error with nothing journaled or staged. The rows become visible when the
+// next maintenance epoch lands (batch filled, timer, or Flush).
 func (s *Server) InjectDeltas(fraction float64) (int, error) {
-	if fraction <= 0 {
-		return 0, fmt.Errorf("mvpp: delta fraction must be positive")
-	}
-	seed := s.seed.Add(1)
-	rows, total, err := s.d.syntheticDeltaRows(s.db, s.scale, fraction, seed)
+	batch, total, err := s.syntheticBatch(fraction)
 	if err != nil {
 		return 0, err
 	}
-	for _, name := range s.d.catalog.inner.Relations() {
-		if len(rows[name]) == 0 {
-			continue
-		}
-		if err := s.inner.Ingest(name, rows[name]...); err != nil {
-			return 0, err
-		}
+	if err := s.inner.IngestBatch(batch); err != nil {
+		return 0, err
 	}
 	return total, nil
 }
 
 // StreamDeltas generates one epoch's worth of synthetic base-table inserts
 // (like InjectDeltas) but pushes them through the CDC streaming-ingest
-// path: each table's rows enter the bounded change feed, group-commit into
-// the journal, and return only once durable. Returns how many rows were
-// accepted; under sustained overload the feed sheds with ErrBackpressure
-// (check errors.Is) and reports the rows accepted before the shed.
+// path: the whole batch enters the bounded change feed as one admission,
+// commits into the journal as part of one group, and the call returns only
+// once it is durable. All-or-nothing: it returns how many rows were
+// accepted, or 0 and an error — under sustained overload ErrBackpressure
+// (check errors.Is) — with none of the batch journaled or staged.
 func (s *Server) StreamDeltas(fraction float64) (int, error) {
-	if fraction <= 0 {
-		return 0, fmt.Errorf("mvpp: delta fraction must be positive")
-	}
-	seed := s.seed.Add(1)
-	rows, _, err := s.d.syntheticDeltaRows(s.db, s.scale, fraction, seed)
+	batch, total, err := s.syntheticBatch(fraction)
 	if err != nil {
 		return 0, err
 	}
-	accepted := 0
-	for _, name := range s.d.catalog.inner.Relations() {
-		if len(rows[name]) == 0 {
-			continue
-		}
-		if err := s.inner.StreamIngest(name, rows[name]...); err != nil {
-			return accepted, err
-		}
-		accepted += len(rows[name])
+	if err := s.inner.StreamIngestBatch(batch); err != nil {
+		return 0, err
 	}
-	return accepted, nil
+	return total, nil
+}
+
+// syntheticBatch draws the next synthetic delta batch: one record per base
+// table that gained rows, in catalog order, and the total row count.
+func (s *Server) syntheticBatch(fraction float64) ([]DeltaRecord, int, error) {
+	if fraction <= 0 {
+		return nil, 0, fmt.Errorf("mvpp: delta fraction must be positive")
+	}
+	rows, total, err := s.d.syntheticDeltaRows(s.db, s.scale, fraction, s.seed.Add(1))
+	if err != nil {
+		return nil, 0, err
+	}
+	var batch []DeltaRecord
+	for _, name := range s.d.catalog.inner.Relations() {
+		if len(rows[name]) > 0 {
+			batch = append(batch, DeltaRecord{Table: name, Rows: rows[name]})
+		}
+	}
+	return batch, total, nil
 }
 
 // RefreshView forces one maintenance refresh of the named view now,

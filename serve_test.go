@@ -2,6 +2,7 @@ package mvpp_test
 
 import (
 	"context"
+	"errors"
 	"reflect"
 	"sort"
 	"sync"
@@ -369,6 +370,100 @@ func TestNoServerFieldCanKeepAMaintenanceEpoch(t *testing.T) {
 	for _, must := range []reflect.Type{typeOf((*serve.Server)(nil)), typeOf((*engine.DB)(nil)), typeOf((*engine.Table)(nil))} {
 		if !seen[must] {
 			t.Fatalf("the walk never reached %s: it proves nothing", must)
+		}
+	}
+}
+
+// countingJournal counts the groups a server appends and can refuse them.
+type countingJournal struct {
+	mvpp.DeltaJournal
+	mu     sync.Mutex
+	groups int
+	refuse error
+}
+
+func (c *countingJournal) AppendGroup(source string, recs []mvpp.DeltaRecord) (uint64, error) {
+	c.mu.Lock()
+	c.groups++
+	refuse := c.refuse
+	c.mu.Unlock()
+	if refuse != nil {
+		return 0, refuse
+	}
+	return c.DeltaJournal.AppendGroup(source, recs)
+}
+
+// TestStreamDeltasOneGroup: StreamDeltas and InjectDeltas each hand the
+// whole multi-table batch over in one call — one journal group, one record
+// per table with consecutive LSNs — and are all-or-nothing: a refused batch
+// reports 0 rows and leaves nothing journaled or staged.
+func TestStreamDeltasOneGroup(t *testing.T) {
+	j := &countingJournal{DeltaJournal: mvpp.NewMemJournal()}
+	_, srv := paperServer(t, mvpp.ServeOptions{Journal: j, DeltaBatch: 1 << 20})
+
+	for i, step := range []struct {
+		name, source string
+		ingest       func(float64) (int, error)
+	}{
+		{"StreamDeltas", "stream", srv.StreamDeltas},
+		{"InjectDeltas", "", srv.InjectDeltas},
+	} {
+		before, err := j.RecordsSince(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows, err := step.ingest(0.02)
+		if err != nil || rows == 0 {
+			t.Fatalf("%s = %d rows, %v", step.name, rows, err)
+		}
+		if j.groups != i+1 {
+			t.Errorf("%s: %d journal groups so far, want %d", step.name, j.groups, i+1)
+		}
+		all, err := j.RecordsSince(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs := all[len(before):]
+		if len(recs) < 2 {
+			t.Fatalf("%s journaled %d records, want one per table of a multi-table batch", step.name, len(recs))
+		}
+		journaled := 0
+		for k, r := range recs {
+			if r.LSN != uint64(len(before)+k+1) || r.Source != step.source {
+				t.Errorf("%s record %d: LSN %d source %q, want LSN %d source %q",
+					step.name, k, r.LSN, r.Source, len(before)+k+1, step.source)
+			}
+			journaled += len(r.Rows)
+		}
+		if journaled != rows {
+			t.Errorf("%s returned %d rows but journaled %d", step.name, rows, journaled)
+		}
+	}
+	if st := srv.Stats(); st.StreamGroups != 1 {
+		t.Errorf("StreamGroups = %d after one StreamDeltas, want 1", st.StreamGroups)
+	}
+	if accepted, committed := srv.IngestWatermarks(); accepted != 1 || committed != 1 {
+		t.Errorf("watermarks = %d/%d, want 1/1", accepted, committed)
+	}
+	if err := srv.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
+	j.refuse = errors.New("journal refused")
+	staged := srv.Stats().DeltaRows
+	for name, ingest := range map[string]func(float64) (int, error){
+		"StreamDeltas": srv.StreamDeltas, "InjectDeltas": srv.InjectDeltas,
+	} {
+		if rows, err := ingest(0.02); !errors.Is(err, j.refuse) || rows != 0 {
+			t.Errorf("%s under a refusing journal = %d rows, %v; want 0 and the journal's error", name, rows, err)
+		}
+	}
+	if got := srv.Stats().DeltaRows; got != staged {
+		t.Errorf("refused batches staged %d rows", got-staged)
+	}
+	for view, vs := range srv.Staleness() {
+		if vs.PendingRows != 0 {
+			t.Errorf("view %s has %d pending rows after refused batches", view, vs.PendingRows)
 		}
 	}
 }
