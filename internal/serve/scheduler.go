@@ -331,15 +331,10 @@ func (s *Server) IngestBatch(batch []engine.DeltaRecord) error {
 	return err
 }
 
-// admit is the write path's one validation: the server is open, every
-// record names a base table and every row is schema-width. It returns the
-// batch without its empty records, and its row count.
+// admit is the write path's one validation: every record names a base table
+// and every row is schema-width. It returns the batch without its empty
+// records, and its row count.
 func (s *Server) admit(batch []engine.DeltaRecord) (recs []engine.DeltaRecord, rows int, err error) {
-	select {
-	case <-s.closed:
-		return nil, 0, ErrClosed
-	default:
-	}
 	for _, rec := range batch {
 		t, err := s.db.Table(rec.Table)
 		if err != nil {
