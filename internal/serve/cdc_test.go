@@ -554,10 +554,14 @@ func TestStreamJournalAppendFaultRefusesGroup(t *testing.T) {
 // producers stream beside two Flush loops; afterwards the lineage ranges
 // (lo, hi] of the landed epochs tile the journal with no gap or overlap, each
 // range holds exactly the records and rows its epoch drained, and every row
-// landed once.
+// landed once. An epoch aborted in the middle (ApplyDeltas failing past its
+// retries) lands nothing and acknowledges nothing, so its records belong to
+// the range of the epoch that retries them.
 func TestStreamEpochsPartitionJournal(t *testing.T) {
 	j := engine.NewMemJournal()
-	s, db := serveFixture(t, Config{DeltaBatch: 1 << 20, Journal: j})
+	inj := fault.New(1, fault.Plan{})
+	s, db := serveFixture(t, Config{DeltaBatch: 1 << 20, Journal: j, Injector: inj, Retry: fastRetry})
+	db.SetInjector(inj)
 	ctx := context.Background()
 	base, err := s.Query(ctx, "QLA")
 	if err != nil {
@@ -615,12 +619,43 @@ func TestStreamEpochsPartitionJournal(t *testing.T) {
 		t.Fatal(err)
 	}
 
+	// One aborted epoch, its retry together with a later batch, and one more
+	// epoch after it.
+	const pairs = producers*batches + 3
+	streamPair := func(i int64) {
+		t.Helper()
+		div, prod := deltaPair(i)
+		if err := s.StreamIngestBatch([]engine.DeltaRecord{
+			{Table: "Division", Rows: [][]algebra.Value{div}},
+			{Table: "Product", Rows: [][]algebra.Value{prod}},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	streamPair(pairs - 3)
+	inj.SetRule(fault.SiteEngineApplyDeltas, fault.Rule{ErrProb: 1})
+	if err := s.Flush(); !errors.Is(err, fault.ErrInjected) {
+		t.Fatalf("Flush with ApplyDeltas failing returned %v", err)
+	}
+	inj.Disarm()
+	if pend := pendingRecords(t, j); len(pend) != 2 {
+		t.Fatalf("%d records unacknowledged after the aborted epoch, want its 2", len(pend))
+	}
+	streamPair(pairs - 2)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	streamPair(pairs - 1)
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+
 	all, err := j.RecordsSince(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(all) != 2*producers*batches {
-		t.Fatalf("journal holds %d records, want %d", len(all), 2*producers*batches)
+	if len(all) != 2*pairs {
+		t.Fatalf("journal holds %d records, want %d", len(all), 2*pairs)
 	}
 	entries := s.Lineage()["tmp2"].Entries
 	var floor uint64
@@ -652,11 +687,11 @@ func TestStreamEpochsPartitionJournal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got, want := after.Table.NumRows(), base.Table.NumRows()+producers*batches; got != want {
+	if got, want := after.Table.NumRows(), base.Table.NumRows()+pairs; got != want {
 		t.Errorf("QLA has %d rows, want %d (every pair landed once)", got, want)
 	}
 	divAfter, _ := db.Table("Division")
-	if got, want := divAfter.NumRows(), divRowsBefore+producers*batches; got != want {
+	if got, want := divAfter.NumRows(), divRowsBefore+pairs; got != want {
 		t.Errorf("Division has %d rows, want %d", got, want)
 	}
 }
