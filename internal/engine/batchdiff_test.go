@@ -207,7 +207,7 @@ func diffDeltaRows(epoch int64) map[string][][]algebra.Value {
 
 // TestBatchVsRowDeltaEpochsDifferential runs identical delta epochs —
 // journaled ingest, incremental refresh (append and merge paths, with a
-// mid-epoch watermark), and delta application — through both executors
+// batch arriving mid-epoch), and delta application — through both executors
 // and asserts every observable agrees: refresh results and operator
 // stats, stored view contents, base tables after the fold, pending delta
 // counts, and the journals' replay state.
@@ -253,11 +253,13 @@ func TestBatchVsRowDeltaEpochsDifferential(t *testing.T) {
 			t.Fatalf("%s: journal replay state diverges before refresh", label)
 		}
 
-		// Refresh mv_spj first, then insert a mid-epoch straggler batch so
-		// the second refresh exercises the per-view watermark path.
+		// Refresh mv_spj first, then insert a mid-epoch straggler batch: it
+		// is the next epoch's delta, so refreshing the view again inside this
+		// epoch repeats the first refresh.
+		bep, rep := bdb.BeginMaintenance(), rdb.BeginMaintenance()
 		for vi, view := range []string{"mv_spj", "mv_agg"} {
-			bres, berr := bdb.IncrementalRefresh(view)
-			rres, rerr := rdb.IncrementalRefresh(view)
+			bres, berr := bep.IncrementalRefresh(view)
+			rres, rerr := rep.IncrementalRefresh(view)
 			if (berr == nil) != (rerr == nil) {
 				t.Fatalf("%s %s: refresh errors diverge: %v vs %v", label, view, berr, rerr)
 			}
@@ -274,25 +276,34 @@ func TestBatchVsRowDeltaEpochsDifferential(t *testing.T) {
 				if err := rdb.InsertDelta("Order", straggler...); err != nil {
 					t.Fatal(err)
 				}
-				// Re-refresh the already-propagated view: only the straggler
-				// may flow through (watermark), identically in both modes.
-				bres2, err := bdb.IncrementalRefresh(view)
+				bres2, err := bep.IncrementalRefresh(view)
 				if err != nil {
 					t.Fatal(err)
 				}
-				rres2, err := rdb.IncrementalRefresh(view)
+				rres2, err := rep.IncrementalRefresh(view)
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertResultsIdentical(t, label+" watermark re-refresh "+view, bres2, rres2)
+				assertResultsIdentical(t, label+" repeated refresh "+view, bres2, rres2)
+				assertResultsIdentical(t, label+" repeated vs first refresh "+view, bres2, bres)
 			}
 		}
 
-		if err := bdb.ApplyDeltas(); err != nil {
-			t.Fatal(err)
+		for _, ep := range []*engine.MaintenanceEpoch{bep, rep} {
+			if err := ep.ApplyDeltas(); err != nil {
+				t.Fatal(err)
+			}
+			if err := ep.Commit(); err != nil {
+				t.Fatal(err)
+			}
 		}
-		if err := rdb.ApplyDeltas(); err != nil {
-			t.Fatal(err)
+		want := 0
+		if epoch == 1 {
+			want = 1
+		}
+		if bdb.PendingDeltaRows("Order") != want || rdb.PendingDeltaRows("Order") != want {
+			t.Fatalf("%s: %d / %d Order rows pending after the commit, want %d (the straggler waits for the next epoch)",
+				label, bdb.PendingDeltaRows("Order"), rdb.PendingDeltaRows("Order"), want)
 		}
 		if err := bj.Commit(lastB); err != nil {
 			t.Fatal(err)
@@ -340,12 +351,8 @@ func TestBatchVsRowRecomputeRefreshDifferential(t *testing.T) {
 			}
 		}
 	}
-	if err := bdb.ApplyDeltas(); err != nil {
-		t.Fatal(err)
-	}
-	if err := rdb.ApplyDeltas(); err != nil {
-		t.Fatal(err)
-	}
+	applyDeltas(t, bdb)
+	applyDeltas(t, rdb)
 	bres, err := bdb.RefreshAll()
 	if err != nil {
 		t.Fatal(err)

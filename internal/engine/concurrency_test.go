@@ -3,6 +3,7 @@ package engine_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -74,7 +75,7 @@ func TestConcurrentExecuteVsRefresh(t *testing.T) {
 }
 
 // TestConcurrentExecuteVsIncrementalEpochs drives full maintenance epochs
-// (InsertDelta → IncrementalRefresh → ApplyDeltas) from one maintainer
+// (InsertDelta → IncrementalRefresh → ApplyDeltas → Commit) from one maintainer
 // goroutine while readers execute view-rewritten and base-table plans.
 // Readers must only ever observe whole epochs: the view's row count must
 // be one of the per-epoch counts the maintainer published.
@@ -130,17 +131,9 @@ func TestConcurrentExecuteVsIncrementalEpochs(t *testing.T) {
 			errs <- err
 			break
 		}
-		ref, err := db.IncrementalRefresh("tmp2")
-		if err != nil {
-			errs <- err
-			break
-		}
+		ref := runEpoch(t, db, "tmp2")[0]
 		if want := n0 + int(i) + 1; ref.Table.NumRows() != want {
 			errs <- fmt.Errorf("epoch %d left the view at %d rows, want %d: the delta did not reach it", i, ref.Table.NumRows(), want)
-			break
-		}
-		if err := db.ApplyDeltas(); err != nil {
-			errs <- err
 			break
 		}
 	}
@@ -288,9 +281,9 @@ func TestConcurrentRewriteVsViewChurn(t *testing.T) {
 	t.Logf("two-call arm lost %d races; one-set arm answered %d times from tmp2", lostRace.Load(), fromView.Load())
 }
 
-// TestIncrementalRefreshTwiceNoDoubleApply is the watermark regression:
-// refreshing a view twice for the same pending delta must propagate it
-// exactly once.
+// TestIncrementalRefreshTwiceNoDoubleApply: refreshing a view twice in one
+// epoch takes the pending delta in exactly once — the second refresh starts
+// from the same published rows and the same frozen delta as the first.
 func TestIncrementalRefreshTwiceNoDoubleApply(t *testing.T) {
 	db := smallPaperDB(t)
 	if _, err := db.Materialize("tmp2", laJoinPlan(t, db)); err != nil {
@@ -300,35 +293,23 @@ func TestIncrementalRefreshTwiceNoDoubleApply(t *testing.T) {
 	if err := db.InsertDelta("Product", deltaProductRow(1, laDivision(t, db))); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.IncrementalRefresh("tmp2"); err != nil {
-		t.Fatal(err)
-	}
+	refreshes := runEpoch(t, db, "tmp2", "tmp2")
 	if got := viewRows(t, db, "tmp2"); got != n0+1 {
-		t.Fatalf("view has %d rows after the refresh, want %d: the delta did not reach it", got, n0+1)
+		t.Fatalf("view has %d rows after the epoch, want %d: the delta reached it %d times", got, n0+1, got-n0)
 	}
-	first := viewKey(t, db, "tmp2")
-	if _, err := db.IncrementalRefresh("tmp2"); err != nil {
-		t.Fatal(err)
-	}
-	if second := viewKey(t, db, "tmp2"); second != first {
+	if first, second := tableKey(refreshes[0].Table), tableKey(refreshes[1].Table); second != first {
 		t.Errorf("second refresh for the same delta changed the view\n got: %s\nwas: %s", second, first)
 	}
-
-	if err := db.ApplyDeltas(); err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(refreshes[0].Ops, refreshes[1].Ops) {
+		t.Errorf("second refresh accounted different operators\n got: %+v\nwas: %+v", refreshes[1].Ops, refreshes[0].Ops)
 	}
-	if _, err := db.Materialize("ref", laJoinPlan(t, db)); err != nil {
-		t.Fatal(err)
-	}
-	if want := viewKey(t, db, "ref"); first != want {
-		t.Errorf("maintained view diverges from recompute\n got: %s\nwant: %s", first, want)
-	}
+	assertViewsMatchRecompute(t, "after the epoch", db, []string{"tmp2"})
 }
 
-// TestIncrementalRefreshStagedBatches checks partial-batch watermarks: a
-// view refreshed mid-epoch must propagate only the rows that arrived since
-// its last refresh, and its old state for join deltas must include the
-// rows it already consumed.
+// TestIncrementalRefreshStagedBatches: rows staged after an epoch began are
+// the next epoch's delta, and they join against the first epoch's rows as
+// base state (the L_old ⋈ ΔR path across two epochs). Neither epoch loses
+// or repeats a row.
 func TestIncrementalRefreshStagedBatches(t *testing.T) {
 	db := smallPaperDB(t)
 	if _, err := db.Materialize("tmp2", laJoinPlan(t, db)); err != nil {
@@ -344,39 +325,44 @@ func TestIncrementalRefreshStagedBatches(t *testing.T) {
 		[]algebra.Value{algebra.IntVal(999991), algebra.StringVal("division-x"), algebra.StringVal("LA")}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.IncrementalRefresh("tmp2"); err != nil {
-		t.Fatal(err)
-	}
-	// Batch 2: a product joining the batch-1 delta division — its join
-	// partner lives in the already-propagated prefix, so this is the
-	// L_old ⋈ ΔR path across staged batches.
+	ep := db.BeginMaintenance()
+	// Batch 2 arrives while the epoch is open: a product joining the batch-1
+	// delta division.
 	if err := db.InsertDelta("Product", deltaProductRow(2, 999991)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.IncrementalRefresh("tmp2"); err != nil {
+	if _, err := ep.IncrementalRefresh("tmp2"); err != nil {
 		t.Fatal(err)
 	}
-	if got := viewRows(t, db, "tmp2"); got != n0+2 {
-		t.Fatalf("view has %d rows after both batches, want %d: a delta did not reach it", got, n0+2)
+	if err := ep.ApplyDeltas(); err != nil {
+		t.Fatal(err)
 	}
-	maintained := viewKey(t, db, "tmp2")
+	if err := ep.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := viewRows(t, db, "tmp2"); got != n0+1 {
+		t.Fatalf("view has %d rows after the first epoch, want %d: only batch 1 is its delta", got, n0+1)
+	}
+	if got := db.PendingDeltaRows("Product"); got != 1 {
+		t.Fatalf("%d Product rows pending after the first epoch, want batch 2's 1", got)
+	}
+	assertViewsMatchRecompute(t, "after the first epoch", db, []string{"tmp2"})
 
-	if err := db.ApplyDeltas(); err != nil {
-		t.Fatal(err)
+	runEpoch(t, db, "tmp2")
+	if got := viewRows(t, db, "tmp2"); got != n0+2 {
+		t.Fatalf("view has %d rows after both epochs, want %d: a delta did not reach it", got, n0+2)
 	}
-	if _, err := db.Materialize("ref", laJoinPlan(t, db)); err != nil {
-		t.Fatal(err)
+	if got := db.PendingDeltaRows("Product"); got != 0 {
+		t.Fatalf("%d Product rows still pending after the second epoch", got)
 	}
-	if want := viewKey(t, db, "ref"); maintained != want {
-		t.Errorf("staged batches diverge from recompute\n got: %s\nwant: %s", maintained, want)
-	}
+	assertViewsMatchRecompute(t, "after the second epoch", db, []string{"tmp2"})
 }
 
-// TestDropViewClearsDeltaWatermark is the satellite regression: dropping a
-// view must discard its propagation watermark, or a rematerialized view of
-// the same name would skip the deltas its predecessor had consumed and
-// stay stale forever.
-func TestDropViewClearsDeltaWatermark(t *testing.T) {
+// TestRematerializedViewReceivesPendingRows: a view dropped and materialized
+// again while rows are pending is computed from the base tables without
+// them, and the next epoch gives them to it — whatever an epoch that was
+// let go had done to its predecessor.
+func TestRematerializedViewReceivesPendingRows(t *testing.T) {
 	db := smallPaperDB(t)
 	if _, err := db.Materialize("tmp2", laJoinPlan(t, db)); err != nil {
 		t.Fatal(err)
@@ -385,40 +371,24 @@ func TestDropViewClearsDeltaWatermark(t *testing.T) {
 	if err := db.InsertDelta("Product", deltaProductRow(1, laDivision(t, db))); err != nil {
 		t.Fatal(err)
 	}
-	// The first view consumes the delta, advancing its watermark.
-	if _, err := db.IncrementalRefresh("tmp2"); err != nil {
+	// An epoch takes the delta into the first view and is let go.
+	if _, err := db.BeginMaintenance().IncrementalRefresh("tmp2"); err != nil {
 		t.Fatal(err)
-	}
-	if got := viewRows(t, db, "tmp2"); got != n0+1 {
-		t.Fatalf("view has %d rows after the refresh, want %d: the delta did not reach it", got, n0+1)
 	}
 	if err := db.DropView("tmp2"); err != nil {
 		t.Fatal(err)
 	}
-	// Rematerialize under the same name: the view is computed from the
-	// base tables WITHOUT the still-pending delta, so the delta must be
-	// propagated again for this new view.
 	if _, err := db.Materialize("tmp2", laJoinPlan(t, db)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.IncrementalRefresh("tmp2"); err != nil {
-		t.Fatal(err)
+	if got := viewRows(t, db, "tmp2"); got != n0 {
+		t.Fatalf("rematerialized view has %d rows, want %d: the delta is still pending", got, n0)
 	}
+	runEpoch(t, db, "tmp2")
 	if got := viewRows(t, db, "tmp2"); got != n0+1 {
-		t.Fatalf("rematerialized view has %d rows after its refresh, want %d", got, n0+1)
+		t.Fatalf("rematerialized view has %d rows after its epoch, want %d", got, n0+1)
 	}
-	maintained := viewKey(t, db, "tmp2")
-
-	if err := db.ApplyDeltas(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := db.Materialize("ref", laJoinPlan(t, db)); err != nil {
-		t.Fatal(err)
-	}
-	if want := viewKey(t, db, "ref"); maintained != want {
-		t.Errorf("rematerialized view inherited the dropped view's watermark\n got: %s\nwant: %s",
-			maintained, want)
-	}
+	assertViewsMatchRecompute(t, "after the epoch", db, []string{"tmp2"})
 }
 
 // laDivision looks an LA division up in the generated data and returns its
@@ -524,14 +494,7 @@ func TestExecuteScansOneRelationSet(t *testing.T) {
 			errs <- err
 			break
 		}
-		if _, err := db.IncrementalRefresh("tmp2"); err != nil {
-			errs <- err
-			break
-		}
-		if err := db.ApplyDeltas(); err != nil {
-			errs <- err
-			break
-		}
+		runEpoch(t, db, "tmp2")
 	}
 	close(stop)
 	wg.Wait()

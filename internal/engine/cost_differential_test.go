@@ -171,6 +171,7 @@ func TestDeltaMaintenanceDifferential(t *testing.T) {
 	sampleDeltas(t, db, fraction, 99)
 
 	incMeasured := map[string]float64{}
+	ep := db.BeginMaintenance()
 	for name, plan := range views {
 		predicted, ok, err := de.MaintenanceCost(bridge.model, plan)
 		if err != nil {
@@ -179,7 +180,7 @@ func TestDeltaMaintenanceDifferential(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: unexpectedly not incrementable", name)
 		}
-		res, err := db.IncrementalRefresh(name)
+		res, err := ep.IncrementalRefresh(name)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -197,7 +198,10 @@ func TestDeltaMaintenanceDifferential(t *testing.T) {
 	// After folding the deltas in, a full recompute must measure far above
 	// the incremental path — the engine-side counterpart of Cm(incremental)
 	// < Cm(recompute) on this workload.
-	if err := db.ApplyDeltas(); err != nil {
+	if err := ep.ApplyDeltas(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ep.Commit(); err != nil {
 		t.Fatal(err)
 	}
 	for name := range views {

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"slices"
 
 	"github.com/warehousekit/mvpp/internal/algebra"
@@ -15,10 +16,10 @@ import (
 var ErrNotIncremental = errors.New("engine: plan is not incrementally maintainable")
 
 // InsertDelta records pending inserted rows for a base table. The rows are
-// not yet visible to queries or refreshes: they form the delta that
-// IncrementalRefresh propagates through view plans, and they join the base
-// table when ApplyDeltas runs. Multiple calls accumulate; each call
-// appends its whole batch column-at-a-time.
+// not yet visible to queries or refreshes: they form the delta the next
+// maintenance epoch propagates through view plans and folds into the base
+// table. Multiple calls accumulate; each call appends its whole batch
+// column-at-a-time.
 func (db *DB) InsertDelta(table string, rows ...[]algebra.Value) error {
 	t, err := db.Table(table)
 	if err != nil {
@@ -44,76 +45,48 @@ func (db *DB) PendingDeltaRows(table string) int {
 	return 0
 }
 
-// ApplyDeltas folds every pending delta into its base table and clears the
-// delta buffers, along with every view's propagation watermark (the rows
-// are base state from now on). The fold is copy-on-write: each affected
-// base table is republished as a fresh table — one columnar payload copy
-// plus the delta appended — in one successor set, so concurrent readers
-// keep scanning the set they hold. Base-table writes are not metered: the
-// warehouse pays them under every maintenance policy, so they cancel out
-// of any recompute-vs-incremental comparison.
-func (db *DB) ApplyDeltas() error {
-	if err := db.inj.Hit(fault.SiteEngineApplyDeltas); err != nil {
-		return err
-	}
-	db.publish(func(next *RelationSet) {
-		for name, d := range db.deltas {
-			next.tables[name] = next.tables[name].cloneAppendTable(d)
-		}
-		db.deltas = make(map[string]*Table)
-		db.propagated = make(map[string]map[string]int)
-	})
-	return nil
-}
-
-// pending is one base table's pending rows as one view sees them, frozen
-// under the maintainer lock: rows [0,k) the view folded in during an earlier
-// refresh this epoch (part of its old state), rows [k,n) its delta, and all n
-// the new state every join delta pairs against.
-type pending struct {
-	// buf is the DB's delta buffer — the rows' identity across snapshots;
-	// rows is its first n rows as a capacity-capped view, so later
-	// InsertDelta appends never leak into a propagation already underway.
-	buf, rows *Table
-	k, n      int
-}
-
-// deltaSnapshot freezes the pending deltas and the view's watermarks.
-func (db *DB) deltaSnapshot(view string) map[string]pending {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	marks := db.propagated[view]
-	snap := make(map[string]pending, len(db.deltas))
-	for name, d := range db.deltas {
-		n := d.NumRows()
-		snap[name] = pending{buf: d, rows: d.sliceRows(0, n), k: min(marks[name], n), n: n}
-	}
-	return snap
-}
-
-// MaintenanceEpoch is what the delta propagations of one maintenance epoch
-// share: every relation one of them derives — a dirty base table extended by
-// its pending rows, the full operand relation a join delta pairs against,
-// the Δ of a subexpression — is evaluated once and read by every view whose
-// plan contains it. The MVPP exists because views share subexpressions; so
-// does their maintenance (Mistry et al., shared maintenance plans: common
-// results are computed once and kept only transiently).
+// MaintenanceEpoch is the maintainer's one unit of change. BeginMaintenance
+// freezes the rows pending in each delta buffer and copies the published
+// set's two maps into a private successor; IncrementalRefresh, ApplyDeltas,
+// Refresh, Materialize and DropView write only into that successor; Commit
+// stores it — the epoch's one publication — and trims the frozen rows off the
+// delta buffers. An epoch that is let go instead (ApplyDeltas kept failing, a
+// refresh panicked) has published and consumed nothing: the next epoch
+// freezes the same rows, and whatever arrived since.
 //
-// A relation is identified by value numbering: the subexpression, interned
-// in the epoch's arena, plus the identities of the relations it was derived
-// from — and, at a leaf, the base table, the delta buffer and the pending
-// row range. Two views reach one entry exactly when they ask for the same
-// expression over the same state and pending ranges, so a straggler batch, a
-// per-view watermark or rows left pending by a failed ApplyDeltas change the
-// key instead of reading a stale entry. A stored table is never written
-// again. An epoch holds every table it derived: keep it a local of the
-// maintainer — open one, refresh the views, let it go before ApplyDeltas —
-// never a field of something that outlives the epoch.
+// The epoch's state is fixed at Begin: a relation's old state is what the
+// published set stores (read in place), a dirty base table's new state is
+// the stored rows followed by the frozen ones (built at most once — it is the
+// table ApplyDeltas installs), Δ of a base table is the frozen rows. Within
+// that state the propagations share their work: every relation one of them
+// derives — the full operand a join delta pairs against, the Δ of a
+// subexpression — is evaluated once and read by every view whose plan
+// contains it (Mistry et al., shared maintenance plans: common results are
+// computed once, kept transiently, and the views installed together). A
+// derived relation is identified by value numbering: the subexpression,
+// interned in the epoch's arena, plus the identities of the relations it was
+// derived from (immutable tables, so pointer = value); a subexpression over
+// clean tables is one entry for the old and the new state alike.
+//
+// An epoch holds every table it derived: keep it a local of the maintainer,
+// from Begin to Commit, never a field of something that outlives the epoch.
 type MaintenanceEpoch struct {
-	db    *DB
+	db *DB
+	// base is the published set the epoch began on; next its private
+	// successor, which Commit publishes.
+	base, next *RelationSet
+	// frozen is each dirty base table's pending rows as of Begin (a
+	// capacity-capped view of the delta buffer: later InsertDelta appends
+	// never leak in); grown the new-state tables built from it so far.
+	frozen, grown map[string]*Table
+	// refreshed: a view took the frozen rows in; applied: so did the base
+	// tables. Commit refuses the first without the second.
+	refreshed, applied bool
+	dropped            []string // by DropView; Commit deletes their snapshots
+
 	arena *algebra.Arena
 	memo  map[epochKey]epochEntry
-	// evaluated and reused count the unmetered relations (extended tables,
+	// evaluated and reused count the unmetered relations (new-state tables,
 	// operands): derived here, or found already derived.
 	evaluated, reused int
 }
@@ -122,16 +95,15 @@ type MaintenanceEpoch struct {
 type relState uint8
 
 const (
-	deltaRows relState = iota // Δ: what the view has not folded in yet
-	oldState                  // base rows plus the pending rows it has
-	newState                  // base rows plus every pending row
+	deltaRows relState = iota // Δ: what the frozen pending rows add
+	oldState                  // the published set's rows
+	newState                  // the published set's rows plus the frozen pending ones
 )
 
 type epochKey struct {
-	expr   algebra.ExprID
-	delta  bool
-	in     [4]*Table // the relations derived from; memoised tables are immutable, so identity is value
-	lo, hi int       // leaf only: the pending row range
+	expr  algebra.ExprID
+	delta bool
+	in    [4]*Table // the relations derived from; memoised tables are immutable, so identity is value
 }
 
 // epochEntry is one derived relation and, on the Δ path, the metered
@@ -143,47 +115,125 @@ type epochEntry struct {
 
 // BeginMaintenance opens a maintenance epoch; see MaintenanceEpoch.
 func (db *DB) BeginMaintenance() *MaintenanceEpoch {
-	return &MaintenanceEpoch{db: db, arena: algebra.NewArena(), memo: make(map[epochKey]epochEntry)}
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	base := db.rels.Load()
+	ep := &MaintenanceEpoch{
+		db: db, base: base,
+		next:   &RelationSet{db: db, gen: base.gen, tables: maps.Clone(base.tables), views: maps.Clone(base.views)},
+		frozen: make(map[string]*Table, len(db.deltas)), grown: make(map[string]*Table, len(db.deltas)),
+		arena: algebra.NewArena(), memo: make(map[epochKey]epochEntry),
+	}
+	for name, d := range db.deltas {
+		if n := d.NumRows(); n > 0 {
+			ep.frozen[name] = d.sliceRows(0, n)
+		}
+	}
+	return ep
 }
+
+// Pending reports how many pending rows the epoch froze per dirty base
+// table: its Δ, and what its ApplyDeltas folds in.
+func (ep *MaintenanceEpoch) Pending() map[string]int {
+	rows := make(map[string]int, len(ep.frozen))
+	for name, f := range ep.frozen {
+		rows[name] = f.NumRows()
+	}
+	return rows
+}
+
+// Relations returns the epoch's successor as it stands: what Commit will
+// publish, private until then.
+func (ep *MaintenanceEpoch) Relations() *RelationSet { return ep.next }
 
 // Operands reports how many unmetered relations the epoch evaluated and how
 // many requests it answered from one already evaluated.
 func (ep *MaintenanceEpoch) Operands() (evaluated, reused int) { return ep.evaluated, ep.reused }
 
-// IncrementalRefresh maintains one view in an epoch of its own; see
-// MaintenanceEpoch.IncrementalRefresh.
-func (db *DB) IncrementalRefresh(name string) (*Result, error) {
-	return db.BeginMaintenance().IncrementalRefresh(name)
+// grownTable is a dirty base table in the epoch's new state.
+func (ep *MaintenanceEpoch) grownTable(name string) *Table {
+	t, ok := ep.grown[name]
+	if !ok {
+		t = ep.base.tables[name].cloneAppendTable(ep.frozen[name])
+		ep.grown[name] = t
+	}
+	return t
 }
 
-// IncrementalRefresh maintains one view by delta propagation: the pending
+// ApplyDeltas folds the frozen rows into their base tables, in the epoch's
+// successor: each dirty table is replaced by its new state — one columnar
+// payload copy plus the delta, the very table the propagations paired
+// against. Base-table writes are not metered: the warehouse pays them under
+// every maintenance policy, so they cancel out of any recompute-vs-
+// incremental comparison. A failed call changes nothing and may be retried.
+func (ep *MaintenanceEpoch) ApplyDeltas() error {
+	if err := ep.db.inj.Hit(fault.SiteEngineApplyDeltas); err != nil {
+		return err
+	}
+	for name := range ep.frozen {
+		ep.next.tables[name] = ep.grownTable(name)
+	}
+	ep.applied = true
+	return nil
+}
+
+// Commit publishes the epoch's successor — readers see all of the epoch or
+// none of it — and, if the epoch applied the deltas, trims the frozen rows off
+// the delta buffers (rows that arrived since Begin stay pending). It refuses
+// an epoch that refreshed a view with the frozen rows without applying them
+// (the next epoch would add them again) and one whose base is no longer the
+// published set: maintainers are one at a time. After the publication it
+// deletes the dropped views' snapshot segments; a failure there is returned,
+// the publication stands.
+func (ep *MaintenanceEpoch) Commit() error {
+	db := ep.db
+	if ep.refreshed && !ep.applied {
+		return errors.New("engine: commit of incrementally refreshed views without ApplyDeltas")
+	}
+	db.mu.Lock()
+	if !db.rels.CompareAndSwap(ep.base, ep.next) {
+		db.mu.Unlock()
+		return errors.New("engine: the published relation set changed under the maintenance epoch")
+	}
+	if ep.applied {
+		for name, f := range ep.frozen {
+			d := db.deltas[name]
+			db.deltas[name] = d.sliceRows(f.NumRows(), d.NumRows())
+		}
+	}
+	snap := db.snapStore
+	db.mu.Unlock()
+	if snap != nil {
+		for _, name := range ep.dropped {
+			if err := snap.DropViewSnapshot(name); err != nil {
+				return fmt.Errorf("engine: dropping snapshot of view %s: %w", name, err)
+			}
+		}
+	}
+	return nil
+}
+
+// IncrementalRefresh maintains one view by delta propagation: the frozen
 // base-table deltas flow through the view's plan (Δσ(S) = σ(ΔS), Δπ(S) =
 // π(ΔS), Δ(L⋈R) = ΔL⋈R_new ∪ L_old⋈ΔR) and the resulting Δview is applied
-// to the stored view — appended for select-project-join plans, merged
-// group-by-group for a root aggregate. The apply publishes a successor
-// view over a new table (together with its watermark), so concurrent
-// readers never see a half-applied delta. A per-view watermark records how
-// much of the pending delta has been folded in, so calling
-// IncrementalRefresh again before ApplyDeltas propagates only rows that
-// arrived since. Only the delta-path operators and the apply step are
-// metered; the full operand relations a join delta pairs against are
-// assumed available, the same convention under which the cost model's Ca
-// and delta-propagation formulas charge operators. A Δ-subexpression another
-// view of the epoch already propagated is not propagated again: its recorded
+// to the view's published rows — appended for select-project-join plans,
+// merged group-by-group for a root aggregate — into a new table that takes
+// the view's place in the epoch's successor. Refreshing a view again in the
+// same epoch starts from the same published rows and the same Δ, so it
+// changes nothing. Only the delta-path operators and the apply step are
+// metered; the full operand relations a join delta pairs against are assumed
+// available, the same convention under which the cost model's Ca and
+// delta-propagation formulas charge operators. A Δ-subexpression another
+// view of the epoch already evaluated is not evaluated again: its recorded
 // operators are accounted to this view as if it had been, so the Result, the
 // Counter and the operator events are those of a view maintained alone.
 // Returns ErrNotIncremental when the plan cannot be maintained this way.
 func (ep *MaintenanceEpoch) IncrementalRefresh(name string) (*Result, error) {
-	rs := ep.db.Relations()
-	v, err := rs.View(name)
+	db := ep.db
+	v, err := ep.base.View(name)
 	if err != nil {
 		return nil, err
 	}
-	return ep.refresh(rs, v)
-}
-
-func (ep *MaintenanceEpoch) refresh(rs *RelationSet, v *MaterializedView) (*Result, error) {
-	db := ep.db
 	if ok, why := algebra.Incrementable(v.Plan); !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNotIncremental, why)
 	}
@@ -194,8 +244,7 @@ func (ep *MaintenanceEpoch) refresh(rs *RelationSet, v *MaterializedView) (*Resu
 		return nil, err
 	}
 	res := &Result{}
-	p := &propagation{ep: ep, rs: rs, snap: db.deltaSnapshot(v.Name), res: res}
-	dview, err := p.rel(v.Plan, deltaRows)
+	dview, err := ep.rel(v.Plan, deltaRows, res)
 	if err != nil {
 		return nil, err
 	}
@@ -212,11 +261,8 @@ func (ep *MaintenanceEpoch) refresh(rs *RelationSet, v *MaterializedView) (*Resu
 			OutBlocks: res.Table.NumBlocks(),
 		})
 	}
-	seen := make(map[string]int, len(p.snap))
-	for table, pd := range p.snap {
-		seen[table] = pd.n
-	}
-	db.swapView(v, res.Table, seen)
+	ep.setView(v, res.Table)
+	ep.refreshed = true
 	return res, nil
 }
 
@@ -226,13 +272,12 @@ func (ep *MaintenanceEpoch) refresh(rs *RelationSet, v *MaterializedView) (*Resu
 // applied. Afterwards the deltas are part of the base tables and every view
 // is consistent with the new state. Returns the per-view refresh I/O.
 func (db *DB) IncrementalRefreshAll() (map[string]*Result, error) {
-	rs := db.Relations()
-	names := rs.Views()
+	ep := db.BeginMaintenance()
+	names := ep.base.Views()
 	out := make(map[string]*Result, len(names))
 	var recompute []string
-	ep := db.BeginMaintenance()
 	for _, name := range names {
-		res, err := ep.refresh(rs, rs.views[name])
+		res, err := ep.IncrementalRefresh(name)
 		if errors.Is(err, ErrNotIncremental) {
 			recompute = append(recompute, name)
 			continue
@@ -242,29 +287,21 @@ func (db *DB) IncrementalRefreshAll() (map[string]*Result, error) {
 		}
 		out[name] = res
 	}
-	if err := db.ApplyDeltas(); err != nil {
+	if err := ep.ApplyDeltas(); err != nil {
 		return nil, err
 	}
 	for _, name := range recompute {
-		res, err := db.Refresh(name)
+		res, err := ep.Refresh(name)
 		if err != nil {
 			return nil, err
 		}
 		out[name] = res
 	}
-	return out, nil
+	return out, ep.Commit()
 }
 
-// propagation is one view's pass over its plan inside an epoch.
-type propagation struct {
-	ep   *MaintenanceEpoch
-	rs   *RelationSet
-	snap map[string]pending
-	res  *Result
-}
-
-// rel returns the relation at n in state st: the delta table under the
-// view's snapshot, or one of the two full relations a join delta pairs
+// rel returns the relation at n in state st: its Δ under the epoch's frozen
+// pending rows, or one of the two full relations a join delta pairs
 // against. The walk visits every node of the view's plan — that is how a
 // node learns the identities of its inputs — but evaluates only what no
 // earlier walk of the epoch has. Select, project, aggregate and join work
@@ -272,10 +309,9 @@ type propagation struct {
 // new-state relations are produced unmetered. The two legs of a join delta
 // are always block nested-loop, whatever db.joinAlgo says: the
 // delta-propagation cost formulas assume BlockNLJ.
-func (p *propagation) rel(n algebra.Node, st relState) (*Table, error) {
-	db := p.ep.db
-	key := epochKey{expr: p.ep.arena.Intern(n), delta: st == deltaRows}
-	res := p.res
+func (ep *MaintenanceEpoch) rel(n algebra.Node, st relState, res *Result) (*Table, error) {
+	db := ep.db
+	key := epochKey{expr: ep.arena.Intern(n), delta: st == deltaRows}
 	if st != deltaRows {
 		res = nil
 	}
@@ -295,7 +331,7 @@ func (p *propagation) rel(n algebra.Node, st relState) (*Table, error) {
 	}
 	for i, in := range inputs {
 		var err error
-		if key.in[i], err = p.rel(in.n, in.st); err != nil {
+		if key.in[i], err = ep.rel(in.n, in.st, res); err != nil {
 			return nil, err
 		}
 	}
@@ -303,29 +339,21 @@ func (p *propagation) rel(n algebra.Node, st relState) (*Table, error) {
 	var eval func() (*Table, error)
 	switch v := n.(type) {
 	case *algebra.Scan:
-		pd := p.snap[v.Relation]
+		frozen := ep.frozen[v.Relation]
 		if st == deltaRows {
-			if pd.buf == nil {
-				// No pending inserts: an empty delta with the scan's schema.
-				eval = func() (*Table, error) { return NewTable("", v.Schema(), db.BlockRows), nil }
-				break
+			if frozen != nil {
+				return frozen, nil
 			}
-			key.in[0], key.lo, key.hi = pd.buf, pd.k, pd.n
-			eval = func() (*Table, error) { return pd.rows.sliceRows(pd.k, pd.n), nil }
+			// No pending inserts: an empty delta with the scan's schema.
+			eval = func() (*Table, error) { return NewTable("", v.Schema(), db.BlockRows), nil }
 			break
 		}
-		stored, err := p.rs.relation(v.Relation)
-		extra := pd.k
-		if st == newState {
-			extra = pd.n
-		}
-		if err != nil || extra == 0 {
+		stored, err := ep.base.relation(v.Relation)
+		if err != nil || st == oldState || frozen == nil {
 			return stored, err
 		}
-		// A dirty base table in this state: one payload copy per epoch,
-		// never published, so concurrent readers are undisturbed.
-		key.in[0], key.in[1], key.hi = stored, pd.buf, extra
-		eval = func() (*Table, error) { return stored.cloneAppendTable(pd.rows.sliceRows(0, extra)), nil }
+		key.in[0], key.in[1] = stored, frozen
+		eval = func() (*Table, error) { return ep.grownTable(v.Relation), nil }
 	case *algebra.Select:
 		eval = func() (*Table, error) { return db.ops.sel(db, v, in[0], res) }
 	case *algebra.Project:
@@ -354,9 +382,9 @@ func (p *propagation) rel(n algebra.Node, st relState) (*Table, error) {
 	default:
 		return nil, fmt.Errorf("engine: cannot propagate deltas through node type %T", n)
 	}
-	if e, ok := p.ep.memo[key]; ok {
+	if e, ok := ep.memo[key]; ok {
 		if res == nil {
-			p.ep.reused++
+			ep.reused++
 		}
 		for _, s := range e.ops {
 			// Equal expressions may write a conjunction in different orders.
@@ -377,9 +405,9 @@ func (p *propagation) rel(n algebra.Node, st relState) (*Table, error) {
 	if res != nil {
 		e.ops = slices.Clone(res.Ops[first:])
 	} else {
-		p.ep.evaluated++
+		ep.evaluated++
 	}
-	p.ep.memo[key] = e
+	ep.memo[key] = e
 	return t, nil
 }
 

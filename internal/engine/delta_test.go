@@ -36,6 +36,35 @@ func viewKey(t *testing.T, db *engine.DB, name string) string {
 	return tableKey(v.Table())
 }
 
+// runEpoch is one whole maintenance epoch on db: the named views refreshed by
+// delta propagation in that order, the pending deltas applied, one commit.
+// Returns the refreshes in call order.
+func runEpoch(t testing.TB, db *engine.DB, views ...string) []*engine.Result {
+	t.Helper()
+	ep := db.BeginMaintenance()
+	out := make([]*engine.Result, len(views))
+	for i, view := range views {
+		var err error
+		if out[i], err = ep.IncrementalRefresh(view); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := ep.ApplyDeltas(); err != nil {
+		t.Fatal(err)
+	}
+	if err := ep.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
+// applyDeltas folds the pending deltas into the base tables in an epoch that
+// refreshes no view.
+func applyDeltas(t testing.TB, db *engine.DB) {
+	t.Helper()
+	runEpoch(t, db)
+}
+
 // laJoinPlan is Product ⋈ σ(city='LA')(Division): the paper's tmp2.
 func laJoinPlan(t *testing.T, db *engine.DB) algebra.Node {
 	t.Helper()
@@ -82,19 +111,13 @@ func TestIncrementalRefreshSPJMatchesRecompute(t *testing.T) {
 		t.Fatalf("pending product deltas = %d", got)
 	}
 
-	res, err := db.IncrementalRefresh("tmp2")
-	if err != nil {
-		t.Fatal(err)
-	}
+	res := runEpoch(t, db, "tmp2")[0]
 	if res.TotalReads()+res.TotalWrites() == 0 {
 		t.Error("incremental refresh reported no I/O")
 	}
 	incremental := viewKey(t, db, "tmp2")
 
 	// Reference: recompute over the base state with the deltas applied.
-	if err := db.ApplyDeltas(); err != nil {
-		t.Fatal(err)
-	}
 	if got := db.PendingDeltaRows("Product"); got != 0 {
 		t.Fatalf("deltas not cleared: %d pending", got)
 	}
@@ -120,13 +143,7 @@ func TestIncrementalRefreshCheaperThanRecompute(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	inc, err := db.IncrementalRefresh("tmp2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := db.ApplyDeltas(); err != nil {
-		t.Fatal(err)
-	}
+	inc := runEpoch(t, db, "tmp2")[0]
 	full, err := db.Refresh("tmp2")
 	if err != nil {
 		t.Fatal(err)
@@ -163,14 +180,9 @@ func TestIncrementalRefreshAggregateMergesGroups(t *testing.T) {
 	); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.IncrementalRefresh("summary"); err != nil {
-		t.Fatal(err)
-	}
+	runEpoch(t, db, "summary")
 	incremental := viewKey(t, db, "summary")
 
-	if err := db.ApplyDeltas(); err != nil {
-		t.Fatal(err)
-	}
 	if _, err := db.Materialize("ref", algebra.Clone(plan)); err != nil {
 		t.Fatal(err)
 	}
@@ -223,13 +235,14 @@ func TestIncrementalRefreshRejectsNonIncremental(t *testing.T) {
 	if err := db.InsertDelta("T", []algebra.Value{algebra.StringVal("a"), algebra.IntVal(9)}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := db.IncrementalRefresh("avgview"); !errors.Is(err, engine.ErrNotIncremental) {
+	ep := db.BeginMaintenance()
+	if _, err := ep.IncrementalRefresh("avgview"); !errors.Is(err, engine.ErrNotIncremental) {
 		t.Errorf("AVG view error = %v, want ErrNotIncremental", err)
 	}
-	if _, err := db.IncrementalRefresh("buried"); !errors.Is(err, engine.ErrNotIncremental) {
+	if _, err := ep.IncrementalRefresh("buried"); !errors.Is(err, engine.ErrNotIncremental) {
 		t.Errorf("buried aggregate error = %v, want ErrNotIncremental", err)
 	}
-	if _, err := db.IncrementalRefresh("ghost"); err == nil {
+	if _, err := ep.IncrementalRefresh("ghost"); err == nil {
 		t.Error("unknown view refreshed")
 	}
 }
@@ -273,6 +286,7 @@ func TestIncrementabilityGateAgrees(t *testing.T) {
 	if err := db.InsertDelta("T", []algebra.Value{algebra.StringVal("a"), algebra.IntVal(9)}); err != nil {
 		t.Fatal(err)
 	}
+	ep := db.BeginMaintenance()
 	for _, tc := range cases {
 		if got, why := algebra.Incrementable(tc.plan); got != tc.want {
 			t.Errorf("%s: Incrementable = %v (%s), want %v", tc.name, got, why, tc.want)
@@ -281,7 +295,7 @@ func TestIncrementabilityGateAgrees(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		_, err = db.IncrementalRefresh(tc.name)
+		_, err = ep.IncrementalRefresh(tc.name)
 		if err != nil && !errors.Is(err, engine.ErrNotIncremental) {
 			t.Fatal(err)
 		}

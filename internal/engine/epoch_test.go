@@ -14,10 +14,10 @@ import (
 
 // The maintenance-epoch cage: a generated multi-view, multi-epoch schedule
 // on the star warehouse, run three ways — every view through one shared
-// epoch, one view per epoch on a twin database (the per-view accounting the
-// shared epoch must reproduce), and the shared epoch again on the row
-// oracle — with every maintained view compared against recomputation from
-// base after every epoch.
+// epoch, every view alone in an epoch that is then let go (the per-view
+// accounting the shared epoch must reproduce), and the shared epoch again on
+// the row oracle — with every maintained view compared against recomputation
+// from base after every epoch.
 
 // tableRows is one InsertDelta call.
 type tableRows struct {
@@ -26,10 +26,11 @@ type tableRows struct {
 }
 
 // starEpoch is one generated epoch: the staged deltas; optionally a
-// straggler batch that lands after the first view refreshed, which is then
-// refreshed a second time (its watermark path); optionally an ApplyDeltas
-// that is injected to fail, after which a retry batch arrives and the epoch
-// runs again over the still-pending rows.
+// straggler batch that arrives after the first view refreshed — the next
+// epoch's delta, so refreshing that view a second time repeats the first —
+// optionally an ApplyDeltas that is injected to fail, after which the epoch
+// is let go with nothing published, a retry batch arrives, and the next
+// epoch takes the old rows and the retry batch in together.
 type starEpoch struct {
 	deltas    []tableRows
 	straggler []tableRows
@@ -97,25 +98,33 @@ func stage(t testing.TB, db *engine.DB, batch []tableRows) {
 }
 
 // runStarEpoch drives one generated epoch on db — stage, refresh every view
-// in name order, apply — and returns every refresh in call order. With
-// shared, each pass over the views is one engine epoch (returned, for its
-// counts); without, every refresh is an epoch of its own.
-func runStarEpoch(t testing.TB, db *engine.DB, views []string, ep starEpoch, shared bool) ([]namedResult, []*engine.MaintenanceEpoch) {
+// in name order, apply, commit — and returns every refresh in call order
+// beside what the same view's refresh is when it is alone in its epoch, and
+// the engine epochs it opened (for their counts). The reference epochs are
+// let go: they publish and consume nothing.
+func runStarEpoch(t testing.TB, db *engine.DB, views []string, ep starEpoch) (got, alone []namedResult, epochs []*engine.MaintenanceEpoch) {
 	t.Helper()
-	var out []namedResult
-	var epochs []*engine.MaintenanceEpoch
-	refreshAll := func(pass string, straggler []tableRows) {
-		refresh := db.IncrementalRefresh
-		if shared {
-			epochs = append(epochs, db.BeginMaintenance())
-			refresh = epochs[len(epochs)-1].IncrementalRefresh
+	refreshAll := func(pass string, straggler []tableRows) *engine.MaintenanceEpoch {
+		byView := make(map[string]*engine.Result, len(views))
+		for _, view := range views {
+			res, err := db.BeginMaintenance().IncrementalRefresh(view)
+			if err != nil {
+				t.Fatalf("%s alone: %v", pass+view, err)
+			}
+			byView[view] = res
 		}
+		epoch := db.BeginMaintenance()
+		epochs = append(epochs, epoch)
+		reads, writes := db.Counter.Reads(), db.Counter.Writes()
 		call := func(label, view string) {
-			res, err := refresh(view)
+			res, err := epoch.IncrementalRefresh(view)
 			if err != nil {
 				t.Fatalf("%s: %v", label, err)
 			}
-			out = append(out, namedResult{label, res})
+			got = append(got, namedResult{label, res})
+			alone = append(alone, namedResult{label, byView[view]})
+			reads += byView[view].TotalReads()
+			writes += byView[view].TotalWrites()
 		}
 		for i, view := range views {
 			call(pass+view, view)
@@ -124,32 +133,45 @@ func runStarEpoch(t testing.TB, db *engine.DB, views []string, ep starEpoch, sha
 				call(pass+view+" after straggler", view)
 			}
 		}
+		// The shared epoch moved the counter as the views alone would have.
+		if r, w := db.Counter.Reads(), db.Counter.Writes(); r != reads || w != writes {
+			t.Fatalf("%sshared epoch left the counter at %d reads / %d writes, the views alone add up to %d / %d",
+				pass, r, w, reads, writes)
+		}
+		return epoch
 	}
 	stage(t, db, ep.deltas)
-	refreshAll("", ep.straggler)
+	epoch := refreshAll("", ep.straggler)
 	if ep.failApply {
+		before := db.Relations()
 		db.SetInjector(fault.New(1, fault.Plan{fault.SiteEngineApplyDeltas: {ErrProb: 1}}))
-		if err := db.ApplyDeltas(); !errors.Is(err, fault.ErrInjected) {
+		if err := epoch.ApplyDeltas(); !errors.Is(err, fault.ErrInjected) {
 			t.Fatalf("ApplyDeltas under injection returned %v", err)
 		}
 		db.SetInjector(nil)
-		// Nothing was folded: the next epoch finds the old rows propagated
-		// (every view's watermark) and only the retry batch fresh.
+		// The epoch is let go: the next one finds the old rows and the retry
+		// batch pending together.
+		if db.Relations() != before {
+			t.Fatal("the epoch whose ApplyDeltas failed published something")
+		}
 		stage(t, db, ep.retry)
-		refreshAll("retry ", nil)
+		epoch = refreshAll("retry ", nil)
 	}
-	if err := db.ApplyDeltas(); err != nil {
+	if err := epoch.ApplyDeltas(); err != nil {
 		t.Fatal(err)
 	}
-	return out, epochs
+	if err := epoch.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	return got, alone, epochs
 }
 
 // operandRequests walks the views' plans the way a propagation does and
 // returns how many unmetered relations one epoch is asked for — per join,
 // the right input in the new state and the left in the old, every
 // subexpression of each — and how many of those are distinct (expression,
-// state) pairs. Valid for an epoch with no watermark: the old state is then
-// the stored base, which is read in place and is no request.
+// state) pairs. The old state of a base table is the stored table, which is
+// read in place and is no request.
 func operandRequests(views []starView, dirty map[string]bool) (requests, distinct int) {
 	seen := make(map[string]bool)
 	var operand func(n algebra.Node, state string)
@@ -220,16 +242,25 @@ func TestMaintenanceEpochsMatchRecompute(t *testing.T) {
 	sort.Strings(names)
 
 	shared := newStarDB(t, s, load, views)
-	perView := newStarDB(t, s, load, views)
 	oracle := newStarDB(t, s, load, views)
 	useRowOracle(t, oracle)
+	staged := make(map[string]int)
+	rowsBefore := make(map[string]int)
+	for _, name := range shared.Tables() {
+		tb, _ := shared.Table(name)
+		rowsBefore[name] = tb.NumRows()
+	}
 
 	for e, ep := range sched {
 		label := fmt.Sprintf("epoch %d", e)
-		got, epochs := runStarEpoch(t, shared, names, ep, true)
-		// The reference: every refresh is an epoch of its own.
-		want, _ := runStarEpoch(t, perView, names, ep, false)
-		row, _ := runStarEpoch(t, oracle, names, ep, true)
+		for _, batch := range [][]tableRows{ep.deltas, ep.straggler, ep.retry} {
+			for _, tr := range batch {
+				staged[tr.table] += len(tr.rows)
+			}
+		}
+		// The reference: every refresh alone in its epoch.
+		got, want, epochs := runStarEpoch(t, shared, names, ep)
+		row, _, _ := runStarEpoch(t, oracle, names, ep)
 		if len(got) != len(want) || len(got) != len(row) {
 			t.Fatalf("%s: %d / %d / %d refreshes", label, len(got), len(want), len(row))
 		}
@@ -244,10 +275,9 @@ func TestMaintenanceEpochsMatchRecompute(t *testing.T) {
 			}
 			assertResultsIdentical(t, at+" (row oracle)", got[i].res, row[i].res)
 		}
-		for _, db := range []*engine.DB{shared, perView, oracle} {
+		for _, db := range []*engine.DB{shared, oracle} {
 			assertViewsMatchRecompute(t, label, db, names)
 		}
-		assertCountersIdentical(t, label+" shared vs per view", shared, perView)
 		assertCountersIdentical(t, label+" shared vs row oracle", shared, oracle)
 
 		// Every distinct operand once, every dirty table cloned once per
@@ -263,6 +293,14 @@ func TestMaintenanceEpochsMatchRecompute(t *testing.T) {
 				t.Fatalf("%s: %d operands evaluated + %d reused; the plans ask for %d, %d of them distinct",
 					label, evaluated, reused, requests, distinct)
 			}
+		}
+	}
+	// Lost by no epoch: every staged row — stragglers and the rows of the
+	// epoch that was let go included — is in its base table, once.
+	for name, was := range rowsBefore {
+		tb, _ := shared.Table(name)
+		if pending := shared.PendingDeltaRows(name); tb.NumRows() != was+staged[name] || pending != 0 {
+			t.Errorf("%s: %d rows and %d pending after the schedule, want %d and 0", name, tb.NumRows(), pending, was+staged[name])
 		}
 	}
 }
@@ -295,7 +333,7 @@ func TestIdenticalViewSharesEverything(t *testing.T) {
 // benchmark's 22-view star warehouse at its mixed_fresh scale, one epoch =
 // a streamed batch staged on all seven tables (5 fact rows, one per
 // dimension — what StreamDeltas(0.0025) sends), every view refreshed in one
-// epoch value, ApplyDeltas. Tables and views grow by a batch per iteration,
+// epoch value, ApplyDeltas, Commit. Tables and views grow by a batch per iteration,
 // as they do under the benchmark's writer.
 func BenchmarkMaintenanceEpoch(b *testing.B) {
 	s := newStarSchemas()
@@ -319,7 +357,10 @@ func BenchmarkMaintenanceEpoch(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		if err := db.ApplyDeltas(); err != nil {
+		if err := ep.ApplyDeltas(); err != nil {
+			b.Fatal(err)
+		}
+		if err := ep.Commit(); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -37,9 +37,8 @@ func (db *DB) SpyJoins() *JoinSpy {
 }
 
 // Operand evaluates plan the way the epoch evaluates the new-state operand
-// of a join delta — unmetered, over the base tables plus every pending row —
-// and returns the epoch's own (shared) table.
+// of a join delta — unmetered, over the base tables plus the frozen pending
+// rows — and returns the epoch's own (shared) table.
 func (ep *MaintenanceEpoch) Operand(plan algebra.Node) (*Table, error) {
-	p := &propagation{ep: ep, rs: ep.db.Relations(), snap: ep.db.deltaSnapshot("")}
-	return p.rel(plan, newState)
+	return ep.rel(plan, newState, nil)
 }

@@ -128,9 +128,7 @@ func TestOperandJoinParity(t *testing.T) {
 			}
 			// The reference: the same join, metered, nested-loop, over the
 			// folded tables.
-			if err := bdb.ApplyDeltas(); err != nil {
-				t.Fatal(err)
-			}
+			applyDeltas(t, bdb)
 			ref, err := bdb.Execute(join)
 			if err != nil {
 				t.Fatal(err)
@@ -194,14 +192,9 @@ func TestMaintainedViewNaNJoinKeyParity(t *testing.T) {
 		}
 	}
 	spy := db.SpyJoins()
-	if _, err := db.IncrementalRefresh("v"); err != nil {
-		t.Fatal(err)
-	}
+	runEpoch(t, db, "v")
 	if spy.Hash != 0 {
 		t.Fatalf("a NaN-keyed operand was hash-joined %d×", spy.Hash)
-	}
-	if err := db.ApplyDeltas(); err != nil {
-		t.Fatal(err)
 	}
 	assertViewsMatchRecompute(t, "NaN join key", db, []string{"v"})
 	// Eight L ⋈ R pairs under nested-loop matching (NaN pairs with
@@ -240,10 +233,13 @@ func TestMaintenanceEpochReleasesOperands(t *testing.T) {
 			t.Fatalf("the operand was not the memoised one: reused %d → %d", before, after)
 		}
 		runtime.SetFinalizer(operand, func(*engine.Table) { close(collected) })
+		if err := ep.ApplyDeltas(); err != nil {
+			t.Fatal(err)
+		}
+		if err := ep.Commit(); err != nil {
+			t.Fatal(err)
+		}
 	}()
-	if err := db.ApplyDeltas(); err != nil {
-		t.Fatal(err)
-	}
 	runtime.GC()
 	runtime.GC()
 	select {

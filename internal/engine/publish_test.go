@@ -101,7 +101,7 @@ func TestEpochPublishesOnce(t *testing.T) {
 			t.Error("a refresh inside an open epoch published a relation set")
 		}
 		inj.SetRule(fault.SiteEngineApplyDeltas, fault.Rule{ErrProb: 1})
-		if err := db.ApplyDeltas(); !errors.Is(err, fault.ErrInjected) {
+		if err := ep.ApplyDeltas(); !errors.Is(err, fault.ErrInjected) {
 			t.Fatalf("ApplyDeltas under injection returned %v", err)
 		}
 		inj.SetRule(fault.SiteEngineApplyDeltas, fault.Rule{})
@@ -109,7 +109,8 @@ func TestEpochPublishesOnce(t *testing.T) {
 			t.Error("an epoch whose ApplyDeltas failed left something published")
 		}
 
-		// The next epoch lands the same rows, and one more batch, whole.
+		// The epoch is let go. The next one lands the same rows, and one more
+		// batch, whole — and only at its commit.
 		stageDiffRows(t, db, 1)
 		ep = db.BeginMaintenance()
 		for _, view := range views {
@@ -117,7 +118,13 @@ func TestEpochPublishesOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := db.ApplyDeltas(); err != nil {
+		if err := ep.ApplyDeltas(); err != nil {
+			t.Fatal(err)
+		}
+		if db.Relations() != before {
+			t.Error("ApplyDeltas inside an open epoch published a relation set")
+		}
+		if err := ep.Commit(); err != nil {
 			t.Fatal(err)
 		}
 		if db.Relations() == before {
@@ -186,21 +193,26 @@ func TestEpochPublishesOnce(t *testing.T) {
 					errs <- err
 					break
 				}
-				step()
 			}
+			step()
 			fail := e%5 == 3
 			if fail {
 				inj.SetRule(fault.SiteEngineApplyDeltas, fault.Rule{ErrProb: 1})
 			}
-			err := db.ApplyDeltas()
+			err := ep.ApplyDeltas()
 			inj.SetRule(fault.SiteEngineApplyDeltas, fault.Rule{})
+			step()
 			switch {
 			case fail && errors.Is(err, fault.ErrInjected):
-				failed++
+				failed++ // the epoch is let go
 			case fail:
 				errs <- fmt.Errorf("epoch %d: ApplyDeltas under injection returned %v", e, err)
 			case err != nil:
 				errs <- err
+			default:
+				if err := ep.Commit(); err != nil {
+					errs <- err
+				}
 			}
 			step()
 		}

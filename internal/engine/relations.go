@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"maps"
 	"sort"
 
 	"github.com/warehousekit/mvpp/internal/algebra"
@@ -10,10 +9,11 @@ import (
 )
 
 // RelationSet is one published state of a DB: its base tables, its
-// materialized views and the view-set generation. A set is immutable — the
-// maintainer publishes a successor instead of changing it — so whoever holds
-// one plans and executes against a single state without taking a lock. Hold
-// it for one call; a kept set pins every table it names.
+// materialized views and the view-set generation. A set is immutable — a
+// maintenance epoch builds a successor in private and publishes it whole
+// instead of changing it — so whoever holds one plans and executes against a
+// single state, as of one epoch, without taking a lock. Hold it for one call;
+// a kept set pins every table it names.
 type RelationSet struct {
 	db *DB
 	// gen counts changes to the set of views (Materialize, DropView,
@@ -26,61 +26,37 @@ type RelationSet struct {
 // Relations returns the currently published set (no allocation).
 func (db *DB) Relations() *RelationSet { return db.rels.Load() }
 
-// publish stores the successor of the current set: a copy with change
-// applied. mu makes a view swap atomic with its watermark update and keeps
-// two maintainers that break the one-at-a-time contract from losing each
-// other's entry.
-func (db *DB) publish(change func(next *RelationSet)) {
-	db.mu.Lock()
-	defer db.mu.Unlock()
-	cur := db.rels.Load()
-	next := &RelationSet{db: db, gen: cur.gen, tables: maps.Clone(cur.tables), views: maps.Clone(cur.views)}
-	change(next)
-	db.rels.Store(next)
-}
-
 func (db *DB) addTable(t *Table) error {
-	if _, dup := db.Relations().tables[t.Name]; dup {
+	ep := db.BeginMaintenance()
+	if _, dup := ep.next.tables[t.Name]; dup {
 		return fmt.Errorf("engine: table %s already exists", t.Name)
 	}
-	db.publish(func(next *RelationSet) { next.tables[t.Name] = t })
-	return nil
+	ep.next.tables[t.Name] = t
+	return ep.Commit()
 }
 
-// addView publishes a new view over stored rows t. A fresh view holds the
-// base state without pending deltas, so its delta watermark starts at zero.
-func (db *DB) addView(name string, plan algebra.Node, t *Table) (*MaterializedView, error) {
-	if err := db.Relations().checkNewView(name); err != nil {
-		return nil, err
+// addView adds a new view over stored rows t to the epoch's successor.
+func (ep *MaintenanceEpoch) addView(name string, plan algebra.Node, t *Table) (*MaterializedView, error) {
+	if name == "" {
+		return nil, fmt.Errorf("engine: view must have a name")
+	}
+	if _, dup := ep.next.views[name]; dup {
+		return nil, fmt.Errorf("engine: view %s already exists", name)
+	}
+	if _, dup := ep.next.tables[name]; dup {
+		return nil, fmt.Errorf("engine: view %s collides with a base table", name)
 	}
 	t.Name = name
 	v := &MaterializedView{Name: name, Plan: plan, Key: algebra.StructuralKey(plan), table: t}
-	db.publish(func(next *RelationSet) {
-		next.views[name] = v
-		next.gen++
-		delete(db.propagated, name)
-	})
+	ep.next.views[name] = v
+	ep.next.gen++
 	return v, nil
 }
 
-// swapView publishes a maintained view's next rows together with its delta
-// watermarks (nil after a recompute: nothing pending is propagated).
-func (db *DB) swapView(v *MaterializedView, t *Table, seen map[string]int) {
+// setView gives a maintained view its next rows in the epoch's successor.
+func (ep *MaintenanceEpoch) setView(v *MaterializedView, t *Table) {
 	t.Name = v.Name
-	db.publish(func(next *RelationSet) {
-		next.views[v.Name] = &MaterializedView{Name: v.Name, Plan: v.Plan, Key: v.Key, table: t}
-		db.propagated[v.Name] = seen
-	})
-}
-
-func (rs *RelationSet) checkNewView(name string) error {
-	if _, dup := rs.views[name]; dup {
-		return fmt.Errorf("engine: view %s already exists", name)
-	}
-	if _, dup := rs.tables[name]; dup {
-		return fmt.Errorf("engine: view %s collides with a base table", name)
-	}
-	return nil
+	ep.next.views[v.Name] = &MaterializedView{Name: v.Name, Plan: v.Plan, Key: v.Key, table: t}
 }
 
 // Generation identifies the set of materialized views: it changes whenever

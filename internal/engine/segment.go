@@ -447,12 +447,14 @@ func (db *DB) RestoreTable(t *Table) error {
 // Materialize. The table's schema must match the plan's (a mismatch means
 // the segment does not belong to this definition; recompute instead).
 func (db *DB) RestoreView(name string, plan algebra.Node, t *Table) (*MaterializedView, error) {
-	if name == "" {
-		return nil, fmt.Errorf("engine: view must have a name")
-	}
 	if !plan.Schema().Equal(t.Schema) {
 		return nil, fmt.Errorf("engine: restored table schema %v does not match plan schema %v of view %s",
 			t.Schema, plan.Schema(), name)
 	}
-	return db.addView(name, plan, t)
+	ep := db.BeginMaintenance()
+	v, err := ep.addView(name, plan, t)
+	if err != nil {
+		return nil, err
+	}
+	return v, ep.Commit()
 }

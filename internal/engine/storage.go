@@ -17,30 +17,30 @@
 // atomic pointer. Readers (Execute, RewriteForViewSet, Table, Tables, View,
 // Views, CatalogFor, or the same calls on a set held from Relations) load
 // the pointer and take no lock; any number of them run alongside at most
-// one maintainer at a time. The maintenance methods — CreateTable,
-// Materialize, Refresh, RefreshAll, IncrementalRefresh(All), InsertDelta,
-// ApplyDeltas, DropView, RestoreTable, RestoreView — build the next table or
-// view beside the readers, copy the set's two small maps, change their entry
-// and store the new set; they must be serialized by the caller (a single
-// maintenance goroutine, as the serve package's scheduler does). A
-// MaintenanceEpoch from BeginMaintenance is the maintainer's too: its
-// IncrementalRefresh is a maintenance method, it is used from that one
-// goroutine, and because it holds every relation its propagations derived it
-// lives as a local from the epoch's first refresh to its last — never in a
-// DB, a server or anything else that survives ApplyDeltas.
+// one maintainer at a time. The maintainer works in a MaintenanceEpoch:
+// BeginMaintenance copies the published set's two small maps into a private
+// successor, the epoch's IncrementalRefresh, ApplyDeltas, Refresh,
+// Materialize and DropView build the next tables and views beside the
+// readers and enter them there, and Commit stores the successor — the only
+// publication there is (the DB's own CreateTable, Materialize, Refresh(All),
+// IncrementalRefreshAll, DropView and Restore* are each one epoch and one
+// commit). Epochs and InsertDelta must be serialized by the caller — a
+// single maintenance goroutine, as the serve package's scheduler does — and
+// an epoch, which holds every relation its propagations derived, lives as a
+// local from Begin to Commit, never in anything that outlives it.
 //
 // What a held RelationSet guarantees: every table and view in it is
 // immutable, so one Execute resolves all its scans — two scans of one view
 // included — against the same state, and a plan from set.Rewrite executed
 // with set.Execute finds exactly the views it was rewritten onto, whatever
-// maintenance has published since. What it does not: publication is per
-// operation, not per epoch. Between a view's IncrementalRefresh and the
-// ApplyDeltas that ends the epoch a freshly loaded set pairs the new view
-// with the old base tables, and a failed ApplyDeltas leaves the refreshed
-// views visible. The only mutable window is the setup phase: Table handles
-// returned by CreateTable may be filled with Insert freely before the DB is
-// shared across goroutines; afterwards all base-table growth must go through
-// InsertDelta/ApplyDeltas.
+// maintenance has published since. And a published set is always a whole
+// epoch: every view a maintenance epoch refreshed and every base table it
+// grew appear together or not at all, so a view in a loaded set agrees with
+// that set's own base tables, and an epoch that failed part-way — ApplyDeltas
+// refused, a refresh panicked — is never seen. The only mutable window is the
+// setup phase: Table handles returned by CreateTable may be filled with
+// Insert freely before the DB is shared across goroutines; afterwards all
+// base-table growth goes through InsertDelta and an epoch's ApplyDeltas.
 package engine
 
 import (
@@ -144,20 +144,10 @@ func (t *Table) materializeRows() [][]algebra.Value {
 	return out
 }
 
-// cloneAppendRows returns a fresh table holding the receiver's rows
-// followed by the given rows. Columns are copied, never shared, so the
-// original stays immutable for concurrent readers.
-func (t *Table) cloneAppendRows(rows [][]algebra.Value) (*Table, error) {
-	u := NewTable(t.Name, t.Schema, t.BlockRows)
-	for ci, c := range t.cols {
-		u.cols[ci] = c.clone()
-	}
-	u.nrows = t.nrows
-	return u, u.Insert(rows...)
-}
-
 // cloneAppendTable returns a fresh table holding the receiver's rows
-// followed by every row of o (schemas must be width-compatible).
+// followed by every row of o (schemas must be width-compatible). Columns are
+// copied, never shared, so the original stays immutable for concurrent
+// readers.
 func (t *Table) cloneAppendTable(o *Table) *Table {
 	u := NewTable(t.Name, t.Schema, t.BlockRows)
 	for ci, c := range t.cols {
@@ -240,21 +230,15 @@ type DB struct {
 	Counter   *Counter
 	// rels is the published state; see RelationSet.
 	rels atomic.Pointer[RelationSet]
-	// mu guards the maintainer-side state (deltas, propagated, snapStore)
-	// and serializes publish. No path from Execute or Rewrite takes it.
+	// mu guards the maintainer-side state (deltas, snapStore) and the
+	// publication in Commit. No path from Execute or Rewrite takes it.
 	mu sync.Mutex
 	// deltas holds each base table's pending inserted rows (see
-	// InsertDelta); they become part of the table at ApplyDeltas.
-	deltas map[string]*Table
-	// propagated records, per view and base table, how many pending delta
-	// rows IncrementalRefresh has already folded into the stored view, so
-	// repeated refreshes within one epoch never double-apply a delta.
-	// ApplyDeltas clears it (the deltas are base state from then on) and
-	// DropView discards the dropped view's entry so a rematerialized view
-	// of the same name starts from a clean watermark.
-	propagated map[string]map[string]int
-	joinAlgo   JoinAlgorithm
-	ops        operators
+	// InsertDelta); a maintenance epoch freezes them at Begin and trims what
+	// it applied at Commit.
+	deltas   map[string]*Table
+	joinAlgo JoinAlgorithm
+	ops      operators
 
 	// obsv receives one EvEngineOp event per executed operator; blockReads
 	// and blockWrites mirror the Counter into the observer's registry. All
@@ -269,8 +253,8 @@ type DB struct {
 	// obsv.
 	inj *fault.Injector
 
-	// snapStore, when wired via SetSnapshotStore, lets DropView delete a
-	// dropped view's durable snapshot segments. Nil when snapshots are off.
+	// snapStore, when wired via SetSnapshotStore, lets an epoch that dropped a
+	// view delete its durable snapshot segments. Nil when snapshots are off.
 	snapStore SnapshotDropper
 }
 
@@ -294,11 +278,10 @@ func NewDB(blockRows int) *DB {
 		blockRows = DefaultBlockRows
 	}
 	db := &DB{
-		BlockRows:  blockRows,
-		Counter:    &Counter{},
-		deltas:     make(map[string]*Table),
-		propagated: make(map[string]map[string]int),
-		ops:        batchOperators{},
+		BlockRows: blockRows,
+		Counter:   &Counter{},
+		deltas:    make(map[string]*Table),
+		ops:       batchOperators{},
 	}
 	db.rels.Store(&RelationSet{db: db, tables: map[string]*Table{}, views: map[string]*MaterializedView{}})
 	return db

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"fmt"
 	"slices"
 	"sort"
 
@@ -29,55 +28,68 @@ func (v *MaterializedView) Table() *Table { return v.table }
 // Materialize executes the plan and stores the result under the given name
 // (reads and the final write are counted on the database counter).
 func (db *DB) Materialize(name string, plan algebra.Node) (*MaterializedView, error) {
-	if name == "" {
-		return nil, fmt.Errorf("engine: view must have a name")
-	}
-	rs := db.Relations()
-	if err := rs.checkNewView(name); err != nil {
-		return nil, err
-	}
-	res, err := rs.Execute(plan)
+	ep := db.BeginMaintenance()
+	v, err := ep.Materialize(name, plan)
 	if err != nil {
 		return nil, err
 	}
-	return db.addView(name, plan, res.Table)
+	return v, ep.Commit()
+}
+
+// Materialize adds a view to the epoch's successor: the plan executes on the
+// successor as it stands, so it sees the views this epoch added before it.
+func (ep *MaintenanceEpoch) Materialize(name string, plan algebra.Node) (*MaterializedView, error) {
+	res, err := ep.next.Execute(plan)
+	if err != nil {
+		return nil, err
+	}
+	return ep.addView(name, plan, res.Table)
 }
 
 // Refresh recomputes a view from base tables (the paper's maintenance
-// policy) and reports the I/O spent. The recomputation runs beside
-// concurrent readers, who see the new rows once they are published.
+// policy) in an epoch of its own and reports the I/O spent. Pending deltas
+// stay pending: the recomputed view holds the base state without them.
 func (db *DB) Refresh(name string) (*Result, error) {
-	rs := db.Relations()
-	v, err := rs.View(name)
+	ep := db.BeginMaintenance()
+	res, err := ep.Refresh(name)
 	if err != nil {
 		return nil, err
 	}
-	if err := db.inj.Hit(fault.SiteEngineRefresh); err != nil {
-		return nil, err
-	}
-	res, err := rs.Execute(v.Plan)
+	return res, ep.Commit()
+}
+
+// Refresh recomputes a view on the epoch's successor as it stands — after
+// ApplyDeltas, over the new base tables — and gives it the result there.
+func (ep *MaintenanceEpoch) Refresh(name string) (*Result, error) {
+	v, err := ep.next.View(name)
 	if err != nil {
 		return nil, err
 	}
-	// The recompute read the base tables without pending deltas, so any
-	// partially propagated deltas are unpropagated again.
-	db.swapView(v, res.Table, nil)
+	if err := ep.db.inj.Hit(fault.SiteEngineRefresh); err != nil {
+		return nil, err
+	}
+	res, err := ep.next.Execute(v.Plan)
+	if err != nil {
+		return nil, err
+	}
+	ep.setView(v, res.Table)
 	return res, nil
 }
 
-// RefreshAll refreshes every view, sharing nothing (each view recomputes
-// from base tables); returns total I/O per view.
+// RefreshAll recomputes every view in one epoch, sharing nothing (each view
+// recomputes from base tables); returns total I/O per view.
 func (db *DB) RefreshAll() (map[string]*Result, error) {
-	names := db.Views()
+	ep := db.BeginMaintenance()
+	names := ep.base.Views()
 	out := make(map[string]*Result, len(names))
 	for _, name := range names {
-		res, err := db.Refresh(name)
+		res, err := ep.Refresh(name)
 		if err != nil {
 			return nil, err
 		}
 		out[name] = res
 	}
-	return out, nil
+	return out, ep.Commit()
 }
 
 // Views lists view names, sorted.
@@ -86,8 +98,8 @@ func (db *DB) Views() []string { return db.Relations().Views() }
 // View looks up a materialized view.
 func (db *DB) View(name string) (*MaterializedView, error) { return db.Relations().View(name) }
 
-// SnapshotDropper is the durable-store hook DropView calls so a dropped
-// view's persisted segments die with it. internal/snapshot's Store
+// SnapshotDropper is the durable-store hook a committing epoch calls so a
+// dropped view's persisted segments die with it. internal/snapshot's Store
 // implements it; the indirection keeps engine free of a snapshot import.
 type SnapshotDropper interface {
 	// DropViewSnapshot removes every persisted segment and manifest entry
@@ -103,28 +115,26 @@ func (db *DB) SetSnapshotStore(s SnapshotDropper) {
 	db.snapStore = s
 }
 
-// DropView removes a materialized view, including its pending-delta
-// watermark — a later view materialized under the same name must start
-// from a clean slate, or it would silently skip deltas the dropped view
-// had already consumed and serve stale rows forever. When a snapshot store
-// is wired, the view's persisted segments are deleted too, so a
-// dropped-then-readded view cannot resurrect stale rows on restart.
+// DropView removes a materialized view in an epoch of its own. When a
+// snapshot store is wired, the view's persisted segments are deleted too, so
+// a dropped-then-readded view cannot resurrect stale rows on restart.
 func (db *DB) DropView(name string) error {
-	if _, err := db.View(name); err != nil {
+	ep := db.BeginMaintenance()
+	if err := ep.DropView(name); err != nil {
 		return err
 	}
-	var snap SnapshotDropper
-	db.publish(func(next *RelationSet) {
-		delete(next.views, name)
-		next.gen++
-		delete(db.propagated, name)
-		snap = db.snapStore
-	})
-	if snap != nil {
-		if err := snap.DropViewSnapshot(name); err != nil {
-			return fmt.Errorf("engine: dropping snapshot of view %s: %w", name, err)
-		}
+	return ep.Commit()
+}
+
+// DropView removes a view from the epoch's successor; Commit deletes its
+// snapshot segments once the set without it is published.
+func (ep *MaintenanceEpoch) DropView(name string) error {
+	if _, err := ep.next.View(name); err != nil {
+		return err
 	}
+	delete(ep.next.views, name)
+	ep.next.gen++
+	ep.dropped = append(ep.dropped, name)
 	return nil
 }
 

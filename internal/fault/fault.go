@@ -36,12 +36,12 @@ const (
 	// SiteEngineExecute fires on every DB.Execute — the query read path
 	// (latency spikes here model slow scans; errors model failed reads).
 	SiteEngineExecute Site = "engine.execute"
-	// SiteEngineRefresh fires on DB.Refresh — full view recomputation.
+	// SiteEngineRefresh fires on an epoch's Refresh — full view recomputation.
 	SiteEngineRefresh Site = "engine.refresh"
-	// SiteEngineIncrementalRefresh fires on DB.IncrementalRefresh after the
-	// incrementability gate — delta application to a view.
+	// SiteEngineIncrementalRefresh fires on an epoch's IncrementalRefresh
+	// after the incrementability gate — delta application to a view.
 	SiteEngineIncrementalRefresh Site = "engine.incremental_refresh"
-	// SiteEngineApplyDeltas fires on DB.ApplyDeltas — folding pending
+	// SiteEngineApplyDeltas fires on an epoch's ApplyDeltas — folding pending
 	// deltas into the base tables.
 	SiteEngineApplyDeltas Site = "engine.apply_deltas"
 	// SiteServeWorker fires in a router worker just before it executes an

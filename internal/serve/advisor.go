@@ -132,12 +132,14 @@ func (s *Server) adviseWith(observed map[string]float64) (*Advice, error) {
 	return a, nil
 }
 
-// ApplyAdvice hot-swaps the proposed view set into the running warehouse:
-// added views materialize (in MVPP topological order, so stacked views see
-// their inputs), dropped views disappear, the maintenance registry adopts
-// the proposal's strategies, and the epoch advances (invalidating the
+// ApplyAdvice hot-swaps the proposed view set into the running warehouse,
+// all or nothing: in one engine epoch the added views materialize (in MVPP
+// topological order, so stacked views see their inputs) and the dropped
+// views disappear; a failed step lets the epoch go and nothing has changed.
+// Otherwise the new set is published at once, the registry adopts the
+// proposal's strategies, and the serving epoch advances (invalidating the
 // result cache). In-flight queries are safe: each executes on the relation
-// set it was rewritten against, which a drop published later cannot reach.
+// set it was rewritten against.
 func (s *Server) ApplyAdvice(a *Advice) error {
 	if a == nil || a.selection == nil {
 		return errors.New("serve: ApplyAdvice needs advice produced by Advise")
@@ -154,28 +156,26 @@ func (s *Server) ApplyAdvice(a *Advice) error {
 	for _, name := range a.Add {
 		addSet[name] = true
 	}
-	// Materialize additions before dropping anything, walking the MVPP's
-	// vertex list (topological order) so views over views compose.
+	ep := s.db.BeginMaintenance()
 	for _, v := range s.mvpp.Vertices {
 		if !addSet[v.Name] {
 			continue
 		}
-		if _, err := s.db.Materialize(v.Name, v.Op); err != nil {
+		if _, err := ep.Materialize(v.Name, v.Op); err != nil {
 			return fmt.Errorf("serve: materializing %s: %w", v.Name, err)
 		}
 	}
 	for _, name := range a.Drop {
-		if err := s.db.DropView(name); err != nil {
+		if err := ep.DropView(name); err != nil {
 			return fmt.Errorf("serve: dropping %s: %w", name, err)
 		}
 	}
 
-	// Rebuild the scheduler's view registry for the new set.
+	// The scheduler's view registry for the new set, from the successor.
 	sc := s.sched
 	views := make(map[string]*viewState, len(a.Proposed))
-	epoch := s.epoch.Add(1)
-	s.cache.invalidate()
-	stored := s.db.Relations()
+	epoch := s.epoch.Load() + 1 // maintMu is held: nothing else advances it
+	stored := ep.Relations()
 	for _, name := range a.Proposed {
 		v, err := stored.View(name)
 		if err != nil {
@@ -192,6 +192,14 @@ func (s *Server) ApplyAdvice(a *Advice) error {
 			slo:    sc.defaultSLO,
 		}
 	}
+	cleanupErr := ep.Commit()
+	if cleanupErr != nil && s.db.Relations() != stored {
+		return cleanupErr // refused: nothing was published
+	}
+	// Published. The only error left is a dropped view's snapshot segments
+	// failing to delete: the swap completes and returns it.
+	s.epoch.Store(epoch)
+	s.cache.invalidate()
 	sc.mu.Lock()
 	// Carry over pending counts, refresh times, and the refresh-policy
 	// plane's state (policy, SLO, stale episode, violation history) for kept
@@ -221,5 +229,5 @@ func (s *Server) ApplyAdvice(a *Advice) error {
 	// The rewritten plans and the stored view set both changed: re-register
 	// every prediction against the new warehouse shape.
 	s.repriceAudit()
-	return nil
+	return cleanupErr
 }

@@ -84,10 +84,11 @@ func (s *Server) repriceAudit() {
 }
 
 // predictIncremental registers this epoch's delta-propagation price for
-// each view about to refresh incrementally, derived from the actual
-// pending delta fractions (Δrows / stored rows per base relation). Runs
-// after the epoch's deltas are staged, before the refreshes execute.
-func (s *Server) predictIncremental(names []string) {
+// each view about to refresh incrementally, derived from the actual pending
+// delta fractions (Δrows / stored rows per base relation; pending is the
+// engine epoch's frozen row count per dirty table). Runs before the
+// refreshes execute.
+func (s *Server) predictIncremental(names []string, pending map[string]int) {
 	if s.audit == nil || len(names) == 0 {
 		return
 	}
@@ -99,12 +100,8 @@ func (s *Server) predictIncremental(names []string) {
 	}
 	frac := make(map[string]float64)
 	rels := s.db.Relations()
-	for _, table := range rels.Tables() {
-		t, _ := rels.Table(table) // listed by the same set
-		if t.NumRows() == 0 {
-			continue
-		}
-		if p := s.db.PendingDeltaRows(table); p > 0 {
+	for table, p := range pending {
+		if t, err := rels.Table(table); err == nil && t.NumRows() > 0 {
 			frac[table] = float64(p) / float64(t.NumRows())
 		}
 	}

@@ -101,8 +101,7 @@ func (s *Server) SnapshotStats() SnapshotStats {
 // watermark of the last landed epoch. After the commit it compacts the
 // delta journal up to that watermark and ages out old generations by the
 // retention count. Returns (nil, nil) when the warehouse is mid-epoch
-// (unlanded deltas) — checkpointing then would capture view rows the
-// watermark does not cover.
+// (deltas staged in the engine whose epoch has not landed).
 func (s *Server) Checkpoint() (*snapshot.CheckpointResult, error) {
 	if s.snap == nil {
 		return nil, ErrNoSnapshots
@@ -123,10 +122,10 @@ func (s *Server) checkpointLocked() (*snapshot.CheckpointResult, error) {
 		cctx = obs.NewTraceContext()
 		ctr = s.pipelineTrace("checkpoint", uint64(s.stats.epochs.Load()), cctx)
 	}
-	// Unlanded deltas mean incremental refreshes may already have folded
-	// rows into view tables that the acked watermark does not cover —
-	// snapshotting now would double-apply them on recovery. Decline; the
-	// next trigger after the epoch lands will succeed.
+	// Unlanded deltas mean an epoch was aborted and its retry is due: the
+	// published set is still whole and exactly the acked watermark's, but a
+	// generation written now would be superseded by that retry at once.
+	// Decline; the next trigger after the epoch lands will succeed.
 	if s.enginePendingDeltas() {
 		s.snapMu.Lock()
 		s.snapState.skipped++

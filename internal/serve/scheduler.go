@@ -198,18 +198,17 @@ type scheduler struct {
 	// captures it as the commit watermark for the epoch that lands them.
 	appendLSN uint64
 	// ackedLSN is the highest journal LSN whose rows have landed in the
-	// base tables (acked after ApplyDeltas) — the watermark a snapshot
-	// checkpoint stamps and the floor journal compaction truncates to.
+	// base tables (acked when the epoch that applied them commits) — the
+	// watermark a snapshot checkpoint stamps, the floor journal compaction
+	// truncates to, and the low bound of the next epoch's lineage LSN range,
+	// so the (lo, hi] ranges of the landed epochs partition the journal.
 	ackedLSN uint64
-	// lastTakeLSN is the appendLSN the previous take() observed — the low
-	// bound of the next epoch's lineage LSN range, so consecutive epochs'
-	// (lo, hi] ranges partition the journal.
-	lastTakeLSN uint64
-	// bufBatches counts the records staged since the last take();
+	// bufBatches counts the records staged and not yet landed;
 	// pendingTraces carries the sampled ingest batches' span contexts into
-	// the epoch that lands them (both drained by take, both staged with the
-	// rows in commit's one mu hold, so a batch and its trace always land in
-	// the same epoch).
+	// the epoch that lands them. Both are staged with the rows in commit's
+	// one mu hold, read by take and settled when the epoch lands, so a batch
+	// and its trace land in the same epoch — the one that retries them, when
+	// the first was aborted.
 	bufBatches    int
 	pendingTraces []ingestTraceRef
 }
@@ -585,27 +584,22 @@ func (sc *scheduler) hasWork() bool {
 }
 
 // take removes and returns the staged buffer plus the journal commit
-// watermark covering it (ackLSN), the previous take's watermark (floorLSN —
-// together they bound the epoch's lineage range (floorLSN, ackLSN]), the
-// number of records staged, and the sampled span contexts that rode in with
-// them. It waits out a commit in flight (commitMu), so ackLSN is the last
-// LSN the journal has assigned: every record at or below it is staged here
-// or landed earlier, every later one belongs to a later epoch.
-func (sc *scheduler) take() (staged map[string][][]algebra.Value, n int, ackLSN, floorLSN uint64, batches int, refs []ingestTraceRef) {
+// watermark covering it (ackLSN), the watermark of the last landed epoch
+// (floorLSN — together they bound the epoch's lineage range (floorLSN,
+// ackLSN]), and the records and sampled span contexts not yet landed: those
+// staged since the last take and those of an aborted epoch, whose rows wait
+// in the engine. It waits out a commit in flight (commitMu), so ackLSN is
+// the last LSN the journal has assigned: every record at or below it was
+// staged by this take or an earlier one, every later one comes later.
+func (sc *scheduler) take() (staged map[string][][]algebra.Value, ackLSN, floorLSN uint64, batches int, refs []ingestTraceRef) {
 	sc.commitMu.Lock()
 	defer sc.commitMu.Unlock()
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	staged, n = sc.buf, sc.bufRows
-	ackLSN, floorLSN = sc.appendLSN, sc.lastTakeLSN
-	batches = sc.bufBatches
-	refs = sc.pendingTraces
+	staged = sc.buf
 	sc.buf = make(map[string][][]algebra.Value)
 	sc.bufRows = 0
-	sc.bufBatches = 0
-	sc.pendingTraces = nil
-	sc.lastTakeLSN = sc.appendLSN
-	return staged, n, ackLSN, floorLSN, batches, refs
+	return staged, sc.appendLSN, sc.ackedLSN, sc.bufBatches, sc.pendingTraces
 }
 
 // runEpoch is one maintenance epoch, panic-guarded: a panicking refresh
@@ -665,10 +659,12 @@ func (sc *scheduler) clearBuilding() {
 }
 
 // runEpochLocked is one maintenance epoch: stage the buffered rows as
-// engine deltas, refresh every affected view by its strategy (incremental
-// views by delta propagation before the deltas fold into the base tables,
-// recompute views after), advance the epoch, and invalidate the result
-// cache. Fault tolerance around that spine:
+// engine deltas, open an engine epoch, refresh every affected view by its
+// strategy inside it (incremental views by delta propagation, then the
+// deltas fold into the base tables, then recompute views), commit it — the
+// one publication: readers see the whole epoch or none of it — acknowledge
+// the journal, advance the serving epoch, and invalidate the result cache.
+// Fault tolerance around that spine:
 //
 //   - every refresh step runs under the retry policy (backoff + jitter);
 //   - an incremental refresh that stays failed falls back to recomputation;
@@ -677,10 +673,11 @@ func (sc *scheduler) clearBuilding() {
 //     FailureThreshold consecutive failures the breaker opens, queries
 //     degrade to base relations, and refresh attempts pause until Cooldown
 //     elapses, after which one half-open probe recomputes the view;
-//   - only a persistent ApplyDeltas failure aborts the whole epoch: the
-//     deltas stay pending in the engine (propagation watermarks prevent
-//     double-application) and the next epoch retries;
-//   - the journal watermark is acknowledged only after ApplyDeltas lands.
+//   - only a persistent ApplyDeltas failure (or a panic) aborts the whole
+//     epoch: the engine epoch is let go having published nothing, the deltas
+//     stay pending in the engine, and the next epoch takes them in together
+//     with whatever arrived since;
+//   - the journal watermark is acknowledged only after the epoch commits.
 func (s *Server) runEpochLocked() error {
 	sc := s.sched
 	if !sc.hasWork() && !s.enginePendingDeltas() {
@@ -691,9 +688,7 @@ func (s *Server) runEpochLocked() error {
 		// the next epoch.
 		return err
 	}
-	staged, n, ackLSN, floorLSN, batches, traceRefs := sc.take()
-	sp := obs.Start(s.obsv, "serve.epoch", obs.Int("delta_rows", int64(n)))
-	defer obs.End(sp)
+	staged, ackLSN, floorLSN, batches, traceRefs := sc.take()
 
 	// Causal epoch trace: the epoch adopts the first sampled contributor's
 	// trace ID — so one trace ID follows a delta from StreamIngest through
@@ -723,27 +718,24 @@ func (s *Server) runEpochLocked() error {
 		return ectx.NewChild()
 	}
 
-	tables := make([]string, 0, len(staged))
-	for table := range staged {
-		tables = append(tables, table)
-	}
-	sort.Strings(tables)
-	for _, table := range tables {
-		if err := s.db.InsertDelta(table, staged[table]...); err != nil {
+	for table, rows := range staged {
+		if err := s.db.InsertDelta(table, rows...); err != nil {
 			return err
 		}
 	}
 
-	// The fu-driven filter: only views whose base relations gained deltas
-	// refresh this epoch. appliedByTable remembers how many rows are about
-	// to fold into each table — the lag a skipped or failed view accrues.
-	dirty := make(map[string]bool)
-	appliedByTable := make(map[string]int)
-	for _, name := range s.db.Tables() {
-		if rows := s.db.PendingDeltaRows(name); rows > 0 {
-			dirty[name] = true
-			appliedByTable[name] = rows
-		}
+	// One engine epoch for everything below: it freezes the pending rows,
+	// evaluates operands and common Δ-subexpressions once, and publishes
+	// nothing before its Commit. Retry, fault site, fallback and span stay
+	// per view. It holds every relation it derived: a local of this function.
+	ep := s.db.BeginMaintenance()
+	// The rows about to fold into each table: what this epoch lands, the
+	// fu-driven filter (only views whose base relations gained deltas
+	// refresh), and the lag a skipped or failed view accrues.
+	appliedByTable := ep.Pending()
+	n := 0
+	for _, rows := range appliedByTable {
+		n += rows
 	}
 	appliedFor := func(vs *viewState) int {
 		total := 0
@@ -752,6 +744,8 @@ func (s *Server) runEpochLocked() error {
 		}
 		return total
 	}
+	sp := obs.Start(s.obsv, "serve.epoch", obs.Int("delta_rows", int64(n)))
+	defer obs.End(sp)
 
 	now := time.Now()
 	var incremental, recompute, skipped, deferred []string
@@ -760,7 +754,7 @@ func (s *Server) runEpochLocked() error {
 	for name, vs := range sc.views {
 		affected := false
 		for rel := range vs.rels {
-			if dirty[rel] {
+			if appliedByTable[rel] > 0 {
 				affected = true
 				break
 			}
@@ -833,7 +827,7 @@ func (s *Server) runEpochLocked() error {
 	}
 	// Price this epoch's delta propagations from the actual pending delta
 	// fractions, before the refreshes spend their measured I/O.
-	s.predictIncremental(incremental)
+	s.predictIncremental(incremental, appliedByTable)
 
 	// outcome of every attempted refresh; breaker bookkeeping happens in
 	// one registry pass after the epoch's engine work is done. modeByView
@@ -846,12 +840,6 @@ func (s *Server) runEpochLocked() error {
 
 	var reads, writes int64
 	incDone := 0
-	// One engine epoch for every propagation below: operands and common
-	// Δ-subexpressions are evaluated once. Retry, fault site, fallback and
-	// span stay per view. The epoch value holds every relation it derived,
-	// so it is a local that this function reads for the last time before
-	// ApplyDeltas.
-	ep := s.db.BeginMaintenance()
 	for _, name := range incremental {
 		rctx, rstart := child(), time.Now()
 		res, attempts, err := s.retryRefresh(s.baseCtx, rctx, "incremental refresh of "+name, func() (*engine.Result, error) {
@@ -908,57 +896,27 @@ func (s *Server) runEpochLocked() error {
 
 	actx, astart := child(), time.Now()
 	if _, _, err := s.retryRefresh(s.baseCtx, actx, "delta application", func() (*engine.Result, error) {
-		return nil, s.db.ApplyDeltas()
+		return nil, ep.ApplyDeltas()
 	}); err != nil {
-		// Aborting here keeps the deltas pending in the engine — nothing is
-		// lost, the journal watermark stays unacknowledged, and the next
-		// epoch retries. Any view already swapped by an incremental refresh
-		// above changed what queries can see, so the epoch still advances
-		// and the cache empties.
+		// The engine epoch is let go: nothing was published, nothing is lost
+		// — the deltas stay pending in the engine, the journal unacknowledged,
+		// the staged records and trace contexts unsettled — the next retries.
 		s.stats.refreshFailures.Add(1)
 		s.ctrRefreshFail.Inc()
 		s.winRefreshFail.Add(time.Now().Unix(), 1)
 		sc.clearBuilding()
-		if incDone > 0 {
-			s.epoch.Add(1)
-			s.cache.invalidate()
-		}
 		return fmt.Errorf("serve: applying deltas: %w", err)
 	}
 	if actx.Valid() {
 		s.traceSpan(etr, actx, "epoch.apply", astart, time.Since(astart),
 			obs.Int("delta_rows", int64(n)))
 	}
-	if sc.journal != nil && ackLSN > 0 {
-		cstart := time.Now()
-		commitErr := sc.journal.Commit(ackLSN)
-		if cctx := child(); cctx.Valid() {
-			cattrs := []obs.Attr{obs.Int("lsn", int64(ackLSN))}
-			if commitErr != nil {
-				cattrs = append(cattrs, obs.String("error", commitErr.Error()))
-			}
-			s.traceSpan(etr, cctx, "journal.commit", cstart, time.Since(cstart), cattrs...)
-		}
-		if commitErr != nil {
-			// The rows are applied; a commit failure only risks a duplicate
-			// replay after a crash. Surface it and carry on.
-			obs.Emit(s.obsv, obs.EvServeJournal,
-				obs.String("action", "commit"), obs.String("error", commitErr.Error()))
-		}
-	}
-	if ackLSN > 0 {
-		sc.mu.Lock()
-		if ackLSN > sc.ackedLSN {
-			sc.ackedLSN = ackLSN
-		}
-		sc.mu.Unlock()
-	}
 
 	recomputed := 0
 	for _, name := range recompute {
 		rctx, rstart := child(), time.Now()
 		res, attempts, err := s.retryRefresh(s.baseCtx, rctx, "refresh of "+name, func() (*engine.Result, error) {
-			return s.db.Refresh(name)
+			return ep.Refresh(name)
 		})
 		if err != nil {
 			s.stats.refreshFailures.Add(1)
@@ -985,6 +943,38 @@ func (s *Server) runEpochLocked() error {
 		s.observeAudit(costaudit.KindRecompute, name, res.TotalReads()+res.TotalWrites())
 	}
 
+	// The epoch's one publication. Under maintMu, and dropping no view, a
+	// refusal is a broken invariant: treated like any other aborted epoch.
+	if err := ep.Commit(); err != nil {
+		sc.clearBuilding()
+		return fmt.Errorf("serve: publishing the epoch: %w", err)
+	}
+	if sc.journal != nil && ackLSN > 0 {
+		cstart := time.Now()
+		commitErr := sc.journal.Commit(ackLSN)
+		if cctx := child(); cctx.Valid() {
+			cattrs := []obs.Attr{obs.Int("lsn", int64(ackLSN))}
+			if commitErr != nil {
+				cattrs = append(cattrs, obs.String("error", commitErr.Error()))
+			}
+			s.traceSpan(etr, cctx, "journal.commit", cstart, time.Since(cstart), cattrs...)
+		}
+		if commitErr != nil {
+			// The rows are applied; a commit failure only risks a duplicate
+			// replay after a crash. Surface it and carry on.
+			obs.Emit(s.obsv, obs.EvServeJournal,
+				obs.String("action", "commit"), obs.String("error", commitErr.Error()))
+		}
+	}
+	// Landed: the watermark moves, and what take handed this epoch is
+	// settled (records and contexts staged while it ran stay for the next).
+	sc.mu.Lock()
+	if ackLSN > sc.ackedLSN {
+		sc.ackedLSN = ackLSN
+	}
+	sc.bufBatches -= batches
+	sc.pendingTraces = sc.pendingTraces[len(traceRefs):]
+	sc.mu.Unlock()
 	epoch := s.epoch.Add(1)
 	s.cache.invalidate()
 

@@ -544,10 +544,9 @@ func newServer(cfg Config) (*Server, error) {
 		s.epoch.Store(r.SnapshotEpoch)
 		s.snapEpochs.Store(int64(r.SnapshotEpoch))
 		sched.mu.Lock()
-		sched.ackedLSN = r.Watermark
 		// The first post-recovery epoch's lineage covers the journal suffix
 		// past the snapshot watermark — not LSN 0.
-		sched.lastTakeLSN = r.Watermark
+		sched.ackedLSN = r.Watermark
 		for name, vs := range sched.views {
 			vs.epoch = r.SnapshotEpoch
 			vs.lastRefresh = r.SnapshotCreatedAt
@@ -800,10 +799,11 @@ func (s *Server) handle(req *request) {
 		s.observeAudit(costaudit.KindQuery, req.name, res.TotalReads()+res.TotalWrites())
 	}
 	out := &Result{Table: res.Table, Reads: res.TotalReads(), Epoch: epoch, Degraded: degraded}
-	// Cache only results whose execution saw a single epoch end to end (a
-	// mid-flight refresh would make the cached rows of mixed provenance)
-	// and that were not degraded — cached entries always carry the
-	// view-based answer so a hit's provenance is unambiguous.
+	// An execution runs on one relation set, which is one whole maintenance
+	// epoch, so its rows are never of mixed provenance. Cache it only if no
+	// epoch landed meanwhile (that epoch wiped the cache; this result
+	// predates it) and it was not degraded — cached entries always carry
+	// the view-based answer so a hit's provenance is unambiguous.
 	if !degraded && s.epoch.Load() == epoch {
 		s.cache.put(req.key, epoch, res.Table)
 	}

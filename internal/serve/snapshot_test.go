@@ -34,10 +34,9 @@ func TestCheckpointDeclinesMidEpoch(t *testing.T) {
 		Snapshots:  testStore(t),
 		Journal:    engine.NewMemJournal(),
 	})
-	// Deltas staged directly into the engine (bypassing the serving
-	// layer's buffer) may already be partially folded into view tables by
-	// an interrupted epoch: the checkpoint must decline, not persist a
-	// state the watermark does not cover.
+	// Deltas staged in the engine and not landed (here directly, bypassing
+	// the serving layer's buffer; in service, by an aborted epoch) mean an
+	// epoch is due: the checkpoint declines and the next trigger succeeds.
 	div, _ := deltaPair(1)
 	if err := db.InsertDelta("Division", div); err != nil {
 		t.Fatal(err)
