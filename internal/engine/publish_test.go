@@ -140,6 +140,37 @@ func TestEpochPublishesOnce(t *testing.T) {
 		}
 	})
 
+	t.Run("a commit that would lose rows or another epoch's work is refused", func(t *testing.T) {
+		db, _, _ := publishFixture(t)
+		before := db.Relations()
+		stageDiffRows(t, db, 0)
+		// Refreshed but not applied: the next epoch would add the rows again.
+		ep := db.BeginMaintenance()
+		if _, err := ep.IncrementalRefresh("mv_agg"); err != nil {
+			t.Fatal(err)
+		}
+		if err := ep.Commit(); err == nil {
+			t.Error("an epoch that refreshed a view without ApplyDeltas committed")
+		}
+		// Two epochs on one base: the second to commit would undo the first.
+		first, second := db.BeginMaintenance(), db.BeginMaintenance()
+		if db.Relations() != before {
+			t.Fatal("the refused commit published something")
+		}
+		if err := first.DropView("mv_agg"); err != nil {
+			t.Fatal(err)
+		}
+		if err := first.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := second.Commit(); err == nil {
+			t.Error("an epoch whose base set is no longer the published one committed")
+		}
+		if _, err := db.View("mv_agg"); err == nil {
+			t.Error("the refused commit brought the dropped view back")
+		}
+	})
+
 	t.Run("readers beside failing epochs", func(t *testing.T) {
 		const (
 			epochs  = 200
