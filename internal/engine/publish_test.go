@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"github.com/warehousekit/mvpp/internal/algebra"
 	"github.com/warehousekit/mvpp/internal/datagen"
 	"github.com/warehousekit/mvpp/internal/engine"
 	"github.com/warehousekit/mvpp/internal/fault"
@@ -37,18 +36,9 @@ func publishFixture(t *testing.T) (*engine.DB, *fault.Injector, []string) {
 
 // publishRows is one epoch's batch: the head of the differential's, so 200
 // epochs do not grow the warehouse past what a reader can recompute per set.
-func publishRows(epoch int64) map[string][][]algebra.Value {
+func publishRows(epoch int64) []tableRows {
 	batch := diffDeltaRows(epoch)
-	return map[string][][]algebra.Value{"Order": batch["Order"][:3], "Product": batch["Product"][:1]}
-}
-
-func stageDiffRows(t *testing.T, db *engine.DB, epoch int64) {
-	t.Helper()
-	for table, rows := range publishRows(epoch) {
-		if err := db.InsertDelta(table, rows...); err != nil {
-			t.Fatal(err)
-		}
-	}
+	return []tableRows{{"Order", batch["Order"][:3]}, {"Product", batch["Product"][:1]}}
 }
 
 // tornViews lists the views of rs whose stored rows are not their plan over
@@ -91,7 +81,7 @@ func TestEpochPublishesOnce(t *testing.T) {
 	t.Run("nothing before the commit, nothing from a dropped epoch", func(t *testing.T) {
 		db, inj, views := publishFixture(t)
 		before := db.Relations()
-		stageDiffRows(t, db, 0)
+		stage(t, db, publishRows(0))
 
 		ep := db.BeginMaintenance()
 		if _, err := ep.IncrementalRefresh("mv_spj"); err != nil {
@@ -111,7 +101,7 @@ func TestEpochPublishesOnce(t *testing.T) {
 
 		// The epoch is let go. The next one lands the same rows, and one more
 		// batch, whole — and only at its commit.
-		stageDiffRows(t, db, 1)
+		stage(t, db, publishRows(1))
 		ep = db.BeginMaintenance()
 		for _, view := range views {
 			if _, err := ep.IncrementalRefresh(view); err != nil {
@@ -131,11 +121,11 @@ func TestEpochPublishesOnce(t *testing.T) {
 			t.Fatal("the landed epoch published nothing")
 		}
 		assertViewsMatchRecompute(t, "after the retried epoch", db, views)
-		for table, rows := range publishRows(0) {
-			was, _ := before.Table(table)
-			now, _ := db.Table(table)
-			if want := was.NumRows() + len(rows) + len(publishRows(1)[table]); now.NumRows() != want {
-				t.Errorf("%s has %d rows after both batches landed, want %d", table, now.NumRows(), want)
+		for i, tr := range publishRows(0) {
+			was, _ := before.Table(tr.table)
+			now, _ := db.Table(tr.table)
+			if want := was.NumRows() + len(tr.rows) + len(publishRows(1)[i].rows); now.NumRows() != want {
+				t.Errorf("%s has %d rows after both batches landed, want %d", tr.table, now.NumRows(), want)
 			}
 		}
 	})
@@ -143,7 +133,7 @@ func TestEpochPublishesOnce(t *testing.T) {
 	t.Run("a commit that would lose rows or another epoch's work is refused", func(t *testing.T) {
 		db, _, _ := publishFixture(t)
 		before := db.Relations()
-		stageDiffRows(t, db, 0)
+		stage(t, db, publishRows(0))
 		// Refreshed but not applied: the next epoch would add the rows again.
 		ep := db.BeginMaintenance()
 		if _, err := ep.IncrementalRefresh("mv_agg"); err != nil {
@@ -217,7 +207,7 @@ func TestEpochPublishesOnce(t *testing.T) {
 		}
 		failed := 0
 		for e := int64(0); e < epochs && len(errs) == 0; e++ {
-			stageDiffRows(t, db, e)
+			stage(t, db, publishRows(e))
 			ep := db.BeginMaintenance()
 			for _, view := range views {
 				if _, err := ep.IncrementalRefresh(view); err != nil {
