@@ -19,14 +19,16 @@ import (
 // gatedJournal wraps a journal, counts its AppendGroup calls, and can hold
 // them: after hold, every append announces itself on entered and blocks
 // until the returned release is called — a group commit stopped mid-write,
-// without a clock.
+// without a clock. holdCommit does the same to Commit: an epoch stopped
+// inside its journal acknowledgement.
 type gatedJournal struct {
 	engine.DeltaJournal
 	entered chan struct{}
 
-	mu    sync.Mutex
-	calls int
-	gate  chan struct{}
+	mu         sync.Mutex
+	calls      int
+	gate       chan struct{}
+	commitGate chan struct{}
 }
 
 func newGatedJournal(j engine.DeltaJournal) *gatedJournal {
@@ -45,6 +47,30 @@ func (g *gatedJournal) hold() (release func()) {
 		g.mu.Unlock()
 		close(gate)
 	}
+}
+
+func (g *gatedJournal) holdCommit() (release func()) {
+	gate := make(chan struct{})
+	g.mu.Lock()
+	g.commitGate = gate
+	g.mu.Unlock()
+	return func() {
+		g.mu.Lock()
+		g.commitGate = nil
+		g.mu.Unlock()
+		close(gate)
+	}
+}
+
+func (g *gatedJournal) Commit(lsn uint64) error {
+	g.mu.Lock()
+	gate := g.commitGate
+	g.mu.Unlock()
+	if gate != nil {
+		g.entered <- struct{}{}
+		<-gate
+	}
+	return g.DeltaJournal.Commit(lsn)
 }
 
 func (g *gatedJournal) appendCalls() int {
