@@ -23,6 +23,37 @@ import (
 // maintainer's): what a reader is handed — the epoch number, the rows, the
 // trace of the epoch — is one state, and reading it takes no maintainer lock.
 
+// missJoins keeps, of everything a server emits, one (epoch, pipeline trace)
+// pair per sampled miss that joined a pipeline trace.
+type missJoins struct {
+	*eventObserver
+	mu    sync.Mutex
+	pairs [][2]uint64
+}
+
+func (o *missJoins) Event(kind obs.EventKind, attrs ...obs.Attr) {
+	if kind != obs.EvServeQuery {
+		return
+	}
+	var stage string
+	var epoch, ptid int64
+	for _, a := range attrs {
+		switch a.Key {
+		case "stage":
+			stage, _ = a.Value.(string)
+		case "epoch":
+			epoch, _ = a.Value.(int64)
+		case "pipeline_trace_id":
+			ptid, _ = a.Value.(int64)
+		}
+	}
+	if stage == "execute" && ptid != 0 {
+		o.mu.Lock()
+		o.pairs = append(o.pairs, [2]uint64{uint64(epoch), uint64(ptid)})
+		o.mu.Unlock()
+	}
+}
+
 // TestResultEpochNamesItsRows: a result labelled epoch e holds the rows of
 // epoch e. Every flush here adds exactly one row to tmp2, so QLA under epoch
 // e has base + e rows — whether the answer was executed or came from the
@@ -86,7 +117,7 @@ func TestResultEpochNamesItsRows(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer fj.Close()
-			events := newEventObserver()
+			events := &missJoins{eventObserver: newEventObserver()}
 			s, _ := serveFixture(t, Config{
 				DeltaBatch: 1 << 20, CacheCapacity: tc.capacity, Journal: fj,
 				TraceSampleEvery: 3, Obs: events,
@@ -161,20 +192,13 @@ func TestResultEpochNamesItsRows(t *testing.T) {
 			}
 			// A sampled miss that names a pipeline trace names the trace of the
 			// epoch it reports.
-			joined := 0
-			for _, e := range events.find(obs.EvServeQuery, "") {
-				ptid, ok := e.attrs["pipeline_trace_id"].(int64)
-				if e.attrs["stage"] != "execute" || !ok {
-					continue
-				}
-				joined++
-				epoch := uint64(e.attrs["epoch"].(int64))
-				if want := traceOf[epoch]; uint64(ptid) != want {
-					t.Errorf("a query answered under epoch %d joined pipeline trace %d, the epoch's is %d", epoch, ptid, want)
+			for _, pair := range events.pairs {
+				if epoch, ptid := pair[0], pair[1]; ptid != traceOf[epoch] {
+					t.Errorf("a query answered under epoch %d joined pipeline trace %d, the epoch's is %d", epoch, ptid, traceOf[epoch])
 				}
 			}
 			t.Logf("%d answers, %d cache hits, %d torn, %d sampled misses joined to their epoch's trace",
-				answered.Load(), hits.Load(), torn.Load(), joined)
+				answered.Load(), hits.Load(), torn.Load(), len(events.pairs))
 		})
 	}
 }
