@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"time"
 
 	"github.com/warehousekit/mvpp/internal/core"
 	"github.com/warehousekit/mvpp/internal/obs"
@@ -136,10 +137,11 @@ func (s *Server) adviseWith(observed map[string]float64) (*Advice, error) {
 // all or nothing: in one engine epoch the added views materialize (in MVPP
 // topological order, so stacked views see their inputs) and the dropped
 // views disappear; a failed step lets the epoch go and nothing has changed.
-// Otherwise the new set is published at once, the registry adopts the
-// proposal's strategies, and the serving epoch advances (invalidating the
-// result cache). In-flight queries are safe: each executes on the relation
-// set it was rewritten against.
+// Otherwise the new set is committed, the registry adopts the proposal — a
+// kept view keeps its entry, debt and history included: its stored rows are
+// not touched — and the successor state is published: the next epoch number,
+// the named plans rewritten over the new set, an empty cache. In-flight
+// queries are safe: each executes on the state it loaded.
 func (s *Server) ApplyAdvice(a *Advice) error {
 	if a == nil || a.selection == nil {
 		return errors.New("serve: ApplyAdvice needs advice produced by Advise")
@@ -171,12 +173,18 @@ func (s *Server) ApplyAdvice(a *Advice) error {
 		}
 	}
 
-	// The scheduler's view registry for the new set, from the successor.
+	// The scheduler's view registry for the new set: a kept view's entry as
+	// it is, an added view's from the successor — clean under the defaults (it
+	// was computed from the current base state).
 	sc := s.sched
 	views := make(map[string]*viewState, len(a.Proposed))
-	epoch := s.epoch.Load() + 1 // maintMu is held: nothing else advances it
+	epoch := s.state.Load().epoch + 1 // maintMu is held: nothing else publishes
 	stored := ep.Relations()
 	for _, name := range a.Proposed {
+		if vs, kept := sc.views[name]; kept {
+			views[name] = vs
+			continue
+		}
 		v, err := stored.View(name)
 		if err != nil {
 			return err
@@ -185,9 +193,8 @@ func (s *Server) ApplyAdvice(a *Advice) error {
 		if err != nil {
 			return err
 		}
-		strategy := a.selection.Plans[name]
 		views[name] = &viewState{
-			name: name, strategy: strategy, rels: rels, epoch: epoch,
+			name: name, rels: rels, epoch: epoch,
 			policy: sc.defaultPolicy.orDefault(RefreshPolicy{}),
 			slo:    sc.defaultSLO,
 		}
@@ -196,30 +203,16 @@ func (s *Server) ApplyAdvice(a *Advice) error {
 	if cleanupErr != nil && s.db.Relations() != stored {
 		return cleanupErr // refused: nothing was published
 	}
-	// Published. The only error left is a dropped view's snapshot segments
+	// Committed. The only error left is a dropped view's snapshot segments
 	// failing to delete: the swap completes and returns it.
-	s.epoch.Store(epoch)
-	s.cache.invalidate()
 	sc.mu.Lock()
-	// Carry over pending counts, refresh times, and the refresh-policy
-	// plane's state (policy, SLO, stale episode, violation history) for kept
-	// views; freshly materialized views start clean under the defaults (they
-	// were computed from the current base state).
 	for name, vs := range views {
-		if old, ok := sc.views[name]; ok {
-			vs.pending = old.pending
-			vs.lastRefresh = old.lastRefresh
-			vs.epoch = old.epoch
-			vs.policy = old.policy
-			vs.slo = old.slo
-			vs.staleSince = old.staleSince
-			vs.staleEpochs = old.staleEpochs
-			vs.sloViolated = old.sloViolated
-			vs.sloViolations = old.sloViolations
-		}
+		vs.strategy = a.selection.Plans[name]
 	}
 	sc.views = views
+	health, _ := sc.healthLocked(time.Now())
 	sc.mu.Unlock()
+	s.publish(epoch, stored, health, nil)
 
 	obs.Emit(s.obsv, obs.EvServeSwap,
 		obs.Int("added", int64(len(a.Add))),

@@ -42,8 +42,8 @@ func (s *Server) viewSkew(name string) float64 {
 }
 
 // repriceAudit registers fresh §4.1 predictions for every workload query
-// (priced over its current view-rewritten plan) and every materialized
-// view's recomputation, against statistics of the live warehouse — views
+// (priced over its served view-rewritten plan) and every materialized
+// view's recomputation, against statistics of the served relation set — views
 // included, since rewritten plans scan them by name. Called at server
 // construction and after every advice swap. Entries that fail to price
 // keep their previous prediction (or none); their observations still
@@ -52,7 +52,8 @@ func (s *Server) repriceAudit() {
 	if s.audit == nil {
 		return
 	}
-	rels := s.db.Relations()
+	st := s.state.Load()
+	rels := st.rels
 	cat, err := rels.Catalog(true)
 	if err != nil {
 		return
@@ -66,8 +67,8 @@ func (s *Server) repriceAudit() {
 	s.auditPricer = pricer
 	s.auditMu.Unlock()
 
-	for name, qs := range s.queries {
-		c, err := pricer.PlanCost(rels.Rewrite(qs.spec.Plan).Plan)
+	for name, pp := range st.plans {
+		c, err := pricer.PlanCost(pp.Plan)
 		if err != nil {
 			continue
 		}
@@ -230,16 +231,16 @@ func (s *Server) LastRecalibration() *Advice {
 	return s.lastRecal
 }
 
-// Explain renders the named workload query's plan as the server would run
-// it right now — rewritten over the materialized views — priced per
+// Explain renders the named workload query's plan as the server runs it
+// right now — the served rewrite over the materialized views — priced per
 // operator by the audit pricer and annotated with the ledger's observed
 // actuals for the query class and for every view the plan reads.
 func (s *Server) Explain(name string) (string, error) {
-	qs, ok := s.queries[name]
+	pp, ok := s.state.Load().plans[name]
 	if !ok {
 		return "", fmt.Errorf("serve: unknown query %q", name)
 	}
-	plan := s.db.RewriteForViewSet(qs.spec.Plan).Plan
+	plan := pp.Plan
 	s.auditMu.Lock()
 	pricer := s.auditPricer
 	s.auditMu.Unlock()

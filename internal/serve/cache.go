@@ -7,19 +7,16 @@ import (
 	"github.com/warehousekit/mvpp/internal/engine"
 )
 
-// cacheEntry is one cached query result, pinned to the refresh epoch it was
-// computed under.
+// cacheEntry is one cached query result.
 type cacheEntry struct {
 	key   string
-	epoch uint64
 	table *engine.Table
 }
 
-// resultCache is an LRU result cache keyed by the plan's structural key.
-// Entries carry the epoch they were computed under; a get under a newer
-// epoch misses and drops the entry (lazy invalidation), and the scheduler
-// additionally clears the whole cache when an epoch lands (eager
-// invalidation), so capacity is never wasted on unreachable entries.
+// resultCache is an LRU result cache keyed by the plan's structural key. It
+// belongs to one served state: every entry was computed on that state's
+// relation set, so an entry is valid exactly as long as its cache is
+// reachable, and a superseded state takes its cache with it.
 type resultCache struct {
 	mu    sync.Mutex
 	cap   int
@@ -27,9 +24,13 @@ type resultCache struct {
 	byKey map[string]*list.Element
 }
 
-// newResultCache builds a cache holding up to capacity entries; capacity
-// < 0 disables caching (every get misses, every put is dropped).
+// newResultCache builds a cache holding up to capacity entries (0: the
+// default); capacity < 0 disables caching (every get misses, every put is
+// dropped).
 func newResultCache(capacity int) *resultCache {
+	if capacity == 0 {
+		capacity = DefaultCacheCapacity
+	}
 	return &resultCache{
 		cap:   capacity,
 		ll:    list.New(),
@@ -37,52 +38,37 @@ func newResultCache(capacity int) *resultCache {
 	}
 }
 
-func (c *resultCache) get(key string, epoch uint64) (*engine.Table, uint64, bool) {
+func (c *resultCache) get(key string) (*engine.Table, bool) {
 	if c.cap < 0 {
-		return nil, 0, false
+		return nil, false
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.byKey[key]
 	if !ok {
-		return nil, 0, false
-	}
-	e := el.Value.(*cacheEntry)
-	if e.epoch != epoch {
-		c.ll.Remove(el)
-		delete(c.byKey, key)
-		return nil, 0, false
+		return nil, false
 	}
 	c.ll.MoveToFront(el)
-	return e.table, e.epoch, true
+	return el.Value.(*cacheEntry).table, true
 }
 
-func (c *resultCache) put(key string, epoch uint64, table *engine.Table) {
+func (c *resultCache) put(key string, table *engine.Table) {
 	if c.cap < 0 {
 		return
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if el, ok := c.byKey[key]; ok {
-		e := el.Value.(*cacheEntry)
-		e.epoch, e.table = epoch, table
+		el.Value.(*cacheEntry).table = table
 		c.ll.MoveToFront(el)
 		return
 	}
-	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, epoch: epoch, table: table})
+	c.byKey[key] = c.ll.PushFront(&cacheEntry{key: key, table: table})
 	for c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		c.ll.Remove(oldest)
 		delete(c.byKey, oldest.Value.(*cacheEntry).key)
 	}
-}
-
-// invalidate drops every entry — called when a maintenance epoch lands.
-func (c *resultCache) invalidate() {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.ll.Init()
-	c.byKey = make(map[string]*list.Element)
 }
 
 func (c *resultCache) len() int {

@@ -453,10 +453,10 @@ func TestFollowersShareNextGroup(t *testing.T) {
 	}
 }
 
-// TestMissDoesNotWaitOnJournal: the journal's write happens outside the
-// scheduler's buffer lock, so a cache miss (which takes that lock to check
-// view health) completes while an append — streamed or direct — is stopped
-// inside the journal.
+// TestMissDoesNotWaitOnJournal: a cache miss completes while an append —
+// streamed or direct — is stopped inside the journal. The journal's write
+// happens outside the scheduler's buffer lock, and a miss takes no scheduler
+// lock to begin with (TestMissTakesNoSchedulerLock).
 func TestMissDoesNotWaitOnJournal(t *testing.T) {
 	j := newGatedJournal(engine.NewMemJournal())
 	s, _ := serveFixture(t, Config{DeltaBatch: 1 << 20, Journal: j})

@@ -164,8 +164,10 @@ func (s *Server) checkpointLocked() (*snapshot.CheckpointResult, error) {
 	}
 	sc.mu.Unlock()
 
-	in := snapshot.CheckpointInput{Epoch: s.epoch.Load(), Watermark: watermark}
-	rels := s.db.Relations()
+	// maintMu is held: the served state is the last landed epoch's.
+	st := s.state.Load()
+	in := snapshot.CheckpointInput{Epoch: st.epoch, Watermark: watermark}
+	rels := st.rels
 	for _, name := range rels.Tables() {
 		t, _ := rels.Table(name) // listed by the same set
 		in.Tables = append(in.Tables, t)
@@ -295,7 +297,7 @@ func (s *Server) maybeCheckpoint() {
 	if s.snap == nil || s.snapEveryEpochs <= 0 {
 		return
 	}
-	cur := int64(s.epoch.Load())
+	cur := int64(s.Epoch())
 	last := s.snapEpochs.Load()
 	if cur-last < int64(s.snapEveryEpochs) {
 		return

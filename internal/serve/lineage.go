@@ -108,7 +108,7 @@ func hexDigest(v uint64) string {
 
 // Lineage exports every view's refresh lineage. The per-view history is
 // copied under the scheduler lock; the live-contents fingerprints are
-// computed outside it from the engine's current tables.
+// computed outside it from the served relation set.
 func (s *Server) Lineage() map[string]ViewLineage {
 	sc := s.sched
 	sc.mu.Lock()
@@ -123,7 +123,7 @@ func (s *Server) Lineage() map[string]ViewLineage {
 		out[name] = vl
 	}
 	sc.mu.Unlock()
-	rels := s.db.Relations()
+	rels := s.state.Load().rels
 	for name, vl := range out {
 		if mv, err := rels.View(name); err == nil {
 			vl.Fingerprint = tableFingerprint(mv.Table())

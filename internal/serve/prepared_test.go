@@ -15,11 +15,11 @@ import (
 	"github.com/warehousekit/mvpp/internal/repro"
 )
 
-// A named query's view rewrite is derived once per view-set generation and
-// kept on its queryState (serve.go, rewritten). These tests hold the two
-// promises that come with it: a kept plan never answers under a view set
-// other than the one it was derived for, and a miss no longer pays for a
-// rewrite.
+// A named query's view rewrite is derived once per view-set generation, when
+// the server publishes that generation, and travels with the served state
+// (serve.go, publish). These tests hold the two promises that come with it: a
+// kept plan never answers under a view set other than the one it was derived
+// for, and a miss does not pay for a rewrite.
 
 // orderedDigest renders a table's rows in stored order.
 func orderedDigest(tab *engine.Table) string {
@@ -80,15 +80,39 @@ func hammer(t *testing.T, s *Server, db *engine.DB, readers int, churn func(answ
 	wg.Wait()
 }
 
-// requireRewritesBounded checks that rewrites were paid per query per
-// generation, not per miss.
-func requireRewritesBounded(t *testing.T, s *Server, db *engine.DB) {
+// generationCounter counts the view-set generations a server has published:
+// the one New served, plus one per maintenance call that moved it.
+type generationCounter struct {
+	s         *Server
+	last      uint64
+	published int64
+}
+
+func countGenerations(s *Server) *generationCounter {
+	return &generationCounter{s: s, last: s.state.Load().rels.Generation(), published: 1}
+}
+
+// afterPublication notes the state a maintenance call just published and
+// reports whether it moved the generation.
+func (g *generationCounter) afterPublication() bool {
+	gen := g.s.state.Load().rels.Generation()
+	moved := gen != g.last
+	if moved {
+		g.published++
+		g.last = gen
+	}
+	return moved
+}
+
+// requireRewritesBounded checks that every named query was rewritten exactly
+// once per generation published — by the maintainer, never by a miss. (No
+// test here submits an ad-hoc plan, which costs one rewrite per miss.)
+func requireRewritesBounded(t *testing.T, s *Server, generations int64) {
 	t.Helper()
 	st := s.Stats()
-	generations := int64(db.Relations().Generation()) + 1
-	if bound := int64(len(s.order)) * generations; st.PlanRewrites > bound {
-		t.Errorf("%d plan rewrites for %d queries over %d view-set generations (bound %d)",
-			st.PlanRewrites, len(s.order), generations, bound)
+	if want := int64(len(s.order)) * generations; st.PlanRewrites != want {
+		t.Errorf("%d plan rewrites for %d queries over %d published view-set generations, want %d",
+			st.PlanRewrites, len(s.order), generations, want)
 	}
 	if st.CacheMisses < 4*st.PlanRewrites {
 		t.Errorf("only %d misses against %d rewrites: the run does not show rewrites staying below misses",
@@ -129,6 +153,7 @@ func TestPreparedPlanAdvisorSwaps(t *testing.T) {
 		workloads[i][hot] = 1000
 	}
 	swaps := 0
+	gens := countGenerations(s)
 	hammer(t, s, db, 4, func(answered func(int64)) {
 		for i := 0; i < 24; i++ {
 			advice, err := s.adviseWith(workloads[i%2])
@@ -143,20 +168,25 @@ func TestPreparedPlanAdvisorSwaps(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			if moved := gens.afterPublication(); moved != advice.Changed() {
+				t.Errorf("swap %d changed the view set: %v, moved the served generation: %v", i, advice.Changed(), moved)
+			}
 			answered(40)
 		}
 	})
 	if swaps < 12 {
 		t.Fatalf("only %d of 24 advices changed the view set: the two workloads select the same views", swaps)
 	}
-	requireRewritesBounded(t, s, db)
+	requireRewritesBounded(t, s, gens.published)
 }
 
 // TestPreparedPlanSameNameRematerialized is the case only the generation
 // catches: view "v" is dropped and materialized again under the same name
 // and schema with a different plan (LA's products, then SF's). A plan
 // prepared while v held the other city's rows would execute without error
-// and answer with the wrong rows.
+// and answer with the wrong rows. The test changes the view set on the DB
+// behind the server, which serves such a change from its next publication:
+// each round ends in RefreshAllViews.
 func TestPreparedPlanSameNameRematerialized(t *testing.T) {
 	db := paperServeDB(t)
 	la := laJoinPlan(t, db)
@@ -180,6 +210,7 @@ func TestPreparedPlanSameNameRematerialized(t *testing.T) {
 	defer s.Close()
 
 	plans := []algebra.Node{sf, la}
+	gens := countGenerations(s)
 	hammer(t, s, db, 4, func(answered func(int64)) {
 		for i := 0; i < 60; i++ {
 			if err := db.DropView("v"); err != nil {
@@ -190,15 +221,22 @@ func TestPreparedPlanSameNameRematerialized(t *testing.T) {
 				t.Error(err)
 				return
 			}
+			if err := s.RefreshAllViews(); err != nil {
+				t.Error(err)
+				return
+			}
+			if !gens.afterPublication() {
+				t.Errorf("round %d: the server did not publish the rematerialized view set", i)
+			}
 			answered(20)
 		}
 	})
-	requireRewritesBounded(t, s, db)
+	requireRewritesBounded(t, s, gens.published)
 }
 
 // TestMissAllocBudget guards the miss path without a wall clock: one
 // uncached Query of σ city='LA' over a stored Product ⋈ Division view at
-// scale 0.05 — prepared-plan lookup, health check, one selection-vector
+// scale 0.05 — one state load, the served plan, one selection-vector
 // pass, one gather — may allocate at most 1.25× what it did when the
 // selection-vector kernels and prepared plans landed (EXPERIMENTS "Miss
 // path": 35 allocations, 10.9 KB; the bool-mask kernels with a rewrite per
@@ -237,7 +275,7 @@ func TestMissAllocBudget(t *testing.T) {
 			t.Fatalf("miss: %v (cached %v)", err, res != nil && res.Cached)
 		}
 	}
-	miss() // derive the prepared plan off the clock
+	miss() // warm the worker off the clock
 
 	const runs = 200
 	var before, after runtime.MemStats

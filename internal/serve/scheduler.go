@@ -164,6 +164,23 @@ func (vs *viewState) degrading(p BreakerPolicy, now time.Time) bool {
 		vs.sloBreached(now)
 }
 
+// healthLocked is the registry's part of a served state: the views degrading
+// now (also counted) and the lagging ones a MaxLag SLO will flip by the wall
+// clock alone (sloBreached's clock test, as an instant) — whatever else moves
+// a view's health is an epoch or a swap, and those publish. Caller holds mu.
+func (sc *scheduler) healthLocked(now time.Time) (health map[string]viewHealth, degrading int) {
+	health = make(map[string]viewHealth)
+	for name, vs := range sc.views {
+		if vs.degrading(sc.breaker, now) {
+			health[name] = viewHealth{degraded: true}
+			degrading++
+		} else if vs.lag > 0 && vs.slo.MaxLag > 0 {
+			health[name] = viewHealth{breachAt: vs.staleSince.Add(vs.slo.MaxLag)}
+		}
+	}
+	return health, degrading
+}
+
 // scheduler buffers ingested delta rows and turns them into maintenance
 // epochs. The loop goroutine fires on a filled batch; Flush runs
 // an epoch synchronously. All engine maintenance happens under the server's
@@ -188,8 +205,8 @@ type scheduler struct {
 	commitMu sync.Mutex
 
 	// mu guards the delta buffer, the view registry, and the journal
-	// watermark. It is never held across I/O: every cache miss takes it
-	// (unhealthyViewsAmong).
+	// watermark. It is never held across I/O. Readers never take it: the view
+	// health they need is published with the served state.
 	mu      sync.Mutex
 	buf     map[string][][]algebra.Value
 	bufRows int
@@ -661,9 +678,9 @@ func (sc *scheduler) clearBuilding() {
 // runEpochLocked is one maintenance epoch: stage the buffered rows as
 // engine deltas, open an engine epoch, refresh every affected view by its
 // strategy inside it (incremental views by delta propagation, then the
-// deltas fold into the base tables, then recompute views), commit it — the
-// one publication: readers see the whole epoch or none of it — acknowledge
-// the journal, advance the serving epoch, and invalidate the result cache.
+// deltas fold into the base tables, then recompute views), commit it,
+// acknowledge the journal, settle the registry, and publish the successor
+// state — the one publication: readers see the whole epoch or none of it.
 // Fault tolerance around that spine:
 //
 //   - every refresh step runs under the retry policy (backoff + jitter);
@@ -689,6 +706,7 @@ func (s *Server) runEpochLocked() error {
 		return err
 	}
 	staged, ackLSN, floorLSN, batches, traceRefs := sc.take()
+	epoch := s.state.Load().epoch + 1 // maintMu is held: nothing else publishes
 
 	// Causal epoch trace: the epoch adopts the first sampled contributor's
 	// trace ID — so one trace ID follows a delta from StreamIngest through
@@ -704,7 +722,7 @@ func (s *Server) runEpochLocked() error {
 		} else {
 			ectx = obs.NewTraceContext()
 		}
-		etr = s.pipelineTrace("epoch", s.epoch.Load()+1, ectx)
+		etr = s.pipelineTrace("epoch", epoch, ectx)
 		for _, ref := range traceRefs {
 			etr.link(ref.ctx.TraceID)
 		}
@@ -966,22 +984,18 @@ func (s *Server) runEpochLocked() error {
 				obs.String("action", "commit"), obs.String("error", commitErr.Error()))
 		}
 	}
-	// Landed: the watermark moves, and what take handed this epoch is
-	// settled (records and contexts staged while it ran stay for the next).
+	// Landed: the watermark moves, what take handed this epoch is settled
+	// (records and contexts staged while it ran stay for the next), and the
+	// registry takes the epoch's outcomes — one hold of the registry lock.
+	now = time.Now()
+	var stale int
+	var sloChanges []sloChange
 	sc.mu.Lock()
 	if ackLSN > sc.ackedLSN {
 		sc.ackedLSN = ackLSN
 	}
 	sc.bufBatches -= batches
 	sc.pendingTraces = sc.pendingTraces[len(traceRefs):]
-	sc.mu.Unlock()
-	epoch := s.epoch.Add(1)
-	s.cache.invalidate()
-
-	now = time.Now()
-	var stale, unhealthy int
-	var sloChanges []sloChange
-	sc.mu.Lock()
 	for _, name := range skipped {
 		if vs, ok := sc.views[name]; ok {
 			vs.lag += appliedFor(vs)
@@ -1084,11 +1098,13 @@ func (s *Server) runEpochLocked() error {
 			})
 		}
 		stale += vs.pending
-		if vs.degrading(sc.breaker, now) {
-			unhealthy++
-		}
 	}
+	health, unhealthy := sc.healthLocked(now)
 	sc.mu.Unlock()
+	// The one publication: readers were answered from the previous whole
+	// state until here and from this one after. It carries the join point
+	// that lets the next sampled query complete the epoch's causal chain.
+	s.publish(epoch, ep.Relations(), health, &epochTraceLink{ctx: ectx, trace: etr})
 
 	var breachedViews []string
 	for _, ch := range sloChanges {
@@ -1153,8 +1169,7 @@ func (s *Server) runEpochLocked() error {
 
 	if ectx.Valid() {
 		// Stamp each contributor's ingest trace with the epoch that landed
-		// it, close the epoch's own span tree, and publish the join point
-		// that lets the next sampled query complete the causal chain.
+		// it and close the epoch's own span tree.
 		landed := time.Now()
 		for _, ref := range traceRefs {
 			s.traceSpan(ref.trace, ref.ctx.NewChild(), "epoch.landed", landed, 0,
@@ -1172,7 +1187,6 @@ func (s *Server) runEpochLocked() error {
 			obs.Int("operands_evaluated", int64(evaluated)),
 			obs.Int("operands_reused", int64(reused)))
 		etr.finish()
-		s.epochLink.Store(&epochTraceLink{epoch: epoch, traceID: ectx.TraceID, ctx: ectx, trace: etr})
 	}
 
 	obs.Emit(s.obsv, obs.EvServeEpoch,

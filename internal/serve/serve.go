@@ -10,14 +10,13 @@
 //     rewritten over the materialized views; a full queue exerts
 //     backpressure, and a caller whose context expires while waiting is
 //     rejected — admission control;
-//   - a result cache keyed by the plan's structural key, tagged with the
-//     refresh epoch at execution time and invalidated wholesale when a
-//     maintenance epoch lands;
+//   - a result cache keyed by the plan's structural key, one per served
+//     state: an entry is valid while the state it was computed on is served;
 //   - a maintenance scheduler (Ingest/Flush): delta rows accumulate per
 //     base table and, once a batch fills (or Flush is called), one epoch runs —
 //     deltas are staged, affected views refresh by their design-time
 //     strategy (incremental delta propagation or full recompute), the
-//     deltas fold into the base tables, and the epoch counter advances;
+//     deltas fold into the base tables, and the next state is published;
 //   - an advisor (Advise/ApplyAdvice): observed per-query frequencies are
 //     re-fed to the paper's Figure 9 selection, and a proposed new view set
 //     can be hot-swapped into the running warehouse.
@@ -32,10 +31,12 @@
 // epoch that lands it. Faults are injected for testing via internal/fault
 // (Config.Injector).
 //
-// Concurrency: readers run against immutable table epochs (the engine's
-// many-readers/one-maintainer contract); everything maintenance-side —
-// scheduler epochs and advice swaps — serializes on one mutex, making the
-// serving layer as a whole safe for any number of concurrent clients.
+// Concurrency: everything a reader needs — epoch number, relation set, the
+// named queries' rewritten plans, view health, result cache — is one
+// immutable value behind one pointer (served). A reader loads it once and
+// takes no lock but its cache's; everything maintenance-side — scheduler
+// epochs and advice swaps — serializes on one mutex and ends by publishing
+// the successor, so an answer comes from one whole state, never from a mix.
 package serve
 
 import (
@@ -115,7 +116,8 @@ type ViewSpec struct {
 type Config struct {
 	// DB is the warehouse: base tables plus the design's materialized
 	// views. The server becomes the DB's single maintainer; clients must
-	// only read through the server.
+	// only read through the server, which serves its own last publication (a
+	// change made on the DB behind it is served from the next one).
 	DB *engine.DB
 	// Queries is the named workload.
 	Queries []QuerySpec
@@ -265,13 +267,61 @@ type queryState struct {
 	// rebuilt from the plan tree on every request.
 	key      string
 	observed atomic.Int64
-	// prepared is spec.Plan rewritten over the engine's view set, kept until
-	// the view-set generation it was derived under moves (an advisor swap, a
-	// dropped or restored view). It hangs off the server's own query state so
-	// it is collected with the server. prepMu serializes re-derivation, so a
-	// generation costs each query one rewrite however many workers miss.
-	prepared atomic.Pointer[engine.RewrittenPlan]
-	prepMu   sync.Mutex
+}
+
+// served is everything a reader needs, as of one publication. It is
+// immutable but for its cache; publish builds each one and is the only store
+// to Server.state, so the parts can never disagree.
+type served struct {
+	epoch uint64 // counts publications
+	rels  *engine.RelationSet
+	// plans holds every named query rewritten over rels' view set, shared
+	// with the predecessor while the view-set generation stands.
+	plans map[string]*engine.RewrittenPlan
+	// health lists the views whose queries degrade to base relations now, or
+	// will before the next publication; empty on a healthy warehouse.
+	health map[string]viewHealth
+	cache  *resultCache    // results computed on rels, nothing else
+	link   *epochTraceLink // the publishing epoch's pipeline trace; nil from New or a swap
+}
+
+// viewHealth is when queries over a view degrade: already, or once the wall
+// clock passes breachAt (the view lags under a MaxLag SLO).
+type viewHealth struct {
+	degraded bool
+	breachAt time.Time
+}
+
+// publish builds the successor of the served state and makes it what readers
+// see, in one store: the only one. Caller is New or holds maintMu; health is
+// the registry's as of now (healthLocked).
+func (s *Server) publish(epoch uint64, rels *engine.RelationSet, health map[string]viewHealth, link *epochTraceLink) {
+	st := &served{epoch: epoch, rels: rels, health: health, link: link, cache: newResultCache(s.cacheCap)}
+	if prev := s.state.Load(); prev != nil && prev.rels.Generation() == rels.Generation() {
+		st.plans = prev.plans
+	} else {
+		st.plans = make(map[string]*engine.RewrittenPlan, len(s.queries))
+		for name, qs := range s.queries {
+			pp := rels.Rewrite(qs.spec.Plan)
+			st.plans[name] = &pp
+		}
+		s.stats.planRewrites.Add(int64(len(s.queries)))
+	}
+	s.state.Store(st)
+}
+
+// degradedAmong lists the views among the given ones (the views a rewritten
+// plan scans, sorted) whose queries must degrade right now.
+func (st *served) degradedAmong(views []string) (out []string) {
+	if len(st.health) == 0 {
+		return nil
+	}
+	for _, name := range views {
+		if h, ok := st.health[name]; ok && (h.degraded || time.Now().After(h.breachAt)) {
+			out = append(out, name)
+		}
+	}
+	return out
 }
 
 // Server is the running serving layer. Create with New, stop with Close.
@@ -285,8 +335,9 @@ type Server struct {
 	model      cost.Model
 	selectOpts core.SelectOptions
 
-	cache *resultCache
-	epoch atomic.Uint64
+	// state is what readers are answered from; see served.
+	state    atomic.Pointer[served]
+	cacheCap int
 
 	queue     chan *request
 	closed    chan struct{}
@@ -347,11 +398,9 @@ type Server struct {
 	// (same stride as query sampling).
 	nextIngestID atomic.Uint64
 	// flight is the always-on forensic ring (nil when tracing is off and no
-	// FlightDir is set); epochLink joins sampled queries to the pipeline
-	// trace of the epoch they read; exemplars links latency buckets to
-	// sampled trace IDs (nil when sampling is off).
+	// FlightDir is set); exemplars links latency buckets to sampled trace IDs
+	// (nil when sampling is off).
 	flight    *obs.FlightRecorder
-	epochLink atomic.Pointer[epochTraceLink]
 	exemplars *exemplarSet
 
 	// Durable snapshots (snap nil when checkpointing is off). snapEpochs
@@ -432,17 +481,13 @@ func newServer(cfg Config) (*Server, error) {
 	if queueDepth <= 0 {
 		queueDepth = DefaultQueueDepth
 	}
-	cacheCap := cfg.CacheCapacity
-	if cacheCap == 0 {
-		cacheCap = DefaultCacheCapacity
-	}
 	s := &Server{
 		db:         cfg.DB,
 		queries:    make(map[string]*queryState, len(cfg.Queries)),
 		mvpp:       cfg.MVPP,
 		model:      cfg.Model,
 		selectOpts: cfg.SelectOpts,
-		cache:      newResultCache(cacheCap),
+		cacheCap:   cfg.CacheCapacity,
 		queue:      make(chan *request, queueDepth),
 		closed:     make(chan struct{}),
 		inj:        cfg.Injector,
@@ -536,12 +581,13 @@ func newServer(cfg Config) (*Server, error) {
 	}
 
 	// A server booted from a snapshot resumes the snapshot's maintenance
-	// epoch (the cache-epoch tags and per-view staleness stay monotonic
-	// across the restart) and seeds every view's refresh bookkeeping from
-	// the snapshot commit — restored and recomputed views alike are current
-	// as of recovery.
+	// epoch (result epochs and per-view staleness stay monotonic across the
+	// restart) and seeds every view's refresh bookkeeping from the snapshot
+	// commit — restored and recomputed views alike are current as of
+	// recovery.
+	var epoch uint64
 	if r := cfg.Recovery; r != nil && !r.Cold {
-		s.epoch.Store(r.SnapshotEpoch)
+		epoch = r.SnapshotEpoch
 		s.snapEpochs.Store(int64(r.SnapshotEpoch))
 		sched.mu.Lock()
 		// The first post-recovery epoch's lineage covers the journal suffix
@@ -568,6 +614,8 @@ func newServer(cfg Config) (*Server, error) {
 		}
 		sched.mu.Unlock()
 	}
+	// The first publication. Every view starts without debt: no health to list.
+	s.publish(epoch, s.db.Relations(), nil, nil)
 	if r := cfg.Recovery; r != nil && r.CorruptArtifacts > 0 {
 		// Checkpoint-corruption episode: recovery had to fall back past
 		// corrupt artifacts. Latch one forensic dump for the postmortem.
@@ -650,7 +698,8 @@ func (s *Server) submit(ctx context.Context, name string, plan algebra.Node, key
 		}
 	}
 
-	if table, epoch, ok := s.cache.get(key, s.epoch.Load()); ok {
+	st := s.state.Load()
+	if table, ok := st.cache.get(key); ok {
 		s.stats.hits.Add(1)
 		s.ctrHits.Inc()
 		s.winHits.Add(nowSec, 1)
@@ -658,13 +707,13 @@ func (s *Server) submit(ctx context.Context, name string, plan algebra.Node, key
 		s.stats.lat.Record(lat)
 		s.winLat.Record(nowSec, lat)
 		if qt != nil {
-			s.joinEpochTrace(qt, epoch, true, 0)
+			s.joinEpochTrace(qt, st, true, 0)
 			s.exemplars.record(lat, qt.traceID, qt.id)
 		}
-		s.traceStage(qt, "cache_hit", obs.Int("epoch", int64(epoch)))
+		s.traceStage(qt, "cache_hit", obs.Int("epoch", int64(st.epoch)))
 		s.traceStage(qt, "reply",
 			obs.Bool("cached", true), obs.Int("latency_us", lat.Microseconds()))
-		return &Result{Table: table, Cached: true, Epoch: epoch, Latency: lat}, nil
+		return &Result{Table: table, Cached: true, Epoch: st.epoch, Latency: lat}, nil
 	}
 	s.stats.misses.Add(1)
 	s.ctrMisses.Inc()
@@ -737,7 +786,7 @@ func (s *Server) worker() {
 	}
 }
 
-// handle executes one admitted request against the current view epoch.
+// handle executes one admitted request on the served state.
 func (s *Server) handle(req *request) {
 	// A caller that expired while queued gets an admission-control answer
 	// instead of burning the worker on a result nobody is waiting for.
@@ -759,15 +808,20 @@ func (s *Server) handle(req *request) {
 		req.done <- response{err: err}
 		return
 	}
-	epoch := s.epoch.Load()
-	// One relation set per miss: the plan is rewritten (or its kept rewrite
-	// checked) against the set it then executes on, so a view the plan scans
-	// cannot be dropped or redefined in between.
-	rels := s.db.Relations()
-	pp := s.rewritten(req, rels)
+	// One state per miss: epoch number, rewrite, view health, rows and the
+	// cache the result goes into belong to one publication. A named query's
+	// rewrite came with it; an ad-hoc plan is rewritten per call — a memo keyed
+	// by caller-supplied plans would have no bound.
+	st := s.state.Load()
+	pp := st.plans[req.name]
+	if pp == nil {
+		s.stats.planRewrites.Add(1)
+		adhoc := st.rels.Rewrite(req.plan)
+		pp = &adhoc
+	}
 	plan := pp.Plan
 	degraded := false
-	if names := s.unhealthyViewsAmong(pp.Views); len(names) > 0 {
+	if names := st.degradedAmong(pp.Views); len(names) > 0 {
 		// Circuit breaker: the rewritten plan reads a view that is unhealthy
 		// or beyond its staleness bound. Answer from the original plan over
 		// base relations — always fresh, at the paper's Ca(q) cost.
@@ -778,85 +832,35 @@ func (s *Server) handle(req *request) {
 		obs.Emit(s.obsv, obs.EvServeDegraded, obs.String("views", strings.Join(names, ",")))
 		s.traceStage(req.qt, "degraded", obs.String("views", strings.Join(names, ",")))
 	}
-	res, err := rels.Execute(plan)
+	res, err := st.rels.Execute(plan)
 	if err != nil {
 		req.done <- response{err: err}
 		return
 	}
-	executeAttrs := []obs.Attr{
-		obs.Int("reads", res.TotalReads()), obs.Int("epoch", int64(epoch)),
-	}
 	if req.qt != nil {
-		if ptid := s.joinEpochTrace(req.qt, epoch, false, res.TotalReads()); ptid != 0 {
-			executeAttrs = append(executeAttrs, obs.Int("pipeline_trace_id", int64(ptid)))
+		attrs := []obs.Attr{obs.Int("reads", res.TotalReads()), obs.Int("epoch", int64(st.epoch))}
+		if ptid := s.joinEpochTrace(req.qt, st, false, res.TotalReads()); ptid != 0 {
+			attrs = append(attrs, obs.Int("pipeline_trace_id", int64(ptid)))
 		}
+		s.traceStage(req.qt, "execute", attrs...)
 	}
-	s.traceStage(req.qt, "execute", executeAttrs...)
 	if !degraded && req.name != "" {
 		// Record the measured I/O against the query class's predicted cost.
 		// Degraded executions ran the base-relation plan, which the
 		// registered prediction does not price — they are skipped.
 		s.observeAudit(costaudit.KindQuery, req.name, res.TotalReads()+res.TotalWrites())
 	}
-	out := &Result{Table: res.Table, Reads: res.TotalReads(), Epoch: epoch, Degraded: degraded}
-	// An execution runs on one relation set, which is one whole maintenance
-	// epoch, so its rows are never of mixed provenance. Cache it only if no
-	// epoch landed meanwhile (that epoch wiped the cache; this result
-	// predates it) and it was not degraded — cached entries always carry
-	// the view-based answer so a hit's provenance is unambiguous.
-	if !degraded && s.epoch.Load() == epoch {
-		s.cache.put(req.key, epoch, res.Table)
+	// The result goes into the cache of the state it was computed on, which a
+	// later publication leaves behind. Degraded results are not cached: an
+	// entry always carries the view-based answer.
+	if !degraded {
+		st.cache.put(req.key, res.Table)
 	}
-	req.done <- response{res: out}
+	req.done <- response{res: &Result{Table: res.Table, Reads: res.TotalReads(), Epoch: st.epoch, Degraded: degraded}}
 }
 
-// rewritten returns the request's plan rewritten over the views of rels. A
-// named query's rewrite is derived once per view-set generation and kept on
-// its queryState; an ad-hoc plan is rewritten per call — a memo keyed by
-// caller-supplied plans would have no bound.
-func (s *Server) rewritten(req *request, rels *engine.RelationSet) *engine.RewrittenPlan {
-	qs := s.queries[req.name]
-	if qs == nil {
-		s.stats.planRewrites.Add(1)
-		pp := rels.Rewrite(req.plan)
-		return &pp
-	}
-	if pp := qs.prepared.Load(); pp != nil && pp.Generation == rels.Generation() {
-		return pp
-	}
-	qs.prepMu.Lock()
-	defer qs.prepMu.Unlock()
-	if pp := qs.prepared.Load(); pp != nil && pp.Generation == rels.Generation() {
-		return pp
-	}
-	s.stats.planRewrites.Add(1)
-	pp := rels.Rewrite(qs.spec.Plan)
-	qs.prepared.Store(&pp)
-	return &pp
-}
-
-// unhealthyViewsAmong lists the maintained views among the given ones (the
-// views a rewritten plan scans, sorted) whose queries must degrade right
-// now: breaker not closed, or lag beyond the staleness bound.
-func (s *Server) unhealthyViewsAmong(views []string) []string {
-	if len(views) == 0 {
-		return nil
-	}
-	sc := s.sched
-	var out []string
-	now := time.Now()
-	sc.mu.Lock()
-	for _, name := range views {
-		if vs, ok := sc.views[name]; ok && vs.degrading(sc.breaker, now) {
-			out = append(out, name)
-		}
-	}
-	sc.mu.Unlock()
-	return out
-}
-
-// Epoch returns the current refresh epoch (0 before any maintenance ran).
-func (s *Server) Epoch() uint64 { return s.epoch.Load() }
+// Epoch returns the served state's epoch (0 before any maintenance ran).
+func (s *Server) Epoch() uint64 { return s.state.Load().epoch }
 
 // Close stops the server: the scheduler halts, workers finish the admitted
 // queue, and further submissions fail with ErrClosed. Close is idempotent
@@ -935,8 +939,7 @@ type Stats struct {
 	// breach, breaker open, checkpoint failure, recovery corruption).
 	FlightDumps int64
 	// PlanRewrites counts view rewrites of a query plan: one per named query
-	// per view-set generation it missed the cache under, one per ad-hoc
-	// miss.
+	// per view-set generation published, one per ad-hoc miss.
 	PlanRewrites int64
 	// IngestLagP50/P95/P99 are accepted→group-committed latency quantiles
 	// of streamed rows.
@@ -1008,7 +1011,7 @@ func (s *Server) Stats() Stats {
 		IngestLagP95:         lag.Quantile(0.95),
 		IngestLagP99:         lag.Quantile(0.99),
 		QueueDepth:           len(s.queue),
-		CacheEntries:         s.cache.len(),
+		CacheEntries:         s.state.Load().cache.len(),
 		IngestBufferedRows:   s.feed.buffered(),
 		Uptime:               up,
 		P50:                  lat.Quantile(0.50),
@@ -1063,31 +1066,29 @@ func (s *Server) IsClosed() bool {
 func (s *Server) tracingArmed() bool { return s.traces != nil || s.flight != nil }
 
 // epochTraceLink joins sampled queries to the pipeline trace of the epoch
-// whose contents they read. The scheduler publishes one per traced epoch;
-// the first sampled query that reads the epoch records a query.read span
-// into the epoch's span tree, completing the delta's causal chain (ingest →
-// group commit → journal → epoch → refresh → query hit).
+// whose contents they read. A traced epoch publishes one with its state; the
+// first sampled query that reads the state records a query.read span into
+// the epoch's span tree, completing the delta's causal chain (ingest → group
+// commit → journal → epoch → refresh → query hit).
 type epochTraceLink struct {
-	epoch   uint64
-	traceID uint64
-	ctx     obs.SpanContext
-	trace   *queryTrace
+	ctx   obs.SpanContext // zero when the epoch was untraced
+	trace *queryTrace
 	// queryRecorded bounds the epoch entry's growth: only the first sampled
 	// reader appends a span; later readers only link.
 	queryRecorded atomic.Bool
 }
 
 // joinEpochTrace connects a sampled query to the pipeline trace of the
-// epoch it read (if that epoch was traced): the query links the pipeline
-// trace ID, and the first sampled reader per epoch hangs a query.read span
-// under the epoch's root span. Returns the pipeline trace ID (0 when the
-// epoch was not traced).
-func (s *Server) joinEpochTrace(qt *queryTrace, epoch uint64, cached bool, reads int64) uint64 {
-	link := s.epochLink.Load()
-	if link == nil || link.epoch != epoch {
+// epoch that published the state it read (if that epoch was traced): the
+// query links the pipeline trace ID, and the first sampled reader per epoch
+// hangs a query.read span under the epoch's root span. Returns the pipeline
+// trace ID (0 when the epoch was not traced).
+func (s *Server) joinEpochTrace(qt *queryTrace, st *served, cached bool, reads int64) uint64 {
+	link := st.link
+	if link == nil || !link.ctx.Valid() {
 		return 0
 	}
-	qt.link(link.traceID)
+	qt.link(link.ctx.TraceID)
 	if link.queryRecorded.CompareAndSwap(false, true) {
 		now := time.Now()
 		s.traceSpan(link.trace, link.ctx.NewChild(), "query.read", now, 0,
@@ -1095,9 +1096,9 @@ func (s *Server) joinEpochTrace(qt *queryTrace, epoch uint64, cached bool, reads
 			obs.Int("query_trace_id", int64(qt.traceID)),
 			obs.Bool("cached", cached),
 			obs.Int("reads", reads),
-			obs.Int("epoch", int64(epoch)))
+			obs.Int("epoch", int64(st.epoch)))
 	}
-	return link.traceID
+	return link.ctx.TraceID
 }
 
 // dumpFlight latches one flight-recorder dump for a forensic episode.

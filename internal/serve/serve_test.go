@@ -91,8 +91,10 @@ func deltaPair(i int64) (div, prod []algebra.Value) {
 }
 
 // TestServeCacheHitAndEpochInvalidation: the second identical query is a
-// cache hit with zero I/O; a maintenance epoch invalidates it and the next
-// execution sees the new rows.
+// cache hit with zero I/O; a maintenance epoch publishes a state with a cache
+// of its own and the next execution sees the new rows — also when a
+// straggler that executed on the superseded state finishes after the
+// publication.
 func TestServeCacheHitAndEpochInvalidation(t *testing.T) {
 	s, _ := serveFixture(t, Config{DeltaBatch: 1 << 20})
 	ctx := context.Background()
@@ -115,6 +117,7 @@ func TestServeCacheHitAndEpochInvalidation(t *testing.T) {
 		t.Error("cache hit returned a different table than was cached")
 	}
 
+	superseded := s.state.Load()
 	div, prod := deltaPair(1)
 	if err := s.Ingest("Division", div); err != nil {
 		t.Fatal(err)
@@ -128,13 +131,19 @@ func TestServeCacheHitAndEpochInvalidation(t *testing.T) {
 	if s.Epoch() != 1 {
 		t.Fatalf("epoch = %d after one flush, want 1", s.Epoch())
 	}
+	// A result computed on the superseded state lands in that state's cache,
+	// where no reader of the served state looks.
+	superseded.cache.put(s.queries["QLA"].key, r1.Table)
+	if got := s.Stats().CacheEntries; got != 0 {
+		t.Errorf("the state published by the epoch starts with %d cache entries", got)
+	}
 
 	r3, err := s.Query(ctx, "QLA")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r3.Cached {
-		t.Error("epoch bump did not invalidate the cached result")
+	if r3.Cached || r3.Epoch != 1 {
+		t.Errorf("after the epoch: cached=%v under epoch %d, want an execution under epoch 1", r3.Cached, r3.Epoch)
 	}
 	if want := r1.Table.NumRows() + 1; r3.Table.NumRows() != want {
 		t.Errorf("after the delta epoch QLA has %d rows, want %d", r3.Table.NumRows(), want)
@@ -398,25 +407,22 @@ func TestResultCacheLRU(t *testing.T) {
 		return engine.NewTable(name, algebra.NewSchema(algebra.Column{Relation: "t", Name: "a", Type: algebra.TypeInt}), 10)
 	}
 	c := newResultCache(2)
-	c.put("a", 0, mk("a"))
-	c.put("b", 0, mk("b"))
-	if _, _, ok := c.get("a", 0); !ok { // touch a → b is now LRU
+	c.put("a", mk("a"))
+	c.put("b", mk("b"))
+	if _, ok := c.get("a"); !ok { // touch a → b is now LRU
 		t.Fatal("a should be cached")
 	}
-	c.put("c", 0, mk("c"))
-	if _, _, ok := c.get("b", 0); ok {
+	c.put("c", mk("c"))
+	if _, ok := c.get("b"); ok {
 		t.Error("b should have been evicted as LRU")
 	}
-	if _, _, ok := c.get("a", 0); !ok {
+	if _, ok := c.get("a"); !ok {
 		t.Error("a should have survived (recently used)")
-	}
-	if _, _, ok := c.get("a", 1); ok {
-		t.Error("an epoch-1 lookup must not return the epoch-0 entry")
 	}
 
 	off := newResultCache(-1)
-	off.put("x", 0, mk("x"))
-	if _, _, ok := off.get("x", 0); ok {
+	off.put("x", mk("x"))
+	if _, ok := off.get("x"); ok {
 		t.Error("disabled cache returned a hit")
 	}
 	if off.len() != 0 {
