@@ -1,6 +1,9 @@
 package core_test
 
 import (
+	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"github.com/warehousekit/mvpp/internal/core"
@@ -65,6 +68,99 @@ func TestReselectSameFrequenciesIsStable(t *testing.T) {
 			t.Errorf("weight of %s not restored: %g != %g", v.Name, v.Weight, savedWeights[v.Name])
 		}
 	}
+
+	// The stronger case: the MVPP is untouched *during* the calls, not put
+	// back after them. A reader compares it with its pre-call labels while
+	// eight goroutines re-select and re-price under eight different
+	// frequency maps; each of them must get the answer it gets alone.
+	t.Run("ReselectLeavesMVPPUntouched", func(t *testing.T) {
+		type labels struct {
+			weightOf, weight, ca, cm float64
+			strategy                 core.MaintenanceStrategy
+		}
+		label := func(v *core.Vertex) labels {
+			return labels{m.WeightOf(v), v.Weight, v.Ca, v.Cm, v.MaintStrategy}
+		}
+		before := make([]labels, len(m.Vertices))
+		for i, v := range m.Vertices {
+			before[i] = label(v)
+		}
+		current := selectionNames(m, best.Selection)
+
+		type answer struct {
+			sel   *core.SelectionResult
+			costs core.Costs
+		}
+		ask := func(fq map[string]float64) answer {
+			sel, err := m.ReselectFrequencies(model, fq, core.SelectOptions{})
+			if err != nil {
+				t.Error(err)
+				return answer{}
+			}
+			costs, err := m.EvaluateUnderFrequencies(model, fq, current)
+			if err != nil {
+				t.Error(err)
+			}
+			return answer{sel, costs}
+		}
+		same := func(a, b answer) bool {
+			return a.sel != nil && b.sel != nil &&
+				reflect.DeepEqual(a.sel.Materialized, b.sel.Materialized) &&
+				reflect.DeepEqual(a.sel.Costs, b.sel.Costs) &&
+				reflect.DeepEqual(a.sel.Trace, b.sel.Trace) &&
+				reflect.DeepEqual(a.costs, b.costs)
+		}
+		const callers, rounds = 8, 300
+		fqs := make([]map[string]float64, callers)
+		serial := make([]answer, callers)
+		for i := range fqs {
+			fqs[i] = make(map[string]float64, len(m.QueryOrder))
+			for j, q := range m.QueryOrder {
+				fqs[i][q] = float64((i+1)*(j+1)%5) + 0.25*float64(i)
+			}
+			fqs[i][m.QueryOrder[i%len(m.QueryOrder)]] = 100 * float64(i+1)
+			serial[i] = ask(fqs[i])
+		}
+
+		var wrongAnswers, running atomic.Int64
+		var wg sync.WaitGroup
+		running.Store(callers)
+		for i := 0; i < callers; i++ {
+			wg.Add(1)
+			go func(i int) {
+				defer wg.Done()
+				defer running.Add(-1)
+				for r := 0; r < rounds; r++ {
+					if !same(ask(fqs[i]), serial[i]) {
+						wrongAnswers.Add(1)
+					}
+				}
+			}(i)
+		}
+		reads, wrongReads := 0, 0
+		for running.Load() > 0 {
+			reads++
+			wrong := false
+			for q, f := range savedFq {
+				wrong = wrong || m.Fq[q] != f
+			}
+			for i, v := range m.Vertices {
+				wrong = wrong || label(v) != before[i]
+			}
+			if wrong {
+				wrongReads++
+			}
+		}
+		wg.Wait()
+		t.Logf("%d reads of the MVPP beside %d concurrent calls: %d differ from the pre-call labels; %d calls got an answer other than their serial one",
+			reads, callers*rounds, wrongReads, wrongAnswers.Load())
+		if wrongReads > 0 {
+			t.Errorf("%d of %d reads saw frequencies, weights or costs other than the MVPP's own", wrongReads, reads)
+		}
+		if n := wrongAnswers.Load(); n > 0 {
+			t.Errorf("%d of %d concurrent calls got a selection or a price other than the serial one", n, callers*rounds)
+		}
+	})
 }
 
 // TestReselectDriftChangesSelection: concentrating the whole workload on

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"github.com/warehousekit/mvpp/internal/engine"
 	"github.com/warehousekit/mvpp/internal/snapshot"
@@ -126,5 +127,53 @@ func TestCheckpointTruncatesJournal(t *testing.T) {
 	// The checkpoint's watermark covers both records; compaction drops them.
 	if recs, _ := j.RecordsSince(0); len(recs) != 0 {
 		t.Errorf("journal still retains %d records past the checkpoint", len(recs))
+	}
+}
+
+// TestSnapshotTimerSkipsUnchangedState: the wall-clock trigger writes a
+// generation for a served state once. An idle server does not rewrite the
+// warehouse every interval; a landed epoch is a new state and gets its
+// generation at the next tick; nothing is aged out on the way.
+func TestSnapshotTimerSkipsUnchangedState(t *testing.T) {
+	const interval = 5 * time.Millisecond
+	s, _ := serveFixture(t, Config{
+		DeltaBatch:          1 << 20,
+		Snapshots:           testStore(t),
+		Journal:             engine.NewMemJournal(),
+		SnapshotEveryEpochs: -1,
+		SnapshotInterval:    interval,
+	})
+	// settlesAt waits for the timer to reach want checkpoints, then watches
+	// it hold there for at least ten more intervals.
+	settlesAt := func(want int64, when string) {
+		t.Helper()
+		deadline := time.Now().Add(5 * time.Second)
+		for s.SnapshotStats().Checkpoints < want {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: %d checkpoints after 5s, want %d", when, s.SnapshotStats().Checkpoints, want)
+			}
+			time.Sleep(interval / 5)
+		}
+		for held := time.Now(); time.Since(held) < 12*interval; time.Sleep(interval / 5) {
+			if ss := s.SnapshotStats(); ss.Checkpoints != want || ss.Generation != uint64(want) {
+				t.Fatalf("%s: %d checkpoints, generation %d; want exactly %d of each", when, ss.Checkpoints, ss.Generation, want)
+			}
+		}
+	}
+	settlesAt(1, "idle since New")
+
+	div, prod := deltaPair(1)
+	if err := s.Ingest("Division", div); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Ingest("Product", prod); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	settlesAt(2, "one landed epoch later")
+	if ss := s.SnapshotStats(); ss.AgedOut != 0 || ss.Failures != 0 || ss.Skipped != 0 {
+		t.Errorf("aged out %d, failures %d, skipped %d; want 0 of each", ss.AgedOut, ss.Failures, ss.Skipped)
 	}
 }
