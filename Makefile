@@ -80,7 +80,7 @@ fuzz-smoke:
 # point (mid-segment write, either side of the manifest rename, mid-journal
 # compaction), restart over the debris, and require bit-identical query
 # answers with zero lost deltas — under the race detector, since recovery
-# races the snapshot loop.
+# races the snapshot timer.
 chaos-restart:
 	$(GO) test -race -count=1 -run 'TestSnapshotCrashRestartVerify|TestFileJournalTruncateCrashLosesNothing' . ./internal/engine
 
@@ -106,10 +106,12 @@ bench:
 
 # The size of the thing (ROADMAP aim 2's reported metric): non-test Go
 # lines, test lines, the lines of the root package's exported
-# documentation, and the mutexes declared outside tests (ROADMAP item 6
-# counts them down). No reformatting or comment stripping — plain wc.
+# documentation, and the mutexes declared outside tests — the repository's
+# and, on its own line, internal/serve's (the number ROADMAP item 7 counts
+# down). No reformatting or comment stripping — plain wc.
 surface:
 	@echo "non-test Go lines: $$(find . -name '*.go' ! -name '*_test.go' | xargs cat | wc -l)"
 	@echo "test Go lines:     $$(find . -name '*_test.go' | xargs cat | wc -l)"
 	@echo "go doc -all . :    $$($(GO) doc -all . | wc -l)"
 	@echo "mutex declarations (non-test): $$(grep -rE 'sync\.(RW)?Mutex' --include='*.go' . | grep -v _test.go | wc -l)"
+	@echo "  of them in internal/serve:   $$(grep -rE 'sync\.(RW)?Mutex' --include='*.go' internal/serve | grep -v _test.go | wc -l)"

@@ -6,6 +6,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -132,6 +133,16 @@ func TestCostAuditSkewTripsDriftAndRecalibration(t *testing.T) {
 	}
 	if srv.LastRecalibration() == nil {
 		t.Error("LastRecalibration() = nil after drift-triggered re-selection")
+	}
+	// The server records the advice and applies nothing itself; an operator
+	// who wants it live writes these two lines.
+	if a := srv.LastRecalibration(); a != nil && a.Changed() {
+		err := srv.ApplyAdvice(a)
+		if got := srv.Views(); err != nil || !reflect.DeepEqual(got, a.Proposed) {
+			t.Errorf("applying the recorded advice: views %v, %v; want %v", got, err, a.Proposed)
+		}
+	} else {
+		t.Errorf("the recorded advice proposes no change (%+v): the apply step ran nothing", a)
 	}
 }
 

@@ -47,7 +47,8 @@ func UniformDistribution(relations []string, perBlock float64) Distribution {
 }
 
 // ApplyDistribution annotates the MVPP with per-relation transfer costs.
-// Passing a zero-value Distribution clears the annotation.
+// Passing a zero-value Distribution clears the annotation. Design-time: not
+// safe to call once the MVPP is shared.
 func (m *MVPP) ApplyDistribution(d Distribution) error {
 	if d.SiteOf == nil {
 		m.Transfer = nil

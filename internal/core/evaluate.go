@@ -14,6 +14,7 @@ import (
 // it afterwards". When enabled, a selection whose input is a materialized
 // view is priced as an index lookup — traversal (log2 of the stored blocks)
 // plus the matching fraction of the blocks — instead of a linear scan.
+// Design-time: not safe to call once the MVPP is shared.
 func (m *MVPP) SetIndexedViews(on bool) { m.indexedViews = on }
 
 // VertexSet is a set of vertex IDs (a candidate materialization choice).
@@ -84,7 +85,7 @@ type Costs struct {
 // which the paper's Table 2 numbers are internally consistent (see
 // EXPERIMENTS.md).
 func (m *MVPP) Evaluate(model cost.Model, mat VertexSet) Costs {
-	return m.evaluate(model, m.bitsOf(mat))
+	return m.evaluate(model, m.Fq, m.bitsOf(mat))
 }
 
 // bitsOf converts a vertex set to the bitset form the evaluation and
@@ -99,7 +100,8 @@ func (m *MVPP) bitsOf(mat VertexSet) algebra.Bits {
 	return set
 }
 
-func (m *MVPP) evaluate(model cost.Model, mat algebra.Bits) Costs {
+// evaluate prices mat with the queries asked fq[name] times per period.
+func (m *MVPP) evaluate(model cost.Model, fq map[string]float64, mat algebra.Bits) Costs {
 	m.evalCalls.Add(1)
 	c := Costs{
 		PerQuery: make(map[string]float64, len(m.Roots)),
@@ -132,7 +134,7 @@ func (m *MVPP) evaluate(model cost.Model, mat algebra.Bits) Costs {
 		} else {
 			qc = compute(r) + m.transferForLeaves(m.reachedLeaves(r, mat))
 		}
-		weighted := m.Fq[q] * qc
+		weighted := fq[q] * qc
 		c.PerQuery[q] = weighted
 		c.Query += weighted
 	}
@@ -247,7 +249,11 @@ func (m *MVPP) sharedRecompute(views []*Vertex, mat algebra.Bits) (float64, alge
 // EvaluateNames is Evaluate over vertex display names — convenient for
 // reproducing the paper's Table 2 strategies.
 func (m *MVPP) EvaluateNames(model cost.Model, names []string) (Costs, error) {
-	mat := make(VertexSet, len(names))
+	return m.evaluateNames(model, m.Fq, names)
+}
+
+func (m *MVPP) evaluateNames(model cost.Model, fq map[string]float64, names []string) (Costs, error) {
+	mat := algebra.NewBits(len(m.Vertices))
 	for _, n := range names {
 		v, err := m.VertexByName(n)
 		if err != nil {
@@ -256,7 +262,7 @@ func (m *MVPP) EvaluateNames(model cost.Model, names []string) (Costs, error) {
 		if v.IsLeaf() {
 			return Costs{}, fmt.Errorf("core: %s is a base relation, not a materialization candidate", n)
 		}
-		mat[v.ID] = true
+		mat.Set(v.ID)
 	}
-	return m.Evaluate(model, mat), nil
+	return m.evaluate(model, fq, mat), nil
 }

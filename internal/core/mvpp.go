@@ -99,7 +99,11 @@ func (v *Vertex) Label() string {
 	return v.Name + ": " + v.Op.Label()
 }
 
-// MVPP is the multiple view processing plan DAG.
+// MVPP is the multiple view processing plan DAG. It is read-only once built:
+// Build, and the design-time setters SetObserver, SetIndexedViews and
+// ApplyDistribution that the designer calls before it hands the plan out, are
+// the only writers. Everything else — selection, evaluation, re-selection
+// under other frequencies — reads it and may run concurrently.
 type MVPP struct {
 	// Vertices in topological order (inputs before consumers).
 	Vertices []*Vertex
@@ -134,9 +138,10 @@ type MVPP struct {
 	// O_v, the queries whose result depends on v, as positions in qnames.
 	desc, anc, users []algebra.Bits
 	// qnames lists the query names sorted, so that walking a users row in
-	// bit order adds frequency terms in name order; fq is Fq in that order.
+	// bit order adds frequency terms in name order; own is Fq in the forms
+	// the cost functions read.
 	qnames []string
-	fq     []float64
+	own    frequencies
 
 	byKey struct {
 		once sync.Once
@@ -144,9 +149,31 @@ type MVPP struct {
 	}
 }
 
+// frequencies is one assignment of access frequencies to the MVPP's queries,
+// in the three forms the cost functions read: the designer's own (Fq) or the
+// ones a live warehouse observed, handed to the same code as an argument.
+type frequencies struct {
+	byName  map[string]float64 // fq(q); a query that is absent has frequency 0
+	ordered []float64          // the same in qnames order
+	weight  []float64          // w(v) under them, by vertex ID
+}
+
+// under returns fq in those forms. Reachability, Ca and Cm must be in place.
+func (m *MVPP) under(fq map[string]float64) frequencies {
+	buf := make([]float64, len(m.qnames)+len(m.Vertices))
+	fr := frequencies{byName: fq, ordered: buf[:len(m.qnames)], weight: buf[len(m.qnames):]}
+	for i, q := range m.qnames {
+		fr.ordered[i] = fq[q]
+	}
+	for _, v := range m.Vertices {
+		fr.weight[v.ID] = m.weightUnder(fr.ordered, v)
+	}
+	return fr
+}
+
 // SetObserver wires the MVPP's evaluation counter into the observer's
-// registry. A nil observer disables instrumentation again. Like the other
-// MVPP knobs this is not safe to call concurrently with Evaluate.
+// registry. A nil observer disables instrumentation again. Design-time: not
+// safe to call once the MVPP is shared.
 func (m *MVPP) SetObserver(o obs.Observer) {
 	m.evalCalls = obs.CounterOf(o, obs.CtrEvaluateCalls)
 }
@@ -184,8 +211,9 @@ func (m *MVPP) annotate() {
 			v.Cm, v.MaintStrategy = v.CmIncremental, MaintIncremental
 		}
 	}
+	m.own = m.under(m.Fq)
 	for _, v := range m.Vertices {
-		v.Weight = m.WeightOf(v)
+		v.Weight = m.own.weight[v.ID]
 	}
 }
 
@@ -195,7 +223,6 @@ func (m *MVPP) sweep() {
 	n := len(m.Vertices)
 	m.qnames = append([]string(nil), m.QueryOrder...)
 	sort.Strings(m.qnames)
-	m.setFrequencies(m.Fq)
 	rank := make(map[string]int, len(m.qnames))
 	for i, q := range m.qnames {
 		rank[q] = i
@@ -228,18 +255,6 @@ func (m *MVPP) sweep() {
 	}
 }
 
-// setFrequencies installs the query frequencies (Fq and its name-ordered
-// copy).
-func (m *MVPP) setFrequencies(fq map[string]float64) {
-	m.Fq = fq
-	if len(m.fq) != len(m.qnames) {
-		m.fq = make([]float64, len(m.qnames))
-	}
-	for i, q := range m.qnames {
-		m.fq[i] = fq[q]
-	}
-}
-
 // MaintenanceFrequency returns how often per period a materialized v is
 // recomputed: the maximum update frequency among the base relations below
 // it.
@@ -251,20 +266,22 @@ func (m *MVPP) MaintenanceFrequency(v *Vertex) float64 { return v.MaintFreq }
 //
 // where O_v is the set of queries using v and fu(v) is the vertex's
 // maintenance frequency.
-func (m *MVPP) WeightOf(v *Vertex) float64 {
+func (m *MVPP) WeightOf(v *Vertex) float64 { return m.weightUnder(m.own.ordered, v) }
+
+func (m *MVPP) weightUnder(fq []float64, v *Vertex) float64 {
 	if v.IsLeaf() {
 		return 0
 	}
-	return m.saving(v, v.Ca) - v.MaintFreq*v.Cm
+	return m.saving(fq, v, v.Ca) - v.MaintFreq*v.Cm
 }
 
-// saving returns Σ_{q ∈ O_v} fq(q)·perQuery, adding the terms in query-name
-// order.
-func (m *MVPP) saving(v *Vertex, perQuery float64) float64 {
+// saving returns Σ_{q ∈ O_v} fq(q)·perQuery for fq in qnames order, adding
+// the terms in that order.
+func (m *MVPP) saving(fq []float64, v *Vertex, perQuery float64) float64 {
 	total := 0.0
 	users := m.users[v.ID]
 	for q := users.Next(0); q >= 0; q = users.Next(q + 1) {
-		total += m.fq[q] * perQuery
+		total += fq[q] * perQuery
 	}
 	return total
 }

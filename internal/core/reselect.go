@@ -9,50 +9,35 @@ import (
 // ReselectFrequencies re-runs the Figure 9 view selection under a revised
 // set of query access frequencies — the serving layer's advisor loop: the
 // live warehouse measures the fq the workload actually exhibits and asks
-// what the paper's heuristic would materialize for it. The MVPP's Fq map
-// and vertex weights are swapped to the observed frequencies for the
-// selection and restored afterwards, so the call leaves the MVPP exactly
-// as it found it. Like every MVPP mutation this is not safe to run
-// concurrently with other MVPP use; callers serialize (the serve package
-// guards it with the advisor mutex).
+// what the paper's heuristic would materialize for it. The frequencies are
+// an argument of the selection, not an edit of the MVPP: the call reads the
+// plan like any other and may run beside any other.
 //
 // Queries absent from fq keep frequency 0 (the workload stopped asking
 // them); names in fq that are not workload queries are an error. The
 // greedy result is safeguarded against the two trivial extremes exactly
 // like the designer's initial selection.
 func (m *MVPP) ReselectFrequencies(model cost.Model, fq map[string]float64, opts SelectOptions) (*SelectionResult, error) {
-	var sel *SelectionResult
-	err := m.withFrequencies(fq, func() {
-		sel = m.SelectViews(model, opts)
-		m.safeguard(model, sel)
-	})
-	if err != nil {
+	if err := m.checkFrequencies(fq); err != nil {
 		return nil, err
 	}
+	sel := m.selectViews(model, m.under(fq), opts)
+	m.safeguard(model, fq, sel)
 	return sel, nil
 }
 
 // EvaluateUnderFrequencies prices an arbitrary set of vertex names under a
 // revised set of query frequencies — how much the *current* materialization
-// would cost per period if the workload keeps behaving as observed. Like
-// ReselectFrequencies it restores the MVPP's frequencies and weights before
-// returning and must be serialized with other MVPP use.
+// would cost per period if the workload keeps behaving as observed.
 func (m *MVPP) EvaluateUnderFrequencies(model cost.Model, fq map[string]float64, names []string) (Costs, error) {
-	var costs Costs
-	var evalErr error
-	err := m.withFrequencies(fq, func() {
-		costs, evalErr = m.EvaluateNames(model, names)
-	})
-	if err != nil {
+	if err := m.checkFrequencies(fq); err != nil {
 		return Costs{}, err
 	}
-	return costs, evalErr
+	return m.evaluateNames(model, fq, names)
 }
 
-// withFrequencies validates fq, swaps it in as the MVPP's query frequencies
-// (recomputing every vertex weight), runs fn, and restores the original
-// frequencies and weights.
-func (m *MVPP) withFrequencies(fq map[string]float64, fn func()) error {
+// checkFrequencies rejects frequencies for unknown queries and negative ones.
+func (m *MVPP) checkFrequencies(fq map[string]float64) error {
 	for name, f := range fq {
 		if _, ok := m.Roots[name]; !ok {
 			return fmt.Errorf("core: reselect: unknown query %q", name)
@@ -61,29 +46,6 @@ func (m *MVPP) withFrequencies(fq map[string]float64, fn func()) error {
 			return fmt.Errorf("core: reselect: negative frequency %g for %q", f, name)
 		}
 	}
-
-	savedFq := m.Fq
-	savedWeights := make([]float64, len(m.Vertices))
-	for i, v := range m.Vertices {
-		savedWeights[i] = v.Weight
-	}
-	defer func() {
-		m.setFrequencies(savedFq)
-		for i, v := range m.Vertices {
-			v.Weight = savedWeights[i]
-		}
-	}()
-
-	next := make(map[string]float64, len(m.Roots))
-	for name := range m.Roots {
-		next[name] = fq[name]
-	}
-	m.setFrequencies(next)
-	for _, v := range m.Vertices {
-		v.Weight = m.WeightOf(v)
-	}
-
-	fn()
 	return nil
 }
 
@@ -91,7 +53,7 @@ func (m *MVPP) withFrequencies(fq map[string]float64, fn func()) error {
 // is cheaper — the same guard the designer applies to its initial
 // selection, needed here because a drifted workload can push the greedy
 // heuristic into the same skew it exhibits at design time.
-func (m *MVPP) safeguard(model cost.Model, sel *SelectionResult) {
+func (m *MVPP) safeguard(model cost.Model, fq map[string]float64, sel *SelectionResult) {
 	roots := make(VertexSet, len(m.Roots))
 	for _, r := range m.Roots {
 		roots[r.ID] = true
@@ -103,7 +65,7 @@ func (m *MVPP) safeguard(model cost.Model, sel *SelectionResult) {
 		{"all-virtual", VertexSet{}},
 		{"all-query-results", roots},
 	} {
-		costs := m.Evaluate(model, alt.mat)
+		costs := m.evaluate(model, fq, m.bitsOf(alt.mat))
 		if costs.Total < sel.Costs.Total {
 			sel.Materialized = alt.mat
 			sel.Costs = costs

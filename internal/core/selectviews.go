@@ -67,7 +67,14 @@ type SelectOptions struct {
 // the same branch; finally drop vertices all of whose consumers are
 // materialized.
 func (m *MVPP) SelectViews(model cost.Model, opts SelectOptions) *SelectionResult {
+	return m.selectViews(model, m.own, opts)
+}
+
+// selectViews is SelectViews under the given frequencies: the MVPP's own,
+// or a live warehouse's observed ones (ReselectFrequencies).
+func (m *MVPP) selectViews(model cost.Model, fr frequencies, opts SelectOptions) *SelectionResult {
 	res := &SelectionResult{}
+	w := fr.weight
 
 	sp := obs.Start(opts.Obs, "select", obs.Int("vertices", int64(len(m.Vertices))))
 	defer obs.End(sp)
@@ -76,11 +83,11 @@ func (m *MVPP) SelectViews(model cost.Model, opts SelectOptions) *SelectionResul
 	// Step 2: LV = positive-weight candidates in descending weight order.
 	var lv []*Vertex
 	for _, v := range m.Vertices {
-		if !v.IsLeaf() && v.Weight > 0 {
+		if !v.IsLeaf() && w[v.ID] > 0 {
 			lv = append(lv, v)
 		}
 	}
-	sort.SliceStable(lv, func(i, j int) bool { return lv[i].Weight > lv[j].Weight })
+	sort.SliceStable(lv, func(i, j int) bool { return w[lv[i].ID] > w[lv[j].ID] })
 
 	mat := algebra.NewBits(len(m.Vertices))
 	removed := algebra.NewBits(len(m.Vertices))
@@ -95,28 +102,28 @@ func (m *MVPP) SelectViews(model cost.Model, opts SelectOptions) *SelectionResul
 		// contributes nothing.
 		if anc := m.materializedAncestorCovers(v, mat); anc != nil {
 			res.Trace = append(res.Trace, TraceStep{
-				Vertex: v.Name, Weight: v.Weight, Action: ActionSkipAncestor,
+				Vertex: v.Name, Weight: w[v.ID], Action: ActionSkipAncestor,
 				Note: "covered by materialized " + anc.Name,
 			})
 			continue
 		}
-		cs := m.incrementalGain(v, mat, opts.DiscountedMaintenance)
+		cs := m.incrementalGain(fr.ordered, v, mat, opts.DiscountedMaintenance)
 		if cs > 0 {
 			mat.Set(v.ID)
-			res.Trace = append(res.Trace, TraceStep{Vertex: v.Name, Weight: v.Weight, Cs: cs, Action: ActionMaterialize})
+			res.Trace = append(res.Trace, TraceStep{Vertex: v.Name, Weight: w[v.ID], Cs: cs, Action: ActionMaterialize})
 			continue
 		}
-		res.Trace = append(res.Trace, TraceStep{Vertex: v.Name, Weight: v.Weight, Cs: cs, Action: ActionReject})
+		res.Trace = append(res.Trace, TraceStep{Vertex: v.Name, Weight: w[v.ID], Cs: cs, Action: ActionReject})
 		if opts.NoBranchPruning {
 			continue
 		}
 		// Step 7: drop later vertices on the same branch.
 		for _, u := range lv {
 			sameBranch := m.anc[v.ID].Has(u.ID) || m.desc[v.ID].Has(u.ID)
-			if u.Weight < v.Weight && sameBranch && !removed.Has(u.ID) && !mat.Has(u.ID) {
+			if w[u.ID] < w[v.ID] && sameBranch && !removed.Has(u.ID) && !mat.Has(u.ID) {
 				removed.Set(u.ID)
 				res.Trace = append(res.Trace, TraceStep{
-					Vertex: u.Name, Weight: u.Weight, Action: ActionPruneBranch,
+					Vertex: u.Name, Weight: w[u.ID], Action: ActionPruneBranch,
 					Note: "same branch as rejected " + v.Name,
 				})
 			}
@@ -152,7 +159,7 @@ func (m *MVPP) SelectViews(model cost.Model, opts SelectOptions) *SelectionResul
 	for id := mat.Next(0); id >= 0; id = mat.Next(id + 1) {
 		res.Materialized[id] = true
 	}
-	res.Costs = m.evaluate(model, mat)
+	res.Costs = m.evaluate(model, fr.byName, mat)
 	res.Plans = m.MaintenancePlans(res.Materialized)
 	m.emitMaintenancePlans(obs.From(sp), res.Materialized)
 	if sp != nil {
@@ -179,13 +186,13 @@ func (m *MVPP) SelectViews(model cost.Model, opts SelectOptions) *SelectionResul
 // materialized v rather than from its already-materialized descendants,
 // minus v's maintenance cost.
 func (m *MVPP) IncrementalGain(v *Vertex, mat VertexSet) float64 {
-	return m.incrementalGain(v, m.bitsOf(mat), false)
+	return m.incrementalGain(m.own.ordered, v, m.bitsOf(mat), false)
 }
 
-// incrementalGain is IncrementalGain on the bitset form of M. With
-// discounted set, the maintenance term is priced as recomputation given M
-// (materialized descendants are read, not recomputed).
-func (m *MVPP) incrementalGain(v *Vertex, mat algebra.Bits, discounted bool) float64 {
+// incrementalGain is IncrementalGain on the bitset form of M, under fq in
+// qnames order. With discounted set, the maintenance term is priced as
+// recomputation given M (materialized descendants are read, not recomputed).
+func (m *MVPP) incrementalGain(fq []float64, v *Vertex, mat algebra.Bits, discounted bool) float64 {
 	replicated := 0.0
 	desc := m.desc[v.ID]
 	for id := desc.Next(0); id >= 0; id = desc.Next(id + 1) {
@@ -193,7 +200,7 @@ func (m *MVPP) incrementalGain(v *Vertex, mat algebra.Bits, discounted bool) flo
 			replicated += m.Vertices[id].Ca
 		}
 	}
-	saving := m.saving(v, v.Ca-replicated)
+	saving := m.saving(fq, v, v.Ca-replicated)
 	if !discounted {
 		return saving - v.MaintFreq*v.Cm
 	}

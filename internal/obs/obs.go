@@ -109,7 +109,7 @@ const (
 	// predicted, actual).
 	EvCostDrift EventKind = "costaudit.drift"
 	// EvServeRecalibrated fires when drift triggers the advisor to re-run
-	// view selection with recalibrated weights (attrs: views, applied,
+	// view selection with recalibrated weights (attrs: views,
 	// current_total, proposed_total).
 	EvServeRecalibrated EventKind = "serve.recalibrated"
 	// EvServeIngest fires on CDC streaming-ingest activity (attrs: action —

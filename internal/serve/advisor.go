@@ -62,8 +62,10 @@ func (s *Server) ObservedFrequencies() map[string]float64 {
 }
 
 // Advise re-runs the paper's view selection under the observed query
-// frequencies and reports what should change. It does not touch the
-// running warehouse; pass the advice to ApplyAdvice to act on it.
+// frequencies and reports what should change. It is a pure read — of the
+// MVPP, the counters and the view registry — waits for no maintenance and
+// does not touch the running warehouse; pass the advice to ApplyAdvice to
+// act on it.
 func (s *Server) Advise() (*Advice, error) {
 	return s.adviseWith(s.ObservedFrequencies())
 }
@@ -75,9 +77,6 @@ func (s *Server) adviseWith(observed map[string]float64) (*Advice, error) {
 	if s.mvpp == nil || s.model == nil {
 		return nil, errors.New("serve: advisor needs an MVPP and a cost model in the config")
 	}
-	s.advMu.Lock()
-	defer s.advMu.Unlock()
-
 	sel, err := s.mvpp.ReselectFrequencies(s.model, observed, s.selectOpts)
 	if err != nil {
 		return nil, err
@@ -140,8 +139,9 @@ func (s *Server) adviseWith(observed map[string]float64) (*Advice, error) {
 // Otherwise the new set is committed, the registry adopts the proposal — a
 // kept view keeps its entry, debt and history included: its stored rows are
 // not touched — and the successor state is published: the next epoch number,
-// the named plans rewritten over the new set, an empty cache. In-flight
-// queries are safe: each executes on the state it loaded.
+// the named plans rewritten over the new set and every audit prediction
+// re-priced against it, an empty cache. In-flight queries are safe: each
+// executes on the state it loaded.
 func (s *Server) ApplyAdvice(a *Advice) error {
 	if a == nil || a.selection == nil {
 		return errors.New("serve: ApplyAdvice needs advice produced by Advise")
@@ -149,11 +149,11 @@ func (s *Server) ApplyAdvice(a *Advice) error {
 	if s.mvpp == nil {
 		return errors.New("serve: advisor needs an MVPP in the config")
 	}
-	s.advMu.Lock()
-	defer s.advMu.Unlock()
-	s.maintMu.Lock()
-	defer s.maintMu.Unlock()
+	return s.maintain(func() error { return s.applyAdviceLocked(a) })
+}
 
+// applyAdviceLocked is ApplyAdvice as the maintainer's turn.
+func (s *Server) applyAdviceLocked(a *Advice) error {
 	addSet := make(map[string]bool, len(a.Add))
 	for _, name := range a.Add {
 		addSet[name] = true
@@ -178,7 +178,7 @@ func (s *Server) ApplyAdvice(a *Advice) error {
 	// was computed from the current base state).
 	sc := s.sched
 	views := make(map[string]*viewState, len(a.Proposed))
-	epoch := s.state.Load().epoch + 1 // maintMu is held: nothing else publishes
+	epoch := s.state.Load().epoch + 1 // only the maintainer publishes
 	stored := ep.Relations()
 	for _, name := range a.Proposed {
 		if vs, kept := sc.views[name]; kept {
@@ -218,9 +218,5 @@ func (s *Server) ApplyAdvice(a *Advice) error {
 		obs.Int("added", int64(len(a.Add))),
 		obs.Int("dropped", int64(len(a.Drop))),
 		obs.Int("epoch", int64(epoch)))
-
-	// The rewritten plans and the stored view set both changed: re-register
-	// every prediction against the new warehouse shape.
-	s.repriceAudit()
 	return cleanupErr
 }

@@ -42,31 +42,26 @@ func (s *Server) viewSkew(name string) float64 {
 }
 
 // repriceAudit registers fresh §4.1 predictions for every workload query
-// (priced over its served view-rewritten plan) and every materialized
-// view's recomputation, against statistics of the served relation set — views
-// included, since rewritten plans scan them by name. Called at server
+// (priced over its rewritten plan in st) and every materialized view's
+// recomputation, against statistics of st's relation set — views included,
+// since rewritten plans scan them by name — and returns the pricer that made
+// them. Called by publish for a state whose view-set generation is new: at
 // construction and after every advice swap. Entries that fail to price
 // keep their previous prediction (or none); their observations still
 // count samples but never flag drift.
-func (s *Server) repriceAudit() {
+func (s *Server) repriceAudit(st *served) *costaudit.Pricer {
 	if s.audit == nil {
-		return
+		return nil
 	}
-	st := s.state.Load()
-	rels := st.rels
-	cat, err := rels.Catalog(true)
+	cat, err := st.rels.Catalog(true)
 	if err != nil {
-		return
+		return nil
 	}
 	est := cost.NewEstimator(cat, cost.DefaultOptions())
 	// The engine executes operator-at-a-time with block nested loops, so
 	// the audit prices with the same discipline regardless of the design
 	// model: the ratio then measures estimation error, not model mismatch.
 	pricer := costaudit.NewPricer(est, &cost.BlockNLJModel{})
-	s.auditMu.Lock()
-	s.auditPricer = pricer
-	s.auditMu.Unlock()
-
 	for name, pp := range st.plans {
 		c, err := pricer.PlanCost(pp.Plan)
 		if err != nil {
@@ -74,29 +69,25 @@ func (s *Server) repriceAudit() {
 		}
 		s.audit.Predict(costaudit.KindQuery, name, c*s.auditSkew)
 	}
-	for _, name := range rels.Views() {
-		v, _ := rels.View(name) // listed by the same set
+	for _, name := range st.rels.Views() {
+		v, _ := st.rels.View(name) // listed by the same set
 		c, err := pricer.PlanCost(v.Plan)
 		if err != nil {
 			continue
 		}
 		s.audit.Predict(costaudit.KindRecompute, name, c*s.viewSkew(name))
 	}
+	return pricer
 }
 
 // predictIncremental registers this epoch's delta-propagation price for
 // each view about to refresh incrementally, derived from the actual pending
 // delta fractions (Δrows / stored rows per base relation; pending is the
-// engine epoch's frozen row count per dirty table). Runs before the
-// refreshes execute.
+// engine epoch's frozen row count per dirty table). Runs inside the epoch,
+// before the refreshes execute.
 func (s *Server) predictIncremental(names []string, pending map[string]int) {
-	if s.audit == nil || len(names) == 0 {
-		return
-	}
-	s.auditMu.Lock()
-	pricer := s.auditPricer
-	s.auditMu.Unlock()
-	if pricer == nil {
+	pricer := s.state.Load().pricer
+	if pricer == nil || len(names) == 0 {
 		return
 	}
 	frac := make(map[string]float64)
@@ -142,13 +133,14 @@ func (s *Server) observeAudit(kind costaudit.Kind, name string, actual int64) {
 	}
 }
 
-// maybeRecalibrate closes the accountability loop: when a view's
+// recalibrateLocked closes the accountability loop: when a view's
 // calibration ratio has drifted out of the band, the advisor re-runs
-// Figure 9 selection with recalibrated weights. Runs after each epoch
-// with maintMu released (an auto-applied proposal re-takes it). Each
-// drift episode triggers once — a view stays latched until its entries
-// recover, so a persistently drifted view does not re-advise every epoch.
-func (s *Server) maybeRecalibrate() {
+// Figure 9 selection with recalibrated weights and records the advice
+// (LastRecalibration); applying it is the operator's call. A step of the
+// maintainer's turn, after each epoch. Each drift episode triggers once — a
+// view stays latched until its entries recover, so a persistently drifted
+// view does not re-advise every epoch.
+func (s *Server) recalibrateLocked() {
 	if s.audit == nil {
 		return
 	}
@@ -157,7 +149,6 @@ func (s *Server) maybeRecalibrate() {
 	for _, name := range drifted {
 		set[name] = true
 	}
-	s.auditMu.Lock()
 	for name := range s.recalHandled {
 		if !set[name] {
 			delete(s.recalHandled, name) // recovered: a future drift is a new episode
@@ -166,37 +157,24 @@ func (s *Server) maybeRecalibrate() {
 	var fresh []string
 	for _, name := range drifted {
 		if !s.recalHandled[name] {
-			s.recalHandled[name] = true
 			fresh = append(fresh, name)
 		}
 	}
-	s.auditMu.Unlock()
 	if len(fresh) == 0 || s.mvpp == nil || s.model == nil {
 		return
 	}
-
 	a, err := s.AdviseCalibrated()
 	if err != nil {
-		// Un-latch so the next epoch retries the re-selection.
-		s.auditMu.Lock()
-		for _, name := range fresh {
-			delete(s.recalHandled, name)
-		}
-		s.auditMu.Unlock()
-		return
+		return // not latched: the next epoch retries the re-selection
 	}
-	s.auditMu.Lock()
-	s.lastRecal = a
-	s.auditMu.Unlock()
+	for _, name := range fresh {
+		s.recalHandled[name] = true
+	}
+	s.lastRecal.Store(a)
 	s.stats.recalibrations.Add(1)
 	s.ctrRecal.Inc()
-	applied := false
-	if s.auditAutoApply && a.Changed() {
-		applied = s.ApplyAdvice(a) == nil
-	}
 	obs.Emit(s.obsv, obs.EvServeRecalibrated,
 		obs.String("views", strings.Join(fresh, ",")),
-		obs.Bool("applied", applied),
 		obs.Float("current_total", a.CurrentTotal),
 		obs.Float("proposed_total", a.ProposedTotal))
 }
@@ -225,25 +203,19 @@ func (s *Server) CostReport() costaudit.Report { return s.audit.Snapshot() }
 
 // LastRecalibration returns the advice produced by the most recent
 // drift-triggered re-selection (nil if none fired yet).
-func (s *Server) LastRecalibration() *Advice {
-	s.auditMu.Lock()
-	defer s.auditMu.Unlock()
-	return s.lastRecal
-}
+func (s *Server) LastRecalibration() *Advice { return s.lastRecal.Load() }
 
 // Explain renders the named workload query's plan as the server runs it
 // right now — the served rewrite over the materialized views — priced per
 // operator by the audit pricer and annotated with the ledger's observed
 // actuals for the query class and for every view the plan reads.
 func (s *Server) Explain(name string) (string, error) {
-	pp, ok := s.state.Load().plans[name]
+	st := s.state.Load()
+	pp, ok := st.plans[name]
 	if !ok {
 		return "", fmt.Errorf("serve: unknown query %q", name)
 	}
-	plan := pp.Plan
-	s.auditMu.Lock()
-	pricer := s.auditPricer
-	s.auditMu.Unlock()
+	plan, pricer := pp.Plan, st.pricer
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "query %s\n", name)

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"errors"
+	"maps"
 	"time"
 
 	"github.com/warehousekit/mvpp/internal/obs"
@@ -59,41 +60,20 @@ type SnapshotStats struct {
 	Recovery *snapshot.RecoveryStats
 }
 
-// snapState is the server's checkpoint bookkeeping, guarded by snapMu.
-type snapState struct {
-	generation  uint64
-	lastAt      time.Time
-	lastBytes   int64
-	lastDur     time.Duration
-	checkpoints int64
-	skipped     int64
-	failures    int64
-	truncFails  int64
-	agedOut     int64
-	views       map[string]ViewSnapshotInfo
+// SnapshotStats reports the server's durable-snapshot state: the value the
+// maintainer last published.
+func (s *Server) SnapshotStats() SnapshotStats {
+	out := *s.snapStats.Load()
+	out.Views = maps.Clone(out.Views) // the published map is shared
+	return out
 }
 
-// SnapshotStats reports the server's durable-snapshot state.
-func (s *Server) SnapshotStats() SnapshotStats {
-	out := SnapshotStats{Configured: s.snap != nil, Recovery: s.recovery}
-	s.snapMu.Lock()
-	defer s.snapMu.Unlock()
-	out.Generation = s.snapState.generation
-	out.LastCheckpointAt = s.snapState.lastAt
-	out.LastBytes = s.snapState.lastBytes
-	out.LastDuration = s.snapState.lastDur
-	out.Checkpoints = s.snapState.checkpoints
-	out.Skipped = s.snapState.skipped
-	out.Failures = s.snapState.failures
-	out.TruncateFailures = s.snapState.truncFails
-	out.AgedOut = s.snapState.agedOut
-	if len(s.snapState.views) > 0 {
-		out.Views = make(map[string]ViewSnapshotInfo, len(s.snapState.views))
-		for k, v := range s.snapState.views {
-			out.Views[k] = v
-		}
-	}
-	return out
+// editSnapStats publishes the successor of the snapshot statistics.
+// Maintainer only.
+func (s *Server) editSnapStats(edit func(*SnapshotStats)) {
+	next := *s.snapStats.Load()
+	edit(&next)
+	s.snapStats.Store(&next)
 }
 
 // Checkpoint persists a consistent snapshot generation now: every base
@@ -102,15 +82,18 @@ func (s *Server) SnapshotStats() SnapshotStats {
 // delta journal up to that watermark and ages out old generations by the
 // retention count. Returns (nil, nil) when the warehouse is mid-epoch
 // (deltas staged in the engine whose epoch has not landed).
-func (s *Server) Checkpoint() (*snapshot.CheckpointResult, error) {
+func (s *Server) Checkpoint() (res *snapshot.CheckpointResult, err error) {
 	if s.snap == nil {
 		return nil, ErrNoSnapshots
 	}
-	s.maintMu.Lock()
-	defer s.maintMu.Unlock()
-	return s.checkpointLocked()
+	err = s.maintain(func() (err error) {
+		res, err = s.checkpointLocked()
+		return err
+	})
+	return res, err
 }
 
+// checkpointLocked is Checkpoint as a step of the maintainer's turn.
 func (s *Server) checkpointLocked() (*snapshot.CheckpointResult, error) {
 	// Checkpoints are part of the pipeline's causal story: each attempt
 	// gets its own trace-ring entry (kind "checkpoint") when tracing is
@@ -127,10 +110,8 @@ func (s *Server) checkpointLocked() (*snapshot.CheckpointResult, error) {
 	// generation written now would be superseded by that retry at once.
 	// Decline; the next trigger after the epoch lands will succeed.
 	if s.enginePendingDeltas() {
-		s.snapMu.Lock()
-		s.snapState.skipped++
-		declined := s.snapState.skipped
-		s.snapMu.Unlock()
+		s.editSnapStats(func(ss *SnapshotStats) { ss.Skipped++ })
+		declined := s.snapStats.Load().Skipped
 		// A declined checkpoint must not be silent: repeated declines mean
 		// the warehouse never reaches a landed state between triggers (a
 		// stuck epoch), and /metrics should show it.
@@ -164,7 +145,7 @@ func (s *Server) checkpointLocked() (*snapshot.CheckpointResult, error) {
 	}
 	sc.mu.Unlock()
 
-	// maintMu is held: the served state is the last landed epoch's.
+	// The served state is the last landed epoch's: only the maintainer publishes.
 	st := s.state.Load()
 	in := snapshot.CheckpointInput{Epoch: st.epoch, Watermark: watermark}
 	rels := st.rels
@@ -173,8 +154,7 @@ func (s *Server) checkpointLocked() (*snapshot.CheckpointResult, error) {
 		in.Tables = append(in.Tables, t)
 	}
 	for _, p := range picks {
-		// maintMu is held: the registry scanned above and rels name the same
-		// views.
+		// The registry scanned above and rels name the same views.
 		v, err := rels.View(p.name)
 		if err != nil {
 			return nil, err
@@ -197,9 +177,7 @@ func (s *Server) checkpointLocked() (*snapshot.CheckpointResult, error) {
 
 	res, err := s.snap.Checkpoint(in)
 	if err != nil {
-		s.snapMu.Lock()
-		s.snapState.failures++
-		s.snapMu.Unlock()
+		s.editSnapStats(func(ss *SnapshotStats) { ss.Failures++ })
 		if cctx.Valid() {
 			s.traceSpan(ctr, cctx, "snapshot.checkpoint", ckStart, time.Since(ckStart),
 				obs.String("outcome", "failed"), obs.String("error", err.Error()))
@@ -227,9 +205,7 @@ func (s *Server) checkpointLocked() (*snapshot.CheckpointResult, error) {
 		}
 		if terr != nil {
 			truncated = false
-			s.snapMu.Lock()
-			s.snapState.truncFails++
-			s.snapMu.Unlock()
+			s.editSnapStats(func(ss *SnapshotStats) { ss.TruncateFailures++ })
 			obs.Emit(s.obsv, obs.EvServeJournal,
 				obs.String("action", "truncate"), obs.String("error", terr.Error()))
 		}
@@ -249,20 +225,17 @@ func (s *Server) checkpointLocked() (*snapshot.CheckpointResult, error) {
 	}
 
 	now := time.Now()
-	s.snapMu.Lock()
-	s.snapState.generation = res.Generation
-	s.snapState.lastAt = now
-	s.snapState.lastBytes = res.Bytes
-	s.snapState.lastDur = res.Duration
-	s.snapState.checkpoints++
-	s.snapState.agedOut += int64(aged)
-	s.snapState.views = make(map[string]ViewSnapshotInfo, len(in.Views))
+	views := make(map[string]ViewSnapshotInfo, len(in.Views))
 	for _, v := range in.Views {
-		s.snapState.views[v.Name] = ViewSnapshotInfo{
-			SnapshotAt: now, Bytes: res.ViewBytes[v.Name], Epoch: v.Epoch,
-		}
+		views[v.Name] = ViewSnapshotInfo{SnapshotAt: now, Bytes: res.ViewBytes[v.Name], Epoch: v.Epoch}
 	}
-	s.snapMu.Unlock()
+	s.editSnapStats(func(ss *SnapshotStats) {
+		ss.Generation, ss.LastCheckpointAt, ss.LastBytes, ss.LastDuration = res.Generation, now, res.Bytes, res.Duration
+		ss.Checkpoints++
+		ss.AgedOut += int64(aged)
+		ss.Views = views
+	})
+	s.snapOf = st
 	s.gSnapBytes.Set(float64(res.Bytes))
 	s.gSnapGen.Set(float64(res.Generation))
 
@@ -289,40 +262,41 @@ func (s *Server) checkpointLocked() (*snapshot.CheckpointResult, error) {
 	return res, nil
 }
 
-// maybeCheckpoint fires the epoch-count trigger: after every
-// SnapshotEveryEpochs landed epochs, take a checkpoint. Called by runEpoch
-// with the maintenance lock released. Idle epochs (nothing staged, nothing
-// landed) never advance the epoch counter and so never trigger.
-func (s *Server) maybeCheckpoint() {
+// checkpointIfDueLocked is the epoch-count trigger, a step of the
+// maintainer's turn after a landed epoch: every SnapshotEveryEpochs epochs,
+// take a checkpoint. Idle turns (nothing staged, nothing landed) never
+// advance the epoch and so never trigger.
+func (s *Server) checkpointIfDueLocked() {
 	if s.snap == nil || s.snapEveryEpochs <= 0 {
 		return
 	}
-	cur := int64(s.Epoch())
-	last := s.snapEpochs.Load()
-	if cur-last < int64(s.snapEveryEpochs) {
+	cur := s.state.Load().epoch
+	if cur-s.snapEpoch < uint64(s.snapEveryEpochs) {
 		return
 	}
-	if !s.snapEpochs.CompareAndSwap(last, cur) {
-		return // another trigger won the race
-	}
-	if _, err := s.Checkpoint(); err != nil {
-		obs.Emit(s.obsv, obs.EvSnapshotCheckpoint, obs.String("error", err.Error()))
-	}
+	s.snapEpoch = cur
+	_, err := s.checkpointLocked()
+	s.reportTriggered(err)
 }
 
-// snapshotLoop fires the wall-clock trigger.
-func (s *Server) snapshotLoop(interval time.Duration) {
-	defer s.wg.Done()
-	t := time.NewTicker(interval)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.closed:
-			return
-		case <-t.C:
-			if _, err := s.Checkpoint(); err != nil {
-				obs.Emit(s.obsv, obs.EvSnapshotCheckpoint, obs.String("error", err.Error()))
-			}
+// checkpointIfChanged is the wall-clock trigger, one more case of the
+// scheduler's loop: checkpoint the served state unless the last committed
+// generation already captured this very state — an idle warehouse is not
+// rewritten every interval.
+func (s *Server) checkpointIfChanged() {
+	s.reportTriggered(s.maintain(func() error {
+		if s.state.Load() == s.snapOf {
+			return nil
 		}
+		_, err := s.checkpointLocked()
+		return err
+	}))
+}
+
+// reportTriggered surfaces a trigger's failed checkpoint: nobody called it,
+// so nobody is handed the error.
+func (s *Server) reportTriggered(err error) {
+	if err != nil {
+		obs.Emit(s.obsv, obs.EvSnapshotCheckpoint, obs.String("error", err.Error()))
 	}
 }

@@ -203,12 +203,10 @@ func (s *Server) retryRefresh(ctx context.Context, sctx obs.SpanContext, label s
 
 // jittered spreads a backoff delay by ±Jitter using the server's seeded
 // jitter source (deterministic across runs, like the fault injector).
+// Maintainer only: every retried step is a step of an epoch.
 func (s *Server) jittered(d time.Duration) time.Duration {
 	if s.retry.Jitter <= 0 {
 		return d
 	}
-	s.jmu.Lock()
-	f := 1 + s.retry.Jitter*(2*s.jrng.Float64()-1)
-	s.jmu.Unlock()
-	return time.Duration(float64(d) * f)
+	return time.Duration(float64(d) * (1 + s.retry.Jitter*(2*s.jrng.Float64()-1)))
 }

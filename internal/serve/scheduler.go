@@ -182,9 +182,10 @@ func (sc *scheduler) healthLocked(now time.Time) (health map[string]viewHealth, 
 }
 
 // scheduler buffers ingested delta rows and turns them into maintenance
-// epochs. The loop goroutine fires on a filled batch; Flush runs
-// an epoch synchronously. All engine maintenance happens under the server's
-// maintMu.
+// epochs. Its loop is the server's one maintenance goroutine: it takes a
+// turn as the maintainer on a filled batch (an epoch) and on the snapshot
+// timer (a checkpoint); Flush and the other synchronous entry points take the
+// same turn on their caller's goroutine.
 type scheduler struct {
 	s       *Server
 	batch   int
@@ -311,16 +312,24 @@ func (sc *scheduler) startLoop() {
 
 func (sc *scheduler) loop() {
 	defer sc.s.wg.Done()
+	var tick <-chan time.Time // never fires without a store and an interval
+	if sc.s.snap != nil && sc.s.snapInterval > 0 {
+		t := time.NewTicker(sc.s.snapInterval)
+		defer t.Stop()
+		tick = t.C
+	}
 	for {
 		select {
 		case <-sc.s.closed:
 			return
 		case <-sc.kick:
-		}
-		// A failed epoch is retried by the next kick; surface it
-		// through the observer rather than dying silently.
-		if err := sc.s.runEpoch(); err != nil {
-			obs.Emit(sc.s.obsv, obs.EvServeEpoch, obs.String("error", err.Error()))
+			// A failed epoch is retried by the next kick; surface it
+			// through the observer rather than dying silently.
+			if err := sc.s.runEpoch(); err != nil {
+				obs.Emit(sc.s.obsv, obs.EvServeEpoch, obs.String("error", err.Error()))
+			}
+		case <-tick:
+			sc.s.checkpointIfChanged()
 		}
 	}
 }
@@ -619,33 +628,30 @@ func (sc *scheduler) take() (staged map[string][][]algebra.Value, ackLSN, floorL
 	return staged, sc.appendLSN, sc.ackedLSN, sc.bufBatches, sc.pendingTraces
 }
 
-// runEpoch is one maintenance epoch, panic-guarded: a panicking refresh
+// runEpoch is one turn of the maintainer: a maintenance epoch, then the
+// drift check over what its refreshes observed, then — if it landed — the
+// epoch-count checkpoint. The epoch is panic-guarded: a panicking refresh
 // (injected or real) is recovered into an error so the scheduler loop — and
 // with it the whole serving layer — survives.
 func (s *Server) runEpoch() error {
-	s.maintMu.Lock()
-	var err error
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				s.stats.panics.Add(1)
-				s.ctrPanics.Inc()
-				s.sched.clearBuilding()
-				err = fmt.Errorf("serve: maintenance epoch recovered from panic: %v", r)
-			}
+	return s.maintain(func() (err error) {
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					s.stats.panics.Add(1)
+					s.ctrPanics.Inc()
+					s.sched.clearBuilding()
+					err = fmt.Errorf("serve: maintenance epoch recovered from panic: %v", r)
+				}
+			}()
+			err = s.runEpochLocked()
 		}()
-		err = s.runEpochLocked()
-	}()
-	s.maintMu.Unlock()
-	// With the maintenance lock released (an auto-applied recalibration
-	// re-takes it), check whether this epoch's refresh observations pushed
-	// any view's calibration ratio out of the band.
-	s.maybeRecalibrate()
-	if err == nil {
-		// Epoch-count snapshot trigger (re-takes the maintenance lock).
-		s.maybeCheckpoint()
-	}
-	return err
+		s.recalibrateLocked()
+		if err == nil {
+			s.checkpointIfDueLocked()
+		}
+		return err
+	})
 }
 
 // breakerChange is one circuit-breaker transition recorded during an epoch
@@ -706,7 +712,7 @@ func (s *Server) runEpochLocked() error {
 		return err
 	}
 	staged, ackLSN, floorLSN, batches, traceRefs := sc.take()
-	epoch := s.state.Load().epoch + 1 // maintMu is held: nothing else publishes
+	epoch := s.state.Load().epoch + 1 // only the maintainer publishes
 
 	// Causal epoch trace: the epoch adopts the first sampled contributor's
 	// trace ID — so one trace ID follows a delta from StreamIngest through
@@ -961,8 +967,8 @@ func (s *Server) runEpochLocked() error {
 		s.observeAudit(costaudit.KindRecompute, name, res.TotalReads()+res.TotalWrites())
 	}
 
-	// The epoch's one publication. Under maintMu, and dropping no view, a
-	// refusal is a broken invariant: treated like any other aborted epoch.
+	// The epoch's one publication. From the one maintainer, and dropping no view,
+	// a refusal is a broken invariant: treated like any other aborted epoch.
 	if err := ep.Commit(); err != nil {
 		sc.clearBuilding()
 		return fmt.Errorf("serve: publishing the epoch: %w", err)

@@ -34,9 +34,10 @@
 // Concurrency: everything a reader needs — epoch number, relation set, the
 // named queries' rewritten plans, view health, result cache — is one
 // immutable value behind one pointer (served). A reader loads it once and
-// takes no lock but its cache's; everything maintenance-side — scheduler
-// epochs and advice swaps — serializes on one mutex and ends by publishing
-// the successor, so an answer comes from one whole state, never from a mix.
+// takes no lock but its cache's; everything maintenance-side — epochs, the
+// drift check, checkpoints, advice swaps — is one maintainer at a time
+// (maintain) and ends by publishing the successor, so an answer comes from
+// one whole state, never from a mix.
 package serve
 
 import (
@@ -184,10 +185,6 @@ type Config struct {
 	// every advice swap, and every cache-miss execution and view refresh
 	// records its measured block I/O. Nil disables auditing.
 	Audit *costaudit.Ledger
-	// AuditAutoApply lets a drift-triggered recalibration apply its advice
-	// to the running warehouse (otherwise the advice is only recorded; see
-	// LastRecalibration).
-	AuditAutoApply bool
 	// AuditSkew multiplies every registered prediction — a test hook
 	// simulating a miscalibrated cost model. 0 means 1 (no skew).
 	AuditSkew float64
@@ -281,6 +278,9 @@ type served struct {
 	// health lists the views whose queries degrade to base relations now, or
 	// will before the next publication; empty on a healthy warehouse.
 	health map[string]viewHealth
+	// pricer prices plans against rels' statistics for the cost audit; built
+	// with plans, nil when auditing is off.
+	pricer *costaudit.Pricer
 	cache  *resultCache    // results computed on rels, nothing else
 	link   *epochTraceLink // the publishing epoch's pipeline trace; nil from New or a swap
 }
@@ -293,12 +293,12 @@ type viewHealth struct {
 }
 
 // publish builds the successor of the served state and makes it what readers
-// see, in one store: the only one. Caller is New or holds maintMu; health is
+// see, in one store: the only one. Caller is New or the maintainer; health is
 // the registry's as of now (healthLocked).
 func (s *Server) publish(epoch uint64, rels *engine.RelationSet, health map[string]viewHealth, link *epochTraceLink) {
 	st := &served{epoch: epoch, rels: rels, health: health, link: link, cache: newResultCache(s.cacheCap)}
 	if prev := s.state.Load(); prev != nil && prev.rels.Generation() == rels.Generation() {
-		st.plans = prev.plans
+		st.plans, st.pricer = prev.plans, prev.pricer
 	} else {
 		st.plans = make(map[string]*engine.RewrittenPlan, len(s.queries))
 		for name, qs := range s.queries {
@@ -306,6 +306,7 @@ func (s *Server) publish(epoch uint64, rels *engine.RelationSet, health map[stri
 			st.plans[name] = &pp
 		}
 		s.stats.planRewrites.Add(int64(len(s.queries)))
+		st.pricer = s.repriceAudit(st)
 	}
 	s.state.Store(st)
 }
@@ -325,18 +326,21 @@ func (st *served) degradedAmong(views []string) (out []string) {
 }
 
 // Server is the running serving layer. Create with New, stop with Close.
-// All exported methods are safe for concurrent use.
+// All exported methods are safe for concurrent use. Every field is one of
+// three kinds: configuration, fixed by New (the values behind it — counters,
+// rings, the ledger, the scheduler, the feed — synchronize themselves);
+// maintainer-owned, touched only inside maintain; or published, an atomic
+// pointer to an immutable value that the maintainer replaces and anyone loads.
 type Server struct {
+	// Configuration.
 	db      *engine.DB
 	queries map[string]*queryState
 	order   []string
 
-	mvpp       *core.MVPP
+	mvpp       *core.MVPP // read-only: the Design and its other servers share it
 	model      cost.Model
 	selectOpts core.SelectOptions
 
-	// state is what readers are answered from; see served.
-	state    atomic.Pointer[served]
 	cacheCap int
 
 	queue     chan *request
@@ -352,16 +356,6 @@ type Server struct {
 
 	inj   *fault.Injector
 	retry RetryPolicy
-	// jmu/jrng is the seeded jitter source for retry backoff.
-	jmu  sync.Mutex
-	jrng *rand.Rand
-
-	// maintMu serializes everything maintenance-side — scheduler epochs and
-	// advice swaps — honoring the engine's one-maintainer contract.
-	maintMu sync.Mutex
-	// advMu serializes advisor calls (ReselectFrequencies temporarily
-	// mutates the MVPP's frequencies and weights).
-	advMu sync.Mutex
 
 	sched *scheduler
 	// feed is the CDC streaming front-end (StreamIngest); always present,
@@ -369,16 +363,10 @@ type Server struct {
 	feed *changeFeed
 
 	// Cost accountability (audit nil when auditing is off — every call
-	// site no-ops). auditMu guards the pricer, the drift-episode latch,
-	// and the last recalibration advice.
+	// site no-ops).
 	audit          *costaudit.Ledger
-	auditAutoApply bool
 	auditSkew      float64
 	auditSkewViews map[string]float64
-	auditMu        sync.Mutex
-	auditPricer    *costaudit.Pricer
-	recalHandled   map[string]bool
-	lastRecal      *Advice
 
 	start time.Time
 	stats serverStats
@@ -403,15 +391,12 @@ type Server struct {
 	flight    *obs.FlightRecorder
 	exemplars *exemplarSet
 
-	// Durable snapshots (snap nil when checkpointing is off). snapEpochs
-	// counts landed epochs toward the epoch-count trigger; snapMu guards
-	// snapState; recovery is how this server booted (nil without recovery).
+	// Durable snapshots (snap nil when checkpointing is off); recovery is how
+	// this server booted (nil without recovery).
 	snap            *snapshot.Store
 	snapEveryEpochs int
+	snapInterval    time.Duration
 	snapRetain      int
-	snapEpochs      atomic.Int64
-	snapMu          sync.Mutex
-	snapState       snapState
 	recovery        *snapshot.RecoveryStats
 
 	obsv                                              obs.Observer
@@ -427,6 +412,39 @@ type Server struct {
 	ctrFlightDumps                                    *obs.Counter
 	gQueueDepth, gStaleRows, gUnhealthy               *obs.Gauge
 	gSnapBytes, gSnapGen, gIngestBuffer               *obs.Gauge
+
+	// maintMu admits one maintainer at a time, honoring the engine's
+	// one-maintainer contract. Only maintain takes it.
+	maintMu sync.Mutex
+
+	// Maintainer-owned: touched only inside maintain (and by New, before
+	// anything runs). jrng is the seeded jitter source of retry backoff;
+	// recalHandled latches the drift episodes already re-selected for;
+	// snapEpoch is the epoch the epoch-count trigger last fired at and
+	// snapOf the state the last committed checkpoint captured.
+	jrng         *rand.Rand
+	recalHandled map[string]bool
+	snapEpoch    uint64
+	snapOf       *served
+
+	// Published: state is what readers are answered from (see served),
+	// snapStats the checkpoint bookkeeping behind SnapshotStats, lastRecal
+	// the advice of the last drift-triggered re-selection.
+	state     atomic.Pointer[served]
+	snapStats atomic.Pointer[SnapshotStats]
+	lastRecal atomic.Pointer[Advice]
+}
+
+// maintain runs f as the maintainer — the one writer of the engine, the view
+// registry's refresh outcomes and the served state. Every maintenance entry
+// point (Flush, RefreshView, RefreshAllViews, the scheduler's loop,
+// Checkpoint, ApplyAdvice) goes through it and waits for its turn; the steps
+// inside a turn call each other's locked bodies, never the public methods
+// (the mutex is not re-entrant).
+func (s *Server) maintain(f func() error) error {
+	s.maintMu.Lock()
+	defer s.maintMu.Unlock()
+	return f()
 }
 
 type serverStats struct {
@@ -457,10 +475,6 @@ func New(cfg Config) (*Server, error) {
 	}
 	s.startWorkers(workersOf(cfg))
 	s.sched.startLoop()
-	if s.snap != nil && cfg.SnapshotInterval > 0 {
-		s.wg.Add(1)
-		go s.snapshotLoop(cfg.SnapshotInterval)
-	}
 	return s, nil
 }
 
@@ -497,13 +511,13 @@ func newServer(cfg Config) (*Server, error) {
 		obsv:       cfg.Obs,
 
 		audit:          cfg.Audit,
-		auditAutoApply: cfg.AuditAutoApply,
 		auditSkew:      cfg.AuditSkew,
 		auditSkewViews: cfg.AuditSkewViews,
 		recalHandled:   make(map[string]bool),
 
 		snap:            cfg.Snapshots,
 		snapEveryEpochs: cfg.SnapshotEveryEpochs,
+		snapInterval:    cfg.SnapshotInterval,
 		snapRetain:      cfg.SnapshotRetain,
 		recovery:        cfg.Recovery,
 	}
@@ -516,6 +530,7 @@ func newServer(cfg Config) (*Server, error) {
 	if s.snapRetain < 1 {
 		s.snapRetain = DefaultSnapshotRetain
 	}
+	s.snapStats.Store(&SnapshotStats{Configured: s.snap != nil, Recovery: s.recovery})
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	s.winQueries = obs.NewWindowCounter(DefaultStatsWindow)
 	s.winHits = obs.NewWindowCounter(DefaultStatsWindow)
@@ -588,7 +603,7 @@ func newServer(cfg Config) (*Server, error) {
 	var epoch uint64
 	if r := cfg.Recovery; r != nil && !r.Cold {
 		epoch = r.SnapshotEpoch
-		s.snapEpochs.Store(int64(r.SnapshotEpoch))
+		s.snapEpoch = r.SnapshotEpoch
 		sched.mu.Lock()
 		// The first post-recovery epoch's lineage covers the journal suffix
 		// past the snapshot watermark — not LSN 0.
@@ -627,7 +642,6 @@ func newServer(cfg Config) (*Server, error) {
 	if err := s.replayJournal(); err != nil {
 		return nil, err
 	}
-	s.repriceAudit()
 	return s, nil
 }
 

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"github.com/warehousekit/mvpp/internal/algebra"
+	"github.com/warehousekit/mvpp/internal/costaudit"
 	"github.com/warehousekit/mvpp/internal/datagen"
 	"github.com/warehousekit/mvpp/internal/engine"
 	"github.com/warehousekit/mvpp/internal/fault"
@@ -219,6 +220,69 @@ func TestMissTakesNoSchedulerLock(t *testing.T) {
 	if res.Cached || res.Degraded || res.Table.NumRows() == 0 {
 		t.Errorf("cached %v, degraded %v, %d rows: want an executed, view-based answer",
 			res.Cached, res.Degraded, res.Table.NumRows())
+	}
+}
+
+// TestAdviseTakesNoMaintenanceLock: what the maintainer owns, readers get as
+// published values, and the advisor only reads. With the test holding the
+// maintenance lock — a stand-in for an epoch carrying a checkpoint — every
+// read-side entry point returns.
+func TestAdviseTakesNoMaintenanceLock(t *testing.T) {
+	db, err := datagen.PaperDB(10, 0.01, 42)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, model, err := repro.Figure3()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var queries []QuerySpec
+	for name, root := range m.Roots {
+		queries = append(queries, QuerySpec{Name: name, Plan: root.Op, Frequency: m.Fq[name]})
+	}
+	s, err := New(Config{
+		DB: db, Queries: queries, MVPP: m, Model: model, CacheCapacity: -1,
+		Audit: costaudit.NewLedger(costaudit.Config{}), Snapshots: testStore(t),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	s.maintMu.Lock()
+	defer s.maintMu.Unlock()
+	returned := make(chan string, 7) // one send per call below: none blocks
+	go func() {
+		defer close(returned)
+		for _, call := range []struct {
+			name string
+			do   func() error
+		}{
+			{"Advise", func() error { _, err := s.Advise(); return err }},
+			{"AdviseCalibrated", func() error { _, err := s.AdviseCalibrated(); return err }},
+			{"SnapshotStats", func() error { s.SnapshotStats(); return nil }},
+			{"LastRecalibration", func() error { s.LastRecalibration(); return nil }},
+			{"Explain", func() error { _, err := s.Explain("Q1"); return err }},
+			{"Staleness", func() error { s.Staleness(); return nil }},
+			{"Query", func() error { _, err := s.Query(context.Background(), "Q1"); return err }},
+		} {
+			if err := call.do(); err != nil {
+				t.Errorf("%s with the maintenance lock held: %v", call.name, err)
+			}
+			returned <- call.name
+		}
+	}()
+	last, deadline := "nothing", time.After(5*time.Second)
+	for {
+		select {
+		case name, more := <-returned:
+			if !more {
+				return
+			}
+			last = name
+		case <-deadline:
+			t.Fatalf("with the maintenance lock held, the call after %s did not return", last)
+		}
 	}
 }
 

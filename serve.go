@@ -149,10 +149,6 @@ type CostAuditOptions struct {
 	// but not others. Drift precision tests use it to assert that only the
 	// genuinely skewed views get flagged.
 	SkewViews map[string]float64
-	// AutoApply lets a drift-triggered recalibration hot-swap its advised
-	// view set into the running warehouse; off, the advice is only recorded
-	// (see Server.LastRecalibration).
-	AutoApply bool
 }
 
 // defaultTraceSample is the sampling stride when telemetry is on and the
@@ -470,7 +466,6 @@ func (d *Design) NewServer(opts ServeOptions) (*Server, error) {
 		FlightDir:           flightDir,
 		Obs:                 observer,
 		Audit:               ledger,
-		AuditAutoApply:      opts.CostAudit.AutoApply,
 		AuditSkew:           opts.CostAudit.SkewPredictions,
 		AuditSkewViews:      opts.CostAudit.SkewViews,
 	})

@@ -374,6 +374,30 @@ func TestNoServerFieldCanKeepAMaintenanceEpoch(t *testing.T) {
 	}
 }
 
+// TestServeServerHasOneLock: every serve.Server field is configuration,
+// maintainer-owned (touched only inside maintain, which takes maintMu) or
+// published behind an atomic pointer — so maintMu is the only lock the
+// struct declares. A new mutex field means some state got a second kind of
+// owner; it has to argue with this test.
+func TestServeServerHasOneLock(t *testing.T) {
+	ty := reflect.TypeOf((*serve.Server)(nil)).Elem()
+	locks := map[reflect.Type]bool{reflect.TypeOf(sync.Mutex{}): true, reflect.TypeOf(sync.RWMutex{}): true}
+	found := false
+	for i := 0; i < ty.NumField(); i++ {
+		f := ty.Field(i)
+		if !locks[f.Type] {
+			continue
+		}
+		if f.Name != "maintMu" {
+			t.Errorf("serve.Server.%s is a %s: maintMu is the server's one lock", f.Name, f.Type)
+		}
+		found = true
+	}
+	if !found {
+		t.Fatal("serve.Server declares no mutex at all: the test checks nothing")
+	}
+}
+
 // countingJournal counts the groups a server appends and can refuse them.
 type countingJournal struct {
 	mvpp.DeltaJournal
