@@ -305,16 +305,18 @@ func baseRelationsOf(db *engine.RelationSet, plan algebra.Node) (map[string]bool
 	return rels, walkErr
 }
 
-func (sc *scheduler) startLoop() {
+// startLoop starts the maintenance goroutine; a positive snapEvery arms the
+// wall-clock checkpoint trigger (Config.SnapshotInterval).
+func (sc *scheduler) startLoop(snapEvery time.Duration) {
 	sc.s.wg.Add(1)
-	go sc.loop()
+	go sc.loop(snapEvery)
 }
 
-func (sc *scheduler) loop() {
+func (sc *scheduler) loop(snapEvery time.Duration) {
 	defer sc.s.wg.Done()
 	var tick <-chan time.Time // never fires without a store and an interval
-	if sc.s.snap != nil && sc.s.snapInterval > 0 {
-		t := time.NewTicker(sc.s.snapInterval)
+	if sc.s.snap != nil && snapEvery > 0 {
+		t := time.NewTicker(snapEvery)
 		defer t.Stop()
 		tick = t.C
 	}
@@ -634,24 +636,26 @@ func (sc *scheduler) take() (staged map[string][][]algebra.Value, ackLSN, floorL
 // (injected or real) is recovered into an error so the scheduler loop — and
 // with it the whole serving layer — survives.
 func (s *Server) runEpoch() error {
-	return s.maintain(func() (err error) {
-		func() {
-			defer func() {
-				if r := recover(); r != nil {
-					s.stats.panics.Add(1)
-					s.ctrPanics.Inc()
-					s.sched.clearBuilding()
-					err = fmt.Errorf("serve: maintenance epoch recovered from panic: %v", r)
-				}
-			}()
-			err = s.runEpochLocked()
-		}()
+	return s.maintain(func() error {
+		err := s.guardedEpochLocked()
 		s.recalibrateLocked()
 		if err == nil {
 			s.checkpointIfDueLocked()
 		}
 		return err
 	})
+}
+
+func (s *Server) guardedEpochLocked() (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.stats.panics.Add(1)
+			s.ctrPanics.Inc()
+			s.sched.clearBuilding()
+			err = fmt.Errorf("serve: maintenance epoch recovered from panic: %v", r)
+		}
+	}()
+	return s.runEpochLocked()
 }
 
 // breakerChange is one circuit-breaker transition recorded during an epoch

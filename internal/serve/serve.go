@@ -395,7 +395,6 @@ type Server struct {
 	// this server booted (nil without recovery).
 	snap            *snapshot.Store
 	snapEveryEpochs int
-	snapInterval    time.Duration
 	snapRetain      int
 	recovery        *snapshot.RecoveryStats
 
@@ -474,7 +473,7 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.startWorkers(workersOf(cfg))
-	s.sched.startLoop()
+	s.sched.startLoop(cfg.SnapshotInterval)
 	return s, nil
 }
 
@@ -517,7 +516,6 @@ func newServer(cfg Config) (*Server, error) {
 
 		snap:            cfg.Snapshots,
 		snapEveryEpochs: cfg.SnapshotEveryEpochs,
-		snapInterval:    cfg.SnapshotInterval,
 		snapRetain:      cfg.SnapshotRetain,
 		recovery:        cfg.Recovery,
 	}
