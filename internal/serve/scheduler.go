@@ -305,13 +305,8 @@ func baseRelationsOf(db *engine.RelationSet, plan algebra.Node) (map[string]bool
 	return rels, walkErr
 }
 
-// startLoop starts the maintenance goroutine; a positive snapEvery arms the
+// loop is the maintenance goroutine; a positive snapEvery arms the
 // wall-clock checkpoint trigger (Config.SnapshotInterval).
-func (sc *scheduler) startLoop(snapEvery time.Duration) {
-	sc.s.wg.Add(1)
-	go sc.loop(snapEvery)
-}
-
 func (sc *scheduler) loop(snapEvery time.Duration) {
 	defer sc.s.wg.Done()
 	var tick <-chan time.Time // never fires without a store and an interval

@@ -473,7 +473,8 @@ func New(cfg Config) (*Server, error) {
 		return nil, err
 	}
 	s.startWorkers(workersOf(cfg))
-	s.sched.startLoop(cfg.SnapshotInterval)
+	s.wg.Add(1)
+	go s.sched.loop(cfg.SnapshotInterval)
 	return s, nil
 }
 
