@@ -235,7 +235,7 @@ func (s *Server) checkpointLocked() (*snapshot.CheckpointResult, error) {
 		ss.AgedOut += int64(aged)
 		ss.Views = views
 	})
-	s.snapOf = st
+	s.snapBehind = false
 	s.gSnapBytes.Set(float64(res.Bytes))
 	s.gSnapGen.Set(float64(res.Generation))
 
@@ -285,7 +285,7 @@ func (s *Server) checkpointIfDueLocked() {
 // rewritten every interval.
 func (s *Server) checkpointIfChanged() {
 	s.reportTriggered(s.maintain(func() error {
-		if s.state.Load() == s.snapOf {
+		if !s.snapBehind {
 			return nil
 		}
 		_, err := s.checkpointLocked()

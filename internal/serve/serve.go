@@ -309,6 +309,7 @@ func (s *Server) publish(epoch uint64, rels *engine.RelationSet, health map[stri
 		st.pricer = s.repriceAudit(st)
 	}
 	s.state.Store(st)
+	s.snapBehind = true
 }
 
 // degradedAmong lists the views among the given ones (the views a rewritten
@@ -419,12 +420,14 @@ type Server struct {
 	// Maintainer-owned: touched only inside maintain (and by New, before
 	// anything runs). jrng is the seeded jitter source of retry backoff;
 	// recalHandled latches the drift episodes already re-selected for;
-	// snapEpoch is the epoch the epoch-count trigger last fired at and
-	// snapOf the state the last committed checkpoint captured.
+	// snapEpoch is the epoch the epoch-count trigger last fired at;
+	// snapBehind says a state was published since the last committed
+	// checkpoint (a flag, not that state: holding a superseded state would
+	// keep its whole relation set alive).
 	jrng         *rand.Rand
 	recalHandled map[string]bool
 	snapEpoch    uint64
-	snapOf       *served
+	snapBehind   bool
 
 	// Published: state is what readers are answered from (see served),
 	// snapStats the checkpoint bookkeeping behind SnapshotStats, lastRecal
