@@ -64,16 +64,18 @@ telemetry-smoke:
 # Short fuzzing pass over the batch executor's predicate kernels (one
 # comparison, then nested And / Or / Not trees with an unbound column), the
 # join-key encoding equivalence, the expression arena's identity (same
-# structural / semantic ID ⇔ same StructuralKey / SemanticKey string), and
-# the delta journal's open path (any bytes after a valid prefix: no error,
-# the prefix survives). A few seconds per target is enough to shake loose
-# encoding mismatches in CI; long sessions run the same targets with a
-# bigger -fuzztime by hand.
+# structural / semantic ID ⇔ same StructuralKey / SemanticKey string), the
+# delta journal's open path (any bytes after a valid prefix: no error, the
+# prefix survives), and the typed per-column statistics (the catalog entry
+# of any column equals the boxed reference's, bit for bit). A few seconds
+# per target is enough to shake loose encoding mismatches in CI; long
+# sessions run the same targets with a bigger -fuzztime by hand.
 fuzz-smoke:
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzBatchSelectPredicate -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzBatchSelectNested -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzJoinKeyEncoding -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzJournalLine -fuzztime 5s
+	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzRelationStats -fuzztime 5s
 	$(GO) test ./internal/algebra -run '^$$' -fuzz FuzzExprIdentity -fuzztime 5s
 
 # Chaos crash-restart-verify: kill a checkpoint at each injected crash
