@@ -329,12 +329,37 @@ func TestIdenticalViewSharesEverything(t *testing.T) {
 	}
 }
 
+// streamBatch is one streamed batch on all seven tables: 5 fact rows, one
+// per dimension — what StreamDeltas(0.0025) sends.
+func streamBatch(gen *starRows) []tableRows {
+	batch := []tableRows{{"Fact", gen.fact(5)}}
+	for d := 0; d < starDims; d++ {
+		batch = append(batch, tableRows{starDim(d), gen.dim(d, 1)})
+	}
+	return batch
+}
+
+// refreshEpoch refreshes every view in one epoch value, applies and commits.
+func refreshEpoch(b *testing.B, db *engine.DB, views []starView) {
+	ep := db.BeginMaintenance()
+	for _, v := range views {
+		if _, err := ep.IncrementalRefresh(v.name); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if err := ep.ApplyDeltas(); err != nil {
+		b.Fatal(err)
+	}
+	if err := ep.Commit(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 // BenchmarkMaintenanceEpoch is the delta-refresh layer's own number: the
 // benchmark's 22-view star warehouse at its mixed_fresh scale, one epoch =
-// a streamed batch staged on all seven tables (5 fact rows, one per
-// dimension — what StreamDeltas(0.0025) sends), every view refreshed in one
-// epoch value, ApplyDeltas, Commit. Tables and views grow by a batch per iteration,
-// as they do under the benchmark's writer.
+// a streamBatch staged, every view refreshed in one epoch value,
+// ApplyDeltas, Commit. Tables and views grow by a batch per iteration, as
+// they do under the benchmark's writer.
 func BenchmarkMaintenanceEpoch(b *testing.B) {
 	s := newStarSchemas()
 	gen, load := starLoad(0.02, 1)
@@ -345,24 +370,78 @@ func BenchmarkMaintenanceEpoch(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		batch := []tableRows{{"Fact", gen.fact(5)}}
-		for d := 0; d < starDims; d++ {
-			batch = append(batch, tableRows{starDim(d), gen.dim(d, 1)})
-		}
+		batch := streamBatch(gen)
 		b.StartTimer()
 		stage(b, db, batch)
-		ep := db.BeginMaintenance()
-		for _, v := range views {
-			if _, err := ep.IncrementalRefresh(v.name); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := ep.ApplyDeltas(); err != nil {
-			b.Fatal(err)
-		}
-		if err := ep.Commit(); err != nil {
-			b.Fatal(err)
-		}
+		refreshEpoch(b, db, views)
 	}
 	b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/epoch")
+}
+
+// BenchmarkCheckpointTables is the checkpoint's own number, on the warehouse
+// and the epochs of BenchmarkMaintenanceEpoch: after each epoch, what
+// Checkpoint does per relation — TableStats and the segment encoding
+// (WriteTableSegment, here to a counter) for every table and view, and the
+// lineage digest of every view. "kernels" is the code; "reference" runs the
+// boxed oracles the kernels replaced. ms and segment MB per checkpoint;
+// B/op is what one checkpoint allocates.
+func BenchmarkCheckpointTables(b *testing.B) {
+	kernels := func(name string, t *engine.Table, view bool) {
+		engine.TableStats(name, t)
+		if view {
+			t.Fingerprint()
+		}
+	}
+	reference := func(name string, t *engine.Table, view bool) {
+		engine.ReferenceRelationStats(name, t)
+		if view {
+			engine.ReferenceFingerprint(t)
+		}
+	}
+	for _, run := range []struct {
+		name string
+		pass func(name string, t *engine.Table, view bool)
+	}{{"kernels", kernels}, {"reference", reference}} {
+		b.Run(run.name, func(b *testing.B) {
+			s := newStarSchemas()
+			gen, load := starLoad(0.02, 1)
+			views := s.benchViews()
+			db := newStarDB(b, s, load, views)
+			sort.Slice(views, func(i, j int) bool { return views[i].name < views[j].name })
+			var written countingWriter
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				stage(b, db, streamBatch(gen))
+				refreshEpoch(b, db, views)
+				rels := db.Relations()
+				b.StartTimer()
+				for _, name := range rels.Tables() {
+					t, _ := rels.Table(name)
+					run.pass(name, t, false)
+					if _, err := engine.WriteTableSegment(&written, t); err != nil {
+						b.Fatal(err)
+					}
+				}
+				for _, name := range rels.Views() {
+					v, _ := rels.View(name)
+					run.pass(name, v.Table(), true)
+					if _, err := engine.WriteTableSegment(&written, v.Table()); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/checkpoint")
+			b.ReportMetric(float64(written)/1e6/float64(b.N), "seg-MB/checkpoint")
+		})
+	}
+}
+
+// countingWriter is io.Discard that counts.
+type countingWriter int64
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	*w += countingWriter(len(p))
+	return len(p), nil
 }

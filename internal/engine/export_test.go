@@ -36,6 +36,23 @@ func (db *DB) SpyJoins() *JoinSpy {
 	return s
 }
 
+// CachedFingerprint reports the digest the table holds for its current
+// rows without computing one: what a carried digest looks like from outside.
+func (t *Table) CachedFingerprint() (uint64, bool) {
+	d := t.digest.Load()
+	if d == nil || d.rows != t.nrows {
+		return 0, false
+	}
+	return d.sum, true
+}
+
+// The checkpoint kernels' oracles (stats_reference_test.go), for the
+// layer benchmark's reference run.
+var (
+	ReferenceRelationStats = referenceRelationStats
+	ReferenceFingerprint   = referenceFingerprint
+)
+
 // Operand evaluates plan the way the epoch evaluates the new-state operand
 // of a join delta — unmetered, over the base tables plus the frozen pending
 // rows — and returns the epoch's own (shared) table.

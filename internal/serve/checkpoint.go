@@ -170,7 +170,7 @@ func (s *Server) checkpointLocked() (*snapshot.CheckpointResult, error) {
 			Lineage: snapshot.LineageMark{
 				Epoch:       p.epoch,
 				LSN:         watermark,
-				Fingerprint: tableFingerprint(table),
+				Fingerprint: hexDigest(table.Fingerprint()),
 			},
 		})
 	}

@@ -1046,8 +1046,9 @@ func (s *Server) runEpochLocked() error {
 			}
 			vs.pending = pending
 			// The refresh succeeded: this epoch's journal range now backs
-			// the view's contents. Fingerprints are stamped lazily (at
-			// checkpoint time and on /lineage reads), never here.
+			// the view's contents. The entry carries no fingerprint: the
+			// live digest is read from the table (Lineage), and a
+			// checkpoint records one in the manifest only.
 			vs.addLineage(LineageEntry{
 				Epoch:        epoch,
 				LSNLo:        floorLSN,

@@ -2,10 +2,17 @@ package mvpp_test
 
 import (
 	"context"
+	"encoding/json"
+	"fmt"
+	"hash/fnv"
+	"os"
 	"path/filepath"
+	"sort"
+	"strings"
 	"testing"
 
 	mvpp "github.com/warehousekit/mvpp"
+	"github.com/warehousekit/mvpp/internal/engine"
 )
 
 // snapshotFingerprint answers every design query and returns its sorted
@@ -194,6 +201,116 @@ func TestSnapshotCrashRestartVerify(t *testing.T) {
 			}
 			requireSameFingerprint(t, snapshotFingerprint(t, design, c), want)
 		})
+	}
+}
+
+// parentDigest is the lineage digest as binaries before the engine's
+// Table.Fingerprint wrote it: every row rendered and joined with "|", the
+// rows sorted, FNV-64a over the sorted sequence, 16 hex digits.
+func parentDigest(tb *engine.Table) string {
+	rows := make([]string, tb.NumRows())
+	for i := range rows {
+		parts := make([]string, 0, tb.Schema.Len())
+		for _, v := range tb.Row(i).Values {
+			parts = append(parts, v.String())
+		}
+		rows[i] = strings.Join(parts, "|")
+	}
+	sort.Strings(rows)
+	h := fnv.New64a()
+	for _, r := range rows {
+		h.Write([]byte(r))
+		h.Write([]byte{0})
+	}
+	return fmt.Sprintf("%016x", h.Sum64())
+}
+
+// TestSnapshotRestoresOlderDigestVerbatim: a generation whose lineage
+// fingerprints an older binary wrote in its own digest format restores every
+// view from its segment, not by recomputation, and the restored lineage
+// entry reports the recorded mark verbatim. Recovery never compares a
+// recorded digest with a live one — only a binary's own digests are.
+func TestSnapshotRestoresOlderDigestVerbatim(t *testing.T) {
+	dir := t.TempDir()
+	opts := mvpp.ServeOptions{
+		Seed:        21,
+		SnapshotDir: filepath.Join(dir, "snaps"),
+		JournalPath: filepath.Join(dir, "deltas.journal"),
+	}
+	_, first := paperServer(t, opts)
+	if _, err := first.InjectDeltas(0.05); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// Rewrite the newest manifest's marks into the older format, each over
+	// the very rows its segment holds.
+	manifests, err := filepath.Glob(filepath.Join(opts.SnapshotDir, "gen-*", "MANIFEST.json"))
+	if err != nil || len(manifests) == 0 {
+		t.Fatalf("no committed generation: %v", err)
+	}
+	sort.Strings(manifests)
+	path := manifests[len(manifests)-1]
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	current, older := make(map[string]string), make(map[string]string)
+	for _, v := range m["views"].([]any) {
+		seg := v.(map[string]any)
+		name := seg["name"].(string)
+		f, err := os.Open(filepath.Join(filepath.Dir(path), seg["file"].(string)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		tb, err := engine.ReadTableSegment(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		current[name] = fmt.Sprintf("%016x", tb.Fingerprint())
+		if seg["lineage_fingerprint"] != current[name] {
+			t.Fatalf("%s: checkpoint recorded %v, its segment digests to %s", name, seg["lineage_fingerprint"], current[name])
+		}
+		older[name] = parentDigest(tb)
+		if older[name] == current[name] {
+			t.Fatalf("%s: the two digest formats agree (%s); the test shows nothing", name, older[name])
+		}
+		seg["lineage_fingerprint"] = older[name]
+	}
+	if data, err = json.MarshalIndent(m, "", "  "); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, second := paperServer(t, opts)
+	rs := second.SnapshotStats().Recovery
+	if rs == nil || rs.Cold || rs.ViewsRestored != len(older) || rs.ViewsRecomputed != 0 {
+		t.Fatalf("boot over older marks = %+v, want all %d views restored", rs, len(older))
+	}
+	lineage := second.Lineage()
+	for name, mark := range older {
+		vl := lineage[name]
+		if len(vl.Entries) == 0 || vl.Entries[0].Mode != "restored" || vl.Entries[0].Fingerprint != mark {
+			t.Errorf("%s: first lineage entry %+v, want mode restored with the recorded %s", name, vl.Entries, mark)
+		}
+		if vl.Fingerprint != current[name] {
+			t.Errorf("%s: live fingerprint %s, want this binary's digest of the restored rows %s", name, vl.Fingerprint, current[name])
+		}
 	}
 }
 
