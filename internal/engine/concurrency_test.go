@@ -78,7 +78,10 @@ func TestConcurrentExecuteVsRefresh(t *testing.T) {
 // (InsertDelta → IncrementalRefresh → ApplyDeltas → Commit) from one maintainer
 // goroutine while readers execute view-rewritten and base-table plans.
 // Readers must only ever observe whole epochs: the view's row count must
-// be one of the per-epoch counts the maintainer published.
+// be one of the per-epoch counts the maintainer published. Every reader also
+// holds the set it read from and, after its query, re-checks every table and
+// view of it — rows in order, digest, statistics, blocks — while the
+// maintainer builds the next ones by appending to exactly those tables.
 func TestConcurrentExecuteVsIncrementalEpochs(t *testing.T) {
 	db := smallPaperDB(t)
 	plan := laJoinPlan(t, db)
@@ -110,6 +113,8 @@ func TestConcurrentExecuteVsIncrementalEpochs(t *testing.T) {
 					return
 				default:
 				}
+				rels := db.Relations()
+				held := holdSet(rels)
 				res, err := db.Execute(db.RewriteForViewSet(plan).Plan)
 				if err != nil {
 					errs <- err
@@ -117,6 +122,10 @@ func TestConcurrentExecuteVsIncrementalEpochs(t *testing.T) {
 				}
 				if n := res.Table.NumRows(); n < n0 || n > n0+epochs {
 					errs <- fmt.Errorf("view has %d rows, no published epoch does (%d … %d)", n, n0, n0+epochs)
+					return
+				}
+				if err := held.check(rels); err != nil {
+					errs <- fmt.Errorf("a held set changed under the maintainer: %w", err)
 					return
 				}
 			}
