@@ -126,7 +126,7 @@ func (db *DB) BeginMaintenance() *MaintenanceEpoch {
 	}
 	for name, d := range db.deltas {
 		if n := d.NumRows(); n > 0 {
-			ep.frozen[name] = d.sliceRows(0, n)
+			ep.frozen[name] = d.Slice(0, n)
 		}
 	}
 	return ep
@@ -198,7 +198,7 @@ func (ep *MaintenanceEpoch) Commit() error {
 	if ep.applied {
 		for name, f := range ep.frozen {
 			d := db.deltas[name]
-			db.deltas[name] = d.sliceRows(f.NumRows(), d.NumRows())
+			db.deltas[name] = d.Slice(f.NumRows(), d.NumRows())
 		}
 	}
 	snap := db.snapStore

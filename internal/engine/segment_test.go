@@ -185,6 +185,104 @@ func TestSegmentCorruptionExhaustive(t *testing.T) {
 	})
 }
 
+func encodeSegment(t *testing.T, tb *Table) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if _, err := WriteTableSegment(&buf, tb); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestDecodeTableSegmentsJoinsSlices cuts a table into three slices at every
+// pair of cut points, one segment each, and decodes them as one relation: the
+// same segment bytes as the table's, so the same rows in order, float bits,
+// null bitmaps and column representations. Then the case a store meets when
+// a column changes representation between two checkpoints: an earlier,
+// typed segment followed by rows of the same column demoted to generic.
+func TestDecodeTableSegmentsJoinsSlices(t *testing.T) {
+	tb := claimTable(t, 1, 70)
+	want := encodeSegment(t, tb)
+	for a := 0; a <= 70; a += 7 {
+		for b := a; b <= 70; b += 11 {
+			parts := []*Table{tb.Slice(0, a), tb.Slice(a, b), tb.Slice(b, 70)}
+			var segs [][]byte
+			var rows []int
+			for _, p := range parts {
+				segs = append(segs, encodeSegment(t, p))
+				rows = append(rows, p.NumRows())
+			}
+			got, err := DecodeTableSegments(segs, rows)
+			if err != nil {
+				t.Fatalf("cut at %d and %d: %v", a, b, err)
+			}
+			if !bytes.Equal(encodeSegment(t, got), want) {
+				t.Fatalf("cut at %d and %d: the joined table encodes differently", a, b)
+			}
+		}
+	}
+
+	schema := algebra.NewSchema(algebra.Column{Relation: "R", Name: "v", Type: algebra.TypeInt})
+	null := []algebra.Value{{}}
+	typed := segScratchTable(t, 4, schema, [][]algebra.Value{{algebra.IntVal(1)}, null, {algebra.IntVal(3)}})
+	demoted := segScratchTable(t, 4, schema, [][]algebra.Value{{algebra.IntVal(1)}, null, {algebra.IntVal(3)}, {algebra.StringVal("x")}, null})
+	got, err := DecodeTableSegments([][]byte{encodeSegment(t, typed), encodeSegment(t, demoted.Slice(3, 5))}, []int{3, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(encodeSegment(t, got), encodeSegment(t, demoted)) {
+		t.Fatal("a typed segment followed by generic rows does not decode to the demoted column")
+	}
+	if _, err := DecodeTableSegments([][]byte{encodeSegment(t, typed)}, []int{2}); !errors.Is(err, ErrSegmentCorrupt) {
+		t.Fatalf("a segment of 3 rows read as 2: %v", err)
+	}
+}
+
+// FuzzReadTableSegment: for any bytes, the decoder either returns an error
+// that wraps ErrSegmentCorrupt or a table that re-encodes to exactly those
+// bytes — never a panic, never a table the encoder would write differently.
+// The seeds are valid segments of every storage representation.
+func FuzzReadTableSegment(f *testing.F) {
+	schema := algebra.NewSchema(
+		algebra.Column{Relation: "R", Name: "id", Type: algebra.TypeInt},
+		algebra.Column{Relation: "R", Name: "name", Type: algebra.TypeString},
+		algebra.Column{Relation: "R", Name: "price", Type: algebra.TypeFloat},
+	)
+	seeds := [][][]algebra.Value{
+		nil,
+		{{algebra.IntVal(1), algebra.StringVal("alpha"), algebra.FloatVal(1.5)}},
+		{{algebra.IntVal(2), {}, {}}, {algebra.IntVal(3), algebra.StringVal("γ"), algebra.FloatVal(-0.0)}},
+		{{algebra.IntVal(4), algebra.IntVal(5), {}}, {algebra.DateVal(6), algebra.StringVal("x"), {}}},
+	}
+	for _, rows := range seeds {
+		tb := NewTable("T", schema, 3)
+		if err := tb.Insert(rows...); err != nil {
+			f.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if _, err := WriteTableSegment(&buf, tb); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(buf.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		tb, err := ReadTableSegment(bytes.NewReader(data))
+		if err != nil {
+			if !errors.Is(err, ErrSegmentCorrupt) {
+				t.Fatalf("error %v does not wrap ErrSegmentCorrupt", err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if _, err := WriteTableSegment(&buf, tb); err != nil {
+			t.Fatalf("a decoded table does not encode: %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), data) {
+			t.Fatalf("decoded %d bytes into a table that encodes to %d other bytes", len(data), buf.Len())
+		}
+	})
+}
+
 func TestRestoreTableAndView(t *testing.T) {
 	schema := algebra.NewSchema(
 		algebra.Column{Relation: "R", Name: "a", Type: algebra.TypeInt},

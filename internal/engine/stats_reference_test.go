@@ -246,7 +246,7 @@ func TestRelationStatsMatchesReference(t *testing.T) {
 	// Slices and gathers keep a column's kind even when every row they keep
 	// is null.
 	ints := oneColumn(t, algebra.TypeInt, []algebra.Value{{}, {}, algebra.IntVal(4), {}})
-	requireReferenceStats(t, "an all-null slice of a typed column", ints.sliceRows(0, 2))
+	requireReferenceStats(t, "an all-null slice of a typed column", ints.Slice(0, 2))
 	requireReferenceStats(t, "an all-null gather of a typed column", ints.gatherTable(ints.Schema, 4, []int32{3, 0}))
 }
 

@@ -78,6 +78,9 @@ type Table struct {
 	stats atomic.Pointer[catalog.Relation]
 	// digest caches Fingerprint under the same discipline and guard.
 	digest atomic.Pointer[tableDigest]
+	// lin is the table's append lineage (see Mark); nil until the table is
+	// marked or extended.
+	lin atomic.Pointer[lineage]
 }
 
 // NewTable creates an empty table. blockRows ≤ 0 selects DefaultBlockRows.
@@ -95,7 +98,8 @@ func NewTable(name string, schema *algebra.Schema, blockRows int) *Table {
 
 // Insert appends rows; each must match the schema width. Ingestion is
 // column-at-a-time: every column vector grows by the whole batch before
-// the next column is touched.
+// the next column is touched. A column whose backing array another table
+// already grew into moves to an array of its own first (see colvec).
 func (t *Table) Insert(rows ...[]algebra.Value) error {
 	for _, r := range rows {
 		if len(r) != t.Schema.Len() {
@@ -103,10 +107,15 @@ func (t *Table) Insert(rows ...[]algebra.Value) error {
 				len(r), t.Schema.Len(), t.Name)
 		}
 	}
+	claimed := true
 	for ci, c := range t.cols {
+		claimed = c.reserve(len(rows)) && claimed
 		for _, r := range rows {
 			c.append(r[ci])
 		}
+	}
+	if !claimed {
+		t.lin.Store(nil)
 	}
 	t.nrows += len(rows)
 	return nil
@@ -145,28 +154,43 @@ func (t *Table) materializeRows() [][]algebra.Value {
 	return out
 }
 
-// cloneAppendTable returns a fresh table holding the receiver's rows
-// followed by every row of o (schemas must be width-compatible). Columns are
-// copied, never shared, so the original stays immutable for concurrent
-// readers. A digested receiver hands its successor the digest, extended by
-// o's rows alone.
+// cloneAppendTable returns the successor of the receiver that holds its rows
+// followed by every row of o (schemas must be width-compatible), and leaves
+// the receiver as it was, for its concurrent readers. Each column is its
+// bulk append (colvec.appended): the first successor of a table claims the
+// room past its columns' ends and writes o's rows there in place, so growing
+// a table costs O(Δ); any later successor of the same table finds the room
+// taken and copies. When every column's claim holds, the successor continues
+// the receiver's lineage (see Mark). A digested receiver hands its successor
+// the digest, extended by o's rows alone.
 func (t *Table) cloneAppendTable(o *Table) *Table {
-	u := NewTable(t.Name, t.Schema, t.BlockRows)
-	for ci, c := range t.cols {
-		cc := c.clone()
-		cc.appendCol(o.cols[ci])
-		u.cols[ci] = cc
+	u := &Table{Name: t.Name, Schema: t.Schema, BlockRows: t.BlockRows, nrows: t.nrows + o.nrows}
+	var claimed bool
+	if u.cols, claimed = t.appendedCols(o); claimed {
+		u.lin.Store(t.lineage())
 	}
-	u.nrows = t.nrows + o.nrows
 	if d := t.digest.Load(); d != nil && d.rows == t.nrows {
 		u.digest.Store(&tableDigest{rows: u.nrows, sum: d.sum + o.rowsDigest()})
 	}
 	return u
 }
 
-// sliceRows returns a table view of rows [lo, hi) — payloads shared
+// appendedCols is every column of the receiver followed by o's, and whether
+// every claim held.
+func (t *Table) appendedCols(o *Table) ([]*colvec, bool) {
+	cols := make([]*colvec, len(t.cols))
+	claimed := len(cols) > 0
+	for ci, c := range t.cols {
+		var ok bool
+		cols[ci], ok = c.appended(o.cols[ci])
+		claimed = claimed && ok
+	}
+	return cols, claimed
+}
+
+// Slice returns a table view of rows [lo, hi): payloads shared
 // (capacity-capped), the same discipline row-slice views had.
-func (t *Table) sliceRows(lo, hi int) *Table {
+func (t *Table) Slice(lo, hi int) *Table {
 	u := &Table{Name: t.Name, Schema: t.Schema, BlockRows: t.BlockRows, nrows: hi - lo}
 	u.cols = make([]*colvec, len(t.cols))
 	for ci, c := range t.cols {
@@ -175,14 +199,53 @@ func (t *Table) sliceRows(lo, hi int) *Table {
 	return u
 }
 
-// appendTable appends every row of o to the receiver in place. Only for
-// tables the caller owns (operator outputs still under construction) —
-// published tables are immutable.
+// appendTable appends every row of o to the receiver, replacing its columns
+// by their successors. Only for tables the caller owns (operator outputs
+// still under construction) — published tables are immutable.
 func (t *Table) appendTable(o *Table) {
-	for ci, c := range t.cols {
-		c.appendCol(o.cols[ci])
+	var claimed bool
+	if t.cols, claimed = t.appendedCols(o); !claimed {
+		t.lin.Store(nil)
 	}
 	t.nrows += o.nrows
+}
+
+// lineage is an append-lineage token. Tables share one exactly when each
+// was built from another of them by appends whose claims all held, and a
+// table's claimed room is taken once, so the tables of one lineage are
+// linear: each holds the rows of every shorter one, in order, followed by
+// its own. (It has a field so that every token is a distinct allocation.)
+type lineage struct{ _ byte }
+
+// lineage returns the table's lineage, giving it one of its own if it has
+// none yet.
+func (t *Table) lineage() *lineage {
+	if l := t.lin.Load(); l != nil {
+		return l
+	}
+	t.lin.CompareAndSwap(nil, new(lineage))
+	return t.lin.Load()
+}
+
+// Mark identifies a table and its row count at the time it was marked. A
+// snapshot store marks each table it persists and asks the next table it is
+// given under that name whether it Extends the mark.
+type Mark struct {
+	lin  *lineage
+	rows int
+}
+
+// Mark returns the table's mark.
+func (t *Table) Mark() Mark { return Mark{lin: t.lineage(), rows: t.nrows} }
+
+// Extends reports whether the table holds the rows of the marked table, in
+// the same order, followed by NumRows − (the marked row count) rows of its
+// own: true for the marked table itself and for every table built from it
+// by appends whose claims all held. False answers are conservative: a
+// table that copied (a second successor, a column demoted by the append)
+// starts a lineage of its own.
+func (t *Table) Extends(m Mark) bool {
+	return m.lin != nil && t.lin.Load() == m.lin && t.nrows >= m.rows
 }
 
 // gatherTable builds an unnamed table from the named rows of the receiver.

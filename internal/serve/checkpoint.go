@@ -3,6 +3,8 @@ package serve
 import (
 	"errors"
 	"maps"
+	"slices"
+	"strings"
 	"time"
 
 	"github.com/warehousekit/mvpp/internal/obs"
@@ -144,6 +146,9 @@ func (s *Server) checkpointLocked() (*snapshot.CheckpointResult, error) {
 		}
 	}
 	sc.mu.Unlock()
+	// Name order, not the registry's map order: one state gives one manifest
+	// and one pack layout.
+	slices.SortFunc(picks, func(a, b viewPick) int { return strings.Compare(a.name, b.name) })
 
 	// The served state is the last landed epoch's: only the maintainer publishes.
 	st := s.state.Load()
@@ -246,7 +251,8 @@ func (s *Server) checkpointLocked() (*snapshot.CheckpointResult, error) {
 			obs.Int("epoch", int64(in.Epoch)),
 			obs.Int("watermark", int64(watermark)),
 			obs.Int("views", int64(len(in.Views))),
-			obs.Int("bytes", res.Bytes))
+			obs.Int("bytes", res.Bytes),
+			obs.Int("written", res.Written))
 		ctr.finish()
 	}
 
@@ -257,6 +263,7 @@ func (s *Server) checkpointLocked() (*snapshot.CheckpointResult, error) {
 		obs.Int("tables", int64(len(in.Tables))),
 		obs.Int("views", int64(len(in.Views))),
 		obs.Int("bytes", res.Bytes),
+		obs.Int("written", res.Written),
 		obs.Int("aged_out", int64(aged)),
 		obs.Bool("journal_truncated", truncated))
 	return res, nil

@@ -103,8 +103,11 @@ func Recover(st *Store, cold func() (*engine.DB, error), prep func(*engine.DB), 
 		}
 	}
 	var db *engine.DB
+	var r *packReader
 	if m != nil {
-		db = st.tryRestoreBase(m, required, blockRows, stats)
+		r = newPackReader(m)
+		defer r.close()
+		db = st.tryRestoreBase(r, m, required, blockRows, stats)
 	}
 	if db == nil {
 		// Cold boot: no snapshot, incomplete coverage, or base corruption.
@@ -133,7 +136,7 @@ func Recover(st *Store, cold func() (*engine.DB, error), prep func(*engine.DB), 
 	stats.Watermark = m.Watermark
 	stats.SnapshotCreatedAt = m.CreatedAt
 	for _, v := range views {
-		if st.tryRestoreView(db, m, v, stats) {
+		if st.tryRestoreView(r, db, m, v, stats) {
 			continue
 		}
 		// Fallback: rebuild this one view from the (restored) base tables.
@@ -148,7 +151,7 @@ func Recover(st *Store, cold func() (*engine.DB, error), prep func(*engine.DB), 
 // tryRestoreBase loads every base table from the manifest into a fresh DB.
 // It returns nil — demanding a cold boot — when the manifest is missing a
 // required relation or any base segment fails to decode.
-func (st *Store) tryRestoreBase(m *Manifest, required []string, blockRows int, stats *RecoveryStats) *engine.DB {
+func (st *Store) tryRestoreBase(r *packReader, m *Manifest, required []string, blockRows int, stats *RecoveryStats) *engine.DB {
 	have := make(map[string]bool, len(m.Tables))
 	for _, s := range m.Tables {
 		have[s.Name] = true
@@ -158,7 +161,7 @@ func (st *Store) tryRestoreBase(m *Manifest, required []string, blockRows int, s
 			return nil
 		}
 	}
-	tables, err := st.LoadBase(m)
+	tables, err := st.loadBase(r, m)
 	if err != nil {
 		stats.CorruptArtifacts++
 		return nil
@@ -178,7 +181,7 @@ func (st *Store) tryRestoreBase(m *Manifest, required []string, blockRows int, s
 // under a matching definition hash that decodes cleanly. Definition drift
 // is silent (the design changed; nothing is corrupt); decode failures
 // count as corruption.
-func (st *Store) tryRestoreView(db *engine.DB, m *Manifest, v ViewDef, stats *RecoveryStats) bool {
+func (st *Store) tryRestoreView(r *packReader, db *engine.DB, m *Manifest, v ViewDef, stats *RecoveryStats) bool {
 	vs, ok := m.View(v.Name)
 	if !ok {
 		return false
@@ -186,7 +189,7 @@ func (st *Store) tryRestoreView(db *engine.DB, m *Manifest, v ViewDef, stats *Re
 	if vs.DefHash != DefHash(v.Plan) {
 		return false
 	}
-	t, err := st.LoadView(m, v.Name)
+	t, err := st.load(r, vs.Segment)
 	if err != nil {
 		stats.CorruptArtifacts++
 		return false
