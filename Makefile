@@ -66,8 +66,11 @@ telemetry-smoke:
 # join-key encoding equivalence, the expression arena's identity (same
 # structural / semantic ID ⇔ same StructuralKey / SemanticKey string), the
 # delta journal's open path (any bytes after a valid prefix: no error, the
-# prefix survives), and the typed per-column statistics (the catalog entry
-# of any column equals the boxed reference's, bit for bit). A few seconds
+# prefix survives), the typed per-column statistics (the catalog entry of
+# any column equals the boxed reference's, bit for bit), and the snapshot
+# store's two on-disk decoders (any segment bytes: ErrSegmentCorrupt or a
+# table that re-encodes to those bytes; any manifest: rejected, or extents
+# in range, disjoint and summing to each entry's rows). A few seconds
 # per target is enough to shake loose encoding mismatches in CI; long
 # sessions run the same targets with a bigger -fuzztime by hand.
 fuzz-smoke:
@@ -76,6 +79,8 @@ fuzz-smoke:
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzJoinKeyEncoding -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzJournalLine -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzRelationStats -fuzztime 5s
+	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzReadTableSegment -fuzztime 5s
+	$(GO) test ./internal/snapshot -run '^$$' -fuzz FuzzManifest -fuzztime 5s
 	$(GO) test ./internal/algebra -run '^$$' -fuzz FuzzExprIdentity -fuzztime 5s
 
 # Chaos crash-restart-verify: kill a checkpoint at each injected crash

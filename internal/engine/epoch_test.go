@@ -10,6 +10,7 @@ import (
 	"github.com/warehousekit/mvpp/internal/algebra"
 	"github.com/warehousekit/mvpp/internal/engine"
 	"github.com/warehousekit/mvpp/internal/fault"
+	"github.com/warehousekit/mvpp/internal/snapshot"
 )
 
 // The maintenance-epoch cage: a generated multi-view, multi-epoch schedule
@@ -379,69 +380,91 @@ func BenchmarkMaintenanceEpoch(b *testing.B) {
 }
 
 // BenchmarkCheckpointTables is the checkpoint's own number, on the warehouse
-// and the epochs of BenchmarkMaintenanceEpoch: after each epoch, what
-// Checkpoint does per relation — TableStats and the segment encoding
-// (WriteTableSegment, here to a counter) for every table and view, and the
-// lineage digest of every view. "kernels" is the code; "reference" runs the
-// boxed oracles the kernels replaced. ms and segment MB per checkpoint;
-// B/op is what one checkpoint allocates.
+// and the epochs of BenchmarkMaintenanceEpoch: every 8 epochs, what the
+// serving layer's checkpoint does — the lineage digest of every view, then a
+// real snapshot.Store.Checkpoint of every table and view (statistics, the
+// pack of what is new, the manifest) into b.TempDir(), retention 3. Only the
+// checkpoint is timed, and the first one of the store, which writes every
+// relation whole, is taken before the timer starts. "kernels" is the code;
+// "reference" first runs, over every relation, the boxed statistics and
+// digest oracles the typed kernels replaced. ms, MB written (the pack) and
+// files fsynced (the pack, when anything is new, and the manifest; two
+// directory syncs come on top) per checkpoint; B/op is what one checkpoint
+// allocates.
 func BenchmarkCheckpointTables(b *testing.B) {
-	kernels := func(name string, t *engine.Table, view bool) {
-		engine.TableStats(name, t)
-		if view {
-			t.Fingerprint()
+	reference := func(rels *engine.RelationSet) {
+		for _, name := range rels.Tables() {
+			t, _ := rels.Table(name)
+			engine.ReferenceRelationStats(name, t)
 		}
-	}
-	reference := func(name string, t *engine.Table, view bool) {
-		engine.ReferenceRelationStats(name, t)
-		if view {
-			engine.ReferenceFingerprint(t)
+		for _, name := range rels.Views() {
+			v, _ := rels.View(name)
+			engine.ReferenceRelationStats(name, v.Table())
+			engine.ReferenceFingerprint(v.Table())
 		}
 	}
 	for _, run := range []struct {
 		name string
-		pass func(name string, t *engine.Table, view bool)
-	}{{"kernels", kernels}, {"reference", reference}} {
+		pass func(*engine.RelationSet)
+	}{{"kernels", nil}, {"reference", reference}} {
 		b.Run(run.name, func(b *testing.B) {
 			s := newStarSchemas()
 			gen, load := starLoad(0.02, 1)
 			views := s.benchViews()
 			db := newStarDB(b, s, load, views)
 			sort.Slice(views, func(i, j int) bool { return views[i].name < views[j].name })
-			var written countingWriter
+			st, err := snapshot.Open(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			var written int64
+			files := 0
+			checkpoint := func(epoch int) {
+				b.StopTimer()
+				for e := 0; e < 8; e++ {
+					stage(b, db, streamBatch(gen))
+					refreshEpoch(b, db, views)
+				}
+				rels := db.Relations()
+				in := snapshot.CheckpointInput{Epoch: uint64(epoch)}
+				for _, name := range rels.Tables() {
+					t, _ := rels.Table(name)
+					in.Tables = append(in.Tables, t)
+				}
+				b.StartTimer()
+				if run.pass != nil {
+					run.pass(rels)
+				}
+				for _, v := range views {
+					mv, _ := rels.View(v.name)
+					in.Views = append(in.Views, snapshot.ViewData{Name: v.name, Plan: v.plan, Table: mv.Table(),
+						Lineage: snapshot.LineageMark{Fingerprint: fmt.Sprintf("%016x", mv.Table().Fingerprint())}})
+				}
+				res, err := st.Checkpoint(in)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				written += res.Written
+				files++
+				if res.Written > 0 {
+					files++
+				}
+				if _, err := st.GC(3); err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+			}
+			checkpoint(0)
+			written, files = 0, 0
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				b.StopTimer()
-				stage(b, db, streamBatch(gen))
-				refreshEpoch(b, db, views)
-				rels := db.Relations()
-				b.StartTimer()
-				for _, name := range rels.Tables() {
-					t, _ := rels.Table(name)
-					run.pass(name, t, false)
-					if _, err := engine.WriteTableSegment(&written, t); err != nil {
-						b.Fatal(err)
-					}
-				}
-				for _, name := range rels.Views() {
-					v, _ := rels.View(name)
-					run.pass(name, v.Table(), true)
-					if _, err := engine.WriteTableSegment(&written, v.Table()); err != nil {
-						b.Fatal(err)
-					}
-				}
+				checkpoint(i + 1)
 			}
 			b.ReportMetric(float64(b.Elapsed().Microseconds())/1e3/float64(b.N), "ms/checkpoint")
-			b.ReportMetric(float64(written)/1e6/float64(b.N), "seg-MB/checkpoint")
+			b.ReportMetric(float64(written)/1e6/float64(b.N), "MB-written/checkpoint")
+			b.ReportMetric(float64(files)/float64(b.N), "files-fsynced/checkpoint")
 		})
 	}
-}
-
-// countingWriter is io.Discard that counts.
-type countingWriter int64
-
-func (w *countingWriter) Write(p []byte) (int, error) {
-	*w += countingWriter(len(p))
-	return len(p), nil
 }

@@ -1,8 +1,13 @@
 package serve
 
 import (
+	"encoding/json"
 	"errors"
+	"os"
 	"path/filepath"
+	"reflect"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -175,5 +180,51 @@ func TestSnapshotTimerSkipsUnchangedState(t *testing.T) {
 	settlesAt(2, "one landed epoch later")
 	if ss := s.SnapshotStats(); ss.AgedOut != 0 || ss.Failures != 0 || ss.Skipped != 0 {
 		t.Errorf("aged out %d, failures %d, skipped %d; want 0 of each", ss.AgedOut, ss.Failures, ss.Skipped)
+	}
+}
+
+// TestCheckpointsOfOneStateAreDeterministic: checkpoints of one held state
+// give manifests equal but for their generation and time — views in name
+// order, the same extents — however the view registry happens to iterate.
+func TestCheckpointsOfOneStateAreDeterministic(t *testing.T) {
+	st := testStore(t)
+	s, _ := serveFixture(t, Config{DeltaBatch: 1 << 20, Snapshots: st, Journal: engine.NewMemJournal()})
+	div, prod := deltaPair(1)
+	if err := s.Ingest("Division", div); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Ingest("Product", prod); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	var first map[string]any
+	for i := 0; i < 10; i++ {
+		if _, err := s.Checkpoint(); err != nil {
+			t.Fatal(err)
+		}
+		m, err := st.Manifest()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 && !slices.IsSortedFunc(m.Views, func(a, b snapshot.ViewSegment) int { return strings.Compare(a.Name, b.Name) }) {
+			t.Fatal("the manifest lists its views out of name order")
+		}
+		data, err := os.ReadFile(filepath.Join(m.Dir(), "MANIFEST.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got map[string]any
+		if err := json.Unmarshal(data, &got); err != nil {
+			t.Fatal(err)
+		}
+		delete(got, "generation")
+		delete(got, "created_at")
+		if i == 0 {
+			first = got
+		} else if !reflect.DeepEqual(got, first) {
+			t.Fatalf("checkpoint %d of the same state wrote another manifest:\n%s", i+1, data)
+		}
 	}
 }
