@@ -249,8 +249,9 @@ const (
 const (
 	// GaugeServeQueueDepth is the router's current admission-queue depth.
 	GaugeServeQueueDepth = "serve.queue_depth"
-	// GaugeServeStaleRows is the total number of ingested delta rows not yet
-	// reflected in the materialized views.
+	// GaugeServeStaleRows is the buffer total: the delta rows ingested and
+	// not yet landed (buffered, or staged by an epoch that was let go), each
+	// counted once however many views read its table.
 	GaugeServeStaleRows = "serve.stale_rows"
 	// GaugeServeUnhealthyViews is the number of views whose circuit breaker
 	// is currently not closed.

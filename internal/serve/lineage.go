@@ -63,15 +63,6 @@ type ViewLineage struct {
 // lineageKeep bounds each view's retained lineage history.
 const lineageKeep = 32
 
-// addLineage appends one entry to the view's bounded history. Caller holds
-// the scheduler mutex.
-func (vs *viewState) addLineage(e LineageEntry) {
-	vs.lineage = append(vs.lineage, e)
-	if len(vs.lineage) > lineageKeep {
-		vs.lineage = vs.lineage[len(vs.lineage)-lineageKeep:]
-	}
-}
-
 // hexDigest renders a table's Fingerprint as the 16 hex digits lineage
 // reports.
 func hexDigest(v uint64) string {

@@ -239,6 +239,61 @@ func TestManualPolicyDefersUntilRefreshView(t *testing.T) {
 	}
 }
 
+// TestIdleFlushDuringCooldownIsNoOp: like the idle Flush over manual lag
+// above, a Flush with nothing ingested while a tripped breaker cools runs no
+// epoch — the serving epoch, the view's stale epochs and its SLO stay put,
+// and the cached results stay served.
+func TestIdleFlushDuringCooldownIsNoOp(t *testing.T) {
+	inj := fault.New(1, fault.Plan{
+		fault.SiteEngineRefresh:            {ErrProb: 1},
+		fault.SiteEngineIncrementalRefresh: {ErrProb: 1},
+	})
+	o := newEventObserver()
+	s, db := policyFixture(t, Config{
+		DeltaBatch: 1 << 20,
+		Retry:      fastRetry,
+		Breaker:    BreakerPolicy{FailureThreshold: 1, Cooldown: time.Hour},
+		Injector:   inj,
+		Obs:        o,
+	}, nil, map[string]FreshnessSLO{"tmp2": {MaxLagEpochs: 3}})
+	db.SetInjector(inj)
+	ctx := context.Background()
+
+	div, prod := deltaPair(1)
+	if err := s.Ingest("Division", div); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Ingest("Product", prod); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if st := s.Staleness()["tmp2"]; s.Epoch() != 1 || st.Breaker != "open" || st.StaleEpochs != 1 {
+		t.Fatalf("after the tripping epoch: epoch %d, tmp2 %+v; want epoch 1, open, 1 stale epoch", s.Epoch(), st)
+	}
+	if _, err := s.Query(ctx, "QCust"); err != nil {
+		t.Fatal(err)
+	}
+
+	for i := 0; i < 5; i++ {
+		if err := s.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	st := s.Staleness()["tmp2"]
+	if s.Epoch() != 1 || s.Stats().Epochs != 1 || st.StaleEpochs != 1 {
+		t.Errorf("five idle Flushes during the cooldown: epoch %d, %d epochs run, tmp2 %d stale epochs; want 1, 1, 1",
+			s.Epoch(), s.Stats().Epochs, st.StaleEpochs)
+	}
+	if st.SLOViolations != 0 || len(o.find(obs.EvServeSLO, "")) != 0 {
+		t.Errorf("idle Flushes latched an SLO episode: %d violations, events %v", st.SLOViolations, o.find(obs.EvServeSLO, ""))
+	}
+	if res, err := s.Query(ctx, "QCust"); err != nil || !res.Cached {
+		t.Errorf("the cached QCust result is gone after idle Flushes (err %v)", err)
+	}
+}
+
 // TestScheduledPolicyHonorsInterval: a scheduled view defers between
 // interval firings and catches up once the interval elapses.
 func TestScheduledPolicyHonorsInterval(t *testing.T) {

@@ -141,7 +141,7 @@ func (s *Server) Health() map[string]ViewHealth {
 			State:               vs.state,
 			ConsecutiveFailures: vs.failures,
 			LagRows:             vs.lag,
-			Degrading:           vs.degrading(sc.breaker, now),
+			Degrading:           vs.reading(sc.breaker, now).degrading,
 			LastError:           vs.lastErr,
 		}
 	}

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"github.com/warehousekit/mvpp/internal/algebra"
-	"github.com/warehousekit/mvpp/internal/core"
 	"github.com/warehousekit/mvpp/internal/costaudit"
 	"github.com/warehousekit/mvpp/internal/engine"
 	"github.com/warehousekit/mvpp/internal/fault"
@@ -25,19 +24,21 @@ type Staleness struct {
 	// Epoch is the refresh epoch at the view's last refresh (0 if never
 	// refreshed since serving started).
 	Epoch uint64
-	// PendingRows counts ingested base-table rows the view does not
-	// reflect yet. Buffered rows are invisible to every plan (views and
-	// base alike); LagRows is the part that actually skews answers.
+	// PendingRows counts rows ingested into the view's base relations and
+	// not yet landed — buffered, or staged by an epoch that was let go.
+	// They are invisible to every plan (views and base alike); LagRows is
+	// the part that actually skews answers.
 	PendingRows int
 	// LagRows counts rows already applied to the base tables that the
 	// stored view does not reflect — the debt of failed refreshes. The
 	// breaker's staleness bound tests against it.
 	LagRows int
-	// Breaker is the circuit breaker position ("closed", "open",
-	// "half-open"); ConsecutiveFailures counts persistent refresh failures
-	// since the last success; Degrading reports whether queries over the
-	// view are currently answered from base relations; LastError is the
-	// most recent refresh failure ("" when healthy).
+	// Breaker is the circuit breaker position ("closed" or "open"; a probe
+	// passes through "half-open" inside the epoch that lands it, as its
+	// serve.breaker events show); ConsecutiveFailures counts persistent
+	// refresh failures since the last success; Degrading reports whether
+	// queries over the view are currently answered from base relations;
+	// LastError is the most recent refresh failure ("" when healthy).
 	Breaker             string
 	ConsecutiveFailures int
 	Degrading           bool
@@ -59,133 +60,12 @@ type Staleness struct {
 	StaleEpochs   int
 }
 
-// viewState is the scheduler's registry entry for one maintained view.
-type viewState struct {
-	name     string
-	strategy core.MaintenanceStrategy
-	// rels is the set of base relations the view is computed from — the
-	// fu-driven filter: an epoch only refreshes views whose relations
-	// gained deltas.
-	rels map[string]bool
-
-	// policy decides *when* the scheduler refreshes the view; slo bounds how
-	// far it may lag before queries degrade to base-relation plans.
-	policy RefreshPolicy
-	slo    FreshnessSLO
-
-	epoch       uint64
-	lastRefresh time.Time
-	pending     int
-
-	// lag counts rows already applied to the view's base relations that
-	// the stored view does not reflect (a refresh failed after the apply,
-	// or the policy deferred it);
-	// failures/state/openedAt/lastErr are the circuit breaker: failures
-	// counts consecutive persistent refresh failures, state the breaker
-	// position, openedAt when it last opened.
-	lag      int
-	failures int
-	state    BreakerState
-	openedAt time.Time
-	lastErr  string
-
-	// building marks an in-flight refresh (set at epoch dispatch, cleared
-	// when the epoch settles); forceRefresh is RefreshView's one-shot
-	// override of policy, schedule, and breaker cooldown.
-	building     bool
-	forceRefresh bool
-
-	// staleSince is when the view first fell behind (zero while caught up);
-	// staleEpochs counts consecutive epochs ending with lag; sloViolated
-	// latches the current SLO breach so each episode is counted once in
-	// sloViolations.
-	staleSince    time.Time
-	staleEpochs   int
-	sloViolated   bool
-	sloViolations int64
-
-	// lineage is the bounded history of epochs that produced this view's
-	// contents (see lineage.go), newest last.
-	lineage []LineageEntry
-}
-
-// policyDue reports whether the view's policy lets this epoch refresh it.
-// Manual views are never due (only RefreshView forces them); scheduled views
-// are due once the interval since their last refresh elapsed; on-commit and
-// streaming views are always due. Caller holds the scheduler mutex.
-func (vs *viewState) policyDue(now time.Time) bool {
-	switch vs.policy.Kind {
-	case PolicyManual:
-		return false
-	case PolicyScheduled:
-		return vs.lastRefresh.IsZero() || now.Sub(vs.lastRefresh) >= vs.policy.Every
-	default:
-		return true
-	}
-}
-
-// sloBreached reports whether the view's freshness SLO is violated right
-// now. A caught-up view (lag 0) never breaches, no matter how long ago it
-// refreshed. Caller holds the scheduler mutex.
-func (vs *viewState) sloBreached(now time.Time) bool {
-	if vs.slo.zero() || vs.lag == 0 {
-		return false
-	}
-	if vs.slo.MaxLagEpochs > 0 && vs.staleEpochs > vs.slo.MaxLagEpochs {
-		return true
-	}
-	if vs.slo.MaxLag > 0 && !vs.staleSince.IsZero() && now.Sub(vs.staleSince) > vs.slo.MaxLag {
-		return true
-	}
-	return false
-}
-
-// statusLocked derives the view's lifecycle status. Caller holds the
-// scheduler mutex.
-func (vs *viewState) statusLocked(now time.Time) ViewStatus {
-	switch {
-	case vs.building:
-		return StatusBuilding
-	case vs.state != BreakerClosed:
-		return StatusError
-	case vs.lag > 0 || vs.sloBreached(now):
-		return StatusStale
-	default:
-		return StatusValid
-	}
-}
-
-// degrading reports whether queries over the view must be answered from
-// base relations right now: open breaker, staleness bound exceeded, or a
-// breached freshness SLO. Caller holds the scheduler mutex.
-func (vs *viewState) degrading(p BreakerPolicy, now time.Time) bool {
-	return vs.state != BreakerClosed ||
-		(p.StalenessBound > 0 && vs.lag > p.StalenessBound) ||
-		vs.sloBreached(now)
-}
-
-// healthLocked is the registry's part of a served state: the views degrading
-// now (also counted) and the lagging ones a MaxLag SLO will flip by the wall
-// clock alone (sloBreached's clock test, as an instant) — whatever else moves
-// a view's health is an epoch or a swap, and those publish. Caller holds mu.
-func (sc *scheduler) healthLocked(now time.Time) (health map[string]viewHealth, degrading int) {
-	health = make(map[string]viewHealth)
-	for name, vs := range sc.views {
-		if vs.degrading(sc.breaker, now) {
-			health[name] = viewHealth{degraded: true}
-			degrading++
-		} else if vs.lag > 0 && vs.slo.MaxLag > 0 {
-			health[name] = viewHealth{breachAt: vs.staleSince.Add(vs.slo.MaxLag)}
-		}
-	}
-	return health, degrading
-}
-
 // scheduler buffers ingested delta rows and turns them into maintenance
 // epochs. Its loop is the server's one maintenance goroutine: it takes a
 // turn as the maintainer on a filled batch (an epoch) and on the snapshot
 // timer (a checkpoint); Flush and the other synchronous entry points take the
-// same turn on their caller's goroutine.
+// same turn on their caller's goroutine. What an epoch does with each view,
+// and what a landed one leaves, is the lifecycle table (lifecycle.go).
 type scheduler struct {
 	s       *Server
 	batch   int
@@ -381,12 +261,12 @@ func (s *Server) admit(batch []engine.DeltaRecord) (recs []engine.DeltaRecord, r
 // epoch under one short hold of the buffer lock — so the watermark an epoch
 // takes covers exactly the rows it stages. The caller holds commitMu; the
 // journal's fsync happens under it and outside sc.mu. A group whose
-// journaling fails is refused whole: nothing staged, no view's pending
-// count moved. source tags the journal records with the ingestion path (""
-// direct, "stream" the change feed). replayedTo is nonzero for a group read
-// back from the journal: it is durable up to that LSN already and is only
-// staged. refs are the group's sampled span contexts; they ride the buffer
-// into the epoch that lands it. Returns the group's last LSN (0 when
+// journaling fails is refused whole: nothing staged, so no view's
+// PendingRows moves. source tags the journal records with the ingestion
+// path ("" direct, "stream" the change feed). replayedTo is nonzero for a
+// group read back from the journal: it is durable up to that LSN already and
+// is only staged. refs are the group's sampled span contexts; they ride the
+// buffer into the epoch that lands it. Returns the group's last LSN (0 when
 // unjournaled).
 func (s *Server) commit(source string, recs []engine.DeltaRecord, replayedTo uint64, refs []ingestTraceRef) (uint64, error) {
 	select {
@@ -407,11 +287,6 @@ func (s *Server) commit(source string, recs []engine.DeltaRecord, replayedTo uin
 	for _, rec := range recs {
 		sc.buf[rec.Table] = append(sc.buf[rec.Table], rec.Rows...)
 		rows += len(rec.Rows)
-		for _, vs := range sc.views {
-			if vs.rels[rec.Table] {
-				vs.pending += len(rec.Rows)
-			}
-		}
 	}
 	if lastLSN > sc.appendLSN {
 		sc.appendLSN = lastLSN
@@ -420,7 +295,7 @@ func (s *Server) commit(source string, recs []engine.DeltaRecord, replayedTo uin
 	sc.bufBatches += len(recs)
 	sc.pendingTraces = append(sc.pendingTraces, refs...)
 	full := sc.bufRows >= sc.batch
-	stale := sc.totalPendingLocked()
+	stale := sc.unappliedLocked(nil)
 	sc.mu.Unlock()
 
 	s.stats.deltaRows.Add(int64(rows))
@@ -504,19 +379,20 @@ func (s *Server) Staleness() map[string]Staleness {
 	defer sc.mu.Unlock()
 	out := make(map[string]Staleness, len(sc.views))
 	for name, vs := range sc.views {
+		r := vs.reading(sc.breaker, now)
 		out[name] = Staleness{
 			Strategy:            vs.strategy.String(),
 			Epoch:               vs.epoch,
-			PendingRows:         vs.pending,
+			PendingRows:         sc.unappliedLocked(vs.rels),
 			LagRows:             vs.lag,
 			Breaker:             vs.state.String(),
 			ConsecutiveFailures: vs.failures,
-			Degrading:           vs.degrading(sc.breaker, now),
+			Degrading:           r.degrading,
 			LastError:           vs.lastErr,
 			LastRefresh:         vs.lastRefresh,
 			Policy:              vs.policy.String(),
-			Status:              vs.statusLocked(now).String(),
-			SLOViolated:         vs.sloBreached(now),
+			Status:              r.status.String(),
+			SLOViolated:         r.breached,
 			SLOViolations:       vs.sloViolations,
 			StaleEpochs:         vs.staleEpochs,
 		}
@@ -575,54 +451,68 @@ func (s *Server) Views() []string {
 	return out
 }
 
-func (sc *scheduler) totalPendingLocked() int {
-	total := 0
-	for _, rows := range sc.buf {
-		total += len(rows)
+// unappliedLocked counts the rows ingested into the given base relations
+// (every base table when rels is nil) and not yet landed: buffered here, or
+// staged in the engine by an epoch that was let go. Over a view's relations
+// it is the view's PendingRows; over every table, each row counted once, the
+// serve.stale_rows gauge. Caller holds mu.
+func (sc *scheduler) unappliedLocked(rels map[string]bool) int {
+	n := 0
+	count := func(table string) { n += len(sc.buf[table]) + sc.s.db.PendingDeltaRows(table) }
+	if rels == nil {
+		for _, table := range sc.s.db.Tables() {
+			count(table)
+		}
 	}
-	return total
+	for rel := range rels {
+		count(rel)
+	}
+	return n
 }
 
-// hasWork reports whether an epoch has anything to do: buffered rows to
-// land, a forced refresh, or a view needing recovery (open/half-open
-// breaker, or lag left by a failed refresh) whose policy lets this epoch
-// act. A manual view's permanent lag is deliberate and does not keep the
-// scheduler spinning; only RefreshView clears it.
+// hasWork reports whether an epoch has anything to do: rows to land, or a
+// view that plan would refresh although no delta lands — a forced refresh, a
+// probe of a cooled-down breaker, lag to catch up under a policy that is due.
+// A cooling breaker and a manual view's deliberate lag do not keep the
+// scheduler spinning.
 func (sc *scheduler) hasWork() bool {
 	now := time.Now()
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	if sc.bufRows > 0 {
+	if sc.unappliedLocked(nil) > 0 {
 		return true
 	}
 	for _, vs := range sc.views {
-		if vs.forceRefresh {
-			return true
-		}
-		if (vs.lag > 0 || vs.state != BreakerClosed) && vs.policyDue(now) {
+		if plan(vs.facts(sc.breaker, false, now)).refreshes() {
 			return true
 		}
 	}
 	return false
 }
 
-// take removes and returns the staged buffer plus the journal commit
-// watermark covering it (ackLSN), the watermark of the last landed epoch
+// take stages the buffered rows in the engine as pending deltas, in the same
+// hold of mu that empties the buffer — so a row is always counted by
+// unappliedLocked, buffered or staged — and returns the journal commit
+// watermark covering them (ackLSN), the watermark of the last landed epoch
 // (floorLSN — together they bound the epoch's lineage range (floorLSN,
 // ackLSN]), and the records and sampled span contexts not yet landed: those
 // staged since the last take and those of an aborted epoch, whose rows wait
 // in the engine. It waits out a commit in flight (commitMu), so ackLSN is
 // the last LSN the journal has assigned: every record at or below it was
 // staged by this take or an earlier one, every later one comes later.
-func (sc *scheduler) take() (staged map[string][][]algebra.Value, ackLSN, floorLSN uint64, batches int, refs []ingestTraceRef) {
+func (sc *scheduler) take() (ackLSN, floorLSN uint64, batches int, refs []ingestTraceRef, err error) {
 	sc.commitMu.Lock()
 	defer sc.commitMu.Unlock()
 	sc.mu.Lock()
 	defer sc.mu.Unlock()
-	staged = sc.buf
-	sc.buf = make(map[string][][]algebra.Value)
-	sc.bufRows = 0
-	return staged, sc.appendLSN, sc.ackedLSN, sc.bufBatches, sc.pendingTraces
+	for table, rows := range sc.buf {
+		if err := sc.s.db.InsertDelta(table, rows...); err != nil {
+			return 0, 0, 0, nil, err
+		}
+		delete(sc.buf, table)
+		sc.bufRows -= len(rows)
+	}
+	return sc.appendLSN, sc.ackedLSN, sc.bufBatches, sc.pendingTraces, nil
 }
 
 // runEpoch is one turn of the maintainer: a maintenance epoch, then the
@@ -646,46 +536,19 @@ func (s *Server) guardedEpochLocked() (err error) {
 		if r := recover(); r != nil {
 			s.stats.panics.Add(1)
 			s.ctrPanics.Inc()
-			s.sched.clearBuilding()
 			err = fmt.Errorf("serve: maintenance epoch recovered from panic: %v", r)
 		}
 	}()
 	return s.runEpochLocked()
 }
 
-// breakerChange is one circuit-breaker transition recorded during an epoch
-// (events are emitted after the registry lock is released).
-type breakerChange struct {
-	view     string
-	from, to BreakerState
-	reason   string
-}
-
-// sloChange is one freshness-SLO episode edge (violated or recovered)
-// recorded during an epoch; events are emitted after the lock is released.
-type sloChange struct {
-	view        string
-	violated    bool
-	lagRows     int
-	staleEpochs int
-}
-
-// clearBuilding drops every in-flight marker; called when an epoch aborts
-// before its bookkeeping pass could settle the dispatched views.
-func (sc *scheduler) clearBuilding() {
-	sc.mu.Lock()
-	for _, vs := range sc.views {
-		vs.building = false
-	}
-	sc.mu.Unlock()
-}
-
 // runEpochLocked is one maintenance epoch: stage the buffered rows as
-// engine deltas, open an engine epoch, refresh every affected view by its
-// strategy inside it (incremental views by delta propagation, then the
-// deltas fold into the base tables, then recompute views), commit it,
-// acknowledge the journal, settle the registry, and publish the successor
-// state — the one publication: readers see the whole epoch or none of it.
+// engine deltas, open an engine epoch, plan every view (one action each, see
+// lifecycle.go), run the planned refreshes inside it (incremental views by
+// delta propagation, then the deltas fold into the base tables, then
+// recomputes and probes), commit it, acknowledge the journal, settle every
+// view and publish the successor state — the one publication: readers see
+// the whole epoch or none of it — and emit the transitions settle returned.
 // Fault tolerance around that spine:
 //
 //   - every refresh step runs under the retry policy (backoff + jitter);
@@ -696,13 +559,13 @@ func (sc *scheduler) clearBuilding() {
 //     degrade to base relations, and refresh attempts pause until Cooldown
 //     elapses, after which one half-open probe recomputes the view;
 //   - only a persistent ApplyDeltas failure (or a panic) aborts the whole
-//     epoch: the engine epoch is let go having published nothing, the deltas
-//     stay pending in the engine, and the next epoch takes them in together
-//     with whatever arrived since;
+//     epoch: the engine epoch is let go having published nothing and settled
+//     no view, the deltas stay pending in the engine, and the next epoch
+//     plans afresh and takes them in together with whatever arrived since;
 //   - the journal watermark is acknowledged only after the epoch commits.
 func (s *Server) runEpochLocked() error {
 	sc := s.sched
-	if !sc.hasWork() && !s.enginePendingDeltas() {
+	if !sc.hasWork() {
 		return nil
 	}
 	if err := s.inj.Hit(fault.SiteServeEpoch); err != nil {
@@ -710,7 +573,10 @@ func (s *Server) runEpochLocked() error {
 		// the next epoch.
 		return err
 	}
-	staged, ackLSN, floorLSN, batches, traceRefs := sc.take()
+	ackLSN, floorLSN, batches, traceRefs, err := sc.take()
+	if err != nil {
+		return err
+	}
 	epoch := s.state.Load().epoch + 1 // only the maintainer publishes
 
 	// Causal epoch trace: the epoch adopts the first sampled contributor's
@@ -741,12 +607,6 @@ func (s *Server) runEpochLocked() error {
 		return ectx.NewChild()
 	}
 
-	for table, rows := range staged {
-		if err := s.db.InsertDelta(table, rows...); err != nil {
-			return err
-		}
-	}
-
 	// One engine epoch for everything below: it freezes the pending rows,
 	// evaluates operands and common Δ-subexpressions once, and publishes
 	// nothing before its Commit. Retry, fault site, fallback and span stay
@@ -754,116 +614,75 @@ func (s *Server) runEpochLocked() error {
 	ep := s.db.BeginMaintenance()
 	// The rows about to fold into each table: what this epoch lands, the
 	// fu-driven filter (only views whose base relations gained deltas
-	// refresh), and the lag a skipped or failed view accrues.
+	// refresh), and the lag a view that does not refresh accrues.
 	appliedByTable := ep.Pending()
 	n := 0
 	for _, rows := range appliedByTable {
 		n += rows
 	}
-	appliedFor := func(vs *viewState) int {
-		total := 0
-		for rel := range vs.rels {
-			total += appliedByTable[rel]
-		}
-		return total
-	}
 	sp := obs.Start(s.obsv, "serve.epoch", obs.Int("delta_rows", int64(n)))
 	defer obs.End(sp)
 
+	// Plan every view, in name order, under one hold of the registry lock:
+	// nothing is written but BUILDING, which this epoch clears however it
+	// ends — landed, let go or panicking.
 	now := time.Now()
-	var incremental, recompute, skipped, deferred []string
-	var changes []breakerChange
 	sc.mu.Lock()
-	for name, vs := range sc.views {
-		affected := false
+	views := make([]viewEpoch, 0, len(sc.views))
+	for _, vs := range sc.views {
+		applied := 0
 		for rel := range vs.rels {
-			if appliedByTable[rel] > 0 {
-				affected = true
-				break
-			}
+			applied += appliedByTable[rel]
 		}
-		// Consume the one-shot force before dispatching: it overrides the
-		// policy, the schedule, and the breaker cooldown.
-		forced := vs.forceRefresh
-		vs.forceRefresh = false
-		switch {
-		case forced:
-			// RefreshView: an unconditional full recompute, closing the
-			// breaker on success.
-			vs.building = true
-			recompute = append(recompute, name)
-		case vs.state == BreakerOpen && now.Sub(vs.openedAt) < sc.breaker.Cooldown:
-			// Open and still cooling: no refresh attempt; the view's lag
-			// grows by whatever folds into its relations this epoch.
-			if affected {
-				skipped = append(skipped, name)
-			}
-		case !vs.policyDue(now):
-			// The policy defers this view (manual, or scheduled with the
-			// interval not yet elapsed): the deltas fold into the base
-			// tables anyway and the view accrues lag until its schedule
-			// fires or RefreshView forces it.
-			if affected {
-				deferred = append(deferred, name)
-			}
-		case vs.state == BreakerOpen || vs.state == BreakerHalfOpen:
-			// Cooldown elapsed: half-open probe — one full recompute.
-			if vs.state != BreakerHalfOpen {
-				changes = append(changes, breakerChange{view: name, from: vs.state, to: BreakerHalfOpen, reason: "cooldown elapsed"})
-				vs.state = BreakerHalfOpen
-			}
-			vs.building = true
-			recompute = append(recompute, name)
-		case vs.lag > 0:
-			// A failed or deferred refresh left the view behind the base
-			// tables; catch up by recomputation even if no new delta
-			// touches it.
-			vs.building = true
-			recompute = append(recompute, name)
-		case !affected:
-		case vs.strategy == core.MaintIncremental:
-			vs.building = true
-			incremental = append(incremental, name)
-		default:
-			vs.building = true
-			recompute = append(recompute, name)
-		}
+		f := vs.facts(sc.breaker, applied > 0, now)
+		v := viewEpoch{vs: vs, act: plan(f), forced: f.forced, applied: applied}
+		vs.building = v.act.refreshes()
+		views = append(views, v)
 	}
 	sc.mu.Unlock()
-	sort.Strings(incremental)
-	sort.Strings(skipped)
-	sort.Strings(deferred)
-	// Record the views this epoch consciously did NOT refresh as
-	// zero-duration spans: a later forensic dump (SLO breach on a deferred
-	// manual view, breaker episode on a cooling one) must show the decision
-	// that let the view fall behind, not just the refreshes that ran.
-	if ectx.Valid() {
-		decided := time.Now()
-		for _, name := range skipped {
-			s.traceSpan(etr, child(), "refresh.skipped", decided, 0,
-				obs.String("view", name), obs.String("reason", "breaker-cooldown"))
+	defer func() {
+		sc.mu.Lock()
+		for _, v := range views {
+			v.vs.building = false
 		}
-		for _, name := range deferred {
-			s.traceSpan(etr, child(), "refresh.deferred", decided, 0,
-				obs.String("view", name), obs.String("reason", "policy"))
+		sc.mu.Unlock()
+	}()
+	sort.Slice(views, func(i, j int) bool { return views[i].vs.name < views[j].vs.name })
+
+	var incremental, recompute []*viewEpoch
+	var incNames []string
+	decided := time.Now()
+	for i := range views {
+		v := &views[i]
+		switch {
+		case v.act == actIncremental:
+			incremental = append(incremental, v)
+			incNames = append(incNames, v.vs.name)
+		case v.act.refreshes():
+			v.mode = "recompute"
+			recompute = append(recompute, v)
+		case v.applied > 0 && ectx.Valid():
+			// A view this epoch consciously does NOT refresh is recorded as a
+			// zero-duration span: a later forensic dump (SLO breach on a
+			// deferred manual view, breaker episode on a cooling one) must show
+			// the decision that let the view fall behind, not just the
+			// refreshes that ran.
+			span, reason := "refresh.deferred", "policy"
+			if v.act == actCool {
+				span, reason = "refresh.skipped", "breaker-cooldown"
+			}
+			s.traceSpan(etr, child(), span, decided, 0,
+				obs.String("view", v.vs.name), obs.String("reason", reason))
 		}
 	}
 	// Price this epoch's delta propagations from the actual pending delta
 	// fractions, before the refreshes spend their measured I/O.
-	s.predictIncremental(incremental, appliedByTable)
-
-	// outcome of every attempted refresh; breaker bookkeeping happens in
-	// one registry pass after the epoch's engine work is done. modeByView
-	// records how each view's contents changed, for its lineage entry.
-	outcomes := make(map[string]error)
-	modeByView := make(map[string]string, len(incremental)+len(recompute))
-	for _, name := range recompute {
-		modeByView[name] = "recompute"
-	}
+	s.predictIncremental(incNames, appliedByTable)
 
 	var reads, writes int64
 	incDone := 0
-	for _, name := range incremental {
+	for _, v := range incremental {
+		name := v.vs.name
 		rctx, rstart := child(), time.Now()
 		res, attempts, err := s.retryRefresh(s.baseCtx, rctx, "incremental refresh of "+name, func() (*engine.Result, error) {
 			return ep.IncrementalRefresh(name)
@@ -877,8 +696,8 @@ func (s *Server) runEpochLocked() error {
 					obs.String("view", name), obs.Int("attempts", int64(attempts)),
 					obs.String("outcome", "not-incremental"))
 			}
-			modeByView[name] = "recompute"
-			recompute = append(recompute, name)
+			v.mode = "recompute"
+			recompute = append(recompute, v)
 			continue
 		}
 		if err != nil {
@@ -893,8 +712,8 @@ func (s *Server) runEpochLocked() error {
 					obs.String("view", name), obs.Int("attempts", int64(attempts)),
 					obs.String("outcome", "fallback"), obs.String("error", err.Error()))
 			}
-			modeByView[name] = "fallback-recompute"
-			recompute = append(recompute, name)
+			v.mode = "fallback-recompute"
+			recompute = append(recompute, v)
 			continue
 		}
 		if rctx.Valid() {
@@ -903,14 +722,13 @@ func (s *Server) runEpochLocked() error {
 				obs.String("outcome", "ok"),
 				obs.Int("reads", res.TotalReads()), obs.Int("writes", res.TotalWrites()))
 		}
-		modeByView[name] = "incremental"
+		v.mode = "incremental"
 		incDone++
-		outcomes[name] = nil
 		reads += res.TotalReads()
 		writes += res.TotalWrites()
 		s.observeAudit(costaudit.KindIncremental, name, res.TotalReads()+res.TotalWrites())
 	}
-	sort.Strings(recompute)
+	sort.Slice(recompute, func(i, j int) bool { return recompute[i].vs.name < recompute[j].vs.name })
 	// How much evaluation the views shared: on the epoch span and event.
 	evaluated, reused := ep.Operands()
 	if sp != nil {
@@ -923,11 +741,11 @@ func (s *Server) runEpochLocked() error {
 	}); err != nil {
 		// The engine epoch is let go: nothing was published, nothing is lost
 		// — the deltas stay pending in the engine, the journal unacknowledged,
-		// the staged records and trace contexts unsettled — the next retries.
+		// the staged records and trace contexts unsettled, every view as it
+		// was — the next retries.
 		s.stats.refreshFailures.Add(1)
 		s.ctrRefreshFail.Inc()
 		s.winRefreshFail.Add(time.Now().Unix(), 1)
-		sc.clearBuilding()
 		return fmt.Errorf("serve: applying deltas: %w", err)
 	}
 	if actx.Valid() {
@@ -935,8 +753,9 @@ func (s *Server) runEpochLocked() error {
 			obs.Int("delta_rows", int64(n)))
 	}
 
-	recomputed := 0
-	for _, name := range recompute {
+	recomputed, failed := 0, 0
+	for _, v := range recompute {
+		name := v.vs.name
 		rctx, rstart := child(), time.Now()
 		res, attempts, err := s.retryRefresh(s.baseCtx, rctx, "refresh of "+name, func() (*engine.Result, error) {
 			return ep.Refresh(name)
@@ -945,7 +764,8 @@ func (s *Server) runEpochLocked() error {
 			s.stats.refreshFailures.Add(1)
 			s.ctrRefreshFail.Inc()
 			s.winRefreshFail.Add(time.Now().Unix(), 1)
-			outcomes[name] = err
+			v.err = err
+			failed++
 			if rctx.Valid() {
 				s.traceSpan(etr, rctx, "refresh.recompute", rstart, time.Since(rstart),
 					obs.String("view", name), obs.Int("attempts", int64(attempts)),
@@ -960,7 +780,6 @@ func (s *Server) runEpochLocked() error {
 				obs.Int("reads", res.TotalReads()), obs.Int("writes", res.TotalWrites()))
 		}
 		recomputed++
-		outcomes[name] = nil
 		reads += res.TotalReads()
 		writes += res.TotalWrites()
 		s.observeAudit(costaudit.KindRecompute, name, res.TotalReads()+res.TotalWrites())
@@ -969,7 +788,6 @@ func (s *Server) runEpochLocked() error {
 	// The epoch's one publication. From the one maintainer, and dropping no view,
 	// a refusal is a broken invariant: treated like any other aborted epoch.
 	if err := ep.Commit(); err != nil {
-		sc.clearBuilding()
 		return fmt.Errorf("serve: publishing the epoch: %w", err)
 	}
 	if sc.journal != nil && ackLSN > 0 {
@@ -990,121 +808,22 @@ func (s *Server) runEpochLocked() error {
 		}
 	}
 	// Landed: the watermark moves, what take handed this epoch is settled
-	// (records and contexts staged while it ran stay for the next), and the
-	// registry takes the epoch's outcomes — one hold of the registry lock.
+	// (records and contexts staged while it ran stay for the next), and every
+	// view settles — one hold of the registry lock.
 	now = time.Now()
-	var stale int
-	var sloChanges []sloChange
+	land := LineageEntry{Epoch: epoch, LSNLo: floorLSN, LSNHi: ackLSN,
+		DeltaRows: n, DeltaBatches: batches, TraceID: ectx.TraceID, At: now}
+	var transitions []transition
 	sc.mu.Lock()
 	if ackLSN > sc.ackedLSN {
 		sc.ackedLSN = ackLSN
 	}
 	sc.bufBatches -= batches
 	sc.pendingTraces = sc.pendingTraces[len(traceRefs):]
-	for _, name := range skipped {
-		if vs, ok := sc.views[name]; ok {
-			vs.lag += appliedFor(vs)
-		}
+	for _, v := range views {
+		transitions = append(transitions, v.vs.settle(sc.breaker, v, land)...)
 	}
-	for _, name := range deferred {
-		vs, ok := sc.views[name]
-		if !ok {
-			continue
-		}
-		// The staged rows folded into the base tables without a refresh:
-		// they move from pending (buffered) to lag (applied, unreflected).
-		vs.lag += appliedFor(vs)
-		pending := 0
-		for rel := range vs.rels {
-			pending += len(sc.buf[rel])
-		}
-		vs.pending = pending
-	}
-	for name, refreshErr := range outcomes {
-		vs, ok := sc.views[name]
-		if !ok {
-			continue
-		}
-		vs.building = false
-		if refreshErr == nil {
-			if vs.state != BreakerClosed {
-				changes = append(changes, breakerChange{view: name, from: vs.state, to: BreakerClosed, reason: "refresh succeeded"})
-				vs.state = BreakerClosed
-			}
-			vs.failures = 0
-			vs.lag = 0
-			vs.lastErr = ""
-			vs.epoch = epoch
-			vs.lastRefresh = now
-			vs.staleSince = time.Time{}
-			vs.staleEpochs = 0
-			// Rows ingested while this epoch ran are still buffered; they
-			// are the view's remaining pending count.
-			pending := 0
-			for rel := range vs.rels {
-				pending += len(sc.buf[rel])
-			}
-			vs.pending = pending
-			// The refresh succeeded: this epoch's journal range now backs
-			// the view's contents. The entry carries no fingerprint: the
-			// live digest is read from the table (Lineage), and a
-			// checkpoint records one in the manifest only.
-			vs.addLineage(LineageEntry{
-				Epoch:        epoch,
-				LSNLo:        floorLSN,
-				LSNHi:        ackLSN,
-				DeltaRows:    n,
-				DeltaBatches: batches,
-				Mode:         modeByView[name],
-				TraceID:      ectx.TraceID,
-				At:           now,
-			})
-			continue
-		}
-		vs.failures++
-		vs.lastErr = refreshErr.Error()
-		vs.lag += appliedFor(vs)
-		switch {
-		case vs.state == BreakerHalfOpen:
-			// The probe failed: back to open, restart the cooldown.
-			changes = append(changes, breakerChange{view: name, from: BreakerHalfOpen, to: BreakerOpen, reason: refreshErr.Error()})
-			vs.state = BreakerOpen
-			vs.openedAt = now
-		case vs.state == BreakerClosed && vs.failures >= sc.breaker.FailureThreshold:
-			changes = append(changes, breakerChange{view: name, from: BreakerClosed, to: BreakerOpen, reason: refreshErr.Error()})
-			vs.state = BreakerOpen
-			vs.openedAt = now
-		}
-	}
-	for name, vs := range sc.views {
-		// Any view still flagged in-flight was dispatched but never reached
-		// an outcome (incremental fallback that then failed is an outcome;
-		// this is belt-and-braces for aborted paths).
-		vs.building = false
-		// Staleness accrual and the SLO state machine: a view ending the
-		// epoch behind starts (or continues) a stale episode; a breach
-		// flips the latch exactly once per episode.
-		if vs.lag > 0 {
-			if vs.staleSince.IsZero() {
-				vs.staleSince = now
-			}
-			vs.staleEpochs++
-		}
-		breached := vs.sloBreached(now)
-		if breached != vs.sloViolated {
-			vs.sloViolated = breached
-			if breached {
-				vs.sloViolations++
-			}
-			sloChanges = append(sloChanges, sloChange{
-				view:        name,
-				violated:    breached,
-				lagRows:     vs.lag,
-				staleEpochs: vs.staleEpochs,
-			})
-		}
-		stale += vs.pending
-	}
+	stale := sc.unappliedLocked(nil)
 	health, unhealthy := sc.healthLocked(now)
 	sc.mu.Unlock()
 	// The one publication: readers were answered from the previous whole
@@ -1112,51 +831,47 @@ func (s *Server) runEpochLocked() error {
 	// that lets the next sampled query complete the epoch's causal chain.
 	s.publish(epoch, ep.Relations(), health, &epochTraceLink{ctx: ectx, trace: etr})
 
-	var breachedViews []string
-	for _, ch := range sloChanges {
-		action := "recovered"
-		if ch.violated {
-			action = "violated"
-			breachedViews = append(breachedViews, ch.view)
-			s.stats.sloViolations.Add(1)
-			s.ctrSLOViolations.Inc()
+	var breachedViews, tripped []string
+	for _, tr := range transitions {
+		if tr.slo {
+			action := "recovered"
+			if tr.violated {
+				action = "violated"
+				breachedViews = append(breachedViews, tr.view)
+				s.stats.sloViolations.Add(1)
+				s.ctrSLOViolations.Inc()
+			}
+			obs.Emit(s.obsv, obs.EvServeSLO,
+				obs.String("view", tr.view),
+				obs.String("action", action),
+				obs.Int("lag_rows", int64(tr.lagRows)),
+				obs.Int("stale_epochs", int64(tr.staleEpochs)))
+			continue
 		}
-		obs.Emit(s.obsv, obs.EvServeSLO,
-			obs.String("view", ch.view),
-			obs.String("action", action),
-			obs.Int("lag_rows", int64(ch.lagRows)),
-			obs.Int("stale_epochs", int64(ch.staleEpochs)))
-	}
-
-	trips := 0
-	var tripped []string
-	for _, ch := range changes {
-		if ch.to == BreakerOpen {
-			trips++
-			tripped = append(tripped, ch.view)
+		if tr.to == BreakerOpen {
+			tripped = append(tripped, tr.view)
 		}
 		obs.Emit(s.obsv, obs.EvServeBreaker,
-			obs.String("view", ch.view),
-			obs.String("from", ch.from.String()),
-			obs.String("to", ch.to.String()),
-			obs.String("reason", ch.reason))
+			obs.String("view", tr.view),
+			obs.String("from", tr.from.String()),
+			obs.String("to", tr.to.String()),
+			obs.String("reason", tr.reason))
 	}
-	if trips > 0 {
-		s.stats.breakerTrips.Add(int64(trips))
-		s.ctrBreakerTrips.Add(int64(trips))
+	if len(tripped) > 0 {
+		s.stats.breakerTrips.Add(int64(len(tripped)))
+		s.ctrBreakerTrips.Add(int64(len(tripped)))
 	}
 
 	// Forensic flight dumps: one per epoch per episode kind, taken after the
 	// epoch's refresh (and deliberately-not-refreshed) spans landed in the
 	// recorder, so the dump shows the recent past that led to the episode.
+	// The transitions come in view-name order.
 	if len(breachedViews) > 0 {
-		sort.Strings(breachedViews)
 		s.dumpFlight("slo_breach",
 			obs.Int("epoch", int64(epoch)),
 			obs.String("views", strings.Join(breachedViews, ",")))
 	}
 	if len(tripped) > 0 {
-		sort.Strings(tripped)
 		s.dumpFlight("breaker_open",
 			obs.Int("epoch", int64(epoch)),
 			obs.String("views", strings.Join(tripped, ",")))
@@ -1200,7 +915,7 @@ func (s *Server) runEpochLocked() error {
 		obs.Int("delta_rows", int64(n)),
 		obs.Int("incremental", int64(incDone)),
 		obs.Int("recomputed", int64(recomputed)),
-		obs.Int("failed", int64(len(outcomes)-incDone-recomputed)),
+		obs.Int("failed", int64(failed)),
 		obs.Int("reads", reads),
 		obs.Int("writes", writes),
 		obs.Int("operands_evaluated", int64(evaluated)),
