@@ -51,7 +51,7 @@ func TestCarriedFingerprint(t *testing.T) {
 		table(name).Fingerprint()
 	}
 	for e, ep := range genStarSchedule(gen, 20) {
-		runStarEpoch(t, db, names, ep)
+		runStarEpoch(t, db, names, nil, ep)
 		for _, name := range names {
 			tb := table(name)
 			carried, ok := tb.CachedFingerprint()
