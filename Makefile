@@ -70,7 +70,9 @@ telemetry-smoke:
 # any column equals the boxed reference's, bit for bit), and the snapshot
 # store's two on-disk decoders (any segment bytes: ErrSegmentCorrupt or a
 # table that re-encodes to those bytes; any manifest: rejected, or extents
-# in range, disjoint and summing to each entry's rows). A few seconds
+# in range, disjoint and summing to each entry's rows), and a join delta's
+# leg that probes its operand (the same rows, as a multiset, and the same
+# operator stats as the nested loop over the operand built whole). A few seconds
 # per target is enough to shake loose encoding mismatches in CI; long
 # sessions run the same targets with a bigger -fuzztime by hand.
 fuzz-smoke:
@@ -80,6 +82,7 @@ fuzz-smoke:
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzJournalLine -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzRelationStats -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzReadTableSegment -fuzztime 5s
+	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzDeltaLegProbe -fuzztime 5s
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz FuzzManifest -fuzztime 5s
 	$(GO) test ./internal/algebra -run '^$$' -fuzz FuzzExprIdentity -fuzztime 5s
 

@@ -58,18 +58,23 @@ func (db *DB) PendingDeltaRows(table string) int {
 // published set stores (read in place), a dirty base table's new state is
 // the stored rows followed by the frozen ones (built at most once — it is the
 // table ApplyDeltas installs), Δ of a base table is the frozen rows. Within
-// that state the propagations share their work: every relation one of them
-// derives — the full operand a join delta pairs against, the Δ of a
-// subexpression — is evaluated once and read by every view whose plan
-// contains it (Mistry et al., shared maintenance plans: common results are
-// computed once, kept transiently, and the views installed together). A
-// derived relation is identified by value numbering: the subexpression,
-// interned in the epoch's arena, plus the identities of the relations it was
-// derived from (immutable tables, so pointer = value); a subexpression over
-// clean tables is one entry for the old and the new state alike.
+// that state the propagations share their work: the Δ of a subexpression is
+// evaluated once and read by every view whose plan contains it (Mistry et
+// al., shared maintenance plans: common results are computed once, kept
+// transiently, and the views installed together). A subexpression is
+// identified by its ExprID in the DB's maintenance arena, which lives as long
+// as the DB.
 //
-// An epoch holds every table it derived: keep it a local of the maintainer,
-// from Begin to Commit, never a field of something that outlives the epoch.
+// No full operand is built. A join delta's legs ΔL ⋈ R_new and L_old ⋈ ΔR
+// evaluate only the rows of the full side that the Δ side's join keys reach
+// (see operand), and a leg is metered as the block nested loop over the full
+// side, for which a row count is all it needs: the count of every maintained
+// subexpression is carried from one committed epoch to the next as
+// |e_new| = |e_old| + |Δe|, and taken once, by evaluating it whole, when no
+// count is carried.
+//
+// An epoch holds every Δ it derived: keep it a local of the maintainer, from
+// Begin to Commit, never a field of something that outlives the epoch.
 type MaintenanceEpoch struct {
 	db *DB
 	// base is the published set the epoch began on; next its private
@@ -84,33 +89,42 @@ type MaintenanceEpoch struct {
 	refreshed, applied bool
 	dropped            []string // by DropView; Commit deletes their snapshots
 
-	arena *algebra.Arena
-	memo  map[epochKey]epochEntry
-	// evaluated and reused count the unmetered relations (new-state tables,
-	// operands): derived here, or found already derived.
-	evaluated, reused int
+	// memo holds the Δ of every subexpression evaluated so far.
+	memo map[algebra.ExprID]epochEntry
+	// carriedIn is the old-state row counts the last committed epoch handed
+	// this one (read only; nil when another publication came between), rows
+	// the ones this epoch has used, carried or taken by evaluating an operand
+	// whole.
+	carriedIn, rows map[algebra.ExprID]int
+	// whole counts the operands evaluated whole, carried the carried row
+	// counts used.
+	whole, carried int
 }
 
-// relState says which relation of a subexpression a propagation wants.
+// relState says which full relation of a subexpression an operand is.
 type relState uint8
 
 const (
-	deltaRows relState = iota // Δ: what the frozen pending rows add
-	oldState                  // the published set's rows
-	newState                  // the published set's rows plus the frozen pending ones
+	oldState relState = iota // the published set's rows
+	newState                 // the published set's rows plus the frozen pending ones
 )
 
-type epochKey struct {
-	expr  algebra.ExprID
-	delta bool
-	in    [4]*Table // the relations derived from; memoised tables are immutable, so identity is value
+// epochEntry is the Δ of one subexpression and the metered operators that
+// produced it. overView marks a Δ that scans a materialized view: a view is
+// not a base table, its Δ reads as empty, and its rows change by refresh, so
+// no row count is carried for such a subexpression.
+type epochEntry struct {
+	table    *Table
+	ops      []OpStats
+	overView bool
 }
 
-// epochEntry is one derived relation and, on the Δ path, the metered
-// operators that produced it.
-type epochEntry struct {
-	table *Table
-	ops   []OpStats
+// carriedCounts is what a committed maintenance epoch hands the next: the
+// old-state row count of every maintained subexpression, valid for the
+// publication numbered seq and for no other.
+type carriedCounts struct {
+	seq  uint64
+	rows map[algebra.ExprID]int
 }
 
 // BeginMaintenance opens a maintenance epoch; see MaintenanceEpoch.
@@ -120,9 +134,12 @@ func (db *DB) BeginMaintenance() *MaintenanceEpoch {
 	base := db.rels.Load()
 	ep := &MaintenanceEpoch{
 		db: db, base: base,
-		next:   &RelationSet{db: db, gen: base.gen, tables: maps.Clone(base.tables), views: maps.Clone(base.views)},
+		next:   &RelationSet{db: db, seq: base.seq + 1, gen: base.gen, tables: maps.Clone(base.tables), views: maps.Clone(base.views)},
 		frozen: make(map[string]*Table, len(db.deltas)), grown: make(map[string]*Table, len(db.deltas)),
-		arena: algebra.NewArena(), memo: make(map[epochKey]epochEntry),
+		memo: make(map[algebra.ExprID]epochEntry), rows: make(map[algebra.ExprID]int),
+	}
+	if db.carried.seq == base.seq {
+		ep.carriedIn = db.carried.rows
 	}
 	for name, d := range db.deltas {
 		if n := d.NumRows(); n > 0 {
@@ -146,9 +163,11 @@ func (ep *MaintenanceEpoch) Pending() map[string]int {
 // publish, private until then.
 func (ep *MaintenanceEpoch) Relations() *RelationSet { return ep.next }
 
-// Operands reports how many unmetered relations the epoch evaluated and how
-// many requests it answered from one already evaluated.
-func (ep *MaintenanceEpoch) Operands() (evaluated, reused int) { return ep.evaluated, ep.reused }
+// Operands reports how many operands of join deltas the epoch evaluated whole
+// — to take a row count no committed epoch carried, or because a Δ's join
+// keys cannot be probed exactly — and how many carried row counts it used
+// instead.
+func (ep *MaintenanceEpoch) Operands() (whole, carried int) { return ep.whole, ep.carried }
 
 // grownTable is a dirty base table in the epoch's new state.
 func (ep *MaintenanceEpoch) grownTable(name string) *Table {
@@ -179,7 +198,8 @@ func (ep *MaintenanceEpoch) ApplyDeltas() error {
 
 // Commit publishes the epoch's successor — readers see all of the epoch or
 // none of it — and, if the epoch applied the deltas, trims the frozen rows off
-// the delta buffers (rows that arrived since Begin stay pending). It refuses
+// the delta buffers (rows that arrived since Begin stay pending) and hands
+// the next epoch its row counts (see carry). It refuses
 // an epoch that refreshed a view with the frozen rows without applying them
 // (the next epoch would add them again) and one whose base is no longer the
 // published set: maintainers are one at a time. After the publication it
@@ -190,11 +210,13 @@ func (ep *MaintenanceEpoch) Commit() error {
 	if ep.refreshed && !ep.applied {
 		return errors.New("engine: commit of incrementally refreshed views without ApplyDeltas")
 	}
+	carried := carriedCounts{seq: ep.next.seq, rows: ep.carry()}
 	db.mu.Lock()
 	if !db.rels.CompareAndSwap(ep.base, ep.next) {
 		db.mu.Unlock()
 		return errors.New("engine: the published relation set changed under the maintenance epoch")
 	}
+	db.carried = carried
 	if ep.applied {
 		for name, f := range ep.frozen {
 			d := db.deltas[name]
@@ -223,7 +245,9 @@ func (ep *MaintenanceEpoch) Commit() error {
 // changes nothing. Only the delta-path operators and the apply step are
 // metered; the full operand relations a join delta pairs against are assumed
 // available, the same convention under which the cost model's Ca and
-// delta-propagation formulas charge operators. A Δ-subexpression another
+// delta-propagation formulas charge operators — each leg is charged as the
+// block nested loop over the full operand, of which only the rows the Δ can
+// reach are evaluated. A Δ-subexpression another
 // view of the epoch already evaluated is not evaluated again: its recorded
 // operators are accounted to this view as if it had been, so the Result, the
 // Counter and the operator events are those of a view maintained alone.
@@ -244,10 +268,11 @@ func (ep *MaintenanceEpoch) IncrementalRefresh(name string) (*Result, error) {
 		return nil, err
 	}
 	res := &Result{}
-	dview, err := ep.rel(v.Plan, deltaRows, res)
+	d, err := ep.delta(v.Plan, res)
 	if err != nil {
 		return nil, err
 	}
+	dview := d.table
 	if agg, isAgg := v.Plan.(*algebra.Aggregate); isAgg {
 		if res.Table, err = db.mergeAggregate(v, agg, dview, res); err != nil {
 			return nil, err
@@ -300,115 +325,224 @@ func (db *DB) IncrementalRefreshAll() (map[string]*Result, error) {
 	return out, ep.Commit()
 }
 
-// rel returns the relation at n in state st: its Δ under the epoch's frozen
-// pending rows, or one of the two full relations a join delta pairs
-// against. The walk visits every node of the view's plan — that is how a
-// node learns the identities of its inputs — but evaluates only what no
-// earlier walk of the epoch has. Select, project, aggregate and join work
-// on the delta stream is metered into the view's Result; the old- and
-// new-state relations are produced unmetered. The two legs of a join delta
-// are always block nested-loop, whatever db.joinAlgo says: the
-// delta-propagation cost formulas assume BlockNLJ.
-func (ep *MaintenanceEpoch) rel(n algebra.Node, st relState, res *Result) (*Table, error) {
+// delta returns the Δ of n under the epoch's frozen pending rows. The walk
+// visits every node of the view's plan, children first, but evaluates only
+// what no earlier walk of the epoch has; a Δ found in the memo replays the
+// operators recorded with it. Select, project, aggregate and join work on the
+// delta stream is metered into res.
+func (ep *MaintenanceEpoch) delta(n algebra.Node, res *Result) (epochEntry, error) {
 	db := ep.db
-	key := epochKey{expr: ep.arena.Intern(n), delta: st == deltaRows}
-	if st != deltaRows {
-		res = nil
+	id := db.arena.Intern(n)
+	children := n.Children()
+	in := make([]*Table, len(children))
+	overView := false
+	for i, c := range children {
+		e, err := ep.delta(c, res)
+		if err != nil {
+			return epochEntry{}, err
+		}
+		in[i], overView = e.table, overView || e.overView
 	}
-	// The inputs first: the same state of every child, except that a join
-	// delta pairs each side's Δ with the other side's full relation.
-	type input struct {
-		n  algebra.Node
-		st relState
-	}
-	var inputs []input
-	if j, ok := n.(*algebra.Join); ok && st == deltaRows {
-		inputs = []input{{j.Left, deltaRows}, {j.Right, deltaRows}, {j.Right, newState}, {j.Left, oldState}}
-	} else {
-		for _, c := range n.Children() {
-			inputs = append(inputs, input{c, st})
-		}
-	}
-	for i, in := range inputs {
-		var err error
-		if key.in[i], err = ep.rel(in.n, in.st, res); err != nil {
-			return nil, err
-		}
-	}
-	in := key.in
-	var eval func() (*Table, error)
-	switch v := n.(type) {
-	case *algebra.Scan:
-		frozen := ep.frozen[v.Relation]
-		if st == deltaRows {
-			if frozen != nil {
-				return frozen, nil
-			}
-			// No pending inserts: an empty delta with the scan's schema.
-			eval = func() (*Table, error) { return NewTable("", v.Schema(), db.BlockRows), nil }
-			break
-		}
-		stored, err := ep.base.relation(v.Relation)
-		if err != nil || st == oldState || frozen == nil {
-			return stored, err
-		}
-		key.in[0], key.in[1] = stored, frozen
-		eval = func() (*Table, error) { return ep.grownTable(v.Relation), nil }
-	case *algebra.Select:
-		eval = func() (*Table, error) { return db.ops.sel(db, v, in[0], res) }
-	case *algebra.Project:
-		eval = func() (*Table, error) { return db.ops.project(db, v, in[0], res) }
-	case *algebra.Aggregate:
-		eval = func() (*Table, error) { return db.ops.aggregate(db, v, in[0], res) }
-	case *algebra.Join:
-		if st != deltaRows {
-			eval = func() (*Table, error) { return db.opJoin(v, in[0], in[1], nil) }
-			break
-		}
-		eval = func() (*Table, error) {
-			dl, dr, rightNew, leftOld := in[0], in[1], in[2], in[3]
-			part1, err := db.ops.nlJoin(db, v, dl, rightNew, res)
-			if err != nil {
-				return nil, err
-			}
-			part2, err := db.ops.nlJoin(db, v, leftOld, dr, res)
-			if err != nil {
-				return nil, err
-			}
-			// part1 is this call's own join output; nothing stored is touched.
-			part1.appendTable(part2)
-			return part1, nil
-		}
-	default:
-		return nil, fmt.Errorf("engine: cannot propagate deltas through node type %T", n)
-	}
-	if e, ok := ep.memo[key]; ok {
-		if res == nil {
-			ep.reused++
-		}
+	if e, ok := ep.memo[id]; ok {
 		for _, s := range e.ops {
 			// Equal expressions may write a conjunction in different orders.
 			s.Label = n.Label()
 			db.account(res, s)
 		}
-		return e.table, nil
+		return e, nil
 	}
-	first := 0
-	if res != nil {
-		first = len(res.Ops)
+	first := len(res.Ops)
+	var t *Table
+	var err error
+	switch v := n.(type) {
+	case *algebra.Scan:
+		_, overView = ep.base.views[v.Relation]
+		if t = ep.frozen[v.Relation]; t == nil {
+			// No pending inserts: an empty delta with the scan's schema.
+			t = NewTable("", v.Schema(), db.BlockRows)
+		}
+	case *algebra.Select:
+		t, err = db.ops.sel(db, v, in[0], res)
+	case *algebra.Project:
+		t, err = db.ops.project(db, v, in[0], res)
+	case *algebra.Aggregate:
+		t, err = db.ops.aggregate(db, v, in[0], res)
+	case *algebra.Join:
+		t, err = ep.joinDelta(v, in[0], in[1], res)
+	default:
+		err = fmt.Errorf("engine: cannot propagate deltas through node type %T", n)
 	}
-	t, err := eval()
+	if err != nil {
+		return epochEntry{}, err
+	}
+	e := epochEntry{table: t, ops: slices.Clone(res.Ops[first:]), overView: overView}
+	ep.memo[id] = e
+	return e, nil
+}
+
+// joinDelta is Δ(L⋈R) = ΔL⋈R_new ∪ L_old⋈ΔR, the two legs in that order.
+func (ep *MaintenanceEpoch) joinDelta(j *algebra.Join, dl, dr *Table, res *Result) (*Table, error) {
+	leftOld, err := ep.oldRows(j.Left)
 	if err != nil {
 		return nil, err
 	}
-	e := epochEntry{table: t}
-	if res != nil {
-		e.ops = slices.Clone(res.Ops[first:])
-	} else {
-		ep.evaluated++
+	rightOld, err := ep.oldRows(j.Right)
+	if err != nil {
+		return nil, err
 	}
-	ep.memo[key] = e
-	return t, nil
+	part1, err := ep.leg(j, dl, true, newState, rightOld+dr.NumRows(), res)
+	if err != nil {
+		return nil, err
+	}
+	part2, err := ep.leg(j, dr, false, oldState, leftOld, res)
+	switch {
+	case err != nil:
+		return nil, err
+	case part1 == nil && part2 == nil:
+		return NewTable("", j.Schema(), ep.db.BlockRows), nil
+	case part1 == nil:
+		return part2, nil
+	case part2 != nil:
+		// part1 is this call's own join output; nothing stored is touched.
+		part1.appendTable(part2)
+	}
+	return part1, nil
+}
+
+// leg joins d, the Δ of one side of j (the left when deltaLeft), with the
+// other side's full relation in state st, which holds rows rows. Only the
+// full side's rows that d's join keys reach are evaluated — none when d is
+// empty — and joined by the block nested loop, whatever db.joinAlgo says:
+// the delta-propagation cost formulas assume BlockNLJ. The leg is metered as
+// that loop over the whole full side: blocks(outer) + blocks(outer) ·
+// blocks(inner) reads, then the output's writes, rows and blocks. A leg
+// that joins nothing returns nil.
+func (ep *MaintenanceEpoch) leg(j *algebra.Join, d *Table, deltaLeft bool, st relState, rows int, res *Result) (*Table, error) {
+	db := ep.db
+	full := j.Right
+	if !deltaLeft {
+		full = j.Left
+	}
+	var out *Table
+	if d.NumRows() > 0 {
+		f := probeBy(j, d, deltaLeft)
+		if f == nil {
+			ep.whole++
+		}
+		operand, err := ep.operand(full, st, f)
+		if err != nil {
+			return nil, err
+		}
+		if operand != nil {
+			left, right := d, operand
+			if !deltaLeft {
+				left, right = operand, d
+			}
+			if out, err = db.ops.nlJoin(db, j, left, right, nil); err != nil {
+				return nil, err
+			}
+		}
+	}
+	outer, inner := int64(d.NumBlocks()), int64(blocks(rows, ep.blockRows(full)))
+	if !deltaLeft {
+		outer, inner = inner, outer
+	}
+	stats := OpStats{Label: j.Label(), Reads: outer + outer*inner}
+	if out != nil {
+		stats.Writes, stats.OutRows, stats.OutBlocks = int64(out.NumBlocks()), out.NumRows(), out.NumBlocks()
+	}
+	db.account(res, stats)
+	return out, nil
+}
+
+// blocks is how many blocks rows rows occupy at blockRows rows per block.
+func blocks(rows, blockRows int) int { return (rows + blockRows - 1) / blockRows }
+
+// blockRows is the blocking factor of n's relation: a stored table's own,
+// the DB's for every operator output.
+func (ep *MaintenanceEpoch) blockRows(n algebra.Node) int {
+	if s, ok := n.(*algebra.Scan); ok {
+		if t, err := ep.base.relation(s.Relation); err == nil {
+			return t.BlockRows
+		}
+	}
+	return ep.db.BlockRows
+}
+
+// oldRows is the row count of n in the old state: a stored table's own, a
+// count carried from the last committed epoch, or — once, when none is — the
+// count of n evaluated whole.
+func (ep *MaintenanceEpoch) oldRows(n algebra.Node) (int, error) {
+	if s, ok := n.(*algebra.Scan); ok {
+		t, err := ep.base.relation(s.Relation)
+		if err != nil {
+			return 0, err
+		}
+		return t.NumRows(), nil
+	}
+	id := ep.db.arena.Intern(n)
+	if rows, ok := ep.rows[id]; ok {
+		return rows, nil
+	}
+	if rows, ok := ep.carriedIn[id]; ok {
+		ep.carried++
+		ep.rows[id] = rows
+		return rows, nil
+	}
+	t, err := ep.operand(n, oldState, nil)
+	if err != nil {
+		return 0, err
+	}
+	ep.whole++
+	rows := 0
+	if t != nil {
+		rows = t.NumRows()
+	}
+	ep.rows[id] = rows
+	return rows, nil
+}
+
+// carry returns the row counts the epoch hands the next one if it commits:
+// for every subexpression with a known old-state count, that count plus its
+// Δ when the epoch evaluated the Δ, the count alone when no table under it is
+// dirty. Only an epoch that applied its deltas and left the set of views as
+// it was carries anything: every other publication — Materialize, DropView,
+// RestoreView, a recomputation outside an epoch of deltas — drops the counts.
+func (ep *MaintenanceEpoch) carry() map[algebra.ExprID]int {
+	if !ep.applied || ep.next.gen != ep.base.gen {
+		return nil
+	}
+	out := make(map[algebra.ExprID]int, len(ep.carriedIn)+len(ep.rows))
+	add := func(id algebra.ExprID, rows int) {
+		if e, ok := ep.memo[id]; ok {
+			if !e.overView {
+				out[id] = rows + e.table.NumRows()
+			}
+		} else if ep.clean(id) {
+			out[id] = rows
+		}
+	}
+	for id, rows := range ep.carriedIn {
+		add(id, rows)
+	}
+	for id, rows := range ep.rows {
+		add(id, rows)
+	}
+	return out
+}
+
+// clean reports whether no relation under the subexpression took rows in
+// the epoch: no dirty base table, and no view.
+func (ep *MaintenanceEpoch) clean(id algebra.ExprID) bool {
+	arena := ep.db.arena
+	leaves := arena.Expr(id).Leaves
+	for i := leaves.Next(0); i >= 0; i = leaves.Next(i + 1) {
+		name := arena.RelName(i)
+		if _, view := ep.next.views[name]; view || ep.frozen[name] != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // mergeAggregate folds the aggregated delta groups into the stored view:

@@ -72,6 +72,9 @@ type operators interface {
 	nlJoin(db *DB, j *algebra.Join, left, right *Table, res *Result) (*Table, error)
 	hashJoin(db *DB, j *algebra.Join, left, right *Table, res *Result) (*Table, error)
 	aggregate(db *DB, a *algebra.Aggregate, in *Table, res *Result) (*Table, error)
+	// probe keeps the rows of in whose column col holds a key of ks, in row
+	// order; unmetered (a join delta's operand, see probe.go).
+	probe(db *DB, in *Table, col int, ks *keySet) *Table
 }
 
 // batchOperators runs every operator batch-at-a-time over typed column
@@ -96,6 +99,10 @@ func (batchOperators) hashJoin(db *DB, j *algebra.Join, left, right *Table, res 
 
 func (batchOperators) aggregate(db *DB, a *algebra.Aggregate, in *Table, res *Result) (*Table, error) {
 	return db.batchAggregate(a, in, res)
+}
+
+func (batchOperators) probe(db *DB, in *Table, col int, ks *keySet) *Table {
+	return db.batchProbe(in, col, ks)
 }
 
 // Execute runs a plan against the currently published relation set; see
@@ -175,7 +182,7 @@ func (rs *RelationSet) exec(n algebra.Node, res *Result) (*Table, error) {
 
 // opJoin picks the physical join. A metered join (res non-nil: queries and
 // recomputation) follows db.joinAlgo, because its block charge is the
-// algorithm's. An unmetered one — a full operand relation a join delta
+// algorithm's. An unmetered one — a join inside the operand a join delta
 // pairs against, charged to nobody — takes the hash operator whenever that
 // provably matches the same pairs as the nested-loop kernel
 // (hashMatchesNestedLoop) and the nested-loop kernel otherwise, so a
@@ -231,7 +238,7 @@ func resolveProjection(p *algebra.Project, in *Table) (*algebra.Schema, []int, e
 
 // account meters one operator execution onto the result, the database
 // counter and the observer. A nil result marks an unmetered evaluation (the
-// operand relations of a join delta) and records nothing.
+// operands of a join delta) and records nothing.
 func (db *DB) account(res *Result, s OpStats) {
 	if res == nil {
 		return

@@ -13,10 +13,15 @@ func (db *DB) UseRowOracle() *RowOracle {
 }
 
 // JoinSpy sits in the operators seam and counts which join kernel every
-// join — metered or not — was sent to.
+// join — metered or not — was sent to, and how many probes ran.
 type JoinSpy struct {
 	operators
-	NestedLoop, Hash int
+	NestedLoop, Hash, Probe int
+}
+
+func (s *JoinSpy) probe(db *DB, in *Table, col int, ks *keySet) *Table {
+	s.Probe++
+	return s.operators.probe(db, in, col, ks)
 }
 
 func (s *JoinSpy) nlJoin(db *DB, j *algebra.Join, left, right *Table, res *Result) (*Table, error) {
@@ -53,9 +58,38 @@ var (
 	ReferenceFingerprint   = referenceFingerprint
 )
 
-// Operand evaluates plan the way the epoch evaluates the new-state operand
-// of a join delta — unmetered, over the base tables plus the frozen pending
-// rows — and returns the epoch's own (shared) table.
+// Operand evaluates plan whole the way the epoch evaluates the new-state
+// operand of a join delta whose keys cannot be probed — unmetered, over the
+// base tables plus the frozen pending rows — and counts it as evaluated
+// whole.
 func (ep *MaintenanceEpoch) Operand(plan algebra.Node) (*Table, error) {
-	return ep.rel(plan, newState, nil)
+	ep.whole++
+	return ep.operand(plan, newState, nil)
+}
+
+// CarriedCounts reports how many row counts the next epoch would find
+// carried: none once a publication other than a maintenance epoch came
+// after the last one that committed.
+func (db *DB) CarriedCounts() int {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	if db.carried.seq != db.rels.Load().seq {
+		return 0
+	}
+	return len(db.carried.rows)
+}
+
+// HideCarriedCounts makes the next epochs find no carried row count, as if
+// a publication had dropped them, until the returned func puts them back.
+// Only an epoch that is let go may run in between.
+func (db *DB) HideCarriedCounts() (restore func()) {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	kept := db.carried
+	db.carried = carriedCounts{}
+	return func() {
+		db.mu.Lock()
+		defer db.mu.Unlock()
+		db.carried = kept
+	}
 }

@@ -11,10 +11,12 @@ import (
 	"github.com/warehousekit/mvpp/internal/engine"
 )
 
-// The operand relations of a join delta are charged to nobody, so the engine
-// hash-joins them — but only where the hash operator matches exactly the
-// pairs the nested-loop kernel matches, because the maintained view must
-// stay multiset-equal to its recomputation, which is nested-loop.
+// The operands of a join delta are charged to nobody, so the engine probes
+// them and hash-joins inside them — but only where the probe keeps, and the
+// hash operator matches, exactly the pairs the nested-loop kernel matches,
+// because the maintained view must stay multiset-equal to its recomputation,
+// which is nested-loop. An operand evaluated whole is the probe with no
+// filter: each join probes its right input by the left's keys.
 
 // keyedDB holds L(k, g, p) and R(k, g, q): k the join key under test, g a
 // small int second key, p/q the row number. The last row of each side is
@@ -82,27 +84,28 @@ func TestOperandJoinParity(t *testing.T) {
 		left, right []algebra.Value
 		on          []string
 		wantHash    bool
+		wantProbe   bool
 		wantRows    int
 	}{
-		{name: "int", left: ints(1, 2, 2, 3, 7), right: ints(2, 3, 3, 9, 2), wantHash: true, wantRows: 6},
-		{name: "int, two conditions", left: ints(1, 2, 2, 3, 7), right: ints(2, 3, 3, 9, 2), on: []string{"k", "g"}, wantHash: true, wantRows: 3},
+		{name: "int", left: ints(1, 2, 2, 3, 7), right: ints(2, 3, 3, 9, 2), wantHash: true, wantProbe: true, wantRows: 6},
+		{name: "int, two conditions", left: ints(1, 2, 2, 3, 7), right: ints(2, 3, 3, 9, 2), on: []string{"k", "g"}, wantHash: true, wantProbe: true, wantRows: 3},
 		{name: "date", left: []algebra.Value{algebra.DateVal(9496), algebra.DateVal(9497), algebra.DateVal(9497)},
-			right: []algebra.Value{algebra.DateVal(9497), algebra.DateVal(9500)}, wantHash: true, wantRows: 2},
-		{name: "int against whole floats", left: ints(1, 2, 3, 3), right: floats(2, 3, 4, 3), wantHash: true, wantRows: 5},
-		{name: "fractional floats and signed zero", left: floats(1.5, 0, 2.5, 1.5), right: floats(math.Copysign(0, -1), 1.5, 9.25), wantHash: true, wantRows: 3},
+			right: []algebra.Value{algebra.DateVal(9497), algebra.DateVal(9500)}, wantHash: true, wantProbe: true, wantRows: 2},
+		{name: "int against whole floats", left: ints(1, 2, 3, 3), right: floats(2, 3, 4, 3), wantHash: true, wantProbe: true, wantRows: 5},
+		{name: "fractional floats and signed zero", left: floats(1.5, 0, 2.5, 1.5), right: floats(math.Copysign(0, -1), 1.5, 9.25), wantHash: true, wantProbe: true, wantRows: 3},
 		// NaN compares equal to everything in the nested loop and only to
-		// NaN in a hash table.
+		// NaN in a hash table or a probe's key set.
 		{name: "float with NaN", left: floats(1.5, nan, 2.5), right: floats(1.5, nan, 3.5), wantRows: 1 + 3 + 2},
 		// A null matches nothing in the nested loop; hashing folds nulls
 		// into one class.
 		{name: "nullable int", left: []algebra.Value{algebra.IntVal(1), null, algebra.IntVal(2)},
 			right: []algebra.Value{algebra.IntVal(2), null, null}, wantRows: 1},
 		{name: "string", left: []algebra.Value{algebra.StringVal("a"), algebra.StringVal("b"), algebra.StringVal("b")},
-			right: []algebra.Value{algebra.StringVal("b"), algebra.StringVal("c")}, wantRows: 2},
+			right: []algebra.Value{algebra.StringVal("b"), algebra.StringVal("c")}, wantProbe: true, wantRows: 2},
 		// Beyond 2^53 two ints can share a float64 image: the nested loop
 		// (Value.Compare goes through float64) matches them, int64 hashing
-		// does not.
-		{name: "int beyond 2^53", left: ints(1<<53, 5), right: ints(1<<53+1, 5), wantRows: 2},
+		// does not; a probe keys on the image, as the nested loop does.
+		{name: "int beyond 2^53", left: ints(1<<53, 5), right: ints(1<<53+1, 5), wantProbe: true, wantRows: 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.on == nil {
@@ -118,6 +121,9 @@ func TestOperandJoinParity(t *testing.T) {
 			}
 			if gotHash := spy.Hash == 1 && spy.NestedLoop == 0; gotHash != tc.wantHash || spy.Hash+spy.NestedLoop != 1 {
 				t.Fatalf("operand join ran hash %d× and nested-loop %d×, want hash=%v", spy.Hash, spy.NestedLoop, tc.wantHash)
+			}
+			if gotProbe := spy.Probe == 1; gotProbe != tc.wantProbe || spy.Probe > 1 {
+				t.Fatalf("operand join probed its right input %d×, want probe=%v", spy.Probe, tc.wantProbe)
 			}
 			rowOperand, err := rdb.BeginMaintenance().Operand(join)
 			if err != nil {
@@ -205,8 +211,9 @@ func TestMaintainedViewNaNJoinKeyParity(t *testing.T) {
 }
 
 // TestMaintenanceEpochReleasesOperands: what an epoch derived dies with the
-// epoch value. A memo that outlived its owner once grew the live heap
-// fivefold; this is the check that it cannot come back unnoticed.
+// epoch value — an operand evaluated whole included; what the DB keeps for
+// the next epoch is row counts. A memo that outlived its owner once grew the
+// live heap fivefold; this is the check that it cannot come back unnoticed.
 func TestMaintenanceEpochReleasesOperands(t *testing.T) {
 	s := newStarSchemas()
 	gen, load := starLoad(0.002, 7)
@@ -222,15 +229,15 @@ func TestMaintenanceEpochReleasesOperands(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Dim05 ⋈ Fact in the new state: under eleven of the views, so
-		// this request must find the epoch's own table.
-		_, before := ep.Operands()
+		// Dim05 ⋈ Fact in the new state, under eleven of the views,
+		// evaluated whole.
+		before, _ := ep.Operands()
 		operand, err := ep.Operand(s.J(5, s.D(5), s.F()))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if _, after := ep.Operands(); after != before+3 {
-			t.Fatalf("the operand was not the memoised one: reused %d → %d", before, after)
+		if after, _ := ep.Operands(); after != before+1 || operand.NumRows() == 0 {
+			t.Fatalf("the whole operand (%d rows) counted %d → %d", operand.NumRows(), before, after)
 		}
 		runtime.SetFinalizer(operand, func(*engine.Table) { close(collected) })
 		if err := ep.ApplyDeltas(); err != nil {
@@ -246,5 +253,8 @@ func TestMaintenanceEpochReleasesOperands(t *testing.T) {
 	case <-collected:
 	case <-time.After(5 * time.Second):
 		t.Fatal("an operand of a finished epoch is still reachable")
+	}
+	if db.CarriedCounts() == 0 {
+		t.Fatal("the committed epoch handed the next no row count")
 	}
 }

@@ -16,6 +16,8 @@ import (
 // a kept set pins every table it names.
 type RelationSet struct {
 	db *DB
+	// seq numbers the publications: each commit publishes seq + 1.
+	seq uint64
 	// gen counts changes to the set of views (Materialize, DropView,
 	// RestoreView); a refresh replaces a view's rows and leaves it alone.
 	gen    uint64

@@ -51,6 +51,39 @@ func (o *RowOracle) aggregate(db *DB, a *algebra.Aggregate, in *Table, res *Resu
 	return db.rowAggregate(a, in, res)
 }
 
+func (o *RowOracle) probe(db *DB, in *Table, col int, ks *keySet) *Table {
+	o.ran.Add(1)
+	return db.rowProbe(in, col, ks)
+}
+
+// rowProbe keeps, row by row, the rows whose key column holds a key of ks.
+func (db *DB) rowProbe(in *Table, col int, ks *keySet) *Table {
+	out := NewTable("", in.Schema, in.BlockRows)
+	for _, row := range in.materializeRows() {
+		if ks.has(row[col]) {
+			if err := out.Insert(row); err != nil {
+				panic(err)
+			}
+		}
+	}
+	return out
+}
+
+// has reports whether the set holds v: a number by its float64 image, a
+// string by itself.
+func (ks *keySet) has(v algebra.Value) bool {
+	if ks.strs != nil {
+		_, ok := ks.strs[v.Str]
+		return ok
+	}
+	k := float64(v.Int)
+	if v.Kind == algebra.TypeFloat {
+		k = v.Float
+	}
+	_, ok := ks.nums[k]
+	return ok
+}
+
 // rowSelect filters by linear scan: every input block is read once.
 func (db *DB) rowSelect(sel *algebra.Select, in *Table, res *Result) (*Table, error) {
 	rows := in.materializeRows()

@@ -26,8 +26,10 @@
 // IncrementalRefreshAll, DropView and Restore* are each one epoch and one
 // commit). Epochs and InsertDelta must be serialized by the caller — a
 // single maintenance goroutine, as the serve package's scheduler does — and
-// an epoch, which holds every relation its propagations derived, lives as a
-// local from Begin to Commit, never in anything that outlives it.
+// an epoch, which holds every Δ its propagations derived, lives as a local
+// from Begin to Commit, never in anything that outlives it. What one
+// committed epoch hands the next is integers: a row count per maintained
+// subexpression.
 //
 // What a held RelationSet guarantees: every table and view in it is
 // immutable, so one Execute resolves all its scans — two scans of one view
@@ -308,6 +310,15 @@ type DB struct {
 	joinAlgo JoinAlgorithm
 	ops      operators
 
+	// arena interns the subexpressions the maintainer propagates deltas
+	// through, for the DB's lifetime; nothing else uses it. carried is the
+	// row counts the last committed maintenance epoch handed the next (see
+	// MaintenanceEpoch), integers keyed by the arena's IDs and by the
+	// publication they describe; read at Begin and replaced at Commit, under
+	// mu.
+	arena   *algebra.Arena
+	carried carriedCounts
+
 	// obsv receives one EvEngineOp event per executed operator; blockReads
 	// and blockWrites mirror the Counter into the observer's registry. All
 	// nil (no-ops) when observability is off; see SetObserver.
@@ -350,6 +361,7 @@ func NewDB(blockRows int) *DB {
 		Counter:   &Counter{},
 		deltas:    make(map[string]*Table),
 		ops:       batchOperators{},
+		arena:     algebra.NewArena(),
 	}
 	db.rels.Store(&RelationSet{db: db, tables: map[string]*Table{}, views: map[string]*MaterializedView{}})
 	return db

@@ -729,10 +729,11 @@ func (s *Server) runEpochLocked() error {
 		s.observeAudit(costaudit.KindIncremental, name, res.TotalReads()+res.TotalWrites())
 	}
 	sort.Slice(recompute, func(i, j int) bool { return recompute[i].vs.name < recompute[j].vs.name })
-	// How much evaluation the views shared: on the epoch span and event.
-	evaluated, reused := ep.Operands()
+	// How many join-delta operands were evaluated whole, and how many
+	// carried row counts stood in for them: on the epoch span and event.
+	whole, carried := ep.Operands()
 	if sp != nil {
-		sp.Annotate(obs.Int("operands_evaluated", int64(evaluated)), obs.Int("operands_reused", int64(reused)))
+		sp.Annotate(obs.Int("operands_evaluated", int64(whole)), obs.Int("operands_reused", int64(carried)))
 	}
 
 	actx, astart := child(), time.Now()
@@ -905,8 +906,8 @@ func (s *Server) runEpochLocked() error {
 			obs.Int("lsn_hi", int64(ackLSN)),
 			obs.Int("incremental", int64(incDone)),
 			obs.Int("recomputed", int64(recomputed)),
-			obs.Int("operands_evaluated", int64(evaluated)),
-			obs.Int("operands_reused", int64(reused)))
+			obs.Int("operands_evaluated", int64(whole)),
+			obs.Int("operands_reused", int64(carried)))
 		etr.finish()
 	}
 
@@ -918,8 +919,8 @@ func (s *Server) runEpochLocked() error {
 		obs.Int("failed", int64(failed)),
 		obs.Int("reads", reads),
 		obs.Int("writes", writes),
-		obs.Int("operands_evaluated", int64(evaluated)),
-		obs.Int("operands_reused", int64(reused)))
+		obs.Int("operands_evaluated", int64(whole)),
+		obs.Int("operands_reused", int64(carried)))
 	return nil
 }
 

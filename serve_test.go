@@ -10,6 +10,7 @@ import (
 
 	mvpp "github.com/warehousekit/mvpp"
 	"github.com/warehousekit/mvpp/internal/engine"
+	"github.com/warehousekit/mvpp/internal/obs"
 	"github.com/warehousekit/mvpp/internal/serve"
 )
 
@@ -336,40 +337,104 @@ func BenchmarkServeWorkload(b *testing.B) {
 }
 
 // TestNoServerFieldCanKeepAMaintenanceEpoch: an engine.MaintenanceEpoch
-// holds every relation its propagations derived, so it has to stay a local
-// of whoever runs the epoch. Nothing reachable from a Server through struct
+// holds every Δ its propagations derived, so it has to stay a local of
+// whoever runs the epoch. Nothing reachable from a Server through struct
 // fields, pointers, slices, arrays, maps or channels — the facade, the
-// serve.Server, the engine.DB — may be able to hold one. (Interface- and
-// func-typed fields are opaque to the walk.)
+// serve.Server, the engine.DB — may be able to hold one. And what a
+// committed epoch hands the next — the DB's carried row counts and the
+// maintenance arena that keys them — may hold no table and no relation set:
+// integers only. (Interface- and func-typed fields are opaque to the walk.)
 func TestNoServerFieldCanKeepAMaintenanceEpoch(t *testing.T) {
 	typeOf := func(p any) reflect.Type { return reflect.TypeOf(p).Elem() }
-	epoch := typeOf((*engine.MaintenanceEpoch)(nil))
-	seen := make(map[reflect.Type]bool)
-	var walk func(ty reflect.Type, path string)
-	walk = func(ty reflect.Type, path string) {
-		if ty == epoch {
-			t.Errorf("%s can hold an engine.MaintenanceEpoch", path)
+	// reach returns every type reachable from root, each with one path.
+	reach := func(root reflect.Type, path string) map[reflect.Type]string {
+		seen := make(map[reflect.Type]string)
+		var walk func(ty reflect.Type, path string)
+		walk = func(ty reflect.Type, path string) {
+			if _, ok := seen[ty]; ok {
+				return
+			}
+			seen[ty] = path
+			switch ty.Kind() {
+			case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Chan:
+				walk(ty.Elem(), path)
+			case reflect.Map:
+				walk(ty.Key(), path)
+				walk(ty.Elem(), path)
+			case reflect.Struct:
+				for i := 0; i < ty.NumField(); i++ {
+					walk(ty.Field(i).Type, path+"."+ty.Field(i).Name)
+				}
+			}
 		}
-		if seen[ty] {
-			return
+		walk(root, path)
+		return seen
+	}
+	fromServer := reach(typeOf((*mvpp.Server)(nil)), "mvpp.Server")
+	if path, ok := fromServer[typeOf((*engine.MaintenanceEpoch)(nil))]; ok {
+		t.Errorf("%s can hold an engine.MaintenanceEpoch", path)
+	}
+	for _, must := range []reflect.Type{typeOf((*serve.Server)(nil)), typeOf((*engine.DB)(nil)), typeOf((*engine.Table)(nil))} {
+		if _, ok := fromServer[must]; !ok {
+			t.Fatalf("the walk never reached %s: it proves nothing", must)
 		}
-		seen[ty] = true
-		switch ty.Kind() {
-		case reflect.Pointer, reflect.Slice, reflect.Array, reflect.Chan:
-			walk(ty.Elem(), path)
-		case reflect.Map:
-			walk(ty.Key(), path)
-			walk(ty.Elem(), path)
-		case reflect.Struct:
-			for i := 0; i < ty.NumField(); i++ {
-				walk(ty.Field(i).Type, path+"."+ty.Field(i).Name)
+	}
+	db := typeOf((*engine.DB)(nil))
+	for _, name := range []string{"carried", "arena"} {
+		field, ok := db.FieldByName(name)
+		if !ok {
+			t.Fatalf("engine.DB has no field %s: the walk proves nothing", name)
+		}
+		kept := reach(field.Type, "engine.DB."+name)
+		for _, held := range []reflect.Type{typeOf((*engine.Table)(nil)), typeOf((*engine.RelationSet)(nil))} {
+			if path, ok := kept[held]; ok {
+				t.Errorf("%s, kept from one epoch to the next, can hold a %s", path, held)
 			}
 		}
 	}
-	walk(typeOf((*mvpp.Server)(nil)), "mvpp.Server")
-	for _, must := range []reflect.Type{typeOf((*serve.Server)(nil)), typeOf((*engine.DB)(nil)), typeOf((*engine.Table)(nil))} {
-		if !seen[must] {
-			t.Fatalf("the walk never reached %s: it proves nothing", must)
+}
+
+// TestSteadyEpochEvaluatesNoOperand: on the server of the paper's design
+// priced for incremental maintenance, the first epoch takes the row count of
+// every operand its join deltas pair against, by evaluating the operand
+// whole; every later epoch carries those counts, probes the operands, and
+// evaluates none whole. Read from the serve.epoch event's operands_evaluated
+// / operands_reused.
+func TestSteadyEpochEvaluatesNoOperand(t *testing.T) {
+	const flushes = 5
+	design, err := paperDesigner(t, mvpp.Options{Delta: &mvpp.DeltaOptions{DefaultFraction: 0.01}}).Design()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := mvpp.NewTraceRecorder(nil)
+	srv, err := design.NewServer(mvpp.ServeOptions{Observer: rec, DeltaBatch: 1 << 20, Scale: 0.01, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	for i := 0; i < flushes; i++ {
+		if _, err := srv.StreamDeltas(0.02); err != nil {
+			t.Fatal(err)
+		}
+		if err := srv.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	epochs := rec.Trace().EventsOfKind(obs.EvServeEpoch)
+	if len(epochs) != flushes {
+		t.Fatalf("%d epochs for %d flushes", len(epochs), flushes)
+	}
+	for i, e := range epochs {
+		whole, carried := e.Attrs["operands_evaluated"], e.Attrs["operands_reused"]
+		t.Logf("epoch %d: %v operands evaluated whole, %v carried counts used, %v incremental", i+1, whole, carried, e.Attrs["incremental"])
+		if i == 0 && whole == int64(0) {
+			t.Errorf("the first epoch evaluated no operand whole: it had no row count to carry")
+		}
+		if e.Attrs["incremental"] == int64(0) {
+			t.Fatalf("epoch %d refreshed no view incrementally", i+1)
+		}
+		if i > 0 && (whole != int64(0) || carried == int64(0)) {
+			t.Errorf("epoch %d evaluated %v operands whole and used %v carried counts", i+1, whole, carried)
 		}
 	}
 }

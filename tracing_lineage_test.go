@@ -121,7 +121,9 @@ func TestPipelineTraceEndToEnd(t *testing.T) {
 	if appendLSN == 0 || commitLSN < appendLSN {
 		t.Errorf("journal LSNs do not chain: append %v, commit %v", appendLSN, commitLSN)
 	}
-	// The epoch span says how much evaluation its refreshes shared.
+	// The epoch span says how many operands its refreshes evaluated whole and
+	// how many carried row counts they used; the server's first epoch takes
+	// every count, by evaluating its operand whole.
 	for _, sp := range epochEntry.Spans {
 		if sp.Name != "serve.epoch" {
 			continue
@@ -132,7 +134,7 @@ func TestPipelineTraceEndToEnd(t *testing.T) {
 			}
 		}
 		if epochSpans["refresh.incremental"] > 0 && detailInt(sp.Detail["operands_evaluated"]) == 0 {
-			t.Errorf("an epoch with incremental refreshes evaluated no operand: %v", sp.Detail)
+			t.Errorf("the first epoch with incremental refreshes evaluated no operand whole: %v", sp.Detail)
 		}
 	}
 
