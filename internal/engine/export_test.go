@@ -52,10 +52,11 @@ func (t *Table) CachedFingerprint() (uint64, bool) {
 }
 
 // The checkpoint kernels' oracles (stats_reference_test.go), for the
-// layer benchmark's reference run.
+// layer benchmark's reference run and the statistics cage.
 var (
 	ReferenceRelationStats = referenceRelationStats
 	ReferenceFingerprint   = referenceFingerprint
+	IdenticalRelation      = identicalRelation
 )
 
 // Operand evaluates plan whole the way the epoch evaluates the new-state
