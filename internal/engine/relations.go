@@ -111,14 +111,19 @@ func sortedNames[V any](m map[string]V) []string {
 // DB.CatalogFor) and, when withViews is set, of its views' stored rows.
 func (rs *RelationSet) Catalog(withViews bool) (*catalog.Catalog, error) {
 	cat := catalog.New()
+	var scratch StatsScratch
+	add := func(name string, t *Table) error {
+		rel, _ := scratch.Derive(name, t)
+		return cat.AddRelation(rel)
+	}
 	for _, name := range rs.Tables() {
-		if err := cat.AddRelation(relationStats(name, rs.tables[name])); err != nil {
+		if err := add(name, rs.tables[name]); err != nil {
 			return nil, err
 		}
 	}
 	if withViews {
 		for _, name := range rs.Views() {
-			if err := cat.AddRelation(relationStats(name, rs.views[name].table)); err != nil {
+			if err := add(name, rs.views[name].table); err != nil {
 				return nil, err
 			}
 		}

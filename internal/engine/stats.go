@@ -15,13 +15,144 @@ import (
 // The entry is one typed pass per column over the payloads, not a string
 // per value; the digest renders each row once into one reused buffer and
 // is carried from table to successor. Both are cached on the immutable
-// published table.
+// published table. A string column's entry is merged rather than passed
+// over: its table's lineage carries the column's distinct values as of the
+// last entry computed on it (statsState), and only the rows past those are
+// read.
 
-func computeRelationStats(name string, t *Table) *catalog.Relation {
+// statsState is what a lineage knows of the rows its tables share: for the
+// first rows rows, the distinct non-null values of each column that was a
+// typed string column there (the zero set for any other column). Every table
+// of the lineage with at least rows rows holds exactly those rows first (see
+// lineage), so its entry merges from the state. Immutable once published: a
+// state whose rows brought a column no new value shares that column's set
+// with the state before it.
+type statsState struct {
+	rows     int
+	distinct []stringSet
+}
+
+// stringSet is a string column's distinct non-null values as two sorted,
+// disjoint runs: folded, and recent, the values added since the last fold. A
+// merge that adds values copies recent alone, and folds it into folded only
+// once it outgrows an eighth of it, so the set's values are copied a bounded
+// number of times per value added rather than at every merge. folded is nil
+// only in the zero set, which stands for no set at all.
+type stringSet struct{ folded, recent []string }
+
+func (s stringSet) known() bool { return s.folded != nil }
+
+func (s stringSet) len() int { return len(s.folded) + len(s.recent) }
+
+func (s stringSet) contains(v string) bool {
+	_, inFolded := slices.BinarySearch(s.folded, v)
+	_, inRecent := slices.BinarySearch(s.recent, v)
+	return inFolded || inRecent
+}
+
+// add returns the set with the values of added (none of them in s): the
+// fold of everything when s is the zero set or recent outgrows an eighth of
+// folded, else s with a new recent run. The result is never the zero set.
+func (s stringSet) add(added map[string]struct{}) stringSet {
+	recent := append(make([]string, 0, len(s.recent)+len(added)), s.recent...)
+	for v := range added {
+		recent = append(recent, v)
+	}
+	if !s.known() || len(recent) > len(s.folded)/8 {
+		folded := append(append(make([]string, 0, len(s.folded)+len(recent)), s.folded...), recent...)
+		slices.Sort(folded)
+		return stringSet{folded: folded}
+	}
+	slices.Sort(recent)
+	return stringSet{folded: s.folded, recent: recent}
+}
+
+// bounds returns the least and the greatest value of a non-empty set. Such a
+// set's folded run is not empty: recent holds at most an eighth of it.
+func (s stringSet) bounds() (lo, hi string) {
+	lo, hi = s.folded[0], s.folded[len(s.folded)-1]
+	if n := len(s.recent); n > 0 {
+		lo, hi = min(lo, s.recent[0]), max(hi, s.recent[n-1])
+	}
+	return lo, hi
+}
+
+// offer publishes s as the lineage's state unless the lineage already knows
+// as many rows: states only move forward.
+func (l *lineage) offer(s *statsState) {
+	for {
+		cur := l.stats.Load()
+		if cur != nil && cur.rows >= s.rows || l.stats.CompareAndSwap(cur, s) {
+			return
+		}
+	}
+}
+
+// StatsSource is how DeriveStats came by a table's catalog entry.
+type StatsSource uint8
+
+const (
+	// StatsCached: the table already held an entry for its rows, computed
+	// earlier or installed from a snapshot sidecar.
+	StatsCached StatsSource = iota
+	// StatsMerged: the string columns merged from the state the table's
+	// lineage carries and the rows past it; every other column passed whole.
+	StatsMerged
+	// StatsComputed: every column passed whole — a table whose lineage
+	// carries no state for a prefix of its rows: the first entry on a
+	// lineage, a table asked after a longer one of its lineage, a second
+	// successor (which starts a lineage of its own), an aggregate merge, a
+	// recomputation, a restored table.
+	StatsComputed
+)
+
+// StatsScratch is the working memory of deriving catalog entries: the slots
+// intStats counts a column's ints into, one per value of its span. A caller
+// that derives entries again and again keeps one, so that the slots are
+// allocated once, at the largest span counted, rather than per int column: a
+// snapshot store keeps one across its checkpoints, a catalog one across its
+// relations. Allocated per column, the slots were most of the bytes a steady
+// checkpoint's statistics allocate, in proportion to the tables
+// (TestCheckpointStatsAllocBudget). The zero value is ready to use; a scratch
+// is not safe for concurrent use.
+type StatsScratch struct{ slots []int32 }
+
+// deriveStats computes the table's entry, from its lineage's state when that
+// describes a prefix of its rows, and offers the lineage the state of all of
+// them.
+func deriveStats(name string, t *Table, scratch *StatsScratch) (*catalog.Relation, StatsSource) {
+	lin := t.lineage()
+	prev := lin.stats.Load()
+	if prev != nil && prev.rows > t.nrows {
+		prev = nil
+	}
+	rel, next := computeRelationStats(name, t, prev, scratch)
+	lin.offer(next)
+	if prev == nil {
+		return rel, StatsComputed
+	}
+	return rel, StatsMerged
+}
+
+// computeRelationStats derives the entry of t and the state of its rows;
+// prev, when not nil, is the state of a prefix of them.
+func computeRelationStats(name string, t *Table, prev *statsState, scratch *StatsScratch) (*catalog.Relation, *statsState) {
+	next := &statsState{rows: t.nrows, distinct: make([]stringSet, len(t.cols))}
 	attrs := make(map[string]catalog.AttrStats, t.Schema.Len())
 	for ci, col := range t.Schema.Columns {
+		c := t.cols[ci]
+		if c.typedKind() == algebra.TypeString {
+			var seen stringSet
+			from := 0
+			if prev != nil && prev.distinct[ci].known() {
+				seen, from = prev.distinct[ci], prev.rows
+			}
+			next.distinct[ci] = c.distinctStrings(seen, from)
+			attrs[col.Name] = c.stringStats(next.distinct[ci])
+			continue
+		}
 		numeric := col.Type == algebra.TypeInt || col.Type == algebra.TypeFloat || col.Type == algebra.TypeDate
-		attrs[col.Name] = t.cols[ci].stats(numeric)
+		attrs[col.Name] = c.stats(numeric, scratch)
 	}
 	return &catalog.Relation{
 		Name:            name,
@@ -30,7 +161,7 @@ func computeRelationStats(name string, t *Table) *catalog.Relation {
 		Blocks:          float64(t.NumBlocks()),
 		UpdateFrequency: 1,
 		Attrs:           attrs,
-	}
+	}, next
 }
 
 // Past these bounds the typed pass would disagree with the per-value one:
@@ -43,22 +174,21 @@ const (
 	exactDateBound = 1 << 31
 )
 
-// stats derives one column's catalog entry in one typed pass over its
-// payload. The entry is valueStats', bit for bit: NDV counts distinct
-// renderings, NULL's "<invalid>" among them; Min and Max start at the first
-// non-null value and move only to one that compares strictly lower or
-// higher, so a leading NaN pins both and ties keep the earlier row; a
-// numeric attribute's histogram covers its non-null values.
-func (c *colvec) stats(numeric bool) catalog.AttrStats {
+// stats derives the catalog entry of a column that is no typed string column
+// (those merge, in computeRelationStats) in one typed pass over its payload.
+// The entry is valueStats', bit for bit: NDV counts distinct renderings,
+// NULL's "<invalid>" among them; Min and Max start at the first non-null
+// value and move only to one that compares strictly lower or higher, so a
+// leading NaN pins both and ties keep the earlier row; a numeric attribute's
+// histogram covers its non-null values.
+func (c *colvec) stats(numeric bool, scratch *StatsScratch) catalog.AttrStats {
 	switch c.typedKind() {
 	case algebra.TypeInt, algebra.TypeDate:
-		if st, ok := c.intStats(numeric); ok {
+		if st, ok := c.intStats(numeric, scratch); ok {
 			return st
 		}
 	case algebra.TypeFloat:
 		return c.floatStats(numeric)
-	case algebra.TypeString:
-		return c.stringStats()
 	}
 	return c.valueStats(numeric)
 }
@@ -84,7 +214,7 @@ func (c *colvec) nonNull(i int) bool { return c.numNulls == 0 || !bitGet(c.nulls
 // statistics cost (EXPERIMENTS "Checkpoint kernels"); the bound keeps its
 // int32 slots within twice the sorted copy's memory. Min and Max are the
 // ends. ok is false when a value lies past the kind's exact bound.
-func (c *colvec) intStats(numeric bool) (st catalog.AttrStats, ok bool) {
+func (c *colvec) intStats(numeric bool, scratch *StatsScratch) (st catalog.AttrStats, ok bool) {
 	n := c.n - c.numNulls
 	if n == 0 {
 		return catalog.AttrStats{DistinctValues: c.distinct(0)}, true
@@ -104,7 +234,7 @@ func (c *colvec) intStats(numeric bool) (st catalog.AttrStats, ok bool) {
 	}
 	var ndv int
 	if span := hi - lo; span < 4*int64(n) {
-		ndv, st.Histogram = c.countedInts(lo, span, n, numeric)
+		ndv, st.Histogram = c.countedInts(lo, span, n, numeric, scratch)
 	} else {
 		ndv, st.Histogram = c.sortedInts(n, numeric)
 	}
@@ -115,12 +245,21 @@ func (c *colvec) intStats(numeric bool) (st catalog.AttrStats, ok bool) {
 
 // countedInts counts the n non-null values into span+1 slots from lo and
 // walks the counts once: a slot in use is a distinct value, and the slot
-// holding sorted position i·n/buckets − 1 is histogram bound i.
-func (c *colvec) countedInts(lo, span int64, n int, numeric bool) (ndv int, hist []float64) {
-	counts := make([]int32, span+1)
-	for i, x := range c.ints {
-		if c.nonNull(i) {
+// holding sorted position i·n/buckets − 1 is histogram bound i. The slots are
+// the scratch's, grown to the span when they are fewer.
+func (c *colvec) countedInts(lo, span int64, n int, numeric bool, scratch *StatsScratch) (ndv int, hist []float64) {
+	counts := slices.Grow(scratch.slots[:0], int(span+1))[:span+1]
+	clear(counts)
+	scratch.slots = counts
+	if c.numNulls == 0 {
+		for _, x := range c.ints {
 			counts[x-lo]++
+		}
+	} else {
+		for i, x := range c.ints {
+			if !bitGet(c.nulls, i) {
+				counts[x-lo]++
+			}
 		}
 	}
 	if numeric && n >= HistogramBuckets {
@@ -158,21 +297,33 @@ func (c *colvec) sortedInts(n int, numeric bool) (ndv int, hist []float64) {
 }
 
 // floatStats keys NDV on the bits, every NaN on one key (they all render
-// "NaN"; -0 and +0 render apart). The histogram sorts the values in row
-// order exactly as the per-value pass does, so equal-comparing ±0 land in
-// the same slots.
+// "NaN"; -0 and +0 render apart). Min and Max start at the first non-null
+// value and move only to a strictly lower or higher one. The histogram sorts
+// the values in row order exactly as the per-value pass does, so
+// equal-comparing ±0 land in the same slots.
 func (c *colvec) floatStats(numeric bool) catalog.AttrStats {
 	nan := math.Float64bits(math.NaN())
-	ndv, lo, hi, ok := scanOrdered(c, c.floats, func(f float64) uint64 {
-		if f != f {
-			return nan
+	distinct := make(map[uint64]struct{})
+	var st catalog.AttrStats
+	for i, f := range c.floats {
+		if !c.nonNull(i) {
+			continue
 		}
-		return math.Float64bits(f)
-	})
-	st := catalog.AttrStats{DistinctValues: c.distinct(ndv)}
-	if ok {
-		st.Min, st.Max = algebra.FloatVal(lo), algebra.FloatVal(hi)
+		key := math.Float64bits(f)
+		if f != f {
+			key = nan
+		}
+		distinct[key] = struct{}{}
+		switch {
+		case !st.Min.IsValid():
+			st.Min, st.Max = algebra.FloatVal(f), algebra.FloatVal(f)
+		case f < st.Min.Float:
+			st.Min = algebra.FloatVal(f)
+		case f > st.Max.Float:
+			st.Max = algebra.FloatVal(f)
+		}
 	}
+	st.DistinctValues = c.distinct(len(distinct))
 	if numeric {
 		vals := nonNullOf(c, c.floats)
 		sort.Float64s(vals)
@@ -181,39 +332,39 @@ func (c *colvec) floatStats(numeric bool) catalog.AttrStats {
 	return st
 }
 
-// stringStats keys NDV on the raw strings (quoting is one-to-one). A string
-// has no float image, so there is no histogram even under a numeric
-// declared type.
-func (c *colvec) stringStats() catalog.AttrStats {
-	ndv, lo, hi, ok := scanOrdered(c, c.strs, func(s string) string { return s })
-	st := catalog.AttrStats{DistinctValues: c.distinct(ndv)}
-	if ok {
+// distinctStrings returns the distinct non-null values of the column: seen,
+// those of its first from rows, with those of the rows past them added —
+// seen itself when they bring no new value, so a steady merge allocates
+// nothing. The result is known.
+func (c *colvec) distinctStrings(seen stringSet, from int) stringSet {
+	var added map[string]struct{}
+	for i := from; i < c.n; i++ {
+		if !c.nonNull(i) || seen.contains(c.strs[i]) {
+			continue
+		}
+		if added == nil {
+			added = make(map[string]struct{})
+		}
+		added[c.strs[i]] = struct{}{}
+	}
+	if len(added) == 0 && seen.known() {
+		return seen
+	}
+	return seen.add(added)
+}
+
+// stringStats reads a string column's entry off its distinct non-null
+// values: NDV is their number (quoting is one-to-one), Min and Max the least
+// and the greatest — strings compare totally, so the first-row tie rule keeps
+// an equal string. A string has no float image, so there is no histogram
+// even under a numeric declared type.
+func (c *colvec) stringStats(distinct stringSet) catalog.AttrStats {
+	st := catalog.AttrStats{DistinctValues: c.distinct(distinct.len())}
+	if distinct.len() > 0 {
+		lo, hi := distinct.bounds()
 		st.Min, st.Max = algebra.StringVal(lo), algebra.StringVal(hi)
 	}
 	return st
-}
-
-// scanOrdered reads the non-null values in row order: NDV counts their
-// distinct keys; Min and Max start at the first and move only to a strictly
-// lower or higher one. ok is false when there is no non-null value.
-func scanOrdered[T float64 | string, K comparable](c *colvec, payload []T, key func(T) K) (ndv int, lo, hi T, ok bool) {
-	distinct := make(map[K]struct{})
-	for i, x := range payload {
-		if !c.nonNull(i) {
-			continue
-		}
-		distinct[key(x)] = struct{}{}
-		if !ok {
-			lo, hi, ok = x, x, true
-		}
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return len(distinct), lo, hi, ok
 }
 
 // nonNullOf copies the payload's non-null values.

@@ -76,12 +76,12 @@ type Table struct {
 	// immutable (maintenance swaps whole *Table pointers), so a computed
 	// entry stays valid for the table's lifetime; the only mutable window is
 	// the pre-publication setup phase, which the row-count guard in
-	// relationStats covers.
+	// DeriveStats covers.
 	stats atomic.Pointer[catalog.Relation]
 	// digest caches Fingerprint under the same discipline and guard.
 	digest atomic.Pointer[tableDigest]
 	// lin is the table's append lineage (see Mark); nil until the table is
-	// marked or extended.
+	// marked, extended or its statistics derived.
 	lin atomic.Pointer[lineage]
 }
 
@@ -216,8 +216,11 @@ func (t *Table) appendTable(o *Table) {
 // was built from another of them by appends whose claims all held, and a
 // table's claimed room is taken once, so the tables of one lineage are
 // linear: each holds the rows of every shorter one, in order, followed by
-// its own. (It has a field so that every token is a distinct allocation.)
-type lineage struct{ _ byte }
+// its own. stats is what the lineage knows of those shared rows, for the
+// statistics of its longer tables (see statsState).
+type lineage struct {
+	stats atomic.Pointer[statsState]
+}
 
 // lineage returns the table's lineage, giving it one of its own if it has
 // none yet.
@@ -414,7 +417,31 @@ func (db *DB) CatalogWithViews() (*catalog.Catalog, error) { return db.Relations
 // and cached (snapshot checkpoints persist the entry so recovery can prime
 // restored tables without rescanning them).
 func TableStats(name string, t *Table) *catalog.Relation {
-	return relationStats(name, t)
+	rel, _ := DeriveStats(name, t)
+	return rel
+}
+
+// DeriveStats is TableStats, and how the call came by the entry: from the
+// table's cache, merged from its lineage, or computed from every row. The
+// row-count guard drops a cache primed during the setup phase and then
+// outgrown by Insert.
+func DeriveStats(name string, t *Table) (*catalog.Relation, StatsSource) {
+	return new(StatsScratch).Derive(name, t)
+}
+
+// Derive is DeriveStats counting ints in the scratch's slots.
+func (s *StatsScratch) Derive(name string, t *Table) (*catalog.Relation, StatsSource) {
+	if rel := t.stats.Load(); rel != nil && rel.Rows == float64(t.nrows) {
+		if rel.Name == name {
+			return rel, StatsCached
+		}
+		clone := *rel
+		clone.Name = name
+		return &clone, StatsCached
+	}
+	rel, src := deriveStats(name, t, s)
+	t.stats.Store(rel)
+	return rel, src
 }
 
 // InstallStats primes the table's statistics cache with a precomputed
@@ -437,22 +464,4 @@ func (t *Table) InstallStats(rel *catalog.Relation) bool {
 	rel.Schema = t.Schema
 	t.stats.Store(rel)
 	return true
-}
-
-// relationStats returns the table's cached catalog entry, computing it on
-// a miss: exact sizes, exact distinct-value counts, min/max, and
-// equi-depth histograms on numeric attributes. The row-count guard drops a
-// cache primed during the setup phase and then outgrown by Insert.
-func relationStats(name string, t *Table) *catalog.Relation {
-	if rel := t.stats.Load(); rel != nil && rel.Rows == float64(t.nrows) {
-		if rel.Name == name {
-			return rel
-		}
-		clone := *rel
-		clone.Name = name
-		return &clone
-	}
-	rel := computeRelationStats(name, t)
-	t.stats.Store(rel)
-	return rel
 }

@@ -116,16 +116,17 @@ type SegmentStats struct {
 
 // statsOf captures a table's catalog entry as a manifest sidecar — none when
 // a NaN or an infinity is among its numbers, which JSON cannot carry: the
-// restored table then derives its statistics on first use.
-func statsOf(name string, t *engine.Table) *SegmentStats {
-	rel := engine.TableStats(name, t)
+// restored table then derives its statistics on first use — and reports how
+// the engine came by the entry.
+func statsOf(scratch *engine.StatsScratch, name string, t *engine.Table) (*SegmentStats, engine.StatsSource) {
+	rel, src := scratch.Derive(name, t)
 	nums := []float64{rel.Rows, rel.Blocks, rel.UpdateFrequency}
 	for _, a := range rel.Attrs {
 		nums = append(append(nums, a.DistinctValues, a.Min.Float, a.Max.Float), a.Histogram...)
 	}
 	for _, f := range nums {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return nil
+			return nil, src
 		}
 	}
 	return &SegmentStats{
@@ -133,7 +134,7 @@ func statsOf(name string, t *engine.Table) *SegmentStats {
 		Blocks:          rel.Blocks,
 		UpdateFrequency: rel.UpdateFrequency,
 		Attrs:           rel.Attrs,
-	}
+	}, src
 }
 
 // install primes a restored table with the sidecar's statistics; the
@@ -316,6 +317,9 @@ type Store struct {
 	// that the next writes every relation whole.
 	last    map[string]persisted
 	lastDir string
+	// stats is the working memory of the statistics sidecars, kept across
+	// checkpoints so that a steady one allocates no int slots.
+	stats engine.StatsScratch
 }
 
 // persisted is one relation as a committed generation holds it: the table
@@ -392,6 +396,12 @@ type CheckpointResult struct {
 	Duration time.Duration
 	// ViewBytes is the bytes each persisted view's extents hold.
 	ViewBytes map[string]int64
+	// StatsMerged and StatsComputed count the relations whose statistics
+	// sidecar this checkpoint derived: merged from the state the table's
+	// lineage carries and the rows past it, or computed from every row
+	// (engine.DeriveStats). The other relations' tables held their entry
+	// already.
+	StatsMerged, StatsComputed int
 }
 
 // nextGeneration scans existing generation directories and returns one
@@ -556,13 +566,16 @@ func (st *Store) checkpoint(in CheckpointInput) (*CheckpointResult, error) {
 	}
 	p := &pack{file: packName(gen)}
 	next := make(map[string]persisted, len(in.Tables)+len(in.Views))
+	var derived [engine.StatsComputed + 1]int // by engine.StatsSource
 	entry := func(name string, t *engine.Table) (Segment, error) {
 		exts, err := p.extents(st.last[name], t)
 		if err != nil {
 			return Segment{}, fmt.Errorf("snapshot: writing %s: %w", name, err)
 		}
 		next[name] = persisted{mark: t.Mark(), extents: exts}
-		s := Segment{Name: name, Rows: t.NumRows(), Extents: exts, Stats: statsOf(name, t)}
+		stats, src := statsOf(&st.stats, name, t)
+		derived[src]++
+		s := Segment{Name: name, Rows: t.NumRows(), Extents: exts, Stats: stats}
 		for _, e := range exts {
 			s.Bytes += e.Bytes
 		}
@@ -600,11 +613,13 @@ func (st *Store) checkpoint(in CheckpointInput) (*CheckpointResult, error) {
 	}
 	st.last, st.lastDir = next, dir
 	res := &CheckpointResult{
-		Generation: gen,
-		Bytes:      m.TotalBytes(),
-		Written:    int64(len(p.buf)),
-		Duration:   time.Since(start),
-		ViewBytes:  make(map[string]int64, len(m.Views)),
+		Generation:    gen,
+		Bytes:         m.TotalBytes(),
+		Written:       int64(len(p.buf)),
+		Duration:      time.Since(start),
+		ViewBytes:     make(map[string]int64, len(m.Views)),
+		StatsMerged:   derived[engine.StatsMerged],
+		StatsComputed: derived[engine.StatsComputed],
 	}
 	for _, v := range m.Views {
 		res.ViewBytes[v.Name] = v.Bytes
