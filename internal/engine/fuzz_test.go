@@ -2,8 +2,10 @@ package engine
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"github.com/warehousekit/mvpp/internal/algebra"
@@ -84,6 +86,11 @@ func FuzzBatchSelectPredicate(f *testing.F) {
 	seed(floats, 0, 2, 0, 100.0, "", false)
 	seed(specials, 5, 2, 0, math.NaN(), "", false)
 	seed(strs, 0, 3, 0, 0, "s|", false)
+	// The miss path's shape: many rows over a few strings, with and without
+	// a null, under = and an ordering.
+	seed(pooledRows(40, 4, 0), 0, 3, 0, 0, "p1\x00", false)
+	seed(pooledRows(40, 4, 7), 2, 3, 0, 0, "p2\x00", true)
+	seed(pooledRows(64, 5, 0), 5, 3, 0, 0, "p3", false)
 
 	schema := algebra.NewSchema(algebra.Column{Relation: "T", Name: "v", Type: algebra.TypeInt})
 	f.Fuzz(func(t *testing.T, rowData []byte, op, litSel uint8, litInt int64, litFloat float64, litStr string, negate bool) {
@@ -104,6 +111,20 @@ func FuzzBatchSelectPredicate(f *testing.F) {
 	})
 }
 
+// pooledRows encodes n rows of k strings ("p0\x00", "p1\x00", ...), every
+// nullEvery-th of them null (none when nullEvery is 0).
+func pooledRows(n, k, nullEvery int) []byte {
+	var out []byte
+	for i := 0; i < n; i++ {
+		if nullEvery > 0 && i%nullEvery == nullEvery-1 {
+			out = append(out, encodeFuzzRow(0, 0)...)
+			continue
+		}
+		out = append(out, encodeFuzzRow(3, uint64('p')|uint64('0'+i%k)<<8)...)
+	}
+	return out
+}
+
 // requireSelectParity runs σpred over one scratch table T on the batch
 // executor and on the row oracle and requires identical outcomes: the same
 // error text, or the same rows in the same order (float payloads bit for
@@ -111,7 +132,40 @@ func FuzzBatchSelectPredicate(f *testing.F) {
 // operator, which would mean the batch executor was compared with itself.
 // The plan scans T under scanSchema; a column it renames passes plan
 // validation and is unbound when the kernels resolve it against the table.
+// It runs twice: over T as inserted, and over T gathered out of a longer
+// table (gatherPadded), whose string columns hold more strings than rows.
 func requireSelectParity(t *testing.T, schema, scanSchema *algebra.Schema, rows [][]algebra.Value, pred algebra.Predicate) {
+	t.Helper()
+	for _, padded := range []bool{false, true} {
+		requireSelectParityOn(t, schema, scanSchema, rows, pred, padded)
+	}
+}
+
+// gatherPadded makes tab, still empty, hold rows gathered out of a longer
+// table: one that holds, before them, as many rows again whose strings are
+// its own. A column keeps the kinds of rows, so it keeps their
+// representation too.
+func gatherPadded(tab *Table, rows [][]algebra.Value) error {
+	pad := make([][]algebra.Value, len(rows))
+	idx := make([]int32, len(rows))
+	for i, r := range rows {
+		pad[i] = slices.Clone(r)
+		for c, v := range r {
+			if v.Kind == algebra.TypeString {
+				pad[i][c] = algebra.StringVal(fmt.Sprint("~pad", i))
+			}
+		}
+		idx[i] = int32(len(rows) + i)
+	}
+	if err := tab.Insert(append(pad, rows...)...); err != nil {
+		return err
+	}
+	g := tab.gatherTable(tab.Schema, tab.BlockRows, idx)
+	tab.cols, tab.nrows = g.cols, g.nrows
+	return nil
+}
+
+func requireSelectParityOn(t *testing.T, schema, scanSchema *algebra.Schema, rows [][]algebra.Value, pred algebra.Predicate, padded bool) {
 	t.Helper()
 	dbs := make([]*DB, 2)
 	for i := range dbs {
@@ -120,7 +174,12 @@ func requireSelectParity(t *testing.T, schema, scanSchema *algebra.Schema, rows 
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := tab.Insert(rows...); err != nil {
+		if padded {
+			err = gatherPadded(tab, rows)
+		} else {
+			err = tab.Insert(rows...)
+		}
+		if err != nil {
 			t.Fatal(err)
 		}
 		dbs[i] = db
@@ -284,6 +343,11 @@ func FuzzBatchSelectNested(f *testing.F) {
 	// A string column against an int literal fails on its first lane; b
 	// decides which lanes get there.
 	f.Add(strs, ints, []byte{fzAnd2, ge, fzColLit + fzOnB, eq, fzColLit}, uint8(1), int64(1), 0.0, "")
+	// Pooled strings: a = "p1" OR a < b, then NOT (a >= data) AND b <> "p0"
+	// with a null lane in b.
+	pooled, pooledNulls := pooledRows(48, 4, 0), pooledRows(48, 3, 5)
+	f.Add(pooled, pooledRows(48, 3, 0), []byte{fzOr2, eq, fzColLit, lt, fzColCol}, uint8(3), int64(0), 0.0, "p1\x00")
+	f.Add(pooled, pooledNulls, []byte{fzAnd2, fzNot, ge, fzColData + 30, ne, fzColLit + fzOnB}, uint8(3), int64(0), 0.0, "p0\x00")
 
 	cols := func(third string) *algebra.Schema {
 		return algebra.NewSchema(
