@@ -280,19 +280,20 @@ func numColLanes[A, B number](a []A, b []B, want [3]bool, sel, out []int32) []in
 	return out[:j]
 }
 
-// strLanes keeps the lanes of sel on which a[i] op b[i] holds — or, with b
-// nil, a[i] op lit. Equality has its own loop: it never orders the strings,
-// and sharing a loop with the ordered form cost the `attr = 'v'` filter of a
-// cache miss half again its time.
-func strLanes(a, b []string, lit string, op algebra.CompareOp, sel, out []int32) []int32 {
+// strLanes keeps the lanes of sel on which a's string op b's holds — or,
+// with b nil, a's string op lit — comparing every lane's own strings.
+// Equality has its own loop: it never orders the strings, and sharing a
+// loop with the ordered form cost the per-lane `attr = 'v'` filter half
+// again its time.
+func strLanes(a, b *colvec, lit string, op algebra.CompareOp, sel, out []int32) []int32 {
 	j := 0
 	if op == algebra.OpEq || op == algebra.OpNotEq {
 		for k := range out {
 			i := laneAt(sel, k)
 			if b != nil {
-				lit = b[i]
+				lit = b.strAt(int(i))
 			}
-			if (a[i] == lit) == (op == algebra.OpEq) {
+			if (a.strAt(int(i)) == lit) == (op == algebra.OpEq) {
 				out[j] = i
 				j++
 			}
@@ -303,12 +304,56 @@ func strLanes(a, b []string, lit string, op algebra.CompareOp, sel, out []int32)
 	for k := range out {
 		i := laneAt(sel, k)
 		if b != nil {
-			lit = b[i]
+			lit = b.strAt(int(i))
 		}
-		if want[threeWay(a[i], lit)] {
+		if want[threeWay(a.strAt(int(i)), lit)] {
 			out[j] = i
 			j++
 		}
+	}
+	return out[:j]
+}
+
+// strLitLanes keeps the lanes of sel on which a's string op lit holds. When
+// a's dictionary is shorter than the lanes — the pooled attribute a cache
+// miss filters on — it compares each dictionary entry once, into a table
+// indexed by code, and then the lanes run one code lookup each; otherwise
+// every lane compares its own string (strLanes).
+func strLitLanes(a *colvec, lit string, op algebra.CompareOp, sel, out []int32) []int32 {
+	if len(a.dict) >= len(out) {
+		return strLanes(a, nil, lit, op, sel, out)
+	}
+	var buf [256]uint8
+	hold := buf[:0]
+	if len(a.dict) > len(buf) {
+		hold = make([]uint8, 0, len(a.dict))
+	}
+	want := holdsTable(op)
+	for _, s := range a.dict {
+		var h uint8
+		if want[threeWay(s, lit)] {
+			h = 1
+		}
+		hold = append(hold, h)
+	}
+	return codeLanes(a.codes, hold, sel, out)
+}
+
+// codeLanes keeps the lanes of sel whose code the table holds (1) and drops
+// the rest (0). Every lane is written and the count advances by the table
+// entry, so the loop has no branch on the data.
+func codeLanes(codes []uint32, hold []uint8, sel, out []int32) []int32 {
+	j := 0
+	if sel == nil {
+		for i, code := range codes[:len(out)] {
+			out[j] = int32(i)
+			j += int(hold[code])
+		}
+		return out[:j]
+	}
+	for _, i := range sel {
+		out[j] = i
+		j += int(hold[codes[i]])
 	}
 	return out[:j]
 }
@@ -355,9 +400,9 @@ func evalCompareBatch(c *algebra.Comparison, tab *Table, sel []int32, f *laneFai
 		}
 	case l != nil && left.isString() && right.isString():
 		if r == nil {
-			return strLanes(l.strs, nil, right.lit.Str, c.Op, sel, out)
+			return strLitLanes(l, right.lit.Str, c.Op, sel, out)
 		}
-		return strLanes(l.strs, r.strs, "", c.Op, sel, out)
+		return strLanes(l, r, "", c.Op, sel, out)
 	}
 	// Wrap comparison errors exactly as Comparison.Eval does. Lanes above
 	// the first failure are dead, so the loop stops there.

@@ -207,7 +207,7 @@ func accumMinMax(seen []bool, minI, maxI []int64, minF, maxF []float64, minS, ma
 		}
 	case minS != nil:
 		for r, g := range gids {
-			v := col.strs[r]
+			v := col.strAt(r)
 			if !seen[g] {
 				seen[g], minS[g], maxS[g] = true, v, v
 				continue
@@ -234,6 +234,25 @@ func minMaxValue(kind algebra.Type, ints []int64, floats []float64, strs []strin
 	default:
 		return algebra.Value{Kind: kind, Int: ints[g]}
 	}
+}
+
+// groupByCode is assignGroups over a single null-free string key column
+// whose dictionary is shorter than its n rows: a string is one group, and
+// one code (the dictionary holds no string twice), so the group of a row is
+// looked up by its code in an array, not by its string in a map.
+func groupByCode(col *colvec, n int, gids []int32) ([]int32, []int32) {
+	var firstRow []int32
+	byCode := make([]int32, len(col.dict)) // group + 1; 0 while unseen
+	for r, code := range col.codes[:n] {
+		g := byCode[code] - 1
+		if g < 0 {
+			g = int32(len(firstRow))
+			byCode[code] = g + 1
+			firstRow = append(firstRow, int32(r))
+		}
+		gids[r] = g
+	}
+	return gids, firstRow
 }
 
 // assignGroups computes each row's group id in first-seen order and the
@@ -290,9 +309,12 @@ func assignGroups(in *Table, groupIdx []int) ([]int32, []int32) {
 				}
 				return gids, firstRow
 			case algebra.TypeString:
+				if len(col.dict) < n {
+					return groupByCode(col, n, gids)
+				}
 				byKey := make(map[string]int32, 64)
 				for r := 0; r < n; r++ {
-					k := col.strs[r]
+					k := col.strAt(r)
 					g, ok := byKey[k]
 					if !ok {
 						g = int32(len(firstRow))

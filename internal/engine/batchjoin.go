@@ -40,7 +40,7 @@ func condMatcher(lc, rc *colvec) pairMatcher {
 			return !(x < y) && !(x > y)
 		}
 	case stringCol(lc) && stringCol(rc):
-		return func(li, ri int) bool { return lc.strs[li] == rc.strs[ri] }
+		return func(li, ri int) bool { return lc.strAt(li) == rc.strAt(ri) }
 	default:
 		return func(li, ri int) bool { return lc.valueAt(li).Equal(rc.valueAt(ri)) }
 	}

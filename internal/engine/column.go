@@ -10,13 +10,19 @@ import (
 // colvec is one column's storage: a typed payload slice (the batch
 // executor's unit of work) plus a null bitmap. A column whose values all
 // share one kind stores bare payloads — []int64 for ints and dates,
-// []float64, []string — and kernels run typed loops over them; a column
-// that ever receives heterogeneous kinds demotes itself to a generic
-// []algebra.Value representation that the executors fall back to
-// value-at-a-time. The zero algebra.Value is the canonical null: it is
-// recorded in the bitmap, not the payload. Any other invalid value (an
-// unknown Kind with payload bits set) also demotes to generic so it
-// round-trips verbatim.
+// []float64, and for strings []uint32 codes into a dictionary — and kernels
+// run typed loops over them; a column that ever receives heterogeneous
+// kinds demotes itself to a generic []algebra.Value representation that the
+// executors fall back to value-at-a-time. The zero algebra.Value is the
+// canonical null: it is recorded in the bitmap, not the payload. Any other
+// invalid value (an unknown Kind with payload bits set) also demotes to
+// generic so it round-trips verbatim.
+//
+// A string column's dictionary holds each string once, in the order the
+// column (or the lineage it extends) first met it, and every code indexes
+// it — a null's placeholder, "" unless a segment said otherwise, is coded
+// too. Codes are never reassigned, so a column's codes and dictionary
+// prefix are as immutable as the rest of it.
 //
 // A column is immutable once its table is published; a table grows by
 // building a successor (cloneAppendTable), and the successor shares the
@@ -36,9 +42,18 @@ import (
 // appendTable follow the same rule. The null bitmap is never shared: every
 // successor copies it (n/64 words).
 //
+// The dictionary follows the claim. Only the column that holds a claim may
+// add entries past its dictionary's length, in place, and only it touches
+// the string→code index that needs; every other column over the array
+// reads its own prefix and nothing past it. A column that copies — no
+// claim, or a claim that failed — codes its rows afresh against a
+// dictionary of its own. So a successor's strings cost O(Δ), and a column
+// that copies holds only the strings of its rows.
+//
 // Operators build fresh payloads (gather), except project, which shares
 // whole immutable columns, and slice, which shares payload backing
-// capacity-capped, so nothing ever appends into it in place.
+// capacity-capped, so nothing ever appends into it in place. A gathered or
+// sliced string column shares its source's dictionary the same way.
 type colvec struct {
 	// kind is the uniform kind of every non-null value appended so far;
 	// 0 while the column is empty or all-null, and meaningless once the
@@ -48,7 +63,14 @@ type colvec struct {
 	// zero placeholder so indices stay aligned).
 	ints   []int64 // TypeInt and TypeDate payloads
 	floats []float64
-	strs   []string
+	codes  []uint32 // TypeString payloads: row i holds dict[codes[i]]
+	// dict is the string column's dictionary (see above).
+	dict []string
+	// index maps each string of dict to its code — and those its claim's
+	// successors added past it. Only a column that may extend dict has one:
+	// it is nil on a column that reads another's dictionary (a gather, a
+	// slice), and shared along a claim, never beyond it.
+	index map[string]uint32
 	// vals, when non-nil, is the authoritative generic representation.
 	vals []algebra.Value
 	// nulls marks rows holding the canonical null (the zero Value); nil
@@ -131,10 +153,30 @@ func (c *colvec) append(v algebra.Value) {
 	case algebra.TypeFloat:
 		c.floats = append(c.floats, v.Float)
 	case algebra.TypeString:
-		c.strs = append(c.strs, v.Str)
+		c.codes = append(c.codes, c.code(v.Str))
 	}
 	c.n++
 }
+
+// code returns s's code, adding s to the dictionary when it is not there.
+// Only a column that owns the room past its dictionary calls it — one
+// without a claim, or one whose claim holds — and it holds the dictionary's
+// index, or has no dictionary yet.
+func (c *colvec) code(s string) uint32 {
+	if k, ok := c.index[s]; ok {
+		return k
+	}
+	if c.index == nil {
+		c.index = make(map[string]uint32)
+	}
+	k := uint32(len(c.dict))
+	c.dict = append(c.dict, s)
+	c.index[s] = k
+	return k
+}
+
+// strAt returns row i's string, or a null's placeholder.
+func (c *colvec) strAt(i int) string { return c.dict[c.codes[i]] }
 
 // sameStorageKind reports whether a value of kind v stores losslessly in a
 // column of kind k. Int and date share an int64 payload but render and
@@ -153,7 +195,10 @@ func (c *colvec) adoptKind(k algebra.Type) {
 	case algebra.TypeFloat:
 		c.floats = make([]float64, c.n, c.n+1)
 	case algebra.TypeString:
-		c.strs = make([]string, c.n, c.n+1)
+		c.codes, c.dict, c.index = make([]uint32, c.n, c.n+1), nil, nil
+		if c.n > 0 {
+			c.code("") // the nulls' placeholder, code 0
+		}
 	}
 }
 
@@ -165,7 +210,7 @@ func (c *colvec) appendPlaceholder() {
 	case algebra.TypeFloat:
 		c.floats = append(c.floats, 0)
 	case algebra.TypeString:
-		c.strs = append(c.strs, "")
+		c.codes = append(c.codes, c.code(""))
 	}
 }
 
@@ -180,7 +225,7 @@ func (c *colvec) demote() {
 		vals[i] = c.valueAt(i)
 	}
 	c.vals = vals
-	c.ints, c.floats, c.strs = nil, nil, nil
+	c.ints, c.floats, c.codes, c.dict, c.index = nil, nil, nil, nil, nil
 	c.claim = nil
 }
 
@@ -198,7 +243,7 @@ func (c *colvec) valueAt(i int) algebra.Value {
 	case algebra.TypeFloat:
 		return algebra.Value{Kind: algebra.TypeFloat, Float: c.floats[i]}
 	case algebra.TypeString:
-		return algebra.Value{Kind: algebra.TypeString, Str: c.strs[i]}
+		return algebra.Value{Kind: algebra.TypeString, Str: c.strAt(i)}
 	default:
 		return algebra.Value{}
 	}
@@ -244,9 +289,10 @@ func appendBulk[T any](s, add []T, k int, claimed bool) ([]T, bool) {
 // claimed c's backing array. A typed column takes a typed or kindless (all
 // null) column of its kind, and a generic column any column, in one bulk
 // copy of o's payload — in place past c.n when the claim holds and the array
-// has room, into a fresh array otherwise. Every other pair (c kindless, kinds
-// that differ, o generic under a typed c) is rebuilt value by value in fresh
-// arrays, which claim nothing of c's.
+// has room, into a fresh array otherwise; a string column codes o's strings
+// one by one against its dictionary (strRoom). Every other pair (c kindless,
+// kinds that differ, o generic under a typed c) is rebuilt value by value in
+// fresh arrays, which claim nothing of c's.
 func (c *colvec) appended(o *colvec) (*colvec, bool) {
 	out := &colvec{kind: c.kind, n: c.n + o.n, numNulls: c.numNulls + o.numNulls}
 	var claimed, fresh bool
@@ -269,7 +315,15 @@ func (c *colvec) appended(o *colvec) (*colvec, bool) {
 		case algebra.TypeFloat:
 			out.floats, fresh = appendBulk(c.floats, o.floats, o.n, claimed)
 		case algebra.TypeString:
-			out.strs, fresh = appendBulk(c.strs, o.strs, o.n, claimed)
+			out.codes, out.dict, out.index = c.codes, c.dict, c.index
+			fresh = out.strRoom(o.n, claimed)
+			for i := 0; i < o.n; i++ {
+				s := "" // under a kindless o, a null's placeholder
+				if o.codes != nil {
+					s = o.strAt(i)
+				}
+				out.codes = append(out.codes, out.code(s))
+			}
 		}
 	default:
 		out = &colvec{}
@@ -294,6 +348,30 @@ func (c *colvec) appended(o *colvec) (*colvec, bool) {
 	return out, claimed
 }
 
+// strRoom readies a string column's codes to take k more rows by append, and
+// its dictionary their strings. When the caller claimed the rows and the
+// column holds its dictionary's index, the codes get their room as room
+// gives it and the dictionary stays shared, to be extended in place;
+// otherwise the rows are coded afresh against a dictionary of the column's
+// own, in a fresh array with append's spare capacity. It reports whether the
+// codes are in a fresh array.
+func (c *colvec) strRoom(k int, claimed bool) bool {
+	if claimed && (c.index != nil || len(c.dict) == 0) {
+		var fresh bool
+		c.codes, fresh = room(c.codes, k, true)
+		return fresh
+	}
+	old, dict := c.codes, c.dict
+	// Room for at least one row is always a fresh array, which the codes are
+	// then rewritten into from the first.
+	grown, _ := room(old, max(k, 1), false)
+	c.codes, c.dict, c.index = grown[:0], nil, nil
+	for _, code := range old {
+		c.codes = append(c.codes, c.code(dict[code]))
+	}
+	return true
+}
+
 // orBits returns dst, grown to hold n+m bits, with src's m bits set from
 // bit n on.
 func orBits(dst []uint64, n int, src []uint64, m int) []uint64 {
@@ -315,8 +393,15 @@ func orBits(dst []uint64, n int, src []uint64, m int) []uint64 {
 // the k rows past its end, or, when that fails or its array lacks the room,
 // moves to a fresh array with a claim of its own. It reports whether the
 // claim held (always, for a column without one).
+//
+// A string column without a claim or an index (a slice, a gather: a delta
+// buffer trimmed at a commit) reads its source's dictionary, all of it; it
+// codes its own rows afresh first, so what it keeps is its own strings.
 func (c *colvec) reserve(k int) bool {
 	if c.claim == nil {
+		if c.index == nil && len(c.dict) > 0 {
+			c.strRoom(k, false)
+		}
 		return true
 	}
 	claimed := c.claimTail(k)
@@ -328,8 +413,8 @@ func (c *colvec) reserve(k int) bool {
 		c.ints, fresh = room(c.ints, k, claimed)
 	case c.floats != nil:
 		c.floats, fresh = room(c.floats, k, claimed)
-	case c.strs != nil:
-		c.strs, fresh = room(c.strs, k, claimed)
+	case c.codes != nil:
+		fresh = c.strRoom(k, claimed)
 	}
 	if fresh {
 		c.claim = newClaim(c.n + k)
@@ -352,8 +437,8 @@ func (c *colvec) slice(lo, hi int) *colvec {
 	if c.floats != nil {
 		out.floats = c.floats[lo:hi:hi]
 	}
-	if c.strs != nil {
-		out.strs = c.strs[lo:hi:hi]
+	if c.codes != nil {
+		out.codes, out.dict = c.codes[lo:hi:hi], c.sharedDict()
 	}
 	if c.numNulls > 0 {
 		for i := lo; i < hi; i++ {
@@ -366,7 +451,12 @@ func (c *colvec) slice(lo, hi int) *colvec {
 	return out
 }
 
-// gather returns a fresh column holding the rows named by idx, in order.
+// sharedDict is the column's dictionary for a column that reads it and never
+// extends it: capacity-capped, so an append would copy.
+func (c *colvec) sharedDict() []string { return c.dict[:len(c.dict):len(c.dict)] }
+
+// gather returns a fresh column holding the rows named by idx, in order; a
+// string column's codes index the source's dictionary, which it shares.
 func (c *colvec) gather(idx []int32) *colvec {
 	out := &colvec{kind: c.kind, n: len(idx)}
 	switch {
@@ -389,10 +479,10 @@ func (c *colvec) gather(idx []int32) *colvec {
 		for o, i := range idx {
 			out.floats[o] = c.floats[i]
 		}
-	case c.strs != nil:
-		out.strs = make([]string, len(idx))
+	case c.codes != nil:
+		out.codes, out.dict = make([]uint32, len(idx)), c.sharedDict()
 		for o, i := range idx {
-			out.strs[o] = c.strs[i]
+			out.codes[o] = c.codes[i]
 		}
 	}
 	if c.numNulls > 0 && c.vals == nil {

@@ -1,6 +1,10 @@
 package engine
 
-import "github.com/warehousekit/mvpp/internal/algebra"
+import (
+	"fmt"
+
+	"github.com/warehousekit/mvpp/internal/algebra"
+)
 
 // UseRowOracle makes db execute every operator on the row-at-a-time
 // reference oracle (rowexec_test.go) from now on, and returns the oracle
@@ -93,4 +97,36 @@ func (db *DB) HideCarriedCounts() (restore func()) {
 		defer db.mu.Unlock()
 		db.carried = kept
 	}
+}
+
+// SuccessorSteps runs TestSuccessorsOfOneTable's steps at one parent size
+// and calls its check after each with every table built so far.
+var SuccessorSteps = successorSteps
+
+// DictionaryFault reports the first string column of the table whose
+// dictionary holds a string twice, or that has a code past its dictionary,
+// or whose index sends one of its strings to another code; nil when every
+// string column is sound.
+func (t *Table) DictionaryFault() error {
+	for ci, c := range t.cols {
+		if c.codes == nil {
+			continue
+		}
+		at := make(map[string]int, len(c.dict))
+		for k, s := range c.dict {
+			if j, ok := at[s]; ok {
+				return fmt.Errorf("column %d: %q is entries %d and %d of its dictionary", ci, s, j, k)
+			}
+			at[s] = k
+			if got, ok := c.index[s]; c.index != nil && (!ok || int(got) != k) {
+				return fmt.Errorf("column %d: the index sends %q, entry %d, to %d (%v)", ci, s, k, got, ok)
+			}
+		}
+		for i, code := range c.codes[:c.n] {
+			if int(code) >= len(c.dict) {
+				return fmt.Errorf("column %d: row %d has code %d of a %d-string dictionary", ci, i, code, len(c.dict))
+			}
+		}
+	}
+	return nil
 }

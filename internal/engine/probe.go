@@ -39,8 +39,8 @@ func keysOf(c *colvec, n int) *keySet {
 		return ks
 	case stringCol(c):
 		ks := &keySet{strs: make(map[string]struct{}, n)}
-		for _, s := range c.strs[:n] {
-			ks.strs[s] = struct{}{}
+		for i := 0; i < n; i++ {
+			ks.strs[c.strAt(i)] = struct{}{}
 		}
 		return ks
 	}
@@ -171,8 +171,8 @@ func (db *DB) batchProbe(in *Table, col int, ks *keySet) *Table {
 	}
 	switch {
 	case ks.strs != nil:
-		for i, s := range c.strs[:in.nrows] {
-			if _, ok := ks.strs[s]; ok {
+		for i := 0; i < in.nrows; i++ {
+			if _, ok := ks.strs[c.strAt(i)]; ok {
 				lanes = append(lanes, int32(i))
 			}
 		}

@@ -338,10 +338,11 @@ func encodeColumn(c *colvec) ([]byte, error) {
 			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v))
 		}
 	case algebra.TypeString:
-		if len(c.strs) != c.n {
-			return nil, fmt.Errorf("string payload length %d != rows %d", len(c.strs), c.n)
+		if len(c.codes) != c.n {
+			return nil, fmt.Errorf("string payload length %d != rows %d", len(c.codes), c.n)
 		}
-		for _, s := range c.strs {
+		for i := 0; i < c.n; i++ {
+			s := c.strAt(i)
 			buf = binary.AppendUvarint(buf, uint64(len(s)))
 			buf = append(buf, s...)
 		}
@@ -527,7 +528,7 @@ func decodeColumn(c *colvec, payload []byte, rows, want int) (*colvec, error) {
 			case algebra.TypeFloat:
 				c.floats = make([]float64, 0, want)
 			case algebra.TypeString:
-				c.strs = make([]string, 0, want)
+				c.codes = make([]uint32, 0, want)
 			}
 		case c.vals != nil || (kind != 0 && kind != c.kind):
 			return separately()
@@ -552,19 +553,23 @@ func decodeColumn(c *colvec, payload []byte, rows, want int) (*colvec, error) {
 			}
 		case algebra.TypeString:
 			for i := 0; i < rows; i++ {
-				var s string
+				var sb []byte
 				if kind != 0 {
 					slen, err := cur.uvarint()
 					if err != nil {
 						return nil, err
 					}
-					sb, err := cur.bytes(slen)
-					if err != nil {
+					if sb, err = cur.bytes(slen); err != nil {
 						return nil, err
 					}
-					s = string(sb)
 				}
-				c.strs = append(c.strs, s)
+				// A string the dictionary holds is looked up without
+				// being copied out of the payload.
+				code, ok := c.index[string(sb)]
+				if !ok {
+					code = c.code(string(sb))
+				}
+				c.codes = append(c.codes, code)
 			}
 		}
 		if cur.off != len(payload) {

@@ -339,13 +339,13 @@ func (c *colvec) floatStats(numeric bool) catalog.AttrStats {
 func (c *colvec) distinctStrings(seen stringSet, from int) stringSet {
 	var added map[string]struct{}
 	for i := from; i < c.n; i++ {
-		if !c.nonNull(i) || seen.contains(c.strs[i]) {
+		if !c.nonNull(i) || seen.contains(c.strAt(i)) {
 			continue
 		}
 		if added == nil {
 			added = make(map[string]struct{})
 		}
-		added[c.strs[i]] = struct{}{}
+		added[c.strAt(i)] = struct{}{}
 	}
 	if len(added) == 0 && seen.known() {
 		return seen
