@@ -154,3 +154,45 @@ func successorSteps(t testing.TB, n int, check func(label string, tbs ...*Table)
 		t.Fatal("the parent's digest, blocks or statistics changed")
 	}
 }
+
+// TestUnrelatedTablesNeverExtend cages the lineage token's identity: a
+// snapshot store writes only the rows past its mark for a table that
+// Extends the one it persisted, so a table that does not hold the marked
+// rows must never claim to. Two unrelated tables of equal rows, both marked,
+// extend only their own marks, empty or not; and a second successor, whose
+// claim was lost and which copied, extends neither its parent's mark nor
+// its sibling's, nor the sibling its.
+func TestUnrelatedTablesNeverExtend(t *testing.T) {
+	// successor is the first successor of an empty table holding tag's n
+	// strings, the way every table a maintenance epoch publishes is built.
+	successor := func(tag, n int) *Table {
+		vals := make([]algebra.Value, n)
+		for i := range vals {
+			vals[i] = algebra.StringVal(fmt.Sprint("s", tag, "-", i))
+		}
+		return oneColumn(t, algebra.TypeString, nil).cloneAppendTable(oneColumn(t, algebra.TypeString, vals))
+	}
+	for _, n := range []int{0, 9} {
+		a, b := successor(1, n), successor(2, n)
+		ma, mb := a.Mark(), b.Mark()
+		if !a.Extends(ma) || !b.Extends(mb) {
+			t.Fatalf("%d rows: a marked table does not extend its own mark", n)
+		}
+		if a.Extends(mb) || b.Extends(ma) {
+			t.Fatalf("%d rows: an unrelated table extends another's mark", n)
+		}
+	}
+
+	parent := successor(1, 9)
+	mark := parent.Mark()
+	first, second := parent.cloneAppendTable(successor(3, 5)), parent.cloneAppendTable(successor(4, 5))
+	if !first.Extends(mark) {
+		t.Fatal("the first successor does not extend its parent's mark")
+	}
+	if second.Extends(mark) {
+		t.Fatal("the second successor extends its parent's mark")
+	}
+	if second.Extends(first.Mark()) || first.Extends(second.Mark()) {
+		t.Fatal("one successor of a table extends its sibling's mark")
+	}
+}
