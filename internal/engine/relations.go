@@ -113,8 +113,7 @@ func (rs *RelationSet) Catalog(withViews bool) (*catalog.Catalog, error) {
 	cat := catalog.New()
 	var scratch StatsScratch
 	add := func(name string, t *Table) error {
-		rel, _ := scratch.Derive(name, t)
-		return cat.AddRelation(rel)
+		return cat.AddRelation(scratch.Derive(name, t))
 	}
 	for _, name := range rs.Tables() {
 		if err := add(name, rs.tables[name]); err != nil {

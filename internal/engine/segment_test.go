@@ -240,8 +240,9 @@ func TestDecodeTableSegmentsJoinsSlices(t *testing.T) {
 
 // FuzzReadTableSegment: for any bytes, the decoder either returns an error
 // that wraps ErrSegmentCorrupt or a table that re-encodes to exactly those
-// bytes — never a panic, never a table the encoder would write differently.
-// The seeds are valid segments of every storage representation.
+// bytes — never a panic, never a table the encoder would write differently —
+// and whose catalog entry is the reference's. The seeds are valid segments
+// of every storage representation.
 func FuzzReadTableSegment(f *testing.F) {
 	schema := algebra.NewSchema(
 		algebra.Column{Relation: "R", Name: "id", Type: algebra.TypeInt},
@@ -254,10 +255,19 @@ func FuzzReadTableSegment(f *testing.F) {
 		{{algebra.IntVal(2), {}, {}}, {algebra.IntVal(3), algebra.StringVal("γ"), algebra.FloatVal(-0.0)}},
 		{{algebra.IntVal(4), algebra.IntVal(5), {}}, {algebra.DateVal(6), algebra.StringVal("x"), {}}},
 	}
-	for _, rows := range seeds {
+	// The last seed's null names carry placeholders other than "": one no
+	// row holds, above every value, and one a row holds too.
+	seeds = append(seeds, [][]algebra.Value{
+		{algebra.IntVal(7), {}, {}}, {algebra.IntVal(8), algebra.StringVal("b"), {}}, {algebra.IntVal(9), {}, algebra.FloatVal(2)},
+	})
+	for si, rows := range seeds {
 		tb := NewTable("T", schema, 3)
 		if err := tb.Insert(rows...); err != nil {
 			f.Fatal(err)
+		}
+		if si == len(seeds)-1 {
+			names := tb.cols[1]
+			names.codes[0], names.codes[2] = names.code("zz"), names.code("b")
 		}
 		var buf bytes.Buffer
 		if _, err := WriteTableSegment(&buf, tb); err != nil {
@@ -279,6 +289,9 @@ func FuzzReadTableSegment(f *testing.F) {
 		}
 		if !bytes.Equal(buf.Bytes(), data) {
 			t.Fatalf("decoded %d bytes into a table that encodes to %d other bytes", len(data), buf.Len())
+		}
+		if got, want := TableStats(tb.Name, tb), referenceRelationStats(tb.Name, tb); !identicalRelation(got, want) {
+			t.Fatalf("a decoded table's statistics differ from the reference\n got: %+v\nwant: %+v", got.Attrs, want.Attrs)
 		}
 	})
 }

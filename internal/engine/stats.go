@@ -13,103 +13,15 @@ import (
 // as its statistics sidecar and the cost model prices plans from) and its
 // row-multiset digest (what lineage stamps on a view's persisted contents).
 // The entry is one typed pass per column over the payloads, not a string
-// per value; the digest renders each row once into one reused buffer and
-// is carried from table to successor. Both are cached on the immutable
-// published table. A string column's entry is merged rather than passed
-// over: its table's lineage carries the column's distinct values as of the
-// last entry computed on it (statsState), and only the rows past those are
-// read.
-
-// statsState is what a lineage knows of the rows its tables share: for the
-// first rows rows, the distinct non-null values of each column that was a
-// typed string column there (the zero set for any other column). Every table
-// of the lineage with at least rows rows holds exactly those rows first (see
-// lineage), so its entry merges from the state. Immutable once published: a
-// state whose rows brought a column no new value shares that column's set
-// with the state before it.
-type statsState struct {
-	rows     int
-	distinct []stringSet
-}
-
-// stringSet is a string column's distinct non-null values as two sorted,
-// disjoint runs: folded, and recent, the values added since the last fold. A
-// merge that adds values copies recent alone, and folds it into folded only
-// once it outgrows an eighth of it, so the set's values are copied a bounded
-// number of times per value added rather than at every merge. folded is nil
-// only in the zero set, which stands for no set at all.
-type stringSet struct{ folded, recent []string }
-
-func (s stringSet) known() bool { return s.folded != nil }
-
-func (s stringSet) len() int { return len(s.folded) + len(s.recent) }
-
-func (s stringSet) contains(v string) bool {
-	_, inFolded := slices.BinarySearch(s.folded, v)
-	_, inRecent := slices.BinarySearch(s.recent, v)
-	return inFolded || inRecent
-}
-
-// add returns the set with the values of added (none of them in s): the
-// fold of everything when s is the zero set or recent outgrows an eighth of
-// folded, else s with a new recent run. The result is never the zero set.
-func (s stringSet) add(added map[string]struct{}) stringSet {
-	recent := append(make([]string, 0, len(s.recent)+len(added)), s.recent...)
-	for v := range added {
-		recent = append(recent, v)
-	}
-	if !s.known() || len(recent) > len(s.folded)/8 {
-		folded := append(append(make([]string, 0, len(s.folded)+len(recent)), s.folded...), recent...)
-		slices.Sort(folded)
-		return stringSet{folded: folded}
-	}
-	slices.Sort(recent)
-	return stringSet{folded: s.folded, recent: recent}
-}
-
-// bounds returns the least and the greatest value of a non-empty set. Such a
-// set's folded run is not empty: recent holds at most an eighth of it.
-func (s stringSet) bounds() (lo, hi string) {
-	lo, hi = s.folded[0], s.folded[len(s.folded)-1]
-	if n := len(s.recent); n > 0 {
-		lo, hi = min(lo, s.recent[0]), max(hi, s.recent[n-1])
-	}
-	return lo, hi
-}
-
-// offer publishes s as the lineage's state unless the lineage already knows
-// as many rows: states only move forward.
-func (l *lineage) offer(s *statsState) {
-	for {
-		cur := l.stats.Load()
-		if cur != nil && cur.rows >= s.rows || l.stats.CompareAndSwap(cur, s) {
-			return
-		}
-	}
-}
-
-// StatsSource is how DeriveStats came by a table's catalog entry.
-type StatsSource uint8
-
-const (
-	// StatsCached: the table already held an entry for its rows, computed
-	// earlier or installed from a snapshot sidecar.
-	StatsCached StatsSource = iota
-	// StatsMerged: the string columns merged from the state the table's
-	// lineage carries and the rows past it; every other column passed whole.
-	StatsMerged
-	// StatsComputed: every column passed whole — a table whose lineage
-	// carries no state for a prefix of its rows: the first entry on a
-	// lineage, a table asked after a longer one of its lineage, a second
-	// successor (which starts a lineage of its own), an aggregate merge, a
-	// recomputation, a restored table.
-	StatsComputed
-)
+// per value — a string column's over its dictionary codes — and the digest
+// renders each row once into one reused buffer and is carried from table to
+// successor. Both are cached on the immutable published table.
 
 // StatsScratch is the working memory of deriving catalog entries: the slots
-// intStats counts a column's ints into, one per value of its span. A caller
+// intStats counts a column's ints into, one per value of its span, and
+// stringStats a string column's codes, one per dictionary entry. A caller
 // that derives entries again and again keeps one, so that the slots are
-// allocated once, at the largest span counted, rather than per int column: a
+// allocated once, at the widest span or dictionary, rather than per column: a
 // snapshot store keeps one across its checkpoints, a catalog one across its
 // relations. Allocated per column, the slots were most of the bytes a steady
 // checkpoint's statistics allocate, in proportion to the tables
@@ -117,42 +29,20 @@ const (
 // is not safe for concurrent use.
 type StatsScratch struct{ slots []int32 }
 
-// deriveStats computes the table's entry, from its lineage's state when that
-// describes a prefix of its rows, and offers the lineage the state of all of
-// them.
-func deriveStats(name string, t *Table, scratch *StatsScratch) (*catalog.Relation, StatsSource) {
-	lin := t.lineage()
-	prev := lin.stats.Load()
-	if prev != nil && prev.rows > t.nrows {
-		prev = nil
-	}
-	rel, next := computeRelationStats(name, t, prev, scratch)
-	lin.offer(next)
-	if prev == nil {
-		return rel, StatsComputed
-	}
-	return rel, StatsMerged
+// counts returns n zeroed slots, the scratch's, grown when they are fewer.
+func (s *StatsScratch) counts(n int) []int32 {
+	counts := slices.Grow(s.slots[:0], n)[:n]
+	clear(counts)
+	s.slots = counts
+	return counts
 }
 
-// computeRelationStats derives the entry of t and the state of its rows;
-// prev, when not nil, is the state of a prefix of them.
-func computeRelationStats(name string, t *Table, prev *statsState, scratch *StatsScratch) (*catalog.Relation, *statsState) {
-	next := &statsState{rows: t.nrows, distinct: make([]stringSet, len(t.cols))}
+// deriveStats computes the table's entry, one column at a time.
+func deriveStats(name string, t *Table, scratch *StatsScratch) *catalog.Relation {
 	attrs := make(map[string]catalog.AttrStats, t.Schema.Len())
 	for ci, col := range t.Schema.Columns {
-		c := t.cols[ci]
-		if c.typedKind() == algebra.TypeString {
-			var seen stringSet
-			from := 0
-			if prev != nil && prev.distinct[ci].known() {
-				seen, from = prev.distinct[ci], prev.rows
-			}
-			next.distinct[ci] = c.distinctStrings(seen, from)
-			attrs[col.Name] = c.stringStats(next.distinct[ci])
-			continue
-		}
 		numeric := col.Type == algebra.TypeInt || col.Type == algebra.TypeFloat || col.Type == algebra.TypeDate
-		attrs[col.Name] = c.stats(numeric, scratch)
+		attrs[col.Name] = t.cols[ci].stats(numeric, scratch)
 	}
 	return &catalog.Relation{
 		Name:            name,
@@ -161,7 +51,7 @@ func computeRelationStats(name string, t *Table, prev *statsState, scratch *Stat
 		Blocks:          float64(t.NumBlocks()),
 		UpdateFrequency: 1,
 		Attrs:           attrs,
-	}, next
+	}
 }
 
 // Past these bounds the typed pass would disagree with the per-value one:
@@ -174,9 +64,8 @@ const (
 	exactDateBound = 1 << 31
 )
 
-// stats derives the catalog entry of a column that is no typed string column
-// (those merge, in computeRelationStats) in one typed pass over its payload.
-// The entry is valueStats', bit for bit: NDV counts distinct renderings,
+// stats derives the catalog entry of a column in one typed pass over its
+// payload. The entry is valueStats', bit for bit: NDV counts distinct renderings,
 // NULL's "<invalid>" among them; Min and Max start at the first non-null
 // value and move only to one that compares strictly lower or higher, so a
 // leading NaN pins both and ties keep the earlier row; a numeric attribute's
@@ -189,6 +78,8 @@ func (c *colvec) stats(numeric bool, scratch *StatsScratch) catalog.AttrStats {
 		}
 	case algebra.TypeFloat:
 		return c.floatStats(numeric)
+	case algebra.TypeString:
+		return c.stringStats(scratch)
 	}
 	return c.valueStats(numeric)
 }
@@ -248,9 +139,7 @@ func (c *colvec) intStats(numeric bool, scratch *StatsScratch) (st catalog.AttrS
 // holding sorted position i·n/buckets − 1 is histogram bound i. The slots are
 // the scratch's, grown to the span when they are fewer.
 func (c *colvec) countedInts(lo, span int64, n int, numeric bool, scratch *StatsScratch) (ndv int, hist []float64) {
-	counts := slices.Grow(scratch.slots[:0], int(span+1))[:span+1]
-	clear(counts)
-	scratch.slots = counts
+	counts := scratch.counts(int(span + 1))
 	if c.numNulls == 0 {
 		for _, x := range c.ints {
 			counts[x-lo]++
@@ -332,36 +221,44 @@ func (c *colvec) floatStats(numeric bool) catalog.AttrStats {
 	return st
 }
 
-// distinctStrings returns the distinct non-null values of the column: seen,
-// those of its first from rows, with those of the rows past them added —
-// seen itself when they bring no new value, so a steady merge allocates
-// nothing. The result is known.
-func (c *colvec) distinctStrings(seen stringSet, from int) stringSet {
-	var added map[string]struct{}
-	for i := from; i < c.n; i++ {
-		if !c.nonNull(i) || seen.contains(c.strAt(i)) {
+// stringStats reads a string column's entry off its codes: each non-null
+// row marks its code's slot, and the slots in use are the column's distinct
+// strings — exactly, because a dictionary holds no string twice
+// (TestDictionaryHoldsNoStringTwice). Entries no row uses (a null's
+// placeholder, the rest of a dictionary a gather or a slice shares) stay
+// unmarked. NDV is the slots in use (quoting is one-to-one), Min and Max
+// the least and the greatest of their strings — strings compare totally, so
+// the first-row tie rule keeps an equal string. A string has no float image,
+// so there is no histogram even under a numeric declared type. As in
+// countedInts, a column without nulls marks its codes in a loop without the
+// null test; one loop testing every row was ≈ 20 % slower at scale 0.2.
+func (c *colvec) stringStats(scratch *StatsScratch) catalog.AttrStats {
+	used := scratch.counts(len(c.dict))
+	if c.numNulls == 0 {
+		for _, code := range c.codes {
+			used[code] = 1
+		}
+	} else {
+		for i, code := range c.codes {
+			if !bitGet(c.nulls, i) {
+				used[code] = 1
+			}
+		}
+	}
+	ndv, lo, hi := 0, "", ""
+	for code, u := range used {
+		if u == 0 {
 			continue
 		}
-		if added == nil {
-			added = make(map[string]struct{})
+		if s := c.dict[code]; ndv == 0 {
+			lo, hi = s, s
+		} else {
+			lo, hi = min(lo, s), max(hi, s)
 		}
-		added[c.strAt(i)] = struct{}{}
+		ndv++
 	}
-	if len(added) == 0 && seen.known() {
-		return seen
-	}
-	return seen.add(added)
-}
-
-// stringStats reads a string column's entry off its distinct non-null
-// values: NDV is their number (quoting is one-to-one), Min and Max the least
-// and the greatest — strings compare totally, so the first-row tie rule keeps
-// an equal string. A string has no float image, so there is no histogram
-// even under a numeric declared type.
-func (c *colvec) stringStats(distinct stringSet) catalog.AttrStats {
-	st := catalog.AttrStats{DistinctValues: c.distinct(distinct.len())}
-	if distinct.len() > 0 {
-		lo, hi := distinct.bounds()
+	st := catalog.AttrStats{DistinctValues: c.distinct(ndv)}
+	if ndv > 0 {
 		st.Min, st.Max = algebra.StringVal(lo), algebra.StringVal(hi)
 	}
 	return st

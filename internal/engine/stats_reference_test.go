@@ -15,8 +15,8 @@ import (
 	"github.com/warehousekit/mvpp/internal/catalog"
 )
 
-// The checkpoint kernels' cage. referenceRelationStats is computeRelationStats
-// as it stood before the typed per-column pass, verbatim: every value boxed,
+// The checkpoint kernels' cage. referenceRelationStats is the catalog entry
+// as it was derived before the typed per-column pass, verbatim: every value boxed,
 // NDV keyed on its rendering, min/max by Value.Compare. referenceFingerprint
 // is the lineage digest as it stood in serve before it moved into the engine:
 // every row rendered and joined with "|", the rows sorted, FNV-64a over the
@@ -135,7 +135,7 @@ func identicalRelation(a, b *catalog.Relation) bool {
 func requireReferenceStats(t *testing.T, label string, tb *Table) {
 	t.Helper()
 	want := referenceRelationStats(tb.Name, tb)
-	if got, _ := computeRelationStats(tb.Name, tb, nil, new(StatsScratch)); !identicalRelation(got, want) {
+	if got := deriveStats(tb.Name, tb, new(StatsScratch)); !identicalRelation(got, want) {
 		t.Fatalf("%s: statistics differ from the reference\n got: %+v\nwant: %+v", label, got.Attrs, want.Attrs)
 	}
 }
@@ -249,6 +249,19 @@ func TestRelationStatsMatchesReference(t *testing.T) {
 	ints := oneColumn(t, algebra.TypeInt, []algebra.Value{{}, {}, algebra.IntVal(4), {}})
 	requireReferenceStats(t, "an all-null slice of a typed column", ints.Slice(0, 2))
 	requireReferenceStats(t, "an all-null gather of a typed column", ints.gatherTable(ints.Schema, 4, []int32{3, 0}))
+	// A string column's entry reads only the dictionary entries its non-null
+	// rows use. A slice or a gather shares a dictionary that holds strings
+	// it does not keep, below and above the ones it does; "" is a null's
+	// placeholder and a value too, or the placeholder alone.
+	sv := algebra.StringVal
+	strs := oneColumn(t, algebra.TypeString, []algebra.Value{sv("m"), sv("a"), {}, sv("k"), sv("z"), sv("k"), {}, sv("")})
+	requireReferenceStats(t, "a slice sharing a wider dictionary", strs.Slice(3, 6))
+	requireReferenceStats(t, "a gather sharing a wider dictionary", strs.gatherTable(strs.Schema, 4, []int32{5, 0, 3, 6}))
+	requireReferenceStats(t, "an all-null slice of a string column", strs.Slice(2, 3))
+	requireReferenceStats(t, "an all-null gather of a string column", strs.gatherTable(strs.Schema, 4, []int32{6, 2}))
+	requireReferenceStats(t, `"" as a null's placeholder and a value`, strs)
+	requireReferenceStats(t, `"" as a null's placeholder and a value, gathered`, strs.gatherTable(strs.Schema, 4, []int32{7, 2}))
+	requireReferenceStats(t, `"" as a null's placeholder alone`, oneColumn(t, algebra.TypeString, []algebra.Value{{}, sv("b"), {}}))
 }
 
 // fuzzStatsColumn decodes a column, 9 bytes per row like fuzzRows. mode%5
@@ -301,10 +314,13 @@ func lineageTables(t testing.TB, declared algebra.Type, vals []algebra.Value, sp
 }
 
 // FuzzRelationStats drives TestRelationStatsMatchesReference's comparison
-// from fuzzed columns, and then along a lineage: the column split into a
-// parent and its Δ, the parent's first successor and a second successor of
-// the same parent, their entries asked in the order the fuzzer picks — the
-// older table last included. Every entry equals the reference's.
+// from fuzzed columns and a gather of every other row of each, which shares
+// its dictionary, and then along a lineage: the column split into a parent
+// and its Δ, the parent's first successor (which extends the parent's
+// dictionary in place) and a second successor of the same parent (which
+// codes its rows against a dictionary of its own), their entries asked in
+// the order the fuzzer picks — the older table last included. Every entry
+// equals the reference's.
 func FuzzRelationStats(f *testing.F) {
 	enc := encodeFuzzRow
 	cat := func(rows ...[]byte) []byte {
@@ -331,8 +347,8 @@ func FuzzRelationStats(f *testing.F) {
 	f.Add(cat(enc(7, 0), enc(0x0e, 0), enc(5, 0x7c), enc(4, 0)), uint8(3), uint8(2), uint8(2), uint8(4))
 	f.Add(cat(enc(5, 0x6d), enc(10, 0x6d6d), enc(5, 0x6d), enc(10, 0x6d6d)), uint8(3), uint8(2), uint8(2), uint8(5))
 	f.Add(cat(enc(5, 0x6d), enc(5, 0x70), enc(5, 0x21), enc(5, 0x7e)), uint8(3), uint8(2), uint8(2), uint8(0))
-	// Sixteen distinct two-byte strings and a Δ with a seventeenth: the
-	// successor's set keeps the new value in a run of its own.
+	// Sixteen distinct two-byte strings and a Δ with a seventeenth, which
+	// the successor adds past the dictionary its parent reads.
 	var many []byte
 	for i := uint64(1); i <= 17; i++ {
 		many = append(many, enc(2, 0x6100+i)...)
@@ -344,6 +360,11 @@ func FuzzRelationStats(f *testing.F) {
 		vals := fuzzStatsColumn(data, mode)
 		tb := oneColumn(t, kinds[declared%4], vals)
 		requireReferenceStats(t, "fuzzed column", tb)
+		var every []int32
+		for i := 0; i < len(vals); i += 2 {
+			every = append(every, int32(i))
+		}
+		requireReferenceStats(t, "every other row of the fuzzed column, gathered", tb.gatherTable(tb.Schema, 4, every))
 		parent, succ, second := lineageTables(t, kinds[declared%4], vals, int(split)%(len(vals)+1))
 		tables := [3]*Table{parent, succ, second}
 		labels := [3]string{"parent", "first successor", "second successor"}

@@ -76,12 +76,12 @@ type Table struct {
 	// immutable (maintenance swaps whole *Table pointers), so a computed
 	// entry stays valid for the table's lifetime; the only mutable window is
 	// the pre-publication setup phase, which the row-count guard in
-	// DeriveStats covers.
+	// Derive covers.
 	stats atomic.Pointer[catalog.Relation]
 	// digest caches Fingerprint under the same discipline and guard.
 	digest atomic.Pointer[tableDigest]
 	// lin is the table's append lineage (see Mark); nil until the table is
-	// marked, extended or its statistics derived.
+	// marked or extended.
 	lin atomic.Pointer[lineage]
 }
 
@@ -216,11 +216,10 @@ func (t *Table) appendTable(o *Table) {
 // was built from another of them by appends whose claims all held, and a
 // table's claimed room is taken once, so the tables of one lineage are
 // linear: each holds the rows of every shorter one, in order, followed by
-// its own. stats is what the lineage knows of those shared rows, for the
-// statistics of its longer tables (see statsState).
-type lineage struct {
-	stats atomic.Pointer[statsState]
-}
+// its own. A token is nothing but its identity, and it is not of zero size:
+// Mark and Extends compare token pointers, and Go may give every zero-size
+// allocation one address (TestUnrelatedTablesNeverExtend).
+type lineage struct{ _ byte }
 
 // lineage returns the table's lineage, giving it one of its own if it has
 // none yet.
@@ -417,31 +416,23 @@ func (db *DB) CatalogWithViews() (*catalog.Catalog, error) { return db.Relations
 // and cached (snapshot checkpoints persist the entry so recovery can prime
 // restored tables without rescanning them).
 func TableStats(name string, t *Table) *catalog.Relation {
-	rel, _ := DeriveStats(name, t)
-	return rel
-}
-
-// DeriveStats is TableStats, and how the call came by the entry: from the
-// table's cache, merged from its lineage, or computed from every row. The
-// row-count guard drops a cache primed during the setup phase and then
-// outgrown by Insert.
-func DeriveStats(name string, t *Table) (*catalog.Relation, StatsSource) {
 	return new(StatsScratch).Derive(name, t)
 }
 
-// Derive is DeriveStats counting ints in the scratch's slots.
-func (s *StatsScratch) Derive(name string, t *Table) (*catalog.Relation, StatsSource) {
+// Derive is TableStats counting in the scratch's slots. The row-count guard
+// drops a cache primed during the setup phase and then outgrown by Insert.
+func (s *StatsScratch) Derive(name string, t *Table) *catalog.Relation {
 	if rel := t.stats.Load(); rel != nil && rel.Rows == float64(t.nrows) {
 		if rel.Name == name {
-			return rel, StatsCached
+			return rel
 		}
 		clone := *rel
 		clone.Name = name
-		return &clone, StatsCached
+		return &clone
 	}
-	rel, src := deriveStats(name, t, s)
+	rel := deriveStats(name, t, s)
 	t.stats.Store(rel)
-	return rel, src
+	return rel
 }
 
 // InstallStats primes the table's statistics cache with a precomputed

@@ -252,9 +252,7 @@ func (s *Server) checkpointLocked() (*snapshot.CheckpointResult, error) {
 			obs.Int("watermark", int64(watermark)),
 			obs.Int("views", int64(len(in.Views))),
 			obs.Int("bytes", res.Bytes),
-			obs.Int("written", res.Written),
-			obs.Int("stats_merged", int64(res.StatsMerged)),
-			obs.Int("stats_computed", int64(res.StatsComputed)))
+			obs.Int("written", res.Written))
 		ctr.finish()
 	}
 
@@ -266,8 +264,6 @@ func (s *Server) checkpointLocked() (*snapshot.CheckpointResult, error) {
 		obs.Int("views", int64(len(in.Views))),
 		obs.Int("bytes", res.Bytes),
 		obs.Int("written", res.Written),
-		obs.Int("stats_merged", int64(res.StatsMerged)),
-		obs.Int("stats_computed", int64(res.StatsComputed)),
 		obs.Int("aged_out", int64(aged)),
 		obs.Bool("journal_truncated", truncated))
 	return res, nil

@@ -12,7 +12,6 @@ import (
 	"time"
 
 	"github.com/warehousekit/mvpp/internal/engine"
-	"github.com/warehousekit/mvpp/internal/obs"
 	"github.com/warehousekit/mvpp/internal/snapshot"
 )
 
@@ -227,86 +226,5 @@ func TestCheckpointsOfOneStateAreDeterministic(t *testing.T) {
 		} else if !reflect.DeepEqual(got, first) {
 			t.Fatalf("checkpoint %d of the same state wrote another manifest:\n%s", i+1, data)
 		}
-	}
-}
-
-// TestCheckpointMergesStatsAlongLineage: every checkpoint after the first
-// merges the statistics of every relation whose table extends the one the
-// last checkpoint persisted under its name, computes those of every other
-// relation that changed, and finds the rest cached; the result and the
-// snapshot.checkpoint event say how many of each it derived.
-func TestCheckpointMergesStatsAlongLineage(t *testing.T) {
-	o := newEventObserver()
-	s, _ := serveFixture(t, Config{
-		DeltaBatch:          1 << 20,
-		Snapshots:           testStore(t),
-		Journal:             engine.NewMemJournal(),
-		SnapshotEveryEpochs: -1,
-		Obs:                 o,
-	})
-	relations := func() map[string]*engine.Table {
-		rels := s.state.Load().rels
-		out := make(map[string]*engine.Table)
-		for _, name := range rels.Tables() {
-			out[name], _ = rels.Table(name)
-		}
-		for _, name := range rels.Views() {
-			v, _ := rels.View(name)
-			out[name] = v.Table()
-		}
-		return out
-	}
-	type persisted struct {
-		tb   *engine.Table
-		mark engine.Mark
-	}
-	var last map[string]persisted
-	merged := 0
-	for i := int64(0); i < 5; i++ {
-		if i > 0 {
-			div, prod := deltaPair(i)
-			if err := s.Ingest("Division", div); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Ingest("Product", prod); err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Flush(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		now := relations()
-		wantMerged, wantComputed := 0, 0
-		for name, tb := range now {
-			switch p, ok := last[name]; {
-			case ok && p.tb == tb:
-			case ok && tb.Extends(p.mark):
-				wantMerged++
-			default:
-				wantComputed++
-			}
-		}
-		res, err := s.Checkpoint()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if i > 0 && (res.StatsMerged != wantMerged || res.StatsComputed != wantComputed) {
-			t.Fatalf("checkpoint %d: %d entries merged and %d computed, want %d and %d",
-				i+1, res.StatsMerged, res.StatsComputed, wantMerged, wantComputed)
-		}
-		evs := o.find(obs.EvSnapshotCheckpoint, "")
-		ev := evs[len(evs)-1].attrs
-		if ev["stats_merged"] != int64(res.StatsMerged) || ev["stats_computed"] != int64(res.StatsComputed) {
-			t.Fatalf("checkpoint %d: event says %v merged and %v computed, the result %d and %d",
-				i+1, ev["stats_merged"], ev["stats_computed"], res.StatsMerged, res.StatsComputed)
-		}
-		merged += res.StatsMerged
-		last = make(map[string]persisted, len(now))
-		for name, tb := range now {
-			last[name] = persisted{tb: tb, mark: tb.Mark()}
-		}
-	}
-	if merged == 0 {
-		t.Fatal("no checkpoint merged an entry")
 	}
 }

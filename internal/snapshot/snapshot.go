@@ -116,17 +116,16 @@ type SegmentStats struct {
 
 // statsOf captures a table's catalog entry as a manifest sidecar — none when
 // a NaN or an infinity is among its numbers, which JSON cannot carry: the
-// restored table then derives its statistics on first use — and reports how
-// the engine came by the entry.
-func statsOf(scratch *engine.StatsScratch, name string, t *engine.Table) (*SegmentStats, engine.StatsSource) {
-	rel, src := scratch.Derive(name, t)
+// restored table then derives its statistics on first use.
+func statsOf(scratch *engine.StatsScratch, name string, t *engine.Table) *SegmentStats {
+	rel := scratch.Derive(name, t)
 	nums := []float64{rel.Rows, rel.Blocks, rel.UpdateFrequency}
 	for _, a := range rel.Attrs {
 		nums = append(append(nums, a.DistinctValues, a.Min.Float, a.Max.Float), a.Histogram...)
 	}
 	for _, f := range nums {
 		if math.IsNaN(f) || math.IsInf(f, 0) {
-			return nil, src
+			return nil
 		}
 	}
 	return &SegmentStats{
@@ -134,7 +133,7 @@ func statsOf(scratch *engine.StatsScratch, name string, t *engine.Table) (*Segme
 		Blocks:          rel.Blocks,
 		UpdateFrequency: rel.UpdateFrequency,
 		Attrs:           rel.Attrs,
-	}, src
+	}
 }
 
 // install primes a restored table with the sidecar's statistics; the
@@ -318,7 +317,7 @@ type Store struct {
 	last    map[string]persisted
 	lastDir string
 	// stats is the working memory of the statistics sidecars, kept across
-	// checkpoints so that a steady one allocates no int slots.
+	// checkpoints so that a steady one allocates no slots.
 	stats engine.StatsScratch
 }
 
@@ -396,12 +395,6 @@ type CheckpointResult struct {
 	Duration time.Duration
 	// ViewBytes is the bytes each persisted view's extents hold.
 	ViewBytes map[string]int64
-	// StatsMerged and StatsComputed count the relations whose statistics
-	// sidecar this checkpoint derived: merged from the state the table's
-	// lineage carries and the rows past it, or computed from every row
-	// (engine.DeriveStats). The other relations' tables held their entry
-	// already.
-	StatsMerged, StatsComputed int
 }
 
 // nextGeneration scans existing generation directories and returns one
@@ -566,16 +559,13 @@ func (st *Store) checkpoint(in CheckpointInput) (*CheckpointResult, error) {
 	}
 	p := &pack{file: packName(gen)}
 	next := make(map[string]persisted, len(in.Tables)+len(in.Views))
-	var derived [engine.StatsComputed + 1]int // by engine.StatsSource
 	entry := func(name string, t *engine.Table) (Segment, error) {
 		exts, err := p.extents(st.last[name], t)
 		if err != nil {
 			return Segment{}, fmt.Errorf("snapshot: writing %s: %w", name, err)
 		}
 		next[name] = persisted{mark: t.Mark(), extents: exts}
-		stats, src := statsOf(&st.stats, name, t)
-		derived[src]++
-		s := Segment{Name: name, Rows: t.NumRows(), Extents: exts, Stats: stats}
+		s := Segment{Name: name, Rows: t.NumRows(), Extents: exts, Stats: statsOf(&st.stats, name, t)}
 		for _, e := range exts {
 			s.Bytes += e.Bytes
 		}
@@ -613,13 +603,11 @@ func (st *Store) checkpoint(in CheckpointInput) (*CheckpointResult, error) {
 	}
 	st.last, st.lastDir = next, dir
 	res := &CheckpointResult{
-		Generation:    gen,
-		Bytes:         m.TotalBytes(),
-		Written:       int64(len(p.buf)),
-		Duration:      time.Since(start),
-		ViewBytes:     make(map[string]int64, len(m.Views)),
-		StatsMerged:   derived[engine.StatsMerged],
-		StatsComputed: derived[engine.StatsComputed],
+		Generation: gen,
+		Bytes:      m.TotalBytes(),
+		Written:    int64(len(p.buf)),
+		Duration:   time.Since(start),
+		ViewBytes:  make(map[string]int64, len(m.Views)),
 	}
 	for _, v := range m.Views {
 		res.ViewBytes[v.Name] = v.Bytes
