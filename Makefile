@@ -63,8 +63,9 @@ telemetry-smoke:
 
 # Short fuzzing pass over the batch executor's predicate kernels (one
 # comparison, then nested And / Or / Not trees with an unbound column), the
-# join-key encoding equivalence, the expression arena's identity (same
-# structural / semantic ID ⇔ same StructuralKey / SemanticKey string), the
+# one join equality (every join operator matches a pair iff Value.Equal),
+# the expression arena's identity (same structural / semantic ID ⇔ same
+# StructuralKey / SemanticKey string), the
 # delta journal's open path (any bytes after a valid prefix: no error, the
 # prefix survives), the typed per-column statistics (the catalog entry of
 # any column equals the boxed reference's, bit for bit), and the snapshot

@@ -1,18 +1,17 @@
 package engine
 
 import (
-	"fmt"
 	"math"
-	"strings"
 
 	"github.com/warehousekit/mvpp/internal/algebra"
 )
 
-// Vectorized joins. Both join operators produce their output by first
-// collecting (left, right) row-index pairs in exactly the emission order
-// of the row reference executor, then gathering every output column once
-// — no per-row tuple allocation, no per-value interface dispatch on the
-// typed fast paths.
+// Vectorized joins. Both join operators match exactly the same pairs, the
+// nested loop's Value.Equal pairs, and differ only in emission order and
+// block charge. Each produces its output by first collecting (left, right)
+// row-index pairs in exactly the emission order of the row reference
+// executor, then gathering every output column once — no per-row tuple
+// allocation, no per-value interface dispatch on the typed fast paths.
 
 // pairMatcher reports whether left row li matches right row ri under one
 // resolved equi-condition.
@@ -76,41 +75,6 @@ func equalityIndexable(c *colvec) bool {
 	return true
 }
 
-// hashMatchesNestedLoop reports whether the hash operator and the
-// nested-loop kernel match exactly the same row pairs on this join: every
-// key column on both sides is equalityIndexable — the nested loop then
-// matches on float64-image equality, and NaN and null keys, which it
-// matches differently from any hash table, are absent — and every int key
-// is a float64 image of itself (|k| ≤ 2^53), where the hash classes (exact
-// int64 for ints and whole floats, the bits of a fractional float) are the
-// same equality. A join without conditions, or one whose conditions do not
-// resolve, stays with the nested-loop kernel and its error.
-func hashMatchesNestedLoop(j *algebra.Join, left, right *Table) bool {
-	conds, err := resolveJoinConds(j, left, right)
-	if err != nil || len(conds) == 0 {
-		return false
-	}
-	exact := func(c *colvec) bool {
-		if !equalityIndexable(c) {
-			return false
-		}
-		if c.typedKind() != algebra.TypeFloat {
-			for _, k := range c.ints[:c.n] {
-				if k > 1<<53 || k < -(1<<53) {
-					return false
-				}
-			}
-		}
-		return true
-	}
-	for _, ci := range conds {
-		if !exact(left.cols[ci.li]) || !exact(right.cols[ci.ri]) {
-			return false
-		}
-	}
-	return true
-}
-
 // stringCol reports whether the column feeds the typed string kernels.
 func stringCol(c *colvec) bool {
 	return !c.hasNulls() && c.typedKind() == algebra.TypeString
@@ -124,10 +88,11 @@ func (c *colvec) numAt(i int) float64 {
 	return float64(c.ints[i])
 }
 
-// joinOutput gathers the matched pairs into the result table: left
-// columns by lidx, right columns by ridx, one pass per column.
-func (db *DB) joinOutput(joined *algebra.Schema, left, right *Table, lidx, ridx []int32) *Table {
-	out := &Table{Name: "", Schema: joined, BlockRows: db.BlockRows, nrows: len(lidx)}
+// joinOutput gathers the matched pairs into the result table — left
+// columns by lidx, right columns by ridx, one pass per column — and
+// accounts the operator under its label and read charge.
+func (db *DB) joinOutput(label string, reads int64, left, right *Table, lidx, ridx []int32, res *Result) *Table {
+	out := &Table{Name: "", Schema: left.Schema.Concat(right.Schema), BlockRows: db.BlockRows, nrows: len(lidx)}
 	out.cols = make([]*colvec, 0, len(left.cols)+len(right.cols))
 	for _, c := range left.cols {
 		out.cols = append(out.cols, c.gather(lidx))
@@ -135,7 +100,79 @@ func (db *DB) joinOutput(joined *algebra.Schema, left, right *Table, lidx, ridx 
 	for _, c := range right.cols {
 		out.cols = append(out.cols, c.gather(ridx))
 	}
+	db.account(res, OpStats{
+		Label:     label,
+		Reads:     reads,
+		Writes:    int64(out.NumBlocks()),
+		OutRows:   out.NumRows(),
+		OutBlocks: out.NumBlocks(),
+	})
 	return out
+}
+
+// joinMatchers picks the first condition whose two columns are both
+// equalityIndexable, or -1: the condition an equalityIndex answers exactly.
+// It returns a matcher for every other condition.
+func joinMatchers(conds []condIdx, left, right *Table) (keyed int, ms []pairMatcher) {
+	keyed = -1
+	for i, ci := range conds {
+		lc, rc := left.cols[ci.li], right.cols[ci.ri]
+		if keyed < 0 && equalityIndexable(lc) && equalityIndexable(rc) {
+			keyed = i
+			continue
+		}
+		ms = append(ms, condMatcher(lc, rc))
+	}
+	return keyed, ms
+}
+
+// matchAll reports whether rows li and ri satisfy every matcher.
+func matchAll(ms []pairMatcher, li, ri int) bool {
+	for _, m := range ms {
+		if !m(li, ri) {
+			return false
+		}
+	}
+	return true
+}
+
+// keepMatching drops the pairs some matcher rejects, in place and in order:
+// the index answers the keyed condition, the matchers the others.
+func keepMatching(ms []pairMatcher, lidx, ridx []int32) ([]int32, []int32) {
+	if len(ms) == 0 {
+		return lidx, ridx
+	}
+	n := 0
+	for i := range lidx {
+		if matchAll(ms, int(lidx[i]), int(ridx[i])) {
+			lidx[n], ridx[n] = lidx[i], ridx[i]
+			n++
+		}
+	}
+	return lidx[:n], ridx[:n]
+}
+
+// equalityIndex maps the imageKey of each of an equalityIndexable column's
+// first n rows to those rows, ascending. It is the one index both join
+// operators build: on such a column, key equality is condMatcher's
+// equality.
+func equalityIndex(c *colvec, n int) map[uint64][]int32 {
+	idx := make(map[uint64][]int32, n)
+	for i := 0; i < n; i++ {
+		k := imageKey(c.numAt(i))
+		idx[k] = append(idx[k], int32(i))
+	}
+	return idx
+}
+
+// imageKey is the bits of a float64 image with -0 folded into +0: on
+// images that are not NaN, imageKey(x) == imageKey(y) iff x == y, and a
+// uint64 key takes the map's fast path.
+func imageKey(f float64) uint64 {
+	if f == 0 {
+		return 0
+	}
+	return math.Float64bits(f)
 }
 
 // batchJoin is the vectorized block nested-loop join. The loop order —
@@ -144,30 +181,25 @@ func (db *DB) joinOutput(joined *algebra.Schema, left, right *Table, lidx, ridx 
 // order; the I/O charge is the BlockNLJ model's blocks(outer) +
 // blocks(outer)·blocks(inner).
 func (db *DB) batchJoin(j *algebra.Join, left, right *Table, res *Result) (*Table, error) {
-	joined := left.Schema.Concat(right.Schema)
 	conds, err := resolveJoinConds(j, left, right)
 	if err != nil {
 		return nil, err
 	}
+	keyed, ms := joinMatchers(conds, left, right)
 	var lidx, ridx []int32
 	outerBlocks := left.NumBlocks()
 	nLeft, nRight := left.NumRows(), right.NumRows()
-	if len(conds) == 1 && equalityIndexable(left.cols[conds[0].li]) && equalityIndexable(right.cols[conds[0].ri]) {
-		// Single numeric condition with no NaN lanes: matching is plain
-		// float64-image equality, so an equality index over the left rows
-		// replaces the per-pair inner loop. Emission order is preserved —
-		// each index list is ascending, and for every (outer block, right
-		// row) the matches inside the block come out in row order, exactly
-		// the triple loop's order.
-		lc, rc := left.cols[conds[0].li], right.cols[conds[0].ri]
-		idx := make(map[float64][]int32, nLeft)
-		for li := 0; li < nLeft; li++ {
-			k := lc.numAt(li)
-			idx[k] = append(idx[k], int32(li))
-		}
-		rkeys := make([]float64, nRight)
+	if keyed >= 0 {
+		// An equality index over the left rows replaces the inner loop on
+		// the keyed condition; keepMatching then tests the others.
+		// Emission order is preserved — each index list is ascending, and
+		// for every (outer block, right row) the matches inside the block
+		// come out in row order, exactly the triple loop's order.
+		idx := equalityIndex(left.cols[conds[keyed].li], nLeft)
+		rc := right.cols[conds[keyed].ri]
+		rkeys := make([]uint64, nRight)
 		for ri := range rkeys {
-			rkeys[ri] = rc.numAt(ri)
+			rkeys[ri] = imageKey(rc.numAt(ri))
 		}
 		for ob := 0; ob < outerBlocks; ob++ {
 			lo := ob * left.BlockRows
@@ -190,24 +222,14 @@ func (db *DB) batchJoin(j *algebra.Join, left, right *Table, res *Result) (*Tabl
 				}
 			}
 		}
+		lidx, ridx = keepMatching(ms, lidx, ridx)
 	} else {
-		matchers := make([]pairMatcher, len(conds))
-		for i, ci := range conds {
-			matchers[i] = condMatcher(left.cols[ci.li], right.cols[ci.ri])
-		}
 		for ob := 0; ob < outerBlocks; ob++ {
 			lo := ob * left.BlockRows
 			hi := min(lo+left.BlockRows, nLeft)
 			for ri := 0; ri < nRight; ri++ {
 				for li := lo; li < hi; li++ {
-					match := true
-					for _, m := range matchers {
-						if !m(li, ri) {
-							match = false
-							break
-						}
-					}
-					if match {
+					if matchAll(ms, li, ri) {
 						lidx = append(lidx, int32(li))
 						ridx = append(ridx, int32(ri))
 					}
@@ -215,140 +237,45 @@ func (db *DB) batchJoin(j *algebra.Join, left, right *Table, res *Result) (*Tabl
 			}
 		}
 	}
-	out := db.joinOutput(joined, left, right, lidx, ridx)
-	stats := OpStats{
-		Label:     j.Label(),
-		Reads:     int64(outerBlocks) + int64(outerBlocks)*int64(right.NumBlocks()),
-		Writes:    int64(out.NumBlocks()),
-		OutRows:   out.NumRows(),
-		OutBlocks: out.NumBlocks(),
-	}
-	db.account(res, stats)
-	return out, nil
+	reads := int64(outerBlocks) + int64(outerBlocks)*int64(right.NumBlocks())
+	return db.joinOutput(j.Label(), reads, left, right, lidx, ridx, res), nil
 }
 
-// batchHashJoin is the vectorized hash join: build over the right input
-// in row order, probe with the left in row order — the reference
-// executor's emission order. Single-condition joins over typed non-null
-// int/date columns build a collision-free map[int64][]int32 directly on
-// the payload slices; every other shape keys on the same hashKey string
-// encoding the reference executor uses, so the two agree even on its
-// equivalence classes (3 == 3.0 == date(3)).
+// batchHashJoin is the hash join: it matches exactly the pairs batchJoin
+// matches and charges blocks(left) + blocks(right). It builds an
+// equalityIndex over the right rows on the keyed condition and probes it
+// with the left rows in order, so output lands left row ascending, then its
+// right matches ascending. A join without an indexable condition (NaN,
+// null, string, mixed-kind or generic keys) runs its matchers pair by pair
+// in the same probe order.
 func (db *DB) batchHashJoin(j *algebra.Join, left, right *Table, res *Result) (*Table, error) {
-	joined := left.Schema.Concat(right.Schema)
 	conds, err := resolveJoinConds(j, left, right)
 	if err != nil {
 		return nil, err
 	}
-
+	keyed, ms := joinMatchers(conds, left, right)
 	var lidx, ridx []int32
-	if len(conds) == 1 && intCol(left.cols[conds[0].li]) && intCol(right.cols[conds[0].ri]) {
-		lc, rc := left.cols[conds[0].li], right.cols[conds[0].ri]
-		build := make(map[int64][]int32, right.NumRows())
-		for ri, k := range rc.ints[:right.NumRows()] {
-			build[k] = append(build[k], int32(ri))
-		}
-		for li, k := range lc.ints[:left.NumRows()] {
-			for _, ri := range build[k] {
+	nLeft, nRight := left.NumRows(), right.NumRows()
+	if keyed >= 0 {
+		idx := equalityIndex(right.cols[conds[keyed].ri], nRight)
+		lc := left.cols[conds[keyed].li]
+		for li := 0; li < nLeft; li++ {
+			for _, ri := range idx[imageKey(lc.numAt(li))] {
 				lidx = append(lidx, int32(li))
 				ridx = append(ridx, ri)
 			}
 		}
+		lidx, ridx = keepMatching(ms, lidx, ridx)
 	} else {
-		build := make(map[string][]int32, right.NumRows())
-		for ri := 0; ri < right.NumRows(); ri++ {
-			key := joinKeyString(right, conds, ri, false)
-			build[key] = append(build[key], int32(ri))
-		}
-		for li := 0; li < left.NumRows(); li++ {
-			for _, ri := range build[joinKeyString(left, conds, li, true)] {
-				lidx = append(lidx, int32(li))
-				ridx = append(ridx, ri)
+		for li := 0; li < nLeft; li++ {
+			for ri := 0; ri < nRight; ri++ {
+				if matchAll(ms, li, ri) {
+					lidx = append(lidx, int32(li))
+					ridx = append(ridx, int32(ri))
+				}
 			}
 		}
 	}
-
-	out := db.joinOutput(joined, left, right, lidx, ridx)
-	stats := OpStats{
-		Label:     "hash " + j.Label(),
-		Reads:     int64(left.NumBlocks()) + int64(right.NumBlocks()),
-		Writes:    int64(out.NumBlocks()),
-		OutRows:   out.NumRows(),
-		OutBlocks: out.NumBlocks(),
-	}
-	db.account(res, stats)
-	return out, nil
-}
-
-// intCol reports whether the column is typed int/date with no nulls —
-// the shapes whose hashKey classes are exactly int64 equality.
-func intCol(c *colvec) bool {
-	if c.hasNulls() {
-		return false
-	}
-	k := c.typedKind()
-	return k == algebra.TypeInt || k == algebra.TypeDate
-}
-
-// joinKeyString renders a row's join key with the reference executor's
-// encoding (hashKey per condition, '|'-separated).
-func joinKeyString(t *Table, conds []condIdx, row int, isLeft bool) string {
-	var key strings.Builder
-	for _, ci := range conds {
-		col := ci.ri
-		if isLeft {
-			col = ci.li
-		}
-		key.WriteString(hashKey(t.cols[col].valueAt(row)))
-		key.WriteByte('|')
-	}
-	return key.String()
-}
-
-// joinKey is the batch executor's canonical single-value join-key
-// encoding: a normalized (tag, bits, string) triple whose equality is
-// provably the same relation as hashKey-string equality. The int fast
-// path above is the num-class specialization of this encoding; the fuzz
-// target FuzzJoinKeyEncoding pins the equivalence.
-type joinKey struct {
-	tag byte // 'n' numeric-integral class, 'f' fractional float, 's' string
-	num uint64
-	str string
-}
-
-// joinKeyOf classifies a value exactly as hashKey does: ints, dates, and
-// whole floats share the integral class; other floats key on their bits
-// (NaNs collapse to one class, as "%g" renders every NaN "NaN"); strings
-// and invalid values key on the string payload.
-func joinKeyOf(v algebra.Value) joinKey {
-	switch v.Kind {
-	case algebra.TypeInt, algebra.TypeDate:
-		return joinKey{tag: 'n', num: uint64(v.Int)}
-	case algebra.TypeFloat:
-		if v.Float == float64(int64(v.Float)) {
-			return joinKey{tag: 'n', num: uint64(int64(v.Float))}
-		}
-		if math.IsNaN(v.Float) {
-			return joinKey{tag: 'f', num: math.Float64bits(math.NaN())}
-		}
-		return joinKey{tag: 'f', num: math.Float64bits(v.Float)}
-	default:
-		return joinKey{tag: 's', str: v.Str}
-	}
-}
-
-// hashKey normalizes a value for hash-join key comparison consistently
-// with Value.Compare's numeric semantics (3 == 3.0 == date(3)).
-func hashKey(v algebra.Value) string {
-	switch v.Kind {
-	case algebra.TypeInt, algebra.TypeDate:
-		return fmt.Sprintf("n%d", v.Int)
-	case algebra.TypeFloat:
-		if v.Float == float64(int64(v.Float)) {
-			return fmt.Sprintf("n%d", int64(v.Float))
-		}
-		return fmt.Sprintf("f%g", v.Float)
-	default:
-		return "s" + v.Str
-	}
+	reads := int64(left.NumBlocks()) + int64(right.NumBlocks())
+	return db.joinOutput("hash "+j.Label(), reads, left, right, lidx, ridx, res), nil
 }

@@ -183,14 +183,13 @@ func (rs *RelationSet) exec(n algebra.Node, res *Result) (*Table, error) {
 // opJoin picks the physical join. A metered join (res non-nil: queries and
 // recomputation) follows db.joinAlgo, because its block charge is the
 // algorithm's. An unmetered one — a join inside the operand a join delta
-// pairs against, charged to nobody — takes the hash operator whenever that
-// provably matches the same pairs as the nested-loop kernel
-// (hashMatchesNestedLoop) and the nested-loop kernel otherwise, so a
-// maintained view stays multiset-equal to its recomputation. The two legs of
-// a join delta never come here: they call nlJoin directly, since the
-// delta-propagation cost formulas assume BlockNLJ whatever the setting.
+// pairs against, charged to nobody — takes the hash operator: both
+// operators match the same pairs, so a maintained view stays multiset-equal
+// to its recomputation. The two legs of a join delta never come here: they
+// call nlJoin directly, since the delta-propagation cost formulas assume
+// BlockNLJ whatever the setting.
 func (db *DB) opJoin(j *algebra.Join, left, right *Table, res *Result) (*Table, error) {
-	if db.joinAlgo == JoinHash || res == nil && hashMatchesNestedLoop(j, left, right) {
+	if db.joinAlgo == JoinHash || res == nil {
 		return db.ops.hashJoin(db, j, left, right, res)
 	}
 	return db.ops.nlJoin(db, j, left, right, res)

@@ -13,8 +13,8 @@ import (
 
 // Fuzz targets for the batch executor's two trickiest contracts: the
 // select kernel's error-and-result parity with the row engine (one
-// comparison, then whole And / Or / Not trees), and the equivalence of
-// joinKeyOf's typed key encoding with the legacy hashKey string classes.
+// comparison, then whole And / Or / Not trees), and the one equality every
+// join operator matches on.
 
 // fuzzValue decodes one value from a (selector, int, float, string)
 // tuple, covering every storage class including the canonical null and a
@@ -370,51 +370,81 @@ func FuzzBatchSelectNested(f *testing.F) {
 	})
 }
 
-// FuzzJoinKeyEncoding pins the equivalence the batch hash join is built
-// on: two values collide under the typed joinKey encoding exactly when
-// they collide under the row engine's hashKey string.
+// FuzzJoinKeyEncoding pins the one join equality: every join operator —
+// the nested loop, the hash join and their row references — matches a pair
+// of rows iff their keys are Value.Equal. The left side holds a, then b;
+// the right b, then a. So each value meets itself and the other, in typed
+// columns when the two share a kind and in generic ones when they do not.
+// With one row per block the nested loop's emission order is the hash
+// join's probe order, so all four outputs are the same sequence.
 func FuzzJoinKeyEncoding(f *testing.F) {
 	add := func(selA uint8, intA int64, floatA float64, strA string, selB uint8, intB int64, floatB float64, strB string) {
 		f.Add(selA, intA, floatA, strA, selB, intB, floatB, strB)
 	}
-	// Known collision classes: int 100 vs whole float 100.0, date vs int
-	// on the same epoch day, NaN payload variants, string "x" vs an
-	// invalid value carrying Str "x", and the ±0 fold.
+	// Int 100 vs whole float 100.0, date vs int on the same epoch day, NaN
+	// payload variants (NaN equals everything), string "x" vs an invalid
+	// value carrying Str "x", the ±0 fold, null vs empty string, and two
+	// ints past 2^53 that share a float64 image.
 	add(1, 100, 0, "", 2, 0, 100.0, "")
 	add(4, 9496, 0, "", 1, 9496, 0, "")
 	add(2, 0, math.NaN(), "", 2, 0, math.Float64frombits(0x7ff8000000000001), "")
+	add(2, 0, math.NaN(), "", 1, 7, 0, "")
 	add(3, 0, 0, "x", 5, 7, 1.5, "x")
 	add(2, 0, math.Copysign(0, -1), "", 1, 0, 0, "")
 	add(0, 0, 0, "", 3, 0, 0, "")
+	add(0, 0, 0, "", 0, 0, 0, "")
 	add(2, 0, 99.5, "", 2, 0, 99.5, "")
-	// Past 2^53 distinct ints share a float64 image: equal to the nested
-	// loop, different hash classes — the operand gate must refuse them.
 	add(1, 1<<53+1, 0, "", 1, 1<<53, 0, "")
 	add(1, 1<<53+1, 0, "", 2, 0, 1<<53, "")
 
 	f.Fuzz(func(t *testing.T, selA uint8, intA int64, floatA float64, strA string, selB uint8, intB int64, floatB float64, strB string) {
 		a := fuzzValue(selA, intA, floatA, strA)
 		b := fuzzValue(selB, intB, floatB, strB)
-		typedEq := joinKeyOf(a) == joinKeyOf(b)
-		legacyEq := hashKey(a) == hashKey(b)
-		if typedEq != legacyEq {
-			t.Fatalf("key encodings disagree for %#v vs %#v: joinKey equal=%v (%+v, %+v) but hashKey equal=%v (%q, %q)",
-				a, b, typedEq, joinKeyOf(a), joinKeyOf(b), legacyEq, hashKey(a), hashKey(b))
-		}
-		// Where hashMatchesNestedLoop lets the hash operator produce an
-		// unmetered operand, its classes must be the nested loop's equality.
-		side := func(rel string, v algebra.Value) *Table {
-			tab := NewTable(rel, algebra.NewSchema(algebra.Column{Relation: rel, Name: "k", Type: v.Kind}), 1)
-			if err := tab.Insert([]algebra.Value{v}); err != nil {
-				t.Fatal(err)
+		lv, rv := []algebra.Value{a, b}, []algebra.Value{b, a}
+		side := func(rel string, vs []algebra.Value) *Table {
+			tab := NewTable(rel, algebra.NewSchema(
+				algebra.Column{Relation: rel, Name: "k", Type: vs[0].Kind},
+				algebra.Column{Relation: rel, Name: "n", Type: algebra.TypeInt}), 1)
+			for i, v := range vs {
+				if err := tab.Insert([]algebra.Value{v, algebra.IntVal(int64(i))}); err != nil {
+					t.Fatal(err)
+				}
 			}
 			return tab
 		}
-		l, r := side("A", a), side("B", b)
+		l, r := side("A", lv), side("B", rv)
+		var want []string
+		for li := range lv {
+			for ri := range rv {
+				if lv[li].Equal(rv[ri]) {
+					want = append(want, fmt.Sprint(li, ri))
+				}
+			}
+		}
 		j := algebra.NewJoin(algebra.NewScan("A", l.Schema), algebra.NewScan("B", r.Schema),
 			[]algebra.JoinCond{{Left: algebra.Ref("A", "k"), Right: algebra.Ref("B", "k")}})
-		if hashMatchesNestedLoop(j, l, r) && legacyEq != a.Equal(b) {
-			t.Fatalf("operand gate admits %#v vs %#v: hash classes equal=%v, nested loop equal=%v", a, b, legacyEq, a.Equal(b))
+		db := NewDB(1)
+		for _, op := range []struct {
+			name string
+			join func(*algebra.Join, *Table, *Table, *Result) (*Table, error)
+		}{
+			{"nested loop", db.batchJoin},
+			{"hash", db.batchHashJoin},
+			{"row nested loop", db.rowJoin},
+			{"row hash", db.rowHashJoin},
+		} {
+			out, err := op.join(j, l, r, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var got []string
+			for i := 0; i < out.NumRows(); i++ {
+				row := out.rowValues(i)
+				got = append(got, fmt.Sprint(row[1].Int, row[3].Int))
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s join of %#v and %#v matched pairs %v, want the Value.Equal pairs %v", op.name, a, b, got, want)
+			}
 		}
 	})
 }

@@ -94,12 +94,8 @@ func TestAllNullColumnParity(t *testing.T) {
 		t.Fatalf("projected null became %v", got)
 	}
 
-	// A self-join keyed on the null column. The two algorithms have always
-	// disagreed on null semantics: nested-loop matches via Value.Equal
-	// (false on comparison errors, so nulls match nothing), while the hash
-	// join keys by hashKey, which folds every invalid value into one "s"
-	// class — so under hashing all nulls match each other. The batch
-	// executor must replicate both behaviors exactly.
+	// A self-join keyed on the null column. Both algorithms match on
+	// Value.Equal, which is false on comparison errors: nulls match nothing.
 	join := algebra.NewJoin(scan(bdb), scan(bdb),
 		[]algebra.JoinCond{{Left: algebra.Ref("T", "v"), Right: algebra.Ref("T", "v")}})
 	for _, c := range []struct {
@@ -107,7 +103,7 @@ func TestAllNullColumnParity(t *testing.T) {
 		want int
 	}{
 		{engine.JoinNestedLoop, 0},
-		{engine.JoinHash, 13 * 13},
+		{engine.JoinHash, 0},
 	} {
 		bdb.SetJoinAlgorithm(c.algo)
 		rdb.SetJoinAlgorithm(c.algo)
@@ -180,16 +176,12 @@ func TestMixedNullColumnParity(t *testing.T) {
 	runBoth(t, "select over mixed nulls", bdb, rdb, sel)
 
 	// Joining on the mixed column. Valid values are all distinct, so they
-	// contribute exactly the diagonal; null rows match nothing under
-	// nested-loop but all pair up under hashing (every invalid value hashes
-	// to the single "s" key class — the row engine's long-standing
-	// behavior, which the batch executor replicates).
-	valid, nulls := 0, 0
+	// contribute exactly the diagonal; null rows match nothing under either
+	// algorithm.
+	valid := 0
 	for i := 0; i < 23; i++ {
 		if i%3 != 0 {
 			valid++
-		} else {
-			nulls++
 		}
 	}
 	join := algebra.NewJoin(algebra.Clone(scan), algebra.Clone(scan),
@@ -199,7 +191,7 @@ func TestMixedNullColumnParity(t *testing.T) {
 		want int
 	}{
 		{engine.JoinNestedLoop, valid},
-		{engine.JoinHash, valid + nulls*nulls},
+		{engine.JoinHash, valid},
 	} {
 		bdb.SetJoinAlgorithm(c.algo)
 		rdb.SetJoinAlgorithm(c.algo)
@@ -333,11 +325,10 @@ func TestBatchBoundaryDeltasParity(t *testing.T) {
 
 // TestFloatJoinSpecialValuesParity pins join matching on NaN, infinities,
 // and signed zero. Value.Compare reports cmp 0 when either side is NaN —
-// both orderings fail — so under nested loop a NaN key matches *every*
-// row, while the hash join folds every NaN into the single "fNaN" class,
-// so there NaN matches only NaN. Signed zeros compare equal everywhere.
-// The batch executor (including its equality-index fast path, which must
-// refuse NaN-bearing columns) has to replicate each algorithm exactly.
+// both orderings fail — so a NaN key matches *every* row, under nested loop
+// and hash join alike. Signed zeros compare equal everywhere. The batch
+// executor's equality-index fast paths must refuse NaN-bearing columns to
+// keep this.
 func TestFloatJoinSpecialValuesParity(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
 	mkRows := func(vals ...float64) [][]algebra.Value {
@@ -355,17 +346,15 @@ func TestFloatJoinSpecialValuesParity(t *testing.T) {
 	}{
 		{
 			// 5 non-NaN rows: 1.5 pairs 2*2, Inf, -Inf, 2.5 each 1 -> 7
-			// matches; every pair touching a NaN row matches under nested
-			// loop (49 total - 25 NaN-free = 24). Hash: NaN class 2*2 plus
-			// the 7 exact classes.
+			// matches; every pair touching a NaN row matches (49 total -
+			// 25 NaN-free = 24).
 			name:     "nan and infinities",
 			vals:     []float64{1.5, nan, inf, -inf, 2.5, nan, 1.5},
 			wantNLJ:  7 + 24,
-			wantHash: 4 + 7,
+			wantHash: 7 + 24,
 		},
 		{
-			// ±0.0 compare equal and hash into the same whole-float class,
-			// so both algorithms agree: a 2x2 zero block plus 1.0.
+			// ±0.0 compare equal: a 2x2 zero block plus 1.0.
 			name:     "signed zero",
 			vals:     []float64{0, math.Copysign(0, -1), 1},
 			wantNLJ:  5,

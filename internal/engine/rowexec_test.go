@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math"
 	"strings"
 	"sync/atomic"
 
@@ -190,41 +191,52 @@ func (db *DB) rowJoin(j *algebra.Join, left, right *Table, res *Result) (*Table,
 	return out, nil
 }
 
-// rowHashJoin is the reference hash join: it builds an in-memory hash
-// table on the right (inner) input and probes it with the left —
-// blocks(left) + blocks(right) reads. It is the physical counterpart of
-// the HashJoinModel used by the ablation benchmarks; batchHashJoin is the
-// vectorized default and must agree with this implementation bit for bit.
+// rowHashJoin is the reference hash join: the nested loop's Value.Equal
+// matching in probe order — every left row, then its matching right rows,
+// ascending — charged blocks(left) + blocks(right) reads. It is the
+// physical counterpart of the HashJoinModel used by the ablation
+// benchmarks; batchHashJoin must agree with it bit for bit. Right rows are
+// bucketed by eqKey of the first condition, so a left row with a key meets
+// only its bucket; when a key is missing on either side, every right row
+// is a candidate. Each candidate is tested on every condition.
 func (db *DB) rowHashJoin(j *algebra.Join, left, right *Table, res *Result) (*Table, error) {
 	joined := left.Schema.Concat(right.Schema)
 	conds, err := resolveJoinConds(j, left, right)
 	if err != nil {
 		return nil, err
 	}
-
-	leftRows := left.materializeRows()
 	rightRows := right.materializeRows()
-
-	// Build side: inner rows keyed by their join values.
-	build := make(map[string][]int, right.NumRows())
+	all := make([]int, len(rightRows))
+	build := make(map[any][]int)
+	keyed := len(conds) > 0
 	for ri, rrow := range rightRows {
-		var key strings.Builder
-		for _, ci := range conds {
-			key.WriteString(hashKey(rrow[ci.ri]))
-			key.WriteByte('|')
+		all[ri] = ri
+		if keyed {
+			k, ok := eqKey(rrow[conds[0].ri])
+			build[k] = append(build[k], ri)
+			keyed = ok
 		}
-		build[key.String()] = append(build[key.String()], ri)
 	}
-
 	out := NewTable("", joined, db.BlockRows)
-	for _, lrow := range leftRows {
-		var key strings.Builder
-		for _, ci := range conds {
-			key.WriteString(hashKey(lrow[ci.li]))
-			key.WriteByte('|')
+	for _, lrow := range left.materializeRows() {
+		cands := all
+		if keyed {
+			if k, ok := eqKey(lrow[conds[0].li]); ok {
+				cands = build[k]
+			}
 		}
-		for _, ri := range build[key.String()] {
+		for _, ri := range cands {
 			rrow := rightRows[ri]
+			match := true
+			for _, ci := range conds {
+				if !lrow[ci.li].Equal(rrow[ci.ri]) {
+					match = false
+					break
+				}
+			}
+			if !match {
+				continue
+			}
 			vals := make([]algebra.Value, 0, len(lrow)+len(rrow))
 			vals = append(vals, lrow...)
 			vals = append(vals, rrow...)
@@ -308,4 +320,21 @@ func (db *DB) rowAggregate(agg *algebra.Aggregate, in *Table, res *Result) (*Tab
 	}
 	db.account(res, stats)
 	return out, nil
+}
+
+// eqKey returns a key on which Value.Equal is plain key equality, and false
+// for a value whose matches are not one key's: NaN equals every number, and
+// a null or invalid value equals nothing. Numbers key on their float64
+// image, as Value.Compare compares them (3 == 3.0 == date(3), ±0 one key);
+// strings on themselves. A number never equals a string.
+func eqKey(v algebra.Value) (any, bool) {
+	switch v.Kind {
+	case algebra.TypeInt, algebra.TypeDate:
+		return float64(v.Int), true
+	case algebra.TypeFloat:
+		return v.Float, !math.IsNaN(v.Float)
+	case algebra.TypeString:
+		return v.Str, true
+	}
+	return nil, false
 }

@@ -128,3 +128,54 @@ func countJoinNodes(n algebra.Node) int {
 	})
 	return count
 }
+
+// TestRewriteKeepsPlanColumnOrder: a view matches a subtree by structural
+// key, which ignores join orientation, so a scan of it can come back in the
+// view's column order. The rewriter then adds one π at the root, and only
+// there, so the answer keeps the plan's columns in the plan's order.
+func TestRewriteKeepsPlanColumnOrder(t *testing.T) {
+	db := smallPaperDB(t)
+	pd, _ := db.Table("Product")
+	div, _ := db.Table("Division")
+	sel := algebra.NewSelect(algebra.NewScan("Division", div.Schema),
+		algebra.Eq(algebra.Ref("Division", "city"), algebra.StringVal("LA")))
+	cond := []algebra.JoinCond{{Left: algebra.Ref("Product", "Did"), Right: algebra.Ref("Division", "Did")}}
+	view := algebra.NewJoin(algebra.NewScan("Product", pd.Schema), sel, cond)
+	if _, err := db.Materialize("tmp2", view); err != nil {
+		t.Fatal(err)
+	}
+
+	// The view's own plan is answered by a bare scan: no π, no new charge.
+	if rw := db.RewriteForViewSet(algebra.Clone(view)).Plan; !isScan(rw) {
+		t.Fatalf("the view's own plan rewrote to\n%s", rw.Canonical())
+	}
+
+	flipped := algebra.NewJoin(algebra.Clone(sel), algebra.NewScan("Product", pd.Schema),
+		[]algebra.JoinCond{{Left: algebra.Ref("Division", "Did"), Right: algebra.Ref("Product", "Did")}})
+	rw := db.RewriteForViewSet(algebra.Clone(flipped))
+	if len(rw.Views) != 1 || rw.Views[0] != "tmp2" {
+		t.Fatalf("σ(Division) ⋈ Product read views %v, want [tmp2]", rw.Views)
+	}
+	if p, ok := rw.Plan.(*algebra.Project); !ok || !isScan(p.Input) {
+		t.Fatalf("want one π over the scan of tmp2, got\n%s", rw.Plan.Canonical())
+	}
+	fast, err := db.Execute(rw.Plan)
+	if err != nil {
+		t.Fatal(err)
+	}
+	direct, err := db.Execute(flipped)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !fast.Table.Schema.Equal(flipped.Schema()) {
+		t.Fatalf("rewritten answer has columns %s, the plan %s", fast.Table.Schema, flipped.Schema())
+	}
+	if tableKey(fast.Table) != tableKey(direct.Table) {
+		t.Fatalf("rewritten answer differs from the plan's:\n%s\n%s", tableKey(fast.Table), tableKey(direct.Table))
+	}
+}
+
+func isScan(n algebra.Node) bool {
+	_, ok := n.(*algebra.Scan)
+	return ok
+}

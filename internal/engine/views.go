@@ -162,8 +162,10 @@ func (db *DB) RewriteForViewSet(plan algebra.Node) RewrittenPlan { return db.Rel
 // the query re-applies its own filter over the (smaller) stored view. This
 // is how ad-hoc queries profit from the Figure-8 style shared disjunctive
 // filters (σ city='LA' is answerable from a stored σ city='LA' ∨ city='SF').
-// The result carries the set's view generation and the views it reads, so a
-// caller can keep it until the generation moves.
+// The result answers in the plan's column order: when a view hands back
+// its columns in another order, one π at the root restores it. The result
+// carries the set's view generation and the views it reads, so a caller can
+// keep it until the generation moves.
 func (rs *RelationSet) Rewrite(plan algebra.Node) RewrittenPlan {
 	views := make([]*MaterializedView, 0, len(rs.views))
 	exact := make(map[string]*MaterializedView, len(rs.views))
@@ -194,6 +196,16 @@ func (rs *RelationSet) Rewrite(plan algebra.Node) RewrittenPlan {
 		}
 	}
 	out := RewrittenPlan{Plan: rewrite(plan), Generation: rs.gen}
+	if want := plan.Schema(); !out.Plan.Schema().Equal(want) {
+		// A view matched by structural key, which ignores join orientation
+		// and projection order, hands back its rows in its own column
+		// order. One π at the root, and none below it, restores the plan's.
+		refs := make([]algebra.ColumnRef, want.Len())
+		for i, c := range want.Columns {
+			refs[i] = algebra.Ref(c.Relation, c.Name)
+		}
+		out.Plan = algebra.NewProject(out.Plan, refs)
+	}
 	algebra.Walk(out.Plan, func(n algebra.Node) {
 		if scan, ok := n.(*algebra.Scan); ok && rs.views[scan.Relation] != nil {
 			out.Views = append(out.Views, scan.Relation)

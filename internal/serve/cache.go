@@ -13,7 +13,7 @@ type cacheEntry struct {
 	table *engine.Table
 }
 
-// resultCache is an LRU result cache keyed by the plan's structural key. It
+// resultCache is an LRU result cache keyed by the plan's cacheKey. It
 // belongs to one served state: every entry was computed on that state's
 // relation set, so an entry is valid exactly as long as its cache is
 // reachable, and a superseded state takes its cache with it.

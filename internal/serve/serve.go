@@ -10,7 +10,7 @@
 //     rewritten over the materialized views; a full queue exerts
 //     backpressure, and a caller whose context expires while waiting is
 //     rejected — admission control;
-//   - a result cache keyed by the plan's structural key, one per served
+//   - a result cache keyed by the plan's cacheKey, one per served
 //     state: an entry is valid while the state it was computed on is served;
 //   - a maintenance scheduler (Ingest/Flush): delta rows accumulate per
 //     base table and, once a batch fills (or Flush is called), one epoch runs —
@@ -553,7 +553,7 @@ func newServer(cfg Config) (*Server, error) {
 		if _, dup := s.queries[q.Name]; dup {
 			return nil, fmt.Errorf("serve: duplicate query %q", q.Name)
 		}
-		s.queries[q.Name] = &queryState{spec: q, key: algebra.StructuralKey(q.Plan)}
+		s.queries[q.Name] = &queryState{spec: q, key: cacheKey(q.Plan)}
 		s.order = append(s.order, q.Name)
 	}
 	sched, err := newScheduler(s, cfg)
@@ -681,7 +681,14 @@ func (s *Server) rejectOnce(req *request) {
 // (rejection). Submitting to a closed server — or racing with Close —
 // returns ErrClosed.
 func (s *Server) Submit(ctx context.Context, plan algebra.Node) (*Result, error) {
-	return s.submit(ctx, "", plan, algebra.StructuralKey(plan))
+	return s.submit(ctx, "", plan, cacheKey(plan))
+}
+
+// cacheKey is a plan's result-cache key: its structural key, which ignores
+// projection order and join orientation, then its output columns in order,
+// which an answer must keep.
+func cacheKey(plan algebra.Node) string {
+	return algebra.StructuralKey(plan) + " → " + plan.Schema().String()
 }
 
 // submit is the admission path behind Query and Submit; name labels the

@@ -465,3 +465,43 @@ func TestSubmitAdHocSubsumption(t *testing.T) {
 		t.Errorf("subsumed execution read %d blocks, direct %d — view not used", res.Reads, direct.TotalReads())
 	}
 }
+
+// TestResultCacheKeepsColumnOrder: the structural key ignores projection
+// order and join orientation, so two plans that differ only there must
+// still get answers in their own column order — the second from the worker
+// pool, not from the first one's cache entry.
+func TestResultCacheKeepsColumnOrder(t *testing.T) {
+	s, db := serveFixture(t, Config{DeltaBatch: 1 << 20})
+	ctx := context.Background()
+	scan := func(name string) *algebra.Scan {
+		tab, err := db.Table(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return algebra.NewScan(name, tab.Schema)
+	}
+	cond := func(l, r string) []algebra.JoinCond {
+		return []algebra.JoinCond{{Left: algebra.Ref(l, "Did"), Right: algebra.Ref(r, "Did")}}
+	}
+	for _, pair := range [][2]algebra.Node{
+		{
+			algebra.NewProject(scan("Customer"), []algebra.ColumnRef{algebra.Ref("Customer", "name"), algebra.Ref("Customer", "city")}),
+			algebra.NewProject(scan("Customer"), []algebra.ColumnRef{algebra.Ref("Customer", "city"), algebra.Ref("Customer", "name")}),
+		},
+		{
+			algebra.NewJoin(scan("Product"), scan("Division"), cond("Product", "Division")),
+			algebra.NewJoin(scan("Division"), scan("Product"), cond("Division", "Product")),
+		},
+	} {
+		for _, plan := range pair {
+			res, err := s.Submit(ctx, plan)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Table.Schema.Equal(plan.Schema()) {
+				t.Fatalf("%s answered with columns %s (cached=%v), want %s",
+					plan.Canonical(), res.Table.Schema, res.Cached, plan.Schema())
+			}
+		}
+	}
+}

@@ -394,12 +394,12 @@ func (d *Design) NewServer(opts ServeOptions) (*Server, error) {
 	}
 
 	queries := make([]serve.QuerySpec, 0, len(d.queries))
-	for _, q := range d.queries {
+	for i, q := range d.queries {
 		root, ok := d.mvpp.Roots[q.Name]
 		if !ok {
 			return nil, fmt.Errorf("mvpp: query %s has no root in the MVPP", q.Name)
 		}
-		queries = append(queries, serve.QuerySpec{Name: q.Name, Plan: root.Op, Frequency: q.Frequency})
+		queries = append(queries, serve.QuerySpec{Name: q.Name, Plan: inOwnOrder(root.Op, d.bound[i]), Frequency: q.Frequency})
 	}
 
 	journal := opts.Journal
@@ -505,6 +505,34 @@ func (d *Design) NewServer(opts ServeOptions) (*Server, error) {
 	}
 	s.seed.Store(opts.Seed + 1)
 	return s, nil
+}
+
+// inOwnOrder returns a query's root plan in the query's own output order.
+// Queries that differ only in that order share one MVPP root, since the
+// structural key ignores it, and the root's plan is in the first such
+// query's order. The root π or γ is then rebuilt over the same input with
+// the query's own column list; its structural key, and so the views that
+// answer it, stay the same. A root already in order comes back unchanged.
+func inOwnOrder(root algebra.Node, q *sqlparse.Query) algebra.Node {
+	var own algebra.Node
+	switch r := root.(type) {
+	case *algebra.Project:
+		if len(q.Output) == 0 {
+			return root
+		}
+		own = algebra.NewProject(r.Input, q.Output)
+	case *algebra.Aggregate:
+		if !q.IsAggregate() {
+			return root
+		}
+		own = algebra.NewAggregate(r.Input, q.GroupBy, q.Aggregates)
+	default:
+		return root
+	}
+	if own.Schema().Equal(root.Schema()) {
+		return root
+	}
+	return own
 }
 
 // Query answers one named workload query.

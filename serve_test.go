@@ -3,6 +3,7 @@ package mvpp_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"sort"
 	"sync"
@@ -554,5 +555,58 @@ func TestStreamDeltasOneGroup(t *testing.T) {
 		if vs.PendingRows != 0 {
 			t.Errorf("view %s has %d pending rows after refused batches", view, vs.PendingRows)
 		}
+	}
+}
+
+// TestSharedRootKeepsEachQuerysColumnOrder: queries that differ only in
+// their output column order share one MVPP root, whose plan is in the first
+// query's order. Each must still be served in its own order.
+func TestSharedRootKeepsEachQuerysColumnOrder(t *testing.T) {
+	d := mvpp.NewDesigner(paperCatalog(t), mvpp.Options{})
+	queries := []struct {
+		name, sql string
+		cols      []string
+	}{
+		{"QA", `SELECT Division.name, Division.city FROM Division WHERE Division.Did > 0`, []string{"name", "city"}},
+		{"QB", `SELECT Division.city, Division.name FROM Division WHERE Division.Did > 0`, []string{"city", "name"}},
+		{"GA", `SELECT Division.city, Division.name, COUNT(*) AS n FROM Division GROUP BY Division.city, Division.name`, []string{"city", "name", "n"}},
+		{"GB", `SELECT Division.name, Division.city, COUNT(*) AS n FROM Division GROUP BY Division.name, Division.city`, []string{"name", "city", "n"}},
+	}
+	for _, q := range queries {
+		if err := d.AddQuery(q.name, q.sql, 1); err != nil {
+			t.Fatal(err)
+		}
+	}
+	design, err := d.Design()
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := design.NewServer(mvpp.ServeOptions{Scale: 0.01, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { srv.Close() })
+	ctx := context.Background()
+	rows := map[string][]string{}
+	for _, q := range queries {
+		res, err := srv.Query(ctx, q.name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := res.Columns(); !reflect.DeepEqual(got, q.cols) {
+			t.Fatalf("%s answered with columns %v, want %v", q.name, got, q.cols)
+		}
+		// The same rows, read in one column order: name, city.
+		for _, v := range res.Values() {
+			if q.cols[0] == "city" {
+				v[0], v[1] = v[1], v[0]
+			}
+			rows[q.name] = append(rows[q.name], fmt.Sprint(v...))
+		}
+		sort.Strings(rows[q.name])
+	}
+	if !reflect.DeepEqual(rows["QA"], rows["QB"]) || !reflect.DeepEqual(rows["GA"], rows["GB"]) || len(rows["QA"]) == 0 {
+		t.Fatalf("queries over one root answer different rows: %d vs %d, %d vs %d",
+			len(rows["QA"]), len(rows["QB"]), len(rows["GA"]), len(rows["GB"]))
 	}
 }
