@@ -91,9 +91,10 @@ fuzz-smoke:
 # point (mid-segment write, either side of the manifest rename, mid-journal
 # compaction), restart over the debris, and require bit-identical query
 # answers with zero lost deltas — under the race detector, since recovery
-# races the snapshot timer.
+# races the snapshot timer. A journal-only server (no snapshots) restarts
+# too, and must replay the batches its landed epochs held.
 chaos-restart:
-	$(GO) test -race -count=1 -run 'TestSnapshotCrashRestartVerify|TestFileJournalTruncateCrashLosesNothing' . ./internal/engine
+	$(GO) test -race -count=1 -run 'TestSnapshotCrashRestartVerify|TestFileJournalTruncateCrashLosesNothing|TestJournalOnlyRestartKeepsAckedDeltas' . ./internal/engine
 
 # Mixed-policy chaos: the crash-restart-verify cycle with the full refresh
 # policy spectrum live (manual, on-commit, scheduled, streaming), deltas

@@ -63,7 +63,7 @@ func run() (status int) {
 		skew          = flag.Float64("cost-skew", 0, "multiply every registered cost prediction by this factor (test hook for forcing calibration drift; 0 = off)")
 		apply         = flag.Bool("apply", false, "apply the advisor's proposal live and re-run the load")
 		chaos         = flag.Float64("chaos", 0, "fault injection probability: refresh errors at this rate, plus slow queries and worker panics at lower rates (0 disables)")
-		journalPath   = flag.String("journal", "", "crash-safe delta journal path; un-applied deltas from a previous run are replayed on startup")
+		journalPath   = flag.String("journal", "", "crash-safe delta journal path; a restart with the same -seed replays every delta its boot state lacks (every journaled delta without -snapshot-dir)")
 		snapshotDir   = flag.String("snapshot-dir", "", "durable snapshot directory; boot restores the newest consistent snapshot and checkpoints land there while serving")
 		snapInterval  = flag.Duration("snapshot-interval", 0, "wall-clock checkpoint period (0 keeps only the epoch-count trigger)")
 		snapRetain    = flag.Int("snapshot-retain", 0, "snapshot generations retention GC keeps (0 = default 3)")

@@ -154,8 +154,8 @@ func TestCLIChaosReport(t *testing.T) {
 func TestCLIJournalReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "deltas.journal")
 	// -chaos 1 makes every delta application fail persistently, so the
-	// first run's journaled batches are never acknowledged and survive its
-	// Close (a simulated crash with un-applied work).
+	// first run ends with journaled batches that never landed (a simulated
+	// crash with un-applied work).
 	out, code := runCLI(t, "-catalog", "testdata/catalog.json", "-workload", "testdata/workload.json",
 		"-clients", "1", "-requests", "5", "-epochs", "2", "-scale", "0.005",
 		"-chaos", "1", "-journal", path)

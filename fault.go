@@ -90,9 +90,10 @@ var ErrServerClosed = serve.ErrClosed
 var ErrQueryRejected = serve.ErrRejected
 
 // DeltaJournal is the write-ahead log for ingested deltas: batches are
-// journaled before buffering, acknowledged once their maintenance epoch
-// lands, and replayed when a server restarts over the same journal — no
-// accepted delta is lost to a crash. See ServeOptions.Journal/JournalPath.
+// journaled before buffering, and a server restarted over the same journal
+// replays every batch past its boot state's watermark (the snapshot's, or 0
+// for freshly generated data) — no accepted delta is lost to a crash. See
+// ServeOptions.Journal/JournalPath.
 type DeltaJournal = engine.DeltaJournal
 
 // DeltaRecord is one journaled delta batch.
@@ -104,7 +105,7 @@ func NewMemJournal() *engine.MemJournal { return engine.NewMemJournal() }
 
 // OpenFileJournal opens (or resumes) the crash-safe file-backed
 // DeltaJournal at path: append-only line-JSON, one write and one fsync per
-// appended group and per commit mark, tolerant of a torn tail.
+// appended group, tolerant of a torn tail.
 func OpenFileJournal(path string) (*engine.FileJournal, error) {
 	return engine.OpenFileJournal(path)
 }

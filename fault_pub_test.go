@@ -183,6 +183,64 @@ func TestServerJournalReplayAcrossRestart(t *testing.T) {
 	}
 }
 
+// TestJournalOnlyRestartKeepsAckedDeltas: a server with a journal and no
+// snapshot store boots on freshly generated data — watermark 0 — so a
+// restart must replay every journaled batch, the ones whose epochs landed
+// before the crash as well as the one still buffered. After one epoch the
+// reborn server answers every query like a server that never crashed.
+func TestJournalOnlyRestartKeepsAckedDeltas(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "deltas.journal")
+	// ingest runs the schedule: two landed batches, then one only journaled.
+	ingest := func(srv *mvpp.Server) int {
+		total := 0
+		for i := 0; i < 3; i++ {
+			n, err := srv.InjectDeltas(0.05)
+			if err != nil || n == 0 {
+				t.Fatalf("batch %d: %d rows, %v", i, n, err)
+			}
+			total += n
+			if i < 2 {
+				if err := srv.Flush(); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		return total
+	}
+	_, crashed := paperServer(t, mvpp.ServeOptions{Seed: 21, JournalPath: path})
+	ingested := ingest(crashed)
+	if err := crashed.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	design, reborn := paperServer(t, mvpp.ServeOptions{Seed: 21, JournalPath: path})
+	if got := reborn.Stats().ReplayedDeltaRows; got != int64(ingested) {
+		t.Fatalf("replayed %d rows, want all %d journaled", got, ingested)
+	}
+	if err := reborn.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	_, control := paperServer(t, mvpp.ServeOptions{Seed: 21})
+	ingest(control)
+	if err := control.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, q := range design.Queries() {
+		a, err := reborn.Query(ctx, q)
+		if err != nil {
+			t.Fatalf("%s: %v", q, err)
+		}
+		b, err := control.Query(ctx, q)
+		if err != nil {
+			t.Fatalf("%s control: %v", q, err)
+		}
+		if ra, rb := resultRows(a), resultRows(b); strings.Join(ra, "\n") != strings.Join(rb, "\n") {
+			t.Errorf("%s: %d rows after the restart, %d without a crash", q, len(ra), len(rb))
+		}
+	}
+}
+
 func TestServeJournalAndPathExclusive(t *testing.T) {
 	design, err := paperDesigner(t, mvpp.Options{}).Design()
 	if err != nil {

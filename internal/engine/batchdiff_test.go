@@ -217,8 +217,8 @@ func TestBatchVsRowDeltaEpochsDifferential(t *testing.T) {
 	diffViews(t, rdb)
 	bj, rj := engine.NewMemJournal(), engine.NewMemJournal()
 
-	pendingState := func(j engine.DeltaJournal) string {
-		recs, err := j.Pending()
+	replayState := func(j engine.DeltaJournal, since uint64) string {
+		recs, err := j.RecordsSince(since)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -233,10 +233,10 @@ func TestBatchVsRowDeltaEpochsDifferential(t *testing.T) {
 			"Product": diffDeltaRows(epoch)["Product"],
 		} {
 			var err error
-			if lastB, err = bj.Append(table, rows); err != nil {
+			if lastB, err = bj.AppendGroup([]engine.DeltaRecord{{Table: table, Rows: rows}}); err != nil {
 				t.Fatal(err)
 			}
-			if lastR, err = rj.Append(table, rows); err != nil {
+			if lastR, err = rj.AppendGroup([]engine.DeltaRecord{{Table: table, Rows: rows}}); err != nil {
 				t.Fatal(err)
 			}
 			if err := bdb.InsertDelta(table, rows...); err != nil {
@@ -249,7 +249,7 @@ func TestBatchVsRowDeltaEpochsDifferential(t *testing.T) {
 		if bdb.PendingDeltaRows("Order") != rdb.PendingDeltaRows("Order") {
 			t.Fatalf("%s: pending delta rows diverge", label)
 		}
-		if pendingState(bj) != pendingState(rj) {
+		if replayState(bj, 0) != replayState(rj, 0) {
 			t.Fatalf("%s: journal replay state diverges before refresh", label)
 		}
 
@@ -305,14 +305,8 @@ func TestBatchVsRowDeltaEpochsDifferential(t *testing.T) {
 			t.Fatalf("%s: %d / %d Order rows pending after the commit, want %d (the straggler waits for the next epoch)",
 				label, bdb.PendingDeltaRows("Order"), rdb.PendingDeltaRows("Order"), want)
 		}
-		if err := bj.Commit(lastB); err != nil {
-			t.Fatal(err)
-		}
-		if err := rj.Commit(lastR); err != nil {
-			t.Fatal(err)
-		}
-		if pendingState(bj) != pendingState(rj) {
-			t.Fatalf("%s: journal replay state diverges after commit", label)
+		if lastB != lastR || replayState(bj, lastB) != replayState(rj, lastR) {
+			t.Fatalf("%s: journal replay state past the landed LSN diverges after commit", label)
 		}
 
 		for _, name := range bdb.Tables() {

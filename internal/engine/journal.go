@@ -23,36 +23,25 @@ type DeltaRecord struct {
 	Table string
 	// Rows are the inserted rows, schema-width as ingested.
 	Rows [][]algebra.Value
-	// Source labels the ingestion path that journaled the batch ("" for
-	// direct ingestion, "stream" for the CDC change feed). Replay does not
-	// interpret it; it makes a replayed journal attributable.
-	Source string
 }
 
 // DeltaJournal is a write-ahead log for base-table deltas: the serving
-// layer appends every ingested batch *before* buffering it, acknowledges
-// (Commit) only after a maintenance epoch has landed the rows in the base
-// tables, and on restart replays the unacknowledged suffix — so no ingested
-// delta is ever lost to a crash between ingestion and its epoch.
+// layer appends every ingested batch *before* buffering it, and on restart
+// replays every record past the watermark of the state it boots on (a
+// snapshot's, or 0 for a freshly generated warehouse) — so no ingested
+// delta is ever lost to a crash, whether or not its epoch had landed.
 //
 // Implementations must be safe for concurrent use. AppendGroup must be
 // durable (for the file journal: written and synced) before it returns.
 type DeltaJournal interface {
 	// AppendGroup journals the records' Table and Rows as one group, in
-	// order: each gets the next dense LSN and the source tag, and the group
-	// is made durable as a whole — it either returns the last LSN assigned,
-	// or an error with nothing journaled. An empty group journals nothing
-	// and returns 0.
-	AppendGroup(source string, recs []DeltaRecord) (lastLSN uint64, err error)
-	// Commit acknowledges every record with LSN ≤ lsn; acknowledged records
-	// are never replayed again.
-	Commit(lsn uint64) error
-	// Pending returns the unacknowledged records in LSN order.
-	Pending() ([]DeltaRecord, error)
+	// order: each gets the next dense LSN, and the group is made durable as
+	// a whole — it either returns the last LSN assigned, or an error with
+	// nothing journaled. An empty group journals nothing and returns 0.
+	AppendGroup(recs []DeltaRecord) (lastLSN uint64, err error)
 	// RecordsSince returns every retained record with LSN > lsn in LSN
-	// order — acknowledged or not. Snapshot recovery replays the suffix
-	// past a snapshot's watermark with it; Truncate bounds how far back
-	// it can reach.
+	// order: the suffix a server booting on a state with watermark lsn
+	// replays. Truncate bounds how far back it can reach.
 	RecordsSince(lsn uint64) ([]DeltaRecord, error)
 	// Truncate drops every record with LSN ≤ lsn (they are captured by a
 	// durable snapshot and will never be replayed). LSN assignment
@@ -68,58 +57,28 @@ type DeltaJournal interface {
 // not a process exit. Tests and examples use it; production-shaped runs use
 // the file journal.
 type MemJournal struct {
-	mu        sync.Mutex
-	records   []DeltaRecord
-	nextLSN   uint64
-	committed uint64
+	mu      sync.Mutex
+	records []DeltaRecord
+	nextLSN uint64
 }
 
 // NewMemJournal creates an empty in-memory journal.
 func NewMemJournal() *MemJournal { return &MemJournal{nextLSN: 1} }
 
-// Append journals one untagged batch: a one-record group.
-func (j *MemJournal) Append(table string, rows [][]algebra.Value) (uint64, error) {
-	return j.AppendGroup("", []DeltaRecord{{Table: table, Rows: rows}})
-}
-
 // AppendGroup journals the records as one group. The rows are copied
 // shallowly (row slices are shared; the serving layer never mutates
 // ingested rows).
-func (j *MemJournal) AppendGroup(source string, recs []DeltaRecord) (uint64, error) {
+func (j *MemJournal) AppendGroup(recs []DeltaRecord) (uint64, error) {
 	if len(recs) == 0 {
 		return 0, nil
 	}
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	for _, r := range recs {
-		j.records = append(j.records, DeltaRecord{LSN: j.nextLSN, Table: r.Table, Rows: append([][]algebra.Value(nil), r.Rows...), Source: source})
+		j.records = append(j.records, DeltaRecord{LSN: j.nextLSN, Table: r.Table, Rows: append([][]algebra.Value(nil), r.Rows...)})
 		j.nextLSN++
 	}
 	return j.nextLSN - 1, nil
-}
-
-// Commit acknowledges records up to lsn. Acknowledged records are retained
-// (for snapshot recovery's RecordsSince) until Truncate discards them.
-func (j *MemJournal) Commit(lsn uint64) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if lsn > j.committed {
-		j.committed = lsn
-	}
-	return nil
-}
-
-// Pending returns the unacknowledged records in LSN order.
-func (j *MemJournal) Pending() ([]DeltaRecord, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	var out []DeltaRecord
-	for _, r := range j.records {
-		if r.LSN > j.committed {
-			out = append(out, r)
-		}
-	}
-	return out, nil
 }
 
 // RecordsSince returns every retained record with LSN > lsn.
@@ -146,9 +105,6 @@ func (j *MemJournal) Truncate(lsn uint64) error {
 		}
 	}
 	j.records = keep
-	if lsn > j.committed {
-		j.committed = lsn
-	}
 	return nil
 }
 
@@ -156,17 +112,19 @@ func (j *MemJournal) Truncate(lsn uint64) error {
 func (j *MemJournal) Close() error { return nil }
 
 // journal file format: one JSON object per line, either a delta record
-// ({"t":"d","lsn":N,"table":...,"rows":[[...]]}) or a commit mark
-// ({"t":"c","lsn":N}). Values serialize as {k,i,f,s} with zero fields
-// omitted. The format is append-only; a torn final line (crash mid-append)
-// is detected by its parse failure or its missing newline and discarded on
+// ({"t":"d","lsn":N,"table":...,"rows":[[...]]}) or an LSN-floor line
+// ({"t":"c","lsn":N}) that Truncate writes first so the sequence never
+// restarts below N. Values serialize as {k,i,f,s} with zero fields omitted.
+// The format is append-only; a torn final line (crash mid-append) is
+// detected by its parse failure or its missing newline and discarded on
 // open. A group is nothing but its records' lines written together, so a
-// torn group leaves a whole-record prefix.
+// torn group leaves a whole-record prefix. Older journals also carry
+// per-epoch "c" lines and a "src" field on delta lines; both read as
+// nothing but LSN floors and an ignored field.
 type journalLine struct {
 	T     string          `json:"t"`
 	LSN   uint64          `json:"lsn"`
 	Table string          `json:"table,omitempty"`
-	Src   string          `json:"src,omitempty"`
 	Rows  [][]journaleVal `json:"rows,omitempty"`
 }
 
@@ -191,7 +149,7 @@ func encodeDelta(enc *json.Encoder, r DeltaRecord) error {
 	for i, row := range r.Rows {
 		rows[i] = encodeRow(row)
 	}
-	return enc.Encode(journalLine{T: "d", LSN: r.LSN, Table: r.Table, Src: r.Source, Rows: rows})
+	return enc.Encode(journalLine{T: "d", LSN: r.LSN, Table: r.Table, Rows: rows})
 }
 
 func decodeRow(row []journaleVal) []algebra.Value {
@@ -213,28 +171,24 @@ type journalFile interface {
 }
 
 // FileJournal is the file-backed DeltaJournal: an append-only line-JSON log
-// that costs one write and one fsync per group and per commit mark, and
-// whose open path tolerates a torn tail — the crash-safe write-ahead log
-// proper. Committed records stay in the file (for snapshot recovery's
-// RecordsSince) until Truncate compacts it.
+// that costs one write and one fsync per group, and whose open path
+// tolerates a torn tail — the crash-safe write-ahead log proper. Records
+// stay in the file until Truncate compacts it.
 type FileJournal struct {
 	mu   sync.Mutex
 	path string
 	f    journalFile
 	// tail is the file's length: where the next write lands, and what a
 	// failed write is cut back to.
-	tail      int64
-	nextLSN   uint64
-	committed uint64
-	pending   []DeltaRecord
-	inj       *fault.Injector
+	tail    int64
+	nextLSN uint64
+	inj     *fault.Injector
 }
 
 // journalScan is the result of reading one journal file front to back.
 type journalScan struct {
 	records   []DeltaRecord // every delta record, in file order
-	committed uint64        // highest commit mark
-	maxLSN    uint64        // highest LSN on any line (delta or commit)
+	maxLSN    uint64        // highest LSN on any line (delta or floor)
 	goodBytes int64         // bytes before the first malformed (torn) line
 }
 
@@ -263,27 +217,21 @@ func scanJournalFile(f io.Reader) (journalScan, error) {
 		if line.LSN > s.maxLSN {
 			s.maxLSN = line.LSN
 		}
-		switch line.T {
-		case "d":
+		if line.T == "d" {
 			rows := make([][]algebra.Value, len(line.Rows))
 			for i, r := range line.Rows {
 				rows[i] = decodeRow(r)
 			}
-			s.records = append(s.records, DeltaRecord{LSN: line.LSN, Table: line.Table, Rows: rows, Source: line.Src})
-		case "c":
-			if line.LSN > s.committed {
-				s.committed = line.LSN
-			}
+			s.records = append(s.records, DeltaRecord{LSN: line.LSN, Table: line.Table, Rows: rows})
 		}
 	}
 }
 
 // OpenFileJournal opens (or creates) the journal at path and recovers its
-// state: records after the last commit mark are pending and will be
-// returned by Pending; a malformed final line — a torn write from a crash —
-// is discarded. A stale compaction temp file (crash mid-Truncate) is
-// removed: the original journal is still complete, so the half-written
-// replacement is just debris.
+// LSN sequence; a malformed final line — a torn write from a crash — is
+// discarded. A stale compaction temp file (crash mid-Truncate) is removed:
+// the original journal is still complete, so the half-written replacement
+// is just debris.
 func OpenFileJournal(path string) (*FileJournal, error) {
 	if err := os.Remove(path + compactSuffix); err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("engine: removing stale journal compaction file: %w", err)
@@ -298,10 +246,10 @@ func OpenFileJournal(path string) (*FileJournal, error) {
 		return nil, err
 	}
 	// nextLSN must clear every LSN the file has ever named — including a
-	// truncation's commit mark, which may be the only surviving line.
+	// truncation's floor line, which may be the only surviving line.
 	// Restarting the sequence lower would reissue LSNs below a snapshot
 	// watermark and make RecordsSince silently skip live deltas.
-	j := &FileJournal{path: path, f: f, tail: s.goodBytes, nextLSN: s.maxLSN + 1, committed: s.committed, pending: s.records}
+	j := &FileJournal{path: path, f: f, tail: s.goodBytes, nextLSN: s.maxLSN + 1}
 	if j.nextLSN < 1 {
 		j.nextLSN = 1
 	}
@@ -313,7 +261,6 @@ func OpenFileJournal(path string) (*FileJournal, error) {
 		f.Close()
 		return nil, err
 	}
-	j.dropCommitted()
 	return j, nil
 }
 
@@ -323,16 +270,6 @@ func (j *FileJournal) SetInjector(in *fault.Injector) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	j.inj = in
-}
-
-func (j *FileJournal) dropCommitted() {
-	keep := j.pending[:0]
-	for _, r := range j.pending {
-		if r.LSN > j.committed {
-			keep = append(keep, r)
-		}
-	}
-	j.pending = keep
 }
 
 // writeDurable appends data with one Write and one Sync.
@@ -357,14 +294,14 @@ func (j *FileJournal) cutBack(cause error) error {
 	return cause
 }
 
-// Append journals one untagged batch durably: a one-record group.
+// Append journals one batch durably: a one-record group.
 func (j *FileJournal) Append(table string, rows [][]algebra.Value) (uint64, error) {
-	return j.AppendGroup("", []DeltaRecord{{Table: table, Rows: rows}})
+	return j.AppendGroup([]DeltaRecord{{Table: table, Rows: rows}})
 }
 
 // AppendGroup journals the records as one group: one line and one dense LSN
 // per record, all lines in one buffer, one write, one fsync.
-func (j *FileJournal) AppendGroup(source string, recs []DeltaRecord) (uint64, error) {
+func (j *FileJournal) AppendGroup(recs []DeltaRecord) (uint64, error) {
 	if len(recs) == 0 {
 		return 0, nil
 	}
@@ -373,52 +310,22 @@ func (j *FileJournal) AppendGroup(source string, recs []DeltaRecord) (uint64, er
 	if err := j.inj.Hit(fault.SiteJournalAppend); err != nil {
 		return 0, err
 	}
-	group := make([]DeltaRecord, len(recs))
 	var buf bytes.Buffer
 	enc := json.NewEncoder(&buf)
 	for i, r := range recs {
-		group[i] = DeltaRecord{LSN: j.nextLSN + uint64(i), Table: r.Table, Rows: r.Rows, Source: source}
-		if err := encodeDelta(enc, group[i]); err != nil {
+		if err := encodeDelta(enc, DeltaRecord{LSN: j.nextLSN + uint64(i), Table: r.Table, Rows: r.Rows}); err != nil {
 			return 0, fmt.Errorf("engine: encoding delta journal record: %w", err)
 		}
 	}
 	if err := j.writeDurable(buf.Bytes()); err != nil {
 		return 0, err
 	}
-	j.nextLSN += uint64(len(group))
-	j.pending = append(j.pending, group...)
+	j.nextLSN += uint64(len(recs))
 	return j.nextLSN - 1, nil
 }
 
-// Commit appends a durable commit mark acknowledging records up to lsn.
-func (j *FileJournal) Commit(lsn uint64) error {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	if lsn <= j.committed {
-		return nil
-	}
-	mark, err := json.Marshal(journalLine{T: "c", LSN: lsn})
-	if err != nil {
-		return err
-	}
-	if err := j.writeDurable(append(mark, '\n')); err != nil {
-		return err
-	}
-	j.committed = lsn
-	j.dropCommitted()
-	return nil
-}
-
-// Pending returns the unacknowledged records in LSN order.
-func (j *FileJournal) Pending() ([]DeltaRecord, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	return append([]DeltaRecord(nil), j.pending...), nil
-}
-
 // RecordsSince re-reads the journal file and returns every record with
-// LSN > lsn, acknowledged or not — the snapshot recovery path's view of
-// the suffix past a watermark.
+// LSN > lsn: the replay suffix past a boot state's watermark.
 func (j *FileJournal) RecordsSince(lsn uint64) ([]DeltaRecord, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -446,10 +353,10 @@ const compactSuffix = ".compact"
 
 // Truncate rewrites the journal keeping only records with LSN > lsn. The
 // rewrite is torn-tail safe: the survivors are staged to a temp file, led
-// by a commit mark that both preserves the ack floor and pins the LSN
-// sequence (so a reopened journal never reissues numbers ≤ lsn), fsynced,
-// and renamed over the live journal. A crash at any point leaves either
-// the complete old file or the complete new one.
+// by an LSN-floor line that pins the sequence (so a reopened journal never
+// reissues a number it or lsn has named), fsynced, and renamed over the
+// live journal. A crash at any point leaves either the complete old file or
+// the complete new one.
 func (j *FileJournal) Truncate(lsn uint64) error {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -470,12 +377,9 @@ func (j *FileJournal) Truncate(lsn uint64) error {
 	if err != nil {
 		return fmt.Errorf("engine: staging journal compaction: %w", err)
 	}
-	mark := j.committed
-	if lsn > mark {
-		mark = lsn
-	}
+	floor := max(lsn, j.nextLSN-1)
 	enc := json.NewEncoder(tmp)
-	werr := enc.Encode(journalLine{T: "c", LSN: mark})
+	werr := enc.Encode(journalLine{T: "c", LSN: floor})
 	for _, r := range s.records {
 		if werr != nil {
 			break
@@ -505,8 +409,7 @@ func (j *FileJournal) Truncate(lsn uint64) error {
 	if err := syncDir(filepath.Dir(j.path)); err != nil {
 		return err
 	}
-	// Swap the write handle to the new file and drop truncated records
-	// from the in-memory pending set.
+	// Swap the write handle to the new file.
 	nf, err := os.OpenFile(j.path, os.O_RDWR, 0o644)
 	if err != nil {
 		return fmt.Errorf("engine: reopening compacted journal: %w", err)
@@ -518,11 +421,7 @@ func (j *FileJournal) Truncate(lsn uint64) error {
 	}
 	j.f.Close()
 	j.f, j.tail = nf, tail
-	j.committed = mark
-	if mark >= j.nextLSN {
-		j.nextLSN = mark + 1
-	}
-	j.dropCommitted()
+	j.nextLSN = floor + 1
 	return nil
 }
 

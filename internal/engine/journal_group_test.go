@@ -18,11 +18,10 @@ import (
 // one-record appends, and a group torn at any byte leaves a whole-record
 // prefix.
 
-// appendGroup journals recs under one source tag as one group and returns
-// the last LSN.
-func appendGroup(t testing.TB, j *FileJournal, source string, recs []DeltaRecord) uint64 {
+// appendGroup journals recs as one group and returns the last LSN.
+func appendGroup(t testing.TB, j *FileJournal, recs []DeltaRecord) uint64 {
 	t.Helper()
-	last, err := j.AppendGroup(source, recs)
+	last, err := j.AppendGroup(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,16 +44,13 @@ func groupFixture() []DeltaRecord {
 
 // journalState is everything a reader can learn from a journal.
 type journalState struct {
-	Pending, All, Since []DeltaRecord
+	All, Since []DeltaRecord
 }
 
 func readState(t *testing.T, j DeltaJournal, since uint64) journalState {
 	t.Helper()
 	var s journalState
 	var err error
-	if s.Pending, err = j.Pending(); err != nil {
-		t.Fatal(err)
-	}
 	if s.All, err = j.RecordsSince(0); err != nil {
 		t.Fatal(err)
 	}
@@ -90,9 +86,9 @@ func TestJournalGroupEqualsSequential(t *testing.T) {
 	}
 	var seqLast uint64
 	for i := range recs {
-		seqLast = appendGroup(t, seq, "stream", recs[i:i+1])
+		seqLast = appendGroup(t, seq, recs[i:i+1])
 	}
-	grpLast := appendGroup(t, grp, "stream", recs)
+	grpLast := appendGroup(t, grp, recs)
 	if seqLast != grpLast || grpLast != uint64(len(recs)) {
 		t.Fatalf("last LSN: sequential %d, group %d, want %d", seqLast, grpLast, len(recs))
 	}
@@ -116,13 +112,13 @@ func TestJournalGroupEqualsSequential(t *testing.T) {
 	}
 	same("live")
 	st := readState(t, grp, 3)
-	if len(st.Pending) != len(recs) || len(st.Since) != len(recs)-3 {
-		t.Fatalf("group journal holds %d pending / %d past LSN 3, want %d / %d",
-			len(st.Pending), len(st.Since), len(recs), len(recs)-3)
+	if len(st.All) != len(recs) || len(st.Since) != len(recs)-3 {
+		t.Fatalf("group journal holds %d records / %d past LSN 3, want %d / %d",
+			len(st.All), len(st.Since), len(recs), len(recs)-3)
 	}
-	for i, r := range st.Pending {
-		if r.LSN != uint64(i+1) || r.Table != recs[i].Table || r.Source != "stream" || len(r.Rows) != len(recs[i].Rows) {
-			t.Fatalf("pending[%d] = %+v, want LSN %d of %s tagged \"stream\" with %d rows", i, r, i+1, recs[i].Table, len(recs[i].Rows))
+	for i, r := range st.All {
+		if r.LSN != uint64(i+1) || r.Table != recs[i].Table || len(r.Rows) != len(recs[i].Rows) {
+			t.Fatalf("record %d = %+v, want LSN %d of %s with %d rows", i, r, i+1, recs[i].Table, len(recs[i].Rows))
 		}
 	}
 
@@ -131,17 +127,11 @@ func TestJournalGroupEqualsSequential(t *testing.T) {
 	reopened := readState(t, grp, 3)
 	for i, r := range reopened.All {
 		want := st.All[i]
-		if r.LSN != want.LSN || r.Table != want.Table || r.Source != want.Source || fmt.Sprint(r.Rows) != fmt.Sprint(want.Rows) {
+		if r.LSN != want.LSN || r.Table != want.Table || fmt.Sprint(r.Rows) != fmt.Sprint(want.Rows) {
 			t.Fatalf("record %d changed across reopen: %+v, was %+v", i, r, want)
 		}
 	}
 
-	for _, j := range []*FileJournal{seq, grp} {
-		if err := j.Commit(2); err != nil {
-			t.Fatal(err)
-		}
-	}
-	same("committed to 2")
 	for _, j := range []*FileJournal{seq, grp} {
 		if err := j.Truncate(4); err != nil {
 			t.Fatal(err)
@@ -150,11 +140,11 @@ func TestJournalGroupEqualsSequential(t *testing.T) {
 	same("truncated to 4")
 	seq, grp = reopen(t, seq, seqPath), reopen(t, grp, grpPath)
 	same("truncated and reopened")
-	if got := readState(t, grp, 0); !sameLSNs(got.All, 5, 6, 7) || !sameLSNs(got.Pending, 5, 6, 7) {
-		t.Fatalf("after Truncate(4): retained %v, pending %v, want 5 6 7", lsnsOf(got.All), lsnsOf(got.Pending))
+	if got := readState(t, grp, 0); !sameLSNs(got.All, 5, 6, 7) {
+		t.Fatalf("after Truncate(4): retained %v, want 5 6 7", lsnsOf(got.All))
 	}
 	// The sequence continues identically on both.
-	if a, b := appendGroup(t, seq, "", recs[:1]), appendGroup(t, grp, "", recs[:1]); a != 8 || b != 8 {
+	if a, b := appendGroup(t, seq, recs[:1]), appendGroup(t, grp, recs[:1]); a != 8 || b != 8 {
 		t.Fatalf("next LSN after reopen: sequential %d, group %d, want 8", a, b)
 	}
 	same("appended after truncation")
@@ -164,11 +154,11 @@ func TestJournalGroupEqualsSequential(t *testing.T) {
 	// The in-memory journal keeps the same contract.
 	mseq, mgrp := NewMemJournal(), NewMemJournal()
 	for i := range recs {
-		if _, err := mseq.AppendGroup("stream", recs[i:i+1]); err != nil {
+		if _, err := mseq.AppendGroup(recs[i : i+1]); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if last, err := mgrp.AppendGroup("stream", recs); err != nil || last != uint64(len(recs)) {
+	if last, err := mgrp.AppendGroup(recs); err != nil || last != uint64(len(recs)) {
 		t.Fatalf("in-memory group: last LSN %d, err %v, want %d", last, err, len(recs))
 	}
 	for _, j := range []*MemJournal{mseq, mgrp} {
@@ -192,15 +182,12 @@ func TestJournalTornGroup(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendGroup(t, j, "", recs[:2])
-	if err := j.Commit(1); err != nil {
-		t.Fatal(err)
-	}
+	appendGroup(t, j, recs[:2])
 	intact, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	appendGroup(t, j, "stream", recs)
+	appendGroup(t, j, recs)
 	j.Close()
 	full, err := os.ReadFile(path)
 	if err != nil {
@@ -219,33 +206,33 @@ func TestJournalTornGroup(t *testing.T) {
 		if err != nil {
 			t.Fatalf("cut at group byte %d: open failed: %v", cut, err)
 		}
-		pend, err := tj.Pending()
+		pend, err := tj.RecordsSince(0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		// LSN 1 is committed; LSN 2 and the group's whole lines are pending.
-		if got := len(pend) - 1; got != whole {
+		// LSNs 1 and 2 came before the group; its whole lines follow them.
+		if got := len(pend) - 2; got != whole {
 			t.Fatalf("cut at group byte %d: %d of the group's records survive, want %d", cut, got, whole)
 		}
 		for i, r := range pend {
-			if r.LSN != uint64(i+2) {
-				t.Fatalf("cut at group byte %d: pending LSNs %v are not the dense prefix from 2", cut, lsnsOf(pend))
+			if r.LSN != uint64(i+1) {
+				t.Fatalf("cut at group byte %d: LSNs %v are not the dense prefix from 1", cut, lsnsOf(pend))
 			}
 		}
-		for i, r := range pend[1:] {
-			if r.Table != recs[i].Table || r.Source != "stream" || fmt.Sprint(r.Rows) != fmt.Sprint(recs[i].Rows) {
+		for i, r := range pend[2:] {
+			if r.Table != recs[i].Table || fmt.Sprint(r.Rows) != fmt.Sprint(recs[i].Rows) {
 				t.Fatalf("cut at group byte %d: group record %d = %+v, want %+v", cut, i, r, recs[i])
 			}
 		}
-		next := appendGroup(t, tj, "", recs[:1])
-		if want := uint64(len(pend) + 2); next != want {
+		next := appendGroup(t, tj, recs[:1])
+		if want := uint64(len(pend) + 1); next != want {
 			t.Fatalf("cut at group byte %d: next LSN %d, want %d", cut, next, want)
 		}
 		// The torn bytes are gone: the new record lands on a clean tail and
 		// survives another reopen beside the prefix.
 		tj = reopen(t, tj, torn)
-		if again, _ := tj.Pending(); len(again) != len(pend)+1 || again[len(pend)].LSN != next {
-			t.Fatalf("cut at group byte %d: pending LSNs after append and reopen %v, want %v then %d",
+		if again, _ := tj.RecordsSince(0); len(again) != len(pend)+1 || again[len(pend)].LSN != next {
+			t.Fatalf("cut at group byte %d: LSNs after append and reopen %v, want %v then %d",
 				cut, lsnsOf(again), lsnsOf(pend), next)
 		}
 		tj.Close()
@@ -263,13 +250,14 @@ func FuzzJournalLine(f *testing.F) {
 	f.Add([]byte("\n\n{}\n[]\nnull\n"))
 	f.Add([]byte{0, 0xff, '\n', '{'})
 	f.Add([]byte(`{"t":"d","lsn":18446744073709551615}` + "\n"))
+	f.Add([]byte(`{"t":"d","lsn":3,"table":"Fact","src":"stream","rows":[[{"k":1,"i":5}]]}` + "\n" + `{"t":"c","lsn":3}` + "\n" + `{"t":"d","lsn":4,"ta`))
 	f.Fuzz(func(t *testing.T, tail []byte) {
 		path := filepath.Join(t.TempDir(), "fuzz.wal")
 		j, err := OpenFileJournal(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		appendGroup(t, j, "stream", groupFixture()[:2])
+		appendGroup(t, j, groupFixture()[:2])
 		j.Close()
 		fh, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0)
 		if err != nil {
@@ -293,7 +281,7 @@ func FuzzJournalLine(f *testing.F) {
 		}
 		// Whatever the tail was, the journal is writable again: a new record
 		// survives the next reopen.
-		lsn := appendGroup(t, j2, "", groupFixture()[3:4])
+		lsn := appendGroup(t, j2, groupFixture()[3:4])
 		j3, err := OpenFileJournal(path)
 		if err != nil {
 			t.Fatalf("reopen after appending over tail %q: %v", tail, err)
@@ -347,17 +335,18 @@ func TestFileJournalGroupIsOneWriteOneSync(t *testing.T) {
 	cf := &countingFile{File: j.f.(*os.File)}
 	j.f = cf
 	recs := groupFixture()
-	if last := appendGroup(t, j, "stream", recs); last != uint64(len(recs)) {
+	if last := appendGroup(t, j, recs); last != uint64(len(recs)) {
 		t.Fatalf("last LSN %d, want %d", last, len(recs))
 	}
 	if cf.writes != 1 || cf.syncs != 1 {
 		t.Fatalf("a %d-record group cost %d writes / %d syncs, want 1 / 1", len(recs), cf.writes, cf.syncs)
 	}
-	if err := j.Commit(3); err != nil {
-		t.Fatal(err)
+	// Reading the suffix back writes nothing.
+	if all, err := j.RecordsSince(0); err != nil || len(all) != len(recs) {
+		t.Fatalf("RecordsSince(0) = %d records, err %v, want %d", len(all), err, len(recs))
 	}
-	if cf.writes != 2 || cf.syncs != 2 {
-		t.Fatalf("a commit mark cost %d writes / %d syncs, want 1 / 1", cf.writes-1, cf.syncs-1)
+	if cf.writes != 1 || cf.syncs != 1 {
+		t.Fatalf("RecordsSince cost %d writes / %d syncs, want none", cf.writes-1, cf.syncs-1)
 	}
 
 	before, err := os.ReadFile(path)
@@ -376,31 +365,31 @@ func TestFileJournalGroupIsOneWriteOneSync(t *testing.T) {
 		if !bytes.Equal(before, after) {
 			t.Fatalf("%s: a refused group changed the file:\nbefore %q\nafter  %q", stage, before, after)
 		}
-		if pend, _ := j.Pending(); !sameLSNs(pend, 4, 5, 6, 7) {
-			t.Fatalf("%s: pending LSNs %v, want 4 5 6 7", stage, lsnsOf(pend))
+		if all, _ := j.RecordsSince(0); !sameLSNs(all, 1, 2, 3, 4, 5, 6, 7) {
+			t.Fatalf("%s: LSNs %v, want 1..7", stage, lsnsOf(all))
 		}
 	}
 	j.SetInjector(fault.New(1, fault.Plan{fault.SiteJournalAppend: {ErrProb: 1}}))
-	_, err = j.AppendGroup("stream", recs)
+	_, err = j.AppendGroup(recs)
 	refused("injected", err)
 	if !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("injected append failed with %v, want the injected error", err)
 	}
-	if cf.writes != 2 {
+	if cf.writes != 1 {
 		t.Fatalf("the injected fault fired after the write (%d writes)", cf.writes)
 	}
 	j.SetInjector(nil)
 	cf.tearWrite = true
-	_, err = j.AppendGroup("stream", recs)
+	_, err = j.AppendGroup(recs)
 	refused("torn write", err)
 	cf.tearWrite, cf.failSync = false, true
-	_, err = j.AppendGroup("stream", recs)
+	_, err = j.AppendGroup(recs)
 	refused("failed sync", err)
 	cf.failSync = false
 
 	// The sequence resumes where the last accepted group left it, on a
 	// clean tail.
-	if last := appendGroup(t, j, "", recs[:2]); last != uint64(len(recs)+2) {
+	if last := appendGroup(t, j, recs[:2]); last != uint64(len(recs)+2) {
 		t.Fatalf("first LSNs after the refusals end at %d, want %d", last, len(recs)+2)
 	}
 	j2, err := OpenFileJournal(path)
@@ -408,7 +397,7 @@ func TestFileJournalGroupIsOneWriteOneSync(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
-	if pend, _ := j2.Pending(); !sameLSNs(pend, 4, 5, 6, 7, 8, 9) {
-		t.Fatalf("reopened pending LSNs %v, want 4..9", lsnsOf(pend))
+	if all, _ := j2.RecordsSince(0); !sameLSNs(all, 1, 2, 3, 4, 5, 6, 7, 8, 9) {
+		t.Fatalf("reopened LSNs %v, want 1..9", lsnsOf(all))
 	}
 }

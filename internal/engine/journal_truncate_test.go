@@ -32,14 +32,8 @@ func sameLSNs(got []DeltaRecord, want ...uint64) bool {
 func TestMemJournalRecordsSinceAndTruncate(t *testing.T) {
 	j := NewMemJournal()
 	for i := 0; i < 5; i++ {
-		if _, err := j.Append("t", [][]algebra.Value{journalRow(int64(i))}); err != nil {
-			t.Fatal(err)
-		}
+		appendOne(t, j, "t", journalRow(int64(i)))
 	}
-	if err := j.Commit(3); err != nil {
-		t.Fatal(err)
-	}
-	// Commit retains records: RecordsSince sees the acked prefix too.
 	if recs, _ := j.RecordsSince(1); !sameLSNs(recs, 2, 3, 4, 5) {
 		t.Fatalf("RecordsSince(1) = %v, want [2 3 4 5]", lsnsOf(recs))
 	}
@@ -50,9 +44,8 @@ func TestMemJournalRecordsSinceAndTruncate(t *testing.T) {
 		t.Fatalf("after Truncate(3): RecordsSince(0) = %v, want [4 5]", lsnsOf(recs))
 	}
 	// Sequence numbering continues past the truncation.
-	lsn, err := j.Append("t", [][]algebra.Value{journalRow(9)})
-	if err != nil || lsn != 6 {
-		t.Fatalf("append after truncate: lsn=%d err=%v, want 6", lsn, err)
+	if lsn := appendOne(t, j, "t", journalRow(9)); lsn != 6 {
+		t.Fatalf("append after truncate: lsn=%d, want 6", lsn)
 	}
 }
 
@@ -66,9 +59,6 @@ func TestFileJournalTruncateCompacts(t *testing.T) {
 		if _, err := j.Append("t", [][]algebra.Value{journalRow(int64(i))}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := j.Commit(2); err != nil {
-		t.Fatal(err)
 	}
 	before, err := os.Stat(path)
 	if err != nil {
@@ -86,10 +76,6 @@ func TestFileJournalTruncateCompacts(t *testing.T) {
 	}
 	if recs, _ := j.RecordsSince(0); !sameLSNs(recs, 4, 5) {
 		t.Fatalf("RecordsSince(0) = %v, want [4 5]", lsnsOf(recs))
-	}
-	// The truncation raised the ack floor to the watermark.
-	if recs, _ := j.Pending(); !sameLSNs(recs, 4, 5) {
-		t.Fatalf("Pending = %v, want [4 5]", lsnsOf(recs))
 	}
 	// Appends continue on the compacted file and survive a reopen.
 	if lsn, err := j.Append("t", [][]algebra.Value{journalRow(9)}); err != nil || lsn != 6 {
@@ -121,9 +107,6 @@ func TestFileJournalTruncateCrashLosesNothing(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := j.Commit(3); err != nil {
-		t.Fatal(err)
-	}
 	// Crash point: the replacement file is fully staged, the rename never
 	// happens.
 	j.SetInjector(fault.New(1, fault.Plan{fault.SiteJournalTruncate: {ErrProb: 1}}))
@@ -151,9 +134,6 @@ func TestFileJournalTruncateCrashLosesNothing(t *testing.T) {
 	if recs, _ := j2.RecordsSince(0); !sameLSNs(recs, 1, 2, 3, 4, 5, 6) {
 		t.Fatalf("RecordsSince(0) after restart = %v, want all six", lsnsOf(recs))
 	}
-	if recs, _ := j2.Pending(); !sameLSNs(recs, 4, 5, 6) {
-		t.Fatalf("Pending after restart = %v, want [4 5 6]", lsnsOf(recs))
-	}
 	// A clean retry now succeeds.
 	if err := j2.Truncate(3); err != nil {
 		t.Fatal(err)
@@ -164,7 +144,7 @@ func TestFileJournalTruncateCrashLosesNothing(t *testing.T) {
 }
 
 // TestFileJournalTruncateAllPinsLSNSequence: truncating every record leaves
-// only the commit mark, and a reopened journal must continue the sequence
+// only the LSN-floor line, and a reopened journal must continue the sequence
 // above it — reissuing LSNs below a snapshot watermark would make
 // RecordsSince silently skip live deltas.
 func TestFileJournalTruncateAllPinsLSNSequence(t *testing.T) {
@@ -177,9 +157,6 @@ func TestFileJournalTruncateAllPinsLSNSequence(t *testing.T) {
 		if _, err := j.Append("t", [][]algebra.Value{journalRow(int64(i))}); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if err := j.Commit(4); err != nil {
-		t.Fatal(err)
 	}
 	if err := j.Truncate(4); err != nil {
 		t.Fatal(err)

@@ -95,8 +95,8 @@ const (
 	// because a view it would read is unhealthy or too stale (attrs:
 	// views).
 	EvServeDegraded EventKind = "serve.degraded"
-	// EvServeJournal fires on delta-journal activity (attrs: action —
-	// "replay" or "commit" — records, rows or lsn).
+	// EvServeJournal fires when a booting server replays the journal
+	// (attrs: action "replay", rows, batches).
 	EvServeJournal EventKind = "serve.journal"
 	// EvServeQuery fires at each stage of a served query's lifecycle when
 	// trace correlation is on (attrs: query_id, stage — "admit",

@@ -251,7 +251,7 @@ func (f *changeFeed) flush() {
 		}
 	}
 	gstart := time.Now()
-	lsn, err := s.commit("stream", recs, 0, refs)
+	lsn, err := s.commit(recs, 0, refs)
 	now := time.Now()
 	for _, ref := range refs {
 		gctx := ref.ctx.NewChild()

@@ -19,16 +19,14 @@ import (
 // gatedJournal wraps a journal, counts its AppendGroup calls, and can hold
 // them: after hold, every append announces itself on entered and blocks
 // until the returned release is called — a group commit stopped mid-write,
-// without a clock. holdCommit does the same to Commit: an epoch stopped
-// inside its journal acknowledgement.
+// without a clock.
 type gatedJournal struct {
 	engine.DeltaJournal
 	entered chan struct{}
 
-	mu         sync.Mutex
-	calls      int
-	gate       chan struct{}
-	commitGate chan struct{}
+	mu    sync.Mutex
+	calls int
+	gate  chan struct{}
 }
 
 func newGatedJournal(j engine.DeltaJournal) *gatedJournal {
@@ -49,37 +47,13 @@ func (g *gatedJournal) hold() (release func()) {
 	}
 }
 
-func (g *gatedJournal) holdCommit() (release func()) {
-	gate := make(chan struct{})
-	g.mu.Lock()
-	g.commitGate = gate
-	g.mu.Unlock()
-	return func() {
-		g.mu.Lock()
-		g.commitGate = nil
-		g.mu.Unlock()
-		close(gate)
-	}
-}
-
-func (g *gatedJournal) Commit(lsn uint64) error {
-	g.mu.Lock()
-	gate := g.commitGate
-	g.mu.Unlock()
-	if gate != nil {
-		g.entered <- struct{}{}
-		<-gate
-	}
-	return g.DeltaJournal.Commit(lsn)
-}
-
 func (g *gatedJournal) appendCalls() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	return g.calls
 }
 
-func (g *gatedJournal) AppendGroup(source string, recs []engine.DeltaRecord) (uint64, error) {
+func (g *gatedJournal) AppendGroup(recs []engine.DeltaRecord) (uint64, error) {
 	g.mu.Lock()
 	g.calls++
 	gate := g.gate
@@ -88,7 +62,7 @@ func (g *gatedJournal) AppendGroup(source string, recs []engine.DeltaRecord) (ui
 		g.entered <- struct{}{}
 		<-gate
 	}
-	return g.DeltaJournal.AppendGroup(source, recs)
+	return g.DeltaJournal.AppendGroup(recs)
 }
 
 // divRows is n distinct Division delta rows starting at key i.
@@ -107,10 +81,15 @@ func streamAsync(s *Server, table string, rows ...[]algebra.Value) <-chan error 
 	return done
 }
 
-// pendingRecords reads the journal's unacknowledged records.
-func pendingRecords(t *testing.T, j engine.DeltaJournal) []engine.DeltaRecord {
+// unlandedRecords reads the journal's records past the last landed epoch:
+// those above the highest LSNHi in any view's lineage.
+func unlandedRecords(t *testing.T, s *Server, j engine.DeltaJournal) []engine.DeltaRecord {
 	t.Helper()
-	recs, err := j.Pending()
+	var landed uint64
+	for _, vl := range s.Lineage() {
+		landed = max(landed, vl.LSNHi)
+	}
+	recs, err := j.RecordsSince(landed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,8 +118,8 @@ func waitBuffered(t *testing.T, s *Server, want int) {
 }
 
 // TestStreamIngestGroupCommitJournals: a StreamIngest call returns only
-// after its group commit journaled (Source "stream") and staged the rows;
-// the next Flush lands them in the views.
+// after its group commit journaled and staged the rows; the next Flush lands
+// them in the views.
 func TestStreamIngestGroupCommitJournals(t *testing.T) {
 	j := engine.NewMemJournal()
 	s, _ := serveFixture(t, Config{DeltaBatch: 1 << 20, Journal: j})
@@ -160,18 +139,9 @@ func TestStreamIngestGroupCommitJournals(t *testing.T) {
 	}
 
 	// A nil return means journaled: both batches are write-ahead records
-	// tagged with the streaming source, not yet acked.
-	recs, err := j.Pending()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 {
-		t.Fatalf("pending journal records = %d, want 2", len(recs))
-	}
-	for _, r := range recs {
-		if r.Source != "stream" {
-			t.Errorf("journal record for %s has source %q, want \"stream\"", r.Table, r.Source)
-		}
+	// no epoch has landed yet.
+	if recs := unlandedRecords(t, s, j); len(recs) != 2 || recs[0].Table != "Division" || recs[1].Table != "Product" {
+		t.Fatalf("unlanded journal records = %+v, want the Division and the Product batch", recs)
 	}
 	accepted, committed := s.IngestWatermarks()
 	if accepted != 2 || committed != 2 {
@@ -184,8 +154,8 @@ func TestStreamIngestGroupCommitJournals(t *testing.T) {
 		t.Errorf("stream stats = %d rows / %d groups, want 2/2", got.StreamRows, got.StreamGroups)
 	}
 
-	// The epoch lands the staged rows: the view gains the delta row and the
-	// journal is acked.
+	// The epoch lands the staged rows: the view gains the delta row and its
+	// lineage covers both records.
 	if err := s.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -196,12 +166,8 @@ func TestStreamIngestGroupCommitJournals(t *testing.T) {
 	if got, want := after.Table.NumRows(), before.Table.NumRows()+1; got != want {
 		t.Errorf("view has %d rows after the epoch, want %d", got, want)
 	}
-	recs, err = j.Pending()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 0 {
-		t.Errorf("journal still has %d pending records after the epoch landed", len(recs))
+	if recs := unlandedRecords(t, s, j); len(recs) != 0 {
+		t.Errorf("journal still has %d unlanded records after the epoch landed", len(recs))
 	}
 }
 
@@ -267,13 +233,7 @@ func TestStreamBackpressureShedsAfterDeadline(t *testing.T) {
 	if err := <-filler; err != nil {
 		t.Fatalf("the accepted filler call failed: %v", err)
 	}
-	recs := pendingRecords(t, j)
-	for _, r := range recs {
-		if r.Source != "stream" {
-			t.Errorf("journal record source %q, want \"stream\"", r.Source)
-		}
-	}
-	if got := journaledRows(recs); got != 5 {
+	if got := journaledRows(unlandedRecords(t, s, j)); got != 5 {
 		t.Errorf("journaled rows = %d, want exactly the 5 accepted", got)
 	}
 	if got := j.appendCalls(); got != 2 {
@@ -311,7 +271,7 @@ func TestStreamCloseDrainsFeed(t *testing.T) {
 	if err := <-waiting; err != nil {
 		t.Fatalf("admitted StreamIngest during Close = %v, want nil (drained)", err)
 	}
-	if rows := journaledRows(pendingRecords(t, j)); rows != 3 {
+	if rows := journaledRows(unlandedRecords(t, s, j)); rows != 3 {
 		t.Errorf("journaled rows after the Close drain = %d, want 3", rows)
 	}
 	accepted, committed := s.IngestWatermarks()
@@ -357,14 +317,14 @@ func TestStreamBatchOneGroup(t *testing.T) {
 	if got := j.appendCalls(); got != 1 {
 		t.Errorf("AppendGroup calls = %d, want 1", got)
 	}
-	recs := pendingRecords(t, j)
+	recs := unlandedRecords(t, s, j)
 	if len(recs) != 7 {
 		t.Fatalf("journal holds %d records, want 7", len(recs))
 	}
 	for i, r := range recs {
-		if r.LSN != uint64(i+1) || r.Source != "stream" || r.Table != batch[i].Table || len(r.Rows) != 1 {
-			t.Errorf("record %d = LSN %d, source %q, table %s, %d rows; want LSN %d, \"stream\", %s, 1 row",
-				i, r.LSN, r.Source, r.Table, len(r.Rows), i+1, batch[i].Table)
+		if r.LSN != uint64(i+1) || r.Table != batch[i].Table || len(r.Rows) != 1 {
+			t.Errorf("record %d = LSN %d, table %s, %d rows; want LSN %d, %s, 1 row",
+				i, r.LSN, r.Table, len(r.Rows), i+1, batch[i].Table)
 		}
 	}
 	if accepted, committed := s.IngestWatermarks(); accepted != 1 || committed != 1 {
@@ -434,7 +394,7 @@ func TestFollowersShareNextGroup(t *testing.T) {
 	if got := s.Stats().StreamGroups; got != 2 {
 		t.Errorf("StreamGroups = %d, want 2", got)
 	}
-	recs := pendingRecords(t, j)
+	recs := unlandedRecords(t, s, j)
 	if len(recs) != 1+k {
 		t.Fatalf("journal holds %d records, want %d", len(recs), 1+k)
 	}
@@ -507,8 +467,13 @@ func TestStreamJournalAppendFaultRefusesGroup(t *testing.T) {
 	j := newGatedJournal(fj)
 	s, _ := serveFixture(t, Config{DeltaBatch: 1 << 20, Journal: j})
 
-	// One durable record first, so "byte-identical" is not "empty".
+	// One durable record first, so "byte-identical" is not "empty". The
+	// epoch that lands it writes nothing to the journal.
 	if err := s.StreamIngest("Division", divRows(1, 1)...); err != nil {
+		t.Fatal(err)
+	}
+	journaled, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Flush(); err != nil {
@@ -517,6 +482,9 @@ func TestStreamJournalAppendFaultRefusesGroup(t *testing.T) {
 	before, err := os.ReadFile(path)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if !bytes.Equal(journaled, before) {
+		t.Errorf("the epoch wrote to the journal:\nbefore %q\nafter  %q", journaled, before)
 	}
 	stBefore := s.Stats()
 
@@ -570,8 +538,8 @@ func TestStreamJournalAppendFaultRefusesGroup(t *testing.T) {
 	if err := s.StreamIngest("Division", divRows(10, 1)...); err != nil {
 		t.Fatal(err)
 	}
-	if recs := pendingRecords(t, j); len(recs) != 1 || recs[0].LSN != 2 {
-		t.Errorf("pending after the fault cleared = %+v, want one record at LSN 2", recs)
+	if recs := unlandedRecords(t, s, j); len(recs) != 1 || recs[0].LSN != 2 {
+		t.Errorf("unlanded after the fault cleared = %+v, want one record at LSN 2", recs)
 	}
 }
 
@@ -581,7 +549,7 @@ func TestStreamJournalAppendFaultRefusesGroup(t *testing.T) {
 // (lo, hi] of the landed epochs tile the journal with no gap or overlap, each
 // range holds exactly the records and rows its epoch drained, and every row
 // landed once. An epoch aborted in the middle (ApplyDeltas failing past its
-// retries) lands nothing and acknowledges nothing, so its records belong to
+// retries) lands nothing and moves no watermark, so its records belong to
 // the range of the epoch that retries them.
 func TestStreamEpochsPartitionJournal(t *testing.T) {
 	j := engine.NewMemJournal()
@@ -664,8 +632,8 @@ func TestStreamEpochsPartitionJournal(t *testing.T) {
 		t.Fatalf("Flush with ApplyDeltas failing returned %v", err)
 	}
 	inj.Disarm()
-	if pend := pendingRecords(t, j); len(pend) != 2 {
-		t.Fatalf("%d records unacknowledged after the aborted epoch, want its 2", len(pend))
+	if pend := unlandedRecords(t, s, j); len(pend) != 2 {
+		t.Fatalf("%d records unlanded after the aborted epoch, want its 2", len(pend))
 	}
 	streamPair(pairs - 2)
 	if err := s.Flush(); err != nil {
@@ -706,8 +674,8 @@ func TestStreamEpochsPartitionJournal(t *testing.T) {
 	if last := all[len(all)-1].LSN; floor != last {
 		t.Errorf("the lineage ends at LSN %d, the journal at %d", floor, last)
 	}
-	if pend := pendingRecords(t, j); len(pend) != 0 {
-		t.Errorf("%d records still unacknowledged after the final Flush", len(pend))
+	if pend := unlandedRecords(t, s, j); len(pend) != 0 {
+		t.Errorf("%d records still unlanded after the final Flush", len(pend))
 	}
 	after, err := s.Query(ctx, "QLA")
 	if err != nil {

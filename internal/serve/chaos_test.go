@@ -277,10 +277,10 @@ func TestDeadRequestSkipped(t *testing.T) {
 	}
 }
 
-// TestJournalReplayNoLostDeltas simulates a crash between ingestion and the
-// maintenance epoch: a second server built over the same journal (and an
-// identical warehouse) replays the unacknowledged batches, and after one
-// epoch no delta is lost.
+// TestJournalReplayNoLostDeltas simulates a crash after one landed epoch and
+// before the next: a second server built over the same journal and an
+// identical freshly built warehouse (watermark 0) replays every batch —
+// landed by the dead server or not — and after one epoch no delta is lost.
 func TestJournalReplayNoLostDeltas(t *testing.T) {
 	j := engine.NewMemJournal()
 	ctx := context.Background()
@@ -292,7 +292,7 @@ func TestJournalReplayNoLostDeltas(t *testing.T) {
 	}
 	baseRows := r0.Table.NumRows()
 	const deltas = 3
-	for i := int64(1); i <= deltas; i++ {
+	for i := int64(1); i <= 2*deltas; i++ {
 		div, prod := deltaPair(i)
 		if err := s1.Ingest("Division", div); err != nil {
 			t.Fatal(err)
@@ -300,21 +300,28 @@ func TestJournalReplayNoLostDeltas(t *testing.T) {
 		if err := s1.Ingest("Product", prod); err != nil {
 			t.Fatal(err)
 		}
+		if i == deltas {
+			// The first half lands before the crash.
+			if err := s1.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
 	}
-	// Crash before any epoch: the buffered rows die with the server, but
-	// the journal holds them unacknowledged.
+	// Crash before the second epoch: the landed rows live only in the dead
+	// server's warehouse, the buffered ones only in its buffer; the journal
+	// holds all of them.
 	if err := s1.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if pend, _ := j.Pending(); len(pend) != 2*deltas {
-		t.Fatalf("journal pending = %d batches, want %d", len(pend), 2*deltas)
+	if all, _ := j.RecordsSince(0); len(all) != 4*deltas {
+		t.Fatalf("journal holds %d batches, want %d", len(all), 4*deltas)
 	}
 
 	// A fresh, identically-seeded warehouse plus the same journal: New
-	// replays the lost batches.
+	// replays every batch.
 	s2, _ := serveFixture(t, Config{DeltaBatch: 1 << 20, Journal: j})
-	if got := s2.Stats().ReplayedDeltaRows; got != 2*deltas {
-		t.Fatalf("replayed rows = %d, want %d", got, 2*deltas)
+	if got := s2.Stats().ReplayedDeltaRows; got != 4*deltas {
+		t.Fatalf("replayed rows = %d, want %d", got, 4*deltas)
 	}
 	if err := s2.Flush(); err != nil {
 		t.Fatal(err)
@@ -323,11 +330,11 @@ func TestJournalReplayNoLostDeltas(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if r1.Table.NumRows() != baseRows+deltas {
-		t.Fatalf("after replay+flush QLA has %d rows, want %d — deltas were lost", r1.Table.NumRows(), baseRows+deltas)
+	if r1.Table.NumRows() != baseRows+2*deltas {
+		t.Fatalf("after replay+flush QLA has %d rows, want %d — deltas were lost", r1.Table.NumRows(), baseRows+2*deltas)
 	}
-	if pend, _ := j.Pending(); len(pend) != 0 {
-		t.Fatalf("journal still holds %d batches after the epoch landed", len(pend))
+	if pend := unlandedRecords(t, s2, j); len(pend) != 0 {
+		t.Fatalf("journal still holds %d unlanded batches after the epoch landed", len(pend))
 	}
 }
 
@@ -532,8 +539,8 @@ func TestChaosRandomizedRecovery(t *testing.T) {
 		t.Fatalf("lost deltas: Division %d→%d (want +%d), Product %d→%d (want +%d)",
 			divRows0, divAfter.NumRows(), deltas, prodRows0, prodAfter.NumRows(), deltas)
 	}
-	if pend, _ := j.Pending(); len(pend) != 0 {
-		t.Fatalf("journal still pending %d batches after convergence", len(pend))
+	if pend := unlandedRecords(t, s, j); len(pend) != 0 {
+		t.Fatalf("journal still holds %d unlanded batches after convergence", len(pend))
 	}
 
 	// Views equal a from-scratch execution of their plans, bit for bit.

@@ -93,7 +93,7 @@ type scheduler struct {
 	bufRows int
 	views   map[string]*viewState
 	// appendLSN is the highest journal LSN whose rows are buffered; take()
-	// captures it as the commit watermark for the epoch that lands them.
+	// captures it as the watermark of the epoch that lands them.
 	appendLSN uint64
 	// ackedLSN is the highest journal LSN whose rows have landed in the
 	// base tables (acked when the epoch that applied them commits) — the
@@ -229,7 +229,7 @@ func (s *Server) IngestBatch(batch []engine.DeltaRecord) error {
 	}
 	s.sched.commitMu.Lock()
 	defer s.sched.commitMu.Unlock()
-	_, err = s.commit("", recs, 0, nil)
+	_, err = s.commit(recs, 0, nil)
 	return err
 }
 
@@ -262,13 +262,11 @@ func (s *Server) admit(batch []engine.DeltaRecord) (recs []engine.DeltaRecord, r
 // takes covers exactly the rows it stages. The caller holds commitMu; the
 // journal's fsync happens under it and outside sc.mu. A group whose
 // journaling fails is refused whole: nothing staged, so no view's
-// PendingRows moves. source tags the journal records with the ingestion
-// path ("" direct, "stream" the change feed). replayedTo is nonzero for a
-// group read back from the journal: it is durable up to that LSN already and
-// is only staged. refs are the group's sampled span contexts; they ride the
-// buffer into the epoch that lands it. Returns the group's last LSN (0 when
-// unjournaled).
-func (s *Server) commit(source string, recs []engine.DeltaRecord, replayedTo uint64, refs []ingestTraceRef) (uint64, error) {
+// PendingRows moves. replayedTo is nonzero for a group read back from the
+// journal: it is durable up to that LSN already and is only staged. refs
+// are the group's sampled span contexts; they ride the buffer into the
+// epoch that lands it. Returns the group's last LSN (0 when unjournaled).
+func (s *Server) commit(recs []engine.DeltaRecord, replayedTo uint64, refs []ingestTraceRef) (uint64, error) {
 	select {
 	case <-s.closed:
 		return 0, ErrClosed
@@ -278,7 +276,7 @@ func (s *Server) commit(source string, recs []engine.DeltaRecord, replayedTo uin
 	lastLSN := replayedTo
 	if sc.journal != nil && replayedTo == 0 {
 		var err error
-		if lastLSN, err = sc.journal.AppendGroup(source, recs); err != nil {
+		if lastLSN, err = sc.journal.AppendGroup(recs); err != nil {
 			return 0, fmt.Errorf("serve: journaling deltas: %w", err)
 		}
 	}
@@ -310,30 +308,22 @@ func (s *Server) commit(source string, recs []engine.DeltaRecord, replayedTo uin
 	return lastLSN, nil
 }
 
-// replayJournal re-stages the journal's unacknowledged delta batches — the
-// rows a crashed predecessor accepted but whose epoch never landed — as one
-// unjournaled group. Called by newServer before the workers and the
-// scheduler loop start; the rows land with the first epoch and are
-// acknowledged then.
-//
-// A server booted through snapshot recovery replays from the recovered
-// watermark instead: every journal record with LSN past the snapshot —
-// acknowledged by the dead process or not — is re-staged, because the
-// restored base tables only contain rows up to the watermark. Without a
-// snapshot (cold recovery), the watermark is 0 and the full retained
-// journal replays over the freshly built base tables.
+// replayJournal re-stages every journal record past the watermark of the
+// state the server boots on — a recovered snapshot's, or 0 for a freshly
+// built warehouse — as one unjournaled group: the DB holds only the rows up
+// to that watermark, whether or not the dead process had landed the rest.
+// Called by newServer before the workers and the scheduler loop start; the
+// rows land with the first epoch.
 func (s *Server) replayJournal() error {
 	sc := s.sched
 	if sc.journal == nil {
 		return nil
 	}
-	var pending []engine.DeltaRecord
-	var err error
+	var watermark uint64
 	if s.recovery != nil {
-		pending, err = sc.journal.RecordsSince(s.recovery.Watermark)
-	} else {
-		pending, err = sc.journal.Pending()
+		watermark = s.recovery.Watermark
 	}
+	pending, err := sc.journal.RecordsSince(watermark)
 	if err != nil {
 		return fmt.Errorf("serve: reading journal for replay: %w", err)
 	}
@@ -345,7 +335,7 @@ func (s *Server) replayJournal() error {
 		return nil
 	}
 	sc.commitMu.Lock()
-	_, err = s.commit("", recs, pending[len(pending)-1].LSN, nil)
+	_, err = s.commit(recs, pending[len(pending)-1].LSN, nil)
 	sc.commitMu.Unlock()
 	if err != nil {
 		return fmt.Errorf("serve: replaying journaled deltas: %w", err)
@@ -492,8 +482,8 @@ func (sc *scheduler) hasWork() bool {
 
 // take stages the buffered rows in the engine as pending deltas, in the same
 // hold of mu that empties the buffer — so a row is always counted by
-// unappliedLocked, buffered or staged — and returns the journal commit
-// watermark covering them (ackLSN), the watermark of the last landed epoch
+// unappliedLocked, buffered or staged — and returns the journal watermark
+// covering them (ackLSN), the watermark of the last landed epoch
 // (floorLSN — together they bound the epoch's lineage range (floorLSN,
 // ackLSN]), and the records and sampled span contexts not yet landed: those
 // staged since the last take and those of an aborted epoch, whose rows wait
@@ -546,9 +536,9 @@ func (s *Server) guardedEpochLocked() (err error) {
 // engine deltas, open an engine epoch, plan every view (one action each, see
 // lifecycle.go), run the planned refreshes inside it (incremental views by
 // delta propagation, then the deltas fold into the base tables, then
-// recomputes and probes), commit it, acknowledge the journal, settle every
-// view and publish the successor state — the one publication: readers see
-// the whole epoch or none of it — and emit the transitions settle returned.
+// recomputes and probes), commit it, settle every view and publish the
+// successor state — the one publication: readers see the whole epoch or
+// none of it — and emit the transitions settle returned.
 // Fault tolerance around that spine:
 //
 //   - every refresh step runs under the retry policy (backoff + jitter);
@@ -562,7 +552,7 @@ func (s *Server) guardedEpochLocked() (err error) {
 //     epoch: the engine epoch is let go having published nothing and settled
 //     no view, the deltas stay pending in the engine, and the next epoch
 //     plans afresh and takes them in together with whatever arrived since;
-//   - the journal watermark is acknowledged only after the epoch commits.
+//   - the in-memory acked watermark moves only after the epoch commits.
 func (s *Server) runEpochLocked() error {
 	sc := s.sched
 	if !sc.hasWork() {
@@ -741,7 +731,7 @@ func (s *Server) runEpochLocked() error {
 		return nil, ep.ApplyDeltas()
 	}); err != nil {
 		// The engine epoch is let go: nothing was published, nothing is lost
-		// — the deltas stay pending in the engine, the journal unacknowledged,
+		// — the deltas stay pending in the engine, the acked watermark unmoved,
 		// the staged records and trace contexts unsettled, every view as it
 		// was — the next retries.
 		s.stats.refreshFailures.Add(1)
@@ -790,23 +780,6 @@ func (s *Server) runEpochLocked() error {
 	// a refusal is a broken invariant: treated like any other aborted epoch.
 	if err := ep.Commit(); err != nil {
 		return fmt.Errorf("serve: publishing the epoch: %w", err)
-	}
-	if sc.journal != nil && ackLSN > 0 {
-		cstart := time.Now()
-		commitErr := sc.journal.Commit(ackLSN)
-		if cctx := child(); cctx.Valid() {
-			cattrs := []obs.Attr{obs.Int("lsn", int64(ackLSN))}
-			if commitErr != nil {
-				cattrs = append(cattrs, obs.String("error", commitErr.Error()))
-			}
-			s.traceSpan(etr, cctx, "journal.commit", cstart, time.Since(cstart), cattrs...)
-		}
-		if commitErr != nil {
-			// The rows are applied; a commit failure only risks a duplicate
-			// replay after a crash. Surface it and carry on.
-			obs.Emit(s.obsv, obs.EvServeJournal,
-				obs.String("action", "commit"), obs.String("error", commitErr.Error()))
-		}
 	}
 	// Landed: the watermark moves, what take handed this epoch is settled
 	// (records and contexts staged while it ran stay for the next), and every

@@ -27,7 +27,7 @@
 // to the base-relation plan when a view is unhealthy or too stale (with
 // half-open probing for recovery), worker and scheduler panics are
 // recovered, and an optional write-ahead delta journal makes ingestion
-// crash-safe — no acknowledged delta is lost between ingestion and the
+// crash-safe — no accepted delta is lost to a crash, before or after the
 // epoch that lands it. Faults are injected for testing via internal/fault
 // (Config.Injector).
 //
@@ -118,7 +118,10 @@ type Config struct {
 	// DB is the warehouse: base tables plus the design's materialized
 	// views. The server becomes the DB's single maintainer; clients must
 	// only read through the server, which serves its own last publication (a
-	// change made on the DB behind it is served from the next one).
+	// change made on the DB behind it is served from the next one). With a
+	// Journal, the DB must hold the warehouse as of the boot watermark W —
+	// Recovery.Watermark, or 0 (no journaled row at all) without Recovery:
+	// New replays every journal record past W into it.
 	DB *engine.DB
 	// Queries is the named workload.
 	Queries []QuerySpec
@@ -156,10 +159,10 @@ type Config struct {
 	// backpressure deadline. Zero values take the defaults.
 	Ingest IngestConfig
 	// Journal, when set, write-ahead-logs every ingested delta batch: rows
-	// are journaled before they are buffered, acknowledged only after their
-	// maintenance epoch lands them in the base tables, and replayed by New
-	// when a server is rebuilt over the same journal after a crash. The
-	// caller owns the journal's lifetime (the server never closes it).
+	// are journaled before they are buffered, and every record past the boot
+	// watermark (see DB) is replayed by New when a server is rebuilt over the
+	// same journal after a crash. The caller owns the journal's lifetime (the
+	// server never closes it).
 	Journal engine.DeltaJournal
 	// Injector, when set, arms fault injection at the serving layer's sites
 	// (worker execution, epoch start). Arm the same injector on the DB via
@@ -209,8 +212,9 @@ type Config struct {
 	SnapshotRetain int
 	// Recovery, when the DB was built by snapshot.Recover, carries the
 	// recovery stats: the server resumes the snapshot's maintenance epoch,
-	// seeds per-view staleness from the snapshot commit time, and replays
-	// only journal records past the recovered watermark.
+	// seeds per-view staleness from the snapshot commit time, and its
+	// Watermark is the boot watermark W the DB holds (see DB): only journal
+	// records past it replay.
 	Recovery *snapshot.RecoveryStats
 }
 
@@ -467,9 +471,9 @@ type serverStats struct {
 }
 
 // New builds and starts a server: the worker pool and the maintenance
-// scheduler begin running immediately. When Config.Journal holds
-// unacknowledged delta batches from a crashed predecessor, they are
-// re-ingested before serving starts and land with the first epoch.
+// scheduler begin running immediately. When Config.Journal holds delta
+// batches past the boot watermark (see Config.DB), they are re-ingested
+// before serving starts and land with the first epoch.
 func New(cfg Config) (*Server, error) {
 	s, err := newServer(cfg)
 	if err != nil {

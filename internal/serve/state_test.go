@@ -55,6 +55,22 @@ func (o *missJoins) Event(kind obs.EventKind, attrs ...obs.Attr) {
 	}
 }
 
+// opGate is an engine observer that stops the first metered operator after
+// it is armed: the operator announces itself on entered and waits for
+// proceed.
+type opGate struct {
+	*eventObserver
+	armed            atomic.Bool
+	entered, proceed chan struct{}
+}
+
+func (g *opGate) Event(kind obs.EventKind, _ ...obs.Attr) {
+	if kind == obs.EvEngineOp && g.armed.CompareAndSwap(true, false) {
+		g.entered <- struct{}{}
+		<-g.proceed
+	}
+}
+
 // TestResultEpochNamesItsRows: a result labelled epoch e holds the rows of
 // epoch e. Every flush here adds exactly one row to tmp2, so QLA under epoch
 // e has base + e rows — whether the answer was executed or came from the
@@ -62,11 +78,15 @@ func (o *missJoins) Event(kind obs.EventKind, attrs ...obs.Attr) {
 func TestResultEpochNamesItsRows(t *testing.T) {
 	ctx := context.Background()
 
-	// The epoch is stopped inside its journal acknowledgement: the engine has
-	// published the new rows, the serving epoch has not moved.
-	t.Run("journal ack held", func(t *testing.T) {
-		j := newGatedJournal(engine.NewMemJournal())
-		s, _ := serveFixture(t, Config{DeltaBatch: 1 << 20, CacheCapacity: -1, Journal: j})
+	// The epoch is stopped after the engine's publication, at the registry
+	// lock it settles under before it publishes (reads never take it): the
+	// engine has published the new rows, the serving epoch has not moved.
+	// The test takes that lock while the epoch's first metered operator is
+	// held — the epoch has planned, and takes the lock next to settle.
+	t.Run("settle held", func(t *testing.T) {
+		s, db := serveFixture(t, Config{DeltaBatch: 1 << 20, CacheCapacity: -1})
+		gate := &opGate{eventObserver: newEventObserver(), entered: make(chan struct{}), proceed: make(chan struct{})}
+		db.SetObserver(gate)
 		r0, err := s.Query(ctx, "QLA")
 		if err != nil {
 			t.Fatal(err)
@@ -93,20 +113,28 @@ func TestResultEpochNamesItsRows(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		release := j.holdCommit()
+		published := db.Relations()
+		gate.armed.Store(true)
 		done := make(chan error, 1)
 		go func() { done <- s.Flush() }()
-		<-j.entered
-		ask("while the journal ack is held", 0)
-		release()
+		<-gate.entered
+		s.sched.mu.Lock()
+		close(gate.proceed)
+		for deadline := time.Now().Add(10 * time.Second); db.Relations() == published; time.Sleep(100 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				s.sched.mu.Unlock()
+				t.Fatal("the epoch never published in the engine")
+			}
+		}
+		ask("while the settle is held", 0)
+		s.sched.mu.Unlock()
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
 		ask("after the publication", 1)
 	})
 
-	// Readers beside flushes that each pay a durable journal acknowledgement
-	// between the engine's publication and the serving epoch's.
+	// Readers beside flushes over a file journal.
 	for _, tc := range []struct {
 		name     string
 		capacity int

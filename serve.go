@@ -69,8 +69,9 @@ type ServeOptions struct {
 	// and serving-layer sites (chaos testing). Nil injects nothing.
 	Injector *FaultInjector
 	// Journal, when set, write-ahead-logs every ingested delta batch so a
-	// crashed server replays un-applied deltas on restart. The caller owns
-	// its lifetime. Mutually exclusive with JournalPath.
+	// server restarted over it (same design and Seed) replays every delta
+	// its boot state lacks. The caller owns its lifetime. Mutually exclusive
+	// with JournalPath.
 	Journal DeltaJournal
 	// JournalPath, when non-empty, opens (or resumes) the crash-safe
 	// file-backed delta journal at that path; the Server owns it and closes
@@ -388,8 +389,8 @@ func (d *Design) NewServer(opts ServeOptions) (*Server, error) {
 		return nil, fmt.Errorf("mvpp: %w", err)
 	}
 	if snapStore == nil {
-		// Without a store there is no watermark to resume from; the serving
-		// layer keeps its legacy full-journal replay.
+		// Without a store the DB is freshly generated: its watermark is 0,
+		// and the serving layer replays the whole retained journal.
 		recovery = nil
 	}
 

@@ -472,7 +472,7 @@ type countingJournal struct {
 	refuse error
 }
 
-func (c *countingJournal) AppendGroup(source string, recs []mvpp.DeltaRecord) (uint64, error) {
+func (c *countingJournal) AppendGroup(recs []mvpp.DeltaRecord) (uint64, error) {
 	c.mu.Lock()
 	c.groups++
 	refuse := c.refuse
@@ -480,7 +480,7 @@ func (c *countingJournal) AppendGroup(source string, recs []mvpp.DeltaRecord) (u
 	if refuse != nil {
 		return 0, refuse
 	}
-	return c.DeltaJournal.AppendGroup(source, recs)
+	return c.DeltaJournal.AppendGroup(recs)
 }
 
 // TestStreamDeltasOneGroup: StreamDeltas and InjectDeltas each hand the
@@ -492,11 +492,11 @@ func TestStreamDeltasOneGroup(t *testing.T) {
 	_, srv := paperServer(t, mvpp.ServeOptions{Journal: j, DeltaBatch: 1 << 20})
 
 	for i, step := range []struct {
-		name, source string
-		ingest       func(float64) (int, error)
+		name   string
+		ingest func(float64) (int, error)
 	}{
-		{"StreamDeltas", "stream", srv.StreamDeltas},
-		{"InjectDeltas", "", srv.InjectDeltas},
+		{"StreamDeltas", srv.StreamDeltas},
+		{"InjectDeltas", srv.InjectDeltas},
 	} {
 		before, err := j.RecordsSince(0)
 		if err != nil {
@@ -519,9 +519,8 @@ func TestStreamDeltasOneGroup(t *testing.T) {
 		}
 		journaled := 0
 		for k, r := range recs {
-			if r.LSN != uint64(len(before)+k+1) || r.Source != step.source {
-				t.Errorf("%s record %d: LSN %d source %q, want LSN %d source %q",
-					step.name, k, r.LSN, r.Source, len(before)+k+1, step.source)
+			if r.LSN != uint64(len(before)+k+1) {
+				t.Errorf("%s record %d: LSN %d, want %d", step.name, k, r.LSN, len(before)+k+1)
 			}
 			journaled += len(r.Rows)
 		}

@@ -97,7 +97,7 @@ func TestPipelineTraceEndToEnd(t *testing.T) {
 		}
 	}
 	epochSpans := spanNames(*epochEntry)
-	for _, want := range []string{"serve.epoch", "epoch.apply", "journal.commit", "query.read"} {
+	for _, want := range []string{"serve.epoch", "epoch.apply", "query.read"} {
 		if epochSpans[want] == 0 {
 			t.Errorf("epoch entry is missing a %s span (has %v)", want, epochSpans)
 		}
@@ -105,21 +105,21 @@ func TestPipelineTraceEndToEnd(t *testing.T) {
 	if epochSpans["refresh.incremental"]+epochSpans["refresh.recompute"] == 0 {
 		t.Errorf("epoch entry refreshed no view (has %v)", epochSpans)
 	}
-	// The journal append and the epoch's commit must name the same LSN
-	// range end: the delta's journal position is part of the chain.
-	var appendLSN, commitLSN int64
+	// The journal append's LSN must fall in the epoch's landed range
+	// (lsn_lo, lsn_hi]: the delta's journal position is part of the chain.
+	var appendLSN, loLSN, hiLSN int64
 	for _, sp := range ingestEntry.Spans {
 		if sp.Name == "journal.append" {
 			appendLSN = detailInt(sp.Detail["lsn"])
 		}
 	}
 	for _, sp := range epochEntry.Spans {
-		if sp.Name == "journal.commit" {
-			commitLSN = detailInt(sp.Detail["lsn"])
+		if sp.Name == "serve.epoch" {
+			loLSN, hiLSN = detailInt(sp.Detail["lsn_lo"]), detailInt(sp.Detail["lsn_hi"])
 		}
 	}
-	if appendLSN == 0 || commitLSN < appendLSN {
-		t.Errorf("journal LSNs do not chain: append %v, commit %v", appendLSN, commitLSN)
+	if appendLSN == 0 || appendLSN <= loLSN || hiLSN < appendLSN {
+		t.Errorf("journal LSNs do not chain: append %v, epoch range (%v, %v]", appendLSN, loLSN, hiLSN)
 	}
 	// The epoch span says how many operands its refreshes evaluated whole and
 	// how many carried row counts they used; the server's first epoch takes
