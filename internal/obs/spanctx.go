@@ -59,8 +59,88 @@ func AttrMap(attrs []Attr) map[string]any {
 	return m
 }
 
-// FlightRecord is one entry of the flight recorder: a completed span or a
-// point event, stamped with its causal context.
+// RecordKind says what one ring Record is.
+type RecordKind string
+
+// Record kinds. Spans and events are the flight recorder's; stages, entry
+// headers and links exist only to be grouped back into /traces entries.
+const (
+	// KindSpan is a completed span: Start and Dur are set.
+	KindSpan RecordKind = "span"
+	// KindEvent is a point event.
+	KindEvent RecordKind = "event"
+	// KindStage is one lifecycle stage of a sampled query.
+	KindStage RecordKind = "stage"
+	// KindEntry opens a /traces entry: Name is the entry's kind, Ctx its
+	// root context, Start its start, Attrs its ID (and query name).
+	KindEntry RecordKind = "entry"
+	// KindLink names a trace (Ctx.TraceID) that contributed to an entry.
+	KindLink RecordKind = "link"
+)
+
+// Record is one slot of a Ring. It is immutable once added, and keeps the
+// caller's attribute slice as is: the map a reader sees is built when the
+// ring is read, never when a record is written.
+type Record struct {
+	Seq  uint64
+	Kind RecordKind
+	Name string
+	// Entry numbers the /traces entry the record belongs to; 0 for none.
+	Entry uint64
+	Ctx   SpanContext
+	Start int64 // wall clock, Unix ns
+	Dur   int64 // ns; spans only
+	Attrs []Attr
+}
+
+// ringSize is how many records a Ring holds.
+const ringSize = 1024
+
+// Ring is a bounded lock-free ring of recent records. Writers never block:
+// Add claims a slot with an atomic increment and publishes the record with
+// an atomic pointer store, so recording costs two atomic ops and the
+// record's allocation.
+type Ring struct {
+	slots []atomic.Pointer[Record]
+	cur   atomic.Uint64
+}
+
+// NewRing builds a ring holding the last ringSize records.
+func NewRing() *Ring { return &Ring{slots: make([]atomic.Pointer[Record], ringSize)} }
+
+// Add publishes rec, stamping its Seq. No-op on a nil ring.
+func (r *Ring) Add(rec *Record) {
+	if r == nil {
+		return
+	}
+	seq := r.cur.Add(1)
+	rec.Seq = seq
+	r.slots[(seq-1)%uint64(len(r.slots))].Store(rec)
+}
+
+// Records returns the ring's records, oldest first. A slot whose claim is
+// not yet published, or that a wrapping writer has already reclaimed, holds
+// no record of the window and is skipped.
+func (r *Ring) Records() []*Record {
+	if r == nil {
+		return nil
+	}
+	n, size := r.cur.Load(), uint64(len(r.slots))
+	lo := uint64(1)
+	if n > size {
+		lo = n - size + 1
+	}
+	out := make([]*Record, 0, n+1-lo)
+	for seq := lo; seq <= n; seq++ {
+		if rec := r.slots[(seq-1)%size].Load(); rec != nil && rec.Seq == seq {
+			out = append(out, rec)
+		}
+	}
+	return out
+}
+
+// FlightRecord is one entry of a flight dump: a completed span or a point
+// event, stamped with its causal context.
 type FlightRecord struct {
 	Seq        uint64         `json:"seq"`
 	Kind       string         `json:"kind"` // "span" | "event"
@@ -84,20 +164,14 @@ type FlightDump struct {
 	Path     string         `json:"path,omitempty"`
 }
 
-// FlightRecorder is a bounded lock-free ring of recent spans and events,
-// kept always-on (recording is two atomic ops and one small allocation) so
-// that when an episode latches, the recent past is already captured. Dump
-// snapshots the ring, retains the dump in memory for the /flight endpoint,
-// and — when a directory is configured — writes it to disk as JSON.
-//
-// Writers never block: Record claims a slot with an atomic increment and
-// stores a pointer; concurrent readers see each slot atomically (a snapshot
-// racing a wrapping writer may observe a slightly newer record in an old
-// slot, which the per-record Seq makes detectable and ordering-safe).
+// FlightRecorder turns a Ring of recent spans and events, kept always-on so
+// that the recent past is already captured when an episode latches, into
+// forensic dumps. Dump reads the ring, retains the dump in memory for the
+// /flight endpoint, and — when a directory is configured — writes it to
+// disk as JSON.
 type FlightRecorder struct {
-	slots []atomic.Pointer[FlightRecord]
-	cur   atomic.Uint64
-	dir   string
+	ring *Ring
+	dir  string
 
 	mu      sync.Mutex
 	dumpSeq uint64
@@ -107,68 +181,31 @@ type FlightRecorder struct {
 // maxDumps bounds the in-memory dump history served on /flight.
 const maxDumps = 8
 
-// flightRing is how many records the ring holds.
-const flightRing = 1024
-
-// NewFlightRecorder builds a recorder holding the last flightRing records.
-// dir is where dumps are written; empty keeps dumps in memory only.
-func NewFlightRecorder(dir string) *FlightRecorder {
-	return &FlightRecorder{slots: make([]atomic.Pointer[FlightRecord], flightRing), dir: dir}
+// NewFlightRecorder builds a recorder dumping ring. dir is where dumps are
+// written; empty keeps dumps in memory only.
+func NewFlightRecorder(ring *Ring, dir string) *FlightRecorder {
+	return &FlightRecorder{ring: ring, dir: dir}
 }
 
-// RecordSpan records one completed span. No-op on a nil recorder.
-func (f *FlightRecorder) RecordSpan(ctx SpanContext, name string, start time.Time, dur time.Duration, attrs ...Attr) {
-	if f == nil {
-		return
-	}
-	f.record(&FlightRecord{
-		Kind: "span", Name: name,
-		TraceID: ctx.TraceID, SpanID: ctx.SpanID, Parent: ctx.Parent,
-		AtUnixNS: start.UnixNano(), DurationNS: int64(dur),
-		Attrs: AttrMap(attrs),
-	})
-}
-
-// RecordEvent records one point event. No-op on a nil recorder.
-func (f *FlightRecorder) RecordEvent(ctx SpanContext, kind EventKind, attrs ...Attr) {
-	if f == nil {
-		return
-	}
-	f.record(&FlightRecord{
-		Kind: "event", Name: string(kind),
-		TraceID: ctx.TraceID, SpanID: ctx.SpanID, Parent: ctx.Parent,
-		AtUnixNS: time.Now().UnixNano(),
-		Attrs:    AttrMap(attrs),
-	})
-}
-
-func (f *FlightRecorder) record(rec *FlightRecord) {
-	seq := f.cur.Add(1)
-	rec.Seq = seq
-	f.slots[(seq-1)%uint64(len(f.slots))].Store(rec)
-}
-
-// Snapshot returns the ring's current records, oldest first.
-func (f *FlightRecorder) Snapshot() []FlightRecord {
-	if f == nil {
-		return nil
-	}
-	out := make([]FlightRecord, 0, len(f.slots))
-	for i := range f.slots {
-		if r := f.slots[i].Load(); r != nil {
-			out = append(out, *r)
+// flightRecords renders the span and event records among recs, in order,
+// in their wire form; the other kinds are left out.
+func flightRecords(recs []*Record) []FlightRecord {
+	out := make([]FlightRecord, 0, len(recs))
+	for _, r := range recs {
+		if r.Kind != KindSpan && r.Kind != KindEvent {
+			continue
 		}
-	}
-	// Seq is the claim order; sort restores it across the wrap point.
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j].Seq < out[j-1].Seq; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
+		out = append(out, FlightRecord{
+			Seq: r.Seq, Kind: string(r.Kind), Name: r.Name,
+			TraceID: r.Ctx.TraceID, SpanID: r.Ctx.SpanID, Parent: r.Ctx.Parent,
+			AtUnixNS: r.Start, DurationNS: r.Dur,
+			Attrs: AttrMap(r.Attrs),
+		})
 	}
 	return out
 }
 
-// Dump snapshots the ring into a retained FlightDump and, when a dump
+// Dump reads the ring into a retained FlightDump and, when a dump
 // directory is configured, writes it to disk as flight-<seq>-<reason>.json.
 // Disk failures are reported on the dump's Attrs (key "write_error") rather
 // than failing the dump — forensics must never take the server down. Nil
@@ -181,15 +218,13 @@ func (f *FlightRecorder) Dump(reason string, attrs ...Attr) *FlightDump {
 		Reason:   reason,
 		AtUnixNS: time.Now().UnixNano(),
 		Attrs:    AttrMap(attrs),
-		Records:  f.Snapshot(),
+		Records:  flightRecords(f.ring.Records()),
 	}
 	f.mu.Lock()
 	f.dumpSeq++
 	d.Seq = f.dumpSeq
 	if f.dir != "" {
 		d.Path = filepath.Join(f.dir, fmt.Sprintf("flight-%d-%s.json", d.Seq, sanitizeReason(reason)))
-	}
-	if f.dir != "" {
 		if err := writeDump(f.dir, d.Path, &d); err != nil {
 			if d.Attrs == nil {
 				d.Attrs = map[string]any{}

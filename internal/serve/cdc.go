@@ -48,12 +48,12 @@ type feedEntry struct {
 	rows     int
 	seq      uint64
 	accepted time.Time
-	// ctx is the batch's root span context and trace its ring entry — both
-	// zero/nil when the batch was unsampled. They ride the feed through
+	// ctx is the batch's root span context and entry its /traces entry —
+	// both zero when the batch was unsampled. They ride the feed through
 	// group commit into the scheduler, so the epoch that lands the batch
 	// can adopt (or link) its trace.
 	ctx   obs.SpanContext
-	trace *queryTrace
+	entry uint64
 	// done receives the entry's group-commit outcome exactly once.
 	done chan error
 }
@@ -119,7 +119,7 @@ func (s *Server) StreamIngestBatch(batch []engine.DeltaRecord) error {
 	// lands it. Unsampled calls pay one atomic increment.
 	start := time.Now()
 	var ictx obs.SpanContext
-	var itr *queryTrace
+	var itr uint64
 	if s.tracingArmed() {
 		id := s.nextIngestID.Add(1)
 		every := s.traceEvery
@@ -156,7 +156,6 @@ func (s *Server) StreamIngestBatch(batch []engine.DeltaRecord) error {
 			if ictx.Valid() {
 				s.traceSpan(itr, ictx, "ingest.stream", start, time.Since(start),
 					append(attrs, obs.String("outcome", "shed"))...)
-				itr.finish()
 			}
 			return ErrBackpressure
 		}
@@ -172,7 +171,7 @@ func (s *Server) StreamIngestBatch(batch []engine.DeltaRecord) error {
 		seq:      f.acceptedSeq,
 		accepted: time.Now(),
 		ctx:      ictx,
-		trace:    itr,
+		entry:    itr,
 		done:     make(chan error, 1),
 	}
 	f.entries = append(f.entries, e)
@@ -195,7 +194,6 @@ func (s *Server) StreamIngestBatch(batch []engine.DeltaRecord) error {
 			attrs = append(attrs, obs.String("error", err.Error()))
 		}
 		s.traceSpan(itr, ictx, "ingest.stream", start, time.Since(start), attrs...)
-		itr.finish()
 	}
 	return err
 }
@@ -247,7 +245,7 @@ func (f *changeFeed) flush() {
 		if e.ctx.Valid() {
 			// Sampled entries' span contexts ride into the scheduler with
 			// the group, so the epoch that lands it can adopt/link them.
-			refs = append(refs, ingestTraceRef{ctx: e.ctx, trace: e.trace})
+			refs = append(refs, ingestTraceRef{ctx: e.ctx, entry: e.entry})
 		}
 	}
 	gstart := time.Now()
@@ -263,9 +261,9 @@ func (f *changeFeed) flush() {
 		if err != nil {
 			gattrs = append(gattrs, obs.String("error", err.Error()))
 		}
-		s.traceSpan(ref.trace, gctx, "ingest.group_commit", gstart, now.Sub(gstart), gattrs...)
+		s.traceSpan(ref.entry, gctx, "ingest.group_commit", gstart, now.Sub(gstart), gattrs...)
 		if lsn > 0 {
-			s.traceSpan(ref.trace, gctx.NewChild(), "journal.append", gstart, now.Sub(gstart),
+			s.traceSpan(ref.entry, gctx.NewChild(), "journal.append", gstart, now.Sub(gstart),
 				obs.Int("lsn", int64(lsn)))
 		}
 	}

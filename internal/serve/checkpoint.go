@@ -102,7 +102,7 @@ func (s *Server) checkpointLocked() (*snapshot.CheckpointResult, error) {
 	// armed, with declines, segment writes, compaction, and GC as spans.
 	ckStart := time.Now()
 	var cctx obs.SpanContext
-	var ctr *queryTrace
+	var ctr uint64
 	if s.tracingArmed() {
 		cctx = obs.NewTraceContext()
 		ctr = s.pipelineTrace("checkpoint", uint64(s.stats.epochs.Load()), cctx)
@@ -125,7 +125,6 @@ func (s *Server) checkpointLocked() (*snapshot.CheckpointResult, error) {
 		if cctx.Valid() {
 			s.traceSpan(ctr, cctx, "snapshot.checkpoint", ckStart, time.Since(ckStart),
 				obs.String("outcome", "declined"), obs.String("reason", "unlanded deltas"))
-			ctr.finish()
 		}
 		return nil, nil
 	}
@@ -186,7 +185,6 @@ func (s *Server) checkpointLocked() (*snapshot.CheckpointResult, error) {
 		if cctx.Valid() {
 			s.traceSpan(ctr, cctx, "snapshot.checkpoint", ckStart, time.Since(ckStart),
 				obs.String("outcome", "failed"), obs.String("error", err.Error()))
-			ctr.finish()
 		}
 		// A failed checkpoint is a forensic episode: dump the recent past.
 		s.dumpFlight("checkpoint_error",
@@ -253,7 +251,6 @@ func (s *Server) checkpointLocked() (*snapshot.CheckpointResult, error) {
 			obs.Int("views", int64(len(in.Views))),
 			obs.Int("bytes", res.Bytes),
 			obs.Int("written", res.Written))
-		ctr.finish()
 	}
 
 	obs.Emit(s.obsv, obs.EvSnapshotCheckpoint,

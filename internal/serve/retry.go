@@ -184,10 +184,12 @@ func (s *Server) retryRefresh(ctx context.Context, sctx obs.SpanContext, label s
 			obs.Int("attempt", int64(attempt)),
 			obs.String("error", err.Error()))
 		if sctx.Valid() {
-			s.flight.RecordEvent(sctx, obs.EvServeRetry,
-				obs.String("target", label),
-				obs.Int("attempt", int64(attempt)),
-				obs.String("error", err.Error()))
+			s.writeRing.Add(&obs.Record{Kind: obs.KindEvent, Name: string(obs.EvServeRetry),
+				Ctx: sctx, Start: time.Now().UnixNano(), Attrs: []obs.Attr{
+					obs.String("target", label),
+					obs.Int("attempt", int64(attempt)),
+					obs.String("error", err.Error()),
+				}})
 		}
 		select {
 		case <-time.After(s.jittered(delay)):

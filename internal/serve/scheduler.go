@@ -113,11 +113,11 @@ type scheduler struct {
 
 // ingestTraceRef ties one sampled ingest batch to the maintenance epoch
 // that lands it: ctx is the batch's span context (the epoch adopts the
-// first contributor's trace and links the rest), trace its ring entry (may
-// be nil when only the flight recorder is armed).
+// first contributor's trace and links the rest), entry its /traces entry
+// (0 when only the flight recorder is armed).
 type ingestTraceRef struct {
 	ctx   obs.SpanContext
-	trace *queryTrace
+	entry uint64
 }
 
 func newScheduler(s *Server, cfg Config) (*scheduler, error) {
@@ -576,7 +576,7 @@ func (s *Server) runEpochLocked() error {
 	// every context below stays zero and every recording site no-ops.
 	epochStart := time.Now()
 	var ectx obs.SpanContext
-	var etr *queryTrace
+	var etr uint64
 	if s.tracingArmed() {
 		if len(traceRefs) > 0 {
 			ectx = traceRefs[0].ctx.NewChild()
@@ -585,7 +585,7 @@ func (s *Server) runEpochLocked() error {
 		}
 		etr = s.pipelineTrace("epoch", epoch, ectx)
 		for _, ref := range traceRefs {
-			etr.link(ref.ctx.TraceID)
+			traceLink(s.writeRing, etr, ref.ctx.TraceID)
 		}
 	}
 	// child mints a span under the epoch span; zero when the epoch is
@@ -803,7 +803,7 @@ func (s *Server) runEpochLocked() error {
 	// The one publication: readers were answered from the previous whole
 	// state until here and from this one after. It carries the join point
 	// that lets the next sampled query complete the epoch's causal chain.
-	s.publish(epoch, ep.Relations(), health, &epochTraceLink{ctx: ectx, trace: etr})
+	s.publish(epoch, ep.Relations(), health, &epochTraceLink{ctx: ectx, entry: etr})
 
 	var breachedViews, tripped []string
 	for _, tr := range transitions {
@@ -867,7 +867,7 @@ func (s *Server) runEpochLocked() error {
 		// it and close the epoch's own span tree.
 		landed := time.Now()
 		for _, ref := range traceRefs {
-			s.traceSpan(ref.trace, ref.ctx.NewChild(), "epoch.landed", landed, 0,
+			s.traceSpan(ref.entry, ref.ctx.NewChild(), "epoch.landed", landed, 0,
 				obs.Int("epoch", int64(epoch)),
 				obs.Int("epoch_trace_id", int64(ectx.TraceID)))
 		}
@@ -881,7 +881,6 @@ func (s *Server) runEpochLocked() error {
 			obs.Int("recomputed", int64(recomputed)),
 			obs.Int("operands_evaluated", int64(whole)),
 			obs.Int("operands_reused", int64(carried)))
-		etr.finish()
 	}
 
 	obs.Emit(s.obsv, obs.EvServeEpoch,

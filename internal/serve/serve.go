@@ -83,7 +83,7 @@ const (
 	// DefaultStatsWindow is the rolling-stats window, in seconds, behind the
 	// Window* fields of Stats.
 	DefaultStatsWindow = 60
-	// DefaultTraceRing bounds the sampled-trace ring.
+	// DefaultTraceRing bounds how many entries RecentTraces returns.
 	DefaultTraceRing = 64
 )
 
@@ -170,15 +170,16 @@ type Config struct {
 	Injector *fault.Injector
 	// TraceSampleEvery enables trace correlation: every submission gets a
 	// query ID and every Nth query (1 = all) records its lifecycle stages
-	// into a bounded ring served by RecentTraces, mirroring each stage to
+	// into a bounded ring read by RecentTraces, mirroring each stage to
 	// Obs as an EvServeQuery event. Zero disables sampling — no IDs are
 	// minted and the hot path pays nothing.
 	TraceSampleEvery int
 	// FlightDir is where flight-recorder dumps are written when an SLO
 	// breach, breaker-open, or checkpoint-failure episode latches. Empty
 	// keeps dumps in memory only (served by FlightDumps and /flight). The
-	// flight recorder is armed whenever trace sampling is on or FlightDir is
-	// set; with both off it is nil and the write path records nothing.
+	// flight recorder's ring, the write path's one trace store, is armed
+	// whenever trace sampling is on or FlightDir is set; with both off it is
+	// nil and the write path records nothing.
 	FlightDir string
 	// Obs receives serving spans, events, counters and gauges. Nil
 	// disables instrumentation.
@@ -245,9 +246,9 @@ type request struct {
 	// name is the workload query class ("" for ad-hoc plans); the worker
 	// records the execution's measured I/O against it in the cost ledger.
 	name string
-	// qt is the sampled query's live trace (nil when unsampled); the worker
-	// appends the execute/degraded stages to it.
-	qt   *queryTrace
+	// qt is the sampled query's /traces entry (zero when unsampled); the
+	// worker records the execute/degraded stages under it.
+	qt   sampledQuery
 	done chan response
 	// rejected dedupes admission-control accounting: the submitter (context
 	// expired while waiting) and the worker (context expired while queued)
@@ -384,15 +385,21 @@ type Server struct {
 	winLat         *obs.WindowHist
 
 	// Trace correlation (nil/0 when Config.TraceSampleEvery is 0).
+	// queryRing holds sampled queries' /traces entries; nextEntry numbers
+	// the entries of both rings.
 	nextQueryID atomic.Uint64
 	traceEvery  uint64
-	traces      *traceRing
+	queryRing   *obs.Ring
+	nextEntry   atomic.Uint64
 	// nextIngestID numbers StreamIngest calls for write-path sampling
 	// (same stride as query sampling).
 	nextIngestID atomic.Uint64
-	// flight is the always-on forensic ring (nil when tracing is off and no
-	// FlightDir is set); exemplars links latency buckets to sampled trace IDs
-	// (nil when sampling is off).
+	// writeRing is the always-on record of the write path: every span and
+	// retry event, and the write-path /traces entries. It and flight, which
+	// dumps it, are nil when tracing is off and no FlightDir is set.
+	// exemplars links latency buckets to sampled trace IDs (nil when
+	// sampling is off).
+	writeRing *obs.Ring
 	flight    *obs.FlightRecorder
 	exemplars *exemplarSet
 
@@ -544,11 +551,12 @@ func newServer(cfg Config) (*Server, error) {
 	s.winLat = obs.NewWindowHist(DefaultStatsWindow)
 	if cfg.TraceSampleEvery > 0 {
 		s.traceEvery = uint64(cfg.TraceSampleEvery)
-		s.traces = newTraceRing(DefaultTraceRing)
+		s.queryRing = obs.NewRing()
 		s.exemplars = &exemplarSet{}
 	}
 	if cfg.TraceSampleEvery > 0 || cfg.FlightDir != "" {
-		s.flight = obs.NewFlightRecorder(cfg.FlightDir)
+		s.writeRing = obs.NewRing()
+		s.flight = obs.NewFlightRecorder(s.writeRing, cfg.FlightDir)
 	}
 	for _, q := range cfg.Queries {
 		if q.Name == "" || q.Plan == nil {
@@ -715,12 +723,12 @@ func (s *Server) submit(ctx context.Context, name string, plan algebra.Node, key
 	s.ctrQueries.Inc()
 	s.winQueries.Add(nowSec, 1)
 
-	var qt *queryTrace
-	if s.traces != nil {
+	var qt sampledQuery
+	if s.queryRing != nil {
 		id := s.nextQueryID.Add(1)
 		if (id-1)%s.traceEvery == 0 {
-			qt = &queryTrace{id: id, kind: "query", traceID: obs.NewTraceContext().TraceID, query: name, start: start}
-			s.traces.add(qt)
+			qt = sampledQuery{id: id, traceID: obs.NewTraceContext().TraceID}
+			qt.entry = s.openEntry(s.queryRing, "query", id, obs.SpanContext{TraceID: qt.traceID}, name)
 			s.traceStage(qt, "admit", obs.String("query", name))
 		}
 	}
@@ -733,7 +741,7 @@ func (s *Server) submit(ctx context.Context, name string, plan algebra.Node, key
 		lat := time.Since(start)
 		s.stats.lat.Record(lat)
 		s.winLat.Record(nowSec, lat)
-		if qt != nil {
+		if qt.entry != 0 {
 			s.joinEpochTrace(qt, st, true, 0)
 			s.exemplars.record(lat, qt.traceID, qt.id)
 		}
@@ -774,7 +782,7 @@ func (s *Server) submit(ctx context.Context, name string, plan algebra.Node, key
 		resp.res.Latency = time.Since(start)
 		s.stats.lat.Record(resp.res.Latency)
 		s.winLat.Record(time.Now().Unix(), resp.res.Latency)
-		if qt != nil {
+		if qt.entry != 0 {
 			s.exemplars.record(resp.res.Latency, qt.traceID, qt.id)
 		}
 		s.traceStage(qt, "reply",
@@ -864,7 +872,7 @@ func (s *Server) handle(req *request) {
 		req.done <- response{err: err}
 		return
 	}
-	if req.qt != nil {
+	if req.qt.entry != 0 {
 		attrs := []obs.Attr{obs.Int("reads", res.TotalReads()), obs.Int("epoch", int64(st.epoch))}
 		if ptid := s.joinEpochTrace(req.qt, st, false, res.TotalReads()); ptid != 0 {
 			attrs = append(attrs, obs.Int("pipeline_trace_id", int64(ptid)))
@@ -1088,9 +1096,9 @@ func (s *Server) IsClosed() bool {
 }
 
 // tracingArmed reports whether the write path should mint span contexts:
-// either the trace ring or the flight recorder is live. With both off,
-// every propagation site skips context minting entirely.
-func (s *Server) tracingArmed() bool { return s.traces != nil || s.flight != nil }
+// the write ring is live. With it off, every propagation site skips context
+// minting entirely.
+func (s *Server) tracingArmed() bool { return s.writeRing != nil }
 
 // epochTraceLink joins sampled queries to the pipeline trace of the epoch
 // whose contents they read. A traced epoch publishes one with its state; the
@@ -1099,7 +1107,7 @@ func (s *Server) tracingArmed() bool { return s.traces != nil || s.flight != nil
 // commit → journal → epoch → refresh → query hit).
 type epochTraceLink struct {
 	ctx   obs.SpanContext // zero when the epoch was untraced
-	trace *queryTrace
+	entry uint64          // the epoch's /traces entry; 0 without one
 	// queryRecorded bounds the epoch entry's growth: only the first sampled
 	// reader appends a span; later readers only link.
 	queryRecorded atomic.Bool
@@ -1110,15 +1118,15 @@ type epochTraceLink struct {
 // query links the pipeline trace ID, and the first sampled reader per epoch
 // hangs a query.read span under the epoch's root span. Returns the pipeline
 // trace ID (0 when the epoch was not traced).
-func (s *Server) joinEpochTrace(qt *queryTrace, st *served, cached bool, reads int64) uint64 {
+func (s *Server) joinEpochTrace(qt sampledQuery, st *served, cached bool, reads int64) uint64 {
 	link := st.link
 	if link == nil || !link.ctx.Valid() {
 		return 0
 	}
-	qt.link(link.ctx.TraceID)
+	traceLink(s.queryRing, qt.entry, link.ctx.TraceID)
 	if link.queryRecorded.CompareAndSwap(false, true) {
 		now := time.Now()
-		s.traceSpan(link.trace, link.ctx.NewChild(), "query.read", now, 0,
+		s.traceSpan(link.entry, link.ctx.NewChild(), "query.read", now, 0,
 			obs.Int("query_id", int64(qt.id)),
 			obs.Int("query_trace_id", int64(qt.traceID)),
 			obs.Bool("cached", cached),

@@ -1,30 +1,33 @@
 package serve
 
 import (
-	"sync"
+	"slices"
 	"time"
 
 	"github.com/warehousekit/mvpp/internal/obs"
 )
 
 // Trace correlation: when Config.TraceSampleEvery is set, the router mints
-// a query ID for every submission and samples every Nth query into a
-// bounded in-memory ring. A sampled query records each lifecycle stage —
-// admission, cache hit/miss, engine execution, degradation, reply — on its
-// own trace, and mirrors every stage to the observer as an EvServeQuery
-// event tagged with the same query_id, so one query's full path greps out
-// of a JSON trace by ID. Unsampled queries pay one atomic increment;
-// with sampling off the hot path pays nothing at all.
+// a query ID for every submission and samples every Nth query. A sampled
+// query records each lifecycle stage — admission, cache hit/miss, engine
+// execution, degradation, reply — into the sampled-query ring, and mirrors
+// every stage to the observer as an EvServeQuery event tagged with the same
+// query_id, so one query's full path greps out of a JSON trace by ID.
+// Unsampled queries pay one atomic increment; with sampling off the hot
+// path pays nothing at all.
 //
-// The same ring also carries the write path. Sampled StreamIngest batches
-// mint an obs.SpanContext that rides the change feed through group commit
-// and journal append; the maintenance epoch that lands the batch inherits
-// the first contributor's trace ID (and links the rest), and hangs its
-// per-view refresh spans under the epoch span. Checkpoints get their own
-// entries. So /traces renders full causal span trees — ingest → group
-// commit → journal LSN → epoch → refresh — instead of flat stage lists,
-// and one trace ID follows a delta from StreamIngest to the query that
-// read it.
+// The write path records into its own ring, the flight recorder's. Sampled
+// StreamIngest batches mint an obs.SpanContext that rides the change feed
+// through group commit and journal append; the maintenance epoch that lands
+// the batch inherits the first contributor's trace ID (and links the rest),
+// and hangs its per-view refresh spans under the epoch span. Checkpoints
+// get their own entries. Each span is recorded once, as an obs.Record in
+// that ring: flight dumps read its spans and events, and /traces groups
+// both rings' records by entry number into full causal span trees —
+// ingest → group commit → journal LSN → epoch → refresh — so one trace ID
+// follows a delta from StreamIngest to the query that read it. Two rings,
+// not one, so that a flood of sampled queries never pushes out the refresh
+// decisions a breach dump exists to show.
 
 // TraceStage is one recorded step of a sampled query's lifecycle.
 type TraceStage struct {
@@ -85,217 +88,141 @@ type QueryTrace struct {
 	Links []uint64 `json:"links,omitempty"`
 }
 
-// queryTrace is the live, still-mutating form of one trace-ring entry.
-// The submitter and the worker both append stages; the lock is uncontended
-// in practice (stages alternate across the request's channel handoff) and
-// only sampled entries ever take it. Stages and spans keep their raw attr
-// slices — the Detail maps are materialized at export time, so the serving
-// hot path never builds a map.
-type queryTrace struct {
-	id      uint64
-	kind    string
+// sampledQuery names a sampled query's /traces entry. The zero value is an
+// unsampled query, on which every recording site no-ops.
+type sampledQuery struct {
+	entry   uint64 // the /traces entry; 0 when unsampled
+	id      uint64 // the query ID minted at admission
 	traceID uint64
-	query   string
-	start   time.Time
-
-	mu     sync.Mutex
-	done   bool
-	stages []stageRec
-	spans  []spanRec
-	links  []uint64
 }
 
-// stageRec and spanRec are the record-time forms of TraceStage and
-// PipelineSpan: identical timing and identity, attrs still a slice.
-type stageRec struct {
-	name  string
-	atUS  int64
-	attrs []obs.Attr
+// openEntry records the header of a new /traces entry into ring and returns
+// the entry's number. id is the entry's ID (query ID, epoch number,
+// checkpoint generation, ingest sequence); ctx its root context.
+func (s *Server) openEntry(ring *obs.Ring, kind string, id uint64, ctx obs.SpanContext, query string) uint64 {
+	entry := s.nextEntry.Add(1)
+	attrs := []obs.Attr{obs.Int("id", int64(id))}
+	if query != "" {
+		attrs = append(attrs, obs.String("query", query))
+	}
+	ring.Add(&obs.Record{Kind: obs.KindEntry, Name: kind, Entry: entry, Ctx: ctx, Start: time.Now().UnixNano(), Attrs: attrs})
+	return entry
 }
 
-type spanRec struct {
-	spanID uint64
-	parent uint64
-	name   string
-	atUS   int64
-	durUS  int64
-	attrs  []obs.Attr
+// pipelineTrace opens a write-path /traces entry. Returns 0 when trace
+// sampling is off: /traces is not served, so the write ring then holds
+// spans and events only and every entry-level recording site no-ops.
+func (s *Server) pipelineTrace(kind string, id uint64, ctx obs.SpanContext) uint64 {
+	if s.queryRing == nil {
+		return 0
+	}
+	return s.openEntry(s.writeRing, kind, id, ctx, "")
 }
 
-func (t *queryTrace) stage(name string, attrs []obs.Attr) {
-	if t == nil {
+// traceSpan records one completed write-path span, once, into the write
+// ring under /traces entry `entry` (0 for none); flight dumps and /traces
+// both read it there. No-op when the write ring is off.
+func (s *Server) traceSpan(entry uint64, ctx obs.SpanContext, name string, started time.Time, dur time.Duration, attrs ...obs.Attr) {
+	s.writeRing.Add(&obs.Record{Kind: obs.KindSpan, Name: name, Entry: entry, Ctx: ctx,
+		Start: started.UnixNano(), Dur: int64(dur), Attrs: attrs})
+}
+
+// traceLink records that trace traceID contributed to entry.
+func traceLink(ring *obs.Ring, entry, traceID uint64) {
+	if entry == 0 {
 		return
 	}
-	st := stageRec{name: name, atUS: time.Since(t.start).Microseconds(), attrs: attrs}
-	t.mu.Lock()
-	t.stages = append(t.stages, st)
-	if name == "reply" {
-		t.done = true
-	}
-	t.mu.Unlock()
+	ring.Add(&obs.Record{Kind: obs.KindLink, Entry: entry, Ctx: obs.SpanContext{TraceID: traceID}})
 }
 
-// span records one completed span on the entry's tree. started is the
-// span's wall-clock start; offsets are relative to the entry's start (and
-// may be negative when a contributor span began before the entry existed).
-func (t *queryTrace) span(ctx obs.SpanContext, name string, started time.Time, dur time.Duration, attrs []obs.Attr) {
-	if t == nil {
+// traceStage records one lifecycle stage of a sampled query and mirrors it
+// to the observer as an EvServeQuery event carrying the same query_id.
+// No-op for an unsampled query.
+func (s *Server) traceStage(q sampledQuery, stage string, attrs ...obs.Attr) {
+	if q.entry == 0 {
 		return
 	}
-	sp := spanRec{
-		spanID: ctx.SpanID,
-		parent: ctx.Parent,
-		name:   name,
-		atUS:   started.Sub(t.start).Microseconds(),
-		durUS:  dur.Microseconds(),
-		attrs:  attrs,
-	}
-	t.mu.Lock()
-	t.spans = append(t.spans, sp)
-	t.mu.Unlock()
-}
-
-// link records a contributing trace ID (deduplicated, self-links dropped).
-func (t *queryTrace) link(traceID uint64) {
-	if t == nil || traceID == 0 || traceID == t.traceID {
-		return
-	}
-	t.mu.Lock()
-	for _, l := range t.links {
-		if l == traceID {
-			t.mu.Unlock()
-			return
-		}
-	}
-	t.links = append(t.links, traceID)
-	t.mu.Unlock()
-}
-
-// finish marks a write-path entry complete (queries finish via the
-// "reply" stage instead).
-func (t *queryTrace) finish() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.done = true
-	t.mu.Unlock()
-}
-
-func (t *queryTrace) export() QueryTrace {
-	t.mu.Lock()
-	out := QueryTrace{
-		ID:        t.id,
-		Kind:      t.kind,
-		TraceID:   t.traceID,
-		Query:     t.query,
-		StartedAt: t.start,
-		Done:      t.done,
-		Links:     append([]uint64(nil), t.links...),
-	}
-	if len(t.stages) > 0 {
-		out.Stages = make([]TraceStage, len(t.stages))
-		for i, st := range t.stages {
-			out.Stages[i] = TraceStage{Stage: st.name, AtUS: st.atUS, Detail: obs.AttrMap(st.attrs)}
-		}
-	}
-	if len(t.spans) > 0 {
-		out.Spans = make([]PipelineSpan, len(t.spans))
-		for i, sp := range t.spans {
-			out.Spans[i] = PipelineSpan{
-				SpanID:     sp.spanID,
-				Parent:     sp.parent,
-				Name:       sp.name,
-				AtUS:       sp.atUS,
-				DurationUS: sp.durUS,
-				Detail:     obs.AttrMap(sp.attrs),
-			}
-		}
-	}
-	t.mu.Unlock()
-	return out
-}
-
-// traceRing is a bounded ring of recent sampled traces. Traces are
-// published at admission, so the ring shows in-flight queries too (Done
-// false until the reply stage lands).
-type traceRing struct {
-	mu   sync.Mutex
-	buf  []*queryTrace
-	next int // overwrite cursor once the ring is full
-}
-
-func newTraceRing(capacity int) *traceRing {
-	return &traceRing{buf: make([]*queryTrace, 0, capacity)}
-}
-
-func (r *traceRing) add(t *queryTrace) {
-	r.mu.Lock()
-	if len(r.buf) < cap(r.buf) {
-		r.buf = append(r.buf, t)
-	} else {
-		r.buf[r.next] = t
-		r.next = (r.next + 1) % len(r.buf)
-	}
-	r.mu.Unlock()
-}
-
-// snapshot exports the ring's traces, oldest first.
-func (r *traceRing) snapshot() []QueryTrace {
-	r.mu.Lock()
-	ordered := make([]*queryTrace, 0, len(r.buf))
-	ordered = append(ordered, r.buf[r.next:]...)
-	ordered = append(ordered, r.buf[:r.next]...)
-	r.mu.Unlock()
-	out := make([]QueryTrace, len(ordered))
-	for i, t := range ordered {
-		out[i] = t.export()
-	}
-	return out
-}
-
-// pipelineTrace publishes a new write-path entry into the trace ring.
-// Returns nil when trace sampling is off, so every recording site stays
-// nil-off. The entry's ID is a per-kind sequence number minted by the
-// caller (epoch number, checkpoint generation, ingest sequence).
-func (s *Server) pipelineTrace(kind string, id uint64, ctx obs.SpanContext) *queryTrace {
-	if s.traces == nil {
-		return nil
-	}
-	t := &queryTrace{id: id, kind: kind, traceID: ctx.TraceID, start: time.Now()}
-	s.traces.add(t)
-	return t
-}
-
-// traceSpan records one completed write-path span on a ring entry and
-// mirrors it into the flight recorder. Either sink may be nil.
-func (s *Server) traceSpan(t *queryTrace, ctx obs.SpanContext, name string, started time.Time, dur time.Duration, attrs ...obs.Attr) {
-	t.span(ctx, name, started, dur, attrs)
-	s.flight.RecordSpan(ctx, name, started, dur, attrs...)
-}
-
-// traceStage records one lifecycle stage on a sampled query's trace and
-// mirrors it to the observer as an EvServeQuery event carrying the same
-// query_id. No-op when qt is nil (query unsampled or sampling off).
-func (s *Server) traceStage(qt *queryTrace, stage string, attrs ...obs.Attr) {
-	if qt == nil {
-		return
-	}
-	qt.stage(stage, attrs)
+	s.queryRing.Add(&obs.Record{Kind: obs.KindStage, Name: stage, Entry: q.entry, Start: time.Now().UnixNano(), Attrs: attrs})
 	if s.obsv == nil {
 		return
 	}
 	tagged := make([]obs.Attr, 0, len(attrs)+2)
-	tagged = append(tagged, obs.Int("query_id", int64(qt.id)), obs.String("stage", stage))
+	tagged = append(tagged, obs.Int("query_id", int64(q.id)), obs.String("stage", stage))
 	tagged = append(tagged, attrs...)
 	obs.Emit(s.obsv, obs.EvServeQuery, tagged...)
 }
 
-// RecentTraces returns the sampled traces currently in the ring, oldest
-// first. Nil when trace sampling is off.
+// RecentTraces returns the /traces entries whose header is still in a
+// ring, oldest first and at most DefaultTraceRing of them: the records of
+// both rings grouped by entry number. A query is done once its reply stage
+// is recorded, a write-path entry once its root span is. Nil when trace
+// sampling is off.
 func (s *Server) RecentTraces() []QueryTrace {
-	if s.traces == nil {
+	if s.queryRing == nil {
 		return nil
 	}
-	return s.traces.snapshot()
+	type open struct {
+		tr    QueryTrace
+		start int64
+		root  uint64 // the root span's ID; 0 for queries
+	}
+	recs := append(s.writeRing.Records(), s.queryRing.Records()...)
+	entries := make(map[uint64]*open)
+	for _, r := range recs {
+		if r.Kind != obs.KindEntry {
+			continue
+		}
+		e := &open{start: r.Start, root: r.Ctx.SpanID,
+			tr: QueryTrace{Kind: r.Name, TraceID: r.Ctx.TraceID, StartedAt: time.Unix(0, r.Start)}}
+		for _, a := range r.Attrs {
+			switch a.Key {
+			case "id":
+				e.tr.ID = uint64(a.Value.(int64))
+			case "query":
+				e.tr.Query = a.Value.(string)
+			}
+		}
+		entries[r.Entry] = e
+	}
+	// Each ring is in recording order, and an entry's records all live in
+	// the ring its header does.
+	for _, r := range recs {
+		e := entries[r.Entry]
+		if e == nil {
+			continue
+		}
+		at := (r.Start - e.start) / 1000
+		switch r.Kind {
+		case obs.KindStage:
+			e.tr.Stages = append(e.tr.Stages, TraceStage{Stage: r.Name, AtUS: at, Detail: obs.AttrMap(r.Attrs)})
+			e.tr.Done = e.tr.Done || r.Name == "reply"
+		case obs.KindSpan:
+			e.tr.Spans = append(e.tr.Spans, PipelineSpan{
+				SpanID:     r.Ctx.SpanID,
+				Parent:     r.Ctx.Parent,
+				Name:       r.Name,
+				AtUS:       at,
+				DurationUS: r.Dur / 1000,
+				Detail:     obs.AttrMap(r.Attrs),
+			})
+			e.tr.Done = e.tr.Done || r.Ctx.SpanID == e.root
+		case obs.KindLink:
+			if id := r.Ctx.TraceID; id != e.tr.TraceID && !slices.Contains(e.tr.Links, id) {
+				e.tr.Links = append(e.tr.Links, id)
+			}
+		}
+	}
+	nums := make([]uint64, 0, len(entries))
+	for n := range entries {
+		nums = append(nums, n)
+	}
+	slices.Sort(nums)
+	if len(nums) > DefaultTraceRing {
+		nums = nums[len(nums)-DefaultTraceRing:]
+	}
+	out := make([]QueryTrace, len(nums))
+	for i, n := range nums {
+		out[i] = entries[n].tr
+	}
+	return out
 }

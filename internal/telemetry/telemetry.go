@@ -18,7 +18,7 @@
 //	               and per view (recompute and incremental separately) the
 //	               §4.1 predicted block cost, last/mean measured actuals,
 //	               EWMA calibration ratio, sample count, and drift flag.
-//	/traces        the sampled trace ring: query entries are one query's
+//	/traces        the recent trace entries: query entries are one query's
 //	               correlated lifecycle (admit → cache/execute → reply)
 //	               under a single query ID; write-path entries (ingest,
 //	               epoch, checkpoint) carry full causal span trees under a

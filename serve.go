@@ -295,10 +295,9 @@ type Server struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	// sqlMu serializes ad-hoc SQL planning (the estimator's memo table is
-	// not goroutine-safe).
-	sqlMu sync.Mutex
-	opt   *optimizer.Optimizer
+	// reg instruments the estimators QuerySQL plans with (nil without an
+	// observer).
+	reg *obs.Registry
 }
 
 // NewServer builds the warehouse and starts serving. Close it when done.
@@ -493,8 +492,6 @@ func (d *Design) NewServer(opts ServeOptions) (*Server, error) {
 		}
 	}
 
-	est := cost.NewEstimator(d.catalog.inner, cost.DefaultOptions())
-	est.Instrument(obs.RegistryOf(observer))
 	s := &Server{
 		d:       d,
 		db:      db,
@@ -502,7 +499,7 @@ func (d *Design) NewServer(opts ServeOptions) (*Server, error) {
 		scale:   scale,
 		journal: ownedJournal,
 		tele:    tele,
-		opt:     optimizer.New(est, d.model, optimizer.Options{}),
+		reg:     obs.RegistryOf(observer),
 	}
 	s.seed.Store(opts.Seed + 1)
 	return s, nil
@@ -551,14 +548,16 @@ func (s *Server) Query(ctx context.Context, name string) (*QueryResult, error) {
 // cache; unlike them it does not count toward the advisor's observed
 // frequencies.
 func (s *Server) QuerySQL(ctx context.Context, sql string) (*QueryResult, error) {
-	s.sqlMu.Lock()
 	bound, err := sqlparse.BindQuery(s.d.catalog.inner, "adhoc", sql)
 	if err != nil {
-		s.sqlMu.Unlock()
 		return nil, fmt.Errorf("mvpp: %w", err)
 	}
-	plan, _, err := s.opt.Optimize(bound)
-	s.sqlMu.Unlock()
+	// A fresh estimator per statement: one kept for the server's lifetime
+	// would keep every distinct statement's expression classes and size
+	// estimates in its arena and memo for as long.
+	est := cost.NewEstimator(s.d.catalog.inner, cost.DefaultOptions())
+	est.Instrument(s.reg)
+	plan, _, err := optimizer.New(est, s.d.model, optimizer.Options{}).Optimize(bound)
 	if err != nil {
 		return nil, fmt.Errorf("mvpp: %w", err)
 	}

@@ -175,14 +175,23 @@ func TestTelemetryTraceCorrelation(t *testing.T) {
 }
 
 // TestTelemetryOff asserts the nil-off contract: without TelemetryAddr no
-// listener exists and no traces are sampled.
+// listener exists and no traces are sampled — even with the flight
+// recorder armed through MVPP_FLIGHT_DIR, whose ring then holds the write
+// path's spans for dumps but serves no /traces entry.
 func TestTelemetryOff(t *testing.T) {
+	t.Setenv("MVPP_FLIGHT_DIR", t.TempDir())
 	_, srv := paperServer(t, mvpp.ServeOptions{})
 	defer srv.Close()
 	if addr := srv.TelemetryAddr(); addr != "" {
 		t.Errorf("TelemetryAddr = %q, want empty", addr)
 	}
 	if _, err := srv.Query(context.Background(), "Q1"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := srv.StreamDeltas(0.01); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Flush(); err != nil {
 		t.Fatal(err)
 	}
 	if traces := srv.RecentTraces(); traces != nil {
