@@ -326,3 +326,34 @@ func grepLines(s, substr string) string {
 	}
 	return fmt.Sprint(strings.Join(out, "\n"))
 }
+
+// TestStatsMatchRegistryExposition: the CDC stream-rows family the serving
+// Stats feed (mv_ingest_stream_rows_total) and the registry counter of the
+// same fact (mvpp_serve_stream_rows_total) scrape the same value.
+func TestStatsMatchRegistryExposition(t *testing.T) {
+	srv, ts, _ := fixture(t)
+	for i := int64(1); i <= 3; i++ {
+		if err := srv.StreamIngest("Division", []algebra.Value{
+			algebra.IntVal(900000 + i), algebra.StringVal("division-Δ"), algebra.StringVal("LA"),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := srv.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	_, body := get(t, ts.Addr(), "/metrics")
+	sample := func(name string) string {
+		for _, line := range strings.Split(string(body), "\n") {
+			if v, ok := strings.CutPrefix(line, name+" "); ok {
+				return v
+			}
+		}
+		t.Fatalf("/metrics has no %s sample", name)
+		return ""
+	}
+	stats, reg := sample("mv_ingest_stream_rows_total"), sample("mvpp_serve_stream_rows_total")
+	if stats != "3" || reg != stats {
+		t.Errorf("mv_ingest_stream_rows_total %s, mvpp_serve_stream_rows_total %s; want 3 and 3", stats, reg)
+	}
+}
