@@ -11,8 +11,9 @@
 // Three Observer implementations ship with the package:
 //
 //   - NewLogObserver: renders spans and events through log/slog;
-//   - NewRecorder: records the full span tree, events, and final counter
-//     values, and serializes them as a JSON trace (WriteJSON/ParseTrace);
+//   - NewRecorder: records the run's spans and events as Records, and
+//     serializes them with the final counter values as a JSON trace
+//     (WriteJSON/ParseTrace);
 //   - Tee: fans out to several observers (log + trace at once).
 package obs
 
@@ -67,9 +68,10 @@ const (
 	// is enabled, reporting the winning refresh plan (attrs: vertex,
 	// strategy, cm_recompute, cm_incremental).
 	EvMaintPlan EventKind = "select.maintenance_plan"
-	// EvServeEpoch fires once per serving-layer maintenance epoch (attrs:
-	// epoch, delta_rows, refreshed, incremental, recomputed, reads,
-	// writes).
+	// EvServeEpoch fires once per landed serving-layer maintenance epoch
+	// (attrs: epoch, delta_rows, incremental, recomputed, failed, reads,
+	// writes, operands_evaluated, operands_reused, duration_us) — and, with
+	// only error, once per epoch the scheduler's loop saw abort.
 	EvServeEpoch EventKind = "serve.epoch"
 	// EvServeAdvice fires when the serving layer's advisor re-runs view
 	// selection on observed frequencies (attrs: observed_queries, add,
@@ -95,8 +97,10 @@ const (
 	// because a view it would read is unhealthy or too stale (attrs:
 	// views).
 	EvServeDegraded EventKind = "serve.degraded"
-	// EvServeJournal fires when a booting server replays the journal
-	// (attrs: action "replay", rows, batches).
+	// EvServeJournal fires on delta-journal activity (attrs: action —
+	// "replay" with rows and batches when a booting server replays the
+	// journal, or "truncate" with error when a checkpoint's compaction
+	// failed).
 	EvServeJournal EventKind = "serve.journal"
 	// EvServeQuery fires at each stage of a served query's lifecycle when
 	// trace correlation is on (attrs: query_id, stage — "admit",
@@ -176,8 +180,20 @@ const (
 	// CtrServeRejected counts queries the admission controller turned away
 	// (queue full and the caller's context expired first).
 	CtrServeRejected = "serve.rejected"
+	// CtrServeBackpressured counts cache misses that found the admission
+	// queue full and had to wait for a slot.
+	CtrServeBackpressured = "serve.backpressured"
 	// CtrServeEpochs counts maintenance epochs the scheduler ran.
 	CtrServeEpochs = "serve.epochs"
+	// CtrServeIncrementalRefreshes / CtrServeRecomputes count the view
+	// refreshes landed epochs ran by delta propagation and by full
+	// recomputation.
+	CtrServeIncrementalRefreshes = "serve.incremental_refreshes"
+	CtrServeRecomputes           = "serve.recomputes"
+	// CtrServePlanRewrites counts view rewrites of a query plan: one per
+	// workload query per view-set generation published, one per ad-hoc
+	// miss.
+	CtrServePlanRewrites = "serve.plan_rewrites"
 	// CtrServeDeltaRows counts base-table delta rows ingested.
 	CtrServeDeltaRows = "serve.delta_rows"
 	// CtrServeRefreshReads / CtrServeRefreshWrites count the block I/O the

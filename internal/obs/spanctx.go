@@ -62,10 +62,12 @@ func AttrMap(attrs []Attr) map[string]any {
 // RecordKind says what one ring Record is.
 type RecordKind string
 
-// Record kinds. Spans and events are the flight recorder's; stages, entry
-// headers and links exist only to be grouped back into /traces entries.
+// Record kinds. Spans and events are the flight recorder's and a
+// Recorder's; stages, entry headers and links exist only to be grouped back
+// into /traces entries.
 const (
-	// KindSpan is a completed span: Start and Dur are set.
+	// KindSpan is a span: Start and Dur are set (Dur is -1 while a
+	// Recorder's span is open).
 	KindSpan RecordKind = "span"
 	// KindEvent is a point event.
 	KindEvent RecordKind = "event"
@@ -78,9 +80,11 @@ const (
 	KindLink RecordKind = "link"
 )
 
-// Record is one slot of a Ring. It is immutable once added, and keeps the
-// caller's attribute slice as is: the map a reader sees is built when the
-// ring is read, never when a record is written.
+// Record is one observed span, event, stage, entry header or link. It keeps
+// the caller's attribute slice as is: the map a reader sees is built when
+// the records are read, never when one is written. A Ring's records are
+// immutable once added; a Recorder updates an open span's Attrs and Dur
+// under its lock.
 type Record struct {
 	Seq  uint64
 	Kind RecordKind

@@ -122,10 +122,8 @@ func (s *Server) observeAudit(kind costaudit.Kind, name string, actual int64) {
 	}
 	o := s.audit.Observe(kind, name, float64(actual))
 	s.stats.costObservations.Add(1)
-	s.ctrCostObs.Inc()
 	if o.NewlyDrifted {
 		s.stats.costDrifts.Add(1)
-		s.ctrCostDrift.Inc()
 		obs.Emit(s.obsv, obs.EvCostDrift,
 			obs.String("kind", string(kind)),
 			obs.String("name", name),
@@ -172,7 +170,6 @@ func (s *Server) recalibrateLocked() {
 	}
 	s.lastRecal.Store(a)
 	s.stats.recalibrations.Add(1)
-	s.ctrRecal.Inc()
 	obs.Emit(s.obsv, obs.EvServeRecalibrated,
 		obs.String("views", strings.Join(fresh, ",")),
 		obs.Float("current_total", a.CurrentTotal),

@@ -146,12 +146,10 @@ func (s *Server) StreamIngestBatch(batch []engine.DeltaRecord) error {
 			// backpressure, counted once per call.
 			deadlineAt = time.Now().Add(f.deadline)
 			s.stats.streamBlocked.Add(1)
-			s.ctrStreamBlocked.Inc()
 		}
 		if !f.waitUntil(deadlineAt) {
 			f.mu.Unlock()
 			s.stats.streamShed.Add(1)
-			s.ctrStreamShed.Inc()
 			obs.Emit(s.obsv, obs.EvServeIngest, append(attrs, obs.String("action", "shed"))...)
 			if ictx.Valid() {
 				s.traceSpan(itr, ictx, "ingest.stream", start, time.Since(start),
@@ -176,7 +174,7 @@ func (s *Server) StreamIngestBatch(batch []engine.DeltaRecord) error {
 	}
 	f.entries = append(f.entries, e)
 	f.rows += rows
-	s.gIngestBuffer.Set(float64(f.rows))
+	s.stats.ingestBuffer.Set(float64(f.rows))
 	f.mu.Unlock()
 	attrs = append(attrs, obs.Int("seq", int64(e.seq)))
 	if ictx.Valid() {
@@ -235,7 +233,7 @@ func (f *changeFeed) flush() {
 	if len(entries) == 0 {
 		return
 	}
-	s.gIngestBuffer.Set(0)
+	s.stats.ingestBuffer.Set(0)
 	var recs []engine.DeltaRecord
 	var refs []ingestTraceRef
 	var rows int64
@@ -277,8 +275,6 @@ func (f *changeFeed) flush() {
 		}
 		s.stats.streamRows.Add(rows)
 		s.stats.streamGroups.Add(1)
-		s.ctrStreamRows.Add(rows)
-		s.ctrStreamGroups.Inc()
 		obs.Emit(s.obsv, obs.EvServeIngest,
 			obs.String("action", "group_commit"),
 			obs.Int("rows", rows),

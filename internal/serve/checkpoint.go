@@ -98,14 +98,15 @@ func (s *Server) Checkpoint() (res *snapshot.CheckpointResult, err error) {
 // checkpointLocked is Checkpoint as a step of the maintainer's turn.
 func (s *Server) checkpointLocked() (*snapshot.CheckpointResult, error) {
 	// Checkpoints are part of the pipeline's causal story: each attempt
-	// gets its own trace-ring entry (kind "checkpoint") when tracing is
-	// armed, with declines, segment writes, compaction, and GC as spans.
+	// gets its own trace-ring entry (kind "checkpoint", numbered by the
+	// served epoch it persists) when tracing is armed, with declines,
+	// segment writes, compaction, and GC as spans.
 	ckStart := time.Now()
 	var cctx obs.SpanContext
 	var ctr uint64
 	if s.tracingArmed() {
 		cctx = obs.NewTraceContext()
-		ctr = s.pipelineTrace("checkpoint", uint64(s.stats.epochs.Load()), cctx)
+		ctr = s.pipelineTrace("checkpoint", s.state.Load().epoch, cctx)
 	}
 	// Unlanded deltas mean an epoch was aborted and its retry is due: the
 	// published set is still whole and exactly the acked watermark's, but a
@@ -117,7 +118,7 @@ func (s *Server) checkpointLocked() (*snapshot.CheckpointResult, error) {
 		// A declined checkpoint must not be silent: repeated declines mean
 		// the warehouse never reaches a landed state between triggers (a
 		// stuck epoch), and /metrics should show it.
-		s.ctrCheckpointDeclined.Inc()
+		s.stats.checkpointDeclined.Inc()
 		obs.Emit(s.obsv, obs.EvSnapshotCheckpoint,
 			obs.String("action", "declined"),
 			obs.String("reason", "unlanded deltas"),
@@ -239,8 +240,8 @@ func (s *Server) checkpointLocked() (*snapshot.CheckpointResult, error) {
 		ss.Views = views
 	})
 	s.snapBehind = false
-	s.gSnapBytes.Set(float64(res.Bytes))
-	s.gSnapGen.Set(float64(res.Generation))
+	s.stats.snapBytes.Set(float64(res.Bytes))
+	s.stats.snapGen.Set(float64(res.Generation))
 
 	if cctx.Valid() {
 		s.traceSpan(ctr, cctx, "snapshot.checkpoint", ckStart, time.Since(ckStart),

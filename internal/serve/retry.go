@@ -162,7 +162,6 @@ func (s *Server) retryRefresh(ctx context.Context, sctx obs.SpanContext, label s
 		defer func() {
 			if r := recover(); r != nil {
 				s.stats.panics.Add(1)
-				s.ctrPanics.Inc()
 				err = fmt.Errorf("serve: %s recovered from panic: %v", label, r)
 			}
 		}()
@@ -178,7 +177,6 @@ func (s *Server) retryRefresh(ctx context.Context, sctx obs.SpanContext, label s
 			return nil, attempt, err
 		}
 		s.stats.retries.Add(1)
-		s.ctrRetries.Inc()
 		obs.Emit(s.obsv, obs.EvServeRetry,
 			obs.String("target", label),
 			obs.Int("attempt", int64(attempt)),

@@ -297,8 +297,7 @@ func (s *Server) commit(recs []engine.DeltaRecord, replayedTo uint64, refs []ing
 	sc.mu.Unlock()
 
 	s.stats.deltaRows.Add(int64(rows))
-	s.ctrDeltaRows.Add(int64(rows))
-	s.gStaleRows.Set(float64(stale))
+	s.stats.staleRows.Set(float64(stale))
 	if full {
 		select {
 		case sc.kick <- struct{}{}:
@@ -341,7 +340,6 @@ func (s *Server) replayJournal() error {
 		return fmt.Errorf("serve: replaying journaled deltas: %w", err)
 	}
 	s.stats.replayedRows.Add(int64(replayed))
-	s.ctrReplayed.Add(int64(replayed))
 	obs.Emit(s.obsv, obs.EvServeJournal,
 		obs.String("action", "replay"),
 		obs.Int("rows", int64(replayed)),
@@ -525,7 +523,6 @@ func (s *Server) guardedEpochLocked() (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.stats.panics.Add(1)
-			s.ctrPanics.Inc()
 			err = fmt.Errorf("serve: maintenance epoch recovered from panic: %v", r)
 		}
 	}()
@@ -610,9 +607,6 @@ func (s *Server) runEpochLocked() error {
 	for _, rows := range appliedByTable {
 		n += rows
 	}
-	sp := obs.Start(s.obsv, "serve.epoch", obs.Int("delta_rows", int64(n)))
-	defer obs.End(sp)
-
 	// Plan every view, in name order, under one hold of the registry lock:
 	// nothing is written but BUILDING, which this epoch clears however it
 	// ends — landed, let go or panicking.
@@ -694,7 +688,6 @@ func (s *Server) runEpochLocked() error {
 			// Persistently failed delta propagation: fall back to a full
 			// recompute after the deltas land.
 			s.stats.fallbacks.Add(1)
-			s.ctrFallbacks.Inc()
 			obs.Emit(s.obsv, obs.EvServeFallback,
 				obs.String("view", name), obs.String("error", err.Error()))
 			if rctx.Valid() {
@@ -722,9 +715,6 @@ func (s *Server) runEpochLocked() error {
 	// How many join-delta operands were evaluated whole, and how many
 	// carried row counts stood in for them: on the epoch span and event.
 	whole, carried := ep.Operands()
-	if sp != nil {
-		sp.Annotate(obs.Int("operands_evaluated", int64(whole)), obs.Int("operands_reused", int64(carried)))
-	}
 
 	actx, astart := child(), time.Now()
 	if _, _, err := s.retryRefresh(s.baseCtx, actx, "delta application", func() (*engine.Result, error) {
@@ -735,7 +725,6 @@ func (s *Server) runEpochLocked() error {
 		// the staged records and trace contexts unsettled, every view as it
 		// was — the next retries.
 		s.stats.refreshFailures.Add(1)
-		s.ctrRefreshFail.Inc()
 		s.winRefreshFail.Add(time.Now().Unix(), 1)
 		return fmt.Errorf("serve: applying deltas: %w", err)
 	}
@@ -753,7 +742,6 @@ func (s *Server) runEpochLocked() error {
 		})
 		if err != nil {
 			s.stats.refreshFailures.Add(1)
-			s.ctrRefreshFail.Inc()
 			s.winRefreshFail.Add(time.Now().Unix(), 1)
 			v.err = err
 			failed++
@@ -813,7 +801,6 @@ func (s *Server) runEpochLocked() error {
 				action = "violated"
 				breachedViews = append(breachedViews, tr.view)
 				s.stats.sloViolations.Add(1)
-				s.ctrSLOViolations.Inc()
 			}
 			obs.Emit(s.obsv, obs.EvServeSLO,
 				obs.String("view", tr.view),
@@ -833,7 +820,6 @@ func (s *Server) runEpochLocked() error {
 	}
 	if len(tripped) > 0 {
 		s.stats.breakerTrips.Add(int64(len(tripped)))
-		s.ctrBreakerTrips.Add(int64(len(tripped)))
 	}
 
 	// Forensic flight dumps: one per epoch per episode kind, taken after the
@@ -856,11 +842,8 @@ func (s *Server) runEpochLocked() error {
 	s.stats.recomputes.Add(int64(recomputed))
 	s.stats.refreshReads.Add(reads)
 	s.stats.refreshWrites.Add(writes)
-	s.ctrEpochs.Inc()
-	s.ctrRefreshR.Add(reads)
-	s.ctrRefreshW.Add(writes)
-	s.gStaleRows.Set(float64(stale))
-	s.gUnhealthy.Set(float64(unhealthy))
+	s.stats.staleRows.Set(float64(stale))
+	s.stats.unhealthy.Set(float64(unhealthy))
 
 	if ectx.Valid() {
 		// Stamp each contributor's ingest trace with the epoch that landed
@@ -892,7 +875,8 @@ func (s *Server) runEpochLocked() error {
 		obs.Int("reads", reads),
 		obs.Int("writes", writes),
 		obs.Int("operands_evaluated", int64(whole)),
-		obs.Int("operands_reused", int64(carried)))
+		obs.Int("operands_reused", int64(carried)),
+		obs.Int("duration_us", time.Since(epochStart).Microseconds()))
 	return nil
 }
 

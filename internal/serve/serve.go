@@ -181,8 +181,9 @@ type Config struct {
 	// whenever trace sampling is on or FlightDir is set; with both off it is
 	// nil and the write path records nothing.
 	FlightDir string
-	// Obs receives serving spans, events, counters and gauges. Nil
-	// disables instrumentation.
+	// Obs receives serving events, and its registry holds the serving
+	// counters and gauges Stats reads. Nil disables events; the counters
+	// then live in a registry of the server's own.
 	Obs obs.Observer
 	// Audit, when set, is the cost-accountability ledger: predictions are
 	// registered for every query class and view at construction and after
@@ -410,19 +411,7 @@ type Server struct {
 	snapRetain      int
 	recovery        *snapshot.RecoveryStats
 
-	obsv                                              obs.Observer
-	ctrQueries, ctrHits, ctrMisses, ctrRejected       *obs.Counter
-	ctrEpochs, ctrDeltaRows, ctrRefreshR, ctrRefreshW *obs.Counter
-	ctrRetries, ctrRefreshFail, ctrFallbacks          *obs.Counter
-	ctrBreakerTrips, ctrDegraded, ctrPanics           *obs.Counter
-	ctrReplayed                                       *obs.Counter
-	ctrCostObs, ctrCostDrift, ctrRecal                *obs.Counter
-	ctrStreamRows, ctrStreamGroups                    *obs.Counter
-	ctrStreamShed, ctrStreamBlocked                   *obs.Counter
-	ctrSLOViolations, ctrCheckpointDeclined           *obs.Counter
-	ctrFlightDumps                                    *obs.Counter
-	gQueueDepth, gStaleRows, gUnhealthy               *obs.Gauge
-	gSnapBytes, gSnapGen, gIngestBuffer               *obs.Gauge
+	obsv obs.Observer
 
 	// maintMu admits one maintainer at a time, honoring the engine's
 	// one-maintainer contract. Only maintain takes it.
@@ -460,21 +449,59 @@ func (s *Server) maintain(f func() error) error {
 	return f()
 }
 
+// serverStats is every serving counter and gauge, resolved once from the
+// server's registry — the observer's, or a private one without an observer
+// — so each fact is counted in one place: Stats reads these counters and
+// /metrics renders the same ones. The two histograms feed Stats and the
+// telemetry plane's latency and lag families.
 type serverStats struct {
-	queries, hits, misses, rejected, backpressured atomic.Int64
-	epochs, incRefreshes, recomputes, deltaRows    atomic.Int64
-	refreshReads, refreshWrites                    atomic.Int64
-	retries, refreshFailures, fallbacks            atomic.Int64
-	breakerTrips, degraded, panics, replayedRows   atomic.Int64
-	costObservations, costDrifts, recalibrations   atomic.Int64
-	streamRows, streamGroups                       atomic.Int64
-	streamShed, streamBlocked                      atomic.Int64
-	sloViolations                                  atomic.Int64
-	flightDumps                                    atomic.Int64
-	planRewrites                                   atomic.Int64
-	lat                                            obs.Hist
+	queries, hits, misses, rejected, backpressured *obs.Counter
+	epochs, incRefreshes, recomputes, deltaRows    *obs.Counter
+	refreshReads, refreshWrites                    *obs.Counter
+	retries, refreshFailures, fallbacks            *obs.Counter
+	breakerTrips, degraded, panics, replayedRows   *obs.Counter
+	costObservations, costDrifts, recalibrations   *obs.Counter
+	streamRows, streamGroups                       *obs.Counter
+	streamShed, streamBlocked                      *obs.Counter
+	sloViolations, checkpointDeclined              *obs.Counter
+	flightDumps, planRewrites                      *obs.Counter
+
+	queueDepth, staleRows, unhealthy *obs.Gauge
+	snapBytes, snapGen, ingestBuffer *obs.Gauge
+
+	lat obs.Hist
 	// streamLag is the accepted→group-committed latency of streamed rows.
 	streamLag obs.Hist
+}
+
+// resolve looks every counter and gauge up in reg.
+func (st *serverStats) resolve(reg *obs.Registry) {
+	for p, name := range map[**obs.Counter]string{
+		&st.queries: obs.CtrServeQueries, &st.hits: obs.CtrServeCacheHits,
+		&st.misses: obs.CtrServeCacheMisses, &st.rejected: obs.CtrServeRejected,
+		&st.backpressured: obs.CtrServeBackpressured, &st.epochs: obs.CtrServeEpochs,
+		&st.incRefreshes: obs.CtrServeIncrementalRefreshes, &st.recomputes: obs.CtrServeRecomputes,
+		&st.deltaRows: obs.CtrServeDeltaRows, &st.refreshReads: obs.CtrServeRefreshReads,
+		&st.refreshWrites: obs.CtrServeRefreshWrites, &st.retries: obs.CtrServeRetries,
+		&st.refreshFailures: obs.CtrServeRefreshFailures, &st.fallbacks: obs.CtrServeFallbacks,
+		&st.breakerTrips: obs.CtrServeBreakerTrips, &st.degraded: obs.CtrServeDegraded,
+		&st.panics: obs.CtrServePanics, &st.replayedRows: obs.CtrServeReplayedRows,
+		&st.costObservations: obs.CtrCostObservations, &st.costDrifts: obs.CtrCostDrifts,
+		&st.recalibrations: obs.CtrServeRecalibrations, &st.streamRows: obs.CtrServeStreamRows,
+		&st.streamGroups: obs.CtrServeStreamGroups, &st.streamShed: obs.CtrServeStreamShed,
+		&st.streamBlocked: obs.CtrServeStreamBlocked, &st.sloViolations: obs.CtrServeSLOViolations,
+		&st.checkpointDeclined: obs.CtrServeCheckpointDeclined, &st.flightDumps: obs.CtrServeFlightDumps,
+		&st.planRewrites: obs.CtrServePlanRewrites,
+	} {
+		*p = reg.Counter(name)
+	}
+	for p, name := range map[**obs.Gauge]string{
+		&st.queueDepth: obs.GaugeServeQueueDepth, &st.staleRows: obs.GaugeServeStaleRows,
+		&st.unhealthy: obs.GaugeServeUnhealthyViews, &st.snapBytes: obs.GaugeSnapshotBytes,
+		&st.snapGen: obs.GaugeSnapshotGeneration, &st.ingestBuffer: obs.GaugeServeIngestBufferRows,
+	} {
+		*p = reg.Gauge(name)
+	}
 }
 
 // New builds and starts a server: the worker pool and the maintenance
@@ -543,6 +570,11 @@ func newServer(cfg Config) (*Server, error) {
 	if s.snapRetain < 1 {
 		s.snapRetain = DefaultSnapshotRetain
 	}
+	reg := obs.RegistryOf(cfg.Obs)
+	if reg == nil {
+		reg = obs.NewRegistry()
+	}
+	s.stats.resolve(reg)
 	s.snapStats.Store(&SnapshotStats{Configured: s.snap != nil, Recovery: s.recovery})
 	s.baseCtx, s.cancel = context.WithCancel(context.Background())
 	s.winQueries = obs.NewWindowCounter(DefaultStatsWindow)
@@ -574,40 +606,6 @@ func newServer(cfg Config) (*Server, error) {
 	}
 	s.sched = sched
 	s.feed = newChangeFeed(s, cfg.Ingest)
-
-	s.ctrQueries = obs.CounterOf(cfg.Obs, obs.CtrServeQueries)
-	s.ctrHits = obs.CounterOf(cfg.Obs, obs.CtrServeCacheHits)
-	s.ctrMisses = obs.CounterOf(cfg.Obs, obs.CtrServeCacheMisses)
-	s.ctrRejected = obs.CounterOf(cfg.Obs, obs.CtrServeRejected)
-	s.ctrEpochs = obs.CounterOf(cfg.Obs, obs.CtrServeEpochs)
-	s.ctrDeltaRows = obs.CounterOf(cfg.Obs, obs.CtrServeDeltaRows)
-	s.ctrRefreshR = obs.CounterOf(cfg.Obs, obs.CtrServeRefreshReads)
-	s.ctrRefreshW = obs.CounterOf(cfg.Obs, obs.CtrServeRefreshWrites)
-	s.ctrRetries = obs.CounterOf(cfg.Obs, obs.CtrServeRetries)
-	s.ctrRefreshFail = obs.CounterOf(cfg.Obs, obs.CtrServeRefreshFailures)
-	s.ctrFallbacks = obs.CounterOf(cfg.Obs, obs.CtrServeFallbacks)
-	s.ctrBreakerTrips = obs.CounterOf(cfg.Obs, obs.CtrServeBreakerTrips)
-	s.ctrDegraded = obs.CounterOf(cfg.Obs, obs.CtrServeDegraded)
-	s.ctrPanics = obs.CounterOf(cfg.Obs, obs.CtrServePanics)
-	s.ctrReplayed = obs.CounterOf(cfg.Obs, obs.CtrServeReplayedRows)
-	s.ctrCostObs = obs.CounterOf(cfg.Obs, obs.CtrCostObservations)
-	s.ctrCostDrift = obs.CounterOf(cfg.Obs, obs.CtrCostDrifts)
-	s.ctrRecal = obs.CounterOf(cfg.Obs, obs.CtrServeRecalibrations)
-	s.ctrStreamRows = obs.CounterOf(cfg.Obs, obs.CtrServeStreamRows)
-	s.ctrStreamGroups = obs.CounterOf(cfg.Obs, obs.CtrServeStreamGroups)
-	s.ctrStreamShed = obs.CounterOf(cfg.Obs, obs.CtrServeStreamShed)
-	s.ctrStreamBlocked = obs.CounterOf(cfg.Obs, obs.CtrServeStreamBlocked)
-	s.ctrSLOViolations = obs.CounterOf(cfg.Obs, obs.CtrServeSLOViolations)
-	s.ctrCheckpointDeclined = obs.CounterOf(cfg.Obs, obs.CtrServeCheckpointDeclined)
-	s.ctrFlightDumps = obs.CounterOf(cfg.Obs, obs.CtrServeFlightDumps)
-	if reg := obs.RegistryOf(cfg.Obs); reg != nil {
-		s.gQueueDepth = reg.Gauge(obs.GaugeServeQueueDepth)
-		s.gStaleRows = reg.Gauge(obs.GaugeServeStaleRows)
-		s.gUnhealthy = reg.Gauge(obs.GaugeServeUnhealthyViews)
-		s.gSnapBytes = reg.Gauge(obs.GaugeSnapshotBytes)
-		s.gSnapGen = reg.Gauge(obs.GaugeSnapshotGeneration)
-		s.gIngestBuffer = reg.Gauge(obs.GaugeServeIngestBufferRows)
-	}
 
 	// A server booted from a snapshot resumes the snapshot's maintenance
 	// epoch (result epochs and per-view staleness stay monotonic across the
@@ -682,7 +680,6 @@ func (s *Server) Query(ctx context.Context, name string) (*Result, error) {
 func (s *Server) rejectOnce(req *request) {
 	if req.rejected.CompareAndSwap(false, true) {
 		s.stats.rejected.Add(1)
-		s.ctrRejected.Inc()
 		s.traceStage(req.qt, "reply", obs.String("outcome", "rejected"))
 	}
 }
@@ -720,7 +717,6 @@ func (s *Server) submit(ctx context.Context, name string, plan algebra.Node, key
 	start := time.Now()
 	nowSec := start.Unix()
 	s.stats.queries.Add(1)
-	s.ctrQueries.Inc()
 	s.winQueries.Add(nowSec, 1)
 
 	var qt sampledQuery
@@ -736,7 +732,6 @@ func (s *Server) submit(ctx context.Context, name string, plan algebra.Node, key
 	st := s.state.Load()
 	if table, ok := st.cache.get(key); ok {
 		s.stats.hits.Add(1)
-		s.ctrHits.Inc()
 		s.winHits.Add(nowSec, 1)
 		lat := time.Since(start)
 		s.stats.lat.Record(lat)
@@ -751,7 +746,6 @@ func (s *Server) submit(ctx context.Context, name string, plan algebra.Node, key
 		return &Result{Table: table, Cached: true, Epoch: st.epoch, Latency: lat}, nil
 	}
 	s.stats.misses.Add(1)
-	s.ctrMisses.Inc()
 	s.traceStage(qt, "cache_miss")
 
 	req := &request{ctx: ctx, plan: plan, key: key, name: name, qt: qt, done: make(chan response, 1)}
@@ -770,7 +764,7 @@ func (s *Server) submit(ctx context.Context, name string, plan algebra.Node, key
 			return nil, ErrClosed
 		}
 	}
-	s.gQueueDepth.Set(float64(len(s.queue)))
+	s.stats.queueDepth.Set(float64(len(s.queue)))
 
 	select {
 	case resp := <-req.done:
@@ -835,7 +829,6 @@ func (s *Server) handle(req *request) {
 	defer func() {
 		if r := recover(); r != nil {
 			s.stats.panics.Add(1)
-			s.ctrPanics.Inc()
 			req.done <- response{err: fmt.Errorf("serve: query worker recovered from panic: %v", r)}
 		}
 	}()
@@ -863,7 +856,6 @@ func (s *Server) handle(req *request) {
 		plan = req.plan
 		degraded = true
 		s.stats.degraded.Add(1)
-		s.ctrDegraded.Inc()
 		obs.Emit(s.obsv, obs.EvServeDegraded, obs.String("views", strings.Join(names, ",")))
 		s.traceStage(req.qt, "degraded", obs.String("views", strings.Join(names, ",")))
 	}
@@ -1009,39 +1001,41 @@ func (st Stats) CacheHitRate() float64 {
 	return float64(st.CacheHits) / float64(st.Queries)
 }
 
-// Stats snapshots the serving counters.
+// Stats snapshots the serving counters. They live in the observer's
+// registry (the server's own without an observer), so /metrics renders the
+// same values; servers built over one observer share them.
 func (s *Server) Stats() Stats {
 	up := time.Since(s.start)
 	lat, lag := s.stats.lat.Snapshot(), s.stats.streamLag.Snapshot()
 	st := Stats{
-		Queries:              s.stats.queries.Load(),
-		CacheHits:            s.stats.hits.Load(),
-		CacheMisses:          s.stats.misses.Load(),
-		Rejected:             s.stats.rejected.Load(),
-		Backpressured:        s.stats.backpressured.Load(),
-		Epochs:               s.stats.epochs.Load(),
-		IncrementalRefreshes: s.stats.incRefreshes.Load(),
-		Recomputes:           s.stats.recomputes.Load(),
-		DeltaRows:            s.stats.deltaRows.Load(),
-		RefreshReads:         s.stats.refreshReads.Load(),
-		RefreshWrites:        s.stats.refreshWrites.Load(),
-		Retries:              s.stats.retries.Load(),
-		RefreshFailures:      s.stats.refreshFailures.Load(),
-		IncrementalFallbacks: s.stats.fallbacks.Load(),
-		BreakerTrips:         s.stats.breakerTrips.Load(),
-		DegradedQueries:      s.stats.degraded.Load(),
-		PanicsRecovered:      s.stats.panics.Load(),
-		ReplayedDeltaRows:    s.stats.replayedRows.Load(),
-		CostObservations:     s.stats.costObservations.Load(),
-		CostDrifts:           s.stats.costDrifts.Load(),
-		Recalibrations:       s.stats.recalibrations.Load(),
-		StreamRows:           s.stats.streamRows.Load(),
-		StreamGroups:         s.stats.streamGroups.Load(),
-		StreamShed:           s.stats.streamShed.Load(),
-		StreamBlocked:        s.stats.streamBlocked.Load(),
-		SLOViolations:        s.stats.sloViolations.Load(),
-		FlightDumps:          s.stats.flightDumps.Load(),
-		PlanRewrites:         s.stats.planRewrites.Load(),
+		Queries:              s.stats.queries.Value(),
+		CacheHits:            s.stats.hits.Value(),
+		CacheMisses:          s.stats.misses.Value(),
+		Rejected:             s.stats.rejected.Value(),
+		Backpressured:        s.stats.backpressured.Value(),
+		Epochs:               s.stats.epochs.Value(),
+		IncrementalRefreshes: s.stats.incRefreshes.Value(),
+		Recomputes:           s.stats.recomputes.Value(),
+		DeltaRows:            s.stats.deltaRows.Value(),
+		RefreshReads:         s.stats.refreshReads.Value(),
+		RefreshWrites:        s.stats.refreshWrites.Value(),
+		Retries:              s.stats.retries.Value(),
+		RefreshFailures:      s.stats.refreshFailures.Value(),
+		IncrementalFallbacks: s.stats.fallbacks.Value(),
+		BreakerTrips:         s.stats.breakerTrips.Value(),
+		DegradedQueries:      s.stats.degraded.Value(),
+		PanicsRecovered:      s.stats.panics.Value(),
+		ReplayedDeltaRows:    s.stats.replayedRows.Value(),
+		CostObservations:     s.stats.costObservations.Value(),
+		CostDrifts:           s.stats.costDrifts.Value(),
+		Recalibrations:       s.stats.recalibrations.Value(),
+		StreamRows:           s.stats.streamRows.Value(),
+		StreamGroups:         s.stats.streamGroups.Value(),
+		StreamShed:           s.stats.streamShed.Value(),
+		StreamBlocked:        s.stats.streamBlocked.Value(),
+		SLOViolations:        s.stats.sloViolations.Value(),
+		FlightDumps:          s.stats.flightDumps.Value(),
+		PlanRewrites:         s.stats.planRewrites.Value(),
 		IngestLagP50:         lag.Quantile(0.50),
 		IngestLagP95:         lag.Quantile(0.95),
 		IngestLagP99:         lag.Quantile(0.99),
@@ -1144,7 +1138,6 @@ func (s *Server) dumpFlight(reason string, attrs ...obs.Attr) {
 	}
 	d := s.flight.Dump(reason, attrs...)
 	s.stats.flightDumps.Add(1)
-	s.ctrFlightDumps.Inc()
 	evAttrs := append([]obs.Attr{
 		obs.String("reason", reason),
 		obs.Int("records", int64(len(d.Records))),

@@ -61,7 +61,8 @@ type PipelineSpan struct {
 type QueryTrace struct {
 	// ID is the query ID minted at router admission; every stage of this
 	// query — and every EvServeQuery observer event it emitted — carries it.
-	// Write-path entries reuse the field for their own sequence number.
+	// Write-path entries reuse the field: an ingest's sequence number, an
+	// epoch's number, the served epoch a checkpoint persists.
 	ID uint64 `json:"query_id"`
 	// Kind distinguishes ring entries: "" or "query" for sampled queries,
 	// "ingest" for StreamIngest batches, "epoch" for maintenance epochs,
@@ -97,8 +98,8 @@ type sampledQuery struct {
 }
 
 // openEntry records the header of a new /traces entry into ring and returns
-// the entry's number. id is the entry's ID (query ID, epoch number,
-// checkpoint generation, ingest sequence); ctx its root context.
+// the entry's number. id is the entry's ID (query ID, epoch number, the
+// served epoch a checkpoint persists, ingest sequence); ctx its root context.
 func (s *Server) openEntry(ring *obs.Ring, kind string, id uint64, ctx obs.SpanContext, query string) uint64 {
 	entry := s.nextEntry.Add(1)
 	attrs := []obs.Attr{obs.Int("id", int64(id))}

@@ -461,3 +461,62 @@ func TestSnapshotDropViewColdStartStats(t *testing.T) {
 		t.Fatalf("warm boot stats = %+v, want all views restored", rs)
 	}
 }
+
+// TestCheckpointEntryNumberedByServedEpoch: a checkpoint's /traces entry is
+// numbered by the served epoch it persists — the epoch its root span
+// records — also on a server that resumed a snapshot's epoch, whose count
+// of epochs run restarts at zero.
+func TestCheckpointEntryNumberedByServedEpoch(t *testing.T) {
+	dir := t.TempDir()
+	opts := mvpp.ServeOptions{
+		Seed:        21,
+		SnapshotDir: filepath.Join(dir, "snaps"),
+		JournalPath: filepath.Join(dir, "deltas.journal"),
+	}
+	_, first := paperServer(t, opts)
+	if _, err := first.InjectDeltas(0.05); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := first.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if err := first.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	opts.TraceSampleEvery = 1
+	_, second := paperServer(t, opts)
+	if r := second.SnapshotStats().Recovery; r == nil || r.Cold || r.SnapshotEpoch < 1 {
+		t.Fatalf("second boot should resume a snapshot at epoch >= 1, got %+v", r)
+	}
+	if _, err := second.InjectDeltas(0.05); err != nil {
+		t.Fatal(err)
+	}
+	if err := second.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := second.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	var entry *mvpp.QueryTrace
+	for _, tr := range second.RecentTraces() {
+		if tr.Kind == "checkpoint" {
+			entry = &tr
+		}
+	}
+	if entry == nil {
+		t.Fatal("no checkpoint entry in /traces")
+	}
+	for _, sp := range entry.Spans {
+		if sp.Name == "snapshot.checkpoint" && sp.Parent == 0 {
+			if got := sp.Detail["epoch"]; got != int64(entry.ID) {
+				t.Fatalf("checkpoint entry %d, its root span's epoch %v", entry.ID, got)
+			}
+			return
+		}
+	}
+	t.Fatalf("checkpoint entry has no root span: %+v", entry.Spans)
+}
