@@ -69,7 +69,7 @@ func run() (status int) {
 		snapRetain    = flag.Int("snapshot-retain", 0, "snapshot generations retention GC keeps (0 = default 3)")
 		telemetryAddr = flag.String("telemetry", "", "serve the live telemetry plane on this address (/metrics, /healthz, /views, /traces, /lineage, /flight, /debug/pprof); the run self-scrapes it after the load")
 		flightDir     = flag.String("flight-dir", "", "write flight-recorder dumps to this directory when an SLO breach, breaker trip, checkpoint error, or recovery corruption latches (default $MVPP_FLIGHT_DIR)")
-		logLevel      = flag.String("log-level", "", "log serving spans and events to stderr at this level (debug, info, warn, error)")
+		logLevel      = flag.String("log-level", "", "log design spans and serving events to stderr at this level (debug, info, warn, error)")
 		traceOut      = flag.String("trace-out", "", "write a JSON trace of the serving run to this file")
 		pprofAddr     = flag.String("pprof", "", "serve net/http/pprof and expvar on this address (e.g. localhost:6060)")
 	)
