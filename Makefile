@@ -67,7 +67,8 @@ telemetry-smoke:
 # the expression arena's identity (same structural / semantic ID ⇔ same
 # StructuralKey / SemanticKey string), the
 # delta journal's open path (any bytes after a valid prefix: no error, the
-# prefix survives), the typed per-column statistics (the catalog entry of
+# prefix survives) and its floats (any bits, NaN payloads, ±Inf and −0
+# included, replay from the file exactly as from memory), the typed per-column statistics (the catalog entry of
 # any column equals the boxed reference's, bit for bit), and the snapshot
 # store's two on-disk decoders (any segment bytes: ErrSegmentCorrupt or a
 # table that re-encodes to those bytes; any manifest: rejected, or extents
@@ -81,6 +82,7 @@ fuzz-smoke:
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzBatchSelectNested -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzJoinKeyEncoding -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzJournalLine -fuzztime 5s
+	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzJournalFloatFidelity -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzRelationStats -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzReadTableSegment -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzDeltaLegProbe -fuzztime 5s

@@ -83,16 +83,19 @@ func mergeLanes(a, b []int32) []int32 {
 	return append(append(out, a...), b...)
 }
 
-// batchSelect evaluates the predicate into a selection vector, then
-// gathers every column by it once. I/O accounting is identical to the row
+// batchSelect evaluates the predicate into a selection vector over the
+// lanes the input selects (every row of a dense input) and returns the
+// input's columns with that vector: it gathers nothing. Whatever consumes
+// the result gathers the columns it keeps, once — a π none, a join or γ
+// its own, Execute the root's. I/O accounting is identical to the row
 // executor: every input block is read, every output block written.
 func (db *DB) batchSelect(sel *algebra.Select, in *Table, res *Result) (*Table, error) {
 	var f laneFail
-	lanes := evalPredBatch(sel.Pred, in, nil, &f)
+	lanes := evalPredBatch(sel.Pred, in, in.sel, &f)
 	if f.err != nil {
 		return nil, fmt.Errorf("engine: %w", f.err)
 	}
-	out := in.gatherTable(sel.Schema(), db.BlockRows, lanes)
+	out := &Table{Schema: sel.Schema(), BlockRows: db.BlockRows, cols: in.cols, nrows: len(lanes), sel: lanes, shared: in.storedCols()}
 	stats := OpStats{
 		Label:     sel.Label(),
 		Reads:     int64(in.NumBlocks()),
@@ -104,15 +107,16 @@ func (db *DB) batchSelect(sel *algebra.Select, in *Table, res *Result) (*Table, 
 	return out, nil
 }
 
-// batchProject re-binds whole columns to the output schema — zero copies,
-// zero per-row work. Published tables are immutable, so sharing the
-// column vectors is safe; only the accounting touches the block counts.
+// batchProject re-binds whole columns to the output schema, with the
+// input's selection vector — zero copies, zero per-row work. Published
+// tables are immutable, so sharing the column vectors is safe; only the
+// accounting touches the block counts.
 func (db *DB) batchProject(p *algebra.Project, in *Table, res *Result) (*Table, error) {
 	outSchema, idx, err := resolveProjection(p, in)
 	if err != nil {
 		return nil, err
 	}
-	out := &Table{Name: "", Schema: outSchema, BlockRows: db.BlockRows, nrows: in.nrows}
+	out := &Table{Name: "", Schema: outSchema, BlockRows: db.BlockRows, nrows: in.nrows, sel: in.sel, shared: in.storedCols()}
 	out.cols = make([]*colvec, len(idx))
 	for i, j := range idx {
 		out.cols[i] = in.cols[j]
@@ -128,9 +132,10 @@ func (db *DB) batchProject(p *algebra.Project, in *Table, res *Result) (*Table, 
 	return out, nil
 }
 
-// evalPredBatch returns the lanes of sel (nil: every row of tab) on which p
-// holds, as a fresh or input vector that is never nil, and records the
-// lowest failing lane in f.
+// evalPredBatch returns the lanes of sel (nil: every row of tab, which then
+// carries no selection) on which p holds, as a vector that is never nil and
+// that no caller writes into — fresh, the input, or a column's postings
+// list — and records the lowest failing lane in f.
 func evalPredBatch(p algebra.Predicate, tab *Table, sel []int32, f *laneFail) []int32 {
 	n := tab.NumRows()
 	switch v := p.(type) {
@@ -359,10 +364,12 @@ func codeLanes(codes []uint32, hold []uint8, sel, out []int32) []int32 {
 }
 
 // evalCompareBatch evaluates one comparison over the lanes of sel. The
-// operand classes are resolved once and a column on the left with typed,
-// null-free operands runs a typed lane loop; everything else — nulls, mixed
-// kinds, generic columns, a literal on the left (algebra.Compare never
-// builds one) — compares value-at-a-time.
+// operand classes are resolved once. A stored relation's null-free string
+// column equal to a literal, with a dictionary shorter than the column,
+// reads the literal's postings list; any other column on the left with
+// typed, null-free operands runs a typed lane loop; everything else —
+// nulls, mixed kinds, generic columns, a literal on the left
+// (algebra.Compare never builds one) — compares value-at-a-time.
 func evalCompareBatch(c *algebra.Comparison, tab *Table, sel []int32, f *laneFail) []int32 {
 	n := tab.NumRows()
 	left, ok := resolveSide(c.Left, tab, sel, n, f)
@@ -373,8 +380,12 @@ func evalCompareBatch(c *algebra.Comparison, tab *Table, sel []int32, f *laneFai
 	if !ok {
 		return []int32{}
 	}
-	out := make([]int32, numLanes(sel, n))
 	l, r := left.col, right.col
+	if c.Op == algebra.OpEq && r == nil && l != nil && left.isString() && right.isString() &&
+		len(l.dict) < l.n && tab.storedCols() {
+		return l.eqLanes(right.lit.Str, sel)
+	}
+	out := make([]int32, numLanes(sel, n))
 	switch {
 	case l != nil && left.numeric() && right.numeric():
 		want := holdsTable(c.Op)

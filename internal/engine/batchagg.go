@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 	"strings"
 
 	"github.com/warehousekit/mvpp/internal/algebra"
@@ -12,11 +13,15 @@ import (
 // executor), then each aggregate runs as a typed column loop over the
 // group-id vector. Columns that carry nulls or mixed kinds fall back to
 // the reference accumulator value-at-a-time, which keeps error behavior
-// (e.g. SUM over a non-numeric value) bit-identical.
+// (e.g. SUM over a non-numeric value) bit-identical. An input that carries
+// a selection has its key and argument columns gathered by it, and no other.
 func (db *DB) batchAggregate(agg *algebra.Aggregate, in *Table, res *Result) (*Table, error) {
 	groupIdx, argIdx, err := resolveAggregate(agg, in)
 	if err != nil {
 		return nil, err
+	}
+	if in.sel != nil {
+		in = in.denseCols(append(slices.Clip(groupIdx), argIdx...)...)
 	}
 	n := in.NumRows()
 	gids, firstRow := assignGroups(in, groupIdx)

@@ -11,7 +11,11 @@ import (
 // block charge. Each produces its output by first collecting (left, right)
 // row-index pairs in exactly the emission order of the row reference
 // executor, then gathering every output column once — no per-row tuple
-// allocation, no per-value interface dispatch on the typed fast paths.
+// allocation, no per-value interface dispatch on the typed fast paths. An
+// input that carries a selection (a σ below the join) is matched on its
+// condition columns, gathered by the selection (joinInputs), and its output
+// columns are gathered straight from its own by the pairs composed with the
+// selection.
 
 // pairMatcher reports whether left row li matches right row ri under one
 // resolved equi-condition.
@@ -88,12 +92,37 @@ func (c *colvec) numAt(i int) float64 {
 	return float64(c.ints[i])
 }
 
+// joinInputs returns what the join matches on: each input, its condition
+// columns gathered by its selection when it carries one (see denseCols).
+func joinInputs(conds []condIdx, left, right *Table) (*Table, *Table) {
+	if left.sel == nil && right.sel == nil {
+		return left, right
+	}
+	li, ri := make([]int, len(conds)), make([]int, len(conds))
+	for i, c := range conds {
+		li[i], ri[i] = c.li, c.ri
+	}
+	return left.denseCols(li...), right.denseCols(ri...)
+}
+
+// throughSel maps the row positions idx of a table to its columns' rows, in
+// place: through its selection when it carries one.
+func throughSel(t *Table, idx []int32) {
+	if t.sel != nil {
+		for k, i := range idx {
+			idx[k] = t.sel[i]
+		}
+	}
+}
+
 // joinOutput gathers the matched pairs into the result table — left
 // columns by lidx, right columns by ridx, one pass per column — and
 // accounts the operator under its label and read charge.
 func (db *DB) joinOutput(label string, reads int64, left, right *Table, lidx, ridx []int32, res *Result) *Table {
 	out := &Table{Name: "", Schema: left.Schema.Concat(right.Schema), BlockRows: db.BlockRows, nrows: len(lidx)}
 	out.cols = make([]*colvec, 0, len(left.cols)+len(right.cols))
+	throughSel(left, lidx)
+	throughSel(right, ridx)
 	for _, c := range left.cols {
 		out.cols = append(out.cols, c.gather(lidx))
 	}
@@ -185,7 +214,8 @@ func (db *DB) batchJoin(j *algebra.Join, left, right *Table, res *Result) (*Tabl
 	if err != nil {
 		return nil, err
 	}
-	keyed, ms := joinMatchers(conds, left, right)
+	lm, rm := joinInputs(conds, left, right)
+	keyed, ms := joinMatchers(conds, lm, rm)
 	var lidx, ridx []int32
 	outerBlocks := left.NumBlocks()
 	nLeft, nRight := left.NumRows(), right.NumRows()
@@ -195,8 +225,8 @@ func (db *DB) batchJoin(j *algebra.Join, left, right *Table, res *Result) (*Tabl
 		// Emission order is preserved — each index list is ascending, and
 		// for every (outer block, right row) the matches inside the block
 		// come out in row order, exactly the triple loop's order.
-		idx := equalityIndex(left.cols[conds[keyed].li], nLeft)
-		rc := right.cols[conds[keyed].ri]
+		idx := equalityIndex(lm.cols[conds[keyed].li], nLeft)
+		rc := rm.cols[conds[keyed].ri]
 		rkeys := make([]uint64, nRight)
 		for ri := range rkeys {
 			rkeys[ri] = imageKey(rc.numAt(ri))
@@ -253,12 +283,13 @@ func (db *DB) batchHashJoin(j *algebra.Join, left, right *Table, res *Result) (*
 	if err != nil {
 		return nil, err
 	}
-	keyed, ms := joinMatchers(conds, left, right)
+	lm, rm := joinInputs(conds, left, right)
+	keyed, ms := joinMatchers(conds, lm, rm)
 	var lidx, ridx []int32
 	nLeft, nRight := left.NumRows(), right.NumRows()
 	if keyed >= 0 {
-		idx := equalityIndex(right.cols[conds[keyed].ri], nRight)
-		lc := left.cols[conds[keyed].li]
+		idx := equalityIndex(rm.cols[conds[keyed].ri], nRight)
+		lc := lm.cols[conds[keyed].li]
 		for li := 0; li < nLeft; li++ {
 			for _, ri := range idx[imageKey(lc.numAt(li))] {
 				lidx = append(lidx, int32(li))

@@ -81,6 +81,9 @@ type colvec struct {
 	// claim is the append claim on the payload's backing array (see
 	// above); nil when the column has none to share.
 	claim *atomic.Int64
+	// post caches the string column's postings (see postings); nil until σ
+	// first tests the column for equality.
+	post atomic.Pointer[postings]
 }
 
 // bit helpers for the null bitmap. bitSet grows a bitmap only as far as its
@@ -491,6 +494,76 @@ func (c *colvec) gather(idx []int32) *colvec {
 				out.nulls = bitSet(out.nulls, o)
 				out.numNulls++
 			}
+		}
+	}
+	return out
+}
+
+// postings is a string column's inverted index: the rows holding code k
+// are rows[start[k]:start[k+1]], ascending. σ builds it the first time it
+// tests a stored relation's column for equality with a literal, and then
+// answers col = 'lit' with one list instead of a pass over every row. A
+// published column is immutable, so its postings stay valid for its
+// lifetime and cost no upkeep; the one mutable window is the setup phase,
+// where Insert grows a column in place, and the row-count guard (as on
+// Table.stats) drops postings the column has outgrown.
+type postings struct {
+	n     int // the column's row count when they were built
+	start []int32
+	rows  []int32
+}
+
+// postings returns the column's postings, building and caching them when
+// it has none for its current rows. Concurrent first callers each build
+// the same postings, and the last store wins.
+func (c *colvec) postings() *postings {
+	if p := c.post.Load(); p != nil && p.n == c.n {
+		return p
+	}
+	codes := c.codes[:c.n]
+	p := &postings{n: c.n, start: make([]int32, len(c.dict)+1), rows: make([]int32, c.n)}
+	for _, code := range codes {
+		p.start[code+1]++
+	}
+	for k := 1; k < len(p.start); k++ {
+		p.start[k] += p.start[k-1]
+	}
+	// Each code's next free slot is start[code]; filling advances it to
+	// start[code+1], and the shift below restores the starts.
+	for i, code := range codes {
+		p.rows[p.start[code]] = int32(i)
+		p.start[code]++
+	}
+	copy(p.start[1:], p.start[:len(p.start)-1])
+	p.start[0] = 0
+	c.post.Store(p)
+	return p
+}
+
+// eqLanes returns the rows of the string column that hold s, ascending,
+// among the lanes of sel (nil: every row), read off its postings. The list
+// without sel is the postings' own, capacity-capped: no caller writes into
+// a selection vector.
+func (c *colvec) eqLanes(s string, sel []int32) []int32 {
+	code := slices.Index(c.dict, s)
+	if code < 0 {
+		return []int32{}
+	}
+	p := c.postings()
+	list := p.rows[p.start[code]:p.start[code+1]:p.start[code+1]]
+	if sel == nil {
+		return list
+	}
+	out := make([]int32, 0, min(len(list), len(sel)))
+	for len(list) > 0 && len(sel) > 0 {
+		switch {
+		case list[0] < sel[0]:
+			list = list[1:]
+		case list[0] > sel[0]:
+			sel = sel[1:]
+		default:
+			out = append(out, list[0])
+			list, sel = list[1:], sel[1:]
 		}
 	}
 	return out

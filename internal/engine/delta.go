@@ -362,7 +362,7 @@ func (ep *MaintenanceEpoch) delta(n algebra.Node, res *Result) (epochEntry, erro
 			t = NewTable("", v.Schema(), db.BlockRows)
 		}
 	case *algebra.Select:
-		t, err = db.ops.sel(db, v, in[0], res)
+		t, err = db.denseSel(v, in[0], res)
 	case *algebra.Project:
 		t, err = db.ops.project(db, v, in[0], res)
 	case *algebra.Aggregate:

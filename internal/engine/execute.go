@@ -137,11 +137,13 @@ func (rs *RelationSet) Execute(plan algebra.Node) (*Result, error) {
 			OutBlocks: out.NumBlocks(),
 		})
 	}
-	res.Table = out
+	res.Table = out.dense()
 	return res, nil
 }
 
-// exec evaluates n over the set's relations, metering every operator into res.
+// exec evaluates n over the set's relations, metering every operator into
+// res. What it returns may carry a selection (see Table.sel); Execute
+// gathers it dense, and nothing else sees it.
 func (rs *RelationSet) exec(n algebra.Node, res *Result) (*Table, error) {
 	db := rs.db
 	switch v := n.(type) {
@@ -178,6 +180,16 @@ func (rs *RelationSet) exec(n algebra.Node, res *Result) (*Table, error) {
 	default:
 		return nil, fmt.Errorf("engine: cannot execute node type %T", n)
 	}
+}
+
+// denseSel is σ for the maintenance epoch's walkers, which keep every table
+// dense: the selection is gathered before the result leaves.
+func (db *DB) denseSel(s *algebra.Select, in *Table, res *Result) (*Table, error) {
+	out, err := db.ops.sel(db, s, in, res)
+	if err != nil {
+		return nil, err
+	}
+	return out.dense(), nil
 }
 
 // opJoin picks the physical join. A metered join (res non-nil: queries and

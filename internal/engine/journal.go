@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -114,7 +115,10 @@ func (j *MemJournal) Close() error { return nil }
 // journal file format: one JSON object per line, either a delta record
 // ({"t":"d","lsn":N,"table":...,"rows":[[...]]}) or an LSN-floor line
 // ({"t":"c","lsn":N}) that Truncate writes first so the sequence never
-// restarts below N. Values serialize as {k,i,f,s} with zero fields omitted.
+// restarts below N. Values serialize as {k,i,b,s} with zero fields omitted,
+// b being the float payload's IEEE-754 bits, so NaN payloads, ±Inf and −0
+// replay exactly; journals written before that carry the float as a
+// decimal f, which still reads.
 // The format is append-only; a torn final line (crash mid-append) is
 // detected by its parse failure or its missing newline and discarded on
 // open. A group is nothing but its records' lines written together, so a
@@ -131,14 +135,15 @@ type journalLine struct {
 type journaleVal struct {
 	K int     `json:"k"`
 	I int64   `json:"i,omitempty"`
-	F float64 `json:"f,omitempty"`
+	B uint64  `json:"b,omitempty"`
+	F float64 `json:"f,omitempty"` // read only: the older format's float
 	S string  `json:"s,omitempty"`
 }
 
 func encodeRow(row []algebra.Value) []journaleVal {
 	out := make([]journaleVal, len(row))
 	for i, v := range row {
-		out[i] = journaleVal{K: int(v.Kind), I: v.Int, F: v.Float, S: v.Str}
+		out[i] = journaleVal{K: int(v.Kind), I: v.Int, B: math.Float64bits(v.Float), S: v.Str}
 	}
 	return out
 }
@@ -155,7 +160,11 @@ func encodeDelta(enc *json.Encoder, r DeltaRecord) error {
 func decodeRow(row []journaleVal) []algebra.Value {
 	out := make([]algebra.Value, len(row))
 	for i, v := range row {
-		out[i] = algebra.Value{Kind: algebra.Type(v.K), Int: v.I, Float: v.F, Str: v.S}
+		f := v.F
+		if v.B != 0 {
+			f = math.Float64frombits(v.B)
+		}
+		out[i] = algebra.Value{Kind: algebra.Type(v.K), Int: v.I, Float: f, Str: v.S}
 	}
 	return out
 }

@@ -111,7 +111,7 @@ func (ep *MaintenanceEpoch) operand(n algebra.Node, st relState, f *probeFilter)
 		if in == nil {
 			return nil, err
 		}
-		return db.ops.sel(db, v, in, nil)
+		return db.denseSel(v, in, nil)
 	case *algebra.Project:
 		in, err := ep.operand(v.Input, st, f)
 		if in == nil {

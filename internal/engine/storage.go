@@ -72,6 +72,15 @@ type Table struct {
 	BlockRows int
 	cols      []*colvec
 	nrows     int
+	// sel, when non-nil, is the table's selection vector: its rows are the
+	// rows of cols at these ascending lanes, and nrows is len(sel). Only σ
+	// and π return such a table, and only RelationSet.exec holds one: every
+	// operator it feeds reads through the lanes, and Execute gathers the
+	// result dense (see batchSelect).
+	sel []int32
+	// shared marks an anonymous σ or π result whose columns are a stored
+	// relation's; see storedCols.
+	shared bool
 	// stats caches this table's derived catalog entry. Published tables are
 	// immutable (maintenance swaps whole *Table pointers), so a computed
 	// entry stays valid for the table's lifetime; the only mutable window is
@@ -101,8 +110,13 @@ func NewTable(name string, schema *algebra.Schema, blockRows int) *Table {
 // Insert appends rows; each must match the schema width. Ingestion is
 // column-at-a-time: every column vector grows by the whole batch before
 // the next column is touched. A column whose backing array another table
-// already grew into moves to an array of its own first (see colvec).
+// already grew into moves to an array of its own first (see colvec). An
+// empty Insert changes nothing: a column's rows are recoded only as it
+// grows, which the postings' row-count guard relies on.
 func (t *Table) Insert(rows ...[]algebra.Value) error {
+	if len(rows) == 0 {
+		return nil
+	}
 	for _, r := range rows {
 		if len(r) != t.Schema.Len() {
 			return fmt.Errorf("engine: row width %d does not match schema width %d of %s",
@@ -258,6 +272,36 @@ func (t *Table) gatherTable(schema *algebra.Schema, blockRows int, idx []int32) 
 	u.cols = make([]*colvec, len(t.cols))
 	for ci, c := range t.cols {
 		u.cols[ci] = c.gather(idx)
+	}
+	return u
+}
+
+// storedCols reports whether the table's columns are a stored relation's —
+// a base table's, a view's, a delta buffer's: the table is one (it has a
+// name), or a σ or π over one. Only such columns get postings (see
+// colvec.postings); an operator's fresh output would build them for nothing.
+func (t *Table) storedCols() bool { return t.Name != "" || t.shared }
+
+// dense returns the receiver with its selection applied: itself when it
+// carries none, else a fresh table that gathers each column once.
+func (t *Table) dense() *Table {
+	if t.sel == nil {
+		return t
+	}
+	return t.gatherTable(t.Schema, t.BlockRows, t.sel)
+}
+
+// denseCols is dense for an operator that reads only the columns at idx: the
+// others of the table it returns are nil.
+func (t *Table) denseCols(idx ...int) *Table {
+	if t.sel == nil {
+		return t
+	}
+	u := &Table{Schema: t.Schema, BlockRows: t.BlockRows, nrows: t.nrows, cols: make([]*colvec, len(t.cols))}
+	for _, i := range idx {
+		if i >= 0 && u.cols[i] == nil {
+			u.cols[i] = t.cols[i].gather(t.sel)
+		}
 	}
 	return u
 }

@@ -234,19 +234,21 @@ func TestPreparedPlanSameNameRematerialized(t *testing.T) {
 	requireRewritesBounded(t, s, gens.published)
 }
 
-// TestMissAllocBudget guards the miss path without a wall clock: one
-// uncached Query of σ city='LA' over a stored Product ⋈ Division view at
-// scale 0.05 — one state load, the served plan, one selection-vector
-// pass, one gather — may allocate at most 1.25× what it does since string
-// columns are dictionary-coded (32 allocations, 9.7 KB: the gather copies
-// 4-byte codes, and σ's per-code table lives on the stack). When the
-// selection-vector kernels and prepared plans landed it was 35 allocations
-// and 10.9 KB (EXPERIMENTS "Miss path"); the bool-mask kernels with a
-// rewrite per miss took 72 allocations and 9.5 KB — a lane of the selection
-// vector is 4 bytes where the two masks spent 2. A change that goes back to
-// rewriting per miss, or allocates per conjunct over every row, fails here.
+// TestMissAllocBudget guards the miss path without a wall clock. Each row
+// is one uncached Query over a stored Product ⋈ Division view at scale 0.05
+// — one state load, the served plan, σ city='LA' answered from the city
+// column's postings, one gather at the root — and may allocate at most
+// 1.25× what it measured when σ began to carry its selection vector and π
+// to share it: a row's bytes are the columns the answer keeps, gathered
+// once. The history of the σ row: 35 allocations and 10.9 KB when the
+// selection-vector kernels and prepared plans landed (EXPERIMENTS "Miss
+// path"), 32 and 9.7 KB once string columns were dictionary-coded, when σ
+// gathered every column of the view itself; the bool-mask kernels with a
+// rewrite per miss took 72 allocations and 9.5 KB. A change that goes back
+// to rewriting per miss, allocates per conjunct over every row, or gathers
+// columns the answer drops fails here: the π∘σ row keeps two of the view's
+// columns and must cost a fraction of the σ row's bytes.
 func TestMissAllocBudget(t *testing.T) {
-	const measuredAllocs, measuredBytes = 32, 9_700
 	db, err := datagen.PaperDB(10, 0.05, 42)
 	if err != nil {
 		t.Fatal(err)
@@ -258,10 +260,11 @@ func TestMissAllocBudget(t *testing.T) {
 	if _, err := db.Materialize("pd", join); err != nil {
 		t.Fatal(err)
 	}
-	query := algebra.NewSelect(join, algebra.Eq(algebra.Ref("Division", "city"), algebra.StringVal("LA")))
+	sel := algebra.NewSelect(join, algebra.Eq(algebra.Ref("Division", "city"), algebra.StringVal("LA")))
+	proj := algebra.NewProject(sel, []algebra.ColumnRef{algebra.Ref("Product", "Pid"), algebra.Ref("Division", "city")})
 	s, err := New(Config{
 		DB:            db,
-		Queries:       []QuerySpec{{Name: "Q", Plan: query, Frequency: 1}},
+		Queries:       []QuerySpec{{Name: "Q", Plan: sel, Frequency: 1}, {Name: "QP", Plan: proj, Frequency: 1}},
 		Views:         []ViewSpec{{Name: "pd", Strategy: core.MaintRecompute}},
 		Workers:       1,
 		CacheCapacity: -1,
@@ -270,11 +273,42 @@ func TestMissAllocBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	rows := []struct {
+		query                         string
+		measuredAllocs, measuredBytes int
+	}{
+		{"Q", 31, 3_600},
+		{"QP", 37, 2_550},
+	}
+	bytesOf := map[string]float64{}
+	for _, row := range rows {
+		allocs, bytes := missAllocs(t, s, row.query)
+		bytesOf[row.query] = bytes
+		t.Logf("%s: one miss: %.0f allocations, %.0f bytes (budget 1.25 × %d, 1.25 × %d)",
+			row.query, allocs, bytes, row.measuredAllocs, row.measuredBytes)
+		if allocs > float64(row.measuredAllocs*5/4) {
+			t.Errorf("%s: one miss allocates %.0f times, budget %d (1.25 × %d)", row.query, allocs, row.measuredAllocs*5/4, row.measuredAllocs)
+		}
+		if bytes > float64(row.measuredBytes*5/4) {
+			t.Errorf("%s: one miss allocates %.0f bytes, budget %d (1.25 × %d)", row.query, bytes, row.measuredBytes*5/4, row.measuredBytes)
+		}
+	}
+	// The projection keeps 2 of the view's columns. While σ gathered every
+	// column, π∘σ cost σ's bytes and π's own on top.
+	if bytesOf["QP"] >= bytesOf["Q"] {
+		t.Errorf("π∘σ allocates %.0f bytes, σ alone %.0f: the miss gathers columns its answer drops", bytesOf["QP"], bytesOf["Q"])
+	}
+}
+
+// missAllocs returns what one uncached Query of the named query allocates,
+// as a count and in bytes, on average over 200 runs.
+func missAllocs(t *testing.T, s *Server, name string) (allocs, bytes float64) {
+	t.Helper()
 	ctx := context.Background()
 	miss := func() {
-		res, err := s.Query(ctx, "Q")
+		res, err := s.Query(ctx, name)
 		if err != nil || res.Cached || res.Table.NumRows() == 0 {
-			t.Fatalf("miss: %v (cached %v)", err, res != nil && res.Cached)
+			t.Fatalf("%s: miss: %v (cached %v)", name, err, res != nil && res.Cached)
 		}
 	}
 	miss() // warm the worker off the clock
@@ -282,14 +316,40 @@ func TestMissAllocBudget(t *testing.T) {
 	const runs = 200
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	allocs := testing.AllocsPerRun(runs, miss)
+	allocs = testing.AllocsPerRun(runs, miss)
 	runtime.ReadMemStats(&after)
-	bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
-	t.Logf("one miss: %.0f allocations, %.0f bytes (budget 1.25 × %d, 1.25 × %d)", allocs, bytes, measuredAllocs, measuredBytes)
-	if allocs > measuredAllocs*5/4 {
-		t.Errorf("one miss allocates %.0f times, budget %d (1.25 × %d)", allocs, measuredAllocs*5/4, measuredAllocs)
-	}
-	if bytes > measuredBytes*5/4 {
-		t.Errorf("one miss allocates %.0f bytes, budget %d (1.25 × %d)", bytes, measuredBytes*5/4, measuredBytes)
+	return allocs, float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1) // AllocsPerRun warms up once
+}
+
+// TestHitAllocBudget pins an unsampled cache hit at one allocation, the
+// *Result it returns, with and without a trace ring (one query in 2^20
+// sampled, the first: the warm-up takes it). A stage's attributes escape to
+// the heap even when traceStage drops them, so building them for an
+// unsampled hit cost two more.
+func TestHitAllocBudget(t *testing.T) {
+	for _, every := range []int{0, 1 << 20} {
+		db := paperServeDB(t)
+		s, err := New(Config{
+			DB:               db,
+			Queries:          []QuerySpec{{Name: "Q", Plan: laJoinPlan(t, db), Frequency: 1}},
+			TraceSampleEvery: every,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := context.Background()
+		if _, err := s.Query(ctx, "Q"); err != nil { // the miss that fills the cache
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			res, err := s.Query(ctx, "Q")
+			if err != nil || !res.Cached {
+				t.Fatalf("hit: %v (cached %v)", err, res != nil && res.Cached)
+			}
+		})
+		s.Close()
+		if allocs > 1 {
+			t.Errorf("TraceSampleEvery %d: one unsampled hit allocates %.0f times, want 1 (its *Result)", every, allocs)
+		}
 	}
 }

@@ -680,7 +680,9 @@ func (s *Server) Query(ctx context.Context, name string) (*Result, error) {
 func (s *Server) rejectOnce(req *request) {
 	if req.rejected.CompareAndSwap(false, true) {
 		s.stats.rejected.Add(1)
-		s.traceStage(req.qt, "reply", obs.String("outcome", "rejected"))
+		if req.qt.entry != 0 {
+			s.traceStage(req.qt, "reply", obs.String("outcome", "rejected"))
+		}
 	}
 }
 
@@ -736,13 +738,15 @@ func (s *Server) submit(ctx context.Context, name string, plan algebra.Node, key
 		lat := time.Since(start)
 		s.stats.lat.Record(lat)
 		s.winLat.Record(nowSec, lat)
+		// The guard keeps an unsampled hit from building the stages'
+		// attributes: they escape to the heap even when traceStage drops them.
 		if qt.entry != 0 {
 			s.joinEpochTrace(qt, st, true, 0)
 			s.exemplars.record(lat, qt.traceID, qt.id)
+			s.traceStage(qt, "cache_hit", obs.Int("epoch", int64(st.epoch)))
+			s.traceStage(qt, "reply",
+				obs.Bool("cached", true), obs.Int("latency_us", lat.Microseconds()))
 		}
-		s.traceStage(qt, "cache_hit", obs.Int("epoch", int64(st.epoch)))
-		s.traceStage(qt, "reply",
-			obs.Bool("cached", true), obs.Int("latency_us", lat.Microseconds()))
 		return &Result{Table: table, Cached: true, Epoch: st.epoch, Latency: lat}, nil
 	}
 	s.stats.misses.Add(1)
@@ -769,8 +773,10 @@ func (s *Server) submit(ctx context.Context, name string, plan algebra.Node, key
 	select {
 	case resp := <-req.done:
 		if resp.err != nil {
-			s.traceStage(qt, "reply", obs.String("outcome", "error"),
-				obs.String("error", resp.err.Error()))
+			if qt.entry != 0 {
+				s.traceStage(qt, "reply", obs.String("outcome", "error"),
+					obs.String("error", resp.err.Error()))
+			}
 			return nil, resp.err
 		}
 		resp.res.Latency = time.Since(start)
@@ -778,12 +784,12 @@ func (s *Server) submit(ctx context.Context, name string, plan algebra.Node, key
 		s.winLat.Record(time.Now().Unix(), resp.res.Latency)
 		if qt.entry != 0 {
 			s.exemplars.record(resp.res.Latency, qt.traceID, qt.id)
+			s.traceStage(qt, "reply",
+				obs.Bool("cached", false),
+				obs.Bool("degraded", resp.res.Degraded),
+				obs.Int("epoch", int64(resp.res.Epoch)),
+				obs.Int("latency_us", resp.res.Latency.Microseconds()))
 		}
-		s.traceStage(qt, "reply",
-			obs.Bool("cached", false),
-			obs.Bool("degraded", resp.res.Degraded),
-			obs.Int("epoch", int64(resp.res.Epoch)),
-			obs.Int("latency_us", resp.res.Latency.Microseconds()))
 		return resp.res, nil
 	case <-ctx.Done():
 		// The request is already admitted; the worker will complete it into
@@ -857,7 +863,9 @@ func (s *Server) handle(req *request) {
 		degraded = true
 		s.stats.degraded.Add(1)
 		obs.Emit(s.obsv, obs.EvServeDegraded, obs.String("views", strings.Join(names, ",")))
-		s.traceStage(req.qt, "degraded", obs.String("views", strings.Join(names, ",")))
+		if req.qt.entry != 0 {
+			s.traceStage(req.qt, "degraded", obs.String("views", strings.Join(names, ",")))
+		}
 	}
 	res, err := st.rels.Execute(plan)
 	if err != nil {

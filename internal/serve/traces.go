@@ -138,7 +138,9 @@ func traceLink(ring *obs.Ring, entry, traceID uint64) {
 
 // traceStage records one lifecycle stage of a sampled query and mirrors it
 // to the observer as an EvServeQuery event carrying the same query_id.
-// No-op for an unsampled query.
+// No-op for an unsampled query — but its attributes escape to the heap all
+// the same, so a caller on the query path that passes any checks
+// q.entry != 0 first (TestHitAllocBudget).
 func (s *Server) traceStage(q sampledQuery, stage string, attrs ...obs.Attr) {
 	if q.entry == 0 {
 		return
