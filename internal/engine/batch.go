@@ -112,17 +112,17 @@ func (db *DB) batchSelect(sel *algebra.Select, in *Table, res *Result) (*Table, 
 // tables are immutable, so sharing the column vectors is safe; only the
 // accounting touches the block counts.
 func (db *DB) batchProject(p *algebra.Project, in *Table, res *Result) (*Table, error) {
-	outSchema, idx, err := resolveProjection(p, in)
+	r, err := resolveProjection(p, in)
 	if err != nil {
 		return nil, err
 	}
-	out := &Table{Name: "", Schema: outSchema, BlockRows: db.BlockRows, nrows: in.nrows, sel: in.sel, shared: in.storedCols()}
-	out.cols = make([]*colvec, len(idx))
-	for i, j := range idx {
+	out := &Table{Name: "", Schema: r.Out, BlockRows: db.BlockRows, nrows: in.nrows, sel: in.sel, shared: in.storedCols()}
+	out.cols = make([]*colvec, len(r.Idx))
+	for i, j := range r.Idx {
 		out.cols[i] = in.cols[j]
 	}
 	stats := OpStats{
-		Label:     p.Label(),
+		Label:     r.Label,
 		Reads:     int64(in.NumBlocks()),
 		Writes:    int64(out.NumBlocks()),
 		OutRows:   out.NumRows(),

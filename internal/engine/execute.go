@@ -229,22 +229,14 @@ func resolveJoinConds(j *algebra.Join, left, right *Table) ([]condIdx, error) {
 // left and right schemas.
 type condIdx struct{ li, ri int }
 
-// resolveProjection resolves a projection's output schema and source
-// column positions.
-func resolveProjection(p *algebra.Project, in *Table) (*algebra.Schema, []int, error) {
-	outSchema, err := in.Schema.Project(p.Cols)
+// resolveProjection resolves a projection against its input, once per plan
+// node and input columns (algebra.Project.Resolve).
+func resolveProjection(p *algebra.Project, in *Table) (*algebra.Projection, error) {
+	r, err := p.Resolve(in.Schema)
 	if err != nil {
-		return nil, nil, fmt.Errorf("engine: %w", err)
+		return nil, fmt.Errorf("engine: %w", err)
 	}
-	idx := make([]int, len(p.Cols))
-	for i, ref := range p.Cols {
-		j, err := in.Schema.Resolve(ref)
-		if err != nil {
-			return nil, nil, fmt.Errorf("engine: %w", err)
-		}
-		idx[i] = j
-	}
-	return outSchema, idx, nil
+	return r, nil
 }
 
 // account meters one operator execution onto the result, the database

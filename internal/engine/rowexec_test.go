@@ -113,15 +113,15 @@ func (db *DB) rowSelect(sel *algebra.Select, in *Table, res *Result) (*Table, er
 
 // rowProject streams the input once.
 func (db *DB) rowProject(p *algebra.Project, in *Table, res *Result) (*Table, error) {
-	outSchema, idx, err := resolveProjection(p, in)
+	r, err := resolveProjection(p, in)
 	if err != nil {
 		return nil, err
 	}
 	rows := in.materializeRows()
-	out := NewTable("", outSchema, db.BlockRows)
+	out := NewTable("", r.Out, db.BlockRows)
 	for _, row := range rows {
-		vals := make([]algebra.Value, len(idx))
-		for i, j := range idx {
+		vals := make([]algebra.Value, len(r.Idx))
+		for i, j := range r.Idx {
 			vals[i] = row[j]
 		}
 		if err := out.Insert(vals); err != nil {
