@@ -10,6 +10,7 @@ import (
 	"os"
 	"path/filepath"
 	"sync"
+	"unicode/utf8"
 
 	"github.com/warehousekit/mvpp/internal/algebra"
 	"github.com/warehousekit/mvpp/internal/fault"
@@ -118,7 +119,10 @@ func (j *MemJournal) Close() error { return nil }
 // restarts below N. Values serialize as {k,i,b,s} with zero fields omitted,
 // b being the float payload's IEEE-754 bits, so NaN payloads, ±Inf and −0
 // replay exactly; journals written before that carry the float as a
-// decimal f, which still reads.
+// decimal f, which still reads. A string payload that is not valid UTF-8
+// is written as its bytes, x (base64), instead of s, which JSON would
+// coerce to U+FFFD per bad byte; every valid string stays in s, so the
+// lines of such strings are unchanged and older journals read.
 // The format is append-only; a torn final line (crash mid-append) is
 // detected by its parse failure or its missing newline and discarded on
 // open. A group is nothing but its records' lines written together, so a
@@ -138,12 +142,16 @@ type journaleVal struct {
 	B uint64  `json:"b,omitempty"`
 	F float64 `json:"f,omitempty"` // read only: the older format's float
 	S string  `json:"s,omitempty"`
+	X []byte  `json:"x,omitempty"` // a string that is not valid UTF-8, verbatim
 }
 
 func encodeRow(row []algebra.Value) []journaleVal {
 	out := make([]journaleVal, len(row))
 	for i, v := range row {
 		out[i] = journaleVal{K: int(v.Kind), I: v.Int, B: math.Float64bits(v.Float), S: v.Str}
+		if !utf8.ValidString(v.Str) {
+			out[i].S, out[i].X = "", []byte(v.Str)
+		}
 	}
 	return out
 }
@@ -164,7 +172,11 @@ func decodeRow(row []journaleVal) []algebra.Value {
 		if v.B != 0 {
 			f = math.Float64frombits(v.B)
 		}
-		out[i] = algebra.Value{Kind: algebra.Type(v.K), Int: v.I, Float: f, Str: v.S}
+		str := v.S
+		if v.X != nil {
+			str = string(v.X)
+		}
+		out[i] = algebra.Value{Kind: algebra.Type(v.K), Int: v.I, Float: f, Str: str}
 	}
 	return out
 }

@@ -343,3 +343,33 @@ func FuzzJournalFloatFidelity(f *testing.F) {
 		})
 	})
 }
+
+// TestFileJournalStringFidelity: the file journal replays every string a
+// MemJournal keeps byte for byte. JSON coerces each byte of a string that is
+// not valid UTF-8 to U+FFFD, so such strings once replayed changed: a stray
+// byte, a cut multi-byte sequence, an encoded surrogate, an overlong form,
+// beside valid strings JSON escapes (<, >, &, U+2028) and the empty string,
+// under a string kind and under an invalid one.
+func TestFileJournalStringFidelity(t *testing.T) {
+	requireJournalsAgree(t, [][]algebra.Value{
+		{algebra.StringVal("a\xffb"), algebra.StringVal("\xc3"), algebra.StringVal("\xed\xa0\x80")},
+		{algebra.StringVal("\xc0\xaf"), algebra.StringVal("\x00\xfe\xff"), algebra.StringVal("")},
+		{algebra.StringVal("São Paulo"), algebra.StringVal("<a&b>\u2028"), {Kind: 200, Str: "\x80"}},
+	})
+}
+
+// FuzzJournalStringFidelity is TestFileJournalStringFidelity over any
+// bytes: the string itself, with an invalid byte appended, under any kind
+// beside any int payload, next to a null.
+func FuzzJournalStringFidelity(f *testing.F) {
+	for _, s := range []string{"", "LA", "a\xffb", "\xc3", "\xed\xa0\x80", "São Paulo", "<a&b>\u2028", "\x00"} {
+		f.Add(s, int64(0), uint8(algebra.TypeString))
+	}
+	f.Add("\x80", int64(7), uint8(200))
+	f.Fuzz(func(t *testing.T, s string, i int64, kind uint8) {
+		requireJournalsAgree(t, [][]algebra.Value{
+			{algebra.StringVal(s), algebra.StringVal(s + "\xff"), {}},
+			{{Kind: algebra.Type(kind), Int: i, Str: s}},
+		})
+	})
+}
