@@ -67,8 +67,9 @@ telemetry-smoke:
 # the expression arena's identity (same structural / semantic ID ⇔ same
 # StructuralKey / SemanticKey string), the
 # delta journal's open path (any bytes after a valid prefix: no error, the
-# prefix survives) and its floats (any bits, NaN payloads, ±Inf and −0
-# included, replay from the file exactly as from memory), the typed per-column statistics (the catalog entry of
+# prefix survives), its floats (any bits, NaN payloads, ±Inf and −0
+# included, replay from the file exactly as from memory) and its strings
+# (any bytes, invalid UTF-8 included, the same), the typed per-column statistics (the catalog entry of
 # any column equals the boxed reference's, bit for bit), and the snapshot
 # store's two on-disk decoders (any segment bytes: ErrSegmentCorrupt or a
 # table that re-encodes to those bytes; any manifest: rejected, or extents
@@ -83,6 +84,7 @@ fuzz-smoke:
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzJoinKeyEncoding -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzJournalLine -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzJournalFloatFidelity -fuzztime 5s
+	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzJournalStringFidelity -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzRelationStats -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzReadTableSegment -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzDeltaLegProbe -fuzztime 5s
