@@ -75,7 +75,9 @@ telemetry-smoke:
 # table that re-encodes to those bytes; any manifest: rejected, or extents
 # in range, disjoint and summing to each entry's rows), and a join delta's
 # leg that probes its operand (the same rows, as a multiset, and the same
-# operator stats as the nested loop over the operand built whole). A few seconds
+# operator stats as the nested loop over the operand built whole), and the
+# row check (any values into typed tables: refused whole, the table
+# unchanged, or read back bit for bit). A few seconds
 # per target is enough to shake loose encoding mismatches in CI; long
 # sessions run the same targets with a bigger -fuzztime by hand.
 fuzz-smoke:
@@ -88,6 +90,7 @@ fuzz-smoke:
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzRelationStats -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzReadTableSegment -fuzztime 5s
 	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzDeltaLegProbe -fuzztime 5s
+	$(GO) test ./internal/engine -run '^$$' -fuzz FuzzInsertKinds -fuzztime 5s
 	$(GO) test ./internal/snapshot -run '^$$' -fuzz FuzzManifest -fuzztime 5s
 	$(GO) test ./internal/algebra -run '^$$' -fuzz FuzzExprIdentity -fuzztime 5s
 

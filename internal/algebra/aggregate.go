@@ -67,6 +67,7 @@ type Aggregate struct {
 	Aggs    []Aggregation
 
 	schema lazySchema
+	label  lazyLabel
 	ident  ident
 }
 
@@ -139,15 +140,17 @@ func (g *Aggregate) spec() string {
 
 // Label implements Node.
 func (g *Aggregate) Label() string {
-	var parts []string
-	for _, a := range g.Aggs {
-		parts = append(parts, a.String())
-	}
-	label := "γ " + strings.Join(parts, ", ")
-	if len(g.GroupBy) > 0 {
-		label += " BY " + refsString(g.GroupBy, false)
-	}
-	return label
+	return g.label.get(func() string {
+		var parts []string
+		for _, a := range g.Aggs {
+			parts = append(parts, a.String())
+		}
+		label := "γ " + strings.Join(parts, ", ")
+		if len(g.GroupBy) > 0 {
+			label += " BY " + refsString(g.GroupBy, false)
+		}
+		return label
+	})
 }
 
 // aggregateStructuralKey supports StructuralKey/SemanticKey for Aggregate.

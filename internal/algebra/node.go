@@ -39,6 +39,20 @@ func (l *lazySchema) get(resolve func() *Schema) *Schema {
 	return l.p.Load()
 }
 
+// lazyLabel keeps a node's Label, rendered on first use, the way lazySchema
+// keeps its schema: an executed σ, ⋈ or γ names its operator stats with it,
+// so a plan run again renders nothing.
+type lazyLabel struct{ p atomic.Pointer[string] }
+
+func (l *lazyLabel) get(render func() string) string {
+	if s := l.p.Load(); s != nil {
+		return *s
+	}
+	s := render()
+	l.p.CompareAndSwap(nil, &s)
+	return *l.p.Load()
+}
+
 // Scan reads a base relation.
 type Scan struct {
 	Relation string
@@ -71,6 +85,7 @@ type Select struct {
 	Input Node
 	Pred  Predicate
 
+	label lazyLabel
 	ident ident
 }
 
@@ -95,7 +110,9 @@ func (s *Select) Canonical() string {
 }
 
 // Label implements Node.
-func (s *Select) Label() string { return "σ " + predString(s.Pred) }
+func (s *Select) Label() string {
+	return s.label.get(func() string { return "σ " + predString(s.Pred) })
+}
 
 // Project restricts its input to the referenced columns.
 type Project struct {
@@ -202,6 +219,7 @@ type Join struct {
 	On    []JoinCond
 
 	schema lazySchema
+	label  lazyLabel
 	ident  ident
 }
 
@@ -237,7 +255,9 @@ func (j *Join) condString() string {
 }
 
 // Label implements Node.
-func (j *Join) Label() string { return "⋈ " + j.condString() }
+func (j *Join) Label() string {
+	return j.label.get(func() string { return "⋈ " + j.condString() })
+}
 
 // predString renders a possibly nil predicate.
 func predString(p Predicate) string {

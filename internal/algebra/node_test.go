@@ -283,6 +283,46 @@ func TestProjectResolveOncePerInput(t *testing.T) {
 	}
 }
 
+// TestLabelsRenderOncePerNode: σ, ⋈ and γ name their operator stats on
+// every execution, so each node keeps its label: asked again, it returns
+// the same string without allocating, and a node built afresh renders the
+// same one.
+func TestLabelsRenderOncePerNode(t *testing.T) {
+	div, prod := NewScan("Division", divisionSchema()), NewScan("Product", productSchema())
+	nodes := map[string]func() Node{
+		`σ Division.city = "LA"`: func() Node { return NewSelect(div, Eq(Ref("Division", "city"), StringVal("LA"))) },
+		"⋈ Division.Did = Product.Did": func() Node {
+			return NewJoin(prod, div, []JoinCond{{Left: Ref("Product", "Did"), Right: Ref("Division", "Did")}})
+		},
+		"γ COUNT(*) AS n BY Division.city": func() Node {
+			return NewAggregate(div, []ColumnRef{Ref("Division", "city")}, []Aggregation{{Func: AggCount, Alias: "n"}})
+		},
+	}
+	for want, build := range nodes {
+		n := build()
+		if got := n.Label(); got != want || build().Label() != want {
+			t.Errorf("label %q, want %q", got, want)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { _ = n.Label() }); allocs != 0 {
+			t.Errorf("%s: Label allocates %.0f times once rendered", want, allocs)
+		}
+		// Query workers share plan nodes: first callers racing on a fresh
+		// node all get the label.
+		shared := build()
+		var wg sync.WaitGroup
+		for g := 0; g < 4; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if got := shared.Label(); got != want {
+					t.Errorf("a concurrent first Label returned %q, want %q", got, want)
+				}
+			}()
+		}
+		wg.Wait()
+	}
+}
+
 // TestProjectResolveConcurrent: plan nodes are shared between query
 // workers, so one π may be resolved from several goroutines at once against
 // different inputs. Each caller must get the resolution of its own input,

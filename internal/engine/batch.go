@@ -368,7 +368,7 @@ func codeLanes(codes []uint32, hold []uint8, sel, out []int32) []int32 {
 // column equal to a literal, with a dictionary shorter than the column,
 // reads the literal's postings list; any other column on the left with
 // typed, null-free operands runs a typed lane loop; everything else —
-// nulls, mixed kinds, generic columns, a literal on the left
+// nulls, two operands of different kinds, a literal on the left
 // (algebra.Compare never builds one) — compares value-at-a-time.
 func evalCompareBatch(c *algebra.Comparison, tab *Table, sel []int32, f *laneFail) []int32 {
 	n := tab.NumRows()

@@ -58,7 +58,7 @@ func (db *DB) batchAggregate(agg *algebra.Aggregate, in *Table, res *Result) (*T
 			continue // served by sizes
 		}
 		col := in.cols[argIdx[i]]
-		k := col.typedKind()
+		k := col.kind
 		vectorizable := !col.hasNulls() &&
 			(k == algebra.TypeInt || k == algebra.TypeDate || k == algebra.TypeFloat ||
 				(k == algebra.TypeString && (a.Func == algebra.AggMin || a.Func == algebra.AggMax)))
@@ -281,7 +281,7 @@ func assignGroups(in *Table, groupIdx []int) ([]int32, []int32) {
 	if len(groupIdx) == 1 {
 		col := in.cols[groupIdx[0]]
 		if !col.hasNulls() {
-			switch col.typedKind() {
+			switch col.kind {
 			case algebra.TypeInt, algebra.TypeDate:
 				byKey := make(map[int64]int32, 64)
 				for r := 0; r < n; r++ {

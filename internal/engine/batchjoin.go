@@ -25,8 +25,8 @@ type pairMatcher func(li, ri int) bool
 // non-null numeric columns compare through float64 with Value.Compare's
 // exact three-way arithmetic — both orderings failing means "equal",
 // which is how the row engine matches NaN against anything — and typed
-// non-null string columns compare directly; anything else (nulls, mixed
-// kinds, generic columns) falls back to Value.Equal per pair, which is
+// non-null string columns compare directly; anything else (nulls, a string
+// against a number) falls back to Value.Equal per pair, which is
 // also what makes nulls never match, same as the row engine.
 func condMatcher(lc, rc *colvec) pairMatcher {
 	ln, rn := numericCol(lc), numericCol(rc)
@@ -54,7 +54,7 @@ func numericCol(c *colvec) bool {
 	if c.hasNulls() {
 		return false
 	}
-	switch c.typedKind() {
+	switch c.kind {
 	case algebra.TypeInt, algebra.TypeFloat, algebra.TypeDate:
 		return true
 	}
@@ -69,7 +69,7 @@ func equalityIndexable(c *colvec) bool {
 	if !numericCol(c) {
 		return false
 	}
-	if c.typedKind() == algebra.TypeFloat {
+	if c.kind == algebra.TypeFloat {
 		for _, f := range c.floats[:c.n] {
 			if math.IsNaN(f) {
 				return false
@@ -81,7 +81,7 @@ func equalityIndexable(c *colvec) bool {
 
 // stringCol reports whether the column feeds the typed string kernels.
 func stringCol(c *colvec) bool {
-	return !c.hasNulls() && c.typedKind() == algebra.TypeString
+	return !c.hasNulls() && c.kind == algebra.TypeString
 }
 
 // numAt returns a typed numeric column's float64 image at row i.
@@ -284,7 +284,7 @@ func (db *DB) batchJoin(j *algebra.Join, left, right *Table, res *Result) (*Tabl
 // equalityIndex over the right rows on the keyed condition and probes it
 // with the left rows in order, so output lands left row ascending, then its
 // right matches ascending. A join without an indexable condition (NaN,
-// null, string, mixed-kind or generic keys) runs its matchers pair by pair
+// null, string or mixed-kind keys) runs its matchers pair by pair
 // in the same probe order.
 func (db *DB) batchHashJoin(j *algebra.Join, left, right *Table, res *Result) (*Table, error) {
 	conds, err := resolveJoinConds(j, left, right)

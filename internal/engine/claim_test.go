@@ -8,9 +8,10 @@ import (
 	"github.com/warehousekit/mvpp/internal/algebra"
 )
 
-// claimSchema has one column of every storage representation: typed int,
-// float, string and date, one that demotes to generic, one that stays
-// all-null, and a pooled string column whose strings overlap across tags.
+// claimSchema has one column of every storage representation: int, float,
+// string and date, a string column whose nulls fall on word boundaries, one
+// that stays all-null, and a pooled string column whose strings overlap
+// across tags.
 var claimSchema = algebra.NewSchema(
 	algebra.Column{Relation: "R", Name: "i", Type: algebra.TypeInt},
 	algebra.Column{Relation: "R", Name: "f", Type: algebra.TypeFloat},
@@ -51,7 +52,7 @@ func claimRows(tag, n int) [][]algebra.Value {
 			row[2] = algebra.Value{}
 		}
 		if r%4 == 0 {
-			row[4] = algebra.IntVal(k) // column g holds strings and ints: generic
+			row[4] = algebra.Value{}
 		}
 		rows[r] = row
 	}

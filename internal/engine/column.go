@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"slices"
 	"sync/atomic"
 
@@ -8,15 +9,13 @@ import (
 )
 
 // colvec is one column's storage: a typed payload slice (the batch
-// executor's unit of work) plus a null bitmap. A column whose values all
-// share one kind stores bare payloads — []int64 for ints and dates,
-// []float64, and for strings []uint32 codes into a dictionary — and kernels
-// run typed loops over them; a column that ever receives heterogeneous
-// kinds demotes itself to a generic []algebra.Value representation that the
-// executors fall back to value-at-a-time. The zero algebra.Value is the
-// canonical null: it is recorded in the bitmap, not the payload. Any other
-// invalid value (an unknown Kind with payload bits set) also demotes to
-// generic so it round-trips verbatim.
+// executor's unit of work) plus a null bitmap. Every non-null value of a
+// column has one kind — Table.CheckRows refuses a row whose value's kind is
+// not its column's declared type before any column sees it — so a column
+// stores bare payloads: []int64 for ints and dates, []float64, and for
+// strings []uint32 codes into a dictionary, and kernels run typed loops
+// over them. The zero algebra.Value is the canonical null: it is recorded
+// in the bitmap, not the payload.
 //
 // A string column's dictionary holds each string once, in the order the
 // column (or the lineage it extends) first met it, and every code indexes
@@ -55,12 +54,11 @@ import (
 // capacity-capped, so nothing ever appends into it in place. A gathered or
 // sliced string column shares its source's dictionary the same way.
 type colvec struct {
-	// kind is the uniform kind of every non-null value appended so far;
-	// 0 while the column is empty or all-null, and meaningless once the
-	// column is generic.
+	// kind is the kind of every non-null value appended so far; 0 while
+	// the column is empty or all-null.
 	kind algebra.Type
-	// Typed payloads; exactly one is non-nil in typed state (nulls hold a
-	// zero placeholder so indices stay aligned).
+	// Typed payloads; the one of kind is non-nil once kind is set (nulls
+	// hold a zero placeholder so indices stay aligned).
 	ints   []int64 // TypeInt and TypeDate payloads
 	floats []float64
 	codes  []uint32 // TypeString payloads: row i holds dict[codes[i]]
@@ -71,8 +69,6 @@ type colvec struct {
 	// it is nil on a column that reads another's dictionary (a gather, a
 	// slice), and shared along a claim, never beyond it.
 	index map[string]uint32
-	// vals, when non-nil, is the authoritative generic representation.
-	vals []algebra.Value
 	// nulls marks rows holding the canonical null (the zero Value); nil
 	// when the column has none.
 	nulls    []uint64
@@ -107,27 +103,11 @@ func bitSet(bm []uint64, i int) []uint64 {
 // hasNulls reports whether any row of the column is null.
 func (c *colvec) hasNulls() bool { return c.numNulls > 0 }
 
-// typedKind returns the column's uniform kind when the typed fast paths
-// apply (typed state, at least implicitly typed); 0 when the column is
-// generic or still kindless.
-func (c *colvec) typedKind() algebra.Type {
-	if c.vals != nil {
-		return 0
-	}
-	return c.kind
-}
-
-// append adds one value to the column.
+// append adds one value to the column: the null, or a value of the
+// column's kind (any kind while it has none). Every row reaches a column
+// through Table.CheckRows or from a column of the same declared type, so
+// another value is a broken invariant, not input to refuse.
 func (c *colvec) append(v algebra.Value) {
-	if c.vals != nil {
-		c.vals = append(c.vals, v)
-		if !v.IsValid() {
-			c.nulls = bitSet(c.nulls, c.n)
-			c.numNulls++
-		}
-		c.n++
-		return
-	}
 	if v == (algebra.Value{}) {
 		c.nulls = bitSet(c.nulls, c.n)
 		c.numNulls++
@@ -135,20 +115,11 @@ func (c *colvec) append(v algebra.Value) {
 		c.n++
 		return
 	}
-	if !v.IsValid() {
-		// A non-canonical invalid value: only the generic representation
-		// preserves it verbatim.
-		c.demote()
-		c.append(v)
-		return
+	if c.kind == 0 && v.IsValid() {
+		c.adoptKind(v.Kind, c.n+1)
 	}
-	if c.kind == 0 {
-		c.adoptKind(v.Kind)
-	}
-	if !sameStorageKind(c.kind, v.Kind) {
-		c.demote()
-		c.append(v)
-		return
+	if c.kind == 0 || v.Kind != c.kind {
+		panic(fmt.Sprintf("engine: a %s value appended to a %s column", v.Kind, c.kind))
 	}
 	switch c.kind {
 	case algebra.TypeInt, algebra.TypeDate:
@@ -181,24 +152,19 @@ func (c *colvec) code(s string) uint32 {
 // strAt returns row i's string, or a null's placeholder.
 func (c *colvec) strAt(i int) string { return c.dict[c.codes[i]] }
 
-// sameStorageKind reports whether a value of kind v stores losslessly in a
-// column of kind k. Int and date share an int64 payload but render and
-// group differently, so they do not mix in one typed column.
-func sameStorageKind(k, v algebra.Type) bool { return k == v }
-
 // adoptKind fixes the column's kind after a kindless (all-null) prefix,
-// backfilling zero placeholders for the nulls already recorded. The payload
-// is a fresh array, so it has no claim.
-func (c *colvec) adoptKind(k algebra.Type) {
+// backfilling zero placeholders for the nulls already recorded, in a fresh
+// array with room for rows rows; having no claim, it shares nothing.
+func (c *colvec) adoptKind(k algebra.Type, rows int) {
 	c.kind = k
 	c.claim = nil
 	switch k {
 	case algebra.TypeInt, algebra.TypeDate:
-		c.ints = make([]int64, c.n, c.n+1)
+		c.ints = make([]int64, c.n, rows)
 	case algebra.TypeFloat:
-		c.floats = make([]float64, c.n, c.n+1)
+		c.floats = make([]float64, c.n, rows)
 	case algebra.TypeString:
-		c.codes, c.dict, c.index = make([]uint32, c.n, c.n+1), nil, nil
+		c.codes, c.dict, c.index = make([]uint32, c.n, rows), nil, nil
 		if c.n > 0 {
 			c.code("") // the nulls' placeholder, code 0
 		}
@@ -217,26 +183,8 @@ func (c *colvec) appendPlaceholder() {
 	}
 }
 
-// demote rewrites the column into the generic representation, in a fresh
-// array without a claim.
-func (c *colvec) demote() {
-	if c.vals != nil {
-		return
-	}
-	vals := make([]algebra.Value, c.n)
-	for i := 0; i < c.n; i++ {
-		vals[i] = c.valueAt(i)
-	}
-	c.vals = vals
-	c.ints, c.floats, c.codes, c.dict, c.index = nil, nil, nil, nil, nil
-	c.claim = nil
-}
-
 // valueAt reconstructs row i's value.
 func (c *colvec) valueAt(i int) algebra.Value {
-	if c.vals != nil {
-		return c.vals[i]
-	}
 	if bitGet(c.nulls, i) {
 		return algebra.Value{}
 	}
@@ -289,28 +237,17 @@ func appendBulk[T any](s, add []T, k int, claimed bool) ([]T, bool) {
 }
 
 // appended returns a column holding c's rows followed by o's, and whether it
-// claimed c's backing array. A typed column takes a typed or kindless (all
-// null) column of its kind, and a generic column any column, in one bulk
-// copy of o's payload — in place past c.n when the claim holds and the array
-// has room, into a fresh array otherwise; a string column codes o's strings
-// one by one against its dictionary (strRoom). Every other pair (c kindless,
-// kinds that differ, o generic under a typed c) is rebuilt value by value in
-// fresh arrays, which claim nothing of c's.
+// claimed c's backing array. A typed column takes a column of its kind or a
+// kindless (all null) one in one bulk copy of o's payload — in place past
+// c.n when the claim holds and the array has room, into a fresh array
+// otherwise; a string column codes o's strings one by one against its
+// dictionary (strRoom). A kindless c is rebuilt value by value in fresh
+// arrays, which claim nothing of c's.
 func (c *colvec) appended(o *colvec) (*colvec, bool) {
 	out := &colvec{kind: c.kind, n: c.n + o.n, numNulls: c.numNulls + o.numNulls}
 	var claimed, fresh bool
 	switch {
-	case c.vals != nil:
-		claimed = c.claimTail(o.n)
-		add := o.vals
-		if add == nil {
-			add = make([]algebra.Value, o.n)
-			for i := range add {
-				add[i] = o.valueAt(i)
-			}
-		}
-		out.vals, fresh = appendBulk(c.vals, add, o.n, claimed)
-	case c.kind != 0 && o.vals == nil && (o.kind == c.kind || o.kind == 0):
+	case c.kind != 0 && (o.kind == c.kind || o.kind == 0):
 		claimed = c.claimTail(o.n)
 		switch c.kind {
 		case algebra.TypeInt, algebra.TypeDate:
@@ -336,7 +273,7 @@ func (c *colvec) appended(o *colvec) (*colvec, bool) {
 		for i := 0; i < o.n; i++ {
 			out.append(o.valueAt(i))
 		}
-		if out.kind != 0 || out.vals != nil {
+		if out.kind != 0 {
 			out.claim = newClaim(out.n)
 		}
 		return out, false
@@ -410,8 +347,6 @@ func (c *colvec) reserve(k int) bool {
 	claimed := c.claimTail(k)
 	var fresh bool
 	switch {
-	case c.vals != nil:
-		c.vals, fresh = room(c.vals, k, claimed)
 	case c.ints != nil:
 		c.ints, fresh = room(c.ints, k, claimed)
 	case c.floats != nil:
@@ -431,9 +366,6 @@ func (c *colvec) reserve(k int) bool {
 // null bitmap, which cannot be sliced at a bit offset, is rebuilt.
 func (c *colvec) slice(lo, hi int) *colvec {
 	out := &colvec{kind: c.kind, n: hi - lo}
-	if c.vals != nil {
-		out.vals = c.vals[lo:hi:hi]
-	}
 	if c.ints != nil {
 		out.ints = c.ints[lo:hi:hi]
 	}
@@ -463,15 +395,6 @@ func (c *colvec) sharedDict() []string { return c.dict[:len(c.dict):len(c.dict)]
 func (c *colvec) gather(idx []int32) *colvec {
 	out := &colvec{kind: c.kind, n: len(idx)}
 	switch {
-	case c.vals != nil:
-		out.vals = make([]algebra.Value, len(idx))
-		for o, i := range idx {
-			out.vals[o] = c.vals[i]
-			if !out.vals[o].IsValid() {
-				out.nulls = bitSet(out.nulls, o)
-				out.numNulls++
-			}
-		}
 	case c.ints != nil:
 		out.ints = make([]int64, len(idx))
 		for o, i := range idx {
@@ -488,7 +411,7 @@ func (c *colvec) gather(idx []int32) *colvec {
 			out.codes[o] = c.codes[i]
 		}
 	}
-	if c.numNulls > 0 && c.vals == nil {
+	if c.numNulls > 0 {
 		for o, i := range idx {
 			if bitGet(c.nulls, int(i)) {
 				out.nulls = bitSet(out.nulls, o)

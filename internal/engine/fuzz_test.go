@@ -38,9 +38,14 @@ func fuzzValue(sel uint8, i int64, f float64, s string) algebra.Value {
 
 // fuzzRows decodes a byte string into a column of values, 9 bytes per
 // row: a class selector plus 8 payload bytes read as both int64 and
-// float64 bits (the tail also doubles as a string payload).
-func fuzzRows(data []byte) []algebra.Value {
+// float64 bits (the tail also doubles as a string payload). A null's
+// selector makes a null; the first other row's class fixes the column's
+// kind (an invalid one's makes it int), which every later non-null row
+// takes with its own payload. It returns the kind, TypeInt for a column of
+// nulls, and the values.
+func fuzzRows(data []byte) (algebra.Type, []algebra.Value) {
 	var out []algebra.Value
+	var class uint8
 	for len(data) >= 9 && len(out) < 64 {
 		sel := data[0]
 		bits := binary.LittleEndian.Uint64(data[1:9])
@@ -48,10 +53,20 @@ func fuzzRows(data []byte) []algebra.Value {
 		if n := int(sel % 7); n > 0 && n <= 8 {
 			str = string(data[1 : 1+n])
 		}
-		out = append(out, fuzzValue(sel, int64(bits), math.Float64frombits(bits), str))
 		data = data[9:]
+		if sel%6 == 0 {
+			out = append(out, algebra.Value{})
+			continue
+		}
+		if class == 0 {
+			class = max(sel%6%5, 1)
+		}
+		out = append(out, fuzzValue(class, int64(bits), math.Float64frombits(bits), str))
 	}
-	return out
+	if class == 0 {
+		return algebra.TypeInt, out
+	}
+	return fuzzValue(class, 0, 0, "").Kind, out
 }
 
 // encodeFuzzRow is the inverse of one fuzzRows step: a class selector and
@@ -92,9 +107,9 @@ func FuzzBatchSelectPredicate(f *testing.F) {
 	seed(pooledRows(40, 4, 7), 2, 3, 0, 0, "p2\x00", true)
 	seed(pooledRows(64, 5, 0), 5, 3, 0, 0, "p3", false)
 
-	schema := algebra.NewSchema(algebra.Column{Relation: "T", Name: "v", Type: algebra.TypeInt})
 	f.Fuzz(func(t *testing.T, rowData []byte, op, litSel uint8, litInt int64, litFloat float64, litStr string, negate bool) {
-		vals := fuzzRows(rowData)
+		kind, vals := fuzzRows(rowData)
+		schema := algebra.NewSchema(algebra.Column{Relation: "T", Name: "v", Type: kind})
 		rows := make([][]algebra.Value, len(vals))
 		for i, v := range vals {
 			rows[i] = []algebra.Value{v}
@@ -317,7 +332,8 @@ func FuzzBatchSelectNested(f *testing.F) {
 	}
 	iv, fv, dv, null := algebra.IntVal, algebra.FloatVal, algebra.DateVal, algebra.Value{}
 	ints := enc(iv(1), iv(5), iv(9), iv(-3), iv(5))
-	mixed := enc(iv(4), fv(4.5), null, fv(math.NaN()), dv(9500)) // generic, with a null lane
+	mixed := enc(fv(4), fv(4.5), null, fv(math.NaN()), fv(9500)) // floats against ints, with a null lane
+	dates := enc(dv(9500), null, dv(4), dv(9496))
 	floats := enc(fv(0), fv(math.Copysign(0, -1)), fv(math.Inf(-1)), fv(7), fv(math.NaN()))
 	strs := []byte{3, 'a', 0, 0, 0, 0, 0, 0, 0, 3, 'b', 0, 0, 0, 0, 0, 0, 0, 10, 'a', 'b', 'c', 0, 0, 0, 0, 0}
 	lt, le, eq, ne, ge := fzCmp(algebra.OpLt), fzCmp(algebra.OpLe), fzCmp(algebra.OpEq), fzCmp(algebra.OpNotEq), fzCmp(algebra.OpGe)
@@ -329,10 +345,10 @@ func FuzzBatchSelectNested(f *testing.F) {
 	f.Add(floats, ints, []byte{fzNot, eq, fzColCol}, uint8(2), int64(0), 0.0, "")
 	// a < 5 AND a <> missing: the And shields the lanes it already decided.
 	f.Add(ints, floats, []byte{fzAnd2, lt, fzColLit, ne, fzColMissing}, uint8(1), int64(5), 0.0, "")
-	// Depth 3 over a generic column: an And of an Or holding a Not, a
-	// three-way Or with a data literal and an unbound branch, and a
-	// literal-on-the-left leaf.
-	f.Add(mixed, floats, []byte{
+	// Depth 3 over a date column and a float one: an And of an Or holding
+	// a Not, a three-way Or with a data literal and an unbound branch, and
+	// a literal-on-the-left leaf.
+	f.Add(dates, floats, []byte{
 		fzAnd3,
 		fzOr2, fzNot, ne, fzColCol, fzAnd2, eq, fzColLit, le, fzColData + 10,
 		fzOr3, ge, fzColData + fzOnB + 20, lt, fzColMissing, eq, fzColLit,
@@ -349,15 +365,16 @@ func FuzzBatchSelectNested(f *testing.F) {
 	f.Add(pooled, pooledRows(48, 3, 0), []byte{fzOr2, eq, fzColLit, lt, fzColCol}, uint8(3), int64(0), 0.0, "p1\x00")
 	f.Add(pooled, pooledNulls, []byte{fzAnd2, fzNot, ge, fzColData + 30, ne, fzColLit + fzOnB}, uint8(3), int64(0), 0.0, "p0\x00")
 
-	cols := func(third string) *algebra.Schema {
-		return algebra.NewSchema(
-			algebra.Column{Relation: "T", Name: "a", Type: algebra.TypeInt},
-			algebra.Column{Relation: "T", Name: "b", Type: algebra.TypeInt},
-			algebra.Column{Relation: "T", Name: third, Type: algebra.TypeInt})
-	}
-	schema, scanSchema := cols("c"), cols("missing")
 	f.Fuzz(func(t *testing.T, rowsA, rowsB, prog []byte, litSel uint8, litInt int64, litFloat float64, litStr string) {
-		va, vb := fuzzRows(rowsA), fuzzRows(rowsB)
+		ka, va := fuzzRows(rowsA)
+		kb, vb := fuzzRows(rowsB)
+		cols := func(third string) *algebra.Schema {
+			return algebra.NewSchema(
+				algebra.Column{Relation: "T", Name: "a", Type: ka},
+				algebra.Column{Relation: "T", Name: "b", Type: kb},
+				algebra.Column{Relation: "T", Name: third, Type: algebra.TypeInt})
+		}
+		schema, scanSchema := cols("c"), cols("missing")
 		if len(vb) < len(va) {
 			va = va[:len(vb)]
 		}
@@ -373,18 +390,22 @@ func FuzzBatchSelectNested(f *testing.F) {
 // FuzzJoinKeyEncoding pins the one join equality: every join operator —
 // the nested loop, the hash join and their row references — matches a pair
 // of rows iff their keys are Value.Equal. The left side holds a, then b;
-// the right b, then a. So each value meets itself and the other, in typed
-// columns when the two share a kind and in generic ones when they do not.
-// With one row per block the nested loop's emission order is the hash
-// join's probe order, so all four outputs are the same sequence.
+// the right b, then a. A side's column k holds its first value and every
+// value of that kind, its column k2 a value of another kind, each declared
+// of the kind it holds; a side is joined on k and on k2 with each of the
+// other's. So each value meets itself and the other, in one column when the
+// two share a kind and across two when they do not. A value no column can
+// hold (an invalid kind) is a null. With one row per block the nested
+// loop's emission order is the hash join's probe order, so all four outputs
+// are the same sequence.
 func FuzzJoinKeyEncoding(f *testing.F) {
 	add := func(selA uint8, intA int64, floatA float64, strA string, selB uint8, intB int64, floatB float64, strB string) {
 		f.Add(selA, intA, floatA, strA, selB, intB, floatB, strB)
 	}
 	// Int 100 vs whole float 100.0, date vs int on the same epoch day, NaN
 	// payload variants (NaN equals everything), string "x" vs an invalid
-	// value carrying Str "x", the ±0 fold, null vs empty string, and two
-	// ints past 2^53 that share a float64 image.
+	// value carrying Str "x" (stored as the null), the ±0 fold, null vs
+	// empty string, and two ints past 2^53 that share a float64 image.
 	add(1, 100, 0, "", 2, 0, 100.0, "")
 	add(4, 9496, 0, "", 1, 9496, 0, "")
 	add(2, 0, math.NaN(), "", 2, 0, math.Float64frombits(0x7ff8000000000001), "")
@@ -398,52 +419,65 @@ func FuzzJoinKeyEncoding(f *testing.F) {
 	add(1, 1<<53+1, 0, "", 2, 0, 1<<53, "")
 
 	f.Fuzz(func(t *testing.T, selA uint8, intA int64, floatA float64, strA string, selB uint8, intB int64, floatB float64, strB string) {
-		a := fuzzValue(selA, intA, floatA, strA)
-		b := fuzzValue(selB, intB, floatB, strB)
-		lv, rv := []algebra.Value{a, b}, []algebra.Value{b, a}
-		side := func(rel string, vs []algebra.Value) *Table {
+		storable := func(v algebra.Value) algebra.Value {
+			if !v.IsValid() {
+				return algebra.Value{}
+			}
+			return v
+		}
+		a := storable(fuzzValue(selA, intA, floatA, strA))
+		b := storable(fuzzValue(selB, intB, floatB, strB))
+		side := func(rel string, vs ...algebra.Value) *Table {
+			types := []algebra.Type{max(vs[0].Kind, vs[1].Kind), algebra.TypeInt}
+			rows := [][]algebra.Value{{vs[0], {}, algebra.IntVal(0)}, {vs[1], {}, algebra.IntVal(1)}}
+			if vs[0].Kind != 0 && vs[1].Kind != 0 && vs[0].Kind != vs[1].Kind {
+				types = []algebra.Type{vs[0].Kind, vs[1].Kind}
+				rows[1] = []algebra.Value{{}, vs[1], algebra.IntVal(1)}
+			}
 			tab := NewTable(rel, algebra.NewSchema(
-				algebra.Column{Relation: rel, Name: "k", Type: vs[0].Kind},
+				algebra.Column{Relation: rel, Name: "k", Type: max(types[0], algebra.TypeInt)},
+				algebra.Column{Relation: rel, Name: "k2", Type: types[1]},
 				algebra.Column{Relation: rel, Name: "n", Type: algebra.TypeInt}), 1)
-			for i, v := range vs {
-				if err := tab.Insert([]algebra.Value{v, algebra.IntVal(int64(i))}); err != nil {
-					t.Fatal(err)
-				}
+			if err := tab.Insert(rows...); err != nil {
+				t.Fatal(err)
 			}
 			return tab
 		}
-		l, r := side("A", lv), side("B", rv)
-		var want []string
-		for li := range lv {
-			for ri := range rv {
-				if lv[li].Equal(rv[ri]) {
-					want = append(want, fmt.Sprint(li, ri))
+		l, r := side("A", a, b), side("B", b, a)
+		db := NewDB(1)
+		for _, keys := range [][2]int{{0, 0}, {0, 1}, {1, 0}, {1, 1}} {
+			var want []string
+			for li := 0; li < 2; li++ {
+				for ri := 0; ri < 2; ri++ {
+					if l.rowValues(li)[keys[0]].Equal(r.rowValues(ri)[keys[1]]) {
+						want = append(want, fmt.Sprint(li, ri))
+					}
 				}
 			}
-		}
-		j := algebra.NewJoin(algebra.NewScan("A", l.Schema), algebra.NewScan("B", r.Schema),
-			[]algebra.JoinCond{{Left: algebra.Ref("A", "k"), Right: algebra.Ref("B", "k")}})
-		db := NewDB(1)
-		for _, op := range []struct {
-			name string
-			join func(*algebra.Join, *Table, *Table, *Result) (*Table, error)
-		}{
-			{"nested loop", db.batchJoin},
-			{"hash", db.batchHashJoin},
-			{"row nested loop", db.rowJoin},
-			{"row hash", db.rowHashJoin},
-		} {
-			out, err := op.join(j, l, r, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			var got []string
-			for i := 0; i < out.NumRows(); i++ {
-				row := out.rowValues(i)
-				got = append(got, fmt.Sprint(row[1].Int, row[3].Int))
-			}
-			if !slices.Equal(got, want) {
-				t.Fatalf("%s join of %#v and %#v matched pairs %v, want the Value.Equal pairs %v", op.name, a, b, got, want)
+			j := algebra.NewJoin(algebra.NewScan("A", l.Schema), algebra.NewScan("B", r.Schema),
+				[]algebra.JoinCond{{Left: algebra.Ref("A", l.Schema.Columns[keys[0]].Name),
+					Right: algebra.Ref("B", r.Schema.Columns[keys[1]].Name)}})
+			for _, op := range []struct {
+				name string
+				join func(*algebra.Join, *Table, *Table, *Result) (*Table, error)
+			}{
+				{"nested loop", db.batchJoin},
+				{"hash", db.batchHashJoin},
+				{"row nested loop", db.rowJoin},
+				{"row hash", db.rowHashJoin},
+			} {
+				out, err := op.join(j, l, r, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var got []string
+				for i := 0; i < out.NumRows(); i++ {
+					row := out.rowValues(i)
+					got = append(got, fmt.Sprint(row[2].Int, row[5].Int))
+				}
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s join of %#v and %#v on %v matched pairs %v, want the Value.Equal pairs %v", op.name, a, b, keys, got, want)
+				}
 			}
 		}
 	})

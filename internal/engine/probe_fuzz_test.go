@@ -35,28 +35,58 @@ func probeKey(b byte) algebra.Value {
 	}
 }
 
-// probeTables decodes the fuzz input into up to three tables A, B, C(k, g,
-// n): two key bytes per row, dealt round-robin, n the row number; the last
-// deltas[i] rows of table i are its pending Δ.
-func probeTables(data []byte, deltas [3]int) (base, delta [3][][]algebra.Value) {
-	var rows [3][][]algebra.Value
-	for i := 0; i+1 < len(data) && i < 96; i += 2 {
-		t := i / 2 % 3
-		rows[t] = append(rows[t], []algebra.Value{probeKey(data[i]), probeKey(data[i+1]), algebra.IntVal(int64(len(rows[t])))})
+// probeKeyOf decodes a key byte into a key of kind k: probeKey's when it is
+// of that kind or null, else the same small number in kind k.
+func probeKeyOf(k algebra.Type, b byte) algebra.Value {
+	v := probeKey(b)
+	if !v.IsValid() || v.Kind == k {
+		return v
 	}
-	for t := range rows {
-		cut := max(0, len(rows[t])-deltas[t])
-		base[t], delta[t] = rows[t][:cut], rows[t][cut:]
+	n := int64(b >> 3 & 3)
+	switch k {
+	case algebra.TypeInt:
+		return algebra.IntVal(n)
+	case algebra.TypeFloat:
+		return algebra.FloatVal(float64(n))
+	default:
+		return algebra.StringVal(string(rune('a' + n)))
 	}
-	return base, delta
 }
 
-func probeSchema(rel string) *algebra.Schema {
-	return algebra.NewSchema(
-		algebra.Column{Relation: rel, Name: "k", Type: algebra.TypeFloat},
-		algebra.Column{Relation: rel, Name: "g", Type: algebra.TypeFloat},
-		algebra.Column{Relation: rel, Name: "n", Type: algebra.TypeInt},
-	)
+// probeTables decodes the fuzz input into up to three tables A, B, C(k, g,
+// n): two key bytes per row, dealt round-robin, n the row number; the last
+// deltas[i] rows of table i are its pending Δ. A key column is declared of
+// its first non-null key's kind (float when it has none) and decodes every
+// key in that kind, so keys of different kinds meet across columns.
+func probeTables(data []byte, deltas [3]int) (base, delta [3][][]algebra.Value, schemas [3]*algebra.Schema) {
+	var rows [3][][]algebra.Value
+	var kinds [3][2]algebra.Type
+	for i := 0; i+1 < len(data) && i < 96; i += 2 {
+		t := i / 2 % 3
+		row := []algebra.Value{{}, {}, algebra.IntVal(int64(len(rows[t])))}
+		for c := range 2 {
+			if kinds[t][c] == 0 {
+				kinds[t][c] = probeKey(data[i+c]).Kind
+			}
+			row[c] = probeKeyOf(kinds[t][c], data[i+c])
+		}
+		rows[t] = append(rows[t], row)
+	}
+	for t, rel := range []string{"A", "B", "C"} {
+		cut := max(0, len(rows[t])-deltas[t])
+		base[t], delta[t] = rows[t][:cut], rows[t][cut:]
+		for c, k := range kinds[t] {
+			if k == 0 {
+				kinds[t][c] = algebra.TypeFloat
+			}
+		}
+		schemas[t] = algebra.NewSchema(
+			algebra.Column{Relation: rel, Name: "k", Type: kinds[t][0]},
+			algebra.Column{Relation: rel, Name: "g", Type: kinds[t][1]},
+			algebra.Column{Relation: rel, Name: "n", Type: algebra.TypeInt},
+		)
+	}
+	return base, delta, schemas
 }
 
 // multiset renders a table's rows sorted: its contents as a multiset.
@@ -87,11 +117,11 @@ func FuzzDeltaLegProbe(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, shape uint8) {
 		threeWay, twoConds, innerTwo, flip := shape&1 != 0, shape&2 != 0, shape&4 != 0, shape&8 != 0
 		deltas := [3]int{int(shape >> 4 & 1), 1 + int(shape>>5&1), int(shape >> 6 & 3)}
-		base, delta := probeTables(data, deltas)
+		base, delta, schemas := probeTables(data, deltas)
 		db := NewDB(2)
 		rels := []string{"A", "B", "C"}
 		for i, rel := range rels {
-			tab, err := db.CreateTable(rel, probeSchema(rel))
+			tab, err := db.CreateTable(rel, schemas[i])
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +134,7 @@ func FuzzDeltaLegProbe(f *testing.F) {
 				}
 			}
 		}
-		scan := func(rel string) algebra.Node { return algebra.NewScan(rel, probeSchema(rel)) }
+		scan := func(rel string) algebra.Node { return algebra.NewScan(rel, schemas[rel[0]-'A']) }
 		cond := func(l, lc, r, rc string) algebra.JoinCond {
 			return algebra.JoinCond{Left: algebra.Ref(l, lc), Right: algebra.Ref(r, rc)}
 		}

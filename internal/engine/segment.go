@@ -30,11 +30,10 @@ import (
 //
 // — so a torn write (crash mid-frame) is detected by the short read and a
 // bit flip anywhere in a payload by the checksum. Column payloads serialize
-// the colvec representation directly: typed columns write their bare
-// int64/float64/string payload (plus the null bitmap when any row is null),
-// generic columns write each algebra.Value verbatim. Decoding rebuilds the
+// the colvec representation directly: the column's bare int64/float64/string
+// payload, plus the null bitmap when any row is null. Decoding rebuilds the
 // exact colvec state, so a restored table is bit-identical to the
-// checkpointed one — including null placement and generic demotion.
+// checkpointed one, null placement included.
 
 const segMagic = "MVSEGv1\n"
 
@@ -226,7 +225,7 @@ func decodeSegments(segs [][]byte, rows []int) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			if t.cols[ci], err = decodeColumn(t.cols[ci], payload, p.rows, total); err != nil {
+			if err = t.cols[ci].decode(payload, t.Schema.Columns[ci].Type, p.rows, total); err != nil {
 				return nil, fmt.Errorf("%w (column %s of %s)", err, t.Schema.Columns[ci].Name, t.Name)
 			}
 		}
@@ -286,26 +285,14 @@ func continuation(t *Table) func(hb []byte, rows int) (*Table, error) {
 //	             [⌈n/64⌉ uint64le bitmap words, when numNulls > 0]
 //	             payload: n × int64le (int/date), n × float64 bits (float),
 //	             n × (uvarint len + bytes) (string), nothing (kindless)
-//	1 (generic)  n × (varint kind | varint int | float64 bits |
-//	             uvarint len + bytes) — every Value field, verbatim
-const (
-	colReprTyped   = 0
-	colReprGeneric = 1
-)
+//
+// Tag 1 was a generic column's value-by-value encoding, which no column has
+// any more: a payload carrying it is refused as corrupt, and recovery
+// recomputes the relation. A typed payload's kind must be its column's
+// declared type.
+const colReprTyped = 0
 
 func encodeColumn(c *colvec) ([]byte, error) {
-	if c.vals != nil {
-		buf := make([]byte, 0, 1+16*c.n)
-		buf = append(buf, colReprGeneric)
-		for _, v := range c.vals {
-			buf = binary.AppendVarint(buf, int64(v.Kind))
-			buf = binary.AppendVarint(buf, v.Int)
-			buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(v.Float))
-			buf = binary.AppendUvarint(buf, uint64(len(v.Str)))
-			buf = append(buf, v.Str...)
-		}
-		return buf, nil
-	}
 	buf := make([]byte, 0, 16+9*c.n)
 	buf = append(buf, colReprTyped)
 	buf = binary.AppendVarint(buf, int64(c.kind))
@@ -400,190 +387,123 @@ func (r *byteCursor) bytes(n uint64) ([]byte, error) {
 	return out, nil
 }
 
-// decodeColumn appends one column payload of rows rows to c and returns the
-// column; want is the row count the column will reach, the capacity its
-// payload gets when this payload is the first. A payload c's representation
-// cannot take as it is (a generic one after typed rows, typed rows after a
-// generic or an all-null prefix, another kind) is decoded on its own and
-// appended the general way.
-func decodeColumn(c *colvec, payload []byte, rows, want int) (*colvec, error) {
+// decode appends one column payload of rows rows, of a column declared of
+// type typ, to c; want is the row count the column will reach, the capacity
+// its payload gets when this payload holds its first values.
+func (c *colvec) decode(payload []byte, typ algebra.Type, rows, want int) error {
 	if len(payload) == 0 {
-		return nil, corruptf("empty column payload")
+		return corruptf("empty column payload")
 	}
-	// Every encoding spends at least a bit on each row, a generic one 11
-	// bytes: a row count past that is damage, found before it is allocated.
+	// Every encoding spends at least a bit on each row: a row count past
+	// that is damage, found before it is allocated.
 	if uint64(rows) > 8*uint64(len(payload)) {
-		return nil, corruptf("%d rows in a column payload of %d bytes", rows, len(payload))
+		return corruptf("%d rows in a column payload of %d bytes", rows, len(payload))
 	}
-	empty := c.n == 0 && c.kind == 0 && c.vals == nil
-	separately := func() (*colvec, error) {
-		o, err := decodeColumn(&colvec{}, payload, rows, rows)
-		if err != nil {
-			return nil, err
-		}
-		out, _ := c.appended(o)
-		return out, nil
+	if payload[0] != colReprTyped {
+		return corruptf("unknown column representation %d", payload[0])
 	}
 	cur := &byteCursor{b: payload, off: 1}
-	switch payload[0] {
-	case colReprGeneric:
-		if rows > len(payload)/11 {
-			return nil, corruptf("%d generic values in %d bytes", rows, len(payload))
-		}
-		if !empty && c.vals == nil {
-			return separately()
-		}
-		if c.vals == nil {
-			c.vals = make([]algebra.Value, 0, rows)
-		}
-		c.vals = slices.Grow(c.vals, rows)
-		for i := 0; i < rows; i++ {
-			kind, err := cur.varint()
-			if err != nil {
-				return nil, err
-			}
-			iv, err := cur.varint()
-			if err != nil {
-				return nil, err
-			}
-			bits, err := cur.uint64()
-			if err != nil {
-				return nil, err
-			}
-			slen, err := cur.uvarint()
-			if err != nil {
-				return nil, err
-			}
-			sb, err := cur.bytes(slen)
-			if err != nil {
-				return nil, err
-			}
-			v := algebra.Value{Kind: algebra.Type(kind), Int: iv,
-				Float: math.Float64frombits(bits), Str: string(sb)}
-			c.vals = append(c.vals, v)
-			if !v.IsValid() {
-				c.nulls = bitSet(c.nulls, c.n)
-				c.numNulls++
-			}
-			c.n++
-		}
-		if cur.off != len(payload) {
-			return nil, corruptf("trailing bytes in generic column payload")
-		}
-		return c, nil
-	case colReprTyped:
-		v, err := cur.varint()
-		if err != nil {
-			return nil, err
-		}
-		kind := algebra.Type(v)
-		numNulls, err := cur.uvarint()
-		if err != nil {
-			return nil, err
-		}
-		if numNulls > uint64(rows) {
-			return nil, corruptf("null count %d exceeds row count %d", numNulls, rows)
-		}
-		var nulls []uint64
-		if numNulls > 0 {
-			words := (rows + 63) / 64
-			nulls = make([]uint64, words)
-			set := 0
-			for i := range nulls {
-				if nulls[i], err = cur.uint64(); err != nil {
-					return nil, err
-				}
-				set += bits.OnesCount64(nulls[i])
-			}
-			if tail := uint(rows & 63); tail != 0 && nulls[words-1]>>tail != 0 {
-				return nil, corruptf("null bit set past the last row")
-			}
-			if set != int(numNulls) {
-				return nil, corruptf("null bitmap population %d != recorded count %d", set, numNulls)
-			}
-		}
-		left := len(payload) - cur.off
-		switch kind {
-		case 0:
-			if int(numNulls) != rows {
-				return nil, corruptf("kindless column with %d non-null rows", rows-int(numNulls))
-			}
-		case algebra.TypeInt, algebra.TypeDate, algebra.TypeFloat:
-			if rows > left/8 {
-				return nil, corruptf("%d values in %d payload bytes", rows, left)
-			}
-		case algebra.TypeString:
-			if rows > left {
-				return nil, corruptf("%d strings in %d payload bytes", rows, left)
-			}
-		default:
-			return nil, corruptf("unknown typed column kind %d", kind)
-		}
-		switch {
-		case empty:
-			c.kind = kind
-			switch kind {
-			case algebra.TypeInt, algebra.TypeDate:
-				c.ints = make([]int64, 0, want)
-			case algebra.TypeFloat:
-				c.floats = make([]float64, 0, want)
-			case algebra.TypeString:
-				c.codes = make([]uint32, 0, want)
-			}
-		case c.vals != nil || (kind != 0 && kind != c.kind):
-			return separately()
-		}
-		// A kindless payload holds no values: zero placeholders under c's kind.
-		switch c.kind {
-		case algebra.TypeInt, algebra.TypeDate:
-			for i := 0; i < rows; i++ {
-				var v uint64
-				if kind != 0 {
-					v, _ = cur.uint64()
-				}
-				c.ints = append(c.ints, int64(v))
-			}
-		case algebra.TypeFloat:
-			for i := 0; i < rows; i++ {
-				var v uint64
-				if kind != 0 {
-					v, _ = cur.uint64()
-				}
-				c.floats = append(c.floats, math.Float64frombits(v))
-			}
-		case algebra.TypeString:
-			for i := 0; i < rows; i++ {
-				var sb []byte
-				if kind != 0 {
-					slen, err := cur.uvarint()
-					if err != nil {
-						return nil, err
-					}
-					if sb, err = cur.bytes(slen); err != nil {
-						return nil, err
-					}
-				}
-				// A string the dictionary holds is looked up without
-				// being copied out of the payload.
-				code, ok := c.index[string(sb)]
-				if !ok {
-					code = c.code(string(sb))
-				}
-				c.codes = append(c.codes, code)
-			}
-		}
-		if cur.off != len(payload) {
-			return nil, corruptf("trailing bytes in typed column payload")
-		}
-		if numNulls > 0 {
-			c.nulls = orBits(c.nulls, c.n, nulls, rows)
-			c.numNulls += int(numNulls)
-		}
-		c.n += rows
-		return c, nil
-	default:
-		return nil, corruptf("unknown column representation %d", payload[0])
+	v, err := cur.varint()
+	if err != nil {
+		return err
 	}
+	kind := algebra.Type(v)
+	numNulls, err := cur.uvarint()
+	if err != nil {
+		return err
+	}
+	if numNulls > uint64(rows) {
+		return corruptf("null count %d exceeds row count %d", numNulls, rows)
+	}
+	var nulls []uint64
+	if numNulls > 0 {
+		words := (rows + 63) / 64
+		nulls = make([]uint64, words)
+		set := 0
+		for i := range nulls {
+			if nulls[i], err = cur.uint64(); err != nil {
+				return err
+			}
+			set += bits.OnesCount64(nulls[i])
+		}
+		if tail := uint(rows & 63); tail != 0 && nulls[words-1]>>tail != 0 {
+			return corruptf("null bit set past the last row")
+		}
+		if set != int(numNulls) {
+			return corruptf("null bitmap population %d != recorded count %d", set, numNulls)
+		}
+	}
+	left := len(payload) - cur.off
+	switch kind {
+	case 0:
+		if int(numNulls) != rows {
+			return corruptf("kindless column with %d non-null rows", rows-int(numNulls))
+		}
+	case algebra.TypeInt, algebra.TypeDate, algebra.TypeFloat:
+		if rows > left/8 {
+			return corruptf("%d values in %d payload bytes", rows, left)
+		}
+	case algebra.TypeString:
+		if rows > left {
+			return corruptf("%d strings in %d payload bytes", rows, left)
+		}
+	default:
+		return corruptf("unknown typed column kind %d", kind)
+	}
+	if kind != 0 && kind != typ {
+		return corruptf("a %s payload in a column declared %s", kind, typ)
+	}
+	if c.kind == 0 && kind != 0 {
+		c.adoptKind(kind, want) // the payload's first values
+	}
+	// A kindless payload holds no values: zero placeholders under c's kind.
+	switch c.kind {
+	case algebra.TypeInt, algebra.TypeDate:
+		for i := 0; i < rows; i++ {
+			var v uint64
+			if kind != 0 {
+				v, _ = cur.uint64()
+			}
+			c.ints = append(c.ints, int64(v))
+		}
+	case algebra.TypeFloat:
+		for i := 0; i < rows; i++ {
+			var v uint64
+			if kind != 0 {
+				v, _ = cur.uint64()
+			}
+			c.floats = append(c.floats, math.Float64frombits(v))
+		}
+	case algebra.TypeString:
+		for i := 0; i < rows; i++ {
+			var sb []byte
+			if kind != 0 {
+				slen, err := cur.uvarint()
+				if err != nil {
+					return err
+				}
+				if sb, err = cur.bytes(slen); err != nil {
+					return err
+				}
+			}
+			// A string the dictionary holds is looked up without
+			// being copied out of the payload.
+			code, ok := c.index[string(sb)]
+			if !ok {
+				code = c.code(string(sb))
+			}
+			c.codes = append(c.codes, code)
+		}
+	}
+	if cur.off != len(payload) {
+		return corruptf("trailing bytes in typed column payload")
+	}
+	if numNulls > 0 {
+		c.nulls = orBits(c.nulls, c.n, nulls, rows)
+		c.numNulls += int(numNulls)
+	}
+	c.n += rows
+	return nil
 }
 
 // RestoreTable installs a decoded base table wholesale — the snapshot

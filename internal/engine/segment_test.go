@@ -3,6 +3,8 @@ package engine
 import (
 	"bytes"
 	"errors"
+	"os"
+	"path/filepath"
 	"testing"
 
 	"github.com/warehousekit/mvpp/internal/algebra"
@@ -93,28 +95,37 @@ func TestSegmentRoundTripTyped(t *testing.T) {
 	requireSameTable(t, segRoundTrip(t, tb), tb)
 }
 
-func TestSegmentRoundTripGeneric(t *testing.T) {
-	// Heterogeneous kinds in one column demote it to the generic
-	// representation; the segment must carry that verbatim.
-	schema := algebra.NewSchema(
-		algebra.Column{Relation: "R", Name: "k", Type: algebra.TypeInt},
-		algebra.Column{Relation: "R", Name: "v", Type: algebra.TypeString},
-	)
-	rows := [][]algebra.Value{
-		{algebra.IntVal(1), algebra.StringVal("a")},
-		{algebra.IntVal(2), algebra.IntVal(99)}, // kind clash → generic column
-		{algebra.IntVal(3), algebra.Value{}},
-		{algebra.IntVal(4), algebra.FloatVal(2.5)},
+// TestSegmentGenericPayloadIsCorrupt: testdata/generic_column.seg is a
+// segment of R(k int, v string) written by the encoder that still had the
+// generic column representation (tag 1), its v holding "a", 99, NULL and
+// 2.5. No column has that representation any more, so the payload decodes
+// as ErrSegmentCorrupt, and recovery recomputes the relation. So does a
+// typed payload whose kind is not its column's declared type.
+func TestSegmentGenericPayloadIsCorrupt(t *testing.T) {
+	b, err := os.ReadFile(filepath.Join("testdata", "generic_column.seg"))
+	if err != nil {
+		t.Fatal(err)
 	}
-	tb := segScratchTable(t, 2, schema, rows)
-	if tb.cols[1].vals == nil {
-		t.Fatal("test premise broken: column v did not demote to generic")
+	if _, err := ReadTableSegment(bytes.NewReader(b)); !errors.Is(err, ErrSegmentCorrupt) {
+		t.Fatalf("a generic column payload decoded with error %v, want ErrSegmentCorrupt", err)
 	}
-	got := segRoundTrip(t, tb)
-	if got.cols[1].vals == nil {
-		t.Error("generic column decoded as typed")
+
+	c := &colvec{}
+	for i := range 3 {
+		c.append(algebra.IntVal(int64(i)))
 	}
-	requireSameTable(t, got, tb)
+	payload, err := encodeColumn(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := new(colvec).decode(payload, algebra.TypeInt, 3, 3); err != nil {
+		t.Fatalf("an int payload in an int column: %v", err)
+	}
+	for _, typ := range []algebra.Type{algebra.TypeDate, algebra.TypeFloat, algebra.TypeString} {
+		if err := new(colvec).decode(payload, typ, 3, 3); !errors.Is(err, ErrSegmentCorrupt) {
+			t.Errorf("an int payload in a %s column decoded with error %v, want ErrSegmentCorrupt", typ, err)
+		}
+	}
 }
 
 func TestSegmentRoundTripEmptyAndAllNull(t *testing.T) {
@@ -198,8 +209,8 @@ func encodeSegment(t *testing.T, tb *Table) []byte {
 // pair of cut points, one segment each, and decodes them as one relation: the
 // same segment bytes as the table's, so the same rows in order, float bits,
 // null bitmaps and column representations. Then the case a store meets when
-// a column changes representation between two checkpoints: an earlier,
-// typed segment followed by rows of the same column demoted to generic.
+// a column took its first values between two checkpoints: an all-null,
+// kindless segment followed by typed rows of the same column.
 func TestDecodeTableSegmentsJoinsSlices(t *testing.T) {
 	tb := claimTable(t, 1, 70)
 	want := encodeSegment(t, tb)
@@ -222,17 +233,21 @@ func TestDecodeTableSegmentsJoinsSlices(t *testing.T) {
 		}
 	}
 
-	schema := algebra.NewSchema(algebra.Column{Relation: "R", Name: "v", Type: algebra.TypeInt})
-	null := []algebra.Value{{}}
-	typed := segScratchTable(t, 4, schema, [][]algebra.Value{{algebra.IntVal(1)}, null, {algebra.IntVal(3)}})
-	demoted := segScratchTable(t, 4, schema, [][]algebra.Value{{algebra.IntVal(1)}, null, {algebra.IntVal(3)}, {algebra.StringVal("x")}, null})
-	got, err := DecodeTableSegments([][]byte{encodeSegment(t, typed), encodeSegment(t, demoted.Slice(3, 5))}, []int{3, 2})
+	schema := algebra.NewSchema(algebra.Column{Relation: "R", Name: "v", Type: algebra.TypeInt},
+		algebra.Column{Relation: "R", Name: "s", Type: algebra.TypeString})
+	null := []algebra.Value{{}, {}}
+	kindless := segScratchTable(t, 4, schema, [][]algebra.Value{null, null})
+	typed := segScratchTable(t, 4, schema, [][]algebra.Value{{algebra.IntVal(3), algebra.StringVal("x")}, null,
+		{algebra.IntVal(5), algebra.StringVal("")}})
+	whole := segScratchTable(t, 4, schema, append([][]algebra.Value{null, null}, typed.materializeRows()...))
+	got, err := DecodeTableSegments([][]byte{encodeSegment(t, kindless), encodeSegment(t, typed)}, []int{2, 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(encodeSegment(t, got), encodeSegment(t, demoted)) {
-		t.Fatal("a typed segment followed by generic rows does not decode to the demoted column")
+	if !bytes.Equal(encodeSegment(t, got), encodeSegment(t, whole)) {
+		t.Fatal("an all-null segment followed by typed rows does not decode to the column that took both")
 	}
+	requireSameTable(t, got, whole)
 	if _, err := DecodeTableSegments([][]byte{encodeSegment(t, typed)}, []int{2}); !errors.Is(err, ErrSegmentCorrupt) {
 		t.Fatalf("a segment of 3 rows read as 2: %v", err)
 	}
@@ -242,7 +257,8 @@ func TestDecodeTableSegmentsJoinsSlices(t *testing.T) {
 // that wraps ErrSegmentCorrupt or a table that re-encodes to exactly those
 // bytes — never a panic, never a table the encoder would write differently —
 // and whose catalog entry is the reference's. The seeds are valid segments
-// of every storage representation.
+// of every storage representation, and a segment of the generic one that
+// columns no longer have (see TestSegmentGenericPayloadIsCorrupt).
 func FuzzReadTableSegment(f *testing.F) {
 	schema := algebra.NewSchema(
 		algebra.Column{Relation: "R", Name: "id", Type: algebra.TypeInt},
@@ -253,7 +269,7 @@ func FuzzReadTableSegment(f *testing.F) {
 		nil,
 		{{algebra.IntVal(1), algebra.StringVal("alpha"), algebra.FloatVal(1.5)}},
 		{{algebra.IntVal(2), {}, {}}, {algebra.IntVal(3), algebra.StringVal("γ"), algebra.FloatVal(-0.0)}},
-		{{algebra.IntVal(4), algebra.IntVal(5), {}}, {algebra.DateVal(6), algebra.StringVal("x"), {}}},
+		{{algebra.IntVal(4), {}, {}}, {algebra.IntVal(6), {}, {}}},
 	}
 	// The last seed's null names carry placeholders other than "": one no
 	// row holds, above every value, and one a row holds too.
@@ -275,6 +291,11 @@ func FuzzReadTableSegment(f *testing.F) {
 		}
 		f.Add(buf.Bytes())
 	}
+	generic, err := os.ReadFile(filepath.Join("testdata", "generic_column.seg"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(generic)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		tb, err := ReadTableSegment(bytes.NewReader(data))
 		if err != nil {

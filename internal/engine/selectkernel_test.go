@@ -15,32 +15,26 @@ import (
 // block size — and holds every cell to the row oracle; the benchmark times
 // the same shapes on the batch executor alone.
 
-// kernelClasses are the storage classes of the tested column v. value
-// maps a rank in [0, n) to the stored value, ascending in the class's own
-// order so that "v < value(cut)" keeps exactly the cut lowest ranks.
+// kernelClasses are the storage classes of the tested column v, declared
+// typ. value maps a rank in [0, n) to the stored value, ascending in the
+// class's own order so that "v < value(cut)" keeps exactly the cut lowest
+// ranks.
 var kernelClasses = []struct {
 	name  string
+	typ   algebra.Type
 	value func(rank int) algebra.Value
 }{
-	{"int", func(r int) algebra.Value { return algebra.IntVal(int64(r)) }},
-	{"date", func(r int) algebra.Value { return algebra.DateVal(9496 + int64(r)) }},
-	{"float", func(r int) algebra.Value { return algebra.FloatVal(float64(r) + 0.5) }},
-	{"string", func(r int) algebra.Value { return algebra.StringVal(fmt.Sprintf("v%05d", r)) }},
-	// Ints and whole floats alternate, so the column demotes to the generic
-	// representation while every lane still compares numerically.
-	{"generic", func(r int) algebra.Value {
-		if r%2 == 0 {
-			return algebra.IntVal(int64(r))
-		}
-		return algebra.FloatVal(float64(r))
-	}},
-	{"nullable", func(r int) algebra.Value { return algebra.IntVal(int64(r)) }},
+	{"int", algebra.TypeInt, func(r int) algebra.Value { return algebra.IntVal(int64(r)) }},
+	{"date", algebra.TypeDate, func(r int) algebra.Value { return algebra.DateVal(9496 + int64(r)) }},
+	{"float", algebra.TypeFloat, func(r int) algebra.Value { return algebra.FloatVal(float64(r) + 0.5) }},
+	{"string", algebra.TypeString, func(r int) algebra.Value { return algebra.StringVal(fmt.Sprintf("v%05d", r)) }},
+	{"nullable", algebra.TypeInt, func(r int) algebra.Value { return algebra.IntVal(int64(r)) }},
 	// The miss path's shape: 50 strings, each shared by 100 ranks at
 	// n = 5 000, so a column holds far fewer distinct values than rows.
-	{"pooled", pooledValue},
+	{"pooled", algebra.TypeString, pooledValue},
 	// A pooled column whose lowest pool is "" and that holds nulls the way
 	// nullable does: "" and null are different rows.
-	{"blank", func(r int) algebra.Value {
+	{"blank", algebra.TypeString, func(r int) algebra.Value {
 		if r < 100 {
 			return algebra.StringVal("")
 		}
@@ -128,8 +122,8 @@ func TestSelectKernelParity(t *testing.T) {
 				cut := sel.cut(n)
 				label := fmt.Sprintf("%s/n=%d/%s", class.name, n, sel.name)
 				rows := kernelRows(class.name, class.value, n, cut)
-				bdb, rdb := dualScratch(t, engine.DefaultBlockRows, nullsSchema(algebra.TypeInt), rows)
-				scan := algebra.NewScan("T", nullsSchema(algebra.TypeInt))
+				bdb, rdb := dualScratch(t, engine.DefaultBlockRows, nullsSchema(class.typ), rows)
+				scan := algebra.NewScan("T", nullsSchema(class.typ))
 				below := ranksBelow(class.value, n, cut)
 				for _, p := range kernelPredicates(class.value(cut), cut) {
 					name := p.name
@@ -153,8 +147,8 @@ func TestSelectKernelParity(t *testing.T) {
 				}
 				k, v := algebra.ColOperand(algebra.Ref("T", "k")), algebra.ColOperand(algebra.Ref("T", "v"))
 				gathered := algebra.NewSelect(scan, algebra.Compare(k, algebra.OpLt, algebra.LitOperand(algebra.IntVal(int64(cut)))))
-				addTable(t, "U", twoTableRows(class.value, n), bdb, rdb)
-				both := algebra.NewJoin(scan, algebra.NewScan("U", twoTableSchema), []algebra.JoinCond{{Left: algebra.Ref("T", "k"), Right: algebra.Ref("U", "k")}})
+				addTable(t, "U", class.typ, twoTableRows(class.value, n), bdb, rdb)
+				both := algebra.NewJoin(scan, algebra.NewScan("U", twoTableSchema(class.typ)), []algebra.JoinCond{{Left: algebra.Ref("T", "k"), Right: algebra.Ref("U", "k")}})
 				for _, op := range kernelOps {
 					lit := algebra.LitOperand(class.value(cut))
 					runBoth(t, fmt.Sprintf("%s/gathered v%slit", label, op), bdb, rdb,
@@ -167,11 +161,14 @@ func TestSelectKernelParity(t *testing.T) {
 	}
 }
 
-// twoTableSchema is U(k, w), the second table of the column-vs-column plans.
-var twoTableSchema = algebra.NewSchema(
-	algebra.Column{Relation: "U", Name: "k", Type: algebra.TypeInt},
-	algebra.Column{Relation: "U", Name: "w", Type: algebra.TypeInt},
-)
+// twoTableSchema is U(k, w), the second table of the column-vs-column plans,
+// its w declared typ.
+func twoTableSchema(typ algebra.Type) *algebra.Schema {
+	return algebra.NewSchema(
+		algebra.Column{Relation: "U", Name: "k", Type: algebra.TypeInt},
+		algebra.Column{Relation: "U", Name: "w", Type: typ},
+	)
+}
 
 // twoTableRows are U's n rows: key k meets T's row k, and w is the class
 // value of another rank. The rows go in in descending k, so a pooled w
@@ -185,14 +182,15 @@ func twoTableRows(value func(int) algebra.Value, n int) [][]algebra.Value {
 	return rows
 }
 
-// addTable creates the table name of U's schema with rows on every DB, each
+// addTable creates the table name of U's schema, its w declared typ, with
+// rows on every DB, each
 // of which joins by hash: the row oracle's nested loop over 5 000 × 5 000
 // rows would time the oracle, not the kernel.
-func addTable(t *testing.T, name string, rows [][]algebra.Value, dbs ...*engine.DB) {
+func addTable(t *testing.T, name string, typ algebra.Type, rows [][]algebra.Value, dbs ...*engine.DB) {
 	t.Helper()
 	for _, db := range dbs {
 		db.SetJoinAlgorithm(engine.JoinHash)
-		tab, err := db.CreateTable(name, twoTableSchema)
+		tab, err := db.CreateTable(name, twoTableSchema(typ))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -228,16 +226,15 @@ func countLowRanks(n, cut, below int) int {
 }
 
 // BenchmarkSelectKernel times σ alone on the batch executor: n = 5 000 rows
-// of T(k, v), "v < lit" keeping 2 %, 50 % and all of them, over a typed
-// int column, a string column of distinct values and a generic (demoted)
-// one; and the miss path's "v = lit" over the pooled column's 50 strings,
+// of T(k, v), "v < lit" keeping 2 %, 50 % and all of them, over an int
+// column and a string column of distinct values; and the miss path's "v = lit" over the pooled column's 50 strings,
 // keeping 2 %. DESIGN §12 and EXPERIMENTS quote it; the parity table above
 // pins the answers.
 func BenchmarkSelectKernel(b *testing.B) {
 	const n = 5000
 	v := algebra.ColOperand(algebra.Ref("T", "v"))
 	for _, class := range kernelClasses {
-		if class.name != "int" && class.name != "string" && class.name != "generic" {
+		if class.name != "int" && class.name != "string" {
 			continue
 		}
 		for _, sel := range []struct {
@@ -245,21 +242,22 @@ func BenchmarkSelectKernel(b *testing.B) {
 			cut  int
 		}{{"0.02", n / 50}, {"0.5", n / 2}, {"1.0", n}} {
 			b.Run(class.name+"/sel="+sel.name, func(b *testing.B) {
-				benchSelect(b, kernelRows(class.name, class.value, n, n),
+				benchSelect(b, class.typ, kernelRows(class.name, class.value, n, n),
 					algebra.Compare(v, algebra.OpLt, algebra.LitOperand(class.value(sel.cut))), sel.cut)
 			})
 		}
 	}
 	b.Run("pooled/eq", func(b *testing.B) {
-		benchSelect(b, kernelRows("pooled", pooledValue, n, n),
+		benchSelect(b, algebra.TypeString, kernelRows("pooled", pooledValue, n, n),
 			algebra.Compare(v, algebra.OpEq, algebra.LitOperand(pooledValue(700))), n/50)
 	})
 }
 
-// benchSelect times σpred over a table T of rows, which must keep want.
-func benchSelect(b *testing.B, rows [][]algebra.Value, pred algebra.Predicate, want int) {
+// benchSelect times σpred over a table T of rows, its v declared typ,
+// which must keep want.
+func benchSelect(b *testing.B, typ algebra.Type, rows [][]algebra.Value, pred algebra.Predicate, want int) {
 	db := engine.NewDB(engine.DefaultBlockRows)
-	tab, err := db.CreateTable("T", nullsSchema(algebra.TypeInt))
+	tab, err := db.CreateTable("T", nullsSchema(typ))
 	if err != nil {
 		b.Fatal(err)
 	}

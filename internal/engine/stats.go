@@ -71,7 +71,7 @@ const (
 // leading NaN pins both and ties keep the earlier row; a numeric attribute's
 // histogram covers its non-null values.
 func (c *colvec) stats(numeric bool, scratch *StatsScratch) catalog.AttrStats {
-	switch c.typedKind() {
+	switch c.kind {
 	case algebra.TypeInt, algebra.TypeDate:
 		if st, ok := c.intStats(numeric, scratch); ok {
 			return st
@@ -275,9 +275,9 @@ func nonNullOf[T any](c *colvec, payload []T) []T {
 	return out
 }
 
-// valueStats is the per-value pass that defines the entry, for generic
-// columns and values past the exact bounds: every value boxed, NDV keyed on
-// its rendering, Min and Max by Value.Compare.
+// valueStats is the per-value pass that defines the entry, for a column of
+// nulls and for values past the exact bounds: every value boxed, NDV keyed
+// on its rendering, Min and Max by Value.Compare.
 func (c *colvec) valueStats(numeric bool) catalog.AttrStats {
 	distinct := make(map[string]bool)
 	var min, max algebra.Value

@@ -107,21 +107,41 @@ func NewTable(name string, schema *algebra.Schema, blockRows int) *Table {
 	return t
 }
 
-// Insert appends rows; each must match the schema width. Ingestion is
-// column-at-a-time: every column vector grows by the whole batch before
-// the next column is touched. A column whose backing array another table
-// already grew into moves to an array of its own first (see colvec). An
-// empty Insert changes nothing: a column's rows are recoded only as it
-// grows, which the postings' row-count guard relies on.
+// CheckRows reports whether the table accepts rows: each must be as wide as
+// the schema, and each of its values the null (the zero algebra.Value) or a
+// value of its column's declared type. It is the one check of a row's shape:
+// Insert runs it before it touches a column, and serve runs it before it
+// journals a batch. The error names the first refused row and column.
+func (t *Table) CheckRows(rows ...[]algebra.Value) error {
+	cols := t.Schema.Columns
+	for i, r := range rows {
+		if len(r) != len(cols) {
+			return fmt.Errorf("engine: row width %d does not match schema width %d of %s",
+				len(r), len(cols), t.Name)
+		}
+		for ci, v := range r {
+			if v.Kind == cols[ci].Type && v.IsValid() || v == (algebra.Value{}) {
+				continue
+			}
+			return fmt.Errorf("engine: row %d of %s: column %s is declared %s, not %s",
+				i, t.Name, cols[ci].Name, cols[ci].Type, v.Kind)
+		}
+	}
+	return nil
+}
+
+// Insert appends rows, all or none: a batch CheckRows refuses changes
+// nothing. Ingestion is column-at-a-time: every column vector grows by the
+// whole batch before the next column is touched. A column whose backing
+// array another table already grew into moves to an array of its own first
+// (see colvec). An empty Insert changes nothing: a column's rows are
+// recoded only as it grows, which the postings' row-count guard relies on.
 func (t *Table) Insert(rows ...[]algebra.Value) error {
 	if len(rows) == 0 {
 		return nil
 	}
-	for _, r := range rows {
-		if len(r) != t.Schema.Len() {
-			return fmt.Errorf("engine: row width %d does not match schema width %d of %s",
-				len(r), t.Schema.Len(), t.Name)
-		}
+	if err := t.CheckRows(rows...); err != nil {
+		return err
 	}
 	claimed := true
 	for ci, c := range t.cols {
@@ -260,7 +280,7 @@ func (t *Table) Mark() Mark { return Mark{lin: t.lineage(), rows: t.nrows} }
 // the same order, followed by NumRows − (the marked row count) rows of its
 // own: true for the marked table itself and for every table built from it
 // by appends whose claims all held. False answers are conservative: a
-// table that copied (a second successor, a column demoted by the append)
+// table that copied (a second successor, a column rebuilt by the append)
 // starts a lineage of its own.
 func (t *Table) Extends(m Mark) bool {
 	return m.lin != nil && t.lin.Load() == m.lin && t.nrows >= m.rows

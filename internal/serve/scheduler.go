@@ -234,19 +234,20 @@ func (s *Server) IngestBatch(batch []engine.DeltaRecord) error {
 }
 
 // admit is the write path's one validation: every record names a base table
-// and every row is schema-width. It returns the batch without its empty
-// records, and its row count.
+// that accepts its rows (engine.Table.CheckRows), so a batch the epoch would
+// refuse is refused before it is journaled. It returns the batch without its
+// empty records, and its row count.
 func (s *Server) admit(batch []engine.DeltaRecord) (recs []engine.DeltaRecord, rows int, err error) {
 	for _, rec := range batch {
 		t, err := s.db.Table(rec.Table)
 		if err != nil {
 			return nil, 0, err
 		}
-		for _, r := range rec.Rows {
-			if len(r) != t.Schema.Len() {
-				return nil, 0, fmt.Errorf("serve: row width %d does not match schema width %d of %s",
-					len(r), t.Schema.Len(), rec.Table)
+		if err := t.CheckRows(rec.Rows...); err != nil {
+			if rec.LSN != 0 { // a journaled record, replayed at boot
+				err = fmt.Errorf("journal record at LSN %d: %w", rec.LSN, err)
 			}
+			return nil, 0, err
 		}
 		if len(rec.Rows) > 0 {
 			recs = append(recs, rec)

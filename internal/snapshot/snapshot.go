@@ -57,6 +57,7 @@ import (
 	"sort"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"github.com/warehousekit/mvpp/internal/algebra"
 	"github.com/warehousekit/mvpp/internal/catalog"
@@ -115,12 +116,17 @@ type SegmentStats struct {
 }
 
 // statsOf captures a table's catalog entry as a manifest sidecar — none when
-// a NaN or an infinity is among its numbers, which JSON cannot carry: the
-// restored table then derives its statistics on first use.
+// a NaN or an infinity is among its numbers, or a string that is not valid
+// UTF-8 among its bounds, which JSON cannot carry (it would restore with
+// U+FFFD in each bad byte): the restored table then derives its statistics
+// on first use.
 func statsOf(scratch *engine.StatsScratch, name string, t *engine.Table) *SegmentStats {
 	rel := scratch.Derive(name, t)
 	nums := []float64{rel.Rows, rel.Blocks, rel.UpdateFrequency}
 	for _, a := range rel.Attrs {
+		if !utf8.ValidString(a.Min.Str) || !utf8.ValidString(a.Max.Str) {
+			return nil
+		}
 		nums = append(append(nums, a.DistinctValues, a.Min.Float, a.Max.Float), a.Histogram...)
 	}
 	for _, f := range nums {
