@@ -44,8 +44,8 @@ func run() (status int) {
 		model         = flag.String("model", "paper-nlj", "cost model: paper-nlj, block-nlj, hash-join, sort-merge")
 		scale         = flag.Float64("scale", 0.01, "synthetic data scale relative to catalog statistics")
 		seed          = flag.Int64("seed", 1, "synthetic data seed")
-		workers       = flag.Int("workers", 0, "query worker pool size (0 = default)")
-		queue         = flag.Int("queue", 0, "admission queue depth (0 = default)")
+		workers       = flag.Int("workers", 0, "how many cache misses may execute at once, each on its client's goroutine (0 = default)")
+		queue         = flag.Int("queue", 0, "how many clients may wait for an execution slot before a newcomer counts as backpressured (0 = default)")
 		cache         = flag.Int("cache", 0, "result cache capacity in entries (0 = default, negative disables)")
 		batch         = flag.Int("batch", 0, "delta rows per maintenance epoch (0 = default)")
 		clients       = flag.Int("clients", 4, "concurrent client goroutines")

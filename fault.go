@@ -85,8 +85,9 @@ type ViewHealth = serve.ViewHealth
 // or flush after — or racing with — Close).
 var ErrServerClosed = serve.ErrClosed
 
-// ErrQueryRejected reports that admission control turned a query away: the
-// router's queue was full and the caller's context expired.
+// ErrQueryRejected reports that admission control turned a query away:
+// every execution slot was taken and the caller's context ended while it
+// waited for one (or had ended by the time it got one).
 var ErrQueryRejected = serve.ErrRejected
 
 // DeltaJournal is the write-ahead log for ingested deltas: batches are

@@ -69,6 +69,7 @@ type Aggregate struct {
 	schema lazySchema
 	label  lazyLabel
 	ident  ident
+	valid  validMark
 }
 
 var _ Node = (*Aggregate)(nil)

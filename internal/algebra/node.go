@@ -26,7 +26,7 @@ type Node interface {
 
 // lazySchema resolves a node's output schema on first use and publishes it
 // through an atomic pointer: plan nodes are shared between the generator's
-// rotation workers and the serving layer's query workers, so nothing on a
+// rotation workers and the serving layer's concurrent misses, so nothing on a
 // node may be written unsynchronised after construction. Concurrent first
 // calls may both resolve; every caller sees the one that was stored first.
 type lazySchema struct{ p atomic.Pointer[Schema] }
@@ -53,12 +53,19 @@ func (l *lazyLabel) get(render func() string) string {
 	return *l.p.Load()
 }
 
+// validMark records that Validate accepted a node's whole subtree. It
+// assumes what lazySchema does, that a node is immutable once built, so a
+// plan validated once is validated for good; a plan Validate refuses is
+// never marked and is checked, and refused, again on every call.
+type validMark struct{ ok atomic.Bool }
+
 // Scan reads a base relation.
 type Scan struct {
 	Relation string
 	Rel      *Schema
 
 	ident ident
+	valid validMark
 }
 
 var _ Node = (*Scan)(nil)
@@ -87,6 +94,7 @@ type Select struct {
 
 	label lazyLabel
 	ident ident
+	valid validMark
 }
 
 var _ Node = (*Select)(nil)
@@ -122,6 +130,7 @@ type Project struct {
 	schema   lazySchema
 	resolved atomic.Pointer[Projection]
 	ident    ident
+	valid    validMark
 }
 
 var _ Node = (*Project)(nil)
@@ -221,6 +230,7 @@ type Join struct {
 	schema lazySchema
 	label  lazyLabel
 	ident  ident
+	valid  validMark
 }
 
 var _ Node = (*Join)(nil)
@@ -342,17 +352,47 @@ func Equal(a, b Node) bool {
 
 // Validate checks that the plan is well formed: predicates resolve against
 // their input schemas, projections name existing columns, and join
-// conditions resolve against the correct sides.
+// conditions resolve against the correct sides. A node it accepts keeps a
+// mark (validMark), so validating the same plan again — a prepared plan run
+// on every cache miss — costs one load per root.
 func Validate(n Node) error {
 	if n == nil {
 		return fmt.Errorf("algebra: nil plan node")
+	}
+	mark := validMarkOf(n)
+	if mark != nil && mark.ok.Load() {
+		return nil
 	}
 	for _, c := range n.Children() {
 		if err := Validate(c); err != nil {
 			return err
 		}
 	}
-	return ValidateOp(n)
+	if err := ValidateOp(n); err != nil {
+		return err
+	}
+	if mark != nil {
+		mark.ok.Store(true)
+	}
+	return nil
+}
+
+// validMarkOf returns the node's validMark; nil for a node type defined
+// outside this package.
+func validMarkOf(n Node) *validMark {
+	switch v := n.(type) {
+	case *Scan:
+		return &v.valid
+	case *Select:
+		return &v.valid
+	case *Project:
+		return &v.valid
+	case *Join:
+		return &v.valid
+	case *Aggregate:
+		return &v.valid
+	}
+	return nil
 }
 
 // ValidateOp checks the operation at n alone, given well-formed inputs —

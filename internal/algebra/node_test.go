@@ -356,3 +356,30 @@ func TestProjectResolveConcurrent(t *testing.T) {
 	}
 	wg.Wait()
 }
+
+// TestValidateMarksAcceptedPlans: a plan Validate accepted is not walked
+// again — validating it a second time allocates nothing — and a plan it
+// refused is refused on every call.
+func TestValidateMarksAcceptedPlans(t *testing.T) {
+	rel := NewSchema(
+		Column{Relation: "R", Name: "a", Type: TypeInt},
+		Column{Relation: "R", Name: "b", Type: TypeString},
+	)
+	good := NewProject(NewSelect(NewScan("R", rel), Eq(Ref("R", "b"), StringVal("x"))), []ColumnRef{Ref("R", "a")})
+	if err := Validate(good); err != nil {
+		t.Fatal(err)
+	}
+	if n := testing.AllocsPerRun(100, func() {
+		if err := Validate(good); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("validating an accepted plan again allocates %.0f times, want 0", n)
+	}
+	bad := NewSelect(NewScan("R", rel), Eq(Ref("R", "missing"), StringVal("x")))
+	for i := 0; i < 3; i++ {
+		if err := Validate(bad); err == nil {
+			t.Fatalf("call %d: a selection over a missing column was accepted", i)
+		}
+	}
+}

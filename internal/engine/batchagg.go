@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"fmt"
 	"math"
 	"slices"
 	"strings"
@@ -11,10 +12,12 @@ import (
 // batchAggregate is the vectorized hash aggregation: a first pass assigns
 // every row a group id (first-seen group order, same as the reference
 // executor), then each aggregate runs as a typed column loop over the
-// group-id vector. Columns that carry nulls or mixed kinds fall back to
-// the reference accumulator value-at-a-time, which keeps error behavior
-// (e.g. SUM over a non-numeric value) bit-identical. An input that carries
-// a selection has its key and argument columns gathered by it, and no other.
+// group-id vector, and the answer is assembled column by column: the group
+// keys gathered at each group's first row, each aggregate's per-group slice
+// wrapped as its column. Nulls follow SQL: COUNT(v) counts the non-null
+// values, SUM, AVG, MIN and MAX skip nulls and yield the null for a group
+// that has none. An input that carries a selection has its key and argument
+// columns gathered by it, and no other.
 func (db *DB) batchAggregate(agg *algebra.Aggregate, in *Table, res *Result) (*Table, error) {
 	groupIdx, argIdx, err := resolveAggregate(agg, in)
 	if err != nil {
@@ -23,147 +26,28 @@ func (db *DB) batchAggregate(agg *algebra.Aggregate, in *Table, res *Result) (*T
 	if in.sel != nil {
 		in = in.denseCols(append(slices.Clip(groupIdx), argIdx...)...)
 	}
-	n := in.NumRows()
 	gids, firstRow := assignGroups(in, groupIdx)
-	nGroups := len(firstRow)
-
-	// Group sizes serve COUNT directly (the accumulator counts every row,
-	// nulls included) and AVG denominators.
-	sizes := make([]int64, nGroups)
-	for _, g := range gids {
-		sizes[g]++
+	schema := agg.Schema()
+	out := &Table{Schema: schema, BlockRows: db.BlockRows, nrows: len(firstRow), cols: make([]*colvec, schema.Len())}
+	for i, gi := range groupIdx {
+		out.cols[i] = in.cols[gi].gather(firstRow)
 	}
-
-	type aggState struct {
-		sumI  []int64
-		sumF  []float64
-		isF   bool
-		minI  []int64 // MIN/MAX payloads for typed numeric/string columns
-		maxI  []int64
-		minF  []float64
-		maxF  []float64
-		minS  []string
-		maxS  []string
-		seen  []bool
-		accs  []*accumulator // value-at-a-time fallback
-		kind  algebra.Type
-		typed bool
-	}
-	states := make([]*aggState, len(agg.Aggs))
-	var fallback []int // agg positions evaluated row-at-a-time, in order
 	for i, a := range agg.Aggs {
-		st := &aggState{}
-		states[i] = st
-		if argIdx[i] < 0 || a.Func == algebra.AggCount {
-			continue // served by sizes
+		var arg *colvec // nil: COUNT(*)
+		if argIdx[i] >= 0 {
+			arg = in.cols[argIdx[i]]
 		}
-		col := in.cols[argIdx[i]]
-		k := col.kind
-		vectorizable := !col.hasNulls() &&
-			(k == algebra.TypeInt || k == algebra.TypeDate || k == algebra.TypeFloat ||
-				(k == algebra.TypeString && (a.Func == algebra.AggMin || a.Func == algebra.AggMax)))
-		if !vectorizable {
-			st.accs = make([]*accumulator, nGroups)
-			for g := range st.accs {
-				st.accs[g] = &accumulator{fn: a.Func}
-			}
-			fallback = append(fallback, i)
-			continue
-		}
-		st.typed, st.kind = true, k
-		switch a.Func {
-		case algebra.AggSum, algebra.AggAvg:
-			st.sumI = make([]int64, nGroups)
-			st.sumF = make([]float64, nGroups)
-			st.isF = k == algebra.TypeFloat
-		case algebra.AggMin, algebra.AggMax:
-			st.seen = make([]bool, nGroups)
-			switch k {
-			case algebra.TypeInt, algebra.TypeDate:
-				st.minI = make([]int64, nGroups)
-				st.maxI = make([]int64, nGroups)
-			case algebra.TypeFloat:
-				st.minF = make([]float64, nGroups)
-				st.maxF = make([]float64, nGroups)
-			case algebra.TypeString:
-				st.minS = make([]string, nGroups)
-				st.maxS = make([]string, nGroups)
-			}
-		}
-	}
-
-	// Typed accumulation: one pass per vectorized aggregate.
-	for i, a := range agg.Aggs {
-		st := states[i]
-		if !st.typed {
-			continue
-		}
-		col := in.cols[argIdx[i]]
-		switch a.Func {
-		case algebra.AggSum, algebra.AggAvg:
-			if st.kind == algebra.TypeFloat {
-				for r, g := range gids {
-					st.sumF[g] += col.floats[r]
-				}
-			} else {
-				for r, g := range gids {
-					st.sumI[g] += col.ints[r]
-					st.sumF[g] += float64(col.ints[r])
-				}
-			}
-		case algebra.AggMin, algebra.AggMax:
-			accumMinMax(st.seen, st.minI, st.maxI, st.minF, st.maxF, st.minS, st.maxS, col, gids)
-		}
-	}
-
-	// Fallback accumulation: rows in order, aggregates in order within the
-	// row — the reference executor's loop nest, so the first error matches.
-	if len(fallback) > 0 {
-		for r := 0; r < n; r++ {
-			g := gids[r]
-			for _, i := range fallback {
-				v := in.cols[argIdx[i]].valueAt(r)
-				if err := states[i].accs[g].add(v); err != nil {
-					return nil, err
-				}
-			}
-		}
-	}
-
-	out := NewTable("", agg.Schema(), db.BlockRows)
-	for g := 0; g < nGroups; g++ {
-		row := make([]algebra.Value, 0, len(groupIdx)+len(agg.Aggs))
-		for _, gi := range groupIdx {
-			row = append(row, in.cols[gi].valueAt(int(firstRow[g])))
-		}
-		for i, a := range agg.Aggs {
-			st := states[i]
-			switch {
-			case argIdx[i] < 0 || a.Func == algebra.AggCount:
-				row = append(row, algebra.IntVal(sizes[g]))
-			case st.typed && (a.Func == algebra.AggSum):
-				if st.isF {
-					row = append(row, algebra.FloatVal(st.sumF[g]))
-				} else {
-					row = append(row, algebra.IntVal(st.sumI[g]))
-				}
-			case st.typed && a.Func == algebra.AggAvg:
-				if sizes[g] == 0 {
-					row = append(row, algebra.FloatVal(0))
-				} else {
-					row = append(row, algebra.FloatVal(st.sumF[g]/float64(sizes[g])))
-				}
-			case st.typed && a.Func == algebra.AggMin:
-				row = append(row, minMaxValue(st.kind, st.minI, st.minF, st.minS, g))
-			case st.typed && a.Func == algebra.AggMax:
-				row = append(row, minMaxValue(st.kind, st.maxI, st.maxF, st.maxS, g))
-			default:
-				row = append(row, st.accs[g].result())
-			}
-		}
-		if err := out.Insert(row); err != nil {
+		col, err := aggColumn(a.Func, arg, gids, firstRow)
+		if err != nil {
 			return nil, err
 		}
+		// The one check CheckRows would have made of every row: the column's
+		// kind is its declared type (an all-null column has no kind).
+		decl := schema.Columns[len(groupIdx)+i]
+		if col.kind != 0 && col.kind != decl.Type {
+			return nil, fmt.Errorf("engine: %s: column %s is declared %s, not %s", agg.Label(), decl.Name, decl.Type, col.kind)
+		}
+		out.cols[len(groupIdx)+i] = col
 	}
 	stats := OpStats{
 		Label:     agg.Label(),
@@ -176,68 +60,132 @@ func (db *DB) batchAggregate(agg *algebra.Aggregate, in *Table, res *Result) (*T
 	return out, nil
 }
 
-// accumMinMax folds one typed column into per-group min/max payloads.
-// Comparisons are strict (replace only on <, resp. >), matching the
-// accumulator's keep-first-on-ties behavior; numeric columns compare
-// through float64 exactly as Value.Compare does.
-func accumMinMax(seen []bool, minI, maxI []int64, minF, maxF []float64, minS, maxS []string, col *colvec, gids []int32) {
-	switch {
-	case minI != nil:
+// aggColumn computes one aggregate over the argument column arg (nil for
+// COUNT(*)) as the output column holding one value per group. A group
+// without a non-null argument gets the null, except under COUNT, which
+// counts it 0. SUM over an int column stays int, and AVG adds each value's
+// float64 image in row order, as the reference accumulator does.
+func aggColumn(fn algebra.AggFunc, arg *colvec, gids, firstRow []int32) (*colvec, error) {
+	nGroups := len(firstRow)
+	nulls := arg != nil && arg.numNulls > 0
+	// counts[g] is the number of rows of group g that take part: every row
+	// under COUNT(*), the non-null ones otherwise. SUM, MIN and MAX need it
+	// only to find the groups without one, which a column without nulls has
+	// none of.
+	var counts []int64
+	if fn == algebra.AggCount || fn == algebra.AggAvg || nulls {
+		counts = make([]int64, nGroups)
 		for r, g := range gids {
-			v := col.ints[r]
-			if !seen[g] {
-				seen[g], minI[g], maxI[g] = true, v, v
-				continue
-			}
-			if float64(v) < float64(minI[g]) {
-				minI[g] = v
-			}
-			if float64(v) > float64(maxI[g]) {
-				maxI[g] = v
-			}
-		}
-	case minF != nil:
-		for r, g := range gids {
-			v := col.floats[r]
-			if !seen[g] {
-				seen[g], minF[g], maxF[g] = true, v, v
-				continue
-			}
-			if v < minF[g] {
-				minF[g] = v
-			}
-			if v > maxF[g] {
-				maxF[g] = v
-			}
-		}
-	case minS != nil:
-		for r, g := range gids {
-			v := col.strAt(r)
-			if !seen[g] {
-				seen[g], minS[g], maxS[g] = true, v, v
-				continue
-			}
-			if v < minS[g] {
-				minS[g] = v
-			}
-			if v > maxS[g] {
-				maxS[g] = v
+			if !nulls || !bitGet(arg.nulls, r) {
+				counts[g]++
 			}
 		}
 	}
+	if fn == algebra.AggCount {
+		return &colvec{kind: algebra.TypeInt, ints: counts, n: nGroups}, nil
+	}
+	out := &colvec{n: nGroups}
+	switch fn {
+	case algebra.AggSum, algebra.AggAvg:
+		switch {
+		case arg.kind == 0: // every value null
+		case fn == algebra.AggSum && (arg.kind == algebra.TypeInt || arg.kind == algebra.TypeDate):
+			out.kind, out.ints = algebra.TypeInt, make([]int64, nGroups)
+			for r, g := range gids {
+				if !nulls || !bitGet(arg.nulls, r) {
+					out.ints[g] += arg.ints[r]
+				}
+			}
+		case arg.kind == algebra.TypeInt || arg.kind == algebra.TypeDate:
+			out.kind, out.floats = algebra.TypeFloat, make([]float64, nGroups)
+			for r, g := range gids {
+				if !nulls || !bitGet(arg.nulls, r) {
+					out.floats[g] += float64(arg.ints[r])
+				}
+			}
+		case arg.kind == algebra.TypeFloat:
+			out.kind, out.floats = algebra.TypeFloat, make([]float64, nGroups)
+			for r, g := range gids {
+				if !nulls || !bitGet(arg.nulls, r) {
+					out.floats[g] += arg.floats[r]
+				}
+			}
+		default:
+			return nil, fmt.Errorf("engine: %s over a non-numeric %s column", fn, arg.kind)
+		}
+		if fn == algebra.AggAvg && out.kind != 0 {
+			for g, c := range counts {
+				if c > 0 {
+					out.floats[g] /= float64(c)
+				}
+			}
+		}
+	case algebra.AggMin, algebra.AggMax:
+		// The answer of a group is one of its rows' values: gather the row
+		// that holds it. A group with none gathers its first row, a null.
+		return arg.gather(bestRows(fn, arg, gids, firstRow)), nil
+	default:
+		return nil, fmt.Errorf("engine: unknown aggregate function %v", fn)
+	}
+	for g, c := range counts {
+		if c == 0 {
+			out.nulls = bitSet(out.nulls, g)
+			out.numNulls++
+		}
+	}
+	return out, nil
 }
 
-// minMaxValue rebuilds the stored min/max payload as a Value of the
-// column's kind — identical to the original value the accumulator would
-// have retained, since typed columns are kind-uniform.
-func minMaxValue(kind algebra.Type, ints []int64, floats []float64, strs []string, g int) algebra.Value {
-	switch kind {
+// bestRows returns, per group, the row holding the group's MIN (or MAX) of
+// arg, the first such row on ties; a group whose every value is null gets
+// its first row. Numbers compare through float64 and strings bytewise,
+// exactly as Value.Compare does, and a NaN never displaces a value nor is
+// displaced.
+func bestRows(fn algebra.AggFunc, arg *colvec, gids, firstRow []int32) []int32 {
+	best := make([]int32, len(firstRow))
+	for g := range best {
+		best[g] = -1
+	}
+	var nulls []uint64
+	if arg.numNulls > 0 {
+		nulls = arg.nulls
+	}
+	switch arg.kind {
+	case algebra.TypeInt, algebra.TypeDate:
+		bestNumeric(fn == algebra.AggMax, arg.ints, nulls, gids, best)
 	case algebra.TypeFloat:
-		return algebra.Value{Kind: algebra.TypeFloat, Float: floats[g]}
+		bestNumeric(fn == algebra.AggMax, arg.floats, nulls, gids, best)
 	case algebra.TypeString:
-		return algebra.Value{Kind: algebra.TypeString, Str: strs[g]}
-	default:
-		return algebra.Value{Kind: kind, Int: ints[g]}
+		for r, g := range gids {
+			switch b := best[g]; {
+			case nulls != nil && bitGet(nulls, r):
+			case b < 0:
+				best[g] = int32(r)
+			case arg.codes[r] != arg.codes[b]:
+				if x, y := arg.strAt(r), arg.strAt(int(b)); fn == algebra.AggMax && x > y || fn == algebra.AggMin && x < y {
+					best[g] = int32(r)
+				}
+			}
+		}
+	}
+	for g, b := range best {
+		if b < 0 {
+			best[g] = firstRow[g]
+		}
+	}
+	return best
+}
+
+// bestNumeric is bestRows' loop over a numeric payload.
+func bestNumeric[T int64 | float64](isMax bool, vals []T, nulls []uint64, gids, best []int32) {
+	for r, g := range gids {
+		switch b := best[g]; {
+		case nulls != nil && bitGet(nulls, r):
+		case b < 0:
+			best[g] = int32(r)
+		case isMax && float64(vals[r]) > float64(vals[b]), !isMax && float64(vals[r]) < float64(vals[b]):
+			best[g] = int32(r)
+		}
 	}
 }
 

@@ -600,7 +600,17 @@ func (db *DB) mergeAggregate(v *MaterializedView, agg *algebra.Aggregate, dagg *
 }
 
 // combineAgg merges a delta group's aggregate value into the stored one.
+// The null — SUM, MIN or MAX of a group whose values are all null — is the
+// identity on either side.
 func combineAgg(fn algebra.AggFunc, stored, delta algebra.Value) (algebra.Value, error) {
+	if fn != algebra.AggAvg { // AVG does not merge: see below
+		if delta == (algebra.Value{}) {
+			return stored, nil
+		}
+		if stored == (algebra.Value{}) {
+			return delta, nil
+		}
+	}
 	switch fn {
 	case algebra.AggCount, algebra.AggSum:
 		if stored.Kind == algebra.TypeFloat || delta.Kind == algebra.TypeFloat {

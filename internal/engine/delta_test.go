@@ -213,6 +213,47 @@ func TestIncrementalRefreshAggregateMergesGroups(t *testing.T) {
 	}
 }
 
+// TestIncrementalRefreshAggregateNullMeasure folds delta rows whose measure
+// is the null into a γ view: a null joining a group that has values changes
+// none of its aggregates but COUNT(*), a group born of nulls alone holds the
+// null under SUM, MIN and MAX and 0 under COUNT(v), and a later value into
+// that group replaces the null. After every epoch the maintained view equals
+// its recomputation.
+func TestIncrementalRefreshAggregateNullMeasure(t *testing.T) {
+	db, tb := aggDB(t)
+	v := algebra.Ref("T", "v")
+	plan := algebra.NewAggregate(
+		algebra.NewScan("T", tb.Schema),
+		[]algebra.ColumnRef{algebra.Ref("T", "grp")},
+		[]algebra.Aggregation{
+			{Func: algebra.AggSum, Arg: v, Alias: "total"},
+			{Func: algebra.AggCount, Alias: "n"},
+			{Func: algebra.AggCount, Arg: v, Alias: "nv"},
+			{Func: algebra.AggMin, Arg: v, Alias: "lo"},
+			{Func: algebra.AggMax, Arg: v, Alias: "hi"},
+		})
+	if _, err := db.Materialize("summary", plan); err != nil {
+		t.Fatal(err)
+	}
+	null := algebra.Value{}
+	for epoch, delta := range [][][]algebra.Value{
+		{{algebra.StringVal("a"), null}, {algebra.StringVal("n"), null}, {algebra.StringVal("n"), null}},
+		{{algebra.StringVal("n"), algebra.IntVal(7)}, {algebra.StringVal("b"), null}},
+	} {
+		if err := db.InsertDelta("T", delta...); err != nil {
+			t.Fatal(err)
+		}
+		runEpoch(t, db, "summary")
+		ref := fmt.Sprintf("ref%d", epoch)
+		if _, err := db.Materialize(ref, algebra.Clone(plan)); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := viewKey(t, db, "summary"), viewKey(t, db, ref); got != want {
+			t.Fatalf("epoch %d: maintained view diverges from recompute\n got: %s\nwant: %s", epoch, got, want)
+		}
+	}
+}
+
 // TestIncrementalRefreshRejectsNonIncremental: AVG and non-root aggregates
 // must fall back to recomputation via ErrNotIncremental.
 func TestIncrementalRefreshRejectsNonIncremental(t *testing.T) {

@@ -251,10 +251,14 @@ func (db *DB) account(res *Result, s OpStats) {
 	db.Counter.AddWrites(s.Writes)
 	db.blockReads.Add(s.Reads)
 	db.blockWrites.Add(s.Writes)
-	obs.Emit(db.obsv, obs.EvEngineOp,
-		obs.String("op", s.Label),
-		obs.Int("reads", s.Reads),
-		obs.Int("writes", s.Writes),
-		obs.Int("out_rows", int64(s.OutRows)),
-		obs.Int("out_blocks", int64(s.OutBlocks)))
+	// The guard keeps an unobserved execution from building the event's
+	// attributes: they escape to the heap even when Emit drops them.
+	if db.obsv != nil {
+		db.obsv.Event(obs.EvEngineOp,
+			obs.String("op", s.Label),
+			obs.Int("reads", s.Reads),
+			obs.Int("writes", s.Writes),
+			obs.Int("out_rows", int64(s.OutRows)),
+			obs.Int("out_blocks", int64(s.OutBlocks)))
+	}
 }

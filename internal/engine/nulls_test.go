@@ -62,7 +62,7 @@ func runBoth(t *testing.T, label string, bdb, rdb *engine.DB, plan algebra.Node)
 // TestAllNullColumnParity drives an entirely-null payload column through
 // select, project, join, and every aggregate, asserting both executors
 // agree; nulls never satisfy a comparison, never match a join key, and
-// poison SUM/AVG/MIN identically.
+// leave SUM/AVG/MIN the null identically.
 func TestAllNullColumnParity(t *testing.T) {
 	schema := nullsSchema(algebra.TypeInt)
 	rows := make([][]algebra.Value, 13)
@@ -116,8 +116,9 @@ func TestAllNullColumnParity(t *testing.T) {
 	bdb.SetJoinAlgorithm(engine.JoinNestedLoop)
 	rdb.SetJoinAlgorithm(engine.JoinNestedLoop)
 
-	// COUNT counts null rows; SUM and AVG over nulls fail; grouping BY the
-	// null column groups all nulls together. All identical across modes.
+	// COUNT(*) counts null rows and COUNT(v) does not; SUM, AVG and MIN over
+	// nulls alone are the null; grouping BY the null column groups all nulls
+	// together. All identical across modes.
 	for _, c := range []struct {
 		name string
 		fn   algebra.AggFunc
@@ -204,8 +205,8 @@ func TestMixedNullColumnParity(t *testing.T) {
 	bdb.SetJoinAlgorithm(engine.JoinNestedLoop)
 	rdb.SetJoinAlgorithm(engine.JoinNestedLoop)
 
-	// COUNT per group counts null rows too; MIN errors when a null follows
-	// a valid value — identically.
+	// COUNT(v) per group counts the non-null rows; MIN skips the nulls —
+	// identically.
 	count := algebra.NewAggregate(algebra.Clone(scan),
 		[]algebra.ColumnRef{algebra.Ref("T", "k")},
 		[]algebra.Aggregation{{Func: algebra.AggCount, Arg: algebra.Ref("T", "v"), Alias: "n"}})
@@ -214,6 +215,47 @@ func TestMixedNullColumnParity(t *testing.T) {
 		[]algebra.ColumnRef{algebra.Ref("T", "k")},
 		[]algebra.Aggregation{{Func: algebra.AggMin, Arg: algebra.Ref("T", "v"), Alias: "m"}})
 	runBoth(t, "min over mixed nulls", bdb, rdb, min)
+}
+
+// TestAggregateNullsFollowSQL runs every aggregate BY k over T(k, v)
+// holding (1, 5), (1, NULL) and (2, NULL): COUNT(*) counts rows, COUNT(v)
+// the non-null values, and SUM, AVG, MIN and MAX skip the null and are the
+// null for group 2, which holds nothing else. Both executors give that
+// answer, row for row.
+func TestAggregateNullsFollowSQL(t *testing.T) {
+	null := algebra.Value{}
+	bdb, rdb := dualScratch(t, 4, nullsSchema(algebra.TypeInt), [][]algebra.Value{
+		{algebra.IntVal(1), algebra.IntVal(5)},
+		{algebra.IntVal(1), null},
+		{algebra.IntVal(2), null},
+	})
+	tab, err := bdb.Table("T")
+	if err != nil {
+		t.Fatal(err)
+	}
+	v := algebra.Ref("T", "v")
+	plan := algebra.NewAggregate(algebra.NewScan("T", tab.Schema),
+		[]algebra.ColumnRef{algebra.Ref("T", "k")},
+		[]algebra.Aggregation{
+			{Func: algebra.AggCount, Alias: "n"},
+			{Func: algebra.AggCount, Arg: v, Alias: "nv"},
+			{Func: algebra.AggSum, Arg: v, Alias: "total"},
+			{Func: algebra.AggAvg, Arg: v, Alias: "mean"},
+			{Func: algebra.AggMin, Arg: v, Alias: "lo"},
+			{Func: algebra.AggMax, Arg: v, Alias: "hi"},
+		})
+	bres, _ := runBoth(t, "every aggregate over a null measure", bdb, rdb, plan)
+	if bres == nil {
+		t.Fatal("aggregating a null measure failed")
+	}
+	want := [][]algebra.Value{
+		{algebra.IntVal(1), algebra.IntVal(2), algebra.IntVal(1), algebra.IntVal(5), algebra.FloatVal(5), algebra.IntVal(5), algebra.IntVal(5)},
+		{algebra.IntVal(2), algebra.IntVal(1), algebra.IntVal(0), null, null, null, null},
+	}
+	got := bres.Rows()
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("γ over nulls:\n got %v\nwant %v", got, want)
+	}
 }
 
 // TestEmptyBatchParity drives zero-row tables through every operator in

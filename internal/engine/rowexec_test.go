@@ -256,6 +256,87 @@ func (db *DB) rowHashJoin(j *algebra.Join, left, right *Table, res *Result) (*Ta
 	return out, nil
 }
 
+// accumulator folds one aggregation's values for one group, a value at a
+// time: the reference the batch kernels are checked against. A null takes
+// no part (SQL): COUNT(v) does not count it, and SUM, AVG, MIN and MAX of a
+// group holding nothing else are the null.
+type accumulator struct {
+	fn    algebra.AggFunc
+	count int64
+	sumI  int64
+	sumF  float64
+	isF   bool
+	minV  algebra.Value
+	maxV  algebra.Value
+}
+
+func (a *accumulator) add(v algebra.Value) error {
+	if v == (algebra.Value{}) {
+		return nil
+	}
+	a.count++
+	switch a.fn {
+	case algebra.AggCount:
+		return nil
+	case algebra.AggSum, algebra.AggAvg:
+		switch v.Kind {
+		case algebra.TypeInt, algebra.TypeDate:
+			a.sumI += v.Int
+			a.sumF += float64(v.Int)
+		case algebra.TypeFloat:
+			a.isF = true
+			a.sumF += v.Float
+		default:
+			return fmt.Errorf("engine: %s over non-numeric value %s", a.fn, v)
+		}
+		return nil
+	case algebra.AggMin, algebra.AggMax:
+		if !a.minV.IsValid() {
+			a.minV, a.maxV = v, v
+			return nil
+		}
+		if c, err := v.Compare(a.minV); err != nil {
+			return err
+		} else if c < 0 {
+			a.minV = v
+		}
+		if c, err := v.Compare(a.maxV); err != nil {
+			return err
+		} else if c > 0 {
+			a.maxV = v
+		}
+		return nil
+	default:
+		return fmt.Errorf("engine: unknown aggregate function %v", a.fn)
+	}
+}
+
+func (a *accumulator) result() algebra.Value {
+	switch a.fn {
+	case algebra.AggCount:
+		return algebra.IntVal(a.count)
+	case algebra.AggSum:
+		if a.count == 0 {
+			return algebra.Value{}
+		}
+		if a.isF {
+			return algebra.FloatVal(a.sumF)
+		}
+		return algebra.IntVal(a.sumI)
+	case algebra.AggAvg:
+		if a.count == 0 {
+			return algebra.Value{}
+		}
+		return algebra.FloatVal(a.sumF / float64(a.count))
+	case algebra.AggMin:
+		return a.minV
+	case algebra.AggMax:
+		return a.maxV
+	default:
+		return algebra.Value{}
+	}
+}
+
 // rowAggregate is the reference hash aggregation: one pass over the
 // input, one accumulator row per group, groups emitted in first-seen
 // order.

@@ -328,7 +328,7 @@ func (t *Table) denseCols(idx ...int) *Table {
 
 // Counter tallies block accesses. Reads and writes are independent atomics
 // — per-operator accounting runs on every executed operator of every
-// concurrent query, so the counter must not serialize the worker pool.
+// concurrent query, so the counter must not serialize concurrent misses.
 type Counter struct {
 	reads  atomic.Int64
 	writes atomic.Int64

@@ -44,8 +44,10 @@ const (
 	// SiteEngineApplyDeltas fires on an epoch's ApplyDeltas — folding pending
 	// deltas into the base tables.
 	SiteEngineApplyDeltas Site = "engine.apply_deltas"
-	// SiteServeWorker fires in a router worker just before it executes an
-	// admitted request (panics here exercise worker pool recovery).
+	// SiteServeWorker fires on the serving router just before it executes an
+	// admitted cache miss, on the caller's goroutine while the miss holds its
+	// execution slot (panics here exercise the router's recovery: the caller
+	// gets an error and the slot is freed).
 	SiteServeWorker Site = "serve.worker"
 	// SiteServeEpoch fires at the top of a maintenance epoch.
 	SiteServeEpoch Site = "serve.epoch"

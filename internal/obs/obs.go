@@ -178,10 +178,10 @@ const (
 	CtrServeCacheHits   = "serve.cache_hits"
 	CtrServeCacheMisses = "serve.cache_misses"
 	// CtrServeRejected counts queries the admission controller turned away
-	// (queue full and the caller's context expired first).
+	// (every execution slot taken and the caller's context ended first).
 	CtrServeRejected = "serve.rejected"
-	// CtrServeBackpressured counts cache misses that found the admission
-	// queue full and had to wait for a slot.
+	// CtrServeBackpressured counts cache misses that found every execution
+	// slot taken and the router's QueueDepth callers already waiting.
 	CtrServeBackpressured = "serve.backpressured"
 	// CtrServeEpochs counts maintenance epochs the scheduler ran.
 	CtrServeEpochs = "serve.epochs"
@@ -263,7 +263,7 @@ const (
 
 // Canonical gauge names for the serving layer.
 const (
-	// GaugeServeQueueDepth is the router's current admission-queue depth.
+	// GaugeServeQueueDepth is how many callers wait for an execution slot now.
 	GaugeServeQueueDepth = "serve.queue_depth"
 	// GaugeServeStaleRows is the buffer total: the delta rows ingested and
 	// not yet landed (buffered, or staged by an epoch that was let go), each

@@ -11,6 +11,7 @@ import (
 
 	"github.com/warehousekit/mvpp/internal/engine"
 	"github.com/warehousekit/mvpp/internal/fault"
+	"github.com/warehousekit/mvpp/internal/obs"
 )
 
 // fastRetry keeps chaos tests quick: two attempts, microsecond backoff.
@@ -216,8 +217,8 @@ func TestStalenessBoundDegrades(t *testing.T) {
 	}
 }
 
-// TestWorkerPanicRecovery: an injected panic in a worker is answered as an
-// error and the pool keeps serving with its full capacity.
+// TestWorkerPanicRecovery: an injected panic in an execution is answered as
+// an error and frees its slot, so the router keeps its full capacity.
 func TestWorkerPanicRecovery(t *testing.T) {
 	inj := fault.New(1, fault.Plan{fault.SiteServeWorker: {PanicProb: 1}})
 	s, _ := serveFixture(t, Config{Workers: 2, DeltaBatch: 1 << 20, Injector: inj})
@@ -230,7 +231,7 @@ func TestWorkerPanicRecovery(t *testing.T) {
 		}
 	}
 	inj.Disarm()
-	// The same two workers must still be alive to answer this.
+	// Both slots must be free again to answer this.
 	if _, err := s.Query(ctx, "QLA"); err != nil {
 		t.Fatalf("pool did not survive the panics: %v", err)
 	}
@@ -239,41 +240,133 @@ func TestWorkerPanicRecovery(t *testing.T) {
 	}
 }
 
-// TestDeadRequestSkipped: a request whose context expired while it sat in
-// the queue is rejected by the worker without executing the plan.
+// delayTimes records when each injected latency spike began. The injector
+// emits the event just before it sleeps, inside the execution's slot.
+type delayTimes struct {
+	*eventObserver
+	mu sync.Mutex
+	at []time.Time
+}
+
+func (o *delayTimes) Event(kind obs.EventKind, attrs ...obs.Attr) {
+	if kind != obs.EvFault {
+		return
+	}
+	for _, a := range attrs {
+		if a.Key == "kind" && a.Value == "delay" {
+			o.mu.Lock()
+			o.at = append(o.at, time.Now())
+			o.mu.Unlock()
+		}
+	}
+}
+
+// TestAdmissionBoundsExecutions: many more callers than slots, each miss
+// held in the engine by an injected delay, never run more than Workers
+// executions at once. Every execution holds its slot from its delay's start
+// for at least the delay, so with W slots any W+1 delays, in start order,
+// span at least one delay. Four injected panics first leave every slot free:
+// the full capacity serves the burst.
+func TestAdmissionBoundsExecutions(t *testing.T) {
+	const workers, callers, delay = 3, 24, 5 * time.Millisecond
+	inj := fault.New(1, fault.Plan{fault.SiteServeWorker: {PanicProb: 1}})
+	rec := &delayTimes{eventObserver: newEventObserver()}
+	inj.SetObserver(rec)
+	s, db := serveFixture(t, Config{Workers: workers, QueueDepth: 4, CacheCapacity: -1, DeltaBatch: 1 << 20, Injector: inj})
+	db.SetInjector(inj)
+	ctx := context.Background()
+
+	// A slot a panic kept would leave a later query waiting: the deadline
+	// turns that into a rejection instead of a hang.
+	short, cancel := context.WithTimeout(ctx, 2*time.Second)
+	defer cancel()
+	for i := 0; i < 4; i++ {
+		if _, err := s.Query(short, "QLA"); err == nil || !strings.Contains(err.Error(), "panic") {
+			t.Fatalf("query %d: err = %v, want a recovered-panic error", i, err)
+		}
+	}
+	if n := len(s.slots); n != 0 {
+		t.Fatalf("%d slots still taken after the panics, want 0", n)
+	}
+
+	inj.Disarm()
+	inj.SetRule(fault.SiteEngineExecute, fault.Rule{SlowProb: 1, Delay: delay})
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for i := 0; i < callers; i++ {
+		wg.Add(1)
+		go func(q string) {
+			defer wg.Done()
+			if _, err := s.Query(ctx, q); err != nil {
+				errs <- err
+			}
+		}([]string{"QLA", "QCust"}[i%2])
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatalf("a caller of the burst failed: %v", err)
+	}
+
+	rec.mu.Lock()
+	at := append([]time.Time(nil), rec.at...)
+	rec.mu.Unlock()
+	if len(at) != callers {
+		t.Fatalf("%d executions were delayed, want %d", len(at), callers)
+	}
+	sort.Slice(at, func(i, j int) bool { return at[i].Before(at[j]) })
+	for i := 0; i+workers < len(at); i++ {
+		if gap := at[i+workers].Sub(at[i]); gap < delay {
+			t.Fatalf("executions %d..%d started within %v: more than %d ran at once", i, i+workers, gap, workers)
+		}
+	}
+	if got := s.Stats().PanicsRecovered; got != 4 {
+		t.Errorf("panics recovered = %d, want 4", got)
+	}
+}
+
+// TestDeadRequestSkipped: a caller whose context is dead by the time it
+// holds an execution slot gives the slot back without executing the plan —
+// whether the slot was free at once, or the caller waited for it and its
+// context ended as the slot freed. Each is rejected once, and no slot leaks.
 func TestDeadRequestSkipped(t *testing.T) {
 	db := paperServeDB(t)
 	plan := laCustomerPlan(t, db)
-	s, err := newServer(Config{DB: db, QueueDepth: 4})
+	s, err := newServer(Config{DB: db, Workers: 2, QueueDepth: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	readsBefore := db.Counter.Reads()
 
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	if _, err := s.Submit(ctx, plan); !errors.Is(err, ErrRejected) {
 		t.Fatalf("submit with a dead context: %v, want ErrRejected", err)
 	}
-	if len(s.queue) != 1 {
-		t.Fatalf("request should be queued for the worker to skip, queue=%d", len(s.queue))
+
+	release := holdSlots(s)
+	ctx, cancel = context.WithCancel(context.Background())
+	done := make(chan error, 1)
+	go func() {
+		_, err := s.Submit(ctx, plan)
+		done <- err
+	}()
+	waitForWaiters(t, s, 1)
+	cancel()
+	release()
+	if err := <-done; !errors.Is(err, ErrRejected) {
+		t.Fatalf("waiter cancelled as a slot freed: %v, want ErrRejected", err)
 	}
 
-	readsBefore := db.Counter.Reads()
-	s.startWorkers(1)
-	deadline := time.Now().Add(2 * time.Second)
-	for len(s.queue) > 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("worker never drained the dead request")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(5 * time.Millisecond)
 	if got := db.Counter.Reads(); got != readsBefore {
 		t.Errorf("dead request was executed anyway: %d block reads", got-readsBefore)
 	}
-	if got := s.Stats().Rejected; got != 1 {
-		t.Errorf("rejected = %d, want exactly 1 (submitter and worker dedupe)", got)
+	if got := s.Stats().Rejected; got != 2 {
+		t.Errorf("rejected = %d, want 2 (once per caller)", got)
+	}
+	if n := len(s.slots); n != 0 {
+		t.Errorf("%d slots still taken after the rejections, want 0", n)
 	}
 }
 

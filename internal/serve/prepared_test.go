@@ -252,7 +252,10 @@ func TestPreparedPlanSameNameRematerialized(t *testing.T) {
 // positions and rendered its label on every execution; it resolves them
 // once per plan node now. Both rows took 4 allocations and 100–160 bytes
 // more (31 and 3.6 KB, 29 and 2.3 KB) while σ and ⋈ rendered their labels on
-// every execution; each node keeps its label now.
+// every execution; each node keeps its label now. And 27 and 3.4 KB, 25 and
+// 2.2 KB while a miss went to a pool worker and back (a request and its reply
+// channel), Execute validated the whole plan on every run, and every
+// operator built its event's attributes with no observer to read them.
 func TestMissAllocBudget(t *testing.T) {
 	db, err := datagen.PaperDB(10, 0.05, 42)
 	if err != nil {
@@ -282,8 +285,8 @@ func TestMissAllocBudget(t *testing.T) {
 		query                         string
 		measuredAllocs, measuredBytes int
 	}{
-		{"Q", 27, 3_450},
-		{"QP", 25, 2_200},
+		{"Q", 18, 2_950},
+		{"QP", 13, 1_500},
 	}
 	bytesOf := map[string]float64{}
 	for _, row := range rows {
@@ -316,7 +319,7 @@ func missAllocs(t *testing.T, s *Server, name string) (allocs, bytes float64) {
 			t.Fatalf("%s: miss: %v (cached %v)", name, err, res != nil && res.Cached)
 		}
 	}
-	miss() // warm the worker off the clock
+	miss() // warm the plan off the clock
 
 	const runs = 200
 	var before, after runtime.MemStats

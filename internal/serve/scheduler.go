@@ -312,8 +312,8 @@ func (s *Server) commit(recs []engine.DeltaRecord, replayedTo uint64, refs []ing
 // state the server boots on — a recovered snapshot's, or 0 for a freshly
 // built warehouse — as one unjournaled group: the DB holds only the rows up
 // to that watermark, whether or not the dead process had landed the rest.
-// Called by newServer before the workers and the scheduler loop start; the
-// rows land with the first epoch.
+// Called by newServer before the server answers a query or its scheduler
+// loop starts; the rows land with the first epoch.
 func (s *Server) replayJournal() error {
 	sc := s.sched
 	if sc.journal == nil {

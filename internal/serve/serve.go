@@ -6,10 +6,11 @@
 //
 // The package is built from four cooperating pieces:
 //
-//   - a query router (Submit/Query): a bounded worker pool executes plans
-//     rewritten over the materialized views; a full queue exerts
-//     backpressure, and a caller whose context expires while waiting is
-//     rejected — admission control;
+//   - a query router (Submit/Query): a cache miss executes its plan,
+//     rewritten over the materialized views, on the caller's goroutine while
+//     holding one of a fixed number of execution slots; a caller that finds
+//     every slot taken waits for one, and is rejected if its context expires
+//     first — admission control;
 //   - a result cache keyed by the plan's cacheKey, one per served
 //     state: an entry is valid while the state it was computed on is served;
 //   - a maintenance scheduler (Ingest/Flush): delta rows accumulate per
@@ -25,7 +26,7 @@
 // exponential backoff, a view whose incremental refresh keeps failing falls
 // back to full recomputation, a per-view circuit breaker degrades queries
 // to the base-relation plan when a view is unhealthy or too stale (with
-// half-open probing for recovery), worker and scheduler panics are
+// half-open probing for recovery), query-execution and scheduler panics are
 // recovered, and an optional write-ahead delta journal makes ingestion
 // crash-safe — no accepted delta is lost to a crash, before or after the
 // epoch that lands it. Faults are injected for testing via internal/fault
@@ -64,9 +65,10 @@ import (
 var (
 	// ErrClosed reports a submission to a closed server.
 	ErrClosed = errors.New("serve: server is closed")
-	// ErrRejected reports that admission control turned the query away: the
-	// worker queue was full and the caller's context expired while waiting
-	// for a slot or for the result.
+	// ErrRejected reports that admission control turned the query away: every
+	// execution slot was taken and the caller's context ended while it waited
+	// for one, or had ended by the time it got one. An execution that has
+	// started is never rejected: it runs to completion.
 	ErrRejected = errors.New("serve: query rejected")
 )
 
@@ -133,9 +135,14 @@ type Config struct {
 	MVPP       *core.MVPP
 	Model      cost.Model
 	SelectOpts core.SelectOptions
-	// Workers is the router's worker-pool size (default DefaultWorkers).
+	// Workers is how many cache misses may execute at once (default
+	// DefaultWorkers). A miss executes on its caller's goroutine while it
+	// holds one of these slots.
 	Workers int
-	// QueueDepth bounds the admission queue (default DefaultQueueDepth).
+	// QueueDepth is how many callers may wait for a slot before a newcomer
+	// counts as backpressured (default DefaultQueueDepth). It bounds no wait:
+	// every caller waits until a slot frees, its context ends, or the server
+	// closes.
 	QueueDepth int
 	// CacheCapacity bounds the result cache in entries (default
 	// DefaultCacheCapacity; negative disables caching).
@@ -165,7 +172,7 @@ type Config struct {
 	// server never closes it).
 	Journal engine.DeltaJournal
 	// Injector, when set, arms fault injection at the serving layer's sites
-	// (worker execution, epoch start). Arm the same injector on the DB via
+	// (query execution, epoch start). Arm the same injector on the DB via
 	// SetInjector to cover the engine sites too. Nil injects nothing.
 	Injector *fault.Injector
 	// TraceSampleEvery enables trace correlation: every submission gets a
@@ -238,28 +245,6 @@ type Result struct {
 	Epoch uint64
 	// Latency is the wall-clock time from submission to answer.
 	Latency time.Duration
-}
-
-type request struct {
-	ctx  context.Context
-	plan algebra.Node
-	key  string
-	// name is the workload query class ("" for ad-hoc plans); the worker
-	// records the execution's measured I/O against it in the cost ledger.
-	name string
-	// qt is the sampled query's /traces entry (zero when unsampled); the
-	// worker records the execute/degraded stages under it.
-	qt   sampledQuery
-	done chan response
-	// rejected dedupes admission-control accounting: the submitter (context
-	// expired while waiting) and the worker (context expired while queued)
-	// may both notice the rejection, but it is counted once.
-	rejected atomic.Bool
-}
-
-type response struct {
-	res *Result
-	err error
 }
 
 type queryState struct {
@@ -350,13 +335,15 @@ type Server struct {
 
 	cacheCap int
 
-	queue     chan *request
-	closed    chan struct{}
-	closeOnce sync.Once
-	wg        sync.WaitGroup
-	// inflight counts Submit calls between entry and return; Close drains
-	// stragglers (admitted after the workers exited) until it reaches zero.
-	inflight atomic.Int64
+	// slots is the router's admission semaphore, one token per miss
+	// executing (Config.Workers of them); waiting counts the callers blocked
+	// for a token, and past queueDepth of them a newcomer is backpressured.
+	slots      chan struct{}
+	waiting    atomic.Int64
+	queueDepth int64
+	closed     chan struct{}
+	closeOnce  sync.Once
+	wg         sync.WaitGroup // the scheduler loop
 	// baseCtx is cancelled by Close so retry backoff sleeps abort promptly.
 	baseCtx context.Context
 	cancel  context.CancelFunc
@@ -504,8 +491,8 @@ func (st *serverStats) resolve(reg *obs.Registry) {
 	}
 }
 
-// New builds and starts a server: the worker pool and the maintenance
-// scheduler begin running immediately. When Config.Journal holds delta
+// New builds and starts a server: it answers queries, and the maintenance
+// scheduler begins running, immediately. When Config.Journal holds delta
 // batches past the boot watermark (see Config.DB), they are re-ingested
 // before serving starts and land with the first epoch.
 func New(cfg Config) (*Server, error) {
@@ -513,26 +500,20 @@ func New(cfg Config) (*Server, error) {
 	if err != nil {
 		return nil, err
 	}
-	s.startWorkers(workersOf(cfg))
 	s.wg.Add(1)
 	go s.sched.loop(cfg.SnapshotInterval)
 	return s, nil
 }
 
-func workersOf(cfg Config) int {
-	if cfg.Workers > 0 {
-		return cfg.Workers
-	}
-	return DefaultWorkers
-}
-
-// newServer assembles a server without starting the worker pool or the
-// scheduler loop — tests use it to fill the queue deterministically.
+// newServer assembles a server without starting the scheduler loop.
 func newServer(cfg Config) (*Server, error) {
 	if cfg.DB == nil {
 		return nil, errors.New("serve: config needs a DB")
 	}
-	queueDepth := cfg.QueueDepth
+	workers, queueDepth := cfg.Workers, cfg.QueueDepth
+	if workers <= 0 {
+		workers = DefaultWorkers
+	}
 	if queueDepth <= 0 {
 		queueDepth = DefaultQueueDepth
 	}
@@ -543,7 +524,8 @@ func newServer(cfg Config) (*Server, error) {
 		model:      cfg.Model,
 		selectOpts: cfg.SelectOpts,
 		cacheCap:   cfg.CacheCapacity,
-		queue:      make(chan *request, queueDepth),
+		slots:      make(chan struct{}, workers),
+		queueDepth: int64(queueDepth),
 		closed:     make(chan struct{}),
 		inj:        cfg.Injector,
 		retry:      cfg.Retry.withDefaults(),
@@ -657,13 +639,6 @@ func newServer(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-func (s *Server) startWorkers(n int) {
-	for i := 0; i < n; i++ {
-		s.wg.Add(1)
-		go s.worker()
-	}
-}
-
 // Query answers one named workload query and records the access for the
 // advisor's observed frequencies.
 func (s *Server) Query(ctx context.Context, name string) (*Result, error) {
@@ -675,22 +650,12 @@ func (s *Server) Query(ctx context.Context, name string) (*Result, error) {
 	return s.submit(ctx, name, qs.spec.Plan, qs.key)
 }
 
-// rejectOnce counts an admission-control rejection exactly once per
-// request, no matter whether the submitter or the worker noticed it first.
-func (s *Server) rejectOnce(req *request) {
-	if req.rejected.CompareAndSwap(false, true) {
-		s.stats.rejected.Add(1)
-		if req.qt.entry != 0 {
-			s.traceStage(req.qt, "reply", obs.String("outcome", "rejected"))
-		}
-	}
-}
-
-// Submit answers an ad-hoc plan: cache, then the worker pool, which
-// executes the plan rewritten over the current materialized views. A full
-// queue blocks the caller (backpressure) until a slot frees or ctx expires
-// (rejection). Submitting to a closed server — or racing with Close —
-// returns ErrClosed.
+// Submit answers an ad-hoc plan: from the cache, or by executing the plan
+// rewritten over the current materialized views on the caller's goroutine,
+// in one of Config.Workers execution slots. A caller that finds every slot
+// taken waits for one until a slot frees, ctx ends (ErrRejected) or the
+// server closes (ErrClosed); ctx bounds only that wait. Submitting to a
+// closed server returns ErrClosed.
 func (s *Server) Submit(ctx context.Context, plan algebra.Node) (*Result, error) {
 	return s.submit(ctx, "", plan, cacheKey(plan))
 }
@@ -709,8 +674,6 @@ func (s *Server) submit(ctx context.Context, name string, plan algebra.Node, key
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s.inflight.Add(1)
-	defer s.inflight.Add(-1)
 	select {
 	case <-s.closed:
 		return nil, ErrClosed
@@ -752,158 +715,151 @@ func (s *Server) submit(ctx context.Context, name string, plan algebra.Node, key
 	s.stats.misses.Add(1)
 	s.traceStage(qt, "cache_miss")
 
-	req := &request{ctx: ctx, plan: plan, key: key, name: name, qt: qt, done: make(chan response, 1)}
-	select {
-	case s.queue <- req:
-	default:
-		// Queue full: backpressure. Block until a slot frees, the caller
-		// gives up, or the server closes.
-		s.stats.backpressured.Add(1)
-		select {
-		case s.queue <- req:
-		case <-ctx.Done():
-			s.rejectOnce(req)
-			return nil, fmt.Errorf("%w: %v", ErrRejected, ctx.Err())
-		case <-s.closed:
-			return nil, ErrClosed
-		}
-	}
-	s.stats.queueDepth.Set(float64(len(s.queue)))
-
-	select {
-	case resp := <-req.done:
-		if resp.err != nil {
+	if err := s.acquire(ctx); err != nil {
+		if errors.Is(err, ErrRejected) {
+			s.stats.rejected.Add(1)
 			if qt.entry != 0 {
-				s.traceStage(qt, "reply", obs.String("outcome", "error"),
-					obs.String("error", resp.err.Error()))
+				s.traceStage(qt, "reply", obs.String("outcome", "rejected"))
 			}
-			return nil, resp.err
 		}
-		resp.res.Latency = time.Since(start)
-		s.stats.lat.Record(resp.res.Latency)
-		s.winLat.Record(time.Now().Unix(), resp.res.Latency)
+		return nil, err
+	}
+	res, err := s.execute(plan, key, name, qt)
+	if err != nil {
 		if qt.entry != 0 {
-			s.exemplars.record(resp.res.Latency, qt.traceID, qt.id)
-			s.traceStage(qt, "reply",
-				obs.Bool("cached", false),
-				obs.Bool("degraded", resp.res.Degraded),
-				obs.Int("epoch", int64(resp.res.Epoch)),
-				obs.Int("latency_us", resp.res.Latency.Microseconds()))
+			s.traceStage(qt, "reply", obs.String("outcome", "error"),
+				obs.String("error", err.Error()))
 		}
-		return resp.res, nil
-	case <-ctx.Done():
-		// The request is already admitted; the worker will complete it into
-		// the buffered channel (and populate the cache), but this caller is
-		// done waiting.
-		s.rejectOnce(req)
-		return nil, fmt.Errorf("%w: %v", ErrRejected, ctx.Err())
+		return nil, err
 	}
+	end := time.Now()
+	res.Latency = end.Sub(start)
+	s.stats.lat.Record(res.Latency)
+	s.winLat.Record(end.Unix(), res.Latency)
+	if qt.entry != 0 {
+		s.exemplars.record(res.Latency, qt.traceID, qt.id)
+		s.traceStage(qt, "reply",
+			obs.Bool("cached", false),
+			obs.Bool("degraded", res.Degraded),
+			obs.Int("epoch", int64(res.Epoch)),
+			obs.Int("latency_us", res.Latency.Microseconds()))
+	}
+	return res, nil
 }
 
-func (s *Server) worker() {
-	defer s.wg.Done()
-	for {
+// acquire takes an execution slot for a miss. A caller that finds every
+// slot taken waits for one until a slot frees, its context ends
+// (ErrRejected) or the server closes (ErrClosed). A caller whose context has
+// ended by the time it holds a slot gives the slot back unexecuted
+// (ErrRejected).
+func (s *Server) acquire(ctx context.Context) error {
+	select {
+	case s.slots <- struct{}{}:
+	default:
+		n := s.waiting.Add(1)
+		if n > s.queueDepth {
+			s.stats.backpressured.Add(1)
+		}
+		s.stats.queueDepth.Set(float64(n))
+		var err error
 		select {
-		case req := <-s.queue:
-			s.handle(req)
+		case s.slots <- struct{}{}:
+		case <-ctx.Done():
+			err = fmt.Errorf("%w: %v", ErrRejected, ctx.Err())
 		case <-s.closed:
-			// Drain what was admitted before the close, so no submitter
-			// blocks forever on a done channel.
-			for {
-				select {
-				case req := <-s.queue:
-					s.handle(req)
-				default:
-					return
-				}
-			}
+			err = ErrClosed
+		}
+		s.stats.queueDepth.Set(float64(s.waiting.Add(-1)))
+		if err != nil {
+			return err
 		}
 	}
+	if err := ctx.Err(); err != nil {
+		<-s.slots
+		return fmt.Errorf("%w: %v", ErrRejected, err)
+	}
+	return nil
 }
 
-// handle executes one admitted request on the served state.
-func (s *Server) handle(req *request) {
-	// A caller that expired while queued gets an admission-control answer
-	// instead of burning the worker on a result nobody is waiting for.
-	if err := req.ctx.Err(); err != nil {
-		s.rejectOnce(req)
-		req.done <- response{err: fmt.Errorf("%w: %v", ErrRejected, err)}
-		return
-	}
-	// A panicking execution (injected or real) must not take the worker
-	// down with it: the pool's size is the serving capacity.
+// execute answers one admitted miss on the served state, on the caller's
+// goroutine, and gives back the slot acquire took however it ends. name is
+// the workload query class ("" for an ad-hoc plan), whose measured I/O the
+// cost ledger records; qt is the sampled query's /traces entry (zero when
+// unsampled).
+func (s *Server) execute(plan algebra.Node, key, name string, qt sampledQuery) (res *Result, err error) {
+	// A panicking execution (injected or real) is answered as an error and
+	// frees its slot too: the slots are the serving capacity.
 	defer func() {
 		if r := recover(); r != nil {
 			s.stats.panics.Add(1)
-			req.done <- response{err: fmt.Errorf("serve: query worker recovered from panic: %v", r)}
+			res, err = nil, fmt.Errorf("serve: query worker recovered from panic: %v", r)
 		}
+		<-s.slots
 	}()
 	if err := s.inj.Hit(fault.SiteServeWorker); err != nil {
-		req.done <- response{err: err}
-		return
+		return nil, err
 	}
 	// One state per miss: epoch number, rewrite, view health, rows and the
 	// cache the result goes into belong to one publication. A named query's
 	// rewrite came with it; an ad-hoc plan is rewritten per call — a memo keyed
 	// by caller-supplied plans would have no bound.
 	st := s.state.Load()
-	pp := st.plans[req.name]
+	pp := st.plans[name]
 	if pp == nil {
 		s.stats.planRewrites.Add(1)
-		adhoc := st.rels.Rewrite(req.plan)
+		adhoc := st.rels.Rewrite(plan)
 		pp = &adhoc
 	}
-	plan := pp.Plan
+	run := pp.Plan
 	degraded := false
 	if names := st.degradedAmong(pp.Views); len(names) > 0 {
 		// Circuit breaker: the rewritten plan reads a view that is unhealthy
 		// or beyond its staleness bound. Answer from the original plan over
 		// base relations — always fresh, at the paper's Ca(q) cost.
-		plan = req.plan
+		run = plan
 		degraded = true
 		s.stats.degraded.Add(1)
 		obs.Emit(s.obsv, obs.EvServeDegraded, obs.String("views", strings.Join(names, ",")))
-		if req.qt.entry != 0 {
-			s.traceStage(req.qt, "degraded", obs.String("views", strings.Join(names, ",")))
+		if qt.entry != 0 {
+			s.traceStage(qt, "degraded", obs.String("views", strings.Join(names, ",")))
 		}
 	}
-	res, err := st.rels.Execute(plan)
+	out, err := st.rels.Execute(run)
 	if err != nil {
-		req.done <- response{err: err}
-		return
+		return nil, err
 	}
-	if req.qt.entry != 0 {
-		attrs := []obs.Attr{obs.Int("reads", res.TotalReads()), obs.Int("epoch", int64(st.epoch))}
-		if ptid := s.joinEpochTrace(req.qt, st, false, res.TotalReads()); ptid != 0 {
+	if qt.entry != 0 {
+		attrs := []obs.Attr{obs.Int("reads", out.TotalReads()), obs.Int("epoch", int64(st.epoch))}
+		if ptid := s.joinEpochTrace(qt, st, false, out.TotalReads()); ptid != 0 {
 			attrs = append(attrs, obs.Int("pipeline_trace_id", int64(ptid)))
 		}
-		s.traceStage(req.qt, "execute", attrs...)
+		s.traceStage(qt, "execute", attrs...)
 	}
-	if !degraded && req.name != "" {
+	if !degraded && name != "" {
 		// Record the measured I/O against the query class's predicted cost.
 		// Degraded executions ran the base-relation plan, which the
 		// registered prediction does not price — they are skipped.
-		s.observeAudit(costaudit.KindQuery, req.name, res.TotalReads()+res.TotalWrites())
+		s.observeAudit(costaudit.KindQuery, name, out.TotalReads()+out.TotalWrites())
 	}
 	// The result goes into the cache of the state it was computed on, which a
 	// later publication leaves behind. Degraded results are not cached: an
 	// entry always carries the view-based answer.
 	if !degraded {
-		st.cache.put(req.key, res.Table)
+		st.cache.put(key, out.Table)
 	}
-	req.done <- response{res: &Result{Table: res.Table, Reads: res.TotalReads(), Epoch: st.epoch, Degraded: degraded}}
+	return &Result{Table: out.Table, Reads: out.TotalReads(), Epoch: st.epoch, Degraded: degraded}, nil
 }
 
 // Epoch returns the served state's epoch (0 before any maintenance ran).
 func (s *Server) Epoch() uint64 { return s.state.Load().epoch }
 
-// Close stops the server: the scheduler halts, workers finish the admitted
-// queue, and further submissions fail with ErrClosed. Close is idempotent
-// and safe to race with in-flight Query/Submit/Ingest calls: stragglers
-// that slip past the closed check are answered with ErrClosed rather than
-// left blocked. Close does not run a final maintenance epoch; call Flush
-// first if ingested deltas must land (with a journal configured, unlanded
-// deltas are replayed by the next server instead).
+// Close stops the server: the scheduler halts, callers waiting for an
+// execution slot wake with ErrClosed, the executions already running finish
+// (Close waits for them), and further submissions fail with ErrClosed. Close
+// is idempotent and safe to race with in-flight Query/Submit/Ingest calls.
+// Close does not run a final maintenance epoch; call Flush first if
+// ingested deltas must land (with a journal configured, unlanded deltas are
+// replayed by the next server instead).
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		// Drain the CDC change feed first, while ingestion is still open: the
@@ -914,19 +870,9 @@ func (s *Server) Close() error {
 		close(s.closed)
 		s.cancel()
 		s.wg.Wait()
-		// A Submit that passed the closed check can still enqueue after the
-		// workers exited. Answer stragglers until no submission is in
-		// flight.
-		for {
-			select {
-			case req := <-s.queue:
-				req.done <- response{err: ErrClosed}
-			default:
-				if s.inflight.Load() == 0 {
-					return
-				}
-				time.Sleep(50 * time.Microsecond)
-			}
+		// Wait out the executions running: take every slot, and keep them.
+		for range cap(s.slots) {
+			s.slots <- struct{}{}
 		}
 	})
 	return nil
@@ -936,8 +882,8 @@ func (s *Server) Close() error {
 type Stats struct {
 	// Queries is every submission (cache hits included); CacheHits and
 	// CacheMisses split them; Rejected counts admission-control failures
-	// and Backpressured counts submissions that had to wait for a queue
-	// slot.
+	// and Backpressured counts misses that found every execution slot taken
+	// and QueueDepth callers already waiting.
 	Queries, CacheHits, CacheMisses, Rejected, Backpressured int64
 	// Epochs counts maintenance epochs; IncrementalRefreshes and
 	// Recomputes count per-view refreshes by strategy within them;
@@ -954,7 +900,7 @@ type Stats struct {
 	// fail re-trip and count again); DegradedQueries counts queries
 	// answered from base relations because a view was unhealthy.
 	BreakerTrips, DegradedQueries int64
-	// PanicsRecovered counts panics caught in workers and refreshes;
+	// PanicsRecovered counts panics caught in query executions and refreshes;
 	// ReplayedDeltaRows counts journal rows re-ingested at startup.
 	PanicsRecovered, ReplayedDeltaRows int64
 	// CostObservations counts actuals recorded in the cost ledger;
@@ -981,7 +927,8 @@ type Stats struct {
 	IngestLagP50, IngestLagP95, IngestLagP99 time.Duration
 	// IngestBufferedRows is the change feed's current occupancy.
 	IngestBufferedRows int
-	// QueueDepth and CacheEntries are current occupancies.
+	// QueueDepth is the number of callers waiting for an execution slot now;
+	// CacheEntries is the result cache's occupancy.
 	QueueDepth, CacheEntries int
 	// Uptime is time since New; QPS is Queries/Uptime.
 	Uptime time.Duration
@@ -1047,7 +994,7 @@ func (s *Server) Stats() Stats {
 		IngestLagP50:         lag.Quantile(0.50),
 		IngestLagP95:         lag.Quantile(0.95),
 		IngestLagP99:         lag.Quantile(0.99),
-		QueueDepth:           len(s.queue),
+		QueueDepth:           int(s.waiting.Load()),
 		CacheEntries:         s.state.Load().cache.len(),
 		IngestBufferedRows:   s.feed.buffered(),
 		Uptime:               up,

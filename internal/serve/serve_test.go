@@ -224,17 +224,47 @@ func TestSchedulerStrategyDispatch(t *testing.T) {
 	}
 }
 
-// TestAdmissionControl fills the bounded queue with no workers draining it:
-// a second submission must block (backpressure) and reject once its context
-// expires, and a waiting caller whose context dies is rejected too.
+// holdSlots takes every execution slot of s, as that many executing misses
+// would, and returns the function that gives them back.
+func holdSlots(s *Server) (release func()) {
+	for range cap(s.slots) {
+		s.slots <- struct{}{}
+	}
+	return func() {
+		for range cap(s.slots) {
+			<-s.slots
+		}
+	}
+}
+
+// waitForWaiters waits until n callers wait for an execution slot.
+func waitForWaiters(t *testing.T, s *Server, n int64) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for s.waiting.Load() != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d callers wait for a slot, want %d", s.waiting.Load(), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestAdmissionControl holds every execution slot, so no miss can run. With
+// QueueDepth 1 the first caller waits without backpressure; a second finds
+// one caller waiting already, counts as backpressured and is rejected when
+// its context expires; the first, cancelled while it waits, is rejected too.
+// Neither executes: the block counter does not move.
 func TestAdmissionControl(t *testing.T) {
 	db := paperServeDB(t)
 	plan := laCustomerPlan(t, db)
-	s, err := newServer(Config{DB: db, QueueDepth: 1})
+	s, err := newServer(Config{DB: db, Workers: 1, QueueDepth: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s.Close()
+	release := holdSlots(s)
+	defer release()
+	readsBefore := db.Counter.Reads()
 
 	ctx1, cancel1 := context.WithCancel(context.Background())
 	defer cancel1()
@@ -243,19 +273,15 @@ func TestAdmissionControl(t *testing.T) {
 		_, err := s.Submit(ctx1, plan)
 		first <- err
 	}()
-	// Wait for the first submission to occupy the queue slot.
-	deadline := time.Now().Add(2 * time.Second)
-	for len(s.queue) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("first submission never reached the queue")
-		}
-		time.Sleep(time.Millisecond)
+	waitForWaiters(t, s, 1)
+	if got := s.Stats().QueueDepth; got != 1 {
+		t.Errorf("Stats.QueueDepth = %d with one caller waiting, want 1", got)
 	}
 
 	ctx2, cancel2 := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel2()
 	if _, err := s.Submit(ctx2, plan); !errors.Is(err, ErrRejected) {
-		t.Fatalf("full queue + expired context: got %v, want ErrRejected", err)
+		t.Fatalf("every slot held + expired context: got %v, want ErrRejected", err)
 	}
 
 	cancel1()
@@ -269,6 +295,12 @@ func TestAdmissionControl(t *testing.T) {
 	}
 	if st.Backpressured != 1 {
 		t.Errorf("backpressured = %d, want 1", st.Backpressured)
+	}
+	if st.QueueDepth != 0 {
+		t.Errorf("Stats.QueueDepth = %d after every waiter left, want 0", st.QueueDepth)
+	}
+	if got := db.Counter.Reads(); got != readsBefore {
+		t.Errorf("a rejected caller executed: %d block reads", got-readsBefore)
 	}
 }
 
@@ -468,8 +500,8 @@ func TestSubmitAdHocSubsumption(t *testing.T) {
 
 // TestResultCacheKeepsColumnOrder: the structural key ignores projection
 // order and join orientation, so two plans that differ only there must
-// still get answers in their own column order — the second from the worker
-// pool, not from the first one's cache entry.
+// still get answers in their own column order — the second executed, not
+// from the first one's cache entry.
 func TestResultCacheKeepsColumnOrder(t *testing.T) {
 	s, db := serveFixture(t, Config{DeltaBatch: 1 << 20})
 	ctx := context.Background()

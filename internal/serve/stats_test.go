@@ -91,14 +91,15 @@ func TestStatsMatchRegistry(t *testing.T) {
 	defer s.Close()
 	ctx := context.Background()
 
-	// A rejection before any worker runs: the miss is queued and its caller
-	// gives up first.
+	// A rejection before any slot is free: every execution slot is held, and
+	// the miss's caller gives up waiting for one.
+	release := holdSlots(s)
 	short, cancel := context.WithTimeout(ctx, 10*time.Millisecond)
 	if _, err := s.Query(short, "QLA"); err == nil {
-		t.Fatal("a query no worker can answer was not rejected")
+		t.Fatal("a query no slot can run was not rejected")
 	}
 	cancel()
-	s.startWorkers(2)
+	release()
 
 	for _, q := range []string{"QLA", "QLA", "QCust", "QCust"} {
 		if _, err := s.Query(ctx, q); err != nil {

@@ -27,9 +27,11 @@ type ServeOptions struct {
 	Scale float64
 	// Seed drives the deterministic data generator.
 	Seed int64
-	// Workers is the query router's worker-pool size (0 → default).
+	// Workers is how many cache misses may execute at once, each on its
+	// caller's goroutine (0 → default).
 	Workers int
-	// QueueDepth bounds the admission queue (0 → default).
+	// QueueDepth is how many callers may wait for an execution slot before
+	// a newcomer counts as backpressured (0 → default).
 	QueueDepth int
 	// CacheCapacity bounds the result cache in entries (0 → default,
 	// negative disables caching).
@@ -719,7 +721,9 @@ func (s *Server) Explain(name string) (string, error) { return s.inner.Explain(n
 func (s *Server) LastRecalibration() *Advice { return s.inner.LastRecalibration() }
 
 // Close stops the server. It is idempotent and safe to race with queries
-// and ingestion: in-flight work is answered with ErrServerClosed. Pending
+// and ingestion: callers waiting for an execution slot or blocked on
+// ingestion are answered with ErrServerClosed, and the query executions
+// already running finish before Close returns. Pending
 // ingested deltas are not flushed (call Flush first if they must land) but
 // journaled deltas survive — a new server over the same journal replays
 // them.
