@@ -191,8 +191,8 @@ const (
 	CtrServeIncrementalRefreshes = "serve.incremental_refreshes"
 	CtrServeRecomputes           = "serve.recomputes"
 	// CtrServePlanRewrites counts view rewrites of a query plan: one per
-	// workload query per view-set generation published, one per ad-hoc
-	// miss.
+	// distinct workload-query plan per view-set generation published, one
+	// per miss of an ad-hoc plan that equals no workload query.
 	CtrServePlanRewrites = "serve.plan_rewrites"
 	// CtrServeDeltaRows counts base-table delta rows ingested.
 	CtrServeDeltaRows = "serve.delta_rows"

@@ -121,10 +121,11 @@ const histBuckets = 64
 // upper bound of the bucket the rank falls in — coarse (within 2×) but
 // cheap enough for the submit hot path. The zero value is ready to use. It
 // backs the serving layer's all-time histograms and each second of a
-// WindowHist alike.
+// WindowHist alike. A record is two atomic adds: the count is the buckets'
+// sum, read back at snapshot time, so a snapshot's count always agrees with
+// its buckets.
 type Hist struct {
 	buckets [histBuckets]atomic.Int64
-	count   atomic.Int64
 	sum     atomic.Int64
 }
 
@@ -147,7 +148,6 @@ func (h *Hist) Record(d time.Duration) {
 		d = 0
 	}
 	h.buckets[HistBucket(d)].Add(1)
-	h.count.Add(1)
 	h.sum.Add(int64(d))
 }
 
@@ -159,15 +159,15 @@ func (h *Hist) Snapshot() HistSnapshot {
 }
 
 func (h *Hist) addTo(out *HistSnapshot) {
-	out.Count += h.count.Load()
 	out.Sum += h.sum.Load()
 	for i := range h.buckets {
-		out.Buckets[i] += h.buckets[i].Load()
+		n := h.buckets[i].Load()
+		out.Buckets[i] += n
+		out.Count += n
 	}
 }
 
 func (h *Hist) reset() {
-	h.count.Store(0)
 	h.sum.Store(0)
 	for i := range h.buckets {
 		h.buckets[i].Store(0)

@@ -62,8 +62,8 @@ func (s *Server) repriceAudit(st *served) *costaudit.Pricer {
 	// the audit prices with the same discipline regardless of the design
 	// model: the ratio then measures estimation error, not model mismatch.
 	pricer := costaudit.NewPricer(est, &cost.BlockNLJModel{})
-	for name, pp := range st.plans {
-		c, err := pricer.PlanCost(pp.Plan)
+	for name, qs := range s.queries {
+		c, err := pricer.PlanCost(st.plans[qs.slot].Plan)
 		if err != nil {
 			continue
 		}
@@ -207,12 +207,12 @@ func (s *Server) LastRecalibration() *Advice { return s.lastRecal.Load() }
 // operator by the audit pricer and annotated with the ledger's observed
 // actuals for the query class and for every view the plan reads.
 func (s *Server) Explain(name string) (string, error) {
-	st := s.state.Load()
-	pp, ok := st.plans[name]
+	qs, ok := s.queries[name]
 	if !ok {
 		return "", fmt.Errorf("serve: unknown query %q", name)
 	}
-	plan, pricer := pp.Plan, st.pricer
+	st := s.state.Load()
+	plan, pricer := st.plans[qs.slot].Plan, st.pricer
 
 	var b strings.Builder
 	fmt.Fprintf(&b, "query %s\n", name)

@@ -11,8 +11,10 @@
 //     holding one of a fixed number of execution slots; a caller that finds
 //     every slot taken waits for one, and is rejected if its context expires
 //     first — admission control;
-//   - a result cache keyed by the plan's cacheKey, one per served
-//     state: an entry is valid while the state it was computed on is served;
+//   - a result cache, one per served state: an entry is valid while the
+//     state it was computed on is served. Each named query owns a slot, so a
+//     hit is one atomic load; ad-hoc plans equal to a named query share its
+//     slot, others are keyed by their cacheKey, and CLOCK evicts across both;
 //   - a maintenance scheduler (Ingest/Flush): delta rows accumulate per
 //     base table and, once a batch fills (or Flush is called), one epoch runs —
 //     deltas are staged, affected views refresh by their design-time
@@ -35,7 +37,8 @@
 // Concurrency: everything a reader needs — epoch number, relation set, the
 // named queries' rewritten plans, view health, result cache — is one
 // immutable value behind one pointer (served). A reader loads it once and
-// takes no lock but its cache's; everything maintenance-side — epochs, the
+// takes no lock, but a miss's put and an ad-hoc plan's cache lookup take its
+// cache's; everything maintenance-side — epochs, the
 // drift check, checkpoints, advice swaps — is one maintainer at a time
 // (maintain) and ends by publishing the successor, so an answer comes from
 // one whole state, never from a mix.
@@ -249,11 +252,12 @@ type Result struct {
 
 type queryState struct {
 	spec QuerySpec
-	// key is the result-cache key of spec.Plan. The plan never changes
-	// after construction (an advisor swap changes the views it is rewritten
-	// over, not the plan), so the key is derived once instead of being
-	// rebuilt from the plan tree on every request.
-	key      string
+	// slot indexes the query's result-cache slot and its rewritten plan in
+	// every served state. The plan never changes after construction (an
+	// advisor swap changes the views it is rewritten over, not the plan), so
+	// its cacheKey is derived once, by New, and named queries with equal keys
+	// share a slot.
+	slot     int
 	observed atomic.Int64
 }
 
@@ -263,9 +267,10 @@ type queryState struct {
 type served struct {
 	epoch uint64 // counts publications
 	rels  *engine.RelationSet
-	// plans holds every named query rewritten over rels' view set, shared
-	// with the predecessor while the view-set generation stands.
-	plans map[string]*engine.RewrittenPlan
+	// plans holds every slot's plan rewritten over rels' view set, indexed
+	// by slot and shared with the predecessor while the view-set generation
+	// stands.
+	plans []*engine.RewrittenPlan
 	// health lists the views whose queries degrade to base relations now, or
 	// will before the next publication; empty on a healthy warehouse.
 	health map[string]viewHealth
@@ -287,16 +292,17 @@ type viewHealth struct {
 // see, in one store: the only one. Caller is New or the maintainer; health is
 // the registry's as of now (healthLocked).
 func (s *Server) publish(epoch uint64, rels *engine.RelationSet, health map[string]viewHealth, link *epochTraceLink) {
-	st := &served{epoch: epoch, rels: rels, health: health, link: link, cache: newResultCache(s.cacheCap)}
+	st := &served{epoch: epoch, rels: rels, health: health, link: link,
+		cache: newResultCache(s.cacheCap, len(s.slotPlans))}
 	if prev := s.state.Load(); prev != nil && prev.rels.Generation() == rels.Generation() {
 		st.plans, st.pricer = prev.plans, prev.pricer
 	} else {
-		st.plans = make(map[string]*engine.RewrittenPlan, len(s.queries))
-		for name, qs := range s.queries {
-			pp := rels.Rewrite(qs.spec.Plan)
-			st.plans[name] = &pp
+		st.plans = make([]*engine.RewrittenPlan, len(s.slotPlans))
+		for slot, plan := range s.slotPlans {
+			pp := rels.Rewrite(plan)
+			st.plans[slot] = &pp
 		}
-		s.stats.planRewrites.Add(int64(len(s.queries)))
+		s.stats.planRewrites.Add(int64(len(s.slotPlans)))
 		st.pricer = s.repriceAudit(st)
 	}
 	s.state.Store(st)
@@ -328,6 +334,11 @@ type Server struct {
 	db      *engine.DB
 	queries map[string]*queryState
 	order   []string
+	// slotOf maps a named query's cacheKey to its slot, so an ad-hoc plan
+	// equal to a named query shares that query's cache entry and rewrite;
+	// slotPlans holds each slot's plan.
+	slotOf    map[string]int
+	slotPlans []algebra.Node
 
 	mvpp       *core.MVPP // read-only: the Design and its other servers share it
 	model      cost.Model
@@ -520,6 +531,7 @@ func newServer(cfg Config) (*Server, error) {
 	s := &Server{
 		db:         cfg.DB,
 		queries:    make(map[string]*queryState, len(cfg.Queries)),
+		slotOf:     make(map[string]int, len(cfg.Queries)),
 		mvpp:       cfg.MVPP,
 		model:      cfg.Model,
 		selectOpts: cfg.SelectOpts,
@@ -579,7 +591,14 @@ func newServer(cfg Config) (*Server, error) {
 		if _, dup := s.queries[q.Name]; dup {
 			return nil, fmt.Errorf("serve: duplicate query %q", q.Name)
 		}
-		s.queries[q.Name] = &queryState{spec: q, key: cacheKey(q.Plan)}
+		key := cacheKey(q.Plan)
+		slot, ok := s.slotOf[key]
+		if !ok {
+			slot = len(s.slotPlans)
+			s.slotOf[key] = slot
+			s.slotPlans = append(s.slotPlans, q.Plan)
+		}
+		s.queries[q.Name] = &queryState{spec: q, slot: slot}
 		s.order = append(s.order, q.Name)
 	}
 	sched, err := newScheduler(s, cfg)
@@ -647,7 +666,7 @@ func (s *Server) Query(ctx context.Context, name string) (*Result, error) {
 		return nil, fmt.Errorf("serve: unknown query %q", name)
 	}
 	qs.observed.Add(1)
-	return s.submit(ctx, name, qs.spec.Plan, qs.key)
+	return s.submit(ctx, name, qs.spec.Plan, cacheRef{slot: qs.slot})
 }
 
 // Submit answers an ad-hoc plan: from the cache, or by executing the plan
@@ -657,7 +676,11 @@ func (s *Server) Query(ctx context.Context, name string) (*Result, error) {
 // server closes (ErrClosed); ctx bounds only that wait. Submitting to a
 // closed server returns ErrClosed.
 func (s *Server) Submit(ctx context.Context, plan algebra.Node) (*Result, error) {
-	return s.submit(ctx, "", plan, cacheKey(plan))
+	key := cacheKey(plan)
+	if slot, ok := s.slotOf[key]; ok {
+		return s.submit(ctx, "", plan, cacheRef{slot: slot})
+	}
+	return s.submit(ctx, "", plan, cacheRef{slot: -1, key: key})
 }
 
 // cacheKey is a plan's result-cache key: its structural key, which ignores
@@ -668,9 +691,9 @@ func cacheKey(plan algebra.Node) string {
 }
 
 // submit is the admission path behind Query and Submit; name labels the
-// workload query for trace correlation ("" for ad-hoc plans) and key is the
-// plan's result-cache key.
-func (s *Server) submit(ctx context.Context, name string, plan algebra.Node, key string) (*Result, error) {
+// workload query for trace correlation ("" for ad-hoc plans) and ref names
+// the plan's result-cache entry.
+func (s *Server) submit(ctx context.Context, name string, plan algebra.Node, ref cacheRef) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -695,7 +718,7 @@ func (s *Server) submit(ctx context.Context, name string, plan algebra.Node, key
 	}
 
 	st := s.state.Load()
-	if table, ok := st.cache.get(key); ok {
+	if table, ok := st.cache.get(ref); ok {
 		s.stats.hits.Add(1)
 		s.winHits.Add(nowSec, 1)
 		lat := time.Since(start)
@@ -724,7 +747,7 @@ func (s *Server) submit(ctx context.Context, name string, plan algebra.Node, key
 		}
 		return nil, err
 	}
-	res, err := s.execute(plan, key, name, qt)
+	res, err := s.execute(plan, ref, name, qt)
 	if err != nil {
 		if qt.entry != 0 {
 			s.traceStage(qt, "reply", obs.String("outcome", "error"),
@@ -782,11 +805,12 @@ func (s *Server) acquire(ctx context.Context) error {
 }
 
 // execute answers one admitted miss on the served state, on the caller's
-// goroutine, and gives back the slot acquire took however it ends. name is
-// the workload query class ("" for an ad-hoc plan), whose measured I/O the
-// cost ledger records; qt is the sampled query's /traces entry (zero when
-// unsampled).
-func (s *Server) execute(plan algebra.Node, key, name string, qt sampledQuery) (res *Result, err error) {
+// goroutine, and gives back the slot acquire took however it ends. ref names
+// the cache entry the result goes into and, for a cache slot, the rewrite;
+// name is the workload query class ("" for an ad-hoc plan), whose measured
+// I/O the cost ledger records; qt is the sampled query's /traces entry (zero
+// when unsampled).
+func (s *Server) execute(plan algebra.Node, ref cacheRef, name string, qt sampledQuery) (res *Result, err error) {
 	// A panicking execution (injected or real) is answered as an error and
 	// frees its slot too: the slots are the serving capacity.
 	defer func() {
@@ -800,12 +824,14 @@ func (s *Server) execute(plan algebra.Node, key, name string, qt sampledQuery) (
 		return nil, err
 	}
 	// One state per miss: epoch number, rewrite, view health, rows and the
-	// cache the result goes into belong to one publication. A named query's
-	// rewrite came with it; an ad-hoc plan is rewritten per call — a memo keyed
+	// cache the result goes into belong to one publication. A slot's rewrite
+	// came with it; any other ad-hoc plan is rewritten per call — a memo keyed
 	// by caller-supplied plans would have no bound.
 	st := s.state.Load()
-	pp := st.plans[name]
-	if pp == nil {
+	var pp *engine.RewrittenPlan
+	if ref.slot >= 0 {
+		pp = st.plans[ref.slot]
+	} else {
 		s.stats.planRewrites.Add(1)
 		adhoc := st.rels.Rewrite(plan)
 		pp = &adhoc
@@ -845,7 +871,7 @@ func (s *Server) execute(plan algebra.Node, key, name string, qt sampledQuery) (
 	// later publication leaves behind. Degraded results are not cached: an
 	// entry always carries the view-based answer.
 	if !degraded {
-		st.cache.put(key, out.Table)
+		st.cache.put(ref, out.Table)
 	}
 	return &Result{Table: out.Table, Reads: out.TotalReads(), Epoch: st.epoch, Degraded: degraded}, nil
 }
@@ -919,8 +945,9 @@ type Stats struct {
 	// FlightDumps counts flight-recorder dumps latched by episodes (SLO
 	// breach, breaker open, checkpoint failure, recovery corruption).
 	FlightDumps int64
-	// PlanRewrites counts view rewrites of a query plan: one per named query
-	// per view-set generation published, one per ad-hoc miss.
+	// PlanRewrites counts view rewrites of a query plan: one per distinct
+	// named-query plan per view-set generation published, one per miss of an
+	// ad-hoc plan that equals no named query.
 	PlanRewrites int64
 	// IngestLagP50/P95/P99 are accepted→group-committed latency quantiles
 	// of streamed rows.

@@ -133,7 +133,7 @@ func TestServeCacheHitAndEpochInvalidation(t *testing.T) {
 	}
 	// A result computed on the superseded state lands in that state's cache,
 	// where no reader of the served state looks.
-	superseded.cache.put(s.queries["QLA"].key, r1.Table)
+	superseded.cache.put(cacheRef{slot: s.queries["QLA"].slot}, r1.Table)
 	if got := s.Stats().CacheEntries; got != 0 {
 		t.Errorf("the state published by the epoch starts with %d cache entries", got)
 	}
@@ -432,30 +432,35 @@ func TestServeConcurrentClients(t *testing.T) {
 	}
 }
 
-// TestResultCacheLRU: capacity bounds the cache and eviction is
-// least-recently-used; negative capacity disables caching entirely.
+// TestResultCacheLRU: capacity bounds the cache and eviction spares the
+// recently used entry; negative capacity disables caching entirely.
 func TestResultCacheLRU(t *testing.T) {
 	mk := func(name string) *engine.Table {
 		return engine.NewTable(name, algebra.NewSchema(algebra.Column{Relation: "t", Name: "a", Type: algebra.TypeInt}), 10)
 	}
-	c := newResultCache(2)
-	c.put("a", mk("a"))
-	c.put("b", mk("b"))
-	if _, ok := c.get("a"); !ok { // touch a → b is now LRU
+	a, b, c := cacheRef{slot: 0}, cacheRef{slot: -1, key: "b"}, cacheRef{slot: 1}
+	cache := newResultCache(2, 2)
+	cache.put(a, mk("a"))
+	cache.put(b, mk("b"))
+	if _, ok := cache.get(a); !ok { // touch a → b is now the victim
 		t.Fatal("a should be cached")
 	}
-	c.put("c", mk("c"))
-	if _, ok := c.get("b"); ok {
-		t.Error("b should have been evicted as LRU")
+	cache.put(c, mk("c"))
+	if _, ok := cache.get(b); ok {
+		t.Error("b should have been evicted as least recently used")
 	}
-	if _, ok := c.get("a"); !ok {
+	if _, ok := cache.get(a); !ok {
 		t.Error("a should have survived (recently used)")
 	}
 
-	off := newResultCache(-1)
-	off.put("x", mk("x"))
-	if _, ok := off.get("x"); ok {
-		t.Error("disabled cache returned a hit")
+	off := newResultCache(-1, 1)
+	x := cacheRef{slot: -1, key: "x"}
+	off.put(x, mk("x"))
+	off.put(a, mk("a"))
+	for _, ref := range []cacheRef{x, a} {
+		if _, ok := off.get(ref); ok {
+			t.Error("disabled cache returned a hit")
+		}
 	}
 	if off.len() != 0 {
 		t.Error("disabled cache stored an entry")

@@ -4,10 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"path/filepath"
 	"reflect"
+	"runtime/metrics"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	mvpp "github.com/warehousekit/mvpp"
 	"github.com/warehousekit/mvpp/internal/engine"
@@ -306,35 +310,148 @@ func TestServeOptionsValidation(t *testing.T) {
 }
 
 // BenchmarkServeWorkload drives the serving layer with parallel clients
-// round-robining the paper workload while reporting throughput-side
-// metrics (cache hit rate, tail latency).
+// while reporting throughput-side metrics (cache hit rate, tail latency):
+// round_robin cycles the paper workload, one_query sends every client to one
+// query, so each hit writes the same counters and the same cache entry — the
+// hit path's contention case.
 func BenchmarkServeWorkload(b *testing.B) {
 	design, err := benchPaperDesigner(b).Design()
 	if err != nil {
 		b.Fatal(err)
 	}
-	srv, err := design.NewServer(mvpp.ServeOptions{Scale: 0.01, Seed: 7})
+	queries := design.Queries()
+	run := func(b *testing.B, pick func(i int) string) {
+		srv, err := design.NewServer(mvpp.ServeOptions{Scale: 0.01, Seed: 7})
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer srv.Close()
+		ctx := context.Background()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			i := 0
+			for pb.Next() {
+				if _, err := srv.Query(ctx, pick(i)); err != nil {
+					b.Fatal(err)
+				}
+				i++
+			}
+		})
+		b.StopTimer()
+		stats := srv.Stats()
+		b.ReportMetric(stats.QPS, "queries/sec")
+		b.ReportMetric(stats.CacheHitRate(), "cache-hit-rate")
+		b.ReportMetric(float64(stats.P99.Microseconds()), "p99-us")
+	}
+	b.Run("round_robin", func(b *testing.B) {
+		run(b, func(i int) string { return queries[i%len(queries)] })
+	})
+	b.Run("one_query", func(b *testing.B) {
+		run(b, func(int) string { return queries[0] })
+	})
+}
+
+// BenchmarkFreshness times the freshness path — one streamed delta batch to
+// the first query that sees it — on a journaled, checkpointing server over
+// the paper's design at the mixed workload's scale (0.02) and batch size (a
+// quarter of the design-time delta fraction). Each iteration streams one
+// batch (ack: journaled and staged), flushes it (one maintenance epoch and
+// its publication), and waits for a reader at 2 000 reads/s, which sleeps on
+// a ticker between queries, to be answered from the new epoch (first read).
+// It reports the three medians, their sum and the GC cycles per batch. It is
+// a diagnostic: the end-to-end gate stays with the repository benchmark.
+func BenchmarkFreshness(b *testing.B) {
+	const deltaFraction = 0.0025
+	design, err := benchPaperDesigner(b).Design()
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	srv, err := design.NewServer(mvpp.ServeOptions{
+		Scale:       0.02,
+		Seed:        7,
+		SnapshotDir: filepath.Join(dir, "snapshots"),
+		JournalPath: filepath.Join(dir, "deltas.journal"),
+	})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer srv.Close()
-	queries := design.Queries()
 	ctx := context.Background()
-	b.ResetTimer()
-	b.RunParallel(func(pb *testing.PB) {
-		i := 0
-		for pb.Next() {
-			if _, err := srv.Query(ctx, queries[i%len(queries)]); err != nil {
-				b.Fatal(err)
+	probe := design.Queries()[0]
+
+	// The reader queries every tick; once waitFor names an epoch, the first
+	// answer from that epoch or later is reported on seen.
+	var waitFor atomic.Uint64
+	seen := make(chan time.Time)
+	stop := make(chan struct{})
+	readerDone := make(chan error, 1)
+	go func() {
+		tick := time.NewTicker(500 * time.Microsecond)
+		defer tick.Stop()
+		for {
+			select {
+			case <-stop:
+				readerDone <- nil
+				return
+			case <-tick.C:
 			}
-			i++
+			r, err := srv.Query(ctx, probe)
+			if err != nil {
+				readerDone <- err
+				return
+			}
+			if want := waitFor.Load(); want != 0 && r.Epoch >= want {
+				waitFor.Store(0)
+				seen <- time.Now()
+			}
 		}
-	})
+	}()
+
+	var ack, flush, firstRead []time.Duration
+	gcCycles := func() uint64 {
+		sample := []metrics.Sample{{Name: "/gc/cycles/total:gc-cycles"}}
+		metrics.Read(sample)
+		return sample[0].Value.Uint64()
+	}
+	gc0 := gcCycles()
+	b.ResetTimer()
+	for range b.N {
+		began := time.Now()
+		if _, err := srv.StreamDeltas(deltaFraction); err != nil {
+			b.Fatal(err)
+		}
+		acked := time.Now()
+		if err := srv.Flush(); err != nil {
+			b.Fatal(err)
+		}
+		flushed := time.Now()
+		waitFor.Store(srv.Epoch())
+		var at time.Time
+		select {
+		case at = <-seen:
+		case err := <-readerDone:
+			b.Fatalf("reader stopped: %v", err)
+		}
+		ack = append(ack, acked.Sub(began))
+		flush = append(flush, flushed.Sub(acked))
+		firstRead = append(firstRead, at.Sub(flushed))
+	}
 	b.StopTimer()
-	stats := srv.Stats()
-	b.ReportMetric(stats.QPS, "queries/sec")
-	b.ReportMetric(stats.CacheHitRate(), "cache-hit-rate")
-	b.ReportMetric(float64(stats.P99.Microseconds()), "p99-us")
+	close(stop)
+	if err := <-readerDone; err != nil {
+		b.Fatal(err)
+	}
+	median := func(ds []time.Duration) float64 {
+		sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
+		return float64(ds[len(ds)/2]) / float64(time.Millisecond)
+	}
+	a, f, r := median(ack), median(flush), median(firstRead)
+	b.ReportMetric(a, "ack-ms")
+	b.ReportMetric(f, "flush-ms")
+	b.ReportMetric(r, "first-read-ms")
+	b.ReportMetric(a+f+r, "fresh-ms")
+	b.ReportMetric(float64(gcCycles()-gc0)/float64(b.N), "gc-cycles/op")
 }
 
 // TestNoServerFieldCanKeepAMaintenanceEpoch: an engine.MaintenanceEpoch
